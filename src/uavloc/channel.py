@@ -34,31 +34,38 @@ class RngStream:
         return self.generator.uniform(low, high, size)
 
 
-def _lift(user) -> np.ndarray:
-    """User ground position as a 3D point at z = 0."""
-    u = user.as_array() if isinstance(user, Vec2) else np.asarray(user, dtype=float)
-    return np.array([u[0], u[1], 0.0])
+def _as_array(p) -> np.ndarray:
+    return p.as_array() if isinstance(p, (Vec2, Vec3)) else np.asarray(p, dtype=float)
 
 
-def _as3(p) -> np.ndarray:
-    return p.as_array() if isinstance(p, Vec3) else np.asarray(p, dtype=float)
+def link_geometry(uav, users):
+    """Difference vectors and lengths of UAV-to-user links, users lifted to z = 0.
+
+    uav (M, 3) and users (M, 2) broadcast over their leading axes, so one UAV
+    position may face K users. Returns diff = uav - (user, 0) of shape (M, 3)
+    and d = ||diff|| of shape (M,). Raises DegenerateGeometry if any d == 0.
+    """
+    users = np.asarray(users, dtype=float)
+    lifted = np.concatenate([users, np.zeros(users.shape[:-1] + (1,))], axis=-1)
+    diff = np.asarray(uav, dtype=float) - lifted
+    d = np.sqrt(np.vecdot(diff, diff))
+    if (d == 0.0).any():
+        raise DegenerateGeometry("zero UAV-user distance")
+    return diff, d
 
 
 def los_delay(uav, user) -> float:
     """True LoS propagation delay ||uav - user|| / C in seconds."""
-    d = float(np.linalg.norm(_as3(uav) - _lift(user)))
-    if d == 0.0:
-        raise DegenerateGeometry("UAV and user coincide")
-    return d / SPEED_OF_LIGHT
+    return float(link_geometry(_as_array(uav), _as_array(user))[1]) / SPEED_OF_LIGHT
 
 
 def sample_gps(true_pos, sigma_gps: float, rng: RngStream) -> np.ndarray:
     """GPS fix: true position plus N(0, sigma_gps^2 I3) noise."""
-    return _as3(true_pos) + sigma_gps * rng.standard_normal(3)
+    return _as_array(true_pos) + sigma_gps * rng.standard_normal(3)
 
 
 def sigma_tau_of_distance(d: float, m: ToaNoiseModel) -> float:
-    """Delay-noise std at link distance d (meters)."""
+    """Delay-noise std at link distance d (meters); d may be an array."""
     if m.kind == "exponential":
         return m.sigma0 + m.amp * np.exp(d / m.scale)
     return m.sigma0
@@ -68,11 +75,11 @@ def is_blocked(uav, user, boxes) -> bool:
     """True iff the open UAV-user segment crosses any box interior.
 
     Standard slab test; grazing contact with a face or edge does not count
-    as blockage.
+    as blockage. A zero-length link raises DegenerateGeometry, as in
+    los_delay.
     """
-    p0 = _as3(uav)
-    p1 = _lift(user)
-    d = p1 - p0
+    p0 = _as_array(uav)
+    d = -link_geometry(p0, _as_array(user))[0]
     for box in boxes:
         lo = box.min_corner.as_array()
         hi = box.max_corner.as_array()

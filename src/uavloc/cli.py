@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -103,33 +104,62 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _planner_state(doc, rc: RunConfig) -> PlannerState:
+    """PlannerState from a state JSON document; SchemaError if malformed."""
+    if not isinstance(doc, dict):
+        raise SchemaError("state JSON must be an object")
+    missing = [k for k in ("step", "pos", "fim", "user_estimates") if k not in doc]
+    if missing:
+        raise SchemaError(f"state JSON lacks {', '.join(missing)}")
+    s = rc.scenario
+    step = doc["step"]
+    if type(step) is not int or not 1 <= step < s.mission_steps:
+        raise SchemaError(f"state 'step' must be an integer in 1..{s.mission_steps - 1}")
+    try:
+        arrays = {k: np.asarray(doc[k], dtype=float) for k in ("pos", "user_estimates", "fim")}
+        eps = float(doc.get("eps_prior", 1e-6))
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError("state 'pos', 'user_estimates', 'fim' and 'eps_prior' "
+                          "must hold numbers") from None
+    users = arrays["user_estimates"]
+    k = len(users) if users.ndim else 0
+    shapes = {"pos": (3,), "user_estimates": (max(k, 1), 2), "fim": (2 * k, 2 * k)}
+    for key, arr in arrays.items():
+        if arr.shape != shapes[key] or not np.all(np.isfinite(arr)):
+            raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise SchemaError("state 'eps_prior' must be a finite number >= 0")
+    return PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
+                        mission_steps=s.mission_steps, d_max=s.d_max,
+                        info=InfoState(step=step, fim=arrays["fim"], eps_prior=eps),
+                        user_estimates=users, noise_model=s.toa_noise,
+                        headings=rc.planner.get("headings", 8))
+
+
 def _cmd_plan(args) -> int:
     rc = _load_config(args.scenario)
-    s = rc.scenario
     with open(args.state) as f:
-        doc = json.load(f)
-    fim = np.asarray(doc["fim"], dtype=float)
-    info = InfoState(step=int(doc["step"]), fim=fim,
-                     eps_prior=float(doc.get("eps_prior", 1e-6)))
-    st = PlannerState(step=int(doc["step"]),
-                      pos=np.asarray(doc["pos"], dtype=float),
-                      terminal=s.uav_terminal.as_array(),
-                      mission_steps=s.mission_steps, d_max=s.d_max, info=info,
-                      user_estimates=np.asarray(doc["user_estimates"], dtype=float),
-                      noise_model=s.toa_noise,
-                      headings=rc.planner.get("headings", 8))
+        st = _planner_state(json.load(f), rc)
     wp = next_waypoint(st)
     _emit({"next_waypoint": [float(v) for v in wp]}, args.json)
     return 0
 
 
 def _read_xyz_csv(path: str, header: list[str]) -> np.ndarray:
+    """One or more rows of finite numbers under an exact header."""
     with open(path) as f:
-        reader = csv.reader(io.StringIO(f.read()))
-        got = next(reader, None)
-        if got != header:
-            raise SchemaError(f"header must be exactly {','.join(header)}")
-        return np.array([[float(v) for v in row] for row in reader if row])
+        rows = list(csv.reader(io.StringIO(f.read())))
+    if not rows or rows[0] != header:
+        raise SchemaError(f"{path}: header must be exactly {','.join(header)}")
+    rows = [row for row in rows[1:] if row]
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = None
+    # an empty list of rows gives shape (0,), which the shape test rejects
+    if data is None or data.shape != (len(rows), len(header)) or not np.all(np.isfinite(data)):
+        raise SchemaError(f"{path}: expected one or more rows of {len(header)} finite numbers")
+    return data
 
 
 def _cmd_crb(args) -> int:

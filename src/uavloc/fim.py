@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sigma_tau_of_distance
-from .errors import DegenerateGeometry, SingularFim
+from .channel import link_geometry, sigma_tau_of_distance
+from .errors import SingularFim
 from .model import SPEED_OF_LIGHT, ToaNoiseModel
 
 
@@ -52,29 +52,16 @@ def _inv(mat: np.ndarray, eps: float) -> np.ndarray:
 
 def toa_info_contribution(uav, user_est, sigma_tau: float) -> np.ndarray:
     """Rank-1 information block (1/sigma^2) g g^T with g = (x_xy - u)/(C d)."""
-    x = np.asarray(uav, dtype=float)
-    u = np.asarray(user_est, dtype=float)
-    diff = x - np.array([u[0], u[1], 0.0])
-    d = float(np.linalg.norm(diff))
-    if d == 0.0:
-        raise DegenerateGeometry("zero UAV-user distance")
-    g = diff[:2] / (SPEED_OF_LIGHT * d)
-    return np.outer(g, g) / sigma_tau ** 2
+    return step_contribution(uav, user_est, ToaNoiseModel(sigma0=sigma_tau))[0]
 
 
 def step_contribution(uav, user_ests, noise: ToaNoiseModel) -> np.ndarray:
     """Per-user 2x2 blocks for one UAV position, sigma taken from the noise
     model at the estimated link distance. Returns (K, 2, 2)."""
-    user_ests = np.asarray(user_ests, dtype=float)
-    out = np.zeros((len(user_ests), 2, 2))
-    x = np.asarray(uav, dtype=float)
-    for k, u in enumerate(user_ests):
-        diff = x - np.array([u[0], u[1], 0.0])
-        d = float(np.linalg.norm(diff))
-        if d == 0.0:
-            raise DegenerateGeometry("zero UAV-user distance")
-        out[k] = toa_info_contribution(x, u, sigma_tau_of_distance(d, noise))
-    return out
+    diff, d = link_geometry(uav, np.reshape(user_ests, (-1, 2)))
+    g = diff[:, :2] / (SPEED_OF_LIGHT * d)[:, None]
+    var = np.reshape(sigma_tau_of_distance(d, noise) ** 2, (-1, 1, 1))
+    return g[:, :, None] * g[:, None, :] / var
 
 
 def _expand(contribs: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -226,6 +227,9 @@ def read_measurement_log(text: str) -> list[MeasurementSample]:
             gx, gy, gz, toa = (float(v) for v in row[2:])
         except ValueError as exc:
             raise RowError(rownum, str(exc)) from None
+        for name, value in zip(LOG_HEADER[2:], (gx, gy, gz, toa)):
+            if not math.isfinite(value):
+                raise RowError(rownum, f"{name} must be finite")
         if toa < 0:
             raise RowError(rownum, "toa_s must be >= 0")
         samples.append(MeasurementSample(step=step, user_id=user_id,

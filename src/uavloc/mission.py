@@ -42,10 +42,6 @@ class MissionResult:
     converged: bool
     metrics: Metrics
 
-    @property
-    def true_trajectory(self):
-        return self.planned
-
 
 def straight_line_path(s: Scenario) -> np.ndarray:
     t = np.linspace(0.0, 1.0, s.mission_steps)[:, None]

@@ -91,10 +91,6 @@ class Scenario:
     seed: int = 0
 
 
-# A Scenario that passed validate_scenario. Kept as an alias; validation
-# returns the same immutable value.
-ValidatedScenario = Scenario
-
 # Relative slack for the exact reachability check.
 _REACH_SLACK = 1e-12
 
@@ -105,7 +101,7 @@ def _require_finite(name, *values):
             raise InvalidParam(name, "must be finite")
 
 
-def validate_scenario(s: Scenario) -> ValidatedScenario:
+def validate_scenario(s: Scenario) -> Scenario:
     """Check every scenario invariant; return s unchanged if all hold."""
     if len(s.users) < 1:
         raise InvalidParam("users", "need at least one user")

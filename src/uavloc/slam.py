@@ -2,9 +2,14 @@
 least squares.
 
 The state stacks the UAV poses of every observed step (3D) followed by the
-user positions (2D). GPS terms anchor each pose; ToA terms couple a pose with
-a user. The normal equations are the standard graph-least-squares scatter-sum
-H = sum_i J_i^T Q_i^-1 J_i, solved with Levenberg-Marquardt damping.
+user positions (2D). A SlamProblem holds the measurements as arrays: one GPS
+fix per pose, and per ToA measurement its pose index, user index and delay.
+Residuals, Jacobian rows and weights are computed for all measurements at
+once: each GPS fix gives r = gps - x with Jacobian -I, each ToA delay gives
+r = tau - ||x - (u, 0)||/C with a 5-entry row over its pose and user. The
+weighted rows are summed into the dense (3S + 2K)-square normal equations
+H = J^T W J, b = J^T W r, which Levenberg-Marquardt damps and solves by
+Cholesky.
 """
 from __future__ import annotations
 
@@ -14,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .channel import sigma_tau_of_distance
-from .errors import DegenerateGeometry, NotConverged, SingularSystem
+from .channel import link_geometry, sigma_tau_of_distance
+from .errors import NotConverged, SingularSystem
 from .model import SPEED_OF_LIGHT, MeasurementSample, ToaNoiseModel
 
 logger = logging.getLogger(__name__)
@@ -30,10 +35,6 @@ class StateVector:
     uav: np.ndarray    # (S, 3)
     users: np.ndarray  # (K, 2)
 
-    @property
-    def dim(self) -> int:
-        return 3 * len(self.uav) + 2 * len(self.users)
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.uav.ravel(), self.users.ravel()])
 
@@ -46,19 +47,6 @@ class StateVector:
 
     def copy(self):
         return StateVector(self.uav.copy(), self.users.copy())
-
-
-@dataclass(frozen=True)
-class ErrorTerm:
-    """One weighted residual block of the objective.
-
-    GPS terms touch the 3 indices of one pose; ToA terms touch one pose and
-    one user (5 indices). weight is 1/sigma^2.
-    """
-    kind: str                 # "gps" | "toa"
-    indices: tuple[int, ...]  # flat state indices
-    measured: np.ndarray | float
-    weight: float
 
 
 @dataclass
@@ -91,11 +79,13 @@ class SlamConfig:
 
 @dataclass(frozen=True)
 class SlamProblem:
-    """Index layout derived from a measurement set."""
+    """Index layout and measurements of a measurement set, as arrays."""
     steps: tuple[int, ...]      # observed mission steps, sorted
     user_ids: tuple[int, ...]   # observed user ids, sorted
     gps: np.ndarray             # (S, 3) one GPS fix per observed step
-    toa: tuple[tuple[int, int, float], ...]  # (pose_idx, user_idx, toa)
+    pose: np.ndarray            # (M,) pose index of each ToA measurement
+    user: np.ndarray            # (M,) user index of each ToA measurement
+    toa: np.ndarray             # (M,) measured delays, seconds
 
     @property
     def num_poses(self):
@@ -105,31 +95,17 @@ class SlamProblem:
     def num_users(self):
         return len(self.user_ids)
 
-    def pose_slice(self, i):
-        return slice(3 * i, 3 * i + 3)
-
-    def user_indices(self, j):
-        base = 3 * self.num_poses + 2 * j
-        return (base, base + 1)
-
 
 def build_problem(measurements: list[MeasurementSample]) -> SlamProblem:
     if not measurements:
         raise ValueError("measurement set is empty")
-    steps = tuple(sorted({m.step for m in measurements}))
-    user_ids = tuple(sorted({m.user_id for m in measurements}))
-    step_idx = {s: i for i, s in enumerate(steps)}
-    user_idx = {u: j for j, u in enumerate(user_ids)}
-    gps = np.zeros((len(steps), 3))
-    seen = set()
-    toa = []
-    for m in measurements:
-        i = step_idx[m.step]
-        if m.step not in seen:
-            gps[i] = m.gps_pos.as_array()
-            seen.add(m.step)
-        toa.append((i, user_idx[m.user_id], float(m.toa)))
-    return SlamProblem(steps=steps, user_ids=user_ids, gps=gps, toa=tuple(toa))
+    steps, first, pose = np.unique([m.step for m in measurements],
+                                   return_index=True, return_inverse=True)
+    user_ids, user = np.unique([m.user_id for m in measurements], return_inverse=True)
+    gps = np.array([measurements[t].gps_pos.as_array() for t in first]).reshape(-1, 3)
+    return SlamProblem(steps=tuple(steps.tolist()), user_ids=tuple(user_ids.tolist()),
+                       gps=gps, pose=pose, user=user,
+                       toa=np.array([float(m.toa) for m in measurements]))
 
 
 def toa_jacobian_row(uav, user) -> np.ndarray:
@@ -137,102 +113,90 @@ def toa_jacobian_row(uav, user) -> np.ndarray:
 
     Returns [dr/dx (3 entries), dr/du (2 entries)].
     """
-    x = np.asarray(uav, dtype=float)
-    u = np.asarray(user, dtype=float)
-    diff = x - np.array([u[0], u[1], 0.0])
-    d = float(np.linalg.norm(diff))
-    if d == 0.0:
-        raise DegenerateGeometry("zero UAV-user distance")
-    row = np.empty(5)
-    row[:3] = -diff / (SPEED_OF_LIGHT * d)
-    row[3:] = diff[:2] / (SPEED_OF_LIGHT * d)
-    return row
+    diff, d = link_geometry(uav, user)
+    g = diff / (SPEED_OF_LIGHT * d)
+    return np.concatenate([-g, g[:2]])
 
 
-def _toa_sigma(problem, state, cfg) -> np.ndarray:
-    """Per-measurement ToA sigma under the configured weighting mode."""
+def _residuals(problem: SlamProblem, flat: np.ndarray):
+    """GPS residuals (S, 3), ToA residuals (M,) and the ToA link geometry."""
+    split = 3 * problem.num_poses
+    uav = flat[:split].reshape(-1, 3)
+    diff, d = link_geometry(uav[problem.pose], flat[split:].reshape(-1, 2)[problem.user])
+    return problem.gps - uav, problem.toa - d / SPEED_OF_LIGHT, diff, d
+
+
+def measurement_weights(problem: SlamProblem, flat: np.ndarray, cfg: SlamConfig):
+    """GPS weight and per-measurement ToA weights 1/sigma^2 at state `flat`.
+
+    ToA sigmas follow the noise model at the current link distances when
+    cfg.per_distance_weights is set, else they are cfg.sigma_tau.
+    """
     if cfg.per_distance_weights and cfg.noise_model is not None:
-        out = np.empty(len(problem.toa))
-        for t, (i, j, _) in enumerate(problem.toa):
-            diff = state.uav[i] - np.array([state.users[j][0], state.users[j][1], 0.0])
-            out[t] = sigma_tau_of_distance(float(np.linalg.norm(diff)), cfg.noise_model)
-        return out
-    return np.full(len(problem.toa), cfg.sigma_tau)
+        d = _residuals(problem, flat)[3]
+        w_toa = 1.0 / sigma_tau_of_distance(d, cfg.noise_model) ** 2
+    else:
+        w_toa = np.full(len(problem.toa), 1.0 / cfg.sigma_tau ** 2)
+    return 1.0 / cfg.sigma_gps ** 2, w_toa
 
 
-def build_error_terms(problem: SlamProblem, cfg: SlamConfig,
-                      state: StateVector | None = None) -> list[ErrorTerm]:
-    """One GPS term per observed pose plus one ToA term per measurement."""
-    terms = []
-    w_gps = 1.0 / cfg.sigma_gps ** 2
-    for i in range(problem.num_poses):
-        sl = problem.pose_slice(i)
-        terms.append(ErrorTerm("gps", tuple(range(sl.start, sl.stop)),
-                               problem.gps[i].copy(), w_gps))
-    sigmas = _toa_sigma(problem, state, cfg) if state is not None \
-        else np.full(len(problem.toa), cfg.sigma_tau)
-    for t, (i, j, tau) in enumerate(problem.toa):
-        sl = problem.pose_slice(i)
-        idx = tuple(range(sl.start, sl.stop)) + problem.user_indices(j)
-        terms.append(ErrorTerm("toa", idx, tau, 1.0 / sigmas[t] ** 2))
-    return terms
-
-
-def _term_residual(term: ErrorTerm, flat: np.ndarray):
-    """Residual vector and local Jacobian for one term."""
-    if term.kind == "gps":
-        r = np.asarray(term.measured) - flat[list(term.indices)]
-        jac = -np.eye(3)
-        return r, jac
-    x = flat[list(term.indices[:3])]
-    u = flat[list(term.indices[3:])]
-    diff = x - np.array([u[0], u[1], 0.0])
-    d = float(np.linalg.norm(diff))
-    if d == 0.0:
-        raise DegenerateGeometry("zero UAV-user distance")
-    r = np.array([term.measured - d / SPEED_OF_LIGHT])
-    jac = toa_jacobian_row(x, u).reshape(1, 5)
-    return r, jac
-
-
-def objective_terms(terms: list[ErrorTerm], flat: np.ndarray,
+def objective_terms(problem: SlamProblem, flat: np.ndarray, w_gps: float, w_toa,
                     huber_delta: float | None = None) -> float:
-    total = 0.0
-    for term in terms:
-        r, _ = _term_residual(term, flat)
-        if huber_delta is not None and term.kind == "toa":
-            a = abs(float(r[0]))
-            if a > huber_delta:
-                total += term.weight * huber_delta * (2 * a - huber_delta)
-                continue
-        total += term.weight * float(r @ r)
-    return total
+    """Weighted sum of squared residuals; ToA residuals beyond huber_delta
+    cost linearly (Huber). w_gps weights each GPS coordinate and w_toa (M,)
+    each ToA residual, as measurement_weights gives them."""
+    r_gps, r_toa, _, _ = _residuals(problem, flat)
+    if huber_delta is None:
+        toa = w_toa * r_toa ** 2
+    else:
+        a = np.abs(r_toa)
+        toa = np.where(a > huber_delta, w_toa * huber_delta * (2 * a - huber_delta),
+                       w_toa * r_toa ** 2)
+    # Summed in order, GPS terms first, not pairwise: LM accepts a step on
+    # f_new <= f, so the last bit of f steers the iteration path.
+    return float(np.cumsum(np.concatenate([w_gps * np.vecdot(r_gps, r_gps), toa]))[-1])
 
 
 def objective(state: StateVector, measurements, cfg: SlamConfig) -> float:
     """Negative log-likelihood (up to constants) of the measurement set."""
     problem = build_problem(measurements)
-    terms = build_error_terms(problem, cfg, state)
-    return objective_terms(terms, state.flatten(), cfg.huber_delta)
+    flat = state.flatten()
+    return objective_terms(problem, flat, *measurement_weights(problem, flat, cfg),
+                           cfg.huber_delta)
 
 
-def assemble_normal_equations(flat_state: np.ndarray, terms: list[ErrorTerm],
-                              damping: float = 0.0,
+def assemble_normal_equations(problem: SlamProblem, flat: np.ndarray, w_gps: float,
+                              w_toa, damping: float = 0.0,
                               huber_delta: float | None = None) -> NormalEquations:
-    """Scatter-sum H = sum J_i^T w_i J_i and b = sum J_i^T w_i r_i."""
-    dim = len(flat_state)
-    H = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    for term in terms:
-        r, jac = _term_residual(term, flat_state)
-        w = term.weight
-        if huber_delta is not None and term.kind == "toa":
-            a = abs(float(r[0]))
-            if a > huber_delta:
-                w *= huber_delta / a
-        idx = np.asarray(term.indices)
-        H[np.ix_(idx, idx)] += w * (jac.T @ jac)
-        b[idx] += w * (jac.T @ r)
+    """H = J^T W J and b = J^T W r over all measurements.
+
+    Each ToA row touches 5 state entries (its pose and its user); the 5x5
+    products of all rows are summed into H in one bincount. bincount adds in
+    input order, GPS entries first, so every entry of H and b is summed in
+    measurement order.
+    """
+    S = problem.num_poses
+    dim = len(flat)
+    r_gps, r_toa, diff, d = _residuals(problem, flat)
+    g = diff / (SPEED_OF_LIGHT * d)[:, None]
+    jac = np.concatenate([-g, g[:, :2]], axis=1)                          # (M, 5)
+    w = np.broadcast_to(w_toa, r_toa.shape)
+    if huber_delta is not None:
+        a = np.abs(r_toa)
+        w = w * np.divide(huber_delta, a, out=np.ones_like(a), where=a > huber_delta)
+    idx = np.concatenate([3 * problem.pose[:, None] + np.arange(3),
+                          3 * S + 2 * problem.user[:, None] + np.arange(2)], axis=1)
+    pose_idx = np.arange(3 * S)
+    H = np.bincount(
+        np.concatenate([pose_idx * (dim + 1), (idx[:, :, None] * dim + idx[:, None, :]).ravel()]),
+        weights=np.concatenate([np.full(3 * S, w_gps),
+                                (w[:, None, None] * (jac[:, :, None] * jac[:, None, :])).ravel()]),
+        minlength=dim * dim).reshape(dim, dim)
+    b = np.bincount(
+        np.concatenate([pose_idx, idx.ravel()]),
+        weights=np.concatenate([w_gps * -r_gps.ravel(),
+                                (w[:, None] * (jac * r_toa[:, None])).ravel()]),
+        minlength=dim)
     return NormalEquations(H=H, b=b, damping=damping)
 
 
@@ -251,7 +215,7 @@ def check_identifiability(problem: SlamProblem, warn: bool = True) -> list[int]:
     UAV positions. Logs a warning for each (identifiability is marginal)."""
     weak = []
     for j, uid in enumerate(problem.user_ids):
-        pts = np.array([problem.gps[i][:2] for i, jj, _ in problem.toa if jj == j])
+        pts = problem.gps[problem.pose[problem.user == j], :2]
         ok = False
         if len(pts) >= 3:
             centered = pts - pts.mean(axis=0)
@@ -278,9 +242,8 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
 
     flat = init.flatten()
     lam = cfg.lambda_init
-    terms = build_error_terms(problem, cfg,
-                              StateVector.from_flat(flat, problem.num_poses, problem.num_users))
-    f = objective_terms(terms, flat, cfg.huber_delta)
+    weights = measurement_weights(problem, flat, cfg)
+    f = objective_terms(problem, flat, *weights, cfg.huber_delta)
     trace = [f]
     converged = False
     step_norm = np.inf
@@ -288,10 +251,9 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
 
     for _ in range(cfg.max_iter):
         iterations += 1
-        state = StateVector.from_flat(flat, problem.num_poses, problem.num_users)
-        terms = build_error_terms(problem, cfg, state)
-        f = objective_terms(terms, flat, cfg.huber_delta)
-        ne = assemble_normal_equations(flat, terms, huber_delta=cfg.huber_delta)
+        weights = measurement_weights(problem, flat, cfg)
+        f = objective_terms(problem, flat, *weights, cfg.huber_delta)
+        ne = assemble_normal_equations(problem, flat, *weights, huber_delta=cfg.huber_delta)
 
         accepted = False
         while lam <= cfg.lambda_max:
@@ -300,7 +262,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
             except SingularSystem:
                 lam *= 10.0
                 continue
-            f_new = objective_terms(terms, flat + delta, cfg.huber_delta)
+            f_new = objective_terms(problem, flat + delta, *weights, cfg.huber_delta)
             if f_new <= f:
                 accepted = True
                 break

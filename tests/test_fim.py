@@ -8,7 +8,7 @@ from uavloc.fim import (accumulate, crb_trace, improvement_matrix,
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (SlamConfig, StateVector, assemble_normal_equations,
-                         build_error_terms, build_problem)
+                         build_problem)
 from uavloc.channel import los_delay
 
 
@@ -68,8 +68,9 @@ def test_contribution_matches_slam_user_block():
     samples = [MeasurementSample(1, 1, Vec3(*uav), los_delay(uav, user))]
     state = StateVector(uav=uav[None, :].copy(), users=user[None, :].copy())
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=sigma)
-    terms = [t for t in build_error_terms(build_problem(samples), cfg) if t.kind == "toa"]
-    H = assemble_normal_equations(state.flatten(), terms).H
+    # toa-only: the gps fix gets zero weight
+    H = assemble_normal_equations(build_problem(samples), state.flatten(),
+                                  0.0, 1 / cfg.sigma_tau ** 2).H
     np.testing.assert_allclose(H[3:, 3:], toa_info_contribution(uav, user, sigma),
                                rtol=1e-12)
 

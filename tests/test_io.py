@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from uavloc.cli import main
 from uavloc.errors import ParseError, RowError, SchemaError, UnknownKey
@@ -138,6 +143,16 @@ def test_log_bad_rows():
         read_measurement_log(head + "1,1,0,0,30,-1e-9\n")
 
 
+@pytest.mark.parametrize("field", ["gps_x", "gps_y", "gps_z", "toa_s"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_log_rejects_non_finite(field, bad):
+    row = dict(zip(LOG_HEADER, ["1", "1", "0.0", "0.0", "30.0", "1e-7"]))
+    row[field] = bad
+    text = ",".join(LOG_HEADER) + "\n" + ",".join(row[k] for k in LOG_HEADER) + "\n"
+    with pytest.raises(RowError, match=field):
+        read_measurement_log(text)
+
+
 # --- export_results ---
 
 def test_export_results_contents(tmp_path):
@@ -251,3 +266,108 @@ def test_cli_exit_code_3_on_numeric_failure(tmp_path, capsys):
     assert main(["crb", "--scenario", str(cfg), "--trajectory", str(tp),
                  "--users", str(up)]) == 3
     capsys.readouterr()
+
+
+def test_cli_solve_non_finite_toa_exits_2(tmp_path, scenario_file, capsys):
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--scenario", scenario_file, "--out", out]) == 0
+    log = tmp_path / "out" / "measurements.csv"
+    lines = log.read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:5] + ["nan"])
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["solve", "--scenario", scenario_file, "--log", str(log)]) == 2
+    assert "toa_s must be finite" in capsys.readouterr().err
+
+
+VALID_STATE = {"step": 1, "pos": [0.0, 0.0, 30.0],
+               "fim": [[1e3, 0.0], [0.0, 1e3]], "user_estimates": [[10.0, -5.0]]}
+
+
+def _plan_exit(tmp_path, scenario_file, text):
+    sp = tmp_path / "state.json"
+    sp.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["plan", "--scenario", scenario_file, "--state", str(sp)])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("key", ["step", "pos", "fim", "user_estimates"])
+def test_cli_plan_missing_key_exits_2(tmp_path, scenario_file, key):
+    doc = {k: v for k, v in VALID_STATE.items() if k != key}
+    rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(doc))
+    assert rc == 2 and key in err
+
+
+def test_cli_plan_fim_shape_mismatch_exits_2(tmp_path, scenario_file):
+    doc = dict(VALID_STATE, user_estimates=[[10.0, -5.0], [0.0, 3.0]])
+    rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(doc))
+    assert rc == 2 and "(4, 4)" in err
+
+
+# Values that are not what the key needs: wrong type, wrong shape or not finite.
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=5),
+                  st.floats(allow_nan=True, allow_infinity=True).filter(
+                      lambda v: not math.isfinite(v)),
+                  st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+                  st.lists(st.integers(-5, 5), max_size=4),
+                  st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3),
+                           min_size=1, max_size=5),
+                  st.just([[0.0, 0.0, 0.0]]), st.just([1e400]),
+                  st.just([[float("nan"), 0.0], [0.0, 1.0]]))
+
+
+def _is_valid(key, value):
+    """Whether `value` happens to be acceptable for `key` in VALID_STATE."""
+    if key == "step":
+        return type(value) is int and 1 <= value < 20
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    shape = {"pos": (3,), "fim": (2, 2), "user_estimates": (1, 2)}[key]
+    return arr.shape == shape and bool(np.all(np.isfinite(arr)))
+
+
+@st.composite
+def malformed_state(draw):
+    kind = draw(st.sampled_from(["drop", "replace", "not_object"]))
+    if kind == "not_object":
+        return json.dumps(draw(st.one_of(st.lists(st.integers(), max_size=3),
+                                         st.integers(), st.text(max_size=5), st.none())))
+    key = draw(st.sampled_from(sorted(VALID_STATE)))
+    doc = dict(VALID_STATE)
+    if kind == "drop":
+        del doc[key]
+    else:
+        value = draw(_JUNK)
+        assume(not _is_valid(key, value))
+        doc[key] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=malformed_state())
+def test_cli_plan_malformed_state_exits_2(tmp_path, scenario_file, text):
+    rc, err = _plan_exit(tmp_path, scenario_file, text)
+    assert rc == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("traj, users", [
+    ("step,x,y,z\n1,50,0\n", "user_id,x,y\n1,0,0\n"),
+    ("step,x,y,z\n1,50,0,30\n", "user_id,x,y\n1,0\n"),
+    ("step,x,y,z\n1,50,0,abc\n", "user_id,x,y\n1,0,0\n"),
+    ("step,x,y,z\n1,50,0,nan\n", "user_id,x,y\n1,0,0\n"),
+    ("step,x,y,z\n", "user_id,x,y\n1,0,0\n"),
+], ids=["short_trajectory_row", "short_users_row", "non_numeric", "non_finite", "no_rows"])
+def test_cli_crb_malformed_csv_exits_2(tmp_path, scenario_file, capsys, traj, users):
+    tp = tmp_path / "traj.csv"
+    tp.write_text(traj)
+    up = tmp_path / "users.csv"
+    up.write_text(users)
+    assert main(["crb", "--scenario", scenario_file, "--trajectory", str(tp),
+                 "--users", str(up)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -6,10 +6,10 @@ import pytest
 from uavloc.channel import los_delay
 from uavloc.errors import DegenerateGeometry, NotConverged
 from uavloc.model import SPEED_OF_LIGHT as C
-from uavloc.model import MeasurementSample, Vec3
+from uavloc.model import MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
-                         assemble_normal_equations, build_error_terms,
-                         build_problem, gauss_newton_step, objective,
+                         assemble_normal_equations, build_problem,
+                         gauss_newton_step, measurement_weights, objective,
                          solve_slam, toa_jacobian_row)
 
 
@@ -128,13 +128,12 @@ def test_jacobian_degenerate():
 def test_gps_only_block_diagonal():
     uavs = circle(4)
     users = [np.array([0.0, 40.0])]
-    # gps-only: drop toa terms by building them manually
+    # gps-only: the toa measurements get zero weight
     samples = make_samples(uavs, users)
     problem = build_problem(samples)
     cfg = SlamConfig(sigma_gps=2.0, sigma_tau=1e-8)
-    terms = [t for t in build_error_terms(problem, cfg) if t.kind == "gps"]
     state = StateVector(uav=uavs.copy(), users=np.array(users))
-    ne = assemble_normal_equations(state.flatten(), terms)
+    ne = assemble_normal_equations(problem, state.flatten(), 1 / cfg.sigma_gps ** 2, 0.0)
     expected = np.zeros((14, 14))
     expected[:12, :12] = np.kron(np.eye(4), np.eye(3) / 4.0)
     np.testing.assert_allclose(ne.H, expected, atol=1e-15)
@@ -145,9 +144,9 @@ def test_single_toa_term_rank_one_outer_product():
     samples = [MeasurementSample(1, 1, Vec3(0, 0, 30), toa=50 / C)]
     problem = build_problem(samples)
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=sigma)
-    terms = [t for t in build_error_terms(problem, cfg) if t.kind == "toa"]
     state = StateVector(uav=np.array([[0.0, 0.0, 30.0]]), users=np.array([[0.0, 40.0]]))
-    ne = assemble_normal_equations(state.flatten(), terms)
+    # toa-only: the gps fix gets zero weight
+    ne = assemble_normal_equations(problem, state.flatten(), 0.0, 1 / cfg.sigma_tau ** 2)
     j = toa_jacobian_row((0, 0, 30), (0, 40))
     expected = np.outer(j, j) / sigma ** 2
     np.testing.assert_allclose(ne.H, expected, rtol=1e-13, atol=1e-30)
@@ -165,8 +164,10 @@ def test_h_psd_random_scenarios():
         samples = make_samples(uavs, users)
         state = StateVector(uav=uavs, users=np.array(users))
         cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1e-8)
-        terms = build_error_terms(build_problem(samples), cfg)
-        H = assemble_normal_equations(state.flatten(), terms).H
+        problem = build_problem(samples)
+        flat = state.flatten()
+        H = assemble_normal_equations(problem, flat,
+                                      *measurement_weights(problem, flat, cfg)).H
         np.testing.assert_allclose(H, H.T, rtol=1e-12, atol=1e-20)
         for _ in range(10):
             x = rng.standard_normal(len(H))
@@ -174,10 +175,16 @@ def test_h_psd_random_scenarios():
 
 
 def dense_oracle_h_b(state, problem, cfg):
-    """Independent dense construction: stack the full Jacobian row by row."""
+    """Independent dense construction: stack the full Jacobian row by row.
+
+    ToA weights are 1/sigma^2, sigma taken from the exponential noise model
+    at the state's link distance when cfg.per_distance_weights is set, times
+    the Huber IRLS weight delta/|r| for residuals beyond cfg.huber_delta.
+    Also returns the objective: weighted squares, Huber-linear beyond delta.
+    """
     flat = state.flatten()
     S, K = problem.num_poses, problem.num_users
-    rows, weights, resids = [], [], []
+    rows, weights, resids, costs = [], [], [], []
     w_gps = 1 / cfg.sigma_gps ** 2
     for i in range(S):
         for axis in range(3):
@@ -186,7 +193,8 @@ def dense_oracle_h_b(state, problem, cfg):
             rows.append(row)
             weights.append(w_gps)
             resids.append(problem.gps[i][axis] - flat[3 * i + axis])
-    for (i, j, tau) in problem.toa:
+            costs.append(w_gps * resids[-1] ** 2)
+    for i, j, tau in zip(problem.pose, problem.user, problem.toa):
         x = flat[3 * i:3 * i + 3]
         u = flat[3 * S + 2 * j:3 * S + 2 * j + 2]
         diff = x - np.array([u[0], u[1], 0.0])
@@ -195,32 +203,78 @@ def dense_oracle_h_b(state, problem, cfg):
         row[3 * i:3 * i + 3] = -diff / (C * d)
         row[3 * S + 2 * j:3 * S + 2 * j + 2] = diff[:2] / (C * d)
         rows.append(row)
-        weights.append(1 / cfg.sigma_tau ** 2)
-        resids.append(tau - d / C)
+        sigma = cfg.sigma_tau
+        if cfg.per_distance_weights:
+            m = cfg.noise_model
+            sigma = m.sigma0 + m.amp * math.exp(d / m.scale)
+        r = tau - d / C
+        w = 1 / sigma ** 2
+        delta = cfg.huber_delta
+        if delta is not None and abs(r) > delta:
+            weights.append(w * delta / abs(r))
+            costs.append(w * delta * (2 * abs(r) - delta))
+        else:
+            weights.append(w)
+            costs.append(w * r ** 2)
+        resids.append(r)
     J = np.array(rows)
     W = np.diag(weights)
     r = np.array(resids)
-    return J.T @ W @ J, J.T @ W @ r
+    return J.T @ W @ J, J.T @ W @ r, math.fsum(costs)
+
+
+def random_h_b_case(rng):
+    """Noisy samples over a random geometry and a perturbed state."""
+    n = int(rng.integers(4, 11))
+    k = int(rng.integers(1, 4))
+    uavs = rng.uniform(-80, 80, (n, 3))
+    uavs[:, 2] = rng.uniform(10, 60, n)
+    users = list(rng.uniform(-80, 80, (k, 2)))
+    gps = uavs + rng.normal(0, 1, uavs.shape)
+    samples = make_samples(uavs, users, gps_positions=gps)
+    state = StateVector(uav=gps.copy(), users=np.array(users) + rng.normal(0, 3, (k, 2)))
+    return samples, state
 
 
 def test_h_matches_dense_oracle():
     rng = np.random.default_rng(4)
     for _ in range(5):
-        n = int(rng.integers(4, 11))
-        k = int(rng.integers(1, 4))
-        uavs = rng.uniform(-80, 80, (n, 3))
-        uavs[:, 2] = rng.uniform(10, 60, n)
-        users = list(rng.uniform(-80, 80, (k, 2)))
-        gps = uavs + rng.normal(0, 1, uavs.shape)
-        samples = make_samples(uavs, users, gps_positions=gps)
-        state = StateVector(uav=gps.copy(), users=np.array(users) + rng.normal(0, 3, (k, 2)))
         cfg = SlamConfig(sigma_gps=1.3, sigma_tau=2e-8)
+        samples, state = random_h_b_case(rng)
         problem = build_problem(samples)
-        terms = build_error_terms(problem, cfg)
-        ne = assemble_normal_equations(state.flatten(), terms)
-        H_ref, b_ref = dense_oracle_h_b(state, problem, cfg)
+        flat = state.flatten()
+        ne = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg))
+        H_ref, b_ref, _ = dense_oracle_h_b(state, problem, cfg)
         np.testing.assert_allclose(ne.H, H_ref, rtol=1e-12, atol=1e-30)
         np.testing.assert_allclose(ne.b, b_ref, rtol=1e-12, atol=1e-30)
+
+
+@pytest.mark.parametrize("huber, per_distance",
+                         [(True, False), (False, True), (True, True)],
+                         ids=["huber", "per_distance", "huber_and_per_distance"])
+def test_weighted_h_b_objective_match_dense_oracle(huber, per_distance):
+    rng = np.random.default_rng(5)
+    noise = ToaNoiseModel(kind="exponential", sigma0=5e-9, amp=2e-9, scale=40.0)
+    cfg = SlamConfig(sigma_gps=1.3, sigma_tau=2e-8, noise_model=noise,
+                     per_distance_weights=per_distance,
+                     huber_delta=1e-8 if huber else None)
+    beyond = within = 0
+    for _ in range(5):
+        samples, state = random_h_b_case(rng)
+        problem = build_problem(samples)
+        flat = state.flatten()
+        ne = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg),
+                                       huber_delta=cfg.huber_delta)
+        H_ref, b_ref, f_ref = dense_oracle_h_b(state, problem, cfg)
+        np.testing.assert_allclose(ne.H, H_ref, rtol=1e-12, atol=1e-30)
+        np.testing.assert_allclose(ne.b, b_ref, rtol=1e-12, atol=1e-30)
+        assert objective(state, samples, cfg) == pytest.approx(f_ref, rel=1e-12)
+        resid = np.array([m.toa - los_delay(state.uav[m.step - 1], state.users[m.user_id - 1])
+                          for m in samples])
+        beyond += int(np.sum(np.abs(resid) > 1e-8))
+        within += int(np.sum(np.abs(resid) <= 1e-8))
+    # both branches of the Huber weight are exercised
+    assert beyond > 0 and within > 0
 
 
 # --- gauss_newton_step ---
@@ -238,10 +292,10 @@ def test_pure_gps_one_exact_step():
     samples = make_samples(uavs, users, gps_positions=gps)
     problem = build_problem(samples)
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1e-8)
-    terms = [t for t in build_error_terms(problem, cfg) if t.kind == "gps"]
     state = StateVector(uav=uavs.copy(), users=np.array(users))
     flat = state.flatten()
-    ne = assemble_normal_equations(flat, terms)
+    # gps-only: the toa measurements get zero weight
+    ne = assemble_normal_equations(problem, flat, 1 / cfg.sigma_gps ** 2, 0.0)
     # restrict to the pose block (user block untouched by gps terms)
     d = 15
     delta = gauss_newton_step(NormalEquations(H=ne.H[:d, :d], b=ne.b[:d], damping=0.0))
@@ -326,8 +380,9 @@ def test_gauge_positive_definite_with_gps():
     samples = make_samples(uavs, users)
     state = StateVector(uav=uavs.copy(), users=np.array(users))
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1e-8)
-    terms = build_error_terms(build_problem(samples), cfg)
-    H = assemble_normal_equations(state.flatten(), terms).H
+    problem = build_problem(samples)
+    flat = state.flatten()
+    H = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg)).H
     eigs = np.linalg.eigvalsh(H)
     assert eigs.min() > 0
 
