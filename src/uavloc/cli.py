@@ -129,6 +129,13 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
             raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
     if not (math.isfinite(eps) and eps >= 0):
         raise SchemaError("state 'eps_prior' must be a finite number >= 0")
+    # the planner reads only the diagonal 2x2 blocks of fim
+    fim = arrays["fim"]
+    if np.any(fim[~np.kron(np.eye(k, dtype=bool), np.ones((2, 2), dtype=bool))]):
+        raise SchemaError("state 'fim' must be block-diagonal: every 2x2 block "
+                          "off the diagonal must be zero")
+    if not np.array_equal(fim, fim.T):
+        raise SchemaError("state 'fim' must have symmetric 2x2 diagonal blocks")
     return PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
                         mission_steps=s.mission_steps, d_max=s.d_max,
                         info=InfoState(step=step, fim=arrays["fim"], eps_prior=eps),

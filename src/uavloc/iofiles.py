@@ -207,7 +207,12 @@ def _fmt(x) -> str:
 
 
 def read_measurement_log(text: str) -> list[MeasurementSample]:
-    """Parse a measurement-log CSV; the header must match the schema exactly."""
+    """Parse a measurement-log CSV; the header must match the schema exactly.
+
+    Each row must hold finite numbers, a step and user_id >= 1, toa_s >= 0,
+    a (step, user_id) pair not given before, and for its step the same GPS
+    fix as the step's first row; a RowError names the first row that does not.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -216,24 +221,33 @@ def read_measurement_log(text: str) -> list[MeasurementSample]:
     if header != LOG_HEADER:
         raise SchemaError(f"header must be exactly {','.join(LOG_HEADER)}")
     samples = []
+    seen = set()      # (step, user_id) of the rows so far
+    gps_of_step = {}  # the first GPS fix given for each step
     for rownum, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(LOG_HEADER):
             raise RowError(rownum, f"expected {len(LOG_HEADER)} fields, got {len(row)}")
         try:
-            step = int(row[0])
-            user_id = int(row[1])
-            gx, gy, gz, toa = (float(v) for v in row[2:])
+            step, user_id = int(row[0]), int(row[1])
+            values = tuple(map(float, row[2:]))
         except ValueError as exc:
             raise RowError(rownum, str(exc)) from None
-        for name, value in zip(LOG_HEADER[2:], (gx, gy, gz, toa)):
-            if not math.isfinite(value):
-                raise RowError(rownum, f"{name} must be finite")
+        if not all(map(math.isfinite, values)):
+            name = LOG_HEADER[2 + [math.isfinite(v) for v in values].index(False)]
+            raise RowError(rownum, f"{name} must be finite")
+        gps, toa = values[:3], values[3]
         if toa < 0:
             raise RowError(rownum, "toa_s must be >= 0")
+        if step < 1 or user_id < 1:
+            raise RowError(rownum, "step and user_id must be >= 1")
+        if (step, user_id) in seen:
+            raise RowError(rownum, f"duplicate row for step {step}, user_id {user_id}")
+        seen.add((step, user_id))
+        if gps_of_step.setdefault(step, gps) != gps:
+            raise RowError(rownum, f"GPS fix differs from the first one given for step {step}")
         samples.append(MeasurementSample(step=step, user_id=user_id,
-                                         gps_pos=Vec3(gx, gy, gz), toa=toa))
+                                         gps_pos=Vec3(*gps), toa=toa))
     return samples
 
 

@@ -251,8 +251,11 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
 
     for _ in range(cfg.max_iter):
         iterations += 1
-        weights = measurement_weights(problem, flat, cfg)
-        f = objective_terms(problem, flat, *weights, cfg.huber_delta)
+        if cfg.per_distance_weights:
+            # the weights, and so f, move with the state; fixed weights keep
+            # f from before the loop or from the last accepted step
+            weights = measurement_weights(problem, flat, cfg)
+            f = objective_terms(problem, flat, *weights, cfg.huber_delta)
         ne = assemble_normal_equations(problem, flat, *weights, huber_delta=cfg.huber_delta)
 
         accepted = False

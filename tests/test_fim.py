@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from uavloc.errors import DegenerateGeometry, SingularFim
-from uavloc.fim import (accumulate, crb_trace, improvement_matrix,
-                        initial_info, inverse_with_prior, step_contribution,
-                        toa_info_contribution)
+from uavloc.fim import (InfoState, accumulate, crb_trace, improvement_matrix,
+                        improvement_traces, initial_info, inverse_with_prior,
+                        step_contribution, toa_info_contribution)
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (SlamConfig, StateVector, assemble_normal_equations,
@@ -153,6 +153,71 @@ def test_crb_singular_without_prior():
         crb_trace(info)
 
 
+def random_bearing_contribution(rng, sigma=1e-9):
+    """One ToA sample's block from a random bearing and range: rank 1, b != 0."""
+    theta = rng.uniform(0, 2 * np.pi)
+    while abs(np.sin(2 * theta)) < 0.1:  # keep both axes and b away from 0
+        theta = rng.uniform(0, 2 * np.pi)
+    r = rng.uniform(5, 300)
+    uav = np.array([r * np.cos(theta), r * np.sin(theta), rng.uniform(0, 80)])
+    return toa_info_contribution(uav, (0, 0), sigma)
+
+
+@pytest.mark.parametrize("repeats", [1, 10, 1000])
+def test_crb_singular_rotated_rank_one(repeats):
+    # a block of `repeats` equal samples from one bearing is rank 1, whatever
+    # the bearing; with no prior every such block must be rejected
+    rng = np.random.default_rng(9)
+    for _ in range(200 if repeats == 1 else 20):
+        h = random_bearing_contribution(rng)
+        assert h[0, 1] != 0.0
+        info = initial_info(1, eps_prior=0.0)
+        for _ in range(repeats):
+            info = accumulate(info, h[None])
+        with pytest.raises(SingularFim):
+            crb_trace(info)
+        with pytest.raises(SingularFim):
+            inverse_with_prior(info)
+
+
+def test_crb_rank_one_with_prior_is_exact():
+    # a rank-1 block far above the prior (ToA sigma 1e-16 s): tr((F + eps I)^-1)
+    # is 1/eps + 1/(tr F + eps), although F + eps I is singular to rounding
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        h = random_bearing_contribution(rng, sigma=1e-16)
+        info = accumulate(initial_info(1, eps_prior=1e-6), h[None])
+        expected = 1 / 1e-6 + 1 / (np.trace(h) + 1e-6)
+        assert crb_trace(info) == pytest.approx(expected, rel=1e-12)
+
+
+def test_crb_matches_dense_inverse():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        k = int(rng.integers(1, 11))
+        uavs, users, sigmas = random_mission(rng, int(rng.integers(2, 12)), k)
+        info = initial_info(k, eps_prior=float(rng.choice([0.0, 1e-6])))
+        for c in mission_contribs(uavs, users, sigmas):
+            info = accumulate(info, c)
+        dense = np.linalg.inv(info.fim + info.eps_prior * np.eye(2 * k))
+        assert crb_trace(info) == pytest.approx(np.trace(dense), rel=1e-12)
+        np.testing.assert_allclose(inverse_with_prior(info), dense, rtol=1e-12, atol=0)
+
+
+def test_crb_reads_only_the_diagonal_blocks():
+    # the off-diagonal blocks of a block-diagonal F are structural zeros; the
+    # arithmetic reads the diagonal blocks of the dense fim without copying it
+    rng = np.random.default_rng(12)
+    uavs, users, sigmas = random_mission(rng, 5, 3)
+    info = initial_info(3)
+    for c in mission_contribs(uavs, users, sigmas):
+        info = accumulate(info, c)
+    noisy = info.fim + np.kron(1 - np.eye(3), np.full((2, 2), 7.0))
+    assert crb_trace(InfoState(info.step, noisy, info.eps_prior)) == crb_trace(info)
+    strided = np.asfortranarray(info.fim)
+    assert crb_trace(InfoState(info.step, strided, info.eps_prior)) == crb_trace(info)
+
+
 def test_crb_never_increases_with_psd_updates():
     rng = np.random.default_rng(4)
     info = initial_info(2, eps_prior=1e-6)
@@ -235,3 +300,31 @@ def test_step_contribution_uses_distance_sigma():
         d = np.linalg.norm(uav - np.r_[u, 0.0])
         expected = toa_info_contribution(uav, u, sigma_tau_of_distance(d, noise))
         np.testing.assert_allclose(out[k], expected, rtol=1e-14)
+
+
+def test_step_contribution_broadcasts_over_candidates():
+    # a (C, 3) stack of positions gives the blocks of each position, bit for bit
+    rng = np.random.default_rng(13)
+    noise = ToaNoiseModel(kind="exponential", sigma0=5e-9, amp=1e-9, scale=100.0)
+    cands = rng.uniform(-60, 60, (9, 3))
+    cands[:, 2] = 30.0
+    users = rng.uniform(-60, 60, (4, 2))
+    out = step_contribution(cands, users, noise)
+    assert out.shape == (9, 4, 2, 2)
+    for c in range(9):
+        np.testing.assert_array_equal(out[c], step_contribution(cands[c], users, noise))
+
+
+def test_improvement_traces_match_improvement_matrix():
+    rng = np.random.default_rng(14)
+    uavs, users, sigmas = random_mission(rng, 6, 3)
+    info = initial_info(3)
+    for c in mission_contribs(uavs, users, sigmas):
+        info = accumulate(info, c)
+    cands = np.column_stack([rng.uniform(-80, 80, (9, 2)), np.full(9, 30.0)])
+    contribs = step_contribution(cands, users, ToaNoiseModel(sigma0=2e-8))
+    traces = improvement_traces(info, contribs)
+    assert traces.shape == (9,)
+    for c in range(9):
+        R = improvement_matrix(info, contribs[c])
+        assert traces[c] == pytest.approx(np.trace(R), rel=1e-12)

@@ -115,8 +115,9 @@ def test_scenario_roundtrip_exact():
 
 def test_log_roundtrip_bit_exact():
     rng = np.random.default_rng(1)
-    samples = [MeasurementSample(step=n, user_id=k,
-                                 gps_pos=Vec3(*rng.standard_normal(3) * 37.1),
+    # one GPS fix per step, shared by the step's rows, as a valid log has it
+    gps = {n: Vec3(*rng.standard_normal(3) * 37.1) for n in range(1, 15)}
+    samples = [MeasurementSample(step=n, user_id=k, gps_pos=gps[n],
                                  toa=float(rng.uniform(0, 1e-6)))
                for n in range(1, 15) for k in (1, 2)]
     text = write_measurement_log(samples)
@@ -151,6 +152,34 @@ def test_log_rejects_non_finite(field, bad):
     text = ",".join(LOG_HEADER) + "\n" + ",".join(row[k] for k in LOG_HEADER) + "\n"
     with pytest.raises(RowError, match=field):
         read_measurement_log(text)
+
+
+@pytest.mark.parametrize("rows, row, message", [
+    (["0,1,0.0,0.0,30.0,1e-7"], 2, "step and user_id must be >= 1"),
+    (["-3,1,0.0,0.0,30.0,1e-7"], 2, "step and user_id must be >= 1"),
+    (["1,1,0.0,0.0,30.0,1e-7", "1,0,0.0,0.0,30.0,1e-7"], 3, "step and user_id must be >= 1"),
+    (["1,1,0.0,0.0,30.0,1e-7", "2,1,1.0,0.0,30.0,1e-7", "1,1,0.0,0.0,30.0,2e-7"], 4,
+     "duplicate row for step 1, user_id 1"),
+    (["1,1,0.0,0.0,30.0,1e-7", "1,2,0.0,0.5,30.0,1e-7"], 3,
+     "GPS fix differs from the first one given for step 1"),
+], ids=["step_zero", "step_negative", "user_id_zero", "duplicate", "conflicting_gps"])
+def test_log_rejects_inconsistent_rows(rows, row, message):
+    text = ",".join(LOG_HEADER) + "\n" + "\n".join(rows) + "\n"
+    with pytest.raises(RowError, match=message) as exc:
+        read_measurement_log(text)
+    assert exc.value.row == row
+
+
+def test_cli_solve_duplicate_row_exits_2(tmp_path, scenario_file, capsys):
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--scenario", scenario_file, "--out", out]) == 0
+    log = tmp_path / "out" / "measurements.csv"
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines + [lines[1]]) + "\n")
+    capsys.readouterr()
+    assert main(["solve", "--scenario", scenario_file, "--log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert f"row {len(lines) + 1}: duplicate row" in err and "Traceback" not in err
 
 
 # --- export_results ---
@@ -306,6 +335,27 @@ def test_cli_plan_fim_shape_mismatch_exits_2(tmp_path, scenario_file):
     assert rc == 2 and "(4, 4)" in err
 
 
+# Two users whose 2x2 Fisher blocks are coupled by one off-diagonal entry, and
+# one user whose block is not symmetric.
+COUPLED_STATE = dict(VALID_STATE, user_estimates=[[10.0, -5.0], [0.0, 3.0]],
+                     fim=[[1e3, 0.0, 0.0, 0.0], [0.0, 1e3, 1.0, 0.0],
+                          [0.0, 1.0, 1e3, 0.0], [0.0, 0.0, 0.0, 1e3]])
+ASYMMETRIC_STATE = dict(VALID_STATE, fim=[[1e3, 2.0], [0.0, 1e3]])
+
+
+@pytest.mark.parametrize("doc, message", [
+    (COUPLED_STATE, "block-diagonal"), (ASYMMETRIC_STATE, "symmetric")],
+    ids=["off_diagonal_block", "asymmetric_block"])
+def test_cli_plan_fim_not_block_diagonal_exits_2(tmp_path, scenario_file, doc, message):
+    rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(doc))
+    assert rc == 2 and message in err and "Traceback" not in err
+    fixed = np.array(doc["fim"])
+    fixed = np.where(np.kron(np.eye(len(fixed) // 2), np.ones((2, 2))) > 0, fixed, 0.0)
+    fixed = np.minimum(fixed, fixed.T)
+    rc, _ = _plan_exit(tmp_path, scenario_file, json.dumps(dict(doc, fim=fixed.tolist())))
+    assert rc == 0
+
+
 # Values that are not what the key needs: wrong type, wrong shape or not finite.
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=5),
                   st.floats(allow_nan=True, allow_infinity=True).filter(
@@ -327,15 +377,29 @@ def _is_valid(key, value):
     except (TypeError, ValueError, OverflowError):
         return False
     shape = {"pos": (3,), "fim": (2, 2), "user_estimates": (1, 2)}[key]
-    return arr.shape == shape and bool(np.all(np.isfinite(arr)))
+    return (arr.shape == shape and bool(np.all(np.isfinite(arr)))
+            and (key != "fim" or bool(np.array_equal(arr, arr.T))))
 
 
 @st.composite
 def malformed_state(draw):
-    kind = draw(st.sampled_from(["drop", "replace", "not_object"]))
+    kind = draw(st.sampled_from(["drop", "replace", "not_object", "coupled", "asymmetric"]))
     if kind == "not_object":
         return json.dumps(draw(st.one_of(st.lists(st.integers(), max_size=3),
                                          st.integers(), st.text(max_size=5), st.none())))
+    if kind in ("coupled", "asymmetric"):
+        # a finite fim of the right shape with one entry changed to a non-zero
+        # value that breaks the block-diagonal or the symmetric structure
+        doc = dict(COUPLED_STATE if kind == "coupled" else VALID_STATE)
+        fim = np.array(doc["fim"])
+        i, j = draw(st.sampled_from([(0, 2), (0, 3), (1, 2), (3, 0)] if kind == "coupled"
+                                    else [(0, 1), (1, 0)]))
+        value = draw(st.floats(-1e6, 1e6).filter(lambda v: v != 0.0))
+        if kind == "coupled":
+            fim[i, j] = value
+        else:
+            fim[i, j] += value
+        return json.dumps(dict(doc, fim=fim.tolist()))
     key = draw(st.sampled_from(sorted(VALID_STATE)))
     doc = dict(VALID_STATE)
     if kind == "drop":

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavloc.fim import accumulate, initial_info, toa_info_contribution
+from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import ToaNoiseModel
 from uavloc.planner import (PlannerState, candidate_positions, greedy_cost,
                             next_waypoint, reach_threshold)
@@ -100,7 +103,8 @@ def test_straight_corridor_collapses_to_segment():
 def test_tie_breaks_to_smallest_heading_index(monkeypatch):
     # with all candidates scoring equally, heading 0 must be returned
     import uavloc.planner as planner_mod
-    monkeypatch.setattr(planner_mod, "greedy_cost", lambda cand, st: 1.0)
+    monkeypatch.setattr(planner_mod, "improvement_traces",
+                        lambda info, contribs: np.ones(len(contribs)))
     st = make_state(step=1, pos=(0, 0, 30), terminal=(0, 0, 30), n_steps=100,
                     d_max=5.0, users=[[0.0, 0.0]])
     wp = next_waypoint(st)
@@ -139,3 +143,75 @@ def test_feasibility_invariants_random_scenarios():
             assert np.linalg.norm(nxt - pos) <= d_max * (1 + 1e-12)
             pos = nxt
         assert np.linalg.norm(pos - term) <= 1e-9
+
+
+def dense_oracle_costs(st_):
+    """tr(R) of every candidate from dense 2K x 2K inverses, -inf where the
+    terminal becomes unreachable; geometry and noise written out here."""
+    k = len(st_.user_estimates)
+    prior = st_.info.fim + st_.info.eps_prior * np.eye(2 * k)
+    before = np.trace(np.linalg.inv(prior))
+    slack = st_.d_max * (st_.mission_steps - st_.step - 1)
+    cands = [st_.pos + st_.d_max * np.array([np.cos(theta), np.sin(theta), 0.0])
+             for theta in 2 * np.pi * np.arange(st_.headings) / st_.headings] + [st_.pos]
+    costs = []
+    for cand in cands:
+        if np.linalg.norm(cand - st_.terminal) > slack + 1e-9:
+            costs.append(float("-inf"))
+            continue
+        gain = np.zeros((2 * k, 2 * k))
+        for j, u in enumerate(st_.user_estimates):
+            diff = cand[:2] - u
+            d = np.sqrt(diff @ diff + cand[2] ** 2)
+            g = diff / (C * d)
+            gain[2 * j:2 * j + 2, 2 * j:2 * j + 2] = np.outer(g, g) / NOISE.sigma0 ** 2
+        costs.append(before - np.trace(np.linalg.inv(prior + gain)))
+    return np.array(costs), np.array(cands)
+
+
+@st.composite
+def block_diagonal_states(draw):
+    k = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    users = rng.uniform(-80, 80, (k, 2))
+    info = initial_info(k, eps_prior=draw(st.sampled_from([1e-6, 1e-3])))
+    for _ in range(draw(st.integers(0, 6))):
+        uav = np.r_[rng.uniform(-80, 80, 2), rng.uniform(10, 60)]
+        info = accumulate(info, np.array([toa_info_contribution(uav, u, NOISE.sigma0)
+                                          for u in users]))
+    n_steps = draw(st.integers(3, 30))
+    step = draw(st.integers(1, n_steps - 1))
+    d_max = 5.0
+    pos = np.r_[rng.uniform(-50, 50, 2), 30.0]
+    # the terminal's distance relative to the slack of the next step sets how
+    # many candidates are feasible: all, some, or (beyond slack + d_max) none
+    slack = d_max * (n_steps - step - 1)
+    bearing = rng.uniform(0, 2 * np.pi)
+    dist = draw(st.floats(0.0, 1.0)) * (slack + 1.5 * d_max)
+    terminal = pos + dist * np.array([np.cos(bearing), np.sin(bearing), 0.0])
+    return make_state(step=step, pos=pos, terminal=terminal, n_steps=n_steps,
+                      d_max=d_max, info=info, users=users)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st_=block_diagonal_states())
+def test_next_waypoint_matches_dense_oracle(st_):
+    costs, cands = dense_oracle_costs(st_)
+    wp = next_waypoint(st_)
+    if not np.isfinite(costs).any():
+        remaining = st_.mission_steps - st_.step
+        expected = st_.terminal if remaining == 1 else \
+            st_.pos + (st_.terminal - st_.pos) / remaining
+        np.testing.assert_allclose(wp, expected, rtol=0, atol=1e-12)
+        return
+    best = costs.max()
+    # candidates within rounding of the best: the planner may pick any of them
+    near = np.flatnonzero(costs >= best - 1e-9 * abs(best))
+    chosen = np.flatnonzero(np.all(cands == wp, axis=1))
+    assert len(chosen) >= 1
+    if len(near) == 1:
+        assert chosen[0] == near[0] == int(np.argmax(costs))
+    else:
+        assert chosen[0] in near
+    assert greedy_cost(wp, st_) == pytest.approx(best, rel=1e-9)

@@ -348,6 +348,36 @@ def test_objective_trace_nonincreasing():
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
+@pytest.mark.parametrize("per_distance", [False, True], ids=["fixed", "per_distance"])
+def test_objective_evaluations_per_solve(monkeypatch, per_distance):
+    # with fixed weights the objective at the current point is already known
+    # (the value before the loop, or the accepted trial's), so only the trial
+    # steps evaluate it; per-distance weights change it at every iteration
+    import uavloc.slam as slam_mod
+    calls = {"objective_terms": 0, "gauss_newton_step": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(slam_mod, name), _name=name, **kw):
+            out = _fn(*args, **kw)
+            calls[_name] += 1
+            return out
+        monkeypatch.setattr(slam_mod, name, counted)
+    rng = np.random.default_rng(4)
+    uavs = circle(15)
+    gps = uavs + rng.normal(0, 1, uavs.shape)
+    users = np.array([[10.0, 25.0], [-20.0, 5.0]])
+    samples = [MeasurementSample(n, k, Vec3(*g), los_delay(p, u) + 1.25e-8 * rng.standard_normal())
+               for n, (p, g) in enumerate(zip(uavs, gps), start=1)
+               for k, u in enumerate(users, start=1)]
+    noise = ToaNoiseModel(kind="exponential", sigma0=1e-8, amp=2e-9, scale=60.0)
+    cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1.25e-8, noise_model=noise,
+                     per_distance_weights=per_distance)
+    init = StateVector(uav=gps.copy(), users=users + 8.0)
+    _, report = solve_slam(init, samples, cfg, warn_identifiability=False)
+    assert calls["gauss_newton_step"] >= report.iterations > 1
+    per_iteration = report.iterations if per_distance else 0
+    assert calls["objective_terms"] == 1 + per_iteration + calls["gauss_newton_step"]
+
+
 def test_translation_equivariance():
     rng = np.random.default_rng(3)
     uavs = circle(12)
