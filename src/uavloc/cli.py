@@ -136,6 +136,12 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
                           "off the diagonal must be zero")
     if not np.array_equal(fim, fim.T):
         raise SchemaError("state 'fim' must have symmetric 2x2 diagonal blocks")
+    # positive semidefinite up to rounding: the determinant of a rank-deficient
+    # block summed from ToA samples is a few ulp of a d either side of 0
+    blocks = fim.reshape(k, 2, k, 2)[np.arange(k), :, np.arange(k)]    # (K, 2, 2)
+    a, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+    if np.any((a < 0) | (d < 0) | (c * c - a * d > 1e-12 * a * d)):
+        raise SchemaError("state 'fim' must have positive semidefinite 2x2 diagonal blocks")
     return PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
                         mission_steps=s.mission_steps, d_max=s.d_max,
                         info=InfoState(step=step, fim=arrays["fim"], eps_prior=eps),

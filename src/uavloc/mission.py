@@ -131,8 +131,9 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
 
     def do_solve():
         nonlocal u_est, converged, objective_trace
-        problem = slam.build_problem(samples)
-        init_uav = np.array([pose_est.get(st, gps_trace[st - 1]) for st in problem.steps])
+        # every retained step holds one sample per user, so the solve's poses
+        # are the retained steps in order
+        init_uav = np.array([pose_est.get(st, gps_trace[st - 1]) for st in retained])
         if u_est is None:
             base = slam.initial_state(samples, est_rng)
             init_users = base.users
@@ -146,7 +147,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
             state, report = exc.state, exc.report
             ok = False
         u_est = state.users.copy()
-        for i, st in enumerate(problem.steps):
+        for i, st in enumerate(retained):
             pose_est[st] = state.uav[i].copy()
         objective_trace = report.objective_trace
         converged = ok

@@ -6,10 +6,15 @@ user positions (2D). A SlamProblem holds the measurements as arrays: one GPS
 fix per pose, and per ToA measurement its pose index, user index and delay.
 Residuals, Jacobian rows and weights are computed for all measurements at
 once: each GPS fix gives r = gps - x with Jacobian -I, each ToA delay gives
-r = tau - ||x - (u, 0)||/C with a 5-entry row over its pose and user. The
-weighted rows are summed into the dense (3S + 2K)-square normal equations
-H = J^T W J, b = J^T W r, which Levenberg-Marquardt damps and solves by
-Cholesky.
+r = tau - ||x - (u, 0)||/C with a 5-entry row over its pose and user.
+
+No measurement ties two poses or two users together, so the normal equations
+H = J^T W J, b = J^T W r are kept in blocks: the 3x3 pose blocks, the 2x2
+user blocks and the pose-user coupling. Levenberg-Marquardt damps H and
+eliminates the poses by the Schur complement, as bundle adjustment does
+(Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000): each trial
+step factors one 2K-square reduced system by Cholesky and back-solves the S
+poses, at O(S K^2 + K^3) cost instead of O((3S + 2K)^3).
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .channel import link_geometry, sigma_tau_of_distance
 from .errors import NotConverged, SingularSystem
@@ -51,7 +56,15 @@ class StateVector:
 
 @dataclass
 class NormalEquations:
-    H: np.ndarray
+    """H = J^T W J in blocks, and b = J^T W r (3S + 2K,).
+
+    Hpp (S, 3, 3) holds the pose blocks, Huu (K, 2, 2) the user blocks and
+    Hpu (S, 3, 2K) each pose's coupling to the user coordinates; every other
+    entry of H is zero.
+    """
+    Hpp: np.ndarray
+    Hpu: np.ndarray
+    Huu: np.ndarray
     b: np.ndarray
     damping: float = 0.0
 
@@ -141,11 +154,12 @@ def measurement_weights(problem: SlamProblem, flat: np.ndarray, cfg: SlamConfig)
 
 
 def objective_terms(problem: SlamProblem, flat: np.ndarray, w_gps: float, w_toa,
-                    huber_delta: float | None = None) -> float:
+                    huber_delta: float | None = None, *, _res=None) -> float:
     """Weighted sum of squared residuals; ToA residuals beyond huber_delta
     cost linearly (Huber). w_gps weights each GPS coordinate and w_toa (M,)
-    each ToA residual, as measurement_weights gives them."""
-    r_gps, r_toa, _, _ = _residuals(problem, flat)
+    each ToA residual, as measurement_weights gives them. `_res`, the
+    `_residuals` of `flat` if the caller has them, saves computing them again."""
+    r_gps, r_toa, _, _ = _residuals(problem, flat) if _res is None else _res
     if huber_delta is None:
         toa = w_toa * r_toa ** 2
     else:
@@ -167,47 +181,71 @@ def objective(state: StateVector, measurements, cfg: SlamConfig) -> float:
 
 def assemble_normal_equations(problem: SlamProblem, flat: np.ndarray, w_gps: float,
                               w_toa, damping: float = 0.0,
-                              huber_delta: float | None = None) -> NormalEquations:
-    """H = J^T W J and b = J^T W r over all measurements.
+                              huber_delta: float | None = None, *,
+                              _res=None) -> NormalEquations:
+    """H = J^T W J in blocks and b = J^T W r over all measurements.
 
-    Each ToA row touches 5 state entries (its pose and its user); the 5x5
-    products of all rows are summed into H in one bincount. bincount adds in
-    input order, GPS entries first, so every entry of H and b is summed in
-    measurement order.
+    A ToA row is [-g, g[:2]] with g = diff / (C d), so it adds w g g^T to its
+    pose block, the top-left 2x2 of it to its user block and minus its first
+    two columns to the coupling, and w r g (negated for the pose) to b. One
+    bincount sums w g g^T and w r g per (pose, user) pair, adding repeated
+    measurements of a pair; the blocks are sums of those. `_res`, the
+    `_residuals` of `flat` if the caller has them, saves computing them again.
     """
-    S = problem.num_poses
-    dim = len(flat)
-    r_gps, r_toa, diff, d = _residuals(problem, flat)
-    g = diff / (SPEED_OF_LIGHT * d)[:, None]
-    jac = np.concatenate([-g, g[:, :2]], axis=1)                          # (M, 5)
-    w = np.broadcast_to(w_toa, r_toa.shape)
+    S, K = problem.num_poses, problem.num_users
+    r_gps, r_toa, diff, d = _residuals(problem, flat) if _res is None else _res
+    g = np.ascontiguousarray(diff.T) / (SPEED_OF_LIGHT * d)              # (3, M)
+    w = w_toa
     if huber_delta is not None:
         a = np.abs(r_toa)
         w = w * np.divide(huber_delta, a, out=np.ones_like(a), where=a > huber_delta)
-    idx = np.concatenate([3 * problem.pose[:, None] + np.arange(3),
-                          3 * S + 2 * problem.user[:, None] + np.arange(2)], axis=1)
-    pose_idx = np.arange(3 * S)
-    H = np.bincount(
-        np.concatenate([pose_idx * (dim + 1), (idx[:, :, None] * dim + idx[:, None, :]).ravel()]),
-        weights=np.concatenate([np.full(3 * S, w_gps),
-                                (w[:, None, None] * (jac[:, :, None] * jac[:, None, :])).ravel()]),
-        minlength=dim * dim).reshape(dim, dim)
-    b = np.bincount(
-        np.concatenate([pose_idx, idx.ravel()]),
-        weights=np.concatenate([w_gps * -r_gps.ravel(),
-                                (w[:, None] * (jac * r_toa[:, None])).ravel()]),
-        minlength=dim)
-    return NormalEquations(H=H, b=b, damping=damping)
+    wg = w * g
+    # per measurement, the 9 entries of w g g^T and the 3 of w r g
+    terms = np.empty((4, 3, len(r_toa)))
+    np.multiply(wg[:, None], g[None], out=terms[:3])
+    np.multiply(r_toa, wg, out=terms[3])
+    pair = 12 * (K * problem.pose + problem.user) + np.arange(12)[:, None]
+    sums = np.bincount(pair.ravel(), weights=terms.ravel(),
+                       minlength=12 * S * K).reshape(S, K, 4, 3)
+    per_pose, per_user = sums.sum(axis=1), sums.sum(axis=0)
+    Hpp = per_pose[:, :3] + w_gps * np.eye(3)
+    Hpu = np.empty((S, 3, K, 2))
+    np.negative(sums[:, :, :3, :2].transpose(0, 2, 1, 3), out=Hpu)
+    b = np.concatenate([(-w_gps * r_gps - per_pose[:, 3]).ravel(), per_user[:, 3, :2].ravel()])
+    return NormalEquations(Hpp=Hpp, Hpu=Hpu.reshape(S, 3, 2 * K), Huu=per_user[:, :2, :2],
+                           b=b, damping=damping)
 
 
 def gauss_newton_step(ne: NormalEquations) -> np.ndarray:
-    """Solve (H + lambda I) delta = -b with a Cholesky factorization."""
-    A = ne.H + ne.damping * np.eye(len(ne.b))
+    """Solve (H + lambda I) delta = -b by eliminating the poses.
+
+    With A = Hpp + lambda I (block-diagonal) and B = Hpu, the user step du
+    solves the 2K-square reduced system
+        (Huu + lambda I - B^T A^-1 B) du = B^T A^-1 b_p - b_u
+    by Cholesky, and each pose back-solves dp = -A^-1 (b_p + B du).
+    H + lambda I is positive definite exactly when every pose block of A and
+    the reduced matrix are, so SingularSystem is raised where a Cholesky
+    factorization of the whole H + lambda I would fail.
+    """
+    S, K = len(ne.Hpp), len(ne.Huu)
+    A = ne.Hpp + ne.damping * np.eye(3)
     try:
-        c, low = scipy.linalg.cho_factor(A, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), -ne.b, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        np.linalg.cholesky(A)  # raises unless every pose block is positive definite
+        X = np.linalg.inv(A) @ np.concatenate([ne.Hpu, ne.b[:3 * S].reshape(S, 3, 1)], axis=2)
+        M = ne.Hpu.reshape(3 * S, 2 * K).T @ X.reshape(3 * S, 2 * K + 1)  # B^T A^-1 [B | b_p]
+        reduced = -M[:, :2 * K]
+        np.einsum("iaib->iab", reduced.reshape(K, 2, K, 2))[...] += ne.Huu
+        reduced.flat[::2 * K + 1] += ne.damping
+        factor, info = lapack.dpotrf(reduced, lower=1, clean=0)
+        if info:
+            raise np.linalg.LinAlgError("reduced matrix is not positive definite")
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"factorization failed at damping {ne.damping:g}") from exc
+    rhs = M[:, 2 * K] - ne.b[3 * S:]
+    # LAPACK's wrapper rejects an empty right-hand side (no users)
+    du = lapack.dpotrs(factor, rhs, lower=1)[0] if K else rhs
+    dp = -(X[:, :, 2 * K] + X[:, :, :2 * K] @ du)
+    return np.concatenate([dp.ravel(), du])
 
 
 def check_identifiability(problem: SlamProblem, warn: bool = True) -> list[int]:
@@ -236,14 +274,18 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
     report) if the step-size tolerance is not met within cfg.max_iter.
     """
     problem = build_problem(measurements)
-    check_identifiability(problem, warn=warn_identifiability)
+    if warn_identifiability:
+        check_identifiability(problem)
     if init.uav.shape != (problem.num_poses, 3) or init.users.shape != (problem.num_users, 2):
         raise ValueError("initial state dimensions do not match the measurement set")
 
     flat = init.flatten()
     lam = cfg.lambda_init
     weights = measurement_weights(problem, flat, cfg)
-    f = objective_terms(problem, flat, *weights, cfg.huber_delta)
+    # the link geometry of the current point, shared by the objective that
+    # accepts it and the next assembly
+    res = _residuals(problem, flat)
+    f = objective_terms(problem, flat, *weights, cfg.huber_delta, _res=res)
     trace = [f]
     converged = False
     step_norm = np.inf
@@ -255,8 +297,9 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
             # the weights, and so f, move with the state; fixed weights keep
             # f from before the loop or from the last accepted step
             weights = measurement_weights(problem, flat, cfg)
-            f = objective_terms(problem, flat, *weights, cfg.huber_delta)
-        ne = assemble_normal_equations(problem, flat, *weights, huber_delta=cfg.huber_delta)
+            f = objective_terms(problem, flat, *weights, cfg.huber_delta, _res=res)
+        ne = assemble_normal_equations(problem, flat, *weights, huber_delta=cfg.huber_delta,
+                                       _res=res)
 
         accepted = False
         while lam <= cfg.lambda_max:
@@ -265,7 +308,9 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
             except SingularSystem:
                 lam *= 10.0
                 continue
-            f_new = objective_terms(problem, flat + delta, *weights, cfg.huber_delta)
+            trial = flat + delta
+            res_new = _residuals(problem, trial)
+            f_new = objective_terms(problem, trial, *weights, cfg.huber_delta, _res=res_new)
             if f_new <= f:
                 accepted = True
                 break
@@ -273,8 +318,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
         if not accepted:
             break
 
-        flat = flat + delta
-        f = f_new
+        flat, f, res = trial, f_new, res_new
         trace.append(f)
         lam = max(lam / 10.0, 1e-15)
         step_norm = float(np.linalg.norm(delta))

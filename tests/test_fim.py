@@ -69,9 +69,10 @@ def test_contribution_matches_slam_user_block():
     state = StateVector(uav=uav[None, :].copy(), users=user[None, :].copy())
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=sigma)
     # toa-only: the gps fix gets zero weight
-    H = assemble_normal_equations(build_problem(samples), state.flatten(),
-                                  0.0, 1 / cfg.sigma_tau ** 2).H
-    np.testing.assert_allclose(H[3:, 3:], toa_info_contribution(uav, user, sigma),
+    ne = assemble_normal_equations(build_problem(samples), state.flatten(),
+                                   0.0, 1 / cfg.sigma_tau ** 2)
+    # the one user's block of H
+    np.testing.assert_allclose(ne.Huu[0], toa_info_contribution(uav, user, sigma),
                                rtol=1e-12)
 
 

@@ -356,6 +356,35 @@ def test_cli_plan_fim_not_block_diagonal_exits_2(tmp_path, scenario_file, doc, m
     assert rc == 0
 
 
+# One-user Fisher blocks that are symmetric but not positive semidefinite.
+NOT_PSD_FIMS = [[[1.0, 3.0], [3.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]]
+
+
+@pytest.mark.parametrize("fim", NOT_PSD_FIMS, ids=["indefinite", "negative_definite"])
+def test_cli_plan_fim_not_psd_exits_2(tmp_path, scenario_file, fim):
+    rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(dict(VALID_STATE, fim=fim)))
+    assert rc == 2 and "positive semidefinite" in err and "Traceback" not in err
+    # the same block with its eigenvalues made non-negative is accepted
+    w, v = np.linalg.eigh(np.array(fim))
+    fixed = v @ np.diag(np.abs(w)) @ v.T
+    fixed = (fixed + fixed.T) / 2
+    rc, _ = _plan_exit(tmp_path, scenario_file, json.dumps(dict(VALID_STATE, fim=fixed.tolist())))
+    assert rc == 0
+
+
+def test_cli_plan_accepts_rank_one_fim(tmp_path, scenario_file):
+    # one ToA sample gives a rank-1 block whose determinant is 0 up to rounding
+    fim = 7e14 * np.outer([0.1257302210933933, -0.1321048632913019],
+                          [0.1257302210933933, -0.1321048632913019])
+    assert fim[0, 1] ** 2 - fim[0, 0] * fim[1, 1] > 0  # negative by rounding
+    rc, _ = _plan_exit(tmp_path, scenario_file, json.dumps(dict(VALID_STATE, fim=fim.tolist())))
+    assert rc == 0
+
+
+def _psd(fim):
+    return bool(np.all(np.linalg.eigvalsh(fim) >= -1e-9 * np.abs(fim).max()))
+
+
 # Values that are not what the key needs: wrong type, wrong shape or not finite.
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=5),
                   st.floats(allow_nan=True, allow_infinity=True).filter(
@@ -378,15 +407,26 @@ def _is_valid(key, value):
         return False
     shape = {"pos": (3,), "fim": (2, 2), "user_estimates": (1, 2)}[key]
     return (arr.shape == shape and bool(np.all(np.isfinite(arr)))
-            and (key != "fim" or bool(np.array_equal(arr, arr.T))))
+            and (key != "fim" or (bool(np.array_equal(arr, arr.T)) and _psd(arr))))
 
 
 @st.composite
 def malformed_state(draw):
-    kind = draw(st.sampled_from(["drop", "replace", "not_object", "coupled", "asymmetric"]))
+    kind = draw(st.sampled_from(["drop", "replace", "not_object", "coupled", "asymmetric",
+                                 "not_psd"]))
     if kind == "not_object":
         return json.dumps(draw(st.one_of(st.lists(st.integers(), max_size=3),
                                          st.integers(), st.text(max_size=5), st.none())))
+    if kind == "not_psd":
+        # a symmetric one-user fim with a negative eigenvalue
+        low = draw(st.floats(-1e3, -1e-3))
+        high = draw(st.floats(-1e3, 1e3))
+        theta = draw(st.floats(0.0, math.pi))
+        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        fim = rot @ np.diag([low, high]) @ rot.T
+        fim = draw(st.sampled_from([(fim + fim.T) / 2] + [np.array(f) for f in NOT_PSD_FIMS]))
+        assert not _is_valid("fim", fim.tolist())
+        return json.dumps(dict(VALID_STATE, fim=fim.tolist()))
     if kind in ("coupled", "asymmetric"):
         # a finite fim of the right shape with one entry changed to a non-zero
         # value that breaks the block-diagonal or the symmetric structure

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from uavloc.channel import los_delay
-from uavloc.errors import DegenerateGeometry, NotConverged
+from uavloc.errors import DegenerateGeometry, NotConverged, SingularSystem
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
@@ -125,6 +126,41 @@ def test_jacobian_degenerate():
 
 # --- assemble_normal_equations ---
 
+def dense_h(ne):
+    """The dense (3S + 2K)-square H whose blocks `ne` holds."""
+    S, K = len(ne.Hpp), len(ne.Huu)
+    H = np.zeros((3 * S + 2 * K, 3 * S + 2 * K))
+    for i in range(S):
+        H[3 * i:3 * i + 3, 3 * i:3 * i + 3] = ne.Hpp[i]
+        H[3 * i:3 * i + 3, 3 * S:] = ne.Hpu[i]
+        H[3 * S:, 3 * i:3 * i + 3] = ne.Hpu[i].T
+    for j in range(K):
+        H[3 * S + 2 * j:3 * S + 2 * j + 2, 3 * S + 2 * j:3 * S + 2 * j + 2] = ne.Huu[j]
+    return H
+
+
+def blocks_of(H, b, S, K, damping=0.0):
+    """NormalEquations holding the blocks of a dense H with no pose-pose or
+    user-user coupling."""
+    Hpp = np.array([H[3 * i:3 * i + 3, 3 * i:3 * i + 3] for i in range(S)])
+    Hpu = np.array([H[3 * i:3 * i + 3, 3 * S:] for i in range(S)])
+    Huu = np.array([H[3 * S + 2 * j:3 * S + 2 * j + 2, 3 * S + 2 * j:3 * S + 2 * j + 2]
+                    for j in range(K)]).reshape(K, 2, 2)
+    return NormalEquations(Hpp=Hpp, Hpu=Hpu, Huu=Huu, b=b, damping=damping)
+
+
+def test_dense_h_helpers_round_trip():
+    ne = NormalEquations(Hpp=np.arange(18.0).reshape(2, 3, 3), Hpu=np.arange(24.0).reshape(2, 3, 4),
+                         Huu=np.arange(8.0).reshape(2, 2, 2), b=np.arange(10.0))
+    back = blocks_of(dense_h(ne), ne.b, 2, 2)
+    for name in ("Hpp", "Hpu", "Huu", "b"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ne, name))
+    H = dense_h(ne)
+    assert H[3, 7] == ne.Hpu[1, 0, 1] and H[7, 3] == ne.Hpu[1, 0, 1]
+    assert H[8, 9] == ne.Huu[1, 0, 1] and H[1, 2] == ne.Hpp[0, 1, 2]
+    assert H[0, 3] == 0.0 and H[6, 8] == 0.0
+
+
 def test_gps_only_block_diagonal():
     uavs = circle(4)
     users = [np.array([0.0, 40.0])]
@@ -136,7 +172,7 @@ def test_gps_only_block_diagonal():
     ne = assemble_normal_equations(problem, state.flatten(), 1 / cfg.sigma_gps ** 2, 0.0)
     expected = np.zeros((14, 14))
     expected[:12, :12] = np.kron(np.eye(4), np.eye(3) / 4.0)
-    np.testing.assert_allclose(ne.H, expected, atol=1e-15)
+    np.testing.assert_allclose(dense_h(ne), expected, atol=1e-15)
 
 
 def test_single_toa_term_rank_one_outer_product():
@@ -146,11 +182,11 @@ def test_single_toa_term_rank_one_outer_product():
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=sigma)
     state = StateVector(uav=np.array([[0.0, 0.0, 30.0]]), users=np.array([[0.0, 40.0]]))
     # toa-only: the gps fix gets zero weight
-    ne = assemble_normal_equations(problem, state.flatten(), 0.0, 1 / cfg.sigma_tau ** 2)
+    H = dense_h(assemble_normal_equations(problem, state.flatten(), 0.0, 1 / cfg.sigma_tau ** 2))
     j = toa_jacobian_row((0, 0, 30), (0, 40))
     expected = np.outer(j, j) / sigma ** 2
-    np.testing.assert_allclose(ne.H, expected, rtol=1e-13, atol=1e-30)
-    assert np.linalg.matrix_rank(ne.H, tol=1e-12 * np.abs(ne.H).max()) == 1
+    np.testing.assert_allclose(H, expected, rtol=1e-13, atol=1e-30)
+    assert np.linalg.matrix_rank(H, tol=1e-12 * np.abs(H).max()) == 1
 
 
 def test_h_psd_random_scenarios():
@@ -166,8 +202,8 @@ def test_h_psd_random_scenarios():
         cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1e-8)
         problem = build_problem(samples)
         flat = state.flatten()
-        H = assemble_normal_equations(problem, flat,
-                                      *measurement_weights(problem, flat, cfg)).H
+        H = dense_h(assemble_normal_equations(problem, flat,
+                                              *measurement_weights(problem, flat, cfg)))
         np.testing.assert_allclose(H, H.T, rtol=1e-12, atol=1e-20)
         for _ in range(10):
             x = rng.standard_normal(len(H))
@@ -245,7 +281,7 @@ def test_h_matches_dense_oracle():
         flat = state.flatten()
         ne = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg))
         H_ref, b_ref, _ = dense_oracle_h_b(state, problem, cfg)
-        np.testing.assert_allclose(ne.H, H_ref, rtol=1e-12, atol=1e-30)
+        np.testing.assert_allclose(dense_h(ne), H_ref, rtol=1e-12, atol=1e-30)
         np.testing.assert_allclose(ne.b, b_ref, rtol=1e-12, atol=1e-30)
 
 
@@ -266,7 +302,7 @@ def test_weighted_h_b_objective_match_dense_oracle(huber, per_distance):
         ne = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg),
                                        huber_delta=cfg.huber_delta)
         H_ref, b_ref, f_ref = dense_oracle_h_b(state, problem, cfg)
-        np.testing.assert_allclose(ne.H, H_ref, rtol=1e-12, atol=1e-30)
+        np.testing.assert_allclose(dense_h(ne), H_ref, rtol=1e-12, atol=1e-30)
         np.testing.assert_allclose(ne.b, b_ref, rtol=1e-12, atol=1e-30)
         assert objective(state, samples, cfg) == pytest.approx(f_ref, rel=1e-12)
         resid = np.array([m.toa - los_delay(state.uav[m.step - 1], state.users[m.user_id - 1])
@@ -281,7 +317,7 @@ def test_weighted_h_b_objective_match_dense_oracle(huber, per_distance):
 
 def test_step_zero_b():
     H = np.eye(5)
-    delta = gauss_newton_step(NormalEquations(H=H, b=np.zeros(5), damping=0.0))
+    delta = gauss_newton_step(blocks_of(H, np.zeros(5), 1, 1, damping=0.0))
     np.testing.assert_array_equal(delta, np.zeros(5))
 
 
@@ -298,7 +334,8 @@ def test_pure_gps_one_exact_step():
     ne = assemble_normal_equations(problem, flat, 1 / cfg.sigma_gps ** 2, 0.0)
     # restrict to the pose block (user block untouched by gps terms)
     d = 15
-    delta = gauss_newton_step(NormalEquations(H=ne.H[:d, :d], b=ne.b[:d], damping=0.0))
+    delta = gauss_newton_step(NormalEquations(Hpp=ne.Hpp, Hpu=ne.Hpu[:, :, :0], Huu=ne.Huu[:0],
+                                              b=ne.b[:d], damping=0.0))
     moved = flat[:d] + delta
     np.testing.assert_allclose(moved.reshape(5, 3), gps, rtol=0, atol=1e-10)
 
@@ -306,14 +343,91 @@ def test_pure_gps_one_exact_step():
 def test_linear_solve_residual():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        n = int(rng.integers(3, 40))
-        A = rng.standard_normal((n, n))
+        S, K = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        n = 3 * S + 2 * K
+        # rows over one pose and one user, as measurements are
+        A = np.zeros((n, 4 * n))
+        for col in range(4 * n):
+            i, j = rng.integers(S), rng.integers(K)
+            A[3 * i:3 * i + 3, col] = rng.standard_normal(3)
+            A[3 * S + 2 * j:3 * S + 2 * j + 2, col] = rng.standard_normal(2)
         H = A @ A.T + n * np.eye(n)
         b = rng.standard_normal(n)
         lam = float(rng.uniform(0, 1))
-        delta = gauss_newton_step(NormalEquations(H=H, b=b, damping=lam))
+        delta = gauss_newton_step(blocks_of(H, b, S, K, damping=lam))
         res = np.linalg.norm((H + lam * np.eye(n)) @ delta + b) / np.linalg.norm(b)
         assert res <= 1e-10
+
+
+@pytest.mark.parametrize("huber, per_distance",
+                         [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["plain", "huber", "per_distance", "huber_and_per_distance"])
+def test_schur_step_matches_dense_solve(huber, per_distance):
+    # the pose-eliminated step is the Newton step of the dense system, also
+    # with users missing at some poses and a repeated (pose, user) measurement
+    rng = np.random.default_rng(8)
+    noise = ToaNoiseModel(kind="exponential", sigma0=5e-9, amp=2e-9, scale=40.0)
+    cfg = SlamConfig(sigma_gps=1.3, sigma_tau=2e-8, noise_model=noise,
+                     per_distance_weights=per_distance,
+                     huber_delta=1e-8 if huber else None)
+    for _ in range(6):
+        samples, state = random_h_b_case(rng)
+        n, k = len(state.uav), len(state.users)
+        if k > 1:
+            # from the fourth pose on, each pose misses one user
+            samples = [m for m in samples if m.step <= 3 or m.user_id != m.step % k + 1]
+        samples = samples + [samples[int(rng.integers(len(samples)))]]
+        problem = build_problem(samples)
+        assert len(problem.toa) == n * k + 1 - (n - 3) * (k > 1)
+        flat = state.flatten()
+        H_ref, b_ref, _ = dense_oracle_h_b(state, problem, cfg)
+        ne = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg),
+                                       huber_delta=cfg.huber_delta)
+        for lam in (0.0, 1e-4, 10.0):
+            delta = gauss_newton_step(replace(ne, damping=lam))
+            ref = np.linalg.solve(H_ref + lam * np.eye(len(b_ref)), -b_ref)
+            np.testing.assert_allclose(delta, ref, rtol=1e-10)
+
+
+def singular_case(one_user_pose):
+    """Three poses on a circle see user 1, and user 2 if `one_user_pose`. A
+    fourth pose sees one user along an axis: user 1 with an x-difference of
+    0 if `one_user_pose`, else user 2, which no other pose sees, with a
+    y-difference of 0. Either way one block of H has an exactly zero row."""
+    users = [np.array([0.0, 40.0]), np.array([-30.0, -10.0])]
+    uavs = circle(3)
+    samples = make_samples(uavs, users)
+    lone = np.array([0.0, 0.0, 30.0])
+    if one_user_pose:
+        samples.append(MeasurementSample(4, 1, Vec3(*lone), los_delay(lone, users[0])))
+    else:
+        samples = [m for m in samples if m.user_id == 1]
+        # on the user's y: its y-difference is 0
+        lone = np.array([10.0, -10.0, 30.0])
+        samples.append(MeasurementSample(4, 2, Vec3(*lone), los_delay(lone, users[1])))
+    state = StateVector(uav=np.vstack([uavs, lone]), users=np.array(users))
+    return build_problem(samples), state.flatten()
+
+
+@pytest.mark.parametrize("case", ["pose_block", "reduced_matrix", "indefinite_pose_block"])
+def test_singular_where_dense_cholesky_fails(case):
+    if case == "indefinite_pose_block":
+        # no coupling, so only the check of the pose block can catch it
+        ne = blocks_of(np.diag([1.0, -1.0, 1.0, 1.0, 1.0]), np.ones(5), 1, 1)
+    else:
+        # no GPS weight: the lone pose's block is singular; with GPS, the
+        # user seen from one pose leaves the reduced matrix singular
+        problem, flat = singular_case(one_user_pose=case == "pose_block")
+        ne = assemble_normal_equations(problem, flat, 0.0 if case == "pose_block" else 1.0,
+                                       1 / 1e-8 ** 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(dense_h(ne))
+    with pytest.raises(SingularSystem):
+        gauss_newton_step(ne)
+    # damped enough, both systems are positive definite and the steps agree
+    lam = 2.0
+    ref = np.linalg.solve(dense_h(ne) + lam * np.eye(len(ne.b)), -ne.b)
+    np.testing.assert_allclose(gauss_newton_step(replace(ne, damping=lam)), ref, rtol=1e-10)
 
 
 # --- solve_slam ---
@@ -412,7 +526,7 @@ def test_gauge_positive_definite_with_gps():
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1e-8)
     problem = build_problem(samples)
     flat = state.flatten()
-    H = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg)).H
+    H = dense_h(assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg)))
     eigs = np.linalg.eigvalsh(H)
     assert eigs.min() > 0
 
