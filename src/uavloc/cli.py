@@ -87,6 +87,7 @@ def _cmd_solve(args) -> int:
     payload = {
         "converged": report.converged,
         "iterations": report.iterations,
+        "trials": report.trials,
         "final_objective": report.objective_trace[-1],
         "users": {str(uid): list(map(float, state.users[j]))
                   for j, uid in enumerate(problem.user_ids)},
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         if isinstance(exc, NotConverged) and exc.report is not None:
-            print(f"iterations: {exc.report.iterations}, "
+            print(f"iterations: {exc.report.iterations}, trials: {exc.report.trials}, "
                   f"last step norm: {exc.report.final_step_norm:.3e}", file=sys.stderr)
         return 3
 

@@ -73,7 +73,8 @@ class SingularFim(UavLocError):
 
 
 class NotConverged(UavLocError):
-    """Solver hit its iteration budget; carries the best state found."""
+    """Solver met no stopping test before its iteration budget or its damping
+    ran out; carries the best state found."""
 
     def __init__(self, message, state=None, report=None):
         self.state = state

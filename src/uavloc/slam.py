@@ -1,4 +1,4 @@
-"""Joint user localization and UAV tracking via iterative linearized
+"""Joint user localization and UAV tracking by Newton-Levenberg-Marquardt
 least squares.
 
 The state stacks the UAV poses of every observed step (3D) followed by the
@@ -8,17 +8,24 @@ Residuals, Jacobian rows and weights are computed for all measurements at
 once: each GPS fix gives r = gps - x with Jacobian -I, each ToA delay gives
 r = tau - ||x - (u, 0)||/C with a 5-entry row over its pose and user.
 
-No measurement ties two poses or two users together, so the normal equations
-H = J^T W J, b = J^T W r are kept in blocks: the 3x3 pose blocks, the 2x2
-user blocks and the pose-user coupling. Levenberg-Marquardt damps H and
-eliminates the poses by the Schur complement, as bundle adjustment does
-(Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000): each trial
-step factors one 2K-square reduced system by Cholesky and back-solves the S
-poses, at O(S K^2 + K^3) cost instead of O((3S + 2K)^3).
+The ToA residuals are not small at the minimum, so Gauss-Newton's J^T W J
+converges only linearly there (Nocedal & Wright, "Numerical Optimization",
+section 10.3). The solver uses the exact Newton matrix instead: J^T W J plus
+each ToA residual's curvature w r grad^2 r. No measurement ties two poses or
+two users together, so that matrix and b = J^T W r are kept in blocks: the
+3x3 pose blocks, the 2x2 user blocks and the pose-user coupling.
+Levenberg-Marquardt damps the matrix and eliminates the poses by the Schur
+complement, as bundle adjustment does (Triggs et al., "Bundle Adjustment - A
+Modern Synthesis", 2000): each trial step factors one 2K-square reduced
+system by Cholesky and back-solves the S poses, at O(S K^2 + K^3) cost
+instead of O((3S + 2K)^3). The damping follows the gain ratio of actual to
+predicted decrease (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
+Least Squares Problems", 2004, section 3.2).
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +63,7 @@ class StateVector:
 
 @dataclass
 class NormalEquations:
-    """H = J^T W J in blocks, and b = J^T W r (3S + 2K,).
+    """The Newton matrix H in blocks, and b = J^T W r (3S + 2K,).
 
     Hpp (S, 3, 3) holds the pose blocks, Huu (K, 2, 2) the user blocks and
     Hpu (S, 3, 2K) each pose's coupling to the user coordinates; every other
@@ -71,10 +78,14 @@ class NormalEquations:
 
 @dataclass
 class SolveReport:
+    """What a solve did. iterations counts assemblies of the normal
+    equations, and objective_trace holds f at the start and after each
+    accepted step."""
     iterations: int
     objective_trace: list[float]
     converged: bool
     final_step_norm: float
+    trials: int = 0  # linear solves attempted, failed factorizations included
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,12 @@ class SlamConfig:
     noise_model: ToaNoiseModel | None = None
     per_distance_weights: bool = False  # refresh toa sigma from current distances
     huber_delta: float | None = None    # seconds; robust ToA reweighting when set
-    tol_step: float = 1e-6
+    # A solve has converged when any of these holds:
+    tol_step: float = 1e-6             # metres: an accepted step is shorter
+    tol_grad: float = 1e-10            # |b| is this fraction of its first value
+    # a trial step changes f by at most this fraction of f, up or down: f has
+    # stopped changing beyond rounding (Ceres' function tolerance)
+    tol_rel_decrease: float = 1e-12
     max_iter: int = 100
     lambda_init: float = 1e-4
     lambda_max: float = 1e8
@@ -183,27 +199,33 @@ def assemble_normal_equations(problem: SlamProblem, flat: np.ndarray, w_gps: flo
                               w_toa, damping: float = 0.0,
                               huber_delta: float | None = None, *,
                               _res=None) -> NormalEquations:
-    """H = J^T W J in blocks and b = J^T W r over all measurements.
+    """Newton matrix H in blocks and b = J^T W r over all measurements.
 
-    A ToA row is [-g, g[:2]] with g = diff / (C d), so it adds w g g^T to its
-    pose block, the top-left 2x2 of it to its user block and minus its first
-    two columns to the coupling, and w r g (negated for the pose) to b. One
-    bincount sums w g g^T and w r g per (pose, user) pair, adding repeated
+    H is J^T W J plus the exact curvature of the ToA residuals, sum w r
+    grad^2 r; GPS residuals are linear. With n = diff / d and c = w r / (C d),
+    a ToA measurement adds (w / C^2 + c) n n^T - c I to its pose block, the
+    top-left 2x2 of that to its user block and minus its first two columns
+    to the coupling, and w r n / C (negated for the pose) to b. w is the ToA
+    weight, times the Huber IRLS weight beyond huber_delta; derivatives of
+    per-distance weights are left out. One bincount sums the 9 pose-block
+    entries and the 3 of b per (pose, user) pair, adding repeated
     measurements of a pair; the blocks are sums of those. `_res`, the
     `_residuals` of `flat` if the caller has them, saves computing them again.
     """
     S, K = problem.num_poses, problem.num_users
     r_gps, r_toa, diff, d = _residuals(problem, flat) if _res is None else _res
-    g = np.ascontiguousarray(diff.T) / (SPEED_OF_LIGHT * d)              # (3, M)
+    n = np.ascontiguousarray(diff.T) / d                                  # (3, M)
     w = w_toa
     if huber_delta is not None:
         a = np.abs(r_toa)
         w = w * np.divide(huber_delta, a, out=np.ones_like(a), where=a > huber_delta)
-    wg = w * g
-    # per measurement, the 9 entries of w g g^T and the 3 of w r g
+    wr_c = w * r_toa / SPEED_OF_LIGHT
+    c = wr_c / d
+    # per measurement, the 9 entries of (w / C^2 + c) n n^T - c I and the 3 of w r n / C
     terms = np.empty((4, 3, len(r_toa)))
-    np.multiply(wg[:, None], g[None], out=terms[:3])
-    np.multiply(r_toa, wg, out=terms[3])
+    np.multiply(((w / SPEED_OF_LIGHT ** 2 + c) * n)[:, None], n[None], out=terms[:3])
+    terms.reshape(12, -1)[:9:4] -= c
+    np.multiply(wr_c, n, out=terms[3])
     pair = 12 * (K * problem.pose + problem.user) + np.arange(12)[:, None]
     sums = np.bincount(pair.ravel(), weights=terms.ravel(),
                        minlength=12 * S * K).reshape(S, K, 4, 3)
@@ -268,10 +290,22 @@ def check_identifiability(problem: SlamProblem, warn: bool = True) -> list[int]:
 
 def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
                warn_identifiability: bool = True):
-    """Levenberg-Marquardt minimization of the joint negative log-likelihood.
+    """Newton-Levenberg-Marquardt minimization of the joint negative
+    log-likelihood.
+
+    Each iteration assembles the Newton matrix, with the exact ToA
+    curvature, once, and tries damped steps (H + lambda I) delta = -b until
+    one does not raise f. A trial whose damped matrix is not positive
+    definite (the Newton matrix can be indefinite far from the minimum)
+    multiplies lambda by 10. A rejected step multiplies lambda by nu and
+    doubles nu; an accepted one scales lambda by max(1/3, 1 - (2 rho - 1)^3)
+    and resets nu to 2, rho being the gain ratio (Madsen, Nielsen &
+    Tingleff 2004, section 3.2). The solve stops, converged, at the first of
+    cfg.tol_step, cfg.tol_grad or cfg.tol_rel_decrease.
 
     Returns (state, report). Raises NotConverged (carrying the best state and
-    report) if the step-size tolerance is not met within cfg.max_iter.
+    report) if no stopping test is met within cfg.max_iter iterations, or no
+    damping up to cfg.lambda_max gives a step that does not raise f.
     """
     problem = build_problem(measurements)
     if warn_identifiability:
@@ -280,7 +314,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
         raise ValueError("initial state dimensions do not match the measurement set")
 
     flat = init.flatten()
-    lam = cfg.lambda_init
+    lam, nu = cfg.lambda_init, 2.0
     weights = measurement_weights(problem, flat, cfg)
     # the link geometry of the current point, shared by the objective that
     # accepts it and the next assembly
@@ -289,7 +323,8 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
     trace = [f]
     converged = False
     step_norm = np.inf
-    iterations = 0
+    iterations = trials = 0
+    grad0 = None
 
     for _ in range(cfg.max_iter):
         iterations += 1
@@ -300,37 +335,56 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
             f = objective_terms(problem, flat, *weights, cfg.huber_delta, _res=res)
         ne = assemble_normal_equations(problem, flat, *weights, huber_delta=cfg.huber_delta,
                                        _res=res)
+        grad = float(np.linalg.norm(ne.b))
+        grad0 = grad if grad0 is None else grad0
+        if grad <= cfg.tol_grad * grad0:
+            converged = True
+            break
 
-        accepted = False
+        accepted = f_settled = False
         while lam <= cfg.lambda_max:
+            trials += 1
             try:
                 delta = gauss_newton_step(replace(ne, damping=lam))
             except SingularSystem:
+                # the Newton matrix is indefinite here; nu keeps the path of
+                # the evaluated steps
                 lam *= 10.0
                 continue
             trial = flat + delta
             res_new = _residuals(problem, trial)
             f_new = objective_terms(problem, trial, *weights, cfg.huber_delta, _res=res_new)
+            # at the resolution of f rounding decides the sign of the change
+            f_settled = abs(f - f_new) <= cfg.tol_rel_decrease * f
             if f_new <= f:
                 accepted = True
                 break
-            lam *= 10.0
+            if f_settled:
+                break
+            lam *= nu
+            nu *= 2.0
         if not accepted:
+            converged = f_settled
             break
 
+        # gain ratio: actual over predicted decrease, the prediction from the
+        # quadratic model, f - m(delta) = lam |delta|^2 - b^T delta
+        step_sq = float(delta @ delta)
+        rho = (f - f_new) / (lam * step_sq - float(ne.b @ delta))
+        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
+        nu = 2.0
         flat, f, res = trial, f_new, res_new
         trace.append(f)
-        lam = max(lam / 10.0, 1e-15)
-        step_norm = float(np.linalg.norm(delta))
-        if step_norm < cfg.tol_step:
+        step_norm = math.sqrt(step_sq)
+        if step_norm < cfg.tol_step or f_settled:
             converged = True
             break
 
     state = StateVector.from_flat(flat, problem.num_poses, problem.num_users)
     report = SolveReport(iterations=iterations, objective_trace=trace,
-                         converged=converged, final_step_norm=step_norm)
+                         converged=converged, final_step_norm=step_norm, trials=trials)
     if not converged:
-        raise NotConverged("step tolerance not reached", state=state, report=report)
+        raise NotConverged("no stopping test met", state=state, report=report)
     return state, report
 
 

@@ -238,6 +238,7 @@ def test_cli_simulate_and_solve(tmp_path, scenario_file, capsys):
     assert rc == 0
     solved = json.loads(capsys.readouterr().out)
     assert solved["converged"] is True
+    assert solved["trials"] >= 1
     assert np.allclose(solved["users"]["1"], [10.0, -5.0], atol=5.0)
 
 

@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavloc.channel import los_delay
+from uavloc.channel import RngStream, los_delay
 from uavloc.errors import DegenerateGeometry, NotConverged, SingularSystem
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
                          assemble_normal_equations, build_problem,
                          gauss_newton_step, measurement_weights, objective,
-                         solve_slam, toa_jacobian_row)
+                         initial_state, objective_terms, solve_slam, toa_jacobian_row)
 
 
 def make_samples(uav_positions, users, gps_positions=None, noise=None):
@@ -211,7 +211,9 @@ def test_h_psd_random_scenarios():
 
 
 def dense_oracle_h_b(state, problem, cfg):
-    """Independent dense construction: stack the full Jacobian row by row.
+    """Independent dense construction: stack the full Jacobian row by row,
+    and add each ToA residual's curvature w r grad^2 r in its own dense
+    matrix, so H = J^T W J + sum w r grad^2 r is the Newton matrix.
 
     ToA weights are 1/sigma^2, sigma taken from the exponential noise model
     at the state's link distance when cfg.per_distance_weights is set, times
@@ -221,6 +223,7 @@ def dense_oracle_h_b(state, problem, cfg):
     flat = state.flatten()
     S, K = problem.num_poses, problem.num_users
     rows, weights, resids, costs = [], [], [], []
+    curvature = np.zeros((3 * S + 2 * K, 3 * S + 2 * K))
     w_gps = 1 / cfg.sigma_gps ** 2
     for i in range(S):
         for axis in range(3):
@@ -253,10 +256,19 @@ def dense_oracle_h_b(state, problem, cfg):
             weights.append(w)
             costs.append(w * r ** 2)
         resids.append(r)
+        # grad^2 r = -P / (C d) on the pose, -P[:2, :2] / (C d) on the user
+        # and +P[:, :2] / (C d) between them, with P = I - n n^T
+        P = np.eye(3) - np.outer(diff, diff) / d ** 2
+        c = weights[-1] * r / (C * d)
+        pi, uj = slice(3 * i, 3 * i + 3), slice(3 * S + 2 * j, 3 * S + 2 * j + 2)
+        curvature[pi, pi] -= c * P
+        curvature[uj, uj] -= c * P[:2, :2]
+        curvature[pi, uj] += c * P[:, :2]
+        curvature[uj, pi] += c * P[:2, :]
     J = np.array(rows)
     W = np.diag(weights)
     r = np.array(resids)
-    return J.T @ W @ J, J.T @ W @ r, math.fsum(costs)
+    return J.T @ W @ J + curvature, J.T @ W @ r, math.fsum(costs)
 
 
 def random_h_b_case(rng):
@@ -311,6 +323,35 @@ def test_weighted_h_b_objective_match_dense_oracle(huber, per_distance):
         within += int(np.sum(np.abs(resid) <= 1e-8))
     # both branches of the Huber weight are exercised
     assert beyond > 0 and within > 0
+
+
+def test_newton_matrix_matches_finite_difference_hessian():
+    # the objective is f = r^T W r, so its Hessian is 2 H when H is the exact
+    # Newton matrix; J^T W J alone misses the ToA curvature by a few per cent
+    rng = np.random.default_rng(9)
+    cfg = SlamConfig(sigma_gps=1.3, sigma_tau=2e-8)
+    h = 1e-3
+    for _ in range(3):
+        samples, state = random_h_b_case(rng)
+        samples = [replace(m, toa=m.toa + 2e-8 * rng.standard_normal()) for m in samples]
+        problem = build_problem(samples)
+        flat = state.flatten()
+        weights = measurement_weights(problem, flat, cfg)
+        ne = assemble_normal_equations(problem, flat, *weights)
+
+        def f(x):
+            return objective_terms(problem, x, *weights)
+
+        n = len(flat)
+        step = h * np.eye(n)
+        fd = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                fd[i, j] = fd[j, i] = (f(flat + step[i] + step[j]) - f(flat + step[i] - step[j])
+                                       - f(flat - step[i] + step[j])
+                                       + f(flat - step[i] - step[j])) / (8 * h * h)
+        H = dense_h(ne)
+        np.testing.assert_allclose(H, fd, rtol=0, atol=1e-6 * np.abs(H).max())
 
 
 # --- gauss_newton_step ---
@@ -370,6 +411,7 @@ def test_schur_step_matches_dense_solve(huber, per_distance):
     cfg = SlamConfig(sigma_gps=1.3, sigma_tau=2e-8, noise_model=noise,
                      per_distance_weights=per_distance,
                      huber_delta=1e-8 if huber else None)
+    indefinite = 0
     for _ in range(6):
         samples, state = random_h_b_case(rng)
         n, k = len(state.uav), len(state.users)
@@ -384,9 +426,17 @@ def test_schur_step_matches_dense_solve(huber, per_distance):
         ne = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg),
                                        huber_delta=cfg.huber_delta)
         for lam in (0.0, 1e-4, 10.0):
+            damped = H_ref + lam * np.eye(len(b_ref))
+            if np.linalg.eigvalsh(damped).min() <= 0:
+                # an indefinite Newton matrix is refused, as dense Cholesky refuses it
+                with pytest.raises(SingularSystem):
+                    gauss_newton_step(replace(ne, damping=lam))
+                indefinite += 1
+                continue
             delta = gauss_newton_step(replace(ne, damping=lam))
-            ref = np.linalg.solve(H_ref + lam * np.eye(len(b_ref)), -b_ref)
-            np.testing.assert_allclose(delta, ref, rtol=1e-10)
+            np.testing.assert_allclose(delta, np.linalg.solve(damped, -b_ref), rtol=1e-10)
+    # far from the minimum a few are; most steps are compared
+    assert indefinite <= 3
 
 
 def singular_case(one_user_pose):
@@ -469,8 +519,10 @@ def test_objective_evaluations_per_solve(monkeypatch, per_distance):
     # steps evaluate it; per-distance weights change it at every iteration
     import uavloc.slam as slam_mod
     calls = {"objective_terms": 0, "gauss_newton_step": 0}
+    attempts = []
     for name in calls:
         def counted(*args, _fn=getattr(slam_mod, name), _name=name, **kw):
+            attempts.append(_name)
             out = _fn(*args, **kw)
             calls[_name] += 1
             return out
@@ -490,6 +542,8 @@ def test_objective_evaluations_per_solve(monkeypatch, per_distance):
     assert calls["gauss_newton_step"] >= report.iterations > 1
     per_iteration = report.iterations if per_distance else 0
     assert calls["objective_terms"] == 1 + per_iteration + calls["gauss_newton_step"]
+    # trials counts the linear solves attempted, failed factorizations included
+    assert report.trials == attempts.count("gauss_newton_step")
 
 
 def test_translation_equivariance():
@@ -541,3 +595,121 @@ def test_not_converged_carries_state():
         solve_slam(init, samples, cfg, warn_identifiability=False)
     assert exc.value.state is not None
     assert exc.value.report.iterations == 1
+
+
+def noisy_circle_case():
+    """20 poses on a circle and two users, the users started a few metres
+    off. The ToA noise is four times the sigma the solver assumes, so the
+    residuals stay large at the minimum, where Gauss-Newton is slow."""
+    rng = np.random.default_rng(2)
+    uavs = circle(20)
+    gps = uavs + rng.normal(0, 1, uavs.shape)
+    users = np.array([[10.0, 25.0], [-20.0, 5.0]])
+    samples = [MeasurementSample(n, k, Vec3(*g), los_delay(p, u) + 5e-8 * rng.standard_normal())
+               for n, (p, g) in enumerate(zip(uavs, gps), start=1)
+               for k, u in enumerate(users, start=1)]
+    init = StateVector(uav=gps.copy(), users=users + np.array([[3.0, -2.0], [-2.0, 3.0]]))
+    return samples, init
+
+
+def test_newton_lm_converges_quadratically():
+    samples, init = noisy_circle_case()
+    cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1.25e-8)
+    _, report = solve_slam(init, samples, cfg, warn_identifiability=False)
+    # Gauss-Newton-LM with lambda / 10 on accept and x 10 on reject took 11
+    # iterations here, its steps shrinking by a factor of 5 each
+    assert report.converged and report.iterations <= 5
+    # the solve cut after k iterations reports its last accepted step
+    norms = []
+    for k in range(1, report.iterations + 1):
+        try:
+            _, cut = solve_slam(init, samples, replace(cfg, max_iter=k), warn_identifiability=False)
+        except NotConverged as exc:
+            cut = exc.report
+        if not norms or cut.final_step_norm != norms[-1]:
+            norms.append(cut.final_step_norm)
+    assert len(norms) >= 3 and norms[-1] < 1e-2
+    for before, after in zip(norms, norms[1:]):
+        assert after <= 10.0 * before ** 2  # metres
+
+
+def plateau_case(seed):
+    """A log as `uavloc solve` reads it: 64 poses on a closed circle, 8 users
+    in a disc, GPS and ToA noise, users drawn by `initial_state`."""
+    rng = np.random.default_rng(seed)
+    path = circle(64, radius=60.0)
+    radius, angle = 48 * np.sqrt(rng.uniform(0, 1, 8)), rng.uniform(0, 2 * np.pi, 8)
+    users = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    gps = path + rng.standard_normal(path.shape)
+    samples = [MeasurementSample(i + 1, k + 1, Vec3(*gps[i]),
+                                 los_delay(path[i], u) + 1.25e-8 * rng.standard_normal())
+               for i in range(len(path)) for k, u in enumerate(users)]
+    return samples, initial_state(samples, RngStream(seed)), path, users
+
+
+@pytest.mark.parametrize("seed", [8, 38, 55, 89, 133])
+def test_converged_at_the_rounding_plateau(seed):
+    # With the step test alone these solves ended NotConverged: f stopped
+    # changing beyond rounding while the step was still above tol_step, every
+    # trial step was rejected and lambda ran out. Gauss-Newton-LM did so on
+    # seeds 8 to 89, Newton-LM on 133, where tol_rel_decrease now ends it.
+    samples, init, path, users = plateau_case(seed)
+    cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1.25e-8)
+    state, report = solve_slam(init, samples, cfg, warn_identifiability=False)
+    assert report.converged
+    problem = build_problem(samples)
+    weights = measurement_weights(problem, init.flatten(), cfg)
+
+    def grad(x):
+        return np.linalg.norm(assemble_normal_equations(problem, x, *weights).b)
+
+    assert grad(state.flatten()) <= 1e-9 * grad(init.flatten())
+    truth = StateVector(uav=path, users=users).flatten()
+    assert report.objective_trace[-1] <= objective_terms(problem, truth, *weights)
+
+
+def test_gain_ratio_damping_path(monkeypatch):
+    # Madsen, Nielsen & Tingleff (2004), section 3.2: an accepted step scales
+    # lambda by max(1/3, 1 - (2 rho - 1)^3), within [1/3, 2], and resets nu to
+    # 2; a rejected one multiplies lambda by nu and doubles nu; a failed
+    # factorization multiplies lambda by 10
+    import uavloc.slam as slam_mod
+    trials, values = [], []
+    step, objective_fn = slam_mod.gauss_newton_step, slam_mod.objective_terms
+
+    def recorded_step(ne):
+        try:
+            delta = step(ne)
+        except SingularSystem:
+            trials.append(("failed", ne.damping))
+            raise
+        trials.append(("solved", ne.damping))
+        return delta
+
+    def recorded_objective(*args, **kw):
+        values.append(objective_fn(*args, **kw))
+        return values[-1]
+
+    monkeypatch.setattr(slam_mod, "gauss_newton_step", recorded_step)
+    monkeypatch.setattr(slam_mod, "objective_terms", recorded_objective)
+    samples, init, _, _ = plateau_case(9)
+    _, report = solve_slam(init, samples, SlamConfig(sigma_gps=1.0, sigma_tau=1.25e-8),
+                           warn_identifiability=False)
+    assert report.trials == len(trials)
+    f, trial_values, nu = values[0], iter(values[1:]), 2.0
+    seen = set()
+    for (kind, lam), (_, lam_next) in zip(trials, trials[1:]):
+        if kind == "failed":
+            seen.add(kind)
+            assert lam_next == 10.0 * lam
+            continue
+        f_new = next(trial_values)
+        if f_new <= f:
+            seen.add("accepted")
+            assert lam / 3.0 * (1 - 1e-12) <= lam_next <= 2.0 * lam
+            f, nu = f_new, 2.0
+        else:
+            seen.add("rejected")
+            assert lam_next == nu * lam
+            nu *= 2.0
+    assert seen == {"failed", "accepted", "rejected"}
