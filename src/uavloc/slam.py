@@ -10,10 +10,13 @@ r = tau - ||x - (u, 0)||/C with a 5-entry row over its pose and user.
 
 The ToA residuals are not small at the minimum, so Gauss-Newton's J^T W J
 converges only linearly there (Nocedal & Wright, "Numerical Optimization",
-section 10.3). The solver uses the exact Newton matrix instead: J^T W J plus
-each ToA residual's curvature w r grad^2 r. No measurement ties two poses or
-two users together, so that matrix and b = J^T W r are kept in blocks: the
-3x3 pose blocks, the 2x2 user blocks and the pose-user coupling.
+section 10.3). The solver uses the Newton matrix instead: J^T W J plus each
+ToA residual's curvature w r grad^2 r, the exact Hessian of f / 2 when the
+weights are fixed. With Huber reweighting it is the IRLS Gauss-Newton term
+plus that exact curvature, a positive semidefinite choice rather than the
+Hessian of the linear Huber branch. No measurement ties two poses or two
+users together, so that matrix and b = J^T W r are kept in blocks: the 3x3
+pose blocks, the 2x2 user blocks and the pose-user coupling.
 Levenberg-Marquardt damps the matrix and eliminates the poses by the Schur
 complement, as bundle adjustment does (Triggs et al., "Bundle Adjustment - A
 Modern Synthesis", 2000): each trial step factors one 2K-square reduced
@@ -95,12 +98,7 @@ class SlamConfig:
     noise_model: ToaNoiseModel | None = None
     per_distance_weights: bool = False  # refresh toa sigma from current distances
     huber_delta: float | None = None    # seconds; robust ToA reweighting when set
-    # A solve has converged when any of these holds:
-    tol_step: float = 1e-6             # metres: an accepted step is shorter
-    tol_grad: float = 1e-10            # |b| is this fraction of its first value
-    # a trial step changes f by at most this fraction of f, up or down: f has
-    # stopped changing beyond rounding (Ceres' function tolerance)
-    tol_rel_decrease: float = 1e-12
+    tol_step: float = 1e-6
     max_iter: int = 100
     lambda_init: float = 1e-4
     lambda_max: float = 1e8
@@ -201,11 +199,13 @@ def assemble_normal_equations(problem: SlamProblem, flat: np.ndarray, w_gps: flo
                               _res=None) -> NormalEquations:
     """Newton matrix H in blocks and b = J^T W r over all measurements.
 
-    H is J^T W J plus the exact curvature of the ToA residuals, sum w r
-    grad^2 r; GPS residuals are linear. With n = diff / d and c = w r / (C d),
-    a ToA measurement adds (w / C^2 + c) n n^T - c I to its pose block, the
-    top-left 2x2 of that to its user block and minus its first two columns
-    to the coupling, and w r n / C (negated for the pose) to b. w is the ToA
+    H is J^T W J plus the curvature of the ToA residuals, sum w r grad^2 r
+    (GPS residuals are linear): the exact Hessian of f / 2 for fixed weights,
+    the IRLS Gauss-Newton term plus the exact curvature with Huber. With
+    n = diff / d and c = w r / (C d), a ToA measurement adds
+    (w / C^2 + c) n n^T - c I to its pose block, the top-left 2x2 of that to
+    its user block and minus its first two columns to the coupling, and
+    w r n / C (negated for the pose) to b. w is the ToA
     weight, times the Huber IRLS weight beyond huber_delta; derivatives of
     per-distance weights are left out. One bincount sums the 9 pose-block
     entries and the 3 of b per (pose, user) pair, adding repeated
@@ -288,6 +288,12 @@ def check_identifiability(problem: SlamProblem, warn: bool = True) -> list[int]:
     return weak
 
 
+# A trial step that changes f by at most this fraction of f, up or down, ends
+# the solve as converged: f has stopped changing beyond rounding, whose sign
+# then decides acceptance (Ceres' function tolerance).
+REL_DECREASE_TOL = 1e-12
+
+
 def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
                warn_identifiability: bool = True):
     """Newton-Levenberg-Marquardt minimization of the joint negative
@@ -300,8 +306,9 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
     multiplies lambda by 10. A rejected step multiplies lambda by nu and
     doubles nu; an accepted one scales lambda by max(1/3, 1 - (2 rho - 1)^3)
     and resets nu to 2, rho being the gain ratio (Madsen, Nielsen &
-    Tingleff 2004, section 3.2). The solve stops, converged, at the first of
-    cfg.tol_step, cfg.tol_grad or cfg.tol_rel_decrease.
+    Tingleff 2004, section 3.2). The solve stops, converged, when an
+    accepted step is shorter than cfg.tol_step or a trial step changes f by
+    at most REL_DECREASE_TOL of f.
 
     Returns (state, report). Raises NotConverged (carrying the best state and
     report) if no stopping test is met within cfg.max_iter iterations, or no
@@ -324,7 +331,6 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
     converged = False
     step_norm = np.inf
     iterations = trials = 0
-    grad0 = None
 
     for _ in range(cfg.max_iter):
         iterations += 1
@@ -335,12 +341,6 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
             f = objective_terms(problem, flat, *weights, cfg.huber_delta, _res=res)
         ne = assemble_normal_equations(problem, flat, *weights, huber_delta=cfg.huber_delta,
                                        _res=res)
-        grad = float(np.linalg.norm(ne.b))
-        grad0 = grad if grad0 is None else grad0
-        if grad <= cfg.tol_grad * grad0:
-            converged = True
-            break
-
         accepted = f_settled = False
         while lam <= cfg.lambda_max:
             trials += 1
@@ -355,7 +355,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
             res_new = _residuals(problem, trial)
             f_new = objective_terms(problem, trial, *weights, cfg.huber_delta, _res=res_new)
             # at the resolution of f rounding decides the sign of the change
-            f_settled = abs(f - f_new) <= cfg.tol_rel_decrease * f
+            f_settled = abs(f - f_new) <= REL_DECREASE_TOL * f
             if f_new <= f:
                 accepted = True
                 break

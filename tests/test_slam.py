@@ -652,7 +652,7 @@ def test_converged_at_the_rounding_plateau(seed):
     # With the step test alone these solves ended NotConverged: f stopped
     # changing beyond rounding while the step was still above tol_step, every
     # trial step was rejected and lambda ran out. Gauss-Newton-LM did so on
-    # seeds 8 to 89, Newton-LM on 133, where tol_rel_decrease now ends it.
+    # seeds 8 to 89, Newton-LM on 133, where REL_DECREASE_TOL now ends it.
     samples, init, path, users = plateau_case(seed)
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1.25e-8)
     state, report = solve_slam(init, samples, cfg, warn_identifiability=False)
