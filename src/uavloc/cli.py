@@ -10,15 +10,17 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import slam
+from .channel import RngStream
 from .errors import INPUT_ERRORS, NUMERIC_ERRORS, NotConverged, SchemaError
 from .fim import InfoState, accumulate, crb_trace, initial_info, step_contribution
 from .iofiles import (RunConfig, export_results, parse_run_config,
-                      read_measurement_log)
+                      read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
 from .planner import PlannerState, next_waypoint
 
@@ -28,20 +30,9 @@ def _load_config(path: str) -> RunConfig:
         return parse_run_config(f.read())
 
 
-def _slam_cfg(rc: RunConfig) -> slam.SlamConfig:
-    s = rc.scenario
-    opts = {k: v for k, v in rc.solver.items() if k not in ("solve_every", "eps_prior")}
-    return slam.SlamConfig(sigma_gps=s.sigma_gps,
-                           sigma_tau=opts.pop("sigma_tau", s.toa_noise.sigma0),
-                           noise_model=s.toa_noise, **opts)
-
-
 def _mission_kwargs(rc: RunConfig, args) -> dict:
-    kw = {"toa_path": args.toa,
-          "solve_every": rc.solver.get("solve_every", 1),
-          "eps_prior": rc.solver.get("eps_prior", 1e-6),
-          "slam_cfg": _slam_cfg(rc),
-          "planner_headings": rc.planner.get("headings", 8)}
+    kw = {"toa_path": args.toa, "solve_every": rc.solve_every, "eps_prior": rc.eps_prior,
+          "slam_cfg": rc.slam, "planner_headings": rc.headings}
     if args.seed is not None:
         kw["seed"] = args.seed
     return kw
@@ -78,11 +69,9 @@ def _cmd_solve(args) -> int:
         samples = read_measurement_log(f.read())
     if not samples:
         raise SchemaError("measurement log contains no rows")
-    cfg = _slam_cfg(rc)
-    from .channel import RngStream
     rng = RngStream(args.seed if args.seed is not None else rc.scenario.seed)
     init = slam.initial_state(samples, rng)
-    state, report = slam.solve_slam(init, samples, cfg)
+    state, report = slam.solve_slam(init, samples, rc.slam)
     problem = slam.build_problem(samples)
     payload = {
         "converged": report.converged,
@@ -94,7 +83,6 @@ def _cmd_solve(args) -> int:
         "uav_steps": list(problem.steps),
     }
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "solution.json"), "w") as f:
             json.dump(payload | {
@@ -118,7 +106,7 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
         raise SchemaError(f"state 'step' must be an integer in 1..{s.mission_steps - 1}")
     try:
         arrays = {k: np.asarray(doc[k], dtype=float) for k in ("pos", "user_estimates", "fim")}
-        eps = float(doc.get("eps_prior", 1e-6))
+        eps = float(doc.get("eps_prior", InfoState.eps_prior))
     except (TypeError, ValueError, OverflowError):
         raise SchemaError("state 'pos', 'user_estimates', 'fim' and 'eps_prior' "
                           "must hold numbers") from None
@@ -147,7 +135,7 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
                         mission_steps=s.mission_steps, d_max=s.d_max,
                         info=InfoState(step=step, fim=arrays["fim"], eps_prior=eps),
                         user_estimates=users, noise_model=s.toa_noise,
-                        headings=rc.planner.get("headings", 8))
+                        headings=rc.headings)
 
 
 def _cmd_plan(args) -> int:
@@ -180,21 +168,15 @@ def _cmd_crb(args) -> int:
     rc = _load_config(args.scenario)
     traj = _read_xyz_csv(args.trajectory, ["step", "x", "y", "z"])
     users = _read_xyz_csv(args.users, ["user_id", "x", "y"])
-    info = initial_info(len(users), eps_prior=rc.solver.get("eps_prior", 1e-6))
+    info = initial_info(len(users), eps_prior=rc.eps_prior)
     history = []
     for row in traj:
         info = accumulate(info, step_contribution(row[1:], users[:, 1:],
                                                   rc.scenario.toa_noise))
         history.append(crb_trace(info))
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "crb_history.csv")
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["step", "crb_trace_m2"])
-            for n, v in enumerate(history, start=1):
-                w.writerow([n, repr(float(v))])
+        path = write_crb_history(history, args.out)
         _emit({"crb_history_file": path, "final_crb_trace_m2": history[-1]}, args.json)
     else:
         _emit({"crb_history_m2": history}, args.json)

@@ -12,13 +12,14 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
 from .errors import ParseError, RowError, SchemaError, UnitError, UnknownKey
 from .mission import MissionResult
 from .model import AxisBox, MeasurementSample, Scenario, ToaNoiseModel, Vec2, Vec3
+from .slam import SlamConfig
 
 LOG_HEADER = ["step", "user_id", "gps_x", "gps_y", "gps_z", "toa_s"]
 
@@ -27,9 +28,6 @@ _SCENARIO_KEYS = {"users", "uav_start", "uav_terminal", "mission_steps", "d_max"
                   "sample_rate", "buildings", "seed"}
 _NOISE_KEYS = {"kind", "sigma0", "amp", "scale", "drift_rate",
                "drift_reset_period", "nlos_scale"}
-_SOLVER_KEYS = {"sigma_tau", "per_distance_weights", "huber_delta", "tol_step",
-                "max_iter", "solve_every", "eps_prior"}
-_PLANNER_KEYS = {"headings"}
 
 
 class _StrictLoader(yaml.SafeLoader):
@@ -50,12 +48,18 @@ _StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
                               _strict_mapping)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Scenario plus solver/planner options from one config document."""
+    """A config document's scenario and its checked `solver:`/`planner:`
+    options. slam holds the scenario's sigma_gps and toa_noise and the solver
+    keys (sigma_tau defaults to toa_noise.sigma0); solve_every, eps_prior and
+    headings go to the mission and planner. Keys left out take the defaults
+    given here and in SlamConfig."""
     scenario: Scenario
-    solver: dict = field(default_factory=dict)
-    planner: dict = field(default_factory=dict)
+    slam: SlamConfig
+    solve_every: int = 1
+    eps_prior: float = 1e-6
+    headings: int = 8
 
 
 def _num(value, key):
@@ -73,6 +77,30 @@ def _intval(value, key):
     return value
 
 
+def _bool(value, key):
+    if not isinstance(value, bool):
+        raise ParseError(f"'{key}' must be true or false, got {value!r}")
+    return value
+
+
+def _at_least(parse, low, strict=False):
+    """A parser that also rejects values below `low` (or equal to it if strict)."""
+    def check(value, key):
+        v = parse(value, key)
+        if v < low or (strict and v == low):
+            raise ParseError(f"'{key}' must be {'>' if strict else '>='} {low}, got {value!r}")
+        return v
+    return check
+
+
+_POSITIVE = _at_least(_num, 0, strict=True)
+# the parser of each key of the `solver:` and `planner:` sections
+_SOLVER_KEYS = {"sigma_tau": _POSITIVE, "huber_delta": _POSITIVE, "tol_step": _POSITIVE,
+                "eps_prior": _at_least(_num, 0), "max_iter": _at_least(_intval, 1),
+                "solve_every": _at_least(_intval, 0), "per_distance_weights": _bool}
+_PLANNER_KEYS = {"headings": _at_least(_intval, 1)}
+
+
 def _vec3(value, key):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ParseError(f"'{key}' must be a 3-element list [x, y, z]")
@@ -86,7 +114,7 @@ def _vec2(value, key):
 
 
 def _check_keys(doc, allowed, where):
-    unknown = set(doc) - allowed
+    unknown = set(doc).difference(allowed)
     if unknown:
         raise UnknownKey(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
@@ -107,6 +135,17 @@ def _parse_noise(doc) -> ToaNoiseModel:
         kw["drift_reset_period"] = _intval(doc["drift_reset_period"],
                                            "toa_noise.drift_reset_period")
     return ToaNoiseModel(**kw)
+
+
+def _parse_options(doc, section, parsers) -> dict:
+    """The checked value of each key given in one options section."""
+    opts = doc.get(section)
+    if opts is None:  # absent, or a bare `solver:` line
+        return {}
+    if not isinstance(opts, dict):
+        raise ParseError(f"'{section}' must be a mapping")
+    _check_keys(opts, parsers, section)
+    return {key: parsers[key](value, f"{section}.{key}") for key, value in opts.items()}
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -153,15 +192,14 @@ def parse_run_config(text: str) -> RunConfig:
                                  _vec3(b["max"], f"buildings[{i}].max")))
         kw["buildings"] = tuple(boxes)
 
-    solver = doc.get("solver", {}) or {}
-    planner = doc.get("planner", {}) or {}
-    if not isinstance(solver, dict):
-        raise ParseError("'solver' must be a mapping")
-    if not isinstance(planner, dict):
-        raise ParseError("'planner' must be a mapping")
-    _check_keys(solver, _SOLVER_KEYS, "solver")
-    _check_keys(planner, _PLANNER_KEYS, "planner")
-    return RunConfig(scenario=Scenario(**kw), solver=dict(solver), planner=dict(planner))
+    scenario = Scenario(**kw)
+    solver = _parse_options(doc, "solver", _SOLVER_KEYS)
+    planner = _parse_options(doc, "planner", _PLANNER_KEYS)
+    mission_opts = {key: solver.pop(key) for key in ("solve_every", "eps_prior") if key in solver}
+    slam = SlamConfig(sigma_gps=scenario.sigma_gps,
+                      sigma_tau=solver.pop("sigma_tau", scenario.toa_noise.sigma0),
+                      noise_model=scenario.toa_noise, **solver)
+    return RunConfig(scenario=scenario, slam=slam, **mission_opts, **planner)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -261,46 +299,41 @@ def write_measurement_log(samples: list[MeasurementSample]) -> str:
     return out.getvalue()
 
 
+def _write_csv(out_dir: str, name: str, header: list[str], rows) -> str:
+    """Write a header and rows to the CSV file out_dir/name; returns its path."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
+def write_crb_history(history, out_dir: str) -> str:
+    """Write crb_history.csv, the CRB trace (m^2) after each step, into
+    out_dir; returns its path."""
+    return _write_csv(out_dir, "crb_history.csv", ["step", "crb_trace_m2"],
+                      ([n, _fmt(v)] for n, v in enumerate(history, start=1)))
+
+
 def export_results(result: MissionResult, scenario: Scenario, out_dir: str) -> list[str]:
     """Write trajectory.csv, users.csv, crb_history.csv, metrics.json and
     measurements.csv into out_dir; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    retained = set(result.retained_steps)
-    est_by_step = dict(zip(result.retained_steps, result.uav_estimates))
-
-    path = os.path.join(out_dir, "trajectory.csv")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["step", "true_x", "true_y", "true_z",
-                    "gps_x", "gps_y", "gps_z", "est_x", "est_y", "est_z"])
-        for n in range(1, len(result.planned) + 1):
-            row = [n] + [_fmt(v) for v in result.planned[n - 1]] \
-                      + [_fmt(v) for v in result.gps[n - 1]]
-            if n in retained:
-                row += [_fmt(v) for v in est_by_step[n]]
-            else:
-                row += ["", "", ""]
-            w.writerow(row)
-    written.append(path)
-
-    path = os.path.join(out_dir, "users.csv")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["user_id", "true_x", "true_y", "est_x", "est_y", "abs_error_m"])
-        for k, u in enumerate(scenario.users, start=1):
-            est = result.user_estimates[k - 1]
-            w.writerow([k, _fmt(u.x), _fmt(u.y), _fmt(est[0]), _fmt(est[1]),
-                        _fmt(result.metrics.user_abs_errors[k - 1])])
-    written.append(path)
-
-    path = os.path.join(out_dir, "crb_history.csv")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["step", "crb_trace_m2"])
-        for n, v in enumerate(result.crb_history, start=1):
-            w.writerow([n, _fmt(v)])
-    written.append(path)
+    est = {n: [_fmt(v) for v in e] for n, e in zip(result.retained_steps, result.uav_estimates)}
+    trajectory = ([n, *map(_fmt, true), *map(_fmt, gps), *est.get(n, ["", "", ""])]
+                  for n, (true, gps) in enumerate(zip(result.planned, result.gps), start=1))
+    users = ([k, _fmt(u.x), _fmt(u.y), *map(_fmt, e), _fmt(err)]
+             for k, (u, e, err) in enumerate(zip(scenario.users, result.user_estimates,
+                                                 result.metrics.user_abs_errors), start=1))
+    written = [
+        _write_csv(out_dir, "trajectory.csv", ["step", "true_x", "true_y", "true_z", "gps_x",
+                                               "gps_y", "gps_z", "est_x", "est_y", "est_z"],
+                   trajectory),
+        _write_csv(out_dir, "users.csv",
+                   ["user_id", "true_x", "true_y", "est_x", "est_y", "abs_error_m"], users),
+        write_crb_history(result.crb_history, out_dir),
+    ]
 
     path = os.path.join(out_dir, "metrics.json")
     with open(path, "w") as f:

@@ -38,7 +38,6 @@ class MissionResult:
     user_estimates: np.ndarray   # (K, 2)
     uav_estimates: np.ndarray    # (R, 3), aligned with retained_steps
     crb_history: np.ndarray      # (N,)
-    objective_trace: list[float]
     converged: bool
     metrics: Metrics
 
@@ -124,33 +123,26 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     retained: list[int] = []
     info = initial_info(num_users, eps_prior)
     u_est = None
-    pose_est: dict[int, np.ndarray] = {}
-    objective_trace: list[float] = []
+    # pose estimates of the retained steps, in order: each step's GPS fix
+    # until a solve overwrites it
+    pose_est = np.empty((n_steps, 3))
     converged = True
     solves_since = 0
 
     def do_solve():
-        nonlocal u_est, converged, objective_trace
+        nonlocal u_est, converged
         # every retained step holds one sample per user, so the solve's poses
         # are the retained steps in order
-        init_uav = np.array([pose_est.get(st, gps_trace[st - 1]) for st in retained])
-        if u_est is None:
-            base = slam.initial_state(samples, est_rng)
-            init_users = base.users
-        else:
-            init_users = u_est.copy()
-        init = slam.StateVector(uav=init_uav, users=init_users)
+        poses = pose_est[:len(retained)]
+        init = slam.StateVector(uav=poses, users=u_est)
         try:
-            state, report = slam.solve_slam(init, samples, cfg, warn_identifiability=False)
-            ok = True
+            state = slam.solve_slam(init, samples, cfg, warn_identifiability=False)[0]
+            converged = True
         except NotConverged as exc:
-            state, report = exc.state, exc.report
-            ok = False
-        u_est = state.users.copy()
-        for i, st in enumerate(retained):
-            pose_est[st] = state.uav[i].copy()
-        objective_trace = report.objective_trace
-        converged = ok
+            state = exc.state
+            converged = False
+        u_est = state.users
+        poses[:] = state.uav
 
     for n in range(1, n_steps + 1):
         p = positions[n - 1]
@@ -158,6 +150,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         keep = (not retained or
                 np.linalg.norm(p - positions[retained[-1] - 1]) >= s.delta_keep)
         if keep:
+            pose_est[len(retained)] = gps_trace[n - 1]
             retained.append(n)
             gps_fix = Vec3(*gps_trace[n - 1])
             for k in range(1, num_users + 1):
@@ -167,12 +160,12 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
                 if toa_path == "nr":
                     toa = estimate_toa_nr(toa, nr_cfg, drift_offset(n, drift), rng)
                 samples.append(MeasurementSample(step=n, user_id=k, gps_pos=gps_fix, toa=toa))
+            if u_est is None:
+                u_est = slam.initial_state(samples, est_rng).users
             solves_since += 1
             if solve_every and solves_since >= solve_every:
                 do_solve()
                 solves_since = 0
-            if u_est is None:
-                u_est = slam.initial_state(samples, est_rng).users
             info = accumulate(info, step_contribution(p, u_est, s.toa_noise))
         crb_history[n - 1] = crb_trace(info)
 
@@ -186,16 +179,15 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
                                   headings=planner_headings)
                 positions[n] = next_waypoint(st)
 
-    if solves_since > 0 or not pose_est:
+    if solves_since > 0:
         do_solve()
 
-    uav_estimates = np.array([pose_est[st] for st in retained])
+    uav_estimates = pose_est[:len(retained)].copy()
     metrics = compute_metrics(s, positions, gps_trace, retained, uav_estimates, u_est)
     return MissionResult(planned=positions, gps=gps_trace,
                          retained_steps=tuple(retained), samples=samples,
                          user_estimates=u_est, uav_estimates=uav_estimates,
-                         crb_history=crb_history, objective_trace=objective_trace,
-                         converged=converged, metrics=metrics)
+                         crb_history=crb_history, converged=converged, metrics=metrics)
 
 
 @dataclass

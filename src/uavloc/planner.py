@@ -32,7 +32,6 @@ class PlannerState:
     user_estimates: np.ndarray  # (K, 2)
     noise_model: ToaNoiseModel = field(default_factory=ToaNoiseModel)
     headings: int = 8
-    include_hold: bool = True
 
 
 def reach_threshold(n: int, mission_steps: int, d_max: float) -> float:
@@ -48,7 +47,7 @@ def candidate_positions(st: PlannerState) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(st.headings) / st.headings
     ring = pos + st.d_max * np.column_stack([np.cos(theta), np.sin(theta),
                                              np.zeros(st.headings)])
-    return np.vstack([ring, pos]) if st.include_hold else ring
+    return np.vstack([ring, pos])
 
 
 def _costs(cands: np.ndarray, st: PlannerState) -> np.ndarray:

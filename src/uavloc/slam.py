@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -76,7 +76,6 @@ class NormalEquations:
     Hpu: np.ndarray
     Huu: np.ndarray
     b: np.ndarray
-    damping: float = 0.0
 
 
 @dataclass
@@ -100,8 +99,6 @@ class SlamConfig:
     huber_delta: float | None = None    # seconds; robust ToA reweighting when set
     tol_step: float = 1e-6
     max_iter: int = 100
-    lambda_init: float = 1e-4
-    lambda_max: float = 1e8
 
 
 @dataclass(frozen=True)
@@ -194,8 +191,7 @@ def objective(state: StateVector, measurements, cfg: SlamConfig) -> float:
 
 
 def assemble_normal_equations(problem: SlamProblem, flat: np.ndarray, w_gps: float,
-                              w_toa, damping: float = 0.0,
-                              huber_delta: float | None = None, *,
+                              w_toa, huber_delta: float | None = None, *,
                               _res=None) -> NormalEquations:
     """Newton matrix H in blocks and b = J^T W r over all measurements.
 
@@ -234,12 +230,12 @@ def assemble_normal_equations(problem: SlamProblem, flat: np.ndarray, w_gps: flo
     Hpu = np.empty((S, 3, K, 2))
     np.negative(sums[:, :, :3, :2].transpose(0, 2, 1, 3), out=Hpu)
     b = np.concatenate([(-w_gps * r_gps - per_pose[:, 3]).ravel(), per_user[:, 3, :2].ravel()])
-    return NormalEquations(Hpp=Hpp, Hpu=Hpu.reshape(S, 3, 2 * K), Huu=per_user[:, :2, :2],
-                           b=b, damping=damping)
+    return NormalEquations(Hpp=Hpp, Hpu=Hpu.reshape(S, 3, 2 * K), Huu=per_user[:, :2, :2], b=b)
 
 
-def gauss_newton_step(ne: NormalEquations) -> np.ndarray:
-    """Solve (H + lambda I) delta = -b by eliminating the poses.
+def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
+    """Solve (H + lambda I) delta = -b, lambda = damping, by eliminating the
+    poses.
 
     With A = Hpp + lambda I (block-diagonal) and B = Hpu, the user step du
     solves the 2K-square reduced system
@@ -250,19 +246,19 @@ def gauss_newton_step(ne: NormalEquations) -> np.ndarray:
     factorization of the whole H + lambda I would fail.
     """
     S, K = len(ne.Hpp), len(ne.Huu)
-    A = ne.Hpp + ne.damping * np.eye(3)
+    A = ne.Hpp + damping * np.eye(3)
     try:
         np.linalg.cholesky(A)  # raises unless every pose block is positive definite
         X = np.linalg.inv(A) @ np.concatenate([ne.Hpu, ne.b[:3 * S].reshape(S, 3, 1)], axis=2)
         M = ne.Hpu.reshape(3 * S, 2 * K).T @ X.reshape(3 * S, 2 * K + 1)  # B^T A^-1 [B | b_p]
         reduced = -M[:, :2 * K]
         np.einsum("iaib->iab", reduced.reshape(K, 2, K, 2))[...] += ne.Huu
-        reduced.flat[::2 * K + 1] += ne.damping
+        reduced.flat[::2 * K + 1] += damping
         factor, info = lapack.dpotrf(reduced, lower=1, clean=0)
         if info:
             raise np.linalg.LinAlgError("reduced matrix is not positive definite")
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"factorization failed at damping {ne.damping:g}") from exc
+        raise SingularSystem(f"factorization failed at damping {damping:g}") from exc
     rhs = M[:, 2 * K] - ne.b[3 * S:]
     # LAPACK's wrapper rejects an empty right-hand side (no users)
     du = lapack.dpotrs(factor, rhs, lower=1)[0] if K else rhs
@@ -270,7 +266,7 @@ def gauss_newton_step(ne: NormalEquations) -> np.ndarray:
     return np.concatenate([dp.ravel(), du])
 
 
-def check_identifiability(problem: SlamProblem, warn: bool = True) -> list[int]:
+def check_identifiability(problem: SlamProblem) -> list[int]:
     """Users lacking >= 3 ToA measurements from non-collinear horizontal
     UAV positions. Logs a warning for each (identifiability is marginal)."""
     weak = []
@@ -282,9 +278,8 @@ def check_identifiability(problem: SlamProblem, warn: bool = True) -> list[int]:
             ok = np.linalg.matrix_rank(centered, tol=1e-9) >= 2
         if not ok:
             weak.append(uid)
-            if warn:
-                logger.warning("user %d is weakly observed "
-                               "(needs >=3 non-collinear ToA measurements)", uid)
+            logger.warning("user %d is weakly observed "
+                           "(needs >=3 non-collinear ToA measurements)", uid)
     return weak
 
 
@@ -292,6 +287,11 @@ def check_identifiability(problem: SlamProblem, warn: bool = True) -> list[int]:
 # the solve as converged: f has stopped changing beyond rounding, whose sign
 # then decides acceptance (Ceres' function tolerance).
 REL_DECREASE_TOL = 1e-12
+# The damping of the first trial step, and the damping beyond which a solve
+# that finds no step that does not raise f gives up.
+LAMBDA_INIT, LAMBDA_MAX = 1e-4, 1e8
+# meters by which initial_state widens the GPS bounding box it draws users from
+INIT_MARGIN = 50.0
 
 
 def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
@@ -312,7 +312,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
 
     Returns (state, report). Raises NotConverged (carrying the best state and
     report) if no stopping test is met within cfg.max_iter iterations, or no
-    damping up to cfg.lambda_max gives a step that does not raise f.
+    damping up to LAMBDA_MAX gives a step that does not raise f.
     """
     problem = build_problem(measurements)
     if warn_identifiability:
@@ -321,7 +321,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
         raise ValueError("initial state dimensions do not match the measurement set")
 
     flat = init.flatten()
-    lam, nu = cfg.lambda_init, 2.0
+    lam, nu = LAMBDA_INIT, 2.0
     weights = measurement_weights(problem, flat, cfg)
     # the link geometry of the current point, shared by the objective that
     # accepts it and the next assembly
@@ -342,10 +342,10 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
         ne = assemble_normal_equations(problem, flat, *weights, huber_delta=cfg.huber_delta,
                                        _res=res)
         accepted = f_settled = False
-        while lam <= cfg.lambda_max:
+        while lam <= LAMBDA_MAX:
             trials += 1
             try:
-                delta = gauss_newton_step(replace(ne, damping=lam))
+                delta = gauss_newton_step(ne, lam)
             except SingularSystem:
                 # the Newton matrix is indefinite here; nu keeps the path of
                 # the evaluated steps
@@ -367,18 +367,19 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
             converged = f_settled
             break
 
-        # gain ratio: actual over predicted decrease, the prediction from the
-        # quadratic model, f - m(delta) = lam |delta|^2 - b^T delta
         step_sq = float(delta @ delta)
-        rho = (f - f_new) / (lam * step_sq - float(ne.b @ delta))
-        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
-        nu = 2.0
-        flat, f, res = trial, f_new, res_new
+        f_prev, flat, f, res = f, trial, f_new, res_new
         trace.append(f)
         step_norm = math.sqrt(step_sq)
         if step_norm < cfg.tol_step or f_settled:
             converged = True
             break
+        # gain ratio: actual over predicted decrease, the prediction from the
+        # quadratic model, f - m(delta) = lam |delta|^2 - b^T delta, which is
+        # > 0 for the delta != 0 left by the stop test
+        rho = (f_prev - f) / (lam * step_sq - float(ne.b @ delta))
+        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
+        nu = 2.0
 
     state = StateVector.from_flat(flat, problem.num_poses, problem.num_users)
     report = SolveReport(iterations=iterations, objective_trace=trace,
@@ -388,12 +389,12 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
     return state, report
 
 
-def initial_state(measurements, rng, margin: float = 50.0) -> StateVector:
+def initial_state(measurements, rng) -> StateVector:
     """Default initialization: UAV poses from GPS, users uniform over the
-    GPS-trace horizontal bounding box expanded by `margin` meters."""
+    GPS-trace horizontal bounding box expanded by INIT_MARGIN meters."""
     problem = build_problem(measurements)
-    lo = problem.gps[:, :2].min(axis=0) - margin
-    hi = problem.gps[:, :2].max(axis=0) + margin
+    lo = problem.gps[:, :2].min(axis=0) - INIT_MARGIN
+    hi = problem.gps[:, :2].max(axis=0) + INIT_MARGIN
     users = np.column_stack([rng.uniform(lo[0], hi[0], problem.num_users),
                              rng.uniform(lo[1], hi[1], problem.num_users)])
     return StateVector(uav=problem.gps.copy(), users=users)

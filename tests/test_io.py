@@ -16,6 +16,7 @@ from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
 from uavloc.mission import run_mission
 from uavloc.model import (AxisBox, MeasurementSample, Scenario, ToaNoiseModel,
                           Vec2, Vec3)
+from uavloc.slam import SlamConfig
 
 MINIMAL = """\
 users:
@@ -70,10 +71,40 @@ def test_non_numeric_value_rejected():
 def test_solver_planner_sections():
     rc = parse_run_config(MINIMAL + "solver: {max_iter: 30, solve_every: 5}\n"
                                     "planner: {headings: 16}\n")
-    assert rc.solver == {"max_iter": 30, "solve_every": 5}
-    assert rc.planner == {"headings": 16}
+    assert rc.slam.max_iter == 30
+    assert rc.solve_every == 5
+    assert rc.headings == 16
     with pytest.raises(UnknownKey):
         parse_run_config(MINIMAL + "solver: {step_size: 1}\n")
+    with pytest.raises(ParseError, match="'solver' must be a mapping"):
+        parse_run_config(MINIMAL + "solver: [1]\n")
+
+
+@pytest.mark.parametrize("sections", ["", "solver:\nplanner:\n"], ids=["absent", "empty"])
+def test_run_options_defaults(sections):
+    noise = "toa_noise: {kind: exponential, sigma0: 2.0e-8, amp: 1.0e-9}\n"
+    rc = parse_run_config(MINIMAL + "sigma_gps: 1.5\n" + noise + sections)
+    assert (rc.solve_every, rc.eps_prior, rc.headings) == (1, 1e-6, 8)
+    s = rc.scenario
+    assert rc.slam == SlamConfig(sigma_gps=1.5, sigma_tau=s.toa_noise.sigma0,
+                                 noise_model=s.toa_noise)
+    assert rc.slam.sigma_tau == 2e-8
+    assert rc.slam.noise_model is s.toa_noise and s.toa_noise.kind == "exponential"
+
+
+def test_run_options_overrides():
+    rc = parse_run_config(MINIMAL + "solver:\n"
+                          "  sigma_tau: 3.0e-8\n  per_distance_weights: true\n"
+                          "  huber_delta: 4.0e-8\n  tol_step: 1.0e-9\n  max_iter: 7\n"
+                          "  solve_every: 0\n  eps_prior: 0.0\n"
+                          "planner: {headings: 1}\n")
+    assert rc.slam == SlamConfig(sigma_gps=1.0, sigma_tau=3e-8, noise_model=rc.scenario.toa_noise,
+                                 per_distance_weights=True, huber_delta=4e-8, tol_step=1e-9,
+                                 max_iter=7)
+    assert (rc.solve_every, rc.eps_prior, rc.headings) == (0, 0.0, 1)
+    # integer values of float keys are taken as floats
+    rc = parse_run_config(MINIMAL + "solver: {sigma_tau: 1, eps_prior: 2}\n")
+    assert type(rc.slam.sigma_tau) is float and type(rc.eps_prior) is float
 
 
 def test_buildings_parse():
@@ -283,6 +314,43 @@ def test_cli_exit_code_2_on_bad_input(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "missing.yaml"),
                  "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+# every value here crashed `simulate` with a traceback, was accepted without
+# error, or exited 3 (numeric failure) before the options were checked
+BAD_OPTIONS = [
+    ("solver", "max_iter", "abc"), ("solver", "max_iter", "2.0"),
+    ("solver", "sigma_tau", "0"), ("solver", "sigma_tau", "1e-8"),
+    ("solver", "huber_delta", "0"), ("planner", "headings", "2.5"),
+    ("solver", "huber_delta", "-1"), ("solver", "solve_every", "-2"),
+    ("solver", "solve_every", "2.5"), ("solver", "tol_step", ".nan"),
+    ("solver", "max_iter", "true"), ("solver", "per_distance_weights", "3"),
+    ("planner", "headings", "0"),
+    ("solver", "eps_prior", "-1"), ("solver", "eps_prior", ".inf"),
+]
+
+
+@pytest.fixture(scope="module")
+def measurement_log(tmp_path_factory):
+    path = tmp_path_factory.mktemp("log") / "measurements.csv"
+    path.write_text(write_measurement_log(run_mission(parse_scenario(MINIMAL), "greedy").samples))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve"])
+@pytest.mark.parametrize("section, key, value", BAD_OPTIONS,
+                         ids=[f"{k}={v}" for _, k, v in BAD_OPTIONS])
+def test_cli_bad_option_exits_2(tmp_path, capsys, measurement_log, command, section, key, value):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(MINIMAL + f"{section}: {{{key}: {value}}}\n")
+    args = (["--out", str(tmp_path / "out")] if command == "simulate"
+            else ["--log", measurement_log])
+    assert main([command, "--scenario", str(cfg)] + args) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"'{section}.{key}'" in lines[0]
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_cli_exit_code_3_on_numeric_failure(tmp_path, capsys):

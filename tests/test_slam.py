@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from uavloc.errors import DegenerateGeometry, NotConverged, SingularSystem
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
-                         assemble_normal_equations, build_problem,
+                         assemble_normal_equations, build_problem, check_identifiability,
                          gauss_newton_step, measurement_weights, objective,
                          initial_state, objective_terms, solve_slam, toa_jacobian_row)
 
@@ -139,14 +140,14 @@ def dense_h(ne):
     return H
 
 
-def blocks_of(H, b, S, K, damping=0.0):
+def blocks_of(H, b, S, K):
     """NormalEquations holding the blocks of a dense H with no pose-pose or
     user-user coupling."""
     Hpp = np.array([H[3 * i:3 * i + 3, 3 * i:3 * i + 3] for i in range(S)])
     Hpu = np.array([H[3 * i:3 * i + 3, 3 * S:] for i in range(S)])
     Huu = np.array([H[3 * S + 2 * j:3 * S + 2 * j + 2, 3 * S + 2 * j:3 * S + 2 * j + 2]
                     for j in range(K)]).reshape(K, 2, 2)
-    return NormalEquations(Hpp=Hpp, Hpu=Hpu, Huu=Huu, b=b, damping=damping)
+    return NormalEquations(Hpp=Hpp, Hpu=Hpu, Huu=Huu, b=b)
 
 
 def test_dense_h_helpers_round_trip():
@@ -358,7 +359,7 @@ def test_newton_matrix_matches_finite_difference_hessian():
 
 def test_step_zero_b():
     H = np.eye(5)
-    delta = gauss_newton_step(blocks_of(H, np.zeros(5), 1, 1, damping=0.0))
+    delta = gauss_newton_step(blocks_of(H, np.zeros(5), 1, 1), 0.0)
     np.testing.assert_array_equal(delta, np.zeros(5))
 
 
@@ -376,7 +377,7 @@ def test_pure_gps_one_exact_step():
     # restrict to the pose block (user block untouched by gps terms)
     d = 15
     delta = gauss_newton_step(NormalEquations(Hpp=ne.Hpp, Hpu=ne.Hpu[:, :, :0], Huu=ne.Huu[:0],
-                                              b=ne.b[:d], damping=0.0))
+                                              b=ne.b[:d]), 0.0)
     moved = flat[:d] + delta
     np.testing.assert_allclose(moved.reshape(5, 3), gps, rtol=0, atol=1e-10)
 
@@ -395,7 +396,7 @@ def test_linear_solve_residual():
         H = A @ A.T + n * np.eye(n)
         b = rng.standard_normal(n)
         lam = float(rng.uniform(0, 1))
-        delta = gauss_newton_step(blocks_of(H, b, S, K, damping=lam))
+        delta = gauss_newton_step(blocks_of(H, b, S, K), lam)
         res = np.linalg.norm((H + lam * np.eye(n)) @ delta + b) / np.linalg.norm(b)
         assert res <= 1e-10
 
@@ -430,10 +431,10 @@ def test_schur_step_matches_dense_solve(huber, per_distance):
             if np.linalg.eigvalsh(damped).min() <= 0:
                 # an indefinite Newton matrix is refused, as dense Cholesky refuses it
                 with pytest.raises(SingularSystem):
-                    gauss_newton_step(replace(ne, damping=lam))
+                    gauss_newton_step(ne, lam)
                 indefinite += 1
                 continue
-            delta = gauss_newton_step(replace(ne, damping=lam))
+            delta = gauss_newton_step(ne, lam)
             np.testing.assert_allclose(delta, np.linalg.solve(damped, -b_ref), rtol=1e-10)
     # far from the minimum a few are; most steps are compared
     assert indefinite <= 3
@@ -473,11 +474,46 @@ def test_singular_where_dense_cholesky_fails(case):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(dense_h(ne))
     with pytest.raises(SingularSystem):
-        gauss_newton_step(ne)
+        gauss_newton_step(ne, 0.0)
     # damped enough, both systems are positive definite and the steps agree
     lam = 2.0
     ref = np.linalg.solve(dense_h(ne) + lam * np.eye(len(ne.b)), -ne.b)
-    np.testing.assert_allclose(gauss_newton_step(replace(ne, damping=lam)), ref, rtol=1e-10)
+    np.testing.assert_allclose(gauss_newton_step(ne, lam), ref, rtol=1e-10)
+
+
+# --- check_identifiability ---
+
+ID_USERS = [np.array([10.0, 40.0]), np.array([-30.0, -10.0]), np.array([25.0, -20.0])]
+
+
+def straight(n):
+    return np.column_stack([np.linspace(-40.0, 40.0, n), np.zeros(n), np.full(n, 30.0)])
+
+
+def test_identifiability_circle_flags_no_user():
+    assert check_identifiability(build_problem(make_samples(circle(8), ID_USERS))) == []
+
+
+def test_identifiability_straight_track_flags_every_user():
+    assert check_identifiability(build_problem(make_samples(straight(8), ID_USERS))) == [1, 2, 3]
+
+
+def test_identifiability_user_seen_from_two_poses_is_flagged():
+    # user 2 is heard only at the first two of 8 poses on a circle
+    samples = [m for m in make_samples(circle(8), ID_USERS) if m.user_id != 2 or m.step <= 2]
+    assert check_identifiability(build_problem(samples)) == [2]
+
+
+@pytest.mark.parametrize("warn", [True, False])
+def test_solve_warns_once_per_weak_user(caplog, warn):
+    uavs = straight(8)
+    samples = make_samples(uavs, ID_USERS)
+    init = StateVector(uav=uavs.copy(), users=np.array(ID_USERS))
+    with caplog.at_level(logging.WARNING, logger="uavloc.slam"):
+        solve_slam(init, samples, SlamConfig(), warn_identifiability=warn)
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warned == ([f"user {uid} is weakly observed (needs >=3 non-collinear ToA "
+                       "measurements)" for uid in (1, 2, 3)] if warn else [])
 
 
 # --- solve_slam ---
@@ -494,6 +530,18 @@ def test_noiseless_recovery_from_perturbed_init():
     assert report.converged
     np.testing.assert_allclose(state.uav, uavs, atol=1e-6)
     np.testing.assert_allclose(state.users, users, atol=1e-6)
+
+
+def test_solve_from_exact_minimum():
+    # noiseless data and the true state: b = 0, so the first step is zero and
+    # the solve stops there (the gain ratio would be 0 / 0)
+    uavs = circle(6)
+    users = np.array([[0.0, 40.0], [-30.0, -10.0]])
+    init = StateVector(uav=uavs.copy(), users=users.copy())
+    state, report = solve_slam(init, make_samples(uavs, list(users)), SlamConfig(),
+                               warn_identifiability=False)
+    assert report.converged and report.iterations == 1 and report.final_step_norm == 0.0
+    np.testing.assert_array_equal(state.flatten(), init.flatten())
 
 
 def test_objective_trace_nonincreasing():
@@ -677,13 +725,13 @@ def test_gain_ratio_damping_path(monkeypatch):
     trials, values = [], []
     step, objective_fn = slam_mod.gauss_newton_step, slam_mod.objective_terms
 
-    def recorded_step(ne):
+    def recorded_step(ne, damping):
         try:
-            delta = step(ne)
+            delta = step(ne, damping)
         except SingularSystem:
-            trials.append(("failed", ne.damping))
+            trials.append(("failed", damping))
             raise
-        trials.append(("solved", ne.damping))
+        trials.append(("solved", damping))
         return delta
 
     def recorded_objective(*args, **kw):
