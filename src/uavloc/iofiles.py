@@ -11,23 +11,20 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass
+from collections.abc import Hashable
+from dataclasses import astuple, dataclass, fields, is_dataclass
 
 import yaml
 
 from .errors import ParseError, RowError, SchemaError, UnitError, UnknownKey
 from .mission import MissionResult
-from .model import AxisBox, MeasurementSample, Scenario, ToaNoiseModel, Vec2, Vec3
+from .model import (AxisBox, MeasurementSample, Scenario, ToaNoiseModel, Vec2, Vec3,
+                    validate_scenario)
 from .slam import SlamConfig
 
 LOG_HEADER = ["step", "user_id", "gps_x", "gps_y", "gps_z", "toa_s"]
-
-_SCENARIO_KEYS = {"users", "uav_start", "uav_terminal", "mission_steps", "d_max",
-                  "delta_keep", "sigma_gps", "toa_noise", "numerology",
-                  "sample_rate", "buildings", "seed"}
-_NOISE_KEYS = {"kind", "sigma0", "amp", "scale", "drift_rate",
-               "drift_reset_period", "nlos_scale"}
 
 
 class _StrictLoader(yaml.SafeLoader):
@@ -38,6 +35,8 @@ def _strict_mapping(loader, node, deep=False):
     seen = set()
     for key_node, _ in node.value:
         key = loader.construct_object(key_node, deep=deep)
+        if not isinstance(key, Hashable):
+            break  # SafeLoader.construct_mapping refuses it
         if key in seen:
             raise ParseError(f"duplicated key '{key}' at line {key_node.start_mark.line + 1}")
         seen.add(key)
@@ -50,8 +49,8 @@ _StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A config document's scenario and its checked `solver:`/`planner:`
-    options. slam holds the scenario's sigma_gps and toa_noise and the solver
+    """A config document's scenario, checked by validate_scenario, and its
+    checked `solver:`/`planner:` options. slam holds the scenario's sigma_gps and toa_noise and the solver
     keys (sigma_tau defaults to toa_noise.sigma0); solve_every, eps_prior and
     headings go to the mission and planner. Keys left out take the defaults
     given here and in SlamConfig."""
@@ -93,108 +92,82 @@ def _at_least(parse, low, strict=False):
     return check
 
 
+def _point(record):
+    """Parser of a point given as the list of its coordinates, e.g. [x, y, z]
+    for a Vec3."""
+    names = [f.name for f in fields(record)]
+
+    def parse(value, key):
+        if not isinstance(value, list) or len(value) != len(names):
+            raise ParseError(f"'{key}' must be a {len(names)}-element list [{', '.join(names)}]")
+        return record(*(_num(v, key) for v in value))
+    return parse
+
+
+def _list(item):
+    """Parser of a list whose entries `item` parses; gives a tuple."""
+    def parse(value, key):
+        if not isinstance(value, list):
+            raise ParseError(f"'{key}' must be a list")
+        return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+    return parse
+
+
+def _section(parsers, required=(), build=dict):
+    """Parser of a mapping section whose keys `parsers` lists: it rejects a
+    value that is not a mapping, unknown keys and missing required keys, and
+    passes each key's parsed value to `build` as a keyword. A bare `section:`
+    line (null) is an empty section. The document itself is the section
+    named ""; the keys of a section named s are named s.key."""
+    def parse(value, where=""):
+        section = f"'{where}'" if where else "the config document"
+        value = {} if value is None else value
+        if not isinstance(value, dict):
+            raise ParseError(f"{section} must be a mapping")
+        unknown = sorted(map(str, set(value).difference(parsers)))
+        if unknown:
+            raise UnknownKey(f"unknown key(s) in {section}: {', '.join(unknown)}")
+        prefix = f"{where}." if where else ""
+        for key in required:
+            if key not in value:
+                raise ParseError(f"missing required key '{prefix}{key}'")
+        return build(**{key: parsers[key](v, prefix + key) for key, v in value.items()})
+    return parse
+
+
 _POSITIVE = _at_least(_num, 0, strict=True)
-# the parser of each key of the `solver:` and `planner:` sections
+# The config schema: the parser of each key of every section. Ranges of the
+# scenario's values are checked by model.validate_scenario, those of the
+# `solver:` and `planner:` options here.
 _SOLVER_KEYS = {"sigma_tau": _POSITIVE, "huber_delta": _POSITIVE, "tol_step": _POSITIVE,
                 "eps_prior": _at_least(_num, 0), "max_iter": _at_least(_intval, 1),
                 "solve_every": _at_least(_intval, 0), "per_distance_weights": _bool}
 _PLANNER_KEYS = {"headings": _at_least(_intval, 1)}
-
-
-def _vec3(value, key):
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ParseError(f"'{key}' must be a 3-element list [x, y, z]")
-    return Vec3(*(_num(v, key) for v in value))
-
-
-def _vec2(value, key):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ParseError(f"'{key}' must be a 2-element list [x, y]")
-    return Vec2(*(_num(v, key) for v in value))
-
-
-def _check_keys(doc, allowed, where):
-    unknown = set(doc).difference(allowed)
-    if unknown:
-        raise UnknownKey(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _parse_noise(doc) -> ToaNoiseModel:
-    if not isinstance(doc, dict):
-        raise ParseError("'toa_noise' must be a mapping")
-    _check_keys(doc, _NOISE_KEYS, "toa_noise")
-    kw = {}
-    if "kind" in doc:
-        if doc["kind"] not in ("constant", "exponential"):
-            raise ParseError("toa_noise.kind must be 'constant' or 'exponential'")
-        kw["kind"] = doc["kind"]
-    for key in ("sigma0", "amp", "scale", "drift_rate", "nlos_scale"):
-        if key in doc:
-            kw[key] = _num(doc[key], f"toa_noise.{key}")
-    if "drift_reset_period" in doc:
-        kw["drift_reset_period"] = _intval(doc["drift_reset_period"],
-                                           "toa_noise.drift_reset_period")
-    return ToaNoiseModel(**kw)
-
-
-def _parse_options(doc, section, parsers) -> dict:
-    """The checked value of each key given in one options section."""
-    opts = doc.get(section)
-    if opts is None:  # absent, or a bare `solver:` line
-        return {}
-    if not isinstance(opts, dict):
-        raise ParseError(f"'{section}' must be a mapping")
-    _check_keys(opts, parsers, section)
-    return {key: parsers[key](value, f"{section}.{key}") for key, value in opts.items()}
+_NOISE_SECTION = _section(
+    {"kind": lambda value, key: value,  # validate_scenario checks it names a kind
+     "sigma0": _num, "amp": _num, "scale": _num, "drift_rate": _num,
+     "drift_reset_period": _intval, "nlos_scale": _num}, build=ToaNoiseModel)
+_BUILDING = _section({"min": _point(Vec3), "max": _point(Vec3)}, required=("min", "max"),
+                     build=lambda **c: AxisBox(c["min"], c["max"]))
+_DOCUMENT = _section(
+    {"users": _list(_point(Vec2)), "uav_start": _point(Vec3), "uav_terminal": _point(Vec3),
+     "mission_steps": _intval, "d_max": _num, "delta_keep": _num, "sigma_gps": _num,
+     "toa_noise": _NOISE_SECTION, "numerology": _intval, "sample_rate": _num,
+     "buildings": _list(_BUILDING), "seed": _intval,
+     "solver": _section(_SOLVER_KEYS), "planner": _section(_PLANNER_KEYS)},
+    required=("users", "uav_start", "uav_terminal", "mission_steps"))
 
 
 def parse_run_config(text: str) -> RunConfig:
-    """Parse a full run-config document (scenario + solver/planner options)."""
+    """Parse a full run-config document (scenario + solver/planner options);
+    the scenario is checked by validate_scenario."""
     try:
         doc = yaml.load(text, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("config document must be a mapping")
-    _check_keys(doc, _SCENARIO_KEYS | {"solver", "planner"}, "config")
-
-    for key in ("users", "uav_start", "uav_terminal", "mission_steps"):
-        if key not in doc:
-            raise ParseError(f"missing required key '{key}'")
-    users_doc = doc["users"]
-    if not isinstance(users_doc, list) or not users_doc:
-        raise ParseError("'users' must be a nonempty list of [x, y] pairs")
-    users = tuple(_vec2(u, f"users[{i}]") for i, u in enumerate(users_doc))
-
-    kw = dict(users=users,
-              uav_start=_vec3(doc["uav_start"], "uav_start"),
-              uav_terminal=_vec3(doc["uav_terminal"], "uav_terminal"),
-              mission_steps=_intval(doc["mission_steps"], "mission_steps"))
-    for key in ("d_max", "delta_keep", "sigma_gps", "sample_rate"):
-        if key in doc:
-            kw[key] = _num(doc[key], key)
-    for key in ("numerology", "seed"):
-        if key in doc:
-            kw[key] = _intval(doc[key], key)
-    if "toa_noise" in doc:
-        kw["toa_noise"] = _parse_noise(doc["toa_noise"])
-    if "buildings" in doc:
-        if not isinstance(doc["buildings"], list):
-            raise ParseError("'buildings' must be a list")
-        boxes = []
-        for i, b in enumerate(doc["buildings"]):
-            if not isinstance(b, dict):
-                raise ParseError(f"buildings[{i}] must be a mapping with 'min'/'max'")
-            _check_keys(b, {"min", "max"}, f"buildings[{i}]")
-            if "min" not in b or "max" not in b:
-                raise ParseError(f"buildings[{i}] needs 'min' and 'max' corners")
-            boxes.append(AxisBox(_vec3(b["min"], f"buildings[{i}].min"),
-                                 _vec3(b["max"], f"buildings[{i}].max")))
-        kw["buildings"] = tuple(boxes)
-
-    scenario = Scenario(**kw)
-    solver = _parse_options(doc, "solver", _SOLVER_KEYS)
-    planner = _parse_options(doc, "planner", _PLANNER_KEYS)
+    kw = _DOCUMENT(doc)
+    solver, planner = kw.pop("solver", {}), kw.pop("planner", {})
+    scenario = validate_scenario(Scenario(**kw))
     mission_opts = {key: solver.pop(key) for key in ("solve_every", "eps_prior") if key in solver}
     slam = SlamConfig(sigma_gps=scenario.sigma_gps,
                       sigma_tau=solver.pop("sigma_tau", scenario.toa_noise.sigma0),
@@ -207,37 +180,28 @@ def parse_scenario(text: str) -> Scenario:
     return parse_run_config(text).scenario
 
 
+def _plain(value):
+    """A scenario value as plain YAML data: a record as the mapping of its
+    fields (a point as the list of its coordinates, a building as its min/max
+    corners), a tuple as a list, and numpy scalars as int or float."""
+    if isinstance(value, AxisBox):
+        value = {"min": value.min_corner, "max": value.max_corner}
+    elif isinstance(value, (Vec2, Vec3)):
+        value = astuple(value)
+    elif is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, str):
+        return value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
 def serialize_scenario(s: Scenario) -> str:
     """YAML form of a scenario; parse_scenario(serialize_scenario(s)) == s."""
-    noise = s.toa_noise
-    # coerce through float() so numpy scalars stored in the dataclasses
-    # serialize as plain YAML numbers
-    doc = {
-        "users": [[float(u.x), float(u.y)] for u in s.users],
-        "uav_start": [float(v) for v in (s.uav_start.x, s.uav_start.y, s.uav_start.z)],
-        "uav_terminal": [float(v) for v in (s.uav_terminal.x, s.uav_terminal.y,
-                                            s.uav_terminal.z)],
-        "mission_steps": int(s.mission_steps),
-        "d_max": float(s.d_max),
-        "delta_keep": float(s.delta_keep),
-        "sigma_gps": float(s.sigma_gps),
-        "numerology": int(s.numerology),
-        "sample_rate": float(s.sample_rate),
-        "seed": int(s.seed),
-        "toa_noise": {
-            "kind": noise.kind, "sigma0": float(noise.sigma0),
-            "amp": float(noise.amp), "scale": float(noise.scale),
-            "drift_rate": float(noise.drift_rate),
-            "drift_reset_period": int(noise.drift_reset_period),
-            "nlos_scale": float(noise.nlos_scale),
-        },
-        "buildings": [{"min": [float(v) for v in (b.min_corner.x, b.min_corner.y,
-                                                  b.min_corner.z)],
-                       "max": [float(v) for v in (b.max_corner.x, b.max_corner.y,
-                                                  b.max_corner.z)]}
-                      for b in s.buildings],
-    }
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.safe_dump(_plain(s), sort_keys=False)
 
 
 def _fmt(x) -> str:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,16 @@ def test_buildings_parse():
     assert s.buildings == (AxisBox(Vec3(5, -5, 0), Vec3(15, 5, 50)),)
 
 
+def test_bare_toa_noise_section_is_the_defaults():
+    # like a bare `solver:` line, a bare `toa_noise:` line is an empty section
+    assert parse_scenario(MINIMAL + "toa_noise:\n").toa_noise == ToaNoiseModel()
+
+
+def test_unhashable_key_rejected():
+    with pytest.raises(ParseError, match="unhashable key"):
+        parse_scenario(MINIMAL + "? [1, 2]\n: 3\n")
+
+
 def random_scenario(rng):
     n_users = int(rng.integers(1, 4))
     noise = ToaNoiseModel(kind=str(rng.choice(["constant", "exponential"])),
@@ -140,6 +151,53 @@ def test_scenario_roundtrip_exact():
     for _ in range(50):
         s = random_scenario(rng)
         assert parse_scenario(serialize_scenario(s)) == s
+
+
+def _maybe_numpy(values, numpy_type):
+    """Draws from `values`, some as plain Python scalars, some as numpy ones."""
+    return st.one_of(values, values.map(numpy_type))
+
+
+def _real(low, high):
+    return _maybe_numpy(st.floats(low, high), np.float64)
+
+
+def _integer(low, high):
+    return _maybe_numpy(st.integers(low, high), np.int64)
+
+
+@st.composite
+def valid_scenarios(draw):
+    start = Vec3(*(draw(_real(-100, 100)) for _ in range(3)))
+    d_max = draw(_real(1e-3, 20))
+    # half a step from the start: reachable at any mission length
+    terminal = Vec3(start.x + draw(st.floats(0, 0.5)) * d_max, start.y, start.z)
+    corners = [(Vec3(*(draw(_real(-50, 50)) for _ in range(3))),
+                [draw(_real(0, 30)) for _ in range(3)])
+               for _ in range(draw(st.integers(0, 2)))]
+    noise = ToaNoiseModel(kind=draw(st.sampled_from(["constant", "exponential"])),
+                          sigma0=draw(_real(1e-10, 1e-6)), amp=draw(_real(0, 1e-8)),
+                          scale=draw(_real(1, 1e3)), drift_rate=draw(_real(0, 1e-8)),
+                          drift_reset_period=draw(_integer(1, 50)),
+                          nlos_scale=draw(_real(0, 1e-7)))
+    return Scenario(users=tuple(Vec2(draw(_real(-80, 80)), draw(_real(-80, 80)))
+                                for _ in range(draw(st.integers(1, 3)))),
+                    uav_start=start, uav_terminal=terminal,
+                    mission_steps=draw(_integer(2, 500)), d_max=d_max,
+                    delta_keep=draw(_real(0, 10)), sigma_gps=draw(_real(1e-3, 10)),
+                    toa_noise=noise, numerology=draw(_integer(0, 5)),
+                    sample_rate=draw(_real(1e6, 2e8)),
+                    buildings=tuple(AxisBox(lo, Vec3(lo.x + dx, lo.y + dy, lo.z + dz))
+                                    for lo, (dx, dy, dz) in corners),
+                    seed=draw(_integer(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(s=valid_scenarios())
+def test_scenario_roundtrip_numpy_scalars(s):
+    text = serialize_scenario(s)
+    assert isinstance(yaml.safe_load(text), dict)
+    assert parse_scenario(text) == s
 
 
 # --- measurement logs ---
@@ -337,20 +395,123 @@ def measurement_log(tmp_path_factory):
     return str(path)
 
 
+def _input_error(capsys, argv):
+    """The one `error:` line of a run of `main(argv)` that must exit 2
+    without a traceback."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
+    return lines[0]
+
+
+def _command_args(command, tmp_path, measurement_log):
+    """Valid input files for each subcommand but the scenario."""
+    if command == "simulate":
+        return ["--out", str(tmp_path / "out")]
+    if command == "solve":
+        return ["--log", measurement_log]
+    if command == "plan":
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(VALID_STATE))
+        return ["--state", str(state)]
+    (tmp_path / "traj.csv").write_text("step,x,y,z\n1,50,0,30\n2,0,50,30\n")
+    (tmp_path / "users.csv").write_text("user_id,x,y\n1,0,0\n")
+    return ["--trajectory", str(tmp_path / "traj.csv"), "--users", str(tmp_path / "users.csv")]
+
+
 @pytest.mark.parametrize("command", ["simulate", "solve"])
 @pytest.mark.parametrize("section, key, value", BAD_OPTIONS,
                          ids=[f"{k}={v}" for _, k, v in BAD_OPTIONS])
 def test_cli_bad_option_exits_2(tmp_path, capsys, measurement_log, command, section, key, value):
     cfg = tmp_path / "scenario.yaml"
     cfg.write_text(MINIMAL + f"{section}: {{{key}: {value}}}\n")
-    args = (["--out", str(tmp_path / "out")] if command == "simulate"
-            else ["--log", measurement_log])
-    assert main([command, "--scenario", str(cfg)] + args) == 2
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert f"'{section}.{key}'" in lines[0]
-    assert "Traceback" not in captured.err + captured.out
+    line = _input_error(capsys, [command, "--scenario", str(cfg)]
+                        + _command_args(command, tmp_path, measurement_log))
+    assert f"'{section}.{key}'" in line
+
+
+# One bad document per branch of the config parser, with the key(s) the error
+# line must name.
+BAD_DOCUMENTS = [
+    ("not_mapping", "- 1\n- 2\n", ["config document"]),
+    ("missing_users", MINIMAL.replace("users:\n  - [10.0, -5.0]\n", ""), ["users"]),
+    ("users_scalar", MINIMAL.replace("users:\n  - [10.0, -5.0]", "users: 3"), ["users"]),
+    ("users_empty", MINIMAL.replace("users:\n  - [10.0, -5.0]", "users: []"), ["users"]),
+    ("users_one_element", MINIMAL.replace("[10.0, -5.0]", "[10.0]"), ["users[0]"]),
+    ("users_text", MINIMAL.replace("[10.0, -5.0]", "[ten, five]"), ["users[0]"]),
+    ("uav_start_2_elements", MINIMAL.replace("[0.0, 0.0, 30.0]", "[0.0, 0.0]"), ["uav_start"]),
+    ("mission_steps_fraction", MINIMAL.replace("mission_steps: 20", "mission_steps: 2.5"),
+     ["mission_steps"]),
+    ("toa_noise_list", MINIMAL + "toa_noise: [1.0e-8]\n", ["toa_noise"]),
+    ("toa_noise_unknown_key", MINIMAL + "toa_noise: {bogus: 1}\n", ["toa_noise", "bogus"]),
+    ("toa_noise_kind", MINIMAL + "toa_noise: {kind: gaussian}\n", ["toa_noise.kind"]),
+    ("toa_noise_sigma0_text", MINIMAL + "toa_noise: {sigma0: 1e-8}\n", ["toa_noise.sigma0"]),
+    ("toa_noise_drift_reset_fraction", MINIMAL + "toa_noise: {drift_reset_period: 1.5}\n",
+     ["toa_noise.drift_reset_period"]),
+    ("buildings_mapping", MINIMAL + "buildings: {min: [0, 0, 0], max: [1, 1, 1]}\n",
+     ["buildings"]),
+    ("buildings_scalar", MINIMAL + "buildings: [3]\n", ["buildings[0]"]),
+    ("buildings_no_max", MINIMAL + "buildings:\n  - {min: [0, 0, 0]}\n",
+     ["buildings[0]", "max"]),
+    ("buildings_unknown_key", MINIMAL + "buildings:\n  - {min: [0, 0, 0], max: [1, 1, 1], "
+     "height: 3}\n", ["buildings[0]", "height"]),
+    ("buildings_min_2_elements", MINIMAL + "buildings:\n  - {min: [0, 0], max: [1, 1, 1]}\n",
+     ["buildings[0].min"]),
+    ("d_max_bool", MINIMAL + "d_max: true\n", ["d_max"]),
+    ("seed_text", MINIMAL + "seed: abc\n", ["seed"]),
+    ("non_text_key", MINIMAL + "1: 2\n", ["config document: 1"]),
+]
+
+
+@pytest.mark.parametrize("text, keys", [case[1:] for case in BAD_DOCUMENTS],
+                         ids=[case[0] for case in BAD_DOCUMENTS])
+def test_cli_bad_document_exits_2(tmp_path, capsys, text, keys):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(text)
+    line = _input_error(capsys, ["simulate", "--scenario", str(cfg),
+                                 "--out", str(tmp_path / "out")])
+    assert all(key in line for key in keys), line
+
+
+# Scenarios that parse but break an invariant of validate_scenario; each
+# subcommand named here used to skip the check.
+INVALID_SCENARIOS = [
+    ("solve", "sigma_gps: 0.0\n", "sigma_gps"),
+    ("crb", "toa_noise: {sigma0: 0.0}\n", "toa_noise.sigma0"),
+    ("solve", "toa_noise: {kind: exponential, scale: 0.0}\n", "toa_noise.scale"),
+    ("plan", "d_max: 0.0\n", "d_max"),
+]
+
+
+@pytest.mark.parametrize("command, line, key", INVALID_SCENARIOS,
+                         ids=[f"{c}-{k}" for c, _, k in INVALID_SCENARIOS])
+def test_cli_invalid_scenario_exits_2(tmp_path, capsys, measurement_log, command, line, key):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(MINIMAL + line)
+    assert f"'{key}'" in _input_error(capsys, [command, "--scenario", str(cfg)]
+                               + _command_args(command, tmp_path, measurement_log))
+
+
+@pytest.mark.parametrize("case", ["log_directory", "trajectory_directory", "out_is_file",
+                                  "config_not_utf8", "state_not_utf8"])
+def test_cli_unreadable_file_exits_2(tmp_path, capsys, scenario_file, case):
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes("users: [[10.0, -5.0]]  # \xb5m\n".encode("latin-1"))
+    users = tmp_path / "users.csv"
+    users.write_text("user_id,x,y\n1,0,0\n")
+    argv = {
+        "log_directory": ["solve", "--scenario", scenario_file, "--log", str(tmp_path)],
+        "trajectory_directory": ["crb", "--scenario", scenario_file,
+                                 "--trajectory", str(tmp_path), "--users", str(users)],
+        "out_is_file": ["simulate", "--scenario", scenario_file, "--out", scenario_file],
+        "config_not_utf8": ["simulate", "--scenario", str(not_utf8),
+                            "--out", str(tmp_path / "out")],
+        "state_not_utf8": ["plan", "--scenario", scenario_file, "--state", str(not_utf8)],
+    }[case]
+    _input_error(capsys, argv)
 
 
 def test_cli_exit_code_3_on_numeric_failure(tmp_path, capsys):
