@@ -17,7 +17,8 @@ import numpy as np
 
 from . import slam
 from .channel import RngStream
-from .errors import INPUT_ERRORS, NUMERIC_ERRORS, NotConverged, SchemaError
+from .errors import (INPUT_ERRORS, NUMERIC_ERRORS, InvalidParam, NotConverged,
+                     SchemaError)
 from .fim import InfoState, accumulate, crb_trace, initial_info, step_contribution
 from .iofiles import (RunConfig, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
@@ -243,6 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise InvalidParam("seed", "must be >= 0")
         return args.func(args)
     except (*INPUT_ERRORS, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,17 +10,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import numbers
 import os
 from collections.abc import Hashable
 from dataclasses import astuple, dataclass, fields, is_dataclass
 
+import numpy as np
 import yaml
 
 from .errors import ParseError, RowError, SchemaError, UnitError, UnknownKey
 from .mission import MissionResult
-from .model import (AxisBox, MeasurementSample, Scenario, ToaNoiseModel, Vec2, Vec3,
+from .model import (AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2, Vec3,
                     validate_scenario)
 from .slam import SlamConfig
 
@@ -163,8 +163,12 @@ def parse_run_config(text: str) -> RunConfig:
     the scenario is checked by validate_scenario."""
     try:
         doc = yaml.load(text, Loader=_StrictLoader)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"invalid YAML: {exc}") from exc
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        raise ParseError(f"invalid YAML at line {mark.line + 1}, column {mark.column + 1}: "
+                         f"{exc.problem}") from exc
+    except yaml.YAMLError as exc:  # a character YAML does not allow; no line to name
+        raise ParseError(f"invalid YAML: {str(exc).splitlines()[0]}") from exc
     kw = _DOCUMENT(doc)
     solver, planner = kw.pop("solver", {}), kw.pop("planner", {})
     scenario = validate_scenario(Scenario(**kw))
@@ -208,12 +212,69 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def read_measurement_log(text: str) -> list[MeasurementSample]:
+def _unparsable(rows):
+    """Index and message of the first row of `rows` with the wrong number of
+    fields, a field that int() or float() refuses, or a step or user_id
+    outside int64; None if there is none."""
+    for i, row in enumerate(rows):
+        if len(row) != len(LOG_HEADER):
+            return i, f"expected {len(LOG_HEADER)} fields, got {len(row)}"
+        try:
+            ids = int(row[0]), int(row[1])
+            tuple(map(float, row[2:]))
+        except ValueError as exc:
+            return i, str(exc)
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in ids):
+            return i, "step and user_id must fit in a 64-bit integer"
+    return None
+
+
+def _columns(rows) -> MeasurementLog:
+    """The columns of rows that _unparsable accepts; ValueError or
+    OverflowError if a row is not such a row."""
+    if set(map(len, rows)) - {len(LOG_HEADER)}:
+        raise ValueError("a row has the wrong number of fields")
+    step, user_id, *floats = list(zip(*rows)) or [()] * len(LOG_HEADER)
+    values = np.array([list(map(float, c)) for c in floats]).reshape(4, -1)
+    return MeasurementLog(step=np.array(list(map(int, step)), dtype=np.int64),
+                          user_id=np.array(list(map(int, user_id)), dtype=np.int64),
+                          gps=values[:3].T, toa=values[3])
+
+
+def _first_inconsistent(log: MeasurementLog):
+    """Index and message of the first row of a parsed log that breaks a row
+    rule of read_measurement_log; None if there is none. At the first bad
+    row every row before it is valid, so the duplicate and GPS tests of each
+    row against the rows before it agree with reading row by row."""
+    finite = np.isfinite(np.column_stack([log.gps, log.toa]))
+    _, user = np.unique(log.user_id, return_inverse=True)
+    _, first_of_step, step_index = np.unique(log.step, return_index=True, return_inverse=True)
+    _, first_of_pair = np.unique(step_index * len(log) + user, return_index=True)
+    repeated = np.ones(len(log), dtype=bool)
+    repeated[first_of_pair] = False
+    # rule masks in the order a row is checked: a row that breaks two rules
+    # reports the first
+    rules = [~finite.all(axis=1), log.toa < 0, (log.step < 1) | (log.user_id < 1), repeated,
+             np.any(log.gps != log.gps[first_of_step][step_index], axis=1)]
+    bad = [(int(np.argmax(m)), r) for r, m in enumerate(rules) if m.any()]
+    if not bad:
+        return None
+    i, rule = min(bad)
+    step, user_id = int(log.step[i]), int(log.user_id[i])
+    return i, [f"{LOG_HEADER[2 + int(np.argmin(finite[i]))]} must be finite",
+               "toa_s must be >= 0", "step and user_id must be >= 1",
+               f"duplicate row for step {step}, user_id {user_id}",
+               f"GPS fix differs from the first one given for step {step}"][rule]
+
+
+def read_measurement_log(text: str) -> MeasurementLog:
     """Parse a measurement-log CSV; the header must match the schema exactly.
 
-    Each row must hold finite numbers, a step and user_id >= 1, toa_s >= 0,
-    a (step, user_id) pair not given before, and for its step the same GPS
-    fix as the step's first row; a RowError names the first row that does not.
+    Each row must hold finite numbers, a step and user_id >= 1 that fit in
+    int64, toa_s >= 0, a (step, user_id) pair not given before, and for its
+    step the same GPS fix as the step's first row; a RowError names the
+    first row that does not. Blank lines are skipped but count in the row
+    numbers.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -222,44 +283,32 @@ def read_measurement_log(text: str) -> list[MeasurementSample]:
         raise SchemaError("missing header row") from None
     if header != LOG_HEADER:
         raise SchemaError(f"header must be exactly {','.join(LOG_HEADER)}")
-    samples = []
-    seen = set()      # (step, user_id) of the rows so far
-    gps_of_step = {}  # the first GPS fix given for each step
-    for rownum, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(LOG_HEADER):
-            raise RowError(rownum, f"expected {len(LOG_HEADER)} fields, got {len(row)}")
-        try:
-            step, user_id = int(row[0]), int(row[1])
-            values = tuple(map(float, row[2:]))
-        except ValueError as exc:
-            raise RowError(rownum, str(exc)) from None
-        if not all(map(math.isfinite, values)):
-            name = LOG_HEADER[2 + [math.isfinite(v) for v in values].index(False)]
-            raise RowError(rownum, f"{name} must be finite")
-        gps, toa = values[:3], values[3]
-        if toa < 0:
-            raise RowError(rownum, "toa_s must be >= 0")
-        if step < 1 or user_id < 1:
-            raise RowError(rownum, "step and user_id must be >= 1")
-        if (step, user_id) in seen:
-            raise RowError(rownum, f"duplicate row for step {step}, user_id {user_id}")
-        seen.add((step, user_id))
-        if gps_of_step.setdefault(step, gps) != gps:
-            raise RowError(rownum, f"GPS fix differs from the first one given for step {step}")
-        samples.append(MeasurementSample(step=step, user_id=user_id,
-                                         gps_pos=Vec3(*gps), toa=toa))
-    return samples
+    lines = list(reader)
+    rows = list(filter(None, lines))
+    try:
+        log, error = _columns(rows), None
+    except (ValueError, OverflowError):
+        # the rows before the first unparsable one may break a rule first
+        error = _unparsable(rows)
+        log = _columns(rows[:error[0]])
+    error = _first_inconsistent(log) or error
+    if error is None:
+        return log
+    rownum = [n for n, line in enumerate(lines, start=2) if line][error[0]]
+    raise RowError(rownum, error[1])
 
 
-def write_measurement_log(samples: list[MeasurementSample]) -> str:
+def write_measurement_log(samples) -> str:
+    """The CSV of a MeasurementLog or a list of MeasurementSample, rows sorted
+    by (step, user_id)."""
+    log = MeasurementLog.of(samples)
+    order = np.lexsort((log.user_id, log.step))
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(LOG_HEADER)
-    for m in sorted(samples, key=lambda m: (m.step, m.user_id)):
-        w.writerow([m.step, m.user_id, _fmt(m.gps_pos.x), _fmt(m.gps_pos.y),
-                    _fmt(m.gps_pos.z), _fmt(m.toa)])
+    rows = zip(log.step[order].tolist(), log.user_id[order].tolist(),
+               log.gps[order].tolist(), log.toa[order].tolist())
+    w.writerows([step, user_id, *map(_fmt, gps), _fmt(toa)] for step, user_id, gps, toa in rows)
     return out.getvalue()
 
 

@@ -16,7 +16,7 @@ from . import slam
 from .channel import RngStream, is_blocked, sample_gps, sample_toa
 from .errors import InvalidParam, NotConverged
 from .fim import accumulate, crb_trace, initial_info, step_contribution
-from .model import MeasurementSample, Scenario, Vec3, validate_scenario
+from .model import MeasurementLog, Scenario, validate_scenario
 from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
 
@@ -34,7 +34,7 @@ class MissionResult:
     planned: np.ndarray          # (N, 3) executed trajectory (== true trajectory)
     gps: np.ndarray              # (N, 3)
     retained_steps: tuple[int, ...]   # 1-based mission steps kept by the delta rule
-    samples: list[MeasurementSample]
+    samples: MeasurementLog      # one row per (retained step, user)
     user_estimates: np.ndarray   # (K, 2)
     uav_estimates: np.ndarray    # (R, 3), aligned with retained_steps
     crb_history: np.ndarray      # (N,)
@@ -119,7 +119,13 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     positions[0] = s.uav_start.as_array()
     gps_trace = np.zeros((n_steps, 3))
     crb_history = np.zeros(n_steps)
-    samples: list[MeasurementSample] = []
+    # the measurement columns, one row per (retained step, user), filled as
+    # steps are retained; samples is the filled part
+    log = MeasurementLog(step=np.zeros(n_steps * num_users, dtype=np.int64),
+                         user_id=np.tile(np.arange(1, num_users + 1), n_steps),
+                         gps=np.empty((n_steps * num_users, 3)),
+                         toa=np.empty(n_steps * num_users))
+    samples = log[:0]
     retained: list[int] = []
     info = initial_info(num_users, eps_prior)
     u_est = None
@@ -150,16 +156,18 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         keep = (not retained or
                 np.linalg.norm(p - positions[retained[-1] - 1]) >= s.delta_keep)
         if keep:
+            rows = slice(len(samples), len(samples) + num_users)
             pose_est[len(retained)] = gps_trace[n - 1]
             retained.append(n)
-            gps_fix = Vec3(*gps_trace[n - 1])
-            for k in range(1, num_users + 1):
-                user = s.users[k - 1]
+            log.step[rows] = n
+            log.gps[rows] = gps_trace[n - 1]
+            for k, user in enumerate(s.users):
                 blocked = is_blocked(p, user, s.buildings)
                 toa = sample_toa(p, user, s.toa_noise, blocked, rng)
                 if toa_path == "nr":
                     toa = estimate_toa_nr(toa, nr_cfg, drift_offset(n, drift), rng)
-                samples.append(MeasurementSample(step=n, user_id=k, gps_pos=gps_fix, toa=toa))
+                log.toa[rows.start + k] = toa
+            samples = log[:rows.stop]
             if u_est is None:
                 u_est = slam.initial_state(samples, est_rng).users
             solves_since += 1

@@ -6,6 +6,8 @@ double-precision reals. Users live on the ground plane (2D), the UAV in 3D.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +76,44 @@ class MeasurementSample:
     toa: float  # seconds
 
 
+@dataclass(frozen=True, eq=False)
+class MeasurementLog(Sequence):
+    """A measurement set as columns, one row per MeasurementSample.
+
+    step and user_id are (M,) int64, gps (M, 3) and toa (M,) floats. As a
+    sequence, an integer index gives the row's MeasurementSample (plain
+    Python scalars) and a slice gives a MeasurementLog of views.
+    """
+    step: np.ndarray
+    user_id: np.ndarray
+    gps: np.ndarray
+    toa: np.ndarray
+
+    @classmethod
+    def of(cls, measurements) -> MeasurementLog:
+        """A MeasurementLog unchanged; any other iterable of MeasurementSample
+        as the columns of its rows, in order."""
+        if isinstance(measurements, cls):
+            return measurements
+        rows = list(measurements)
+        return cls(step=np.array([m.step for m in rows], dtype=np.int64),
+                   user_id=np.array([m.user_id for m in rows], dtype=np.int64),
+                   gps=np.array([(m.gps_pos.x, m.gps_pos.y, m.gps_pos.z) for m in rows],
+                                dtype=float).reshape(-1, 3),
+                   toa=np.array([m.toa for m in rows], dtype=float))
+
+    def __len__(self):
+        return len(self.toa)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return MeasurementLog(self.step[index], self.user_id[index], self.gps[index],
+                                  self.toa[index])
+        i = operator.index(index)
+        return MeasurementSample(step=int(self.step[i]), user_id=int(self.user_id[i]),
+                                 gps_pos=Vec3(*self.gps[i].tolist()), toa=float(self.toa[i]))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """World description for one simulated mission."""
@@ -121,6 +161,8 @@ def validate_scenario(s: Scenario) -> Scenario:
         raise InvalidParam("numerology", "must be in 0..5")
     if not (s.sample_rate > 0 and math.isfinite(s.sample_rate)):
         raise InvalidParam("sample_rate", "must be > 0")
+    if s.seed < 0:
+        raise InvalidParam("seed", "must be >= 0")
 
     m = s.toa_noise
     if m.kind not in ("constant", "exponential"):

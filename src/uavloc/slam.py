@@ -36,7 +36,7 @@ from scipy.linalg import lapack
 
 from .channel import link_geometry, sigma_tau_of_distance
 from .errors import NotConverged, SingularSystem
-from .model import SPEED_OF_LIGHT, MeasurementSample, ToaNoiseModel
+from .model import SPEED_OF_LIGHT, MeasurementLog, ToaNoiseModel
 
 logger = logging.getLogger(__name__)
 
@@ -120,16 +120,16 @@ class SlamProblem:
         return len(self.user_ids)
 
 
-def build_problem(measurements: list[MeasurementSample]) -> SlamProblem:
-    if not measurements:
+def build_problem(measurements) -> SlamProblem:
+    """The problem of a MeasurementLog or a list of MeasurementSample; each
+    step's GPS fix is that of its first row."""
+    log = MeasurementLog.of(measurements)
+    if not len(log):
         raise ValueError("measurement set is empty")
-    steps, first, pose = np.unique([m.step for m in measurements],
-                                   return_index=True, return_inverse=True)
-    user_ids, user = np.unique([m.user_id for m in measurements], return_inverse=True)
-    gps = np.array([measurements[t].gps_pos.as_array() for t in first]).reshape(-1, 3)
+    steps, first, pose = np.unique(log.step, return_index=True, return_inverse=True)
+    user_ids, user = np.unique(log.user_id, return_inverse=True)
     return SlamProblem(steps=tuple(steps.tolist()), user_ids=tuple(user_ids.tolist()),
-                       gps=gps, pose=pose, user=user,
-                       toa=np.array([float(m.toa) for m in measurements]))
+                       gps=log.gps[first], pose=pose, user=user, toa=log.toa)
 
 
 def toa_jacobian_row(uav, user) -> np.ndarray:
@@ -268,18 +268,28 @@ def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
 
 def check_identifiability(problem: SlamProblem) -> list[int]:
     """Users lacking >= 3 ToA measurements from non-collinear horizontal
-    UAV positions. Logs a warning for each (identifiability is marginal)."""
-    weak = []
-    for j, uid in enumerate(problem.user_ids):
-        pts = problem.gps[problem.pose[problem.user == j], :2]
-        ok = False
-        if len(pts) >= 3:
-            centered = pts - pts.mean(axis=0)
-            ok = np.linalg.matrix_rank(centered, tol=1e-9) >= 2
-        if not ok:
-            weak.append(uid)
-            logger.warning("user %d is weakly observed "
-                           "(needs >=3 non-collinear ToA measurements)", uid)
+    UAV positions. Logs a warning for each (identifiability is marginal).
+
+    A user's track is non-collinear when the second singular value of its
+    centered horizontal positions exceeds 1e-9. The tracks of all users are
+    zero-padded to the longest, which leaves the singular values unchanged,
+    and decomposed in one batched call."""
+    K = problem.num_users
+    count = np.bincount(problem.user, minlength=K)
+    order = np.argsort(problem.user, kind="stable")
+    user = problem.user[order]
+    slot = np.arange(len(user)) - (np.cumsum(count) - count)[user]  # row in the user's track
+    # at least two rows, so that every track has a second singular value
+    tracks = np.zeros((K, max(count.max(), 2), 2))
+    tracks[user, slot] = problem.gps[problem.pose[order], :2]
+    mean = tracks.sum(axis=1, keepdims=True) / count[:, None, None]
+    tracks -= (np.arange(tracks.shape[1]) < count[:, None])[..., None] * mean
+    second = np.linalg.svd(tracks, compute_uv=False)[:, 1]
+    weak = [uid for uid, n, sv in zip(problem.user_ids, count.tolist(), second.tolist())
+            if n < 3 or sv <= 1e-9]
+    for uid in weak:
+        logger.warning("user %d is weakly observed "
+                       "(needs >=3 non-collinear ToA measurements)", uid)
     return weak
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -212,7 +213,7 @@ def test_log_roundtrip_bit_exact():
     text = write_measurement_log(samples)
     assert text.splitlines()[0] == ",".join(LOG_HEADER)
     back = read_measurement_log(text)
-    assert back == sorted(samples, key=lambda m: (m.step, m.user_id))
+    assert list(back) == sorted(samples, key=lambda m: (m.step, m.user_id))
     assert write_measurement_log(back) == text
 
 
@@ -259,6 +260,145 @@ def test_log_rejects_inconsistent_rows(rows, row, message):
     assert exc.value.row == row
 
 
+# The first bad row in file order is reported, whichever rule it breaks and
+# whatever later rows break.
+FIRST_BAD_ROW = [
+    ("nonfinite_before_short_row", ["1,1,nan,0.0,30.0,1e-7", "2,1,0.0,0.0,30.0"], 2,
+     "gps_x must be finite"),
+    ("short_row_before_nonfinite", ["1,1,0.0,0.0,30.0", "2,1,inf,0.0,30.0,1e-7"], 2,
+     "expected 6 fields, got 5"),
+    ("duplicate_before_unparsable", ["1,1,0.0,0.0,30.0,1e-7", "1,1,0.0,0.0,30.0,1e-7",
+                                     "2,1,0.0,0.0,30.0,abc"], 3,
+     "duplicate row for step 1, user_id 1"),
+    ("unparsable_before_duplicate", ["1,1,0.0,0.0,30.0,1e-7", "2,x,0.0,0.0,30.0,1e-7",
+                                     "1,1,0.0,0.0,30.0,1e-7"], 3,
+     "invalid literal for int() with base 10: 'x'"),
+    ("gps_conflict_before_negative_toa", ["1,1,0.0,0.0,30.0,1e-7", "1,2,0.0,1.0,30.0,1e-7",
+                                          "2,1,0.0,0.0,30.0,-1e-9"], 3,
+     "GPS fix differs from the first one given for step 1"),
+    ("blank_lines_count", ["1,1,0.0,0.0,30.0,1e-7", "", "", "1,2,0.0,0.0,30.0,-1e-9"], 5,
+     "toa_s must be >= 0"),
+    ("header_only", [], None, None),
+]
+
+
+@pytest.mark.parametrize("rows, row, message", [case[1:] for case in FIRST_BAD_ROW],
+                         ids=[case[0] for case in FIRST_BAD_ROW])
+def test_log_first_bad_row_across_rules(rows, row, message):
+    text = ",".join(LOG_HEADER) + "\n" + "".join(line + "\n" for line in rows)
+    if row is None:
+        assert len(read_measurement_log(text)) == 0
+        return
+    with pytest.raises(RowError) as exc:
+        read_measurement_log(text)
+    assert (exc.value.row, str(exc.value)) == (row, f"row {row}: {message}")
+
+
+@pytest.mark.parametrize("field", ["step", "user_id"])
+def test_log_ids_must_fit_int64(field):
+    row = dict(zip(LOG_HEADER, ["1", "1", "0.0", "0.0", "30.0", "1e-7"]))
+    row[field] = str(2 ** 63 - 1)
+    text = ",".join(LOG_HEADER) + "\n" + ",".join(row[k] for k in LOG_HEADER) + "\n"
+    assert getattr(read_measurement_log(text)[0], field) == 2 ** 63 - 1
+    for too_large in (str(2 ** 63), "99999999999999999999", "-99999999999999999999"):
+        row[field] = too_large
+        text = ",".join(LOG_HEADER) + "\n" + ",".join(row[k] for k in LOG_HEADER) + "\n"
+        with pytest.raises(RowError, match="must fit in a 64-bit integer") as exc:
+            read_measurement_log(text)
+        assert exc.value.row == 2
+
+
+def reference_read(text):
+    """Row-by-row reader with the rules of read_measurement_log, except the
+    int64 range of step and user_id: the reference for the column reader."""
+    reader = csv.reader(io.StringIO(text))
+    assert next(reader) == LOG_HEADER
+    samples, seen, gps_of_step = [], set(), {}
+    for rownum, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(LOG_HEADER):
+            raise RowError(rownum, f"expected {len(LOG_HEADER)} fields, got {len(row)}")
+        try:
+            step, user_id = int(row[0]), int(row[1])
+            values = tuple(map(float, row[2:]))
+        except ValueError as exc:
+            raise RowError(rownum, str(exc)) from None
+        if not all(map(math.isfinite, values)):
+            name = LOG_HEADER[2 + [math.isfinite(v) for v in values].index(False)]
+            raise RowError(rownum, f"{name} must be finite")
+        gps, toa = values[:3], values[3]
+        if toa < 0:
+            raise RowError(rownum, "toa_s must be >= 0")
+        if step < 1 or user_id < 1:
+            raise RowError(rownum, "step and user_id must be >= 1")
+        if (step, user_id) in seen:
+            raise RowError(rownum, f"duplicate row for step {step}, user_id {user_id}")
+        seen.add((step, user_id))
+        if gps_of_step.setdefault(step, gps) != gps:
+            raise RowError(rownum, f"GPS fix differs from the first one given for step {step}")
+        samples.append(MeasurementSample(step, user_id, Vec3(*gps), toa))
+    return samples
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_samples(draw):
+    """A valid measurement set in random row order: each step has one GPS
+    fix, shared by its rows, and at most one row per user."""
+    steps = draw(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6, unique=True))
+    samples = []
+    for n in steps:
+        gps = Vec3(draw(_FINITE), draw(_FINITE), draw(_FINITE))
+        for k in draw(st.lists(st.integers(1, 50), min_size=1, max_size=4, unique=True)):
+            toa = draw(st.floats(0.0, 1e-3) | st.floats(min_value=0.0, allow_infinity=False))
+            samples.append(MeasurementSample(n, k, gps, toa))
+    return draw(st.permutations(samples))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(samples=valid_samples())
+def test_log_roundtrip_property(samples):
+    text = write_measurement_log(samples)
+    back = read_measurement_log(text)
+    assert list(back) == sorted(samples, key=lambda m: (m.step, m.user_id))
+    assert write_measurement_log(back) == text
+
+
+_BAD_FIELDS = ["nan", "inf", "-inf", "-1e-9", "0", "-3", "abc", "", "1.5", " 2", "1e400"]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(samples=valid_samples(), data=st.data())
+def test_log_one_corruption_matches_reference(samples, data):
+    lines = [[str(m.step), str(m.user_id), *map(repr, (m.gps_pos.x, m.gps_pos.y, m.gps_pos.z)),
+              repr(m.toa)] for m in samples]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(["field", "gps", "drop", "extra", "duplicate"]))
+    if kind == "field":
+        lines[i][data.draw(st.integers(0, 5))] = data.draw(st.sampled_from(_BAD_FIELDS))
+    elif kind == "gps":
+        lines[i][data.draw(st.integers(2, 4))] = repr(data.draw(_FINITE))
+    elif kind == "drop":
+        del lines[i][data.draw(st.integers(0, 5))]
+    elif kind == "extra":
+        lines[i].append("0")
+    else:
+        lines.insert(data.draw(st.integers(0, len(lines))), list(lines[i]))
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(0, len(lines))), [])
+    text = ",".join(LOG_HEADER) + "\n" + "".join(",".join(f) + "\n" for f in lines)
+
+    def outcome(read):
+        try:
+            return list(read(text))
+        except RowError as exc:
+            return exc.row, str(exc)
+    assert outcome(read_measurement_log) == outcome(reference_read)
+
+
 def test_cli_solve_duplicate_row_exits_2(tmp_path, scenario_file, capsys):
     out = str(tmp_path / "out")
     assert main(["simulate", "--scenario", scenario_file, "--out", out]) == 0
@@ -298,7 +438,7 @@ def test_export_results_contents(tmp_path):
     assert metrics["converged"] == res.converged
 
     back = read_measurement_log((tmp_path / "measurements.csv").read_text())
-    assert back == sorted(res.samples, key=lambda m: (m.step, m.user_id))
+    assert list(back) == sorted(res.samples, key=lambda m: (m.step, m.user_id))
 
     crb = (tmp_path / "crb_history.csv").read_text().splitlines()
     assert len(crb) == 1 + s.mission_steps
@@ -462,6 +602,10 @@ BAD_DOCUMENTS = [
      ["buildings[0].min"]),
     ("d_max_bool", MINIMAL + "d_max: true\n", ["d_max"]),
     ("seed_text", MINIMAL + "seed: abc\n", ["seed"]),
+    ("yaml_unclosed_flow_sequence", MINIMAL + "buildings: [1, 2\n",
+     ["invalid YAML at line 7, column 1: expected ',' or ']', but got '<stream end>'"]),
+    ("yaml_tab_indented_block", MINIMAL.replace("  - [10.0", "\t- [10.0"),
+     ["invalid YAML at line 2, column 1: found character '\\t'"]),
     ("non_text_key", MINIMAL + "1: 2\n", ["config document: 1"]),
 ]
 
@@ -474,6 +618,17 @@ def test_cli_bad_document_exits_2(tmp_path, capsys, text, keys):
     line = _input_error(capsys, ["simulate", "--scenario", str(cfg),
                                  "--out", str(tmp_path / "out")])
     assert all(key in line for key in keys), line
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve", "plan", "crb", "mc"])
+@pytest.mark.parametrize("where", ["config", "option"])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, measurement_log, command, where):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(MINIMAL + ("seed: -1\n" if where == "config" else ""))
+    args = (["--runs", "1"] if command == "mc"
+            else _command_args(command, tmp_path, measurement_log))
+    seed = ["--seed", "-1"] if where == "option" else []
+    assert "'seed'" in _input_error(capsys, [command, "--scenario", str(cfg)] + args + seed)
 
 
 # Scenarios that parse but break an invariant of validate_scenario; each
