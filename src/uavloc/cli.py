@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -73,22 +74,21 @@ def _cmd_solve(args) -> int:
     rng = RngStream(args.seed if args.seed is not None else rc.scenario.seed)
     init = slam.initial_state(samples, rng)
     state, report = slam.solve_slam(init, samples, rc.slam)
-    problem = slam.build_problem(samples)
     payload = {
         "converged": report.converged,
         "iterations": report.iterations,
         "trials": report.trials,
         "final_objective": report.objective_trace[-1],
         "users": {str(uid): list(map(float, state.users[j]))
-                  for j, uid in enumerate(problem.user_ids)},
-        "uav_steps": list(problem.steps),
+                  for j, uid in enumerate(samples.user_ids)},
+        "uav_steps": list(samples.steps),
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "solution.json"), "w") as f:
             json.dump(payload | {
                 "uav": {str(st): list(map(float, state.uav[i]))
-                        for i, st in enumerate(problem.steps)},
+                        for i, st in enumerate(samples.steps)},
             }, f, indent=2)
     _emit(payload, args.json)
     return 0
@@ -188,8 +188,9 @@ def _cmd_mc(args) -> int:
     rc = _load_config(args.scenario)
     mode = "greedy" if args.mode == "greedy" else straight_line_path(rc.scenario)
     kw = _mission_kwargs(rc, args)
-    kw.pop("seed", None)  # per-run seeds derive from the scenario seed
-    summary = monte_carlo(rc.scenario, mode, runs=args.runs, **kw)
+    # per-run seeds are scenario.seed + i, so --seed replaces the scenario seed
+    scenario = replace(rc.scenario, seed=kw.pop("seed", rc.scenario.seed))
+    summary = monte_carlo(scenario, mode, runs=args.runs, **kw)
     _emit({"runs": summary.runs, "stats": summary.stats}, args.json)
     return 0
 

@@ -245,17 +245,16 @@ def _first_inconsistent(log: MeasurementLog):
     """Index and message of the first row of a parsed log that breaks a row
     rule of read_measurement_log; None if there is none. At the first bad
     row every row before it is valid, so the duplicate and GPS tests of each
-    row against the rows before it agree with reading row by row."""
+    row against the rows before it agree with reading row by row. The tests
+    read the log's index layout, which the returned log then carries."""
     finite = np.isfinite(np.column_stack([log.gps, log.toa]))
-    _, user = np.unique(log.user_id, return_inverse=True)
-    _, first_of_step, step_index = np.unique(log.step, return_index=True, return_inverse=True)
-    _, first_of_pair = np.unique(step_index * len(log) + user, return_index=True)
+    _, first_of_pair = np.unique(log.pose * len(log) + log.user, return_index=True)
     repeated = np.ones(len(log), dtype=bool)
     repeated[first_of_pair] = False
     # rule masks in the order a row is checked: a row that breaks two rules
     # reports the first
     rules = [~finite.all(axis=1), log.toa < 0, (log.step < 1) | (log.user_id < 1), repeated,
-             np.any(log.gps != log.gps[first_of_step][step_index], axis=1)]
+             np.any(log.gps != log.pose_gps[log.pose], axis=1)]
     bad = [(int(np.argmax(m)), r) for r, m in enumerate(rules) if m.any()]
     if not bad:
         return None

@@ -7,6 +7,7 @@ initialization) from a second stream derived from the same seed.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from statistics import mean, median, stdev
 
@@ -86,7 +87,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     fixed waypoints. toa_path: "ideal" (Gaussian channel noise only) or
     "nr" (quantized through the NR timing-advance + SRS procedure).
     solve_every: re-solve SLAM every m retained steps; 0 means only at the
-    end of the mission.
+    end of the mission. seed: an integer >= 0, scenario.seed if None.
     """
     s = validate_scenario(scenario)
     if toa_path not in ("ideal", "nr"):
@@ -107,6 +108,8 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
 
     if seed is None:
         seed = s.seed
+    elif isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidParam("seed", "must be an integer >= 0")
     rng = RngStream(seed)
     est_rng = _estimator_rng(seed)
 
@@ -120,7 +123,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     gps_trace = np.zeros((n_steps, 3))
     crb_history = np.zeros(n_steps)
     # the measurement columns, one row per (retained step, user), filled as
-    # steps are retained; samples is the filled part
+    # steps are retained; samples, the filled part, is never written again
     log = MeasurementLog(step=np.zeros(n_steps * num_users, dtype=np.int64),
                          user_id=np.tile(np.arange(1, num_users + 1), n_steps),
                          gps=np.empty((n_steps * num_users, 3)),

@@ -9,6 +9,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,11 +84,31 @@ class MeasurementLog(Sequence):
     step and user_id are (M,) int64, gps (M, 3) and toa (M,) floats. As a
     sequence, an integer index gives the row's MeasurementSample (plain
     Python scalars) and a slice gives a MeasurementLog of views.
+
+    The index layout is read-only and computed on first access, then kept:
+    steps and user_ids, the sorted distinct values as tuples of int; pose
+    and user (M,), each row's index into them; pose_gps (S, 3), the GPS fix
+    of each step's first row. So the columns must not change once the
+    layout has been read.
     """
     step: np.ndarray
     user_id: np.ndarray
     gps: np.ndarray
     toa: np.ndarray
+
+    @cached_property
+    def _layout(self):
+        steps, first, pose = np.unique(self.step, return_index=True, return_inverse=True)
+        user_ids, user = np.unique(self.user_id, return_inverse=True)
+        pose_gps = self.gps[first]
+        pose.flags.writeable = user.flags.writeable = pose_gps.flags.writeable = False
+        return tuple(steps.tolist()), tuple(user_ids.tolist()), pose, user, pose_gps
+
+    steps = property(lambda self: self._layout[0])
+    user_ids = property(lambda self: self._layout[1])
+    pose = property(lambda self: self._layout[2])
+    user = property(lambda self: self._layout[3])
+    pose_gps = property(lambda self: self._layout[4])
 
     @classmethod
     def of(cls, measurements) -> MeasurementLog:

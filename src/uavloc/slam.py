@@ -2,11 +2,12 @@
 least squares.
 
 The state stacks the UAV poses of every observed step (3D) followed by the
-user positions (2D). A SlamProblem holds the measurements as arrays: one GPS
-fix per pose, and per ToA measurement its pose index, user index and delay.
-Residuals, Jacobian rows and weights are computed for all measurements at
-once: each GPS fix gives r = gps - x with Jacobian -I, each ToA delay gives
-r = tau - ||x - (u, 0)||/C with a 5-entry row over its pose and user.
+user positions (2D). A MeasurementLog carries the measurements and their
+index layout: one GPS fix per pose, and per ToA measurement its pose index,
+user index and delay. Residuals, Jacobian rows and weights are computed for
+all measurements at once, the residuals of a point once: each GPS fix gives
+r = gps - x with Jacobian -I, each ToA delay gives r = tau - ||x - (u, 0)||/C
+with a 5-entry row over its pose and user.
 
 The ToA residuals are not small at the minimum, so Gauss-Newton's J^T W J
 converges only linearly there (Nocedal & Wright, "Numerical Optimization",
@@ -101,35 +102,12 @@ class SlamConfig:
     max_iter: int = 100
 
 
-@dataclass(frozen=True)
-class SlamProblem:
-    """Index layout and measurements of a measurement set, as arrays."""
-    steps: tuple[int, ...]      # observed mission steps, sorted
-    user_ids: tuple[int, ...]   # observed user ids, sorted
-    gps: np.ndarray             # (S, 3) one GPS fix per observed step
-    pose: np.ndarray            # (M,) pose index of each ToA measurement
-    user: np.ndarray            # (M,) user index of each ToA measurement
-    toa: np.ndarray             # (M,) measured delays, seconds
-
-    @property
-    def num_poses(self):
-        return len(self.steps)
-
-    @property
-    def num_users(self):
-        return len(self.user_ids)
-
-
-def build_problem(measurements) -> SlamProblem:
-    """The problem of a MeasurementLog or a list of MeasurementSample; each
-    step's GPS fix is that of its first row."""
+def _nonempty_log(measurements) -> MeasurementLog:
+    """MeasurementLog.of(measurements); ValueError if it has no rows."""
     log = MeasurementLog.of(measurements)
     if not len(log):
         raise ValueError("measurement set is empty")
-    steps, first, pose = np.unique(log.step, return_index=True, return_inverse=True)
-    user_ids, user = np.unique(log.user_id, return_inverse=True)
-    return SlamProblem(steps=tuple(steps.tolist()), user_ids=tuple(user_ids.tolist()),
-                       gps=log.gps[first], pose=pose, user=user, toa=log.toa)
+    return log
 
 
 def toa_jacobian_row(uav, user) -> np.ndarray:
@@ -142,35 +120,35 @@ def toa_jacobian_row(uav, user) -> np.ndarray:
     return np.concatenate([-g, g[:2]])
 
 
-def _residuals(problem: SlamProblem, flat: np.ndarray):
-    """GPS residuals (S, 3), ToA residuals (M,) and the ToA link geometry."""
-    split = 3 * problem.num_poses
+def residuals(log: MeasurementLog, flat: np.ndarray):
+    """At state `flat`: GPS residuals (S, 3), ToA residuals (M,) and the ToA
+    link geometry (diff (M, 3), d (M,)). The per-point functions below take
+    this result, so a point's residuals are computed once."""
+    split = 3 * len(log.steps)
     uav = flat[:split].reshape(-1, 3)
-    diff, d = link_geometry(uav[problem.pose], flat[split:].reshape(-1, 2)[problem.user])
-    return problem.gps - uav, problem.toa - d / SPEED_OF_LIGHT, diff, d
+    diff, d = link_geometry(uav[log.pose], flat[split:].reshape(-1, 2)[log.user])
+    return log.pose_gps - uav, log.toa - d / SPEED_OF_LIGHT, diff, d
 
 
-def measurement_weights(problem: SlamProblem, flat: np.ndarray, cfg: SlamConfig):
-    """GPS weight and per-measurement ToA weights 1/sigma^2 at state `flat`.
+def measurement_weights(res, cfg: SlamConfig):
+    """GPS weight and per-measurement ToA weights 1/sigma^2 at the point whose
+    residuals are `res` (res[3] holds the link distances).
 
     ToA sigmas follow the noise model at the current link distances when
     cfg.per_distance_weights is set, else they are cfg.sigma_tau.
     """
     if cfg.per_distance_weights and cfg.noise_model is not None:
-        d = _residuals(problem, flat)[3]
-        w_toa = 1.0 / sigma_tau_of_distance(d, cfg.noise_model) ** 2
+        w_toa = 1.0 / sigma_tau_of_distance(res[3], cfg.noise_model) ** 2
     else:
-        w_toa = np.full(len(problem.toa), 1.0 / cfg.sigma_tau ** 2)
+        w_toa = np.full(len(res[1]), 1.0 / cfg.sigma_tau ** 2)
     return 1.0 / cfg.sigma_gps ** 2, w_toa
 
 
-def objective_terms(problem: SlamProblem, flat: np.ndarray, w_gps: float, w_toa,
-                    huber_delta: float | None = None, *, _res=None) -> float:
-    """Weighted sum of squared residuals; ToA residuals beyond huber_delta
-    cost linearly (Huber). w_gps weights each GPS coordinate and w_toa (M,)
-    each ToA residual, as measurement_weights gives them. `_res`, the
-    `_residuals` of `flat` if the caller has them, saves computing them again."""
-    r_gps, r_toa, _, _ = _residuals(problem, flat) if _res is None else _res
+def objective_terms(res, w_gps: float, w_toa, huber_delta: float | None = None) -> float:
+    """Weighted sum of squared residuals `res`; ToA residuals beyond
+    huber_delta cost linearly (Huber). w_gps weights each GPS coordinate and
+    w_toa (M,) each ToA residual, as measurement_weights gives them."""
+    r_gps, r_toa, _, _ = res
     if huber_delta is None:
         toa = w_toa * r_toa ** 2
     else:
@@ -184,16 +162,14 @@ def objective_terms(problem: SlamProblem, flat: np.ndarray, w_gps: float, w_toa,
 
 def objective(state: StateVector, measurements, cfg: SlamConfig) -> float:
     """Negative log-likelihood (up to constants) of the measurement set."""
-    problem = build_problem(measurements)
-    flat = state.flatten()
-    return objective_terms(problem, flat, *measurement_weights(problem, flat, cfg),
-                           cfg.huber_delta)
+    res = residuals(_nonempty_log(measurements), state.flatten())
+    return objective_terms(res, *measurement_weights(res, cfg), cfg.huber_delta)
 
 
-def assemble_normal_equations(problem: SlamProblem, flat: np.ndarray, w_gps: float,
-                              w_toa, huber_delta: float | None = None, *,
-                              _res=None) -> NormalEquations:
-    """Newton matrix H in blocks and b = J^T W r over all measurements.
+def assemble_normal_equations(log: MeasurementLog, res, w_gps: float, w_toa,
+                              huber_delta: float | None = None) -> NormalEquations:
+    """Newton matrix H in blocks and b = J^T W r over all measurements of
+    `log`, at the point whose residuals are `res`.
 
     H is J^T W J plus the curvature of the ToA residuals, sum w r grad^2 r
     (GPS residuals are linear): the exact Hessian of f / 2 for fixed weights,
@@ -205,11 +181,10 @@ def assemble_normal_equations(problem: SlamProblem, flat: np.ndarray, w_gps: flo
     weight, times the Huber IRLS weight beyond huber_delta; derivatives of
     per-distance weights are left out. One bincount sums the 9 pose-block
     entries and the 3 of b per (pose, user) pair, adding repeated
-    measurements of a pair; the blocks are sums of those. `_res`, the
-    `_residuals` of `flat` if the caller has them, saves computing them again.
+    measurements of a pair; the blocks are sums of those.
     """
-    S, K = problem.num_poses, problem.num_users
-    r_gps, r_toa, diff, d = _residuals(problem, flat) if _res is None else _res
+    S, K = len(log.steps), len(log.user_ids)
+    r_gps, r_toa, diff, d = res
     n = np.ascontiguousarray(diff.T) / d                                  # (3, M)
     w = w_toa
     if huber_delta is not None:
@@ -222,7 +197,7 @@ def assemble_normal_equations(problem: SlamProblem, flat: np.ndarray, w_gps: flo
     np.multiply(((w / SPEED_OF_LIGHT ** 2 + c) * n)[:, None], n[None], out=terms[:3])
     terms.reshape(12, -1)[:9:4] -= c
     np.multiply(wr_c, n, out=terms[3])
-    pair = 12 * (K * problem.pose + problem.user) + np.arange(12)[:, None]
+    pair = 12 * (K * log.pose + log.user) + np.arange(12)[:, None]
     sums = np.bincount(pair.ravel(), weights=terms.ravel(),
                        minlength=12 * S * K).reshape(S, K, 4, 3)
     per_pose, per_user = sums.sum(axis=1), sums.sum(axis=0)
@@ -266,7 +241,7 @@ def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
     return np.concatenate([dp.ravel(), du])
 
 
-def check_identifiability(problem: SlamProblem) -> list[int]:
+def check_identifiability(log: MeasurementLog) -> list[int]:
     """Users lacking >= 3 ToA measurements from non-collinear horizontal
     UAV positions. Logs a warning for each (identifiability is marginal).
 
@@ -274,18 +249,18 @@ def check_identifiability(problem: SlamProblem) -> list[int]:
     centered horizontal positions exceeds 1e-9. The tracks of all users are
     zero-padded to the longest, which leaves the singular values unchanged,
     and decomposed in one batched call."""
-    K = problem.num_users
-    count = np.bincount(problem.user, minlength=K)
-    order = np.argsort(problem.user, kind="stable")
-    user = problem.user[order]
+    K = len(log.user_ids)
+    count = np.bincount(log.user, minlength=K)
+    order = np.argsort(log.user, kind="stable")
+    user = log.user[order]
     slot = np.arange(len(user)) - (np.cumsum(count) - count)[user]  # row in the user's track
     # at least two rows, so that every track has a second singular value
     tracks = np.zeros((K, max(count.max(), 2), 2))
-    tracks[user, slot] = problem.gps[problem.pose[order], :2]
+    tracks[user, slot] = log.pose_gps[log.pose[order], :2]
     mean = tracks.sum(axis=1, keepdims=True) / count[:, None, None]
     tracks -= (np.arange(tracks.shape[1]) < count[:, None])[..., None] * mean
     second = np.linalg.svd(tracks, compute_uv=False)[:, 1]
-    weak = [uid for uid, n, sv in zip(problem.user_ids, count.tolist(), second.tolist())
+    weak = [uid for uid, n, sv in zip(log.user_ids, count.tolist(), second.tolist())
             if n < 3 or sv <= 1e-9]
     for uid in weak:
         logger.warning("user %d is weakly observed "
@@ -324,19 +299,20 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
     report) if no stopping test is met within cfg.max_iter iterations, or no
     damping up to LAMBDA_MAX gives a step that does not raise f.
     """
-    problem = build_problem(measurements)
+    log = _nonempty_log(measurements)
     if warn_identifiability:
-        check_identifiability(problem)
-    if init.uav.shape != (problem.num_poses, 3) or init.users.shape != (problem.num_users, 2):
+        check_identifiability(log)
+    S, K = len(log.steps), len(log.user_ids)
+    if init.uav.shape != (S, 3) or init.users.shape != (K, 2):
         raise ValueError("initial state dimensions do not match the measurement set")
 
     flat = init.flatten()
     lam, nu = LAMBDA_INIT, 2.0
-    weights = measurement_weights(problem, flat, cfg)
-    # the link geometry of the current point, shared by the objective that
-    # accepts it and the next assembly
-    res = _residuals(problem, flat)
-    f = objective_terms(problem, flat, *weights, cfg.huber_delta, _res=res)
+    # the residuals of the current point, shared by the objective that
+    # accepts it, the weights and the next assembly
+    res = residuals(log, flat)
+    weights = measurement_weights(res, cfg)
+    f = objective_terms(res, *weights, cfg.huber_delta)
     trace = [f]
     converged = False
     step_norm = np.inf
@@ -347,10 +323,9 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
         if cfg.per_distance_weights:
             # the weights, and so f, move with the state; fixed weights keep
             # f from before the loop or from the last accepted step
-            weights = measurement_weights(problem, flat, cfg)
-            f = objective_terms(problem, flat, *weights, cfg.huber_delta, _res=res)
-        ne = assemble_normal_equations(problem, flat, *weights, huber_delta=cfg.huber_delta,
-                                       _res=res)
+            weights = measurement_weights(res, cfg)
+            f = objective_terms(res, *weights, cfg.huber_delta)
+        ne = assemble_normal_equations(log, res, *weights, huber_delta=cfg.huber_delta)
         accepted = f_settled = False
         while lam <= LAMBDA_MAX:
             trials += 1
@@ -362,8 +337,8 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
                 lam *= 10.0
                 continue
             trial = flat + delta
-            res_new = _residuals(problem, trial)
-            f_new = objective_terms(problem, trial, *weights, cfg.huber_delta, _res=res_new)
+            res_new = residuals(log, trial)
+            f_new = objective_terms(res_new, *weights, cfg.huber_delta)
             # at the resolution of f rounding decides the sign of the change
             f_settled = abs(f - f_new) <= REL_DECREASE_TOL * f
             if f_new <= f:
@@ -391,7 +366,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
         nu = 2.0
 
-    state = StateVector.from_flat(flat, problem.num_poses, problem.num_users)
+    state = StateVector.from_flat(flat, S, K)
     report = SolveReport(iterations=iterations, objective_trace=trace,
                          converged=converged, final_step_norm=step_norm, trials=trials)
     if not converged:
@@ -402,9 +377,9 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
 def initial_state(measurements, rng) -> StateVector:
     """Default initialization: UAV poses from GPS, users uniform over the
     GPS-trace horizontal bounding box expanded by INIT_MARGIN meters."""
-    problem = build_problem(measurements)
-    lo = problem.gps[:, :2].min(axis=0) - INIT_MARGIN
-    hi = problem.gps[:, :2].max(axis=0) + INIT_MARGIN
-    users = np.column_stack([rng.uniform(lo[0], hi[0], problem.num_users),
-                             rng.uniform(lo[1], hi[1], problem.num_users)])
-    return StateVector(uav=problem.gps.copy(), users=users)
+    log = _nonempty_log(measurements)
+    gps, K = log.pose_gps, len(log.user_ids)
+    lo = gps[:, :2].min(axis=0) - INIT_MARGIN
+    hi = gps[:, :2].max(axis=0) + INIT_MARGIN
+    users = np.column_stack([rng.uniform(lo[0], hi[0], K), rng.uniform(lo[1], hi[1], K)])
+    return StateVector(uav=gps.copy(), users=users)

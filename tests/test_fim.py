@@ -6,9 +6,8 @@ from uavloc.fim import (InfoState, accumulate, crb_trace, improvement_matrix,
                         improvement_traces, initial_info, inverse_with_prior,
                         step_contribution, toa_info_contribution)
 from uavloc.model import SPEED_OF_LIGHT as C
-from uavloc.model import MeasurementSample, ToaNoiseModel, Vec3
-from uavloc.slam import (SlamConfig, StateVector, assemble_normal_equations,
-                         build_problem)
+from uavloc.model import MeasurementLog, MeasurementSample, ToaNoiseModel, Vec3
+from uavloc.slam import SlamConfig, StateVector, assemble_normal_equations, residuals
 from uavloc.channel import los_delay
 
 
@@ -69,7 +68,8 @@ def test_contribution_matches_slam_user_block():
     state = StateVector(uav=uav[None, :].copy(), users=user[None, :].copy())
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=sigma)
     # toa-only: the gps fix gets zero weight
-    ne = assemble_normal_equations(build_problem(samples), state.flatten(),
+    log = MeasurementLog.of(samples)
+    ne = assemble_normal_equations(log, residuals(log, state.flatten()),
                                    0.0, 1 / cfg.sigma_tau ** 2)
     # the one user's block of H
     np.testing.assert_allclose(ne.Huu[0], toa_info_contribution(uav, user, sigma),

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -502,6 +503,29 @@ def test_cli_mc(scenario_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["runs"] == 2
     assert "mean" in out["stats"]["user_rmse"]
+
+
+def test_cli_mc_seed_replaces_scenario_seed(tmp_path, capsys):
+    # per-run seeds are seed + i, whether the seed comes from --seed or the config
+    def mc(seed, argv=()):
+        path = tmp_path / f"seed{seed}.yaml"
+        path.write_text(MINIMAL + f"delta_keep: 3.0\nseed: {seed}\n")
+        assert main(["mc", "--scenario", str(path), "--runs", "2", *argv]) == 0
+        return capsys.readouterr().out
+
+    with_flag = mc(7, ["--seed", "99"])
+    assert with_flag == mc(99)
+    assert with_flag != mc(7)
+
+
+def test_cli_solve_reads_the_layout_once(scenario_file, measurement_log, capsys):
+    # one np.unique per index (steps, user ids) and one for repeated
+    # (step, user_id) pairs, all in the reader; the solver and the output
+    # reuse the layout the log carries
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        assert main(["solve", "--scenario", scenario_file, "--log", measurement_log]) == 0
+    capsys.readouterr()
+    assert unique.call_count == 3
 
 
 def test_cli_exit_code_2_on_bad_input(tmp_path, capsys):

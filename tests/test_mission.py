@@ -46,6 +46,13 @@ def test_fixed_path_validation():
         run_mission(s, "not-a-mode")
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_run_mission_refuses_bad_seed(seed):
+    with pytest.raises(InvalidParam) as exc:
+        run_mission(circle_scenario(n_steps=10), "greedy", seed=seed)
+    assert exc.value.field == "seed"
+
+
 def test_mission_determinism_bit_identical():
     s = circle_scenario(n_steps=25, delta=2.0)
     a = run_mission(s, "greedy", seed=5)

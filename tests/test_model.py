@@ -1,8 +1,12 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavloc.errors import InvalidParam, TerminalUnreachable
-from uavloc.model import (AxisBox, Scenario, ToaNoiseModel, Vec2, Vec3,
+from uavloc.model import (AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2, Vec3,
                           validate_scenario)
 
 
@@ -76,3 +80,53 @@ def test_reachability_is_exact_boundary():
                             mission_steps=n, d_max=d_max)
         with pytest.raises(TerminalUnreachable):
             validate_scenario(bad)
+
+
+# --- MeasurementLog index layout ---
+
+@st.composite
+def logs_and_slices(draw):
+    """A log in random row order, with repeated steps and non-contiguous
+    ids, and a slice of it."""
+    ids = st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=6, unique=True)
+    step_ids, user_ids = draw(ids), draw(ids)
+    m = draw(st.integers(0, 25))
+    rows = st.lists(st.tuples(st.sampled_from(step_ids), st.sampled_from(user_ids),
+                              st.tuples(*[st.floats(-1e3, 1e3)] * 3)), min_size=m, max_size=m)
+    step, user_id, gps = zip(*draw(rows)) if m else ((), (), ())
+    log = MeasurementLog(step=np.array(step, dtype=np.int64),
+                         user_id=np.array(user_id, dtype=np.int64),
+                         gps=np.array(gps, dtype=float).reshape(-1, 3), toa=np.zeros(m))
+    start, stop = sorted(draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+    return log, log[start:stop]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(logs_and_slices())
+def test_log_layout_property(logs):
+    for log in logs:
+        step, user_id = log.step.tolist(), log.user_id.tolist()
+        assert log.steps == tuple(sorted(set(step)))
+        assert log.user_ids == tuple(sorted(set(user_id)))
+        assert all(type(v) is int for v in log.steps + log.user_ids)
+        assert [log.steps[p] for p in log.pose] == step
+        assert [log.user_ids[u] for u in log.user] == user_id
+        # the GPS fix of each step's first row, in row order
+        first = {}
+        for i, n in enumerate(step):
+            first.setdefault(n, i)
+        assert log.pose_gps.shape == (len(log.steps), 3)
+        for p, n in enumerate(log.steps):
+            assert log.pose_gps[p].tolist() == log.gps[first[n]].tolist()
+
+
+def test_log_layout_computed_once_and_read_only():
+    log = MeasurementLog(step=np.array([5, 2, 5]), user_id=np.array([9, 9, 4]),
+                         gps=np.arange(9.0).reshape(3, 3), toa=np.zeros(3))
+    assert log.pose is log.pose and log.pose_gps is log.pose_gps and log.user is log.user
+    for name in ("steps", "user_ids", "pose", "user", "pose_gps"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(log, name, None)
+    for array in (log.pose, log.user, log.pose_gps):
+        with pytest.raises(ValueError):
+            array[0] = 0

@@ -8,11 +8,12 @@ import pytest
 from uavloc.channel import RngStream, los_delay
 from uavloc.errors import DegenerateGeometry, NotConverged, SingularSystem
 from uavloc.model import SPEED_OF_LIGHT as C
-from uavloc.model import MeasurementSample, ToaNoiseModel, Vec3
+from uavloc.model import MeasurementLog, MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
-                         assemble_normal_equations, build_problem, check_identifiability,
+                         assemble_normal_equations, check_identifiability,
                          gauss_newton_step, measurement_weights, objective,
-                         initial_state, objective_terms, solve_slam, toa_jacobian_row)
+                         initial_state, objective_terms, residuals, solve_slam,
+                         toa_jacobian_row)
 
 
 def make_samples(uav_positions, users, gps_positions=None, noise=None):
@@ -167,10 +168,11 @@ def test_gps_only_block_diagonal():
     users = [np.array([0.0, 40.0])]
     # gps-only: the toa measurements get zero weight
     samples = make_samples(uavs, users)
-    problem = build_problem(samples)
+    log = MeasurementLog.of(samples)
     cfg = SlamConfig(sigma_gps=2.0, sigma_tau=1e-8)
     state = StateVector(uav=uavs.copy(), users=np.array(users))
-    ne = assemble_normal_equations(problem, state.flatten(), 1 / cfg.sigma_gps ** 2, 0.0)
+    ne = assemble_normal_equations(log, residuals(log, state.flatten()),
+                                   1 / cfg.sigma_gps ** 2, 0.0)
     expected = np.zeros((14, 14))
     expected[:12, :12] = np.kron(np.eye(4), np.eye(3) / 4.0)
     np.testing.assert_allclose(dense_h(ne), expected, atol=1e-15)
@@ -179,11 +181,12 @@ def test_gps_only_block_diagonal():
 def test_single_toa_term_rank_one_outer_product():
     sigma = 2e-8
     samples = [MeasurementSample(1, 1, Vec3(0, 0, 30), toa=50 / C)]
-    problem = build_problem(samples)
+    log = MeasurementLog.of(samples)
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=sigma)
     state = StateVector(uav=np.array([[0.0, 0.0, 30.0]]), users=np.array([[0.0, 40.0]]))
     # toa-only: the gps fix gets zero weight
-    H = dense_h(assemble_normal_equations(problem, state.flatten(), 0.0, 1 / cfg.sigma_tau ** 2))
+    H = dense_h(assemble_normal_equations(log, residuals(log, state.flatten()),
+                                          0.0, 1 / cfg.sigma_tau ** 2))
     j = toa_jacobian_row((0, 0, 30), (0, 40))
     expected = np.outer(j, j) / sigma ** 2
     np.testing.assert_allclose(H, expected, rtol=1e-13, atol=1e-30)
@@ -201,17 +204,16 @@ def test_h_psd_random_scenarios():
         samples = make_samples(uavs, users)
         state = StateVector(uav=uavs, users=np.array(users))
         cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1e-8)
-        problem = build_problem(samples)
-        flat = state.flatten()
-        H = dense_h(assemble_normal_equations(problem, flat,
-                                              *measurement_weights(problem, flat, cfg)))
+        log = MeasurementLog.of(samples)
+        res = residuals(log, state.flatten())
+        H = dense_h(assemble_normal_equations(log, res, *measurement_weights(res, cfg)))
         np.testing.assert_allclose(H, H.T, rtol=1e-12, atol=1e-20)
         for _ in range(10):
             x = rng.standard_normal(len(H))
             assert x @ H @ x >= -1e-10 * (x @ x)
 
 
-def dense_oracle_h_b(state, problem, cfg):
+def dense_oracle_h_b(state, log, cfg):
     """Independent dense construction: stack the full Jacobian row by row,
     and add each ToA residual's curvature w r grad^2 r in its own dense
     matrix, so H = J^T W J + sum w r grad^2 r is the Newton matrix.
@@ -222,7 +224,7 @@ def dense_oracle_h_b(state, problem, cfg):
     Also returns the objective: weighted squares, Huber-linear beyond delta.
     """
     flat = state.flatten()
-    S, K = problem.num_poses, problem.num_users
+    S, K = len(log.steps), len(log.user_ids)
     rows, weights, resids, costs = [], [], [], []
     curvature = np.zeros((3 * S + 2 * K, 3 * S + 2 * K))
     w_gps = 1 / cfg.sigma_gps ** 2
@@ -232,9 +234,9 @@ def dense_oracle_h_b(state, problem, cfg):
             row[3 * i + axis] = -1.0
             rows.append(row)
             weights.append(w_gps)
-            resids.append(problem.gps[i][axis] - flat[3 * i + axis])
+            resids.append(log.pose_gps[i][axis] - flat[3 * i + axis])
             costs.append(w_gps * resids[-1] ** 2)
-    for i, j, tau in zip(problem.pose, problem.user, problem.toa):
+    for i, j, tau in zip(log.pose, log.user, log.toa):
         x = flat[3 * i:3 * i + 3]
         u = flat[3 * S + 2 * j:3 * S + 2 * j + 2]
         diff = x - np.array([u[0], u[1], 0.0])
@@ -290,10 +292,10 @@ def test_h_matches_dense_oracle():
     for _ in range(5):
         cfg = SlamConfig(sigma_gps=1.3, sigma_tau=2e-8)
         samples, state = random_h_b_case(rng)
-        problem = build_problem(samples)
-        flat = state.flatten()
-        ne = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg))
-        H_ref, b_ref, _ = dense_oracle_h_b(state, problem, cfg)
+        log = MeasurementLog.of(samples)
+        res = residuals(log, state.flatten())
+        ne = assemble_normal_equations(log, res, *measurement_weights(res, cfg))
+        H_ref, b_ref, _ = dense_oracle_h_b(state, log, cfg)
         np.testing.assert_allclose(dense_h(ne), H_ref, rtol=1e-12, atol=1e-30)
         np.testing.assert_allclose(ne.b, b_ref, rtol=1e-12, atol=1e-30)
 
@@ -310,11 +312,11 @@ def test_weighted_h_b_objective_match_dense_oracle(huber, per_distance):
     beyond = within = 0
     for _ in range(5):
         samples, state = random_h_b_case(rng)
-        problem = build_problem(samples)
-        flat = state.flatten()
-        ne = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg),
+        log = MeasurementLog.of(samples)
+        res = residuals(log, state.flatten())
+        ne = assemble_normal_equations(log, res, *measurement_weights(res, cfg),
                                        huber_delta=cfg.huber_delta)
-        H_ref, b_ref, f_ref = dense_oracle_h_b(state, problem, cfg)
+        H_ref, b_ref, f_ref = dense_oracle_h_b(state, log, cfg)
         np.testing.assert_allclose(dense_h(ne), H_ref, rtol=1e-12, atol=1e-30)
         np.testing.assert_allclose(ne.b, b_ref, rtol=1e-12, atol=1e-30)
         assert objective(state, samples, cfg) == pytest.approx(f_ref, rel=1e-12)
@@ -335,13 +337,14 @@ def test_newton_matrix_matches_finite_difference_hessian():
     for _ in range(3):
         samples, state = random_h_b_case(rng)
         samples = [replace(m, toa=m.toa + 2e-8 * rng.standard_normal()) for m in samples]
-        problem = build_problem(samples)
+        log = MeasurementLog.of(samples)
         flat = state.flatten()
-        weights = measurement_weights(problem, flat, cfg)
-        ne = assemble_normal_equations(problem, flat, *weights)
+        res = residuals(log, flat)
+        weights = measurement_weights(res, cfg)
+        ne = assemble_normal_equations(log, res, *weights)
 
         def f(x):
-            return objective_terms(problem, x, *weights)
+            return objective_terms(residuals(log, x), *weights)
 
         n = len(flat)
         step = h * np.eye(n)
@@ -368,12 +371,12 @@ def test_pure_gps_one_exact_step():
     gps = uavs + np.random.default_rng(1).normal(0, 2, uavs.shape)
     users = [np.array([0.0, 40.0])]
     samples = make_samples(uavs, users, gps_positions=gps)
-    problem = build_problem(samples)
+    log = MeasurementLog.of(samples)
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1e-8)
     state = StateVector(uav=uavs.copy(), users=np.array(users))
     flat = state.flatten()
     # gps-only: the toa measurements get zero weight
-    ne = assemble_normal_equations(problem, flat, 1 / cfg.sigma_gps ** 2, 0.0)
+    ne = assemble_normal_equations(log, residuals(log, flat), 1 / cfg.sigma_gps ** 2, 0.0)
     # restrict to the pose block (user block untouched by gps terms)
     d = 15
     delta = gauss_newton_step(NormalEquations(Hpp=ne.Hpp, Hpu=ne.Hpu[:, :, :0], Huu=ne.Huu[:0],
@@ -420,11 +423,11 @@ def test_schur_step_matches_dense_solve(huber, per_distance):
             # from the fourth pose on, each pose misses one user
             samples = [m for m in samples if m.step <= 3 or m.user_id != m.step % k + 1]
         samples = samples + [samples[int(rng.integers(len(samples)))]]
-        problem = build_problem(samples)
-        assert len(problem.toa) == n * k + 1 - (n - 3) * (k > 1)
-        flat = state.flatten()
-        H_ref, b_ref, _ = dense_oracle_h_b(state, problem, cfg)
-        ne = assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg),
+        log = MeasurementLog.of(samples)
+        assert len(log.toa) == n * k + 1 - (n - 3) * (k > 1)
+        res = residuals(log, state.flatten())
+        H_ref, b_ref, _ = dense_oracle_h_b(state, log, cfg)
+        ne = assemble_normal_equations(log, res, *measurement_weights(res, cfg),
                                        huber_delta=cfg.huber_delta)
         for lam in (0.0, 1e-4, 10.0):
             damped = H_ref + lam * np.eye(len(b_ref))
@@ -457,7 +460,7 @@ def singular_case(one_user_pose):
         lone = np.array([10.0, -10.0, 30.0])
         samples.append(MeasurementSample(4, 2, Vec3(*lone), los_delay(lone, users[1])))
     state = StateVector(uav=np.vstack([uavs, lone]), users=np.array(users))
-    return build_problem(samples), state.flatten()
+    return MeasurementLog.of(samples), state.flatten()
 
 
 @pytest.mark.parametrize("case", ["pose_block", "reduced_matrix", "indefinite_pose_block"])
@@ -468,8 +471,9 @@ def test_singular_where_dense_cholesky_fails(case):
     else:
         # no GPS weight: the lone pose's block is singular; with GPS, the
         # user seen from one pose leaves the reduced matrix singular
-        problem, flat = singular_case(one_user_pose=case == "pose_block")
-        ne = assemble_normal_equations(problem, flat, 0.0 if case == "pose_block" else 1.0,
+        log, flat = singular_case(one_user_pose=case == "pose_block")
+        ne = assemble_normal_equations(log, residuals(log, flat),
+                                       0.0 if case == "pose_block" else 1.0,
                                        1 / 1e-8 ** 2)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(dense_h(ne))
@@ -491,17 +495,18 @@ def straight(n):
 
 
 def test_identifiability_circle_flags_no_user():
-    assert check_identifiability(build_problem(make_samples(circle(8), ID_USERS))) == []
+    assert check_identifiability(MeasurementLog.of(make_samples(circle(8), ID_USERS))) == []
 
 
 def test_identifiability_straight_track_flags_every_user():
-    assert check_identifiability(build_problem(make_samples(straight(8), ID_USERS))) == [1, 2, 3]
+    samples = make_samples(straight(8), ID_USERS)
+    assert check_identifiability(MeasurementLog.of(samples)) == [1, 2, 3]
 
 
 def test_identifiability_user_seen_from_two_poses_is_flagged():
     # user 2 is heard only at the first two of 8 poses on a circle
     samples = [m for m in make_samples(circle(8), ID_USERS) if m.user_id != 2 or m.step <= 2]
-    assert check_identifiability(build_problem(samples)) == [2]
+    assert check_identifiability(MeasurementLog.of(samples)) == [2]
 
 
 @pytest.mark.parametrize("warn", [True, False])
@@ -626,9 +631,9 @@ def test_gauge_positive_definite_with_gps():
     samples = make_samples(uavs, users)
     state = StateVector(uav=uavs.copy(), users=np.array(users))
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1e-8)
-    problem = build_problem(samples)
-    flat = state.flatten()
-    H = dense_h(assemble_normal_equations(problem, flat, *measurement_weights(problem, flat, cfg)))
+    log = MeasurementLog.of(samples)
+    res = residuals(log, state.flatten())
+    H = dense_h(assemble_normal_equations(log, res, *measurement_weights(res, cfg)))
     eigs = np.linalg.eigvalsh(H)
     assert eigs.min() > 0
 
@@ -705,15 +710,15 @@ def test_converged_at_the_rounding_plateau(seed):
     cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1.25e-8)
     state, report = solve_slam(init, samples, cfg, warn_identifiability=False)
     assert report.converged
-    problem = build_problem(samples)
-    weights = measurement_weights(problem, init.flatten(), cfg)
+    log = MeasurementLog.of(samples)
+    weights = measurement_weights(residuals(log, init.flatten()), cfg)
 
     def grad(x):
-        return np.linalg.norm(assemble_normal_equations(problem, x, *weights).b)
+        return np.linalg.norm(assemble_normal_equations(log, residuals(log, x), *weights).b)
 
     assert grad(state.flatten()) <= 1e-9 * grad(init.flatten())
     truth = StateVector(uav=path, users=users).flatten()
-    assert report.objective_trace[-1] <= objective_terms(problem, truth, *weights)
+    assert report.objective_trace[-1] <= objective_terms(residuals(log, truth), *weights)
 
 
 def test_gain_ratio_damping_path(monkeypatch):
