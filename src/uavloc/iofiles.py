@@ -173,10 +173,8 @@ def parse_run_config(text: str) -> RunConfig:
     solver, planner = kw.pop("solver", {}), kw.pop("planner", {})
     scenario = validate_scenario(Scenario(**kw))
     mission_opts = {key: solver.pop(key) for key in ("solve_every", "eps_prior") if key in solver}
-    slam = SlamConfig(sigma_gps=scenario.sigma_gps,
-                      sigma_tau=solver.pop("sigma_tau", scenario.toa_noise.sigma0),
-                      noise_model=scenario.toa_noise, **solver)
-    return RunConfig(scenario=scenario, slam=slam, **mission_opts, **planner)
+    return RunConfig(scenario=scenario, slam=SlamConfig.for_scenario(scenario, **solver),
+                     **mission_opts, **planner)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -18,7 +18,7 @@ from .channel import RngStream, is_blocked, sample_gps, sample_toa
 from .errors import InvalidParam, NotConverged
 from .fim import accumulate, crb_trace, initial_info, step_contribution
 from .model import MeasurementLog, Scenario, validate_scenario
-from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
+from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr, ta_unit
 from .planner import PlannerState, next_waypoint
 
 
@@ -88,10 +88,21 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     "nr" (quantized through the NR timing-advance + SRS procedure).
     solve_every: re-solve SLAM every m retained steps; 0 means only at the
     end of the mission. seed: an integer >= 0, scenario.seed if None.
+    The NR path refuses a sample rate at which a timing-advance residual can
+    overflow the CIR window: sample_rate * ta_unit(numerology) >= cir_len.
     """
     s = validate_scenario(scenario)
     if toa_path not in ("ideal", "nr"):
         raise InvalidParam("toa_path", "must be 'ideal' or 'nr'")
+    nr_cfg = NrConfig(mu=s.numerology, f_s=s.sample_rate)
+    unit = ta_unit(s.numerology)
+    if toa_path == "nr" and s.sample_rate * unit >= nr_cfg.cir_len:
+        raise InvalidParam("sample_rate", f"must be below {nr_cfg.cir_len / unit:.6g} Hz for "
+                           f"NR ToA at numerology {s.numerology}, or a timing-advance residual "
+                           f"can overflow the {nr_cfg.cir_len}-sample CIR window")
+    if isinstance(solve_every, bool) or not isinstance(solve_every, numbers.Integral) \
+            or solve_every < 0:
+        raise InvalidParam("solve_every", "must be an integer >= 0")
     n_steps = s.mission_steps
     num_users = len(s.users)
 
@@ -113,8 +124,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     rng = RngStream(seed)
     est_rng = _estimator_rng(seed)
 
-    cfg = slam_cfg or slam.SlamConfig(sigma_gps=s.sigma_gps, sigma_tau=s.toa_noise.sigma0)
-    nr_cfg = NrConfig(mu=s.numerology, f_s=s.sample_rate)
+    cfg = slam_cfg or slam.SlamConfig.for_scenario(s)
     drift = SawtoothDrift(rate=s.toa_noise.drift_rate,
                           reset_period=s.toa_noise.drift_reset_period)
 
@@ -136,7 +146,6 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     # until a solve overwrites it
     pose_est = np.empty((n_steps, 3))
     converged = True
-    solves_since = 0
 
     def do_solve():
         nonlocal u_est, converged
@@ -164,19 +173,18 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
             retained.append(n)
             log.step[rows] = n
             log.gps[rows] = gps_trace[n - 1]
+            offset = drift_offset(n, drift)
             for k, user in enumerate(s.users):
                 blocked = is_blocked(p, user, s.buildings)
                 toa = sample_toa(p, user, s.toa_noise, blocked, rng)
                 if toa_path == "nr":
-                    toa = estimate_toa_nr(toa, nr_cfg, drift_offset(n, drift), rng)
+                    toa = estimate_toa_nr(toa, nr_cfg, offset)
                 log.toa[rows.start + k] = toa
             samples = log[:rows.stop]
             if u_est is None:
                 u_est = slam.initial_state(samples, est_rng).users
-            solves_since += 1
-            if solve_every and solves_since >= solve_every:
+            if solve_every and len(retained) % solve_every == 0:
                 do_solve()
-                solves_since = 0
             info = accumulate(info, step_contribution(p, u_est, s.toa_noise))
         crb_history[n - 1] = crb_trace(info)
 
@@ -190,7 +198,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
                                   headings=planner_headings)
                 positions[n] = next_waypoint(st)
 
-    if solves_since > 0:
+    if not solve_every or len(retained) % solve_every:
         do_solve()
 
     uav_estimates = pose_est[:len(retained)].copy()

@@ -213,4 +213,15 @@ def validate_scenario(s: Scenario) -> Scenario:
     if dist > budget * (1.0 + _REACH_SLACK):
         raise TerminalUnreachable(
             f"start-terminal distance {dist:.6g} m exceeds d_max*(N-1) = {budget:.6g} m")
+    if m.kind == "exponential":
+        # no UAV position of the mission is farther from a user than this
+        reach = budget + max(math.dist(s.uav_start.as_array(), (u.x, u.y, 0.0))
+                             for u in s.users)
+        try:
+            sigma = m.sigma0 + m.amp * math.exp(reach / m.scale)
+        except OverflowError:
+            sigma = math.inf
+        if not math.isfinite(sigma * sigma):  # the variance, as the solver and FIM use it
+            raise InvalidParam("toa_noise", f"(sigma0 + amp*exp(d/scale))^2 is not finite at "
+                               f"d = {reach:.6g} m, the farthest link the mission allows")
     return s

@@ -1,8 +1,10 @@
 """5G NR ToA estimation model.
 
-Coarse RTT from the timing-advance command, SRS-based refinement via the
-CIR magnitude argmax, RTT composition, and the sawtooth clock-drift ramp.
-Only the arithmetic of the signaling procedure is modeled.
+Coarse RTT from the timing-advance command, SRS-based refinement at the CIR
+magnitude argmax, RTT composition, and the sawtooth clock-drift ramp. Only
+the arithmetic of the signaling procedure is modeled. `synth_cir` and
+`srs_refine` are the documented CIR model; `estimate_toa_nr` reads its argmax,
+always the planted tap, in closed form.
 """
 from __future__ import annotations
 
@@ -90,31 +92,26 @@ def drift_offset(step: int, d: SawtoothDrift) -> float:
     return d.rate * ((step - 1) % d.reset_period)
 
 
-def estimate_toa_nr(true_delay: float, cfg: NrConfig, drift: float, rng) -> float:
-    """One-way delay estimate through the two-stage NR procedure.
+def estimate_toa_nr(true_delay: float, cfg: NrConfig, drift: float, rng=None) -> float:
+    """One-way delay estimate through the two-stage NR procedure: RTT/2.
 
-    The round trip (2 * true_delay + drift) is first quantized to the nearest
-    timing-advance unit; the leftover residual is localized by the CIR peak.
-    The residual can be negative after round-to-nearest, so it is wrapped into
-    the circular CIR window and peaks in the upper half of the window are read
-    back as negative delays. Returns RTT/2.
+    The round trip (2 * true_delay + drift) is quantized to the nearest
+    timing-advance unit; the signed residual is read at the CIR peak,
+    round(residual * f_s) / f_s. DelayOutOfWindow if the residual leaves half
+    the CIR window (cir_len / f_s) either way, which f_s * ta_unit(mu) <
+    cir_len rules out (at 256 taps: f_s < 491.52 * 2^mu MHz). `rng` is unused
+    and kept for callers that pass one.
     """
     if true_delay < 0:
         raise ValueError("true_delay must be >= 0")
-    _check_mu(cfg.mu)
     rtt = 2.0 * true_delay + drift
     ta = ta_from_rtt(rtt, cfg.mu)
-    coarse = coarse_rtt(ta, cfg.mu)
-    residual = rtt - coarse
-    window = cfg.cir_len / cfg.f_s
-    if not (-window / 2 <= residual < window / 2):
+    unit = ta_unit(cfg.mu)
+    # |rtt / unit - ta| <= 1/2 exactly, so |peak| <= f_s * unit / 2 in
+    # floating point too, and no residual leaves the window below that limit
+    peak = (rtt / unit - ta) * unit * cfg.f_s
+    if not (-cfg.cir_len / 2 <= peak < cfg.cir_len / 2):
         raise DelayOutOfWindow(
-            f"residual {residual:.3e} s does not fit in half the CIR window "
-            f"(+-{window / 2:.3e} s); increase cir_len")
-    wrapped = residual % window
-    if wrapped >= window:  # a tiny negative residual can round up to window
-        wrapped = 0.0
-    refined = srs_refine(synth_cir(wrapped, cfg, rng), cfg.f_s)
-    if refined >= window / 2:
-        refined -= window
-    return (coarse + refined) / 2.0
+            f"residual of {peak:.6g} samples does not fit in half the "
+            f"{cfg.cir_len}-sample CIR window")
+    return (ta * unit + round(peak) / cfg.f_s) / 2.0

@@ -36,8 +36,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .channel import link_geometry, sigma_tau_of_distance
-from .errors import NotConverged, SingularSystem
-from .model import SPEED_OF_LIGHT, MeasurementLog, ToaNoiseModel
+from .errors import InvalidParam, NotConverged, SingularSystem
+from .model import SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel
 
 logger = logging.getLogger(__name__)
 
@@ -101,6 +101,17 @@ class SlamConfig:
     tol_step: float = 1e-6
     max_iter: int = 100
 
+    def __post_init__(self):
+        if self.per_distance_weights and self.noise_model is None:
+            raise InvalidParam("per_distance_weights", "needs a noise_model")
+
+    @classmethod
+    def for_scenario(cls, s: Scenario, **options) -> SlamConfig:
+        """Settings for solving scenario s: its GPS sigma, its ToA noise
+        model, and its sigma0 as sigma_tau, each unless `options` set it."""
+        return cls(**{"sigma_gps": s.sigma_gps, "sigma_tau": s.toa_noise.sigma0,
+                      "noise_model": s.toa_noise} | options)
+
 
 def _nonempty_log(measurements) -> MeasurementLog:
     """MeasurementLog.of(measurements); ValueError if it has no rows."""
@@ -137,7 +148,7 @@ def measurement_weights(res, cfg: SlamConfig):
     ToA sigmas follow the noise model at the current link distances when
     cfg.per_distance_weights is set, else they are cfg.sigma_tau.
     """
-    if cfg.per_distance_weights and cfg.noise_model is not None:
+    if cfg.per_distance_weights:
         w_toa = 1.0 / sigma_tau_of_distance(res[3], cfg.noise_model) ** 2
     else:
         w_toa = np.full(len(res[1]), 1.0 / cfg.sigma_tau ** 2)

@@ -177,15 +177,21 @@ def valid_scenarios(draw):
     corners = [(Vec3(*(draw(_real(-50, 50)) for _ in range(3))),
                 [draw(_real(0, 30)) for _ in range(3)])
                for _ in range(draw(st.integers(0, 2)))]
+    users = tuple(Vec2(draw(_real(-80, 80)), draw(_real(-80, 80)))
+                  for _ in range(draw(st.integers(1, 3))))
+    steps = draw(_integer(2, 500))
+    # amp*exp(d/scale) stays below 1e-8*exp(300) at the farthest reachable link
+    reach = d_max * (steps - 1) + max(math.dist((start.x, start.y, start.z), (u.x, u.y, 0))
+                                      for u in users)
+    min_scale = max(1.0, reach / 300)
     noise = ToaNoiseModel(kind=draw(st.sampled_from(["constant", "exponential"])),
                           sigma0=draw(_real(1e-10, 1e-6)), amp=draw(_real(0, 1e-8)),
-                          scale=draw(_real(1, 1e3)), drift_rate=draw(_real(0, 1e-8)),
+                          scale=draw(_real(min_scale, min_scale + 1e3)),
+                          drift_rate=draw(_real(0, 1e-8)),
                           drift_reset_period=draw(_integer(1, 50)),
                           nlos_scale=draw(_real(0, 1e-7)))
-    return Scenario(users=tuple(Vec2(draw(_real(-80, 80)), draw(_real(-80, 80)))
-                                for _ in range(draw(st.integers(1, 3)))),
-                    uav_start=start, uav_terminal=terminal,
-                    mission_steps=draw(_integer(2, 500)), d_max=d_max,
+    return Scenario(users=users, uav_start=start, uav_terminal=terminal,
+                    mission_steps=steps, d_max=d_max,
                     delta_keep=draw(_real(0, 10)), sigma_gps=draw(_real(1e-3, 10)),
                     toa_noise=noise, numerology=draw(_integer(0, 5)),
                     sample_rate=draw(_real(1e6, 2e8)),
@@ -656,12 +662,17 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys, measurement_log, command, w
 
 
 # Scenarios that parse but break an invariant of validate_scenario; each
-# subcommand named here used to skip the check.
+# subcommand named here used to skip the check, and simulate used to write
+# (amp 1e-9) or fail on (amp 0) the non-finite sigma of the overflowing
+# exponential noise model.
+OVERFLOWING_NOISE = "toa_noise: {kind: exponential, sigma0: 1.0e-8, amp: %s, scale: 0.01}\n"
 INVALID_SCENARIOS = [
     ("solve", "sigma_gps: 0.0\n", "sigma_gps"),
     ("crb", "toa_noise: {sigma0: 0.0}\n", "toa_noise.sigma0"),
     ("solve", "toa_noise: {kind: exponential, scale: 0.0}\n", "toa_noise.scale"),
     ("plan", "d_max: 0.0\n", "d_max"),
+    ("simulate", OVERFLOWING_NOISE % "1.0e-9", "toa_noise"),
+    ("simulate", OVERFLOWING_NOISE % "0.0", "toa_noise"),
 ]
 
 
@@ -672,6 +683,17 @@ def test_cli_invalid_scenario_exits_2(tmp_path, capsys, measurement_log, command
     cfg.write_text(MINIMAL + line)
     assert f"'{key}'" in _input_error(capsys, [command, "--scenario", str(cfg)]
                                + _command_args(command, tmp_path, measurement_log))
+
+
+def test_cli_nr_sample_rate_beyond_cir_window_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(MINIMAL + "numerology: 0\nsample_rate: 1.0e+9\n")
+    out = tmp_path / "out"
+    line = _input_error(capsys, ["simulate", "--scenario", str(cfg), "--out", str(out),
+                                 "--toa", "nr"])
+    assert "'sample_rate'" in line and not out.exists()
+    cfg.write_text(MINIMAL + "numerology: 0\nsample_rate: 4.0e+8\n")
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(out), "--toa", "nr"]) == 0
 
 
 @pytest.mark.parametrize("case", ["log_directory", "trajectory_directory", "out_is_file",

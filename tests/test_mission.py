@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uavloc import nrtiming, slam
 from uavloc.channel import sparsify
 from uavloc.errors import InvalidParam
 from uavloc.mission import (circle_path, compute_metrics, monte_carlo,
@@ -51,6 +52,50 @@ def test_run_mission_refuses_bad_seed(seed):
     with pytest.raises(InvalidParam) as exc:
         run_mission(circle_scenario(n_steps=10), "greedy", seed=seed)
     assert exc.value.field == "seed"
+
+
+@pytest.mark.parametrize("solve_every", [-1, 1.5])
+def test_run_mission_refuses_bad_solve_every(solve_every):
+    with pytest.raises(InvalidParam) as exc:
+        run_mission(circle_scenario(n_steps=10), "greedy", solve_every=solve_every)
+    assert exc.value.field == "solve_every"
+
+
+@pytest.mark.parametrize("solve_every", [0, 1, 3, 7])
+def test_solve_schedule(monkeypatch, solve_every):
+    """A solve after every solve_every-th retained step, and one at the end
+    unless the last retained step just solved."""
+    sizes = []
+    solve = slam.solve_slam
+
+    def counted(init, samples, *args, **kwargs):
+        sizes.append(len(samples))
+        return solve(init, samples, *args, **kwargs)
+    monkeypatch.setattr(slam, "solve_slam", counted)
+    res = run_mission(circle_scenario(n_steps=30), circle_path((0, 0), 50.0, 30.0, 30),
+                      solve_every=solve_every)
+    retained = len(res.retained_steps)
+    assert retained == 30
+    every = range(solve_every, retained + 1, solve_every) if solve_every else []
+    assert sizes == sorted({*every, retained})
+
+
+def test_nr_mission_synthesizes_no_cir(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the NR estimate synthesized a CIR")
+    monkeypatch.setattr(nrtiming, "synth_cir", refuse)
+    monkeypatch.setattr(nrtiming, "srs_refine", refuse)
+    res = run_mission(circle_scenario(n_steps=12), "greedy", toa_path="nr")
+    assert len(res.samples) == 12
+
+
+@pytest.mark.parametrize("mu, f_s", [(0, 491.52e6), (0, 1e9), (5, 491.52e6 * 32)])
+def test_nr_path_refuses_sample_rate_beyond_cir_window(mu, f_s):
+    s = circle_scenario(n_steps=10, numerology=mu, sample_rate=f_s)
+    with pytest.raises(InvalidParam) as exc:
+        run_mission(s, "greedy", toa_path="nr")
+    assert exc.value.field == "sample_rate"
+    run_mission(s, "greedy")  # the ideal path does not quantize
 
 
 def test_mission_determinism_bit_identical():

@@ -60,6 +60,20 @@ def test_noise_model_invariants():
         validate_scenario(make_scenario(toa_noise=ToaNoiseModel(sigma0=0.0)))
 
 
+# exponents d/scale at the farthest link: the variance is finite at the
+# first and overflows at the second (amp 0: exp(d/scale) itself overflows)
+@pytest.mark.parametrize("amp, finite, overflowing", [(1e-9, 370.0, 380.0), (0.0, 700.0, 720.0)])
+def test_exponential_noise_variance_finite_up_to_the_farthest_link(amp, finite, overflowing):
+    # farthest link: 50 m from the user to the start, plus 9 moves of 5 m
+    def scenario(exponent):
+        noise = ToaNoiseModel(kind="exponential", sigma0=1e-8, amp=amp, scale=95.0 / exponent)
+        return make_scenario(users=(Vec2(0.0, 40.0),), toa_noise=noise)
+    validate_scenario(scenario(finite))
+    with pytest.raises(InvalidParam) as exc:
+        validate_scenario(scenario(overflowing))
+    assert exc.value.field == "toa_noise"
+
+
 def test_building_corner_order():
     box = AxisBox(Vec3(10, 0, 0), Vec3(5, 5, 5))
     with pytest.raises(InvalidParam):

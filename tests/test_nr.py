@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uavloc.channel import RngStream
 from uavloc.errors import DelayOutOfWindow, EmptyCir, InvalidNumerology
@@ -178,3 +180,47 @@ def test_estimate_with_drift_matches_plus_half_drift():
         for drift in (0.0, 40e-9, 130e-9):
             est = estimate_toa_nr(true, cfg, drift, rng)
             assert est == pytest.approx(true + drift / 2, abs=1 / (2 * F_S))
+
+
+def test_estimate_error_bound_up_to_the_sample_rate_limit():
+    # 490.5 MHz is just below the mu = 0 limit of 491.52 MHz, where the
+    # residual reaches +-127.7 samples of the 256-sample window: a peak past
+    # +127.5 must not be read as a negative delay
+    f_s = 490.5e6
+    cfg = NrConfig(mu=0, f_s=f_s)
+    assert f_s * ta_unit(0) < cfg.cir_len
+    delays = np.random.default_rng(303).uniform(0.0, 2e-5, 20000)
+    errs = [abs(estimate_toa_nr(float(t), cfg, 0.0) - t) for t in delays]
+    assert max(errs) <= 1 / (2 * f_s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=st.integers(0, 5), fill=st.floats(0.01, 1.0, exclude_max=True),
+       delay=st.floats(0.0, 2e-5), drift=st.floats(0.0, 1e-6),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_peak_is_the_cir_argmax(mu, fill, delay, drift, seed):
+    """Below the sample-rate limit the estimate never leaves the window, and
+    where the residual is over half a sample inside it, the estimate's peak
+    is the signed argmax of the synthesized CIR."""
+    cfg = NrConfig(mu=mu, f_s=fill * NrConfig.cir_len / ta_unit(mu))
+    assume(cfg.f_s * ta_unit(mu) < cfg.cir_len)
+    est = estimate_toa_nr(delay, cfg, drift)  # never DelayOutOfWindow
+
+    rtt = 2.0 * delay + drift
+    coarse = coarse_rtt(ta_from_rtt(rtt, mu), mu)
+    residual = rtt - coarse
+    assume(abs(residual * cfg.f_s) < cfg.cir_len / 2 - 0.5)
+    window = cfg.cir_len / cfg.f_s
+    wrapped = residual % window
+    if wrapped >= window:  # a tiny negative residual can round up to window
+        wrapped = 0.0
+    peak = int(np.argmax(synth_cir(wrapped, cfg, RngStream(seed))))
+    signed = peak - cfg.cir_len if peak >= cfg.cir_len / 2 else peak
+    assert round((2.0 * est - coarse) * cfg.f_s) == signed
+    assert 2.0 * est - coarse == pytest.approx(signed / cfg.f_s, rel=1e-9, abs=1e-9 / cfg.f_s)
+
+
+def test_estimate_refuses_residual_outside_window():
+    cfg = NrConfig(mu=0, f_s=1e9)  # 520.8 samples per TA unit > 256
+    with pytest.raises(DelayOutOfWindow):
+        estimate_toa_nr(0.2e-6 / 2, cfg, 0.0)

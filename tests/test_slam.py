@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uavloc.channel import RngStream, los_delay
-from uavloc.errors import DegenerateGeometry, NotConverged, SingularSystem
+from uavloc.errors import DegenerateGeometry, InvalidParam, NotConverged, SingularSystem
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import MeasurementLog, MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
@@ -563,6 +563,14 @@ def test_objective_trace_nonincreasing():
     state, report = solve_slam(init, samples, cfg, warn_identifiability=False)
     trace = report.objective_trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+def test_per_distance_weights_need_a_noise_model():
+    with pytest.raises(InvalidParam) as exc:
+        SlamConfig(per_distance_weights=True)
+    assert exc.value.field == "per_distance_weights"
+    noise = ToaNoiseModel(kind="exponential", amp=1e-9, scale=50.0)
+    assert SlamConfig(per_distance_weights=True, noise_model=noise).noise_model is noise
 
 
 @pytest.mark.parametrize("per_distance", [False, True], ids=["fixed", "per_distance"])
