@@ -71,52 +71,47 @@ def sigma_tau_of_distance(d: float, m: ToaNoiseModel) -> float:
     return m.sigma0
 
 
-def is_blocked(uav, user, boxes) -> bool:
-    """True iff the open UAV-user segment crosses any box interior.
+def _crossings(p0, seg, boxes) -> np.ndarray:
+    """Whether the open segments p0 + t seg (..., 3), 0 < t < 1, cross a box
+    interior, as (...,) booleans: the slab test (Williams et al., JGT 2005)
+    on (..., B, 2, 3) arrays of the t at which each segment meets each face."""
+    corners = np.array([[b.min_corner.as_array(), b.max_corner.as_array()]
+                        for b in boxes]).reshape(-1, 2, 3)
+    # parallel to an axis, x / 0 = +-inf leaves t free inside the slab and
+    # none outside it (a near-zero component overflows to the same limit); on
+    # its boundary 0 / 0 = NaN makes the test below false
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (corners - p0) / seg[..., None, None, :]
+    enter, leave = t.min(axis=-2).max(axis=-1), t.max(axis=-2).min(axis=-1)
+    return (np.minimum(leave, 1.0) > np.maximum(enter, 0.0)).any(axis=-1)
 
-    Standard slab test; grazing contact with a face or edge does not count
-    as blockage. A zero-length link raises DegenerateGeometry, as in
-    los_delay.
-    """
+
+def is_blocked(uav, users, boxes):
+    """Whether the open UAV-user segments cross a box interior: a bool for one
+    user (2,), (...,) booleans for users (..., 2). Grazing a face or edge is
+    no blockage, and a segment parallel to an axis must lie strictly inside
+    that axis's slab. A zero-length link raises DegenerateGeometry."""
     p0 = _as_array(uav)
-    d = -link_geometry(p0, _as_array(user))[0]
-    for box in boxes:
-        lo = box.min_corner.as_array()
-        hi = box.max_corner.as_array()
-        t0, t1 = 0.0, 1.0
-        hit = True
-        for i in range(3):
-            if d[i] == 0.0:
-                if not (lo[i] < p0[i] < hi[i]):
-                    hit = False
-                    break
-            else:
-                ta = (lo[i] - p0[i]) / d[i]
-                tb = (hi[i] - p0[i]) / d[i]
-                if ta > tb:
-                    ta, tb = tb, ta
-                t0 = max(t0, ta)
-                t1 = min(t1, tb)
-                if t1 <= t0:
-                    hit = False
-                    break
-        if hit and t1 > t0:
-            return True
-    return False
+    blocked = _crossings(p0, -link_geometry(p0, _as_array(users))[0], boxes)
+    return blocked if blocked.ndim else bool(blocked)
 
 
-def sample_toa(uav, user, m: ToaNoiseModel, blocked: bool, rng: RngStream) -> float:
-    """Noisy LoS delay estimate in seconds, clamped at >= 0.
-
-    Blocked links get an extra half-normal excess delay of scale
-    m.nlos_scale on top of the Gaussian estimation noise.
-    """
-    tau = los_delay(uav, user)
-    d = tau * SPEED_OF_LIGHT
-    val = tau + sigma_tau_of_distance(d, m) * rng.standard_normal()
-    if blocked and m.nlos_scale > 0:
-        val += abs(rng.normal(0.0, m.nlos_scale))
-    return max(val, 0.0)
+def sample_toa(uav, users, m: ToaNoiseModel, boxes, rng: RngStream):
+    """Noisy LoS delays of one step's links in seconds, clamped at >= 0: a
+    float for one user (2,), (K,) for users (K, 2). The K Gaussian noise
+    draws come first; then, only if m.nlos_scale > 0, each link the boxes
+    block draws, in user order, a half-normal excess delay of scale
+    m.nlos_scale."""
+    p0, users = _as_array(uav), _as_array(users)
+    diff, d = link_geometry(p0, users.reshape(-1, 2))
+    tau = d / SPEED_OF_LIGHT
+    # sigma at the distance the delay gives back, as samples were always drawn
+    val = tau + sigma_tau_of_distance(tau * SPEED_OF_LIGHT, m) * rng.standard_normal(len(d))
+    if m.nlos_scale > 0:
+        blocked = _crossings(p0, -diff, boxes)
+        val[blocked] += np.abs(rng.normal(0.0, m.nlos_scale, np.count_nonzero(blocked)))
+    val = np.maximum(val, 0.0)
+    return val if users.ndim > 1 else float(val[0])
 
 
 def sparsify(positions, delta: float) -> list[int]:

@@ -110,7 +110,9 @@ def step_contribution(uav, user_ests, noise: ToaNoiseModel) -> np.ndarray:
     uav = np.asarray(uav, dtype=float)
     diff, d = link_geometry(uav[..., None, :], np.reshape(user_ests, (-1, 2)))
     g = diff[..., :2] / (SPEED_OF_LIGHT * d)[..., None]
-    var = np.asarray(sigma_tau_of_distance(d, noise)) ** 2
+    # far estimates overflow sigma or its square: infinite sigma, no information
+    with np.errstate(over="ignore"):
+        var = np.asarray(sigma_tau_of_distance(d, noise)) ** 2
     return g[..., :, None] * g[..., None, :] / var[..., None, None]
 
 

@@ -3,7 +3,8 @@ plan. Also Monte Carlo batches and error metrics.
 
 A mission is fully deterministic given (scenario, seed): measurement noise
 comes from one sequential stream, estimator-side randomness (user position
-initialization) from a second stream derived from the same seed.
+initialization) from a second stream derived from the same seed. A retained
+step measures its K links in one sample_toa (and estimate_toa_nr) call.
 """
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ from statistics import mean, median, stdev
 import numpy as np
 
 from . import slam
-from .channel import RngStream, is_blocked, sample_gps, sample_toa
+from .channel import RngStream, sample_gps, sample_toa
+# Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
+from .channel import is_blocked  # noqa: F401
 from .errors import InvalidParam, NotConverged
 from .fim import accumulate, crb_trace, initial_info, step_contribution
 from .model import MeasurementLog, Scenario, validate_scenario
@@ -105,6 +108,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         raise InvalidParam("solve_every", "must be an integer >= 0")
     n_steps = s.mission_steps
     num_users = len(s.users)
+    users = np.array([u.as_array() for u in s.users])
 
     fixed_path = None
     if not isinstance(mode, str):
@@ -173,13 +177,10 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
             retained.append(n)
             log.step[rows] = n
             log.gps[rows] = gps_trace[n - 1]
-            offset = drift_offset(n, drift)
-            for k, user in enumerate(s.users):
-                blocked = is_blocked(p, user, s.buildings)
-                toa = sample_toa(p, user, s.toa_noise, blocked, rng)
-                if toa_path == "nr":
-                    toa = estimate_toa_nr(toa, nr_cfg, offset)
-                log.toa[rows.start + k] = toa
+            toa = sample_toa(p, users, s.toa_noise, s.buildings, rng)
+            if toa_path == "nr":
+                toa = estimate_toa_nr(toa, nr_cfg, drift_offset(n, drift))
+            log.toa[rows] = toa
             samples = log[:rows.stop]
             if u_est is None:
                 u_est = slam.initial_state(samples, est_rng).users

@@ -92,26 +92,28 @@ def drift_offset(step: int, d: SawtoothDrift) -> float:
     return d.rate * ((step - 1) % d.reset_period)
 
 
-def estimate_toa_nr(true_delay: float, cfg: NrConfig, drift: float, rng=None) -> float:
-    """One-way delay estimate through the two-stage NR procedure: RTT/2.
+def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float, rng=None):
+    """One-way delay estimates through the two-stage NR procedure: RTT/2.
 
-    The round trip (2 * true_delay + drift) is quantized to the nearest
-    timing-advance unit; the signed residual is read at the CIR peak,
-    round(residual * f_s) / f_s. DelayOutOfWindow if the residual leaves half
+    true_delay is a delay in seconds or an array of them. The round trip
+    (2 * true_delay + drift) is quantized to the nearest timing-advance unit,
+    half to even; the signed residual is read at the CIR peak,
+    round(residual * f_s) / f_s. DelayOutOfWindow if a residual leaves half
     the CIR window (cir_len / f_s) either way, which f_s * ta_unit(mu) <
     cir_len rules out (at 256 taps: f_s < 491.52 * 2^mu MHz). `rng` is unused
     and kept for callers that pass one.
     """
-    if true_delay < 0:
-        raise ValueError("true_delay must be >= 0")
+    true_delay = np.asarray(true_delay)
     rtt = 2.0 * true_delay + drift
-    ta = ta_from_rtt(rtt, cfg.mu)
+    if not (true_delay.min() >= 0 and 0 <= rtt.min() <= rtt.max() < np.inf):
+        raise ValueError("true_delay and rtt = 2 * true_delay + drift must be finite and >= 0")
     unit = ta_unit(cfg.mu)
+    ta = np.rint(rtt / unit)
     # |rtt / unit - ta| <= 1/2 exactly, so |peak| <= f_s * unit / 2 in
     # floating point too, and no residual leaves the window below that limit
     peak = (rtt / unit - ta) * unit * cfg.f_s
-    if not (-cfg.cir_len / 2 <= peak < cfg.cir_len / 2):
+    if cfg.f_s * unit >= cfg.cir_len and not (
+            (-cfg.cir_len / 2 <= peak) & (peak < cfg.cir_len / 2)).all():
         raise DelayOutOfWindow(
-            f"residual of {peak:.6g} samples does not fit in half the "
-            f"{cfg.cir_len}-sample CIR window")
-    return (ta * unit + round(peak) / cfg.f_s) / 2.0
+            f"a residual does not fit in half the {cfg.cir_len}-sample CIR window")
+    return (ta * unit + np.rint(peak) / cfg.f_s) / 2.0

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from uavloc.channel import (RngStream, is_blocked, los_delay, sample_gps,
-                            sample_toa, sigma_tau_of_distance, sparsify)
+from uavloc import channel
+from uavloc.channel import (RngStream, is_blocked, link_geometry, los_delay,
+                            sample_gps, sample_toa, sigma_tau_of_distance,
+                            sparsify)
 from uavloc.errors import DegenerateGeometry
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import AxisBox, ToaNoiseModel, Vec2, Vec3
@@ -144,12 +148,118 @@ def test_is_blocked_random_against_oracle():
     assert mismatches <= 2
 
 
+@np.errstate(over="ignore")  # a near-zero link component overflows t to its limit
+def scalar_is_blocked(uav, user, boxes) -> bool:
+    """Reference slab test, one link and one box at a time."""
+    p0 = np.asarray(uav, dtype=float)
+    d = -link_geometry(p0, np.asarray(user, dtype=float))[0]
+    for box in boxes:
+        lo = box.min_corner.as_array()
+        hi = box.max_corner.as_array()
+        t0, t1 = 0.0, 1.0
+        hit = True
+        for i in range(3):
+            if d[i] == 0.0:
+                if not (lo[i] < p0[i] < hi[i]):
+                    hit = False
+                    break
+            else:
+                ta = (lo[i] - p0[i]) / d[i]
+                tb = (hi[i] - p0[i]) / d[i]
+                if ta > tb:
+                    ta, tb = tb, ta
+                t0 = max(t0, ta)
+                t1 = min(t1, tb)
+                if t1 <= t0:
+                    hit = False
+                    break
+        if hit and t1 > t0:
+            return True
+    return False
+
+
+UNIT_BOX = AxisBox(Vec3(0, 0, 0), Vec3(1, 1, 1))
+
+
+@pytest.mark.parametrize("uav, user, expected", [
+    ((0.5, 0.5, 2.0), (0.5, 0.5), True),     # vertical, through the roof
+    ((0.0, 0.5, 2.0), (0.0, 0.5), False),    # vertical, down a face
+    ((0.0, 0.0, 2.0), (0.0, 0.0), False),    # vertical, down an edge
+    ((-1.0, 0.5, 3.0), (2.0, 0.5), False),   # grazes the top edge at x = 1
+    ((-1.0, 1.0, 0.5), (2.0, 1.0), False),   # slides along the y = 1 face
+    ((-1.0, 0.5, 0.5), (2.0, 0.5), True),    # enters through a face
+    ((2.0, 0.5, 0.5), (0.5, 0.5), True),     # ends on the floor, inside
+    ((0.5, 0.5, 1.0), (0.5, 0.5), True),     # starts on the roof
+    ((1.0, 0.5, 0.5), (3.0, 0.5), False),    # starts on a face, leaves
+    ((3.0, 0.5, 1.0), (1.0, 0.5), False),    # ends on an edge of the floor
+])
+def test_is_blocked_boundary_cases(uav, user, expected):
+    assert is_blocked(uav, user, [UNIT_BOX]) is expected
+    assert scalar_is_blocked(uav, user, [UNIT_BOX]) is expected
+
+
+# small integers make faces, edges and axis-parallel links common
+coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.5, 3.5))
+
+
+@st.composite
+def boxes(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = [], []
+        for _ in range(3):
+            a = draw(coord)
+            b = draw(coord.filter(lambda v: v != a))
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+        out.append(AxisBox(Vec3(*lo), Vec3(*hi)))
+    return out
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(uav=st.tuples(coord, coord, coord), users=st.lists(st.tuples(coord, coord),
+       min_size=1, max_size=5), bx=boxes())
+# along a face; along the floor (a slab boundary); down a face and an edge
+@example(uav=(0.0, 0.0, 1.0), users=[(2.0, 0.0)], bx=[UNIT_BOX])
+@example(uav=(0.5, 0.5, 0.0), users=[(2.0, 0.5), (0.5, 3.0)], bx=[UNIT_BOX])
+@example(uav=(1.0, 0.0, 2.0), users=[(1.0, 0.0), (1.0, 1.0)], bx=[UNIT_BOX])
+def test_is_blocked_equals_scalar_slab_loop(uav, users, bx):
+    users = np.array(users)
+    try:
+        want = [scalar_is_blocked(uav, user, bx) for user in users]
+    except DegenerateGeometry:  # a link of zero length, or one that squares to 0
+        with pytest.raises(DegenerateGeometry):
+            is_blocked(uav, users, bx)
+        return
+    got = is_blocked(uav, users, bx)
+    assert got.shape == (len(users),)
+    for k, user in enumerate(users):
+        single = is_blocked(uav, user, bx)
+        assert type(single) is bool
+        assert got[k] == single == want[k]
+
+
+def test_is_blocked_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(9)
+    users = rng.uniform(-3, 3, (4, 5, 2))
+    box = AxisBox(Vec3(-1, -1, 0), Vec3(1, 1, 2))
+    got = is_blocked((0.0, 0.0, 3.0), users, [box])
+    assert got.shape == (4, 5)
+    assert got.tolist() == [[scalar_is_blocked((0.0, 0.0, 3.0), u, [box]) for u in row]
+                            for row in users]
+
+
+def test_is_blocked_degenerate_link():
+    with pytest.raises(DegenerateGeometry):
+        is_blocked(Vec3(1, 2, 0), [[5.0, 5.0], [1.0, 2.0]], [])
+
+
 # --- sample_toa ---
 
 def test_toa_noiseless_limit():
     m = ToaNoiseModel(kind="constant", sigma0=0.0)  # limit case, bypasses validation
     rng = RngStream(3)
-    assert sample_toa(Vec3(0, 0, 30), Vec2(0, 40), m, False, rng) == los_delay(
+    assert sample_toa(Vec3(0, 0, 30), Vec2(0, 40), m, [], rng) == los_delay(
         Vec3(0, 0, 30), Vec2(0, 40))
 
 
@@ -157,8 +267,7 @@ def test_toa_noise_std_monte_carlo():
     m = ToaNoiseModel(kind="constant", sigma0=1e-8)
     rng = RngStream(11)
     tau0 = los_delay(Vec3(0, 0, 30), Vec2(0, 40))
-    draws = np.array([sample_toa(Vec3(0, 0, 30), Vec2(0, 40), m, False, rng)
-                      for _ in range(100_000)])
+    draws = sample_toa(Vec3(0, 0, 30), np.tile([0.0, 40.0], (100_000, 1)), m, [], rng)
     assert draws.std() == pytest.approx(1e-8, rel=0.02)
     assert draws.mean() == pytest.approx(tau0, abs=3e-10)
 
@@ -167,19 +276,61 @@ def test_toa_nlos_bias_mean():
     # half-normal mean = scale * sqrt(2/pi); pick scale so the mean is 5e-8
     scale = 5e-8 / math.sqrt(2 / math.pi)
     m = ToaNoiseModel(kind="constant", sigma0=1e-10, nlos_scale=scale)
+    box = AxisBox(Vec3(-5, 15, 0), Vec3(5, 25, 50))  # blocks the link
+    assert is_blocked(Vec3(0, 0, 30), Vec2(0, 40), [box])
     rng = RngStream(12)
     tau0 = los_delay(Vec3(0, 0, 30), Vec2(0, 40))
-    draws = np.array([sample_toa(Vec3(0, 0, 30), Vec2(0, 40), m, True, rng)
-                      for _ in range(100_000)])
+    draws = sample_toa(Vec3(0, 0, 30), np.tile([0.0, 40.0], (100_000, 1)), m, [box], rng)
     assert draws.mean() - tau0 == pytest.approx(5e-8, rel=0.02)
 
 
 def test_toa_never_negative():
     m = ToaNoiseModel(kind="constant", sigma0=1e-3)  # absurd noise forces clamping
     rng = RngStream(13)
-    draws = [sample_toa(Vec3(0, 0, 30), Vec2(0, 40), m, False, rng) for _ in range(1000)]
+    draws = [sample_toa(Vec3(0, 0, 30), Vec2(0, 40), m, [], rng) for _ in range(1000)]
     assert min(draws) == 0.0
     assert all(d >= 0 for d in draws)
+
+
+STEP_USERS = np.array([[10.0, -5.0], [-20.0, 15.0], [30.0, 2.0], [0.5, 0.5], [-8.0, -30.0]])
+WALL = AxisBox(Vec3(5, -10, 0), Vec3(8, 10, 40))  # blocks the links to users 1 and 3
+
+
+@pytest.mark.parametrize("m, boxes", [
+    (ToaNoiseModel(kind="constant", sigma0=1e-8), []),
+    (ToaNoiseModel(kind="constant", sigma0=1e-8), [WALL]),  # blocked, no NLoS excess
+    (ToaNoiseModel(kind="constant", sigma0=1e-8, nlos_scale=3e-8), []),
+    (ToaNoiseModel(kind="exponential", sigma0=5e-9, amp=2e-9, scale=40.0), [WALL]),
+])
+def test_sample_toa_step_equals_single_user_calls(m, boxes):
+    uav = np.array([0.0, 0.0, 30.0])
+    assert is_blocked(uav, STEP_USERS, [WALL]).tolist() == [True, False, True, False, False]
+    rng_a, rng_b = RngStream(21), RngStream(21)
+    for _ in range(3):
+        step = sample_toa(uav, STEP_USERS, m, boxes, rng_a)
+        singles = [sample_toa(uav, u, m, boxes, rng_b) for u in STEP_USERS]
+        assert all(type(v) is float for v in singles)
+        np.testing.assert_array_equal(step, singles)
+
+
+def test_sample_toa_draws_excess_delays_after_the_gaussian_draws():
+    m = ToaNoiseModel(kind="constant", sigma0=1e-8, nlos_scale=3e-8)
+    uav = np.array([0.0, 0.0, 30.0])
+    step = sample_toa(uav, STEP_USERS, m, [WALL], RngStream(22))
+    rng = RngStream(22)
+    want = (np.linalg.norm(uav - np.c_[STEP_USERS, np.zeros(5)], axis=1) / C
+            + 1e-8 * rng.standard_normal(5))
+    want[[0, 2]] += np.abs(rng.normal(0.0, 3e-8, 2))
+    np.testing.assert_array_equal(step, np.maximum(want, 0.0))
+
+
+def test_sample_toa_runs_no_slab_test_without_nlos(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("slab test run with nlos_scale == 0")
+    monkeypatch.setattr(channel, "is_blocked", refuse)
+    monkeypatch.setattr(channel, "_crossings", refuse)
+    m = ToaNoiseModel(kind="constant", sigma0=1e-8)
+    assert sample_toa(Vec3(0, 0, 30), STEP_USERS, m, [WALL], RngStream(23)).shape == (5,)
 
 
 # --- sparsify ---

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -542,6 +543,42 @@ def test_cli_exit_code_2_on_bad_input(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "missing.yaml"),
                  "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+README_FAR_NOISE = """\
+users:
+  - [10.0, -5.0]
+  - [-20.0, 15.0]
+uav_start: [0.0, 0.0, 30.0]
+uav_terminal: [40.0, 0.0, 30.0]
+mission_steps: 25
+d_max: 5.0
+delta_keep: 2.0
+sigma_gps: 1.0
+toa_noise: {kind: exponential, sigma0: 1.0e-8, amp: 1.0e-9, scale: SCALE}
+seed: 7
+solver:
+  solve_every: 5
+"""
+
+
+# sigma at the estimated users, far beyond the mission's reach, overflowed exp
+# (scale 2.0, seed 7) or its square (scale 5.0, seed 2) in the Fisher update
+@pytest.mark.parametrize("scale, seed", [("2.0", "7"), ("5.0", "2")])
+@pytest.mark.parametrize("mode, toa", [("greedy", "ideal"), ("fixed", "nr")])
+def test_cli_simulate_far_estimates_raise_no_float_warning(tmp_path, capsys, scale, seed,
+                                                           mode, toa):
+    path = tmp_path / "far.yaml"
+    path.write_text(README_FAR_NOISE.replace("SCALE", scale))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["simulate", "--scenario", str(path), "--out", str(out),
+                   "--mode", mode, "--toa", toa, "--seed", seed])
+    capsys.readouterr()
+    assert rc == 0
+    crb = np.loadtxt(out / "crb_history.csv", delimiter=",", skiprows=1)
+    assert crb.shape == (25, 2) and np.isfinite(crb).all()
 
 
 # every value here crashed `simulate` with a traceback, was accepted without

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uavloc import nrtiming, slam
+from uavloc import mission, nrtiming, slam
 from uavloc.channel import sparsify
 from uavloc.errors import InvalidParam
 from uavloc.mission import (circle_path, compute_metrics, monte_carlo,
@@ -87,6 +87,22 @@ def test_nr_mission_synthesizes_no_cir(monkeypatch):
     monkeypatch.setattr(nrtiming, "srs_refine", refuse)
     res = run_mission(circle_scenario(n_steps=12), "greedy", toa_path="nr")
     assert len(res.samples) == 12
+
+
+def test_nr_mission_measures_a_step_in_one_call(monkeypatch):
+    calls = {"sample_toa": [], "estimate_toa_nr": []}
+    for name in calls:
+        fn = getattr(mission, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            calls[_name].append(np.shape(out))
+            return out
+        monkeypatch.setattr(mission, name, counted)
+    s = circle_scenario(n_steps=12, delta=15.0, users=((0.0, 0.0), (5.0, -5.0), (-9.0, 3.0)))
+    res = run_mission(s, "greedy", toa_path="nr")
+    assert 1 < len(res.retained_steps) < 12
+    assert calls["sample_toa"] == calls["estimate_toa_nr"] == [(3,)] * len(res.retained_steps)
 
 
 @pytest.mark.parametrize("mu, f_s", [(0, 491.52e6), (0, 1e9), (5, 491.52e6 * 32)])

@@ -224,3 +224,46 @@ def test_estimate_refuses_residual_outside_window():
     cfg = NrConfig(mu=0, f_s=1e9)  # 520.8 samples per TA unit > 256
     with pytest.raises(DelayOutOfWindow):
         estimate_toa_nr(0.2e-6 / 2, cfg, 0.0)
+
+
+def scalar_estimate(true_delay, cfg, drift):
+    """The one-delay form estimate_toa_nr replaced: Python round, half to even."""
+    unit = ta_unit(cfg.mu)
+    rtt = 2.0 * true_delay + drift
+    ta = ta_from_rtt(rtt, cfg.mu)
+    return (ta * unit + round((rtt / unit - ta) * unit * cfg.f_s) / cfg.f_s) / 2.0
+
+
+@pytest.mark.parametrize("mu", [0, 1, 3])
+def test_estimate_over_an_array_equals_the_scalar_form(mu):
+    cfg = NrConfig(mu=mu, f_s=F_S)
+    unit = ta_unit(mu)
+    delays = np.random.default_rng(mu).uniform(0.0, 2e-6, 500)
+    # round trips that land on a half unit, where rounding goes to even
+    halves = (np.arange(40) + 0.5) * unit / 2
+    halves = halves[2.0 * halves / unit % 1 == 0.5]
+    assert len(halves) > 30
+    delays = np.concatenate([delays, halves, [0.0]])
+    for drift in (0.0, 37e-9):
+        got = estimate_toa_nr(delays, cfg, drift)
+        assert got.shape == delays.shape
+        np.testing.assert_array_equal(got, [scalar_estimate(float(t), cfg, drift)
+                                            for t in delays])
+
+
+def test_estimate_of_a_scalar_is_a_scalar():
+    est = estimate_toa_nr(166.782e-9, NrConfig(mu=1, f_s=F_S), 0.0)
+    assert np.ndim(est) == 0 and isinstance(est, float)
+
+
+@pytest.mark.parametrize("delays, drift", [
+    ([1e-7, -1e-9], 0.0), ([1e-7, 1e-9], -1e-8), ([1e-7, np.nan], 0.0),
+    ([np.inf, 1e-7], 0.0), ([1e-7, 1e-9], np.nan), (np.nan, 0.0), (np.inf, 0.0)])
+def test_estimate_refuses_bad_delays(delays, drift):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        estimate_toa_nr(np.array(delays), NrConfig(mu=1, f_s=F_S), drift)
+
+
+def test_estimate_refuses_residual_outside_window_in_an_array():
+    with pytest.raises(DelayOutOfWindow):
+        estimate_toa_nr(np.array([0.0, 0.2e-6 / 2]), NrConfig(mu=0, f_s=1e9), 0.0)
