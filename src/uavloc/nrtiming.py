@@ -53,12 +53,13 @@ def coarse_rtt(ta: int, mu: int) -> float:
     return ta * ta_unit(mu)
 
 
-def ta_from_rtt(rtt: float, mu: int) -> int:
-    """Nearest timing-advance value for a given RTT (simulation-side inverse)."""
+def ta_from_rtt(rtt, mu: int):
+    """Nearest timing-advance value, half to even: an int, or floats for an RTT array."""
     _check_mu(mu)
-    if rtt < 0:
+    if (np.asarray(rtt) < 0).any():
         raise ValueError("rtt must be >= 0")
-    return int(round(rtt / ta_unit(mu)))
+    ta = np.rint(rtt / ta_unit(mu))
+    return ta if np.ndim(ta) else int(ta)
 
 
 def synth_cir(residual_delay: float, cfg: NrConfig, rng) -> np.ndarray:
@@ -108,7 +109,7 @@ def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float, rng=None):
     if not (true_delay.min() >= 0 and 0 <= rtt.min() <= rtt.max() < np.inf):
         raise ValueError("true_delay and rtt = 2 * true_delay + drift must be finite and >= 0")
     unit = ta_unit(cfg.mu)
-    ta = np.rint(rtt / unit)
+    ta = ta_from_rtt(rtt, cfg.mu)
     # |rtt / unit - ta| <= 1/2 exactly, so |peak| <= f_s * unit / 2 in
     # floating point too, and no residual leaves the window below that limit
     peak = (rtt / unit - ta) * unit * cfg.f_s

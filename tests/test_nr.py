@@ -69,6 +69,22 @@ def test_ta_roundtrip_within_half_unit():
             assert abs(back - rtt) <= unit / 2 * (1 + 1e-12)
 
 
+def test_ta_from_rtt_over_an_array_equals_python_round():
+    for mu in (0, 3):
+        unit = ta_unit(mu)
+        # exact half units, where rounding goes to even, and random round trips
+        rtts = np.concatenate([(np.arange(20) + 0.5) * unit,
+                               np.random.default_rng(mu).uniform(0, 5e-6, 50)])
+        assert ((rtts[:20] / unit) % 1 == 0.5).all()
+        got = ta_from_rtt(rtts, mu)
+        np.testing.assert_array_equal(got, [round(r / unit) for r in rtts])
+        np.testing.assert_array_equal(got, [ta_from_rtt(float(r), mu) for r in rtts])
+    assert isinstance(ta_from_rtt(2.5 * ta_unit(1), 1), int)
+    assert ta_from_rtt(2.5 * ta_unit(1), 1) == 2
+    with pytest.raises(ValueError):
+        ta_from_rtt(np.array([1e-7, -1e-9]), 1)
+
+
 # --- synth_cir / srs_refine ---
 
 def test_cir_peak_at_zero():
@@ -241,7 +257,7 @@ def scalar_estimate(true_delay, cfg, drift):
     """The one-delay form estimate_toa_nr replaced: Python round, half to even."""
     unit = ta_unit(cfg.mu)
     rtt = 2.0 * true_delay + drift
-    ta = ta_from_rtt(rtt, cfg.mu)
+    ta = round(rtt / unit)
     return (ta * unit + round((rtt / unit - ta) * unit * cfg.f_s) / cfg.f_s) / 2.0
 
 
