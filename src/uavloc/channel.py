@@ -1,37 +1,25 @@
 """Synthetic GPS and ToA measurement generation.
 
-Covers the LoS delay model, Gaussian GPS noise, the distance-dependent
-delay-noise model, segment/box blockage tests, and the delta-distance
-sparsification rule. All randomness flows through RngStream so a fixed seed
-reproduces the full measurement sequence bit-identically.
+Covers the LoS delay model, Gaussian GPS noise, the ToA draws (their sigma
+from model.sigma_tau_of_distance), segment/box blockage tests, and the
+delta-distance sparsification rule. Every draw is made on the numpy Generator passed as
+`rng`; RngStream(seed) is numpy's PCG64 Generator, so a fixed seed reproduces
+the full measurement sequence bit-identically.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .model import SPEED_OF_LIGHT, ToaNoiseModel, Vec2, Vec3
+from .model import SPEED_OF_LIGHT, ToaNoiseModel, Vec2, Vec3, sigma_tau_of_distance
 
 
-class RngStream:
-    """Deterministic PCG64-backed random stream.
-
-    Gaussian draws use numpy's Generator (ziggurat standard normal); the
-    algorithm is fixed by pinning PCG64, so the same seed always yields the
-    same sequence.
-    """
+class RngStream(np.random.Generator):
+    """numpy's Generator on PCG64 seeded with `seed` (an int or a
+    SeedSequence): pinning the bit generator fixes the draws of a seed."""
 
     def __init__(self, seed):
-        self.generator = np.random.Generator(np.random.PCG64(seed))
-
-    def standard_normal(self, size=None):
-        return self.generator.standard_normal(size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.generator.normal(loc, scale, size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.generator.uniform(low, high, size)
+        super().__init__(np.random.PCG64(seed))
 
 
 def _as_array(p) -> np.ndarray:
@@ -59,16 +47,9 @@ def los_delay(uav, user) -> float:
     return float(link_geometry(_as_array(uav), _as_array(user))[1]) / SPEED_OF_LIGHT
 
 
-def sample_gps(true_pos, sigma_gps: float, rng: RngStream) -> np.ndarray:
+def sample_gps(true_pos, sigma_gps: float, rng: np.random.Generator) -> np.ndarray:
     """GPS fix: true position plus N(0, sigma_gps^2 I3) noise."""
     return _as_array(true_pos) + sigma_gps * rng.standard_normal(3)
-
-
-def sigma_tau_of_distance(d: float, m: ToaNoiseModel) -> float:
-    """Delay-noise std at link distance d (meters); d may be an array."""
-    if m.kind == "exponential":
-        return m.sigma0 + m.amp * np.exp(d / m.scale)
-    return m.sigma0
 
 
 def _crossings(p0, seg, boxes) -> np.ndarray:
@@ -96,7 +77,7 @@ def is_blocked(uav, users, boxes):
     return blocked if blocked.ndim else bool(blocked)
 
 
-def sample_toa(uav, users, m: ToaNoiseModel, boxes, rng: RngStream):
+def sample_toa(uav, users, m: ToaNoiseModel, boxes, rng: np.random.Generator):
     """Noisy LoS delays of one step's links in seconds, clamped at >= 0: a
     float for one user (2,), (K,) for users (K, 2). The K Gaussian noise
     draws come first; then, only if m.nlos_scale > 0, each link the boxes

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import link_geometry, sigma_tau_of_distance
+from .channel import link_geometry
 from .errors import SingularFim
-from .model import SPEED_OF_LIGHT, ToaNoiseModel
+from .model import SPEED_OF_LIGHT, ToaNoiseModel, sigma_tau_of_distance
 
 # A block is rank-deficient when the second pivot s of its LDL^T factorization
 # is within this share of d (s / d = det / ad). Rounding leaves a few machine

@@ -2,12 +2,14 @@
 plan. Also Monte Carlo batches and error metrics.
 
 A mission is fully deterministic given (scenario, seed): measurement noise
-comes from one sequential stream, estimator-side randomness (user position
-initialization) from a second stream derived from the same seed. A retained
-step measures its K links in one sample_toa (and estimate_toa_nr) call.
+comes from one numpy PCG64 Generator seeded with seed, the user-position
+initialization of the solver from a second one seeded by a SeedSequence
+spawned from the same seed. A retained step measures its K links in one
+sample_toa (and, on the NR path, one estimate_toa_nr) call.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from statistics import mean, median, stdev
@@ -76,8 +78,8 @@ def compute_metrics(scenario: Scenario, planned, gps, retained_steps,
                    uav_rmse_est=uav_rmse_est, uav_rmse_gps=uav_rmse_gps)
 
 
-def _estimator_rng(seed) -> RngStream:
-    return RngStream(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+def _is_int(value, low) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
@@ -91,6 +93,8 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     "nr" (quantized through the NR timing-advance + SRS procedure).
     solve_every: re-solve SLAM every m retained steps; 0 means only at the
     end of the mission. seed: an integer >= 0, scenario.seed if None.
+    A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
+    every hop within d_max.
     The NR path refuses a sample rate at which a timing-advance residual can
     overflow the CIR window: sample_rate * ta_unit(numerology) >= cir_len.
     """
@@ -103,9 +107,12 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         raise InvalidParam("sample_rate", f"must be below {nr_cfg.cir_len / unit:.6g} Hz for "
                            f"NR ToA at numerology {s.numerology}, or a timing-advance residual "
                            f"can overflow the {nr_cfg.cir_len}-sample CIR window")
-    if isinstance(solve_every, bool) or not isinstance(solve_every, numbers.Integral) \
-            or solve_every < 0:
+    if not _is_int(solve_every, 0):
         raise InvalidParam("solve_every", "must be an integer >= 0")
+    if not (isinstance(eps_prior, numbers.Real) and 0 <= eps_prior < math.inf):
+        raise InvalidParam("eps_prior", "must be finite and >= 0")
+    if not _is_int(planner_headings, 1):
+        raise InvalidParam("planner_headings", "must be an integer >= 1")
     n_steps = s.mission_steps
     num_users = len(s.users)
     users = np.array([u.as_array() for u in s.users])
@@ -115,6 +122,10 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         fixed_path = np.asarray(mode, dtype=float)
         if fixed_path.shape != (n_steps, 3):
             raise InvalidParam("mode", f"fixed path must have shape ({n_steps}, 3)")
+        if not np.isfinite(fixed_path).all():
+            raise InvalidParam("mode", "fixed path must be finite")
+        if np.linalg.norm(fixed_path[0] - s.uav_start.as_array()) > 1e-9:
+            raise InvalidParam("mode", "fixed path must start at uav_start")
         hops = np.linalg.norm(np.diff(fixed_path, axis=0), axis=1)
         if np.any(hops > s.d_max * (1 + 1e-12)):
             raise InvalidParam("mode", "fixed path violates the d_max step constraint")
@@ -123,10 +134,11 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
 
     if seed is None:
         seed = s.seed
-    elif isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    elif not _is_int(seed, 0):
         raise InvalidParam("seed", "must be an integer >= 0")
     rng = RngStream(seed)
-    est_rng = _estimator_rng(seed)
+    # the estimator's stream: a child of seed, so measurement draws never shift it
+    est_rng = RngStream(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
     cfg = slam_cfg or slam.SlamConfig.for_scenario(s)
     drift = SawtoothDrift(rate=s.toa_noise.drift_rate,

@@ -67,6 +67,13 @@ class ToaNoiseModel:
     nlos_scale: float = 0.0
 
 
+def sigma_tau_of_distance(d: float, m: ToaNoiseModel) -> float:
+    """Delay-noise std at link distance d (meters); d may be an array."""
+    if m.kind == "exponential":
+        return m.sigma0 + m.amp * np.exp(d / m.scale)
+    return m.sigma0
+
+
 @dataclass(frozen=True)
 class MeasurementSample:
     """One measurement tuple: GPS-reported UAV position plus the estimated
@@ -217,11 +224,10 @@ def validate_scenario(s: Scenario) -> Scenario:
         # no UAV position of the mission is farther from a user than this
         reach = budget + max(math.dist(s.uav_start.as_array(), (u.x, u.y, 0.0))
                              for u in s.users)
-        try:
-            sigma = m.sigma0 + m.amp * math.exp(reach / m.scale)
-        except OverflowError:
-            sigma = math.inf
-        if not math.isfinite(sigma * sigma):  # the variance, as the solver and FIM use it
+        # an overflowed exp gives inf, or NaN where amp is 0; both are refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            variance = sigma_tau_of_distance(reach, m) ** 2  # as the solver and FIM use it
+        if not math.isfinite(variance):
             raise InvalidParam("toa_noise", f"(sigma0 + amp*exp(d/scale))^2 is not finite at "
                                f"d = {reach:.6g} m, the farthest link the mission allows")
     return s

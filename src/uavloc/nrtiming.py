@@ -4,7 +4,7 @@ Coarse RTT from the timing-advance command, SRS-based refinement at the CIR
 magnitude argmax, RTT composition, and the sawtooth clock-drift ramp. Only
 the arithmetic of the signaling procedure is modeled. `synth_cir` and
 `srs_refine` are the documented CIR model; `estimate_toa_nr` reads its argmax,
-always the planted tap, in closed form.
+always the planted tap, in closed form, so it draws no CIR and takes no rng.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def ta_from_rtt(rtt, mu: int):
     return ta if np.ndim(ta) else int(ta)
 
 
-def synth_cir(residual_delay: float, cfg: NrConfig, rng) -> np.ndarray:
+def synth_cir(residual_delay: float, cfg: NrConfig, rng: np.random.Generator) -> np.ndarray:
     """Synthesize a CIR magnitude sequence with a single dominant tap.
 
     The peak sits at index round(residual_delay * f_s); the noise floor is
@@ -93,7 +93,7 @@ def drift_offset(step: int, d: SawtoothDrift) -> float:
     return d.rate * ((step - 1) % d.reset_period)
 
 
-def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float, rng=None):
+def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float):
     """One-way delay estimates through the two-stage NR procedure: RTT/2.
 
     true_delay is a delay in seconds or an array of them. The round trip
@@ -101,8 +101,7 @@ def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float, rng=None):
     half to even; the signed residual is read at the CIR peak,
     round(residual * f_s) / f_s. DelayOutOfWindow if a residual leaves half
     the CIR window (cir_len / f_s) either way, which f_s * ta_unit(mu) <
-    cir_len rules out (at 256 taps: f_s < 491.52 * 2^mu MHz). `rng` is unused
-    and kept for callers that pass one.
+    cir_len rules out (at 256 taps: f_s < 491.52 * 2^mu MHz).
     """
     true_delay = np.asarray(true_delay)
     rtt = 2.0 * true_delay + drift

@@ -35,9 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .channel import link_geometry, sigma_tau_of_distance
+from .channel import link_geometry
 from .errors import InvalidParam, NotConverged, SingularSystem
-from .model import SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel
+from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel,
+                    sigma_tau_of_distance)
 
 logger = logging.getLogger(__name__)
 
@@ -385,7 +386,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
     return state, report
 
 
-def initial_state(measurements, rng) -> StateVector:
+def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     """Default initialization: UAV poses from GPS, users uniform over the
     GPS-trace horizontal bounding box expanded by INIT_MARGIN meters."""
     log = _nonempty_log(measurements)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from uavloc.channel import RngStream, los_delay
+from uavloc.channel import los_delay
 from uavloc.cli import main
 from uavloc.fim import (accumulate, crb_trace, improvement_matrix,
                         initial_info, inverse_with_prior, step_contribution,
@@ -182,14 +182,13 @@ def test_criterion_06_estimator_efficiency():
 
 def test_criterion_07_nr_quantization_bound():
     f_s = 61.44e6
-    rng = RngStream(300)
     worst = 0.0
     for mu in (0, 1):
         cfg = NrConfig(mu=mu, f_s=f_s)
         grid = np.concatenate([np.linspace(0.0, 2e-6, 4001),
                                np.random.default_rng(301).uniform(0, 2e-6, 1000)])
         for t in grid:
-            err = abs(estimate_toa_nr(float(t), cfg, 0.0, rng) - t)
+            err = abs(estimate_toa_nr(float(t), cfg, 0.0) - t)
             worst = max(worst, err)
     bound = 1 / (2 * f_s)
     assert worst <= bound
@@ -202,8 +201,7 @@ def test_criterion_08_sawtooth_consistency():
     rate, period = 1e-8, 10
     drift = SawtoothDrift(rate=rate, reset_period=period)
     tau = 200.0 / C  # static 200 m round-trip-free link
-    rng = RngStream(302)
-    errors = [estimate_toa_nr(tau, cfg, drift_offset(n, drift), rng) - tau
+    errors = [estimate_toa_nr(tau, cfg, drift_offset(n, drift)) - tau
               for n in range(1, 4 * period + 1)]
     # exact periodicity: the drift pattern repeats and quantization is
     # deterministic in the true delay

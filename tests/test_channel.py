@@ -11,7 +11,8 @@ from uavloc.channel import (RngStream, is_blocked, link_geometry, los_delay,
                             sparsify)
 from uavloc.errors import DegenerateGeometry
 from uavloc.model import SPEED_OF_LIGHT as C
-from uavloc.model import AxisBox, ToaNoiseModel, Vec2, Vec3
+from uavloc.model import AxisBox, MeasurementLog, ToaNoiseModel, Vec2, Vec3
+from uavloc.slam import initial_state
 
 
 # --- los_delay ---
@@ -331,6 +332,31 @@ def test_sample_toa_runs_no_slab_test_without_nlos(monkeypatch):
     monkeypatch.setattr(channel, "_crossings", refuse)
     m = ToaNoiseModel(kind="constant", sigma0=1e-8)
     assert sample_toa(Vec3(0, 0, 30), STEP_USERS, m, [WALL], RngStream(23)).shape == (5,)
+
+
+# --- RngStream ---
+
+@pytest.mark.parametrize("seed", [0, 7, np.random.SeedSequence(entropy=7, spawn_key=(1,))])
+def test_rng_stream_is_numpys_pcg64_generator(seed):
+    def pcg64():
+        return np.random.Generator(np.random.PCG64(seed))
+    rng, ref = RngStream(seed), pcg64()
+    assert isinstance(rng, np.random.Generator)
+    np.testing.assert_array_equal(rng.standard_normal(50), ref.standard_normal(50))
+    np.testing.assert_array_equal(rng.normal(1.0, 2.0, 50), ref.normal(1.0, 2.0, 50))
+    np.testing.assert_array_equal(rng.uniform(-3.0, 5.0, 50), ref.uniform(-3.0, 5.0, 50))
+
+    m = ToaNoiseModel(kind="constant", sigma0=1e-8, nlos_scale=3e-8)
+    log = MeasurementLog(step=np.array([1, 1, 2, 2]), user_id=np.array([1, 2, 1, 2]),
+                         gps=np.array([[0.0, 0, 30], [0, 0, 30], [5, 1, 30], [5, 1, 30]]),
+                         toa=np.full(4, 1e-7))
+
+    def draws(rng):
+        return (sample_gps(Vec3(5, 5, 5), 2.0, rng),
+                sample_toa(Vec3(0, 0, 30), STEP_USERS, m, [WALL], rng),  # two links blocked
+                initial_state(log, rng).users)
+    for got, want in zip(draws(RngStream(seed)), draws(pcg64())):
+        np.testing.assert_array_equal(got, want)
 
 
 # --- sparsify ---

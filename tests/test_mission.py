@@ -45,6 +45,16 @@ def test_fixed_path_validation():
         run_mission(s, np.zeros((7, 3)))
     with pytest.raises(InvalidParam):
         run_mission(s, "not-a-mode")
+    hover = np.tile(s.uav_start.as_array(), (10, 1))
+    elsewhere = hover - [50.0, 0.0, 0.0]  # its own hops are 0, but the first is 50 m
+    with pytest.raises(InvalidParam, match="start at uav_start"):
+        run_mission(s, elsewhere)
+    gap = hover.copy()
+    gap[4] = np.nan
+    with pytest.raises(InvalidParam, match="finite"):
+        run_mission(s, gap)
+    hover[0, 0] += 5e-10  # within 1e-9 m of uav_start
+    assert run_mission(s, hover).planned[0].tolist() == s.uav_start.as_array().tolist()
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
@@ -59,6 +69,16 @@ def test_run_mission_refuses_bad_solve_every(solve_every):
     with pytest.raises(InvalidParam) as exc:
         run_mission(circle_scenario(n_steps=10), "greedy", solve_every=solve_every)
     assert exc.value.field == "solve_every"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps_prior", -1.0), ("eps_prior", float("nan")), ("eps_prior", float("inf")),
+    ("planner_headings", -3), ("planner_headings", 0), ("planner_headings", 2.5),
+])
+def test_run_mission_refuses_bad_option(field, value):
+    with pytest.raises(InvalidParam) as exc:
+        run_mission(circle_scenario(n_steps=10), "greedy", **{field: value})
+    assert exc.value.field == field
 
 
 @pytest.mark.parametrize("solve_every", [0, 1, 3, 7])

@@ -161,40 +161,37 @@ def test_drift_periodic_nonnegative():
 
 def test_estimate_zero_delay():
     cfg = NrConfig(mu=1, f_s=F_S)
-    assert estimate_toa_nr(0.0, cfg, 0.0, RngStream(0)) == 0.0
+    assert estimate_toa_nr(0.0, cfg, 0.0) == 0.0
 
 
 def test_estimate_50m_quantization_bound():
     cfg = NrConfig(mu=1, f_s=F_S)
     true = 166.782e-9
-    est = estimate_toa_nr(true, cfg, 0.0, RngStream(4))
+    est = estimate_toa_nr(true, cfg, 0.0)
     assert abs(est - true) <= (1 / F_S) / 4 + 1e-15  # = 4.07 ns
 
 
 def test_estimate_drift_shift():
     cfg = NrConfig(mu=1, f_s=F_S)
-    rng = RngStream(9)
     true = 300e-9
-    base = estimate_toa_nr(true, cfg, 0.0, rng)
-    shifted = estimate_toa_nr(true, cfg, 100e-9, rng)
+    base = estimate_toa_nr(true, cfg, 0.0)
+    shifted = estimate_toa_nr(true, cfg, 100e-9)
     assert shifted - base == pytest.approx(50e-9, abs=(1 / F_S) / 2)
 
 
 def test_quantization_bound_dense_grid():
-    rng = RngStream(77)
     for mu in (0, 1):
         cfg = NrConfig(mu=mu, f_s=F_S)
         grid = np.linspace(0.0, 2e-6, 2000)
-        errs = [abs(estimate_toa_nr(t, cfg, 0.0, rng) - t) for t in grid]
+        errs = [abs(estimate_toa_nr(t, cfg, 0.0) - t) for t in grid]
         assert max(errs) <= 1 / (2 * F_S)
 
 
 def test_estimate_with_drift_matches_plus_half_drift():
-    rng = RngStream(8)
     cfg = NrConfig(mu=1, f_s=F_S)
     for true in np.linspace(10e-9, 1.5e-6, 60):
         for drift in (0.0, 40e-9, 130e-9):
-            est = estimate_toa_nr(true, cfg, drift, rng)
+            est = estimate_toa_nr(true, cfg, drift)
             assert est == pytest.approx(true + drift / 2, abs=1 / (2 * F_S))
 
 
