@@ -73,7 +73,10 @@ def _cmd_solve(args) -> int:
         raise SchemaError("measurement log contains no rows")
     rng = RngStream(args.seed if args.seed is not None else rc.scenario.seed)
     init = slam.initial_state(samples, rng)
+    slam.check_identifiability(samples)
     state, report = slam.solve_slam(init, samples, rc.slam)
+    if not report.converged:
+        raise NotConverged("no stopping test met", report=report)
     payload = {
         "converged": report.converged,
         "iterations": report.iterations,
@@ -253,7 +256,7 @@ def main(argv=None) -> int:
         return 2
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        if isinstance(exc, NotConverged) and exc.report is not None:
+        if isinstance(exc, NotConverged):
             print(f"iterations: {exc.report.iterations}, trials: {exc.report.trials}, "
                   f"last step norm: {exc.report.final_step_norm:.3e}", file=sys.stderr)
         return 3

@@ -73,11 +73,12 @@ class SingularFim(UavLocError):
 
 
 class NotConverged(UavLocError):
-    """Solver met no stopping test before its iteration budget or its damping
-    ran out; carries the best state found."""
+    """A solve met no stopping test before its iteration budget or its
+    damping ran out, where the caller treats that as a failure (`uavloc
+    solve`); carries the solve's report. slam.solve_slam itself reports it
+    as report.converged False and does not raise."""
 
-    def __init__(self, message, state=None, report=None):
-        self.state = state
+    def __init__(self, message, report):
         self.report = report
         super().__init__(message)
 

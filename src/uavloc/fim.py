@@ -42,10 +42,6 @@ class InfoState:
     fim: np.ndarray          # (2K, 2K), block-diagonal in 2x2 user blocks
     eps_prior: float = 1e-6  # m^-2 diagonal prior regularizer
 
-    @property
-    def num_users(self) -> int:
-        return self.fim.shape[0] // 2
-
 
 def initial_info(num_users: int, eps_prior: float = 1e-6) -> InfoState:
     return InfoState(step=0, fim=np.zeros((2 * num_users, 2 * num_users)),

@@ -20,7 +20,7 @@ from . import slam
 from .channel import RngStream, sample_gps, sample_toa
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .channel import is_blocked  # noqa: F401
-from .errors import InvalidParam, NotConverged
+from .errors import InvalidParam
 from .fim import accumulate, crb_trace, initial_info, step_contribution
 from .model import MeasurementLog, Scenario, validate_scenario
 from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr, ta_unit
@@ -95,6 +95,8 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     end of the mission. seed: an integer >= 0, scenario.seed if None.
     A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
     every hop within d_max.
+    The result's `converged` is the last solve's report.converged; a solve
+    that does not converge hands on its best state, and the mission goes on.
     The NR path refuses a sample rate at which a timing-advance residual can
     overflow the CIR window: sample_rate * ta_unit(numerology) >= cir_len.
     """
@@ -168,13 +170,8 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         # every retained step holds one sample per user, so the solve's poses
         # are the retained steps in order
         poses = pose_est[:len(retained)]
-        init = slam.StateVector(uav=poses, users=u_est)
-        try:
-            state = slam.solve_slam(init, samples, cfg, warn_identifiability=False)[0]
-            converged = True
-        except NotConverged as exc:
-            state = exc.state
-            converged = False
+        state, report = slam.solve_slam(slam.StateVector(uav=poses, users=u_est), samples, cfg)
+        converged = report.converged
         u_est = state.users
         poses[:] = state.uav
 
@@ -239,8 +236,8 @@ def monte_carlo(scenario: Scenario, mode="greedy", runs: int = 1,
                 **mission_kwargs) -> McSummary:
     """Run `runs` missions with per-run seeds scenario.seed + i and report
     mean/median/std of every metric and of the final CRB trace."""
-    if runs < 1:
-        raise InvalidParam("runs", "must be >= 1")
+    if not _is_int(runs, 1):
+        raise InvalidParam("runs", "must be an integer >= 1")
     metrics = []
     crbs = []
     for i in range(runs):

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .channel import link_geometry
-from .errors import InvalidParam, NotConverged, SingularSystem
+from .errors import InvalidParam, SingularSystem
 from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel,
                     sigma_tau_of_distance)
 
@@ -255,7 +255,8 @@ def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
 
 def check_identifiability(log: MeasurementLog) -> list[int]:
     """Users lacking >= 3 ToA measurements from non-collinear horizontal
-    UAV positions. Logs a warning for each (identifiability is marginal).
+    UAV positions. Logs a warning for each (identifiability is marginal);
+    `uavloc solve` calls it before solving, solve_slam does not.
 
     A user's track is non-collinear when the second singular value of its
     centered horizontal positions exceeds 1e-9. The tracks of all users are
@@ -291,8 +292,7 @@ LAMBDA_INIT, LAMBDA_MAX = 1e-4, 1e8
 INIT_MARGIN = 50.0
 
 
-def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
-               warn_identifiability: bool = True):
+def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
     """Newton-Levenberg-Marquardt minimization of the joint negative
     log-likelihood.
 
@@ -307,13 +307,12 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
     accepted step is shorter than cfg.tol_step or a trial step changes f by
     at most REL_DECREASE_TOL of f.
 
-    Returns (state, report). Raises NotConverged (carrying the best state and
-    report) if no stopping test is met within cfg.max_iter iterations, or no
-    damping up to LAMBDA_MAX gives a step that does not raise f.
+    Returns (state, report) on every outcome: the best state found, and
+    report.converged False if no stopping test is met within cfg.max_iter
+    iterations, or no damping up to LAMBDA_MAX gives a step that does not
+    raise f.
     """
     log = _nonempty_log(measurements)
-    if warn_identifiability:
-        check_identifiability(log)
     S, K = len(log.steps), len(log.user_ids)
     if init.uav.shape != (S, 3) or init.users.shape != (K, 2):
         raise ValueError("initial state dimensions do not match the measurement set")
@@ -378,12 +377,9 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig,
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
         nu = 2.0
 
-    state = StateVector.from_flat(flat, S, K)
-    report = SolveReport(iterations=iterations, objective_trace=trace,
-                         converged=converged, final_step_norm=step_norm, trials=trials)
-    if not converged:
-        raise NotConverged("no stopping test met", state=state, report=report)
-    return state, report
+    return StateVector.from_flat(flat, S, K), SolveReport(
+        iterations=iterations, objective_trace=trace, converged=converged,
+        final_step_norm=step_norm, trials=trials)
 
 
 def initial_state(measurements, rng: np.random.Generator) -> StateVector:

@@ -138,8 +138,7 @@ def test_criterion_05_noiseless_slam_recovery():
         cfg = SlamConfig(sigma_gps=1.0, sigma_tau=1.25e-8,
                          tol_step=1e-10, max_iter=50)
         try:
-            state, report = solve_slam(init, samples, cfg,
-                                       warn_identifiability=False)
+            state, report = solve_slam(init, samples, cfg)
         except Exception:
             continue
         if (report.iterations <= 50

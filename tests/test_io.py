@@ -2,16 +2,19 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import math
+import re
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from uavloc.channel import los_delay
 from uavloc.cli import main
 from uavloc.errors import ParseError, RowError, SchemaError, UnknownKey
 from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
@@ -710,6 +713,9 @@ INVALID_SCENARIOS = [
     ("plan", "d_max: 0.0\n", "d_max"),
     ("simulate", OVERFLOWING_NOISE % "1.0e-9", "toa_noise"),
     ("simulate", OVERFLOWING_NOISE % "0.0", "toa_noise"),
+    ("simulate", "toa_noise: {drift_rate: -1.0}\n", "toa_noise.drift_rate"),
+    ("solve", "toa_noise: {drift_reset_period: 0}\n", "toa_noise.drift_reset_period"),
+    ("crb", "toa_noise: {nlos_scale: -1.0}\n", "toa_noise.nlos_scale"),
 ]
 
 
@@ -763,6 +769,92 @@ def test_cli_exit_code_3_on_numeric_failure(tmp_path, capsys):
     assert main(["crb", "--scenario", str(cfg), "--trajectory", str(tp),
                  "--users", str(up)]) == 3
     capsys.readouterr()
+
+
+README_SCENARIO = """\
+users:
+  - [10.0, -5.0]
+  - [-20.0, 15.0]
+uav_start: [0.0, 0.0, 30.0]
+uav_terminal: [40.0, 0.0, 30.0]
+mission_steps: 25
+d_max: 5.0
+delta_keep: 2.0
+sigma_gps: 1.0
+toa_noise:
+  kind: constant
+  sigma0: 1.25e-8
+seed: 7
+"""
+
+
+def test_cli_solve_not_converged_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(README_SCENARIO + "solver: {solve_every: 5}\n")
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    # one LM iteration cannot meet a stopping test from the initial state
+    cfg.write_text(README_SCENARIO + "solver: {max_iter: 1}\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    log = str(tmp_path / "sim" / "measurements.csv")
+    assert main(["solve", "--scenario", str(cfg), "--log", log, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    first, second = captured.err.splitlines()
+    assert first == "numeric failure: no stopping test met"
+    assert re.fullmatch(r"iterations: 1, trials: 1, last step norm: \d\.\d{3}e[+-]\d\d", second)
+    assert not (out / "solution.json").exists()
+
+
+def test_cli_solve_warns_once_per_weak_user(tmp_path, scenario_file, caplog, capsys):
+    # exact GPS fixes on one straight line: no user is seen from
+    # non-collinear points
+    track = np.column_stack([np.linspace(-40.0, 40.0, 8), np.zeros(8), np.full(8, 30.0)])
+    users = [(10.0, 40.0), (-30.0, -10.0), (25.0, -20.0)]
+    log = tmp_path / "straight.csv"
+    log.write_text(write_measurement_log(
+        [MeasurementSample(n, k, Vec3(*p), los_delay(p, u))
+         for n, p in enumerate(track, start=1) for k, u in enumerate(users, start=1)]))
+    with caplog.at_level(logging.WARNING, logger="uavloc"):
+        rc = main(["solve", "--scenario", scenario_file, "--log", str(log)])
+    capsys.readouterr()
+    assert rc == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"user {uid} is weakly observed (needs >=3 non-collinear ToA measurements)"
+        for uid in (1, 2, 3)]
+
+
+def test_cli_solve_out_writes_the_payload_and_poses(tmp_path, scenario_file, measurement_log,
+                                                    capsys):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["solve", "--scenario", scenario_file, "--log", measurement_log, "--json",
+                 "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    solution = json.loads((out / "solution.json").read_text())
+    uav = solution.pop("uav")
+    assert solution == payload
+    assert list(uav) == [str(step) for step in payload["uav_steps"]]
+    assert all(len(pose) == 3 for pose in uav.values())
+
+
+def test_cli_crb_out_writes_the_history(tmp_path, scenario_file, capsys):
+    (tmp_path / "traj.csv").write_text("step,x,y,z\n1,50,0,30\n2,0,50,30\n3,-50,0,30\n")
+    (tmp_path / "users.csv").write_text("user_id,x,y\n1,0,0\n2,20,-10\n")
+    argv = ["crb", "--scenario", scenario_file, "--trajectory", str(tmp_path / "traj.csv"),
+            "--users", str(tmp_path / "users.csv"), "--json"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    history = json.loads(capsys.readouterr().out)["crb_history_m2"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    path = str(out / "crb_history.csv")
+    assert json.loads(capsys.readouterr().out) == {"crb_history_file": path,
+                                                   "final_crb_trace_m2": history[-1]}
+    with open(path) as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["step", "crb_trace_m2"]
+    assert [(int(n), float(v)) for n, v in rows[1:]] == list(enumerate(history, start=1))
 
 
 def test_cli_solve_non_finite_toa_exits_2(tmp_path, scenario_file, capsys):
@@ -922,6 +1014,8 @@ def malformed_state(draw):
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=malformed_state())
+@example(text=json.dumps(dict(VALID_STATE, eps_prior=-1.0)))
+@example(text=json.dumps(dict(VALID_STATE, eps_prior=float("nan"))))
 def test_cli_plan_malformed_state_exits_2(tmp_path, scenario_file, text):
     rc, err = _plan_exit(tmp_path, scenario_file, text)
     assert rc == 2
@@ -934,7 +1028,9 @@ def test_cli_plan_malformed_state_exits_2(tmp_path, scenario_file, text):
     ("step,x,y,z\n1,50,0,abc\n", "user_id,x,y\n1,0,0\n"),
     ("step,x,y,z\n1,50,0,nan\n", "user_id,x,y\n1,0,0\n"),
     ("step,x,y,z\n", "user_id,x,y\n1,0,0\n"),
-], ids=["short_trajectory_row", "short_users_row", "non_numeric", "non_finite", "no_rows"])
+    ("n,x,y,z\n1,50,0,30\n", "user_id,x,y\n1,0,0\n"),
+], ids=["short_trajectory_row", "short_users_row", "non_numeric", "non_finite", "no_rows",
+        "wrong_header"])
 def test_cli_crb_malformed_csv_exits_2(tmp_path, scenario_file, capsys, traj, users):
     tp = tmp_path / "traj.csv"
     tp.write_text(traj)

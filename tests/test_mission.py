@@ -53,6 +53,10 @@ def test_fixed_path_validation():
     gap[4] = np.nan
     with pytest.raises(InvalidParam, match="finite"):
         run_mission(s, gap)
+    jump = hover.copy()
+    jump[6:] += [0.0, s.d_max + 1.0, 0.0]  # one hop over d_max
+    with pytest.raises(InvalidParam, match="d_max"):
+        run_mission(s, jump)
     hover[0, 0] += 5e-10  # within 1e-9 m of uav_start
     assert run_mission(s, hover).planned[0].tolist() == s.uav_start.as_array().tolist()
 
@@ -74,6 +78,7 @@ def test_run_mission_refuses_bad_solve_every(solve_every):
 @pytest.mark.parametrize("field, value", [
     ("eps_prior", -1.0), ("eps_prior", float("nan")), ("eps_prior", float("inf")),
     ("planner_headings", -3), ("planner_headings", 0), ("planner_headings", 2.5),
+    ("toa_path", "x"),
 ])
 def test_run_mission_refuses_bad_option(field, value):
     with pytest.raises(InvalidParam) as exc:
@@ -98,6 +103,16 @@ def test_solve_schedule(monkeypatch, solve_every):
     assert retained == 30
     every = range(solve_every, retained + 1, solve_every) if solve_every else []
     assert sizes == sorted({*every, retained})
+
+
+def test_converged_is_the_last_solves():
+    # a solve that meets no stopping test hands on its best state, and the
+    # mission reports the last solve's outcome
+    s = circle_scenario(n_steps=30)
+    path = circle_path((0, 0), 50.0, 30.0, 30)
+    assert run_mission(s, path, solve_every=0).converged is True
+    cut = run_mission(s, path, solve_every=0, slam_cfg=SlamConfig.for_scenario(s, max_iter=1))
+    assert cut.converged is False and np.isfinite(cut.user_estimates).all()
 
 
 def test_nr_mission_synthesizes_no_cir(monkeypatch):
@@ -231,8 +246,10 @@ def test_monte_carlo_doubling_reproduces_first_half():
 
 
 def test_monte_carlo_runs_validation():
-    with pytest.raises(InvalidParam):
-        monte_carlo(circle_scenario(), "greedy", runs=0)
+    for runs in (0, -1, 2.5, True):
+        with pytest.raises(InvalidParam) as exc:
+            monte_carlo(circle_scenario(), "greedy", runs=runs)
+        assert exc.value.field == "runs"
 
 
 def test_straight_line_path_endpoints():
