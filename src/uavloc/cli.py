@@ -18,12 +18,12 @@ import numpy as np
 
 from . import slam
 from .channel import RngStream
-from .errors import (INPUT_ERRORS, NUMERIC_ERRORS, InvalidParam, NotConverged,
-                     SchemaError)
+from .errors import INPUT_ERRORS, NUMERIC_ERRORS, NotConverged, SchemaError
 from .fim import InfoState, accumulate, crb_trace, initial_info, step_contribution
 from .iofiles import (RunConfig, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
+from .model import require_int
 from .planner import PlannerState, next_waypoint
 
 
@@ -248,8 +248,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise InvalidParam("seed", "must be >= 0")
+        if args.seed is not None:
+            require_int("seed", args.seed, 0)
         return args.func(args)
     except (*INPUT_ERRORS, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

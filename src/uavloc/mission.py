@@ -9,8 +9,6 @@ sample_toa (and, on the NR path, one estimate_toa_nr) call.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from statistics import mean, median, stdev
 
@@ -22,8 +20,8 @@ from .channel import RngStream, sample_gps, sample_toa
 from .channel import is_blocked  # noqa: F401
 from .errors import InvalidParam
 from .fim import accumulate, crb_trace, initial_info, step_contribution
-from .model import MeasurementLog, Scenario, validate_scenario
-from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr, ta_unit
+from .model import MeasurementLog, Scenario, require_int, require_number, validate_scenario
+from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
 
 
@@ -78,10 +76,6 @@ def compute_metrics(scenario: Scenario, planned, gps, retained_steps,
                    uav_rmse_est=uav_rmse_est, uav_rmse_gps=uav_rmse_gps)
 
 
-def _is_int(value, low) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
-
-
 def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
                 solve_every: int = 1, seed=None, eps_prior: float = 1e-6,
                 slam_cfg: slam.SlamConfig | None = None,
@@ -97,24 +91,17 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     every hop within d_max.
     The result's `converged` is the last solve's report.converged; a solve
     that does not converge hands on its best state, and the mission goes on.
-    The NR path refuses a sample rate at which a timing-advance residual can
-    overflow the CIR window: sample_rate * ta_unit(numerology) >= cir_len.
+    The NR path builds an NrConfig from the scenario's numerology and sample
+    rate, which refuses a sample rate at which a timing-advance residual can
+    overflow the CIR window (InvalidParam("sample_rate")).
     """
     s = validate_scenario(scenario)
     if toa_path not in ("ideal", "nr"):
         raise InvalidParam("toa_path", "must be 'ideal' or 'nr'")
-    nr_cfg = NrConfig(mu=s.numerology, f_s=s.sample_rate)
-    unit = ta_unit(s.numerology)
-    if toa_path == "nr" and s.sample_rate * unit >= nr_cfg.cir_len:
-        raise InvalidParam("sample_rate", f"must be below {nr_cfg.cir_len / unit:.6g} Hz for "
-                           f"NR ToA at numerology {s.numerology}, or a timing-advance residual "
-                           f"can overflow the {nr_cfg.cir_len}-sample CIR window")
-    if not _is_int(solve_every, 0):
-        raise InvalidParam("solve_every", "must be an integer >= 0")
-    if not (isinstance(eps_prior, numbers.Real) and 0 <= eps_prior < math.inf):
-        raise InvalidParam("eps_prior", "must be finite and >= 0")
-    if not _is_int(planner_headings, 1):
-        raise InvalidParam("planner_headings", "must be an integer >= 1")
+    nr_cfg = NrConfig(mu=s.numerology, f_s=s.sample_rate) if toa_path == "nr" else None
+    require_int("solve_every", solve_every, 0)
+    require_number("eps_prior", eps_prior, 0)
+    require_int("planner_headings", planner_headings, 1)
     n_steps = s.mission_steps
     num_users = len(s.users)
     users = np.array([u.as_array() for u in s.users])
@@ -134,10 +121,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     elif mode != "greedy":
         raise InvalidParam("mode", "must be 'greedy' or an (N, 3) path")
 
-    if seed is None:
-        seed = s.seed
-    elif not _is_int(seed, 0):
-        raise InvalidParam("seed", "must be an integer >= 0")
+    seed = s.seed if seed is None else require_int("seed", seed, 0)
     rng = RngStream(seed)
     # the estimator's stream: a child of seed, so measurement draws never shift it
     est_rng = RngStream(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
@@ -236,8 +220,7 @@ def monte_carlo(scenario: Scenario, mode="greedy", runs: int = 1,
                 **mission_kwargs) -> McSummary:
     """Run `runs` missions with per-run seeds scenario.seed + i and report
     mean/median/std of every metric and of the final CRB trace."""
-    if not _is_int(runs, 1):
-        raise InvalidParam("runs", "must be an integer >= 1")
+    require_int("runs", runs, 1)
     metrics = []
     crbs = []
     for i in range(runs):

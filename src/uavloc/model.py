@@ -6,6 +6,7 @@ double-precision reals. Users live on the ground plane (2D), the UAV in 3D.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -169,6 +170,23 @@ def _require_finite(name, *values):
             raise InvalidParam(name, "must be finite")
 
 
+def require_number(name, value, low, strict=False):
+    """value if it is a finite real number, not a bool, > low (strict) or
+    >= low; else InvalidParam(name)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and ((low < value) if strict else (low <= value)) and value < math.inf):
+        raise InvalidParam(name, f"must be finite and {'>' if strict else '>='} {low}")
+    return value
+
+
+def require_int(name, value, low):
+    """value if it is an integer, not a bool, >= low; else InvalidParam(name)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low):
+        raise InvalidParam(name, f"must be an integer >= {low}")
+    return value
+
+
 def validate_scenario(s: Scenario) -> Scenario:
     """Check every scenario invariant; return s unchanged if all hold."""
     if len(s.users) < 1:
@@ -177,37 +195,25 @@ def validate_scenario(s: Scenario) -> Scenario:
         _require_finite(f"users[{i}]", u.x, u.y)
     _require_finite("uav_start", s.uav_start.x, s.uav_start.y, s.uav_start.z)
     _require_finite("uav_terminal", s.uav_terminal.x, s.uav_terminal.y, s.uav_terminal.z)
-    if s.mission_steps < 2:
-        raise InvalidParam("mission_steps", "must be >= 2")
-    if not (s.d_max > 0 and math.isfinite(s.d_max)):
-        raise InvalidParam("d_max", "must be > 0")
-    if not (s.delta_keep >= 0 and math.isfinite(s.delta_keep)):
-        raise InvalidParam("delta_keep", "must be >= 0")
-    if not (s.sigma_gps > 0 and math.isfinite(s.sigma_gps)):
-        raise InvalidParam("sigma_gps", "must be > 0")
-    if s.numerology not in (0, 1, 2, 3, 4, 5):
+    require_int("mission_steps", s.mission_steps, 2)
+    require_number("d_max", s.d_max, 0, strict=True)
+    require_number("delta_keep", s.delta_keep, 0)
+    require_number("sigma_gps", s.sigma_gps, 0, strict=True)
+    if require_int("numerology", s.numerology, 0) > 5:
         raise InvalidParam("numerology", "must be in 0..5")
-    if not (s.sample_rate > 0 and math.isfinite(s.sample_rate)):
-        raise InvalidParam("sample_rate", "must be > 0")
-    if s.seed < 0:
-        raise InvalidParam("seed", "must be >= 0")
+    require_number("sample_rate", s.sample_rate, 0, strict=True)
+    require_int("seed", s.seed, 0)
 
     m = s.toa_noise
     if m.kind not in ("constant", "exponential"):
         raise InvalidParam("toa_noise.kind", "must be 'constant' or 'exponential'")
-    if not (m.sigma0 > 0 and math.isfinite(m.sigma0)):
-        raise InvalidParam("toa_noise.sigma0", "must be > 0")
+    require_number("toa_noise.sigma0", m.sigma0, 0, strict=True)
     if m.kind == "exponential":
-        if not (m.amp >= 0 and math.isfinite(m.amp)):
-            raise InvalidParam("toa_noise.amp", "must be >= 0")
-        if not (m.scale > 0 and math.isfinite(m.scale)):
-            raise InvalidParam("toa_noise.scale", "must be > 0")
-    if not (m.drift_rate >= 0 and math.isfinite(m.drift_rate)):
-        raise InvalidParam("toa_noise.drift_rate", "must be >= 0")
-    if m.drift_reset_period < 1:
-        raise InvalidParam("toa_noise.drift_reset_period", "must be >= 1")
-    if not (m.nlos_scale >= 0 and math.isfinite(m.nlos_scale)):
-        raise InvalidParam("toa_noise.nlos_scale", "must be >= 0")
+        require_number("toa_noise.amp", m.amp, 0)
+        require_number("toa_noise.scale", m.scale, 0, strict=True)
+    require_number("toa_noise.drift_rate", m.drift_rate, 0)
+    require_int("toa_noise.drift_reset_period", m.drift_reset_period, 1)
+    require_number("toa_noise.nlos_scale", m.nlos_scale, 0)
 
     for i, box in enumerate(s.buildings):
         lo, hi = box.min_corner.as_array(), box.max_corner.as_array()

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayOutOfWindow, EmptyCir, InvalidNumerology
+from .errors import DelayOutOfWindow, EmptyCir, InvalidNumerology, InvalidParam
+from .model import require_number
 
 DF_MAX = 480e3      # Hz, maximum subcarrier spacing
 K_MAX = 4096        # maximum FFT size
@@ -21,9 +22,20 @@ TC = 1.0 / (DF_MAX * K_MAX)  # basic time unit, 1/1.96608e9 s
 
 @dataclass(frozen=True)
 class NrConfig:
+    """NR timing settings. InvalidParam("sample_rate") refuses an f_s that
+    is not finite and > 0, or at which a timing-advance residual can overflow
+    the CIR window, f_s * ta_unit(mu) >= cir_len (at 256 taps: f_s >= 491.52 *
+    2^mu MHz)."""
     mu: int = 1              # numerology, 0..5
     f_s: float = 61.44e6     # sample rate, Hz (40 MHz-class default)
     cir_len: int = 256       # CIR window length in samples
+
+    def __post_init__(self):
+        unit = ta_unit(self.mu)
+        if require_number("sample_rate", self.f_s, 0, strict=True) * unit >= self.cir_len:
+            raise InvalidParam("sample_rate", f"must be below {self.cir_len / unit:.6g} Hz for "
+                               f"NR ToA at numerology {self.mu}, or a timing-advance residual "
+                               f"can overflow the {self.cir_len}-sample CIR window")
 
 
 @dataclass(frozen=True)
@@ -99,9 +111,9 @@ def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float):
     true_delay is a delay in seconds or an array of them. The round trip
     (2 * true_delay + drift) is quantized to the nearest timing-advance unit,
     half to even; the signed residual is read at the CIR peak,
-    round(residual * f_s) / f_s. DelayOutOfWindow if a residual leaves half
-    the CIR window (cir_len / f_s) either way, which f_s * ta_unit(mu) <
-    cir_len rules out (at 256 taps: f_s < 491.52 * 2^mu MHz).
+    round(residual * f_s) / f_s. The residual is within half a unit, so
+    within half the CIR window (cir_len / f_s) either way: NrConfig admits no
+    sample rate at which a residual could leave it.
     """
     true_delay = np.asarray(true_delay)
     rtt = 2.0 * true_delay + drift
@@ -110,10 +122,6 @@ def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float):
     unit = ta_unit(cfg.mu)
     ta = ta_from_rtt(rtt, cfg.mu)
     # |rtt / unit - ta| <= 1/2 exactly, so |peak| <= f_s * unit / 2 in
-    # floating point too, and no residual leaves the window below that limit
+    # floating point too
     peak = (rtt / unit - ta) * unit * cfg.f_s
-    if cfg.f_s * unit >= cfg.cir_len and not (
-            (-cfg.cir_len / 2 <= peak) & (peak < cfg.cir_len / 2)).all():
-        raise DelayOutOfWindow(
-            f"a residual does not fit in half the {cfg.cir_len}-sample CIR window")
     return (ta * unit + np.rint(peak) / cfg.f_s) / 2.0

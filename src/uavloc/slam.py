@@ -38,7 +38,7 @@ from scipy.linalg import lapack
 from .channel import link_geometry
 from .errors import InvalidParam, SingularSystem
 from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel,
-                    sigma_tau_of_distance)
+                    require_int, require_number, sigma_tau_of_distance)
 
 logger = logging.getLogger(__name__)
 
@@ -103,6 +103,11 @@ class SlamConfig:
     max_iter: int = 100
 
     def __post_init__(self):
+        for name in ("sigma_gps", "sigma_tau", "tol_step"):
+            require_number(name, getattr(self, name), 0, strict=True)
+        if self.huber_delta is not None:
+            require_number("huber_delta", self.huber_delta, 0, strict=True)
+        require_int("max_iter", self.max_iter, 1)
         if self.per_distance_weights and self.noise_model is None:
             raise InvalidParam("per_distance_weights", "needs a noise_model")
 
@@ -259,22 +264,13 @@ def check_identifiability(log: MeasurementLog) -> list[int]:
     `uavloc solve` calls it before solving, solve_slam does not.
 
     A user's track is non-collinear when the second singular value of its
-    centered horizontal positions exceeds 1e-9. The tracks of all users are
-    zero-padded to the longest, which leaves the singular values unchanged,
-    and decomposed in one batched call."""
-    K = len(log.user_ids)
-    count = np.bincount(log.user, minlength=K)
-    order = np.argsort(log.user, kind="stable")
-    user = log.user[order]
-    slot = np.arange(len(user)) - (np.cumsum(count) - count)[user]  # row in the user's track
-    # at least two rows, so that every track has a second singular value
-    tracks = np.zeros((K, max(count.max(), 2), 2))
-    tracks[user, slot] = log.pose_gps[log.pose[order], :2]
-    mean = tracks.sum(axis=1, keepdims=True) / count[:, None, None]
-    tracks -= (np.arange(tracks.shape[1]) < count[:, None])[..., None] * mean
-    second = np.linalg.svd(tracks, compute_uv=False)[:, 1]
-    weak = [uid for uid, n, sv in zip(log.user_ids, count.tolist(), second.tolist())
-            if n < 3 or sv <= 1e-9]
+    centered horizontal positions, in row order, exceeds 1e-9."""
+    weak = []
+    for j, uid in enumerate(log.user_ids):
+        track = log.pose_gps[log.pose[log.user == j], :2]
+        if (len(track) < 3 or
+                np.linalg.svd(track - track.mean(axis=0), compute_uv=False)[1] <= 1e-9):
+            weak.append(uid)
     for uid in weak:
         logger.warning("user %d is weakly observed "
                        "(needs >=3 non-collinear ToA measurements)", uid)

@@ -364,6 +364,8 @@ def test_rng_stream_is_numpys_pcg64_generator(seed):
 def test_sparsify_delta_zero_keeps_all():
     pos = np.random.default_rng(0).uniform(0, 10, (20, 3))
     assert sparsify(pos, 0.0) == list(range(20))
+    with pytest.raises(ValueError):
+        sparsify([], 1.0)
 
 
 def test_sparsify_line_every_second():

@@ -676,6 +676,8 @@ BAD_DOCUMENTS = [
      ["invalid YAML at line 7, column 1: expected ',' or ']', but got '<stream end>'"]),
     ("yaml_tab_indented_block", MINIMAL.replace("  - [10.0", "\t- [10.0"),
      ["invalid YAML at line 2, column 1: found character '\\t'"]),
+    ("yaml_control_character", MINIMAL + "# \x07\n",
+     ["invalid YAML: unacceptable character #x0007"]),
     ("non_text_key", MINIMAL + "1: 2\n", ["config document: 1"]),
 ]
 
@@ -867,6 +869,13 @@ def test_cli_solve_non_finite_toa_exits_2(tmp_path, scenario_file, capsys):
     capsys.readouterr()
     assert main(["solve", "--scenario", scenario_file, "--log", str(log)]) == 2
     assert "toa_s must be finite" in capsys.readouterr().err
+
+
+def test_cli_solve_header_only_log_exits_2(tmp_path, scenario_file, capsys):
+    log = tmp_path / "measurements.csv"
+    log.write_text(",".join(LOG_HEADER) + "\n")
+    line = _input_error(capsys, ["solve", "--scenario", scenario_file, "--log", str(log)])
+    assert line == "error: measurement log contains no rows"
 
 
 VALID_STATE = {"step": 1, "pos": [0.0, 0.0, 30.0],

@@ -41,10 +41,14 @@ def test_sigma_gps_boundary():
     ("numerology", 6),
     ("sample_rate", 0.0),
     ("users", ()),
+    ("mission_steps", 25.0),
+    ("seed", 7.5),
+    ("numerology", 1.0),
 ])
 def test_invalid_fields_rejected(field, value):
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam) as exc:
         validate_scenario(make_scenario(**{field: value}))
+    assert exc.value.field == field
 
 
 def test_nan_coordinates_rejected():
@@ -58,6 +62,9 @@ def test_noise_model_invariants():
         validate_scenario(make_scenario(toa_noise=bad))
     with pytest.raises(InvalidParam):
         validate_scenario(make_scenario(toa_noise=ToaNoiseModel(sigma0=0.0)))
+    with pytest.raises(InvalidParam) as exc:
+        validate_scenario(make_scenario(toa_noise=ToaNoiseModel(drift_reset_period=2.5)))
+    assert exc.value.field == "toa_noise.drift_reset_period"
 
 
 # exponents d/scale at the farthest link: the variance is finite at the

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uavloc.channel import RngStream
-from uavloc.errors import DelayOutOfWindow, EmptyCir, InvalidNumerology
+from uavloc.errors import DelayOutOfWindow, EmptyCir, InvalidNumerology, InvalidParam
 from uavloc.nrtiming import (TC, NrConfig, SawtoothDrift, coarse_rtt,
                              drift_offset, estimate_toa_nr, srs_refine,
                              synth_cir, ta_from_rtt, ta_unit)
@@ -28,6 +28,8 @@ def test_tc_value():
 def test_coarse_rtt_zero():
     for mu in range(6):
         assert coarse_rtt(0, mu) == 0.0
+    with pytest.raises(ValueError):
+        coarse_rtt(-1, 1)
 
 
 def test_coarse_rtt_exact_rational():
@@ -111,7 +113,7 @@ def test_cir_noise_floor_below_peak():
 
 
 def test_cir_out_of_window():
-    cfg = NrConfig(f_s=F_S, cir_len=16)
+    cfg = NrConfig(mu=2, f_s=F_S, cir_len=16)
     with pytest.raises(DelayOutOfWindow):
         synth_cir(16 / F_S, cfg, RngStream(0))
     with pytest.raises(DelayOutOfWindow):
@@ -141,6 +143,8 @@ def test_srs_refine_empty():
 
 def test_drift_fresh_correction():
     assert drift_offset(1, SawtoothDrift(rate=1e-9, reset_period=5)) == 0.0
+    with pytest.raises(ValueError):
+        drift_offset(0, SawtoothDrift(rate=1e-9, reset_period=5))
 
 
 def test_drift_ramp_and_reset():
@@ -220,9 +224,10 @@ def test_closed_form_peak_is_the_cir_argmax(mu, fill, delay, drift, seed):
     is the signed argmax of the synthesized CIR. A residual within rounding
     error of a half sample can round either way, so there the estimate's peak
     need only be one of the two samples next to it."""
-    cfg = NrConfig(mu=mu, f_s=fill * NrConfig.cir_len / ta_unit(mu))
-    assume(cfg.f_s * ta_unit(mu) < cfg.cir_len)
-    est = estimate_toa_nr(delay, cfg, drift)  # never DelayOutOfWindow
+    f_s = fill * NrConfig.cir_len / ta_unit(mu)
+    assume(f_s * ta_unit(mu) < NrConfig.cir_len)
+    cfg = NrConfig(mu=mu, f_s=f_s)
+    est = estimate_toa_nr(delay, cfg, drift)
 
     rtt = 2.0 * delay + drift
     coarse = coarse_rtt(ta_from_rtt(rtt, mu), mu)
@@ -244,10 +249,12 @@ def test_closed_form_peak_is_the_cir_argmax(mu, fill, delay, drift, seed):
     assert 2.0 * est - coarse == pytest.approx(signed / cfg.f_s, rel=1e-9, abs=1e-9 / cfg.f_s)
 
 
-def test_estimate_refuses_residual_outside_window():
-    cfg = NrConfig(mu=0, f_s=1e9)  # 520.8 samples per TA unit > 256
-    with pytest.raises(DelayOutOfWindow):
-        estimate_toa_nr(0.2e-6 / 2, cfg, 0.0)
+def test_nr_config_refuses_sample_rate_beyond_cir_window():
+    # 520.8 samples per TA unit > 256; a rate of 0 would make every estimate NaN
+    for f_s in (1e9, 0.0, -F_S, float("nan")):
+        with pytest.raises(InvalidParam) as exc:
+            NrConfig(mu=0, f_s=f_s)
+        assert exc.value.field == "sample_rate"
 
 
 def scalar_estimate(true_delay, cfg, drift):
@@ -286,8 +293,3 @@ def test_estimate_of_a_scalar_is_a_scalar():
 def test_estimate_refuses_bad_delays(delays, drift):
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         estimate_toa_nr(np.array(delays), NrConfig(mu=1, f_s=F_S), drift)
-
-
-def test_estimate_refuses_residual_outside_window_in_an_array():
-    with pytest.raises(DelayOutOfWindow):
-        estimate_toa_nr(np.array([0.0, 0.2e-6 / 2]), NrConfig(mu=0, f_s=1e9), 0.0)

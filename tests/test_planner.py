@@ -67,6 +67,9 @@ def test_forced_terminal_at_last_step():
     term = np.array([40.0, -3.0, 25.0])
     st = make_state(step=9, pos=(36.0, -3.0, 25.0), terminal=term, n_steps=10, d_max=5.0)
     np.testing.assert_array_equal(next_waypoint(st), term)
+    # at the final step there is no next waypoint
+    with pytest.raises(ValueError):
+        next_waypoint(make_state(step=10, pos=term, terminal=term, n_steps=10, d_max=5.0))
 
 
 def test_fallback_step_toward_terminal():

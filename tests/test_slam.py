@@ -549,6 +549,8 @@ def test_solve_from_exact_minimum():
     for wrong in (StateVector(uav=uavs[1:], users=users), StateVector(uav=uavs, users=users[1:])):
         with pytest.raises(ValueError, match="dimensions"):
             solve_slam(wrong, samples, SlamConfig())
+    with pytest.raises(ValueError, match="empty"):
+        initial_state([], RngStream(0))
 
 
 def test_objective_trace_nonincreasing():
@@ -573,6 +575,20 @@ def test_per_distance_weights_need_a_noise_model():
     assert exc.value.field == "per_distance_weights"
     noise = ToaNoiseModel(kind="exponential", amp=1e-9, scale=50.0)
     assert SlamConfig(per_distance_weights=True, noise_model=noise).noise_model is noise
+
+
+# unchecked, a mission with these settings divides by zero (sigma 0), fails
+# in range() (max_iter 2.5), runs to a meaningless estimate (sigma_tau NaN,
+# huber_delta < 0) or makes no iteration (max_iter 0)
+@pytest.mark.parametrize("field, value", [
+    ("sigma_tau", 0.0), ("sigma_gps", 0.0), ("sigma_tau", float("nan")),
+    ("huber_delta", -1e-8), ("max_iter", 2.5), ("max_iter", 0),
+    ("tol_step", float("inf")), ("huber_delta", float("nan")), ("max_iter", True),
+])
+def test_slam_config_refuses_bad_field(field, value):
+    with pytest.raises(InvalidParam) as exc:
+        SlamConfig(**{field: value})
+    assert exc.value.field == field
 
 
 @pytest.mark.parametrize("per_distance", [False, True], ids=["fixed", "per_distance"])
