@@ -42,6 +42,13 @@ def link_geometry(uav, users):
     return diff, d
 
 
+def toa_gradient(uav, users):
+    """g = (uav - (user, 0)) / (C d), the gradient of the LoS delay in the UAV
+    position (-g[..., :2] in the user's), and d, shaped as by link_geometry."""
+    diff, d = link_geometry(uav, users)
+    return diff / (SPEED_OF_LIGHT * d)[..., None], d
+
+
 def los_delay(uav, user) -> float:
     """True LoS propagation delay ||uav - user|| / C in seconds."""
     return float(link_geometry(_as_array(uav), _as_array(user))[1]) / SPEED_OF_LIGHT

@@ -9,7 +9,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -23,7 +22,7 @@ from .fim import InfoState, accumulate, crb_trace, initial_info, step_contributi
 from .iofiles import (RunConfig, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
-from .model import require_int
+from .model import require_int, require_number
 from .planner import PlannerState, next_waypoint
 
 
@@ -120,8 +119,7 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
     for key, arr in arrays.items():
         if arr.shape != shapes[key] or not np.all(np.isfinite(arr)):
             raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
-    if not (math.isfinite(eps) and eps >= 0):
-        raise SchemaError("state 'eps_prior' must be a finite number >= 0")
+    require_number("state.eps_prior", eps, 0)
     # the planner reads only the diagonal 2x2 blocks of fim
     fim = arrays["fim"]
     if np.any(fim[~np.kron(np.eye(k, dtype=bool), np.ones((2, 2), dtype=bool))]):

@@ -14,7 +14,7 @@ class InvalidParam(UavLocError):
     """A scenario or config field violates its invariant."""
 
     def __init__(self, field, message=""):
-        self.field = field
+        self.field, self.reason = field, message
         super().__init__(f"invalid parameter '{field}'" + (f": {message}" if message else ""))
 
 
@@ -52,10 +52,6 @@ class DegenerateGeometry(UavLocError):
     """UAV and user coincide; delay and gradients are undefined."""
 
 
-class InvalidNumerology(UavLocError):
-    """Numerology index outside {0, ..., 5}."""
-
-
 class DelayOutOfWindow(UavLocError):
     """Residual delay does not fit inside the CIR window."""
 
@@ -84,5 +80,5 @@ class NotConverged(UavLocError):
 
 
 INPUT_ERRORS = (InvalidParam, TerminalUnreachable, ParseError, SchemaError, RowError)
-NUMERIC_ERRORS = (DegenerateGeometry, InvalidNumerology, DelayOutOfWindow, EmptyCir,
-                  SingularSystem, SingularFim, NotConverged)
+NUMERIC_ERRORS = (DegenerateGeometry, DelayOutOfWindow, EmptyCir, SingularSystem, SingularFim,
+                  NotConverged)

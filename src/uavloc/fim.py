@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import link_geometry
+from .channel import toa_gradient
 from .errors import SingularFim
-from .model import SPEED_OF_LIGHT, ToaNoiseModel, sigma_tau_of_distance
+from .model import ToaNoiseModel, sigma_tau_of_distance
 
 # A block is rank-deficient when the second pivot s of its LDL^T factorization
 # is within this share of d (s / d = det / ad). Rounding leaves a few machine
@@ -104,12 +104,11 @@ def step_contribution(uav, user_ests, noise: ToaNoiseModel) -> np.ndarray:
     the noise model at the estimated link distance. One position (3,) gives
     (K, 2, 2); C candidate positions (C, 3) give (C, K, 2, 2)."""
     uav = np.asarray(uav, dtype=float)
-    diff, d = link_geometry(uav[..., None, :], np.reshape(user_ests, (-1, 2)))
-    g = diff[..., :2] / (SPEED_OF_LIGHT * d)[..., None]
+    g, d = toa_gradient(uav[..., None, :], np.reshape(user_ests, (-1, 2)))
     # far estimates overflow sigma or its square: infinite sigma, no information
     with np.errstate(over="ignore"):
         var = np.asarray(sigma_tau_of_distance(d, noise)) ** 2
-    return g[..., :, None] * g[..., None, :] / var[..., None, None]
+    return g[..., :2, None] * g[..., None, :2] / var[..., None, None]
 
 
 def accumulate(info: InfoState, contribs: np.ndarray) -> InfoState:

@@ -12,14 +12,15 @@ import io
 import json
 import numbers
 import os
+import sys
 from collections.abc import Hashable
 from dataclasses import astuple, dataclass, fields, is_dataclass
 
 import numpy as np
 import yaml
 
-from .errors import ParseError, RowError, SchemaError, UnitError, UnknownKey
-from .mission import MissionResult
+from .errors import InvalidParam, ParseError, RowError, SchemaError, UnitError, UnknownKey
+from .mission import MissionResult, check_options
 from .model import (AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2, Vec3,
                     validate_scenario)
 from .slam import SlamConfig
@@ -50,24 +51,26 @@ _StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
 @dataclass(frozen=True)
 class RunConfig:
     """A config document's scenario, checked by validate_scenario, and its
-    checked `solver:`/`planner:` options. slam holds the scenario's sigma_gps and toa_noise and the solver
-    keys (sigma_tau defaults to toa_noise.sigma0); solve_every, eps_prior and
-    headings go to the mission and planner. Keys left out take the defaults
-    given here and in SlamConfig."""
+    `solver:`/`planner:` options. slam (a SlamConfig) holds the scenario's
+    sigma_gps and toa_noise and the solver keys; solve_every, eps_prior and
+    headings, checked by mission.check_options, go to the mission and planner.
+    Keys left out take the defaults given here and in SlamConfig."""
     scenario: Scenario
     slam: SlamConfig
     solve_every: int = 1
     eps_prior: float = 1e-6
     headings: int = 8
 
+    def __post_init__(self):
+        check_options(self.solve_every, self.eps_prior, self.headings)
+
 
 def _num(value, key):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UnitError(f"'{key}' must be a number, got {value!r}")
-    v = float(value)
-    if v != v or v in (float("inf"), float("-inf")):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or an int beyond float
         raise UnitError(f"'{key}' must be finite")
-    return v
+    return float(value)
 
 
 def _intval(value, key):
@@ -80,16 +83,6 @@ def _bool(value, key):
     if not isinstance(value, bool):
         raise ParseError(f"'{key}' must be true or false, got {value!r}")
     return value
-
-
-def _at_least(parse, low, strict=False):
-    """A parser that also rejects values below `low` (or equal to it if strict)."""
-    def check(value, key):
-        v = parse(value, key)
-        if v < low or (strict and v == low):
-            raise ParseError(f"'{key}' must be {'>' if strict else '>='} {low}, got {value!r}")
-        return v
-    return check
 
 
 def _point(record):
@@ -135,14 +128,12 @@ def _section(parsers, required=(), build=dict):
     return parse
 
 
-_POSITIVE = _at_least(_num, 0, strict=True)
-# The config schema: the parser of each key of every section. Ranges of the
-# scenario's values are checked by model.validate_scenario, those of the
-# `solver:` and `planner:` options here.
-_SOLVER_KEYS = {"sigma_tau": _POSITIVE, "huber_delta": _POSITIVE, "tol_step": _POSITIVE,
-                "eps_prior": _at_least(_num, 0), "max_iter": _at_least(_intval, 1),
-                "solve_every": _at_least(_intval, 0), "per_distance_weights": _bool}
-_PLANNER_KEYS = {"headings": _at_least(_intval, 1)}
+# The config schema: the parser of each key of every section, which checks
+# its type only. Ranges are checked by their owners: validate_scenario for
+# the scenario, RunConfig for the `solver:` and `planner:` options.
+_SOLVER_KEYS = {"sigma_tau": _num, "huber_delta": _num, "tol_step": _num, "eps_prior": _num,
+                "max_iter": _intval, "solve_every": _intval, "per_distance_weights": _bool}
+_PLANNER_KEYS = {"headings": _intval}
 _NOISE_SECTION = _section(
     {"kind": lambda value, key: value,  # validate_scenario checks it names a kind
      "sigma0": _num, "amp": _num, "scale": _num, "drift_rate": _num,
@@ -160,7 +151,7 @@ _DOCUMENT = _section(
 
 def parse_run_config(text: str) -> RunConfig:
     """Parse a full run-config document (scenario + solver/planner options);
-    the scenario is checked by validate_scenario."""
+    an option RunConfig refuses raises InvalidParam naming its config key."""
     try:
         doc = yaml.load(text, Loader=_StrictLoader)
     except yaml.MarkedYAMLError as exc:
@@ -173,8 +164,12 @@ def parse_run_config(text: str) -> RunConfig:
     solver, planner = kw.pop("solver", {}), kw.pop("planner", {})
     scenario = validate_scenario(Scenario(**kw))
     mission_opts = {key: solver.pop(key) for key in ("solve_every", "eps_prior") if key in solver}
-    return RunConfig(scenario=scenario, slam=SlamConfig.for_scenario(scenario, **solver),
-                     **mission_opts, **planner)
+    try:
+        return RunConfig(scenario=scenario, slam=SlamConfig.for_scenario(scenario, **solver),
+                         **mission_opts, **planner)
+    except InvalidParam as exc:  # the owner names its own field
+        key = "planner.headings" if exc.field == "planner_headings" else f"solver.{exc.field}"
+        raise InvalidParam(key, exc.reason) from exc
 
 
 def parse_scenario(text: str) -> Scenario:

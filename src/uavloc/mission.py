@@ -76,6 +76,13 @@ def compute_metrics(scenario: Scenario, planned, gps, retained_steps,
                    uav_rmse_est=uav_rmse_est, uav_rmse_gps=uav_rmse_gps)
 
 
+def check_options(solve_every, eps_prior, planner_headings):
+    """InvalidParam naming the first bad option of run_mission (or RunConfig)."""
+    require_int("solve_every", solve_every, 0)
+    require_number("eps_prior", eps_prior, 0)
+    require_int("planner_headings", planner_headings, 1)
+
+
 def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
                 solve_every: int = 1, seed=None, eps_prior: float = 1e-6,
                 slam_cfg: slam.SlamConfig | None = None,
@@ -99,9 +106,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     if toa_path not in ("ideal", "nr"):
         raise InvalidParam("toa_path", "must be 'ideal' or 'nr'")
     nr_cfg = NrConfig(mu=s.numerology, f_s=s.sample_rate) if toa_path == "nr" else None
-    require_int("solve_every", solve_every, 0)
-    require_number("eps_prior", eps_prior, 0)
-    require_int("planner_headings", planner_headings, 1)
+    check_options(solve_every, eps_prior, planner_headings)
     n_steps = s.mission_steps
     num_users = len(s.users)
     users = np.array([u.as_array() for u in s.users])

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -171,10 +172,10 @@ def _require_finite(name, *values):
 
 
 def require_number(name, value, low, strict=False):
-    """value if it is a finite real number, not a bool, > low (strict) or
-    >= low; else InvalidParam(name)."""
+    """value if it is a real number within the range of a float, not a bool,
+    > low (strict) or >= low; else InvalidParam(name)."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and ((low < value) if strict else (low <= value)) and value < math.inf):
+            and ((low < value) if strict else (low <= value)) and value <= sys.float_info.max):
         raise InvalidParam(name, f"must be finite and {'>' if strict else '>='} {low}")
     return value
 
@@ -185,6 +186,13 @@ def require_int(name, value, low):
             and value >= low):
         raise InvalidParam(name, f"must be an integer >= {low}")
     return value
+
+
+def require_numerology(mu):
+    """mu if it is an NR numerology, an integer in 0..5; else InvalidParam."""
+    if require_int("numerology", mu, 0) > 5:
+        raise InvalidParam("numerology", "must be in 0..5")
+    return mu
 
 
 def validate_scenario(s: Scenario) -> Scenario:
@@ -199,8 +207,7 @@ def validate_scenario(s: Scenario) -> Scenario:
     require_number("d_max", s.d_max, 0, strict=True)
     require_number("delta_keep", s.delta_keep, 0)
     require_number("sigma_gps", s.sigma_gps, 0, strict=True)
-    if require_int("numerology", s.numerology, 0) > 5:
-        raise InvalidParam("numerology", "must be in 0..5")
+    require_numerology(s.numerology)
     require_number("sample_rate", s.sample_rate, 0, strict=True)
     require_int("seed", s.seed, 0)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayOutOfWindow, EmptyCir, InvalidNumerology, InvalidParam
-from .model import require_number
+from .errors import DelayOutOfWindow, EmptyCir, InvalidParam
+from .model import require_int, require_number, require_numerology
 
 DF_MAX = 480e3      # Hz, maximum subcarrier spacing
 K_MAX = 4096        # maximum FFT size
@@ -22,16 +22,17 @@ TC = 1.0 / (DF_MAX * K_MAX)  # basic time unit, 1/1.96608e9 s
 
 @dataclass(frozen=True)
 class NrConfig:
-    """NR timing settings. InvalidParam("sample_rate") refuses an f_s that
-    is not finite and > 0, or at which a timing-advance residual can overflow
-    the CIR window, f_s * ta_unit(mu) >= cir_len (at 256 taps: f_s >= 491.52 *
-    2^mu MHz)."""
+    """NR timing settings. InvalidParam refuses a bad mu or a cir_len that is
+    not an integer >= 1, and as "sample_rate" an f_s that is not finite and > 0
+    or at which a timing-advance residual can overflow the CIR window,
+    f_s * ta_unit(mu) >= cir_len (at 256 taps: f_s >= 491.52 * 2^mu MHz)."""
     mu: int = 1              # numerology, 0..5
     f_s: float = 61.44e6     # sample rate, Hz (40 MHz-class default)
     cir_len: int = 256       # CIR window length in samples
 
     def __post_init__(self):
-        unit = ta_unit(self.mu)
+        require_int("cir_len", self.cir_len, 1)
+        unit = ta_unit(self.mu)  # refuses a bad numerology
         if require_number("sample_rate", self.f_s, 0, strict=True) * unit >= self.cir_len:
             raise InvalidParam("sample_rate", f"must be below {self.cir_len / unit:.6g} Hz for "
                                f"NR ToA at numerology {self.mu}, or a timing-advance residual "
@@ -46,31 +47,25 @@ class SawtoothDrift:
     reset_period: int = 1
 
 
-def _check_mu(mu: int):
-    if mu not in (0, 1, 2, 3, 4, 5):
-        raise InvalidNumerology(f"numerology {mu} not in 0..5")
-
-
 def ta_unit(mu: int) -> float:
-    """Seconds of RTT per timing-advance increment."""
-    _check_mu(mu)
-    return 16 * 64 * TC / 2 ** mu
+    """Seconds of RTT per timing-advance increment; InvalidParam unless mu is a numerology."""
+    return 16 * 64 * TC / 2 ** require_numerology(mu)
 
 
 def coarse_rtt(ta: int, mu: int) -> float:
     """Coarse RTT implied by a timing-advance value: ta * 16 * 64 * Tc / 2^mu."""
-    _check_mu(mu)
+    unit = ta_unit(mu)
     if ta < 0:
         raise ValueError("ta must be a nonnegative integer")
-    return ta * ta_unit(mu)
+    return ta * unit
 
 
 def ta_from_rtt(rtt, mu: int):
     """Nearest timing-advance value, half to even: an int, or floats for an RTT array."""
-    _check_mu(mu)
+    unit = ta_unit(mu)
     if (np.asarray(rtt) < 0).any():
         raise ValueError("rtt must be >= 0")
-    ta = np.rint(rtt / ta_unit(mu))
+    ta = np.rint(rtt / unit)
     return ta if np.ndim(ta) else int(ta)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .channel import link_geometry
+from .channel import link_geometry, toa_gradient
 from .errors import InvalidParam, SingularSystem
 from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel,
                     require_int, require_number, sigma_tau_of_distance)
@@ -128,12 +128,8 @@ def _nonempty_log(measurements) -> MeasurementLog:
 
 
 def toa_jacobian_row(uav, user) -> np.ndarray:
-    """Partials of the ToA residual r = tau_hat - ||x - u||/C.
-
-    Returns [dr/dx (3 entries), dr/du (2 entries)].
-    """
-    diff, d = link_geometry(uav, user)
-    g = diff / (SPEED_OF_LIGHT * d)
+    """[dr/dx (3 entries), dr/du (2 entries)] of the ToA residual r = tau_hat - ||x - u||/C."""
+    g = toa_gradient(uav, user)[0]
     return np.concatenate([-g, g[:2]])
 
 

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from uavloc.channel import los_delay
 from uavloc.cli import main
-from uavloc.errors import ParseError, RowError, SchemaError, UnknownKey
+from uavloc.errors import InvalidParam, ParseError, RowError, SchemaError, UnknownKey
 from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
                             parse_scenario, read_measurement_log,
                             serialize_scenario, write_measurement_log)
-from uavloc.mission import run_mission
+from uavloc.mission import check_options, run_mission
 from uavloc.model import (AxisBox, MeasurementSample, Scenario, ToaNoiseModel,
                           Vec2, Vec3)
 from uavloc.slam import SlamConfig
@@ -618,7 +618,9 @@ def _input_error(capsys, argv):
 
 
 def _command_args(command, tmp_path, measurement_log):
-    """Valid input files for each subcommand but the scenario."""
+    """Valid input files and options for each subcommand but the scenario."""
+    if command == "mc":
+        return ["--runs", "1"]
     if command == "simulate":
         return ["--out", str(tmp_path / "out")]
     if command == "solve":
@@ -632,7 +634,9 @@ def _command_args(command, tmp_path, measurement_log):
     return ["--trajectory", str(tmp_path / "traj.csv"), "--users", str(tmp_path / "users.csv")]
 
 
-@pytest.mark.parametrize("command", ["simulate", "solve"])
+# plan and crb never run a mission, so only the config parser stands between
+# a bad option and them
+@pytest.mark.parametrize("command", ["simulate", "solve", "plan", "crb", "mc"])
 @pytest.mark.parametrize("section, key, value", BAD_OPTIONS,
                          ids=[f"{k}={v}" for _, k, v in BAD_OPTIONS])
 def test_cli_bad_option_exits_2(tmp_path, capsys, measurement_log, command, section, key, value):
@@ -641,6 +645,49 @@ def test_cli_bad_option_exits_2(tmp_path, capsys, measurement_log, command, sect
     line = _input_error(capsys, [command, "--scenario", str(cfg)]
                         + _command_args(command, tmp_path, measurement_log))
     assert f"'{section}.{key}'" in line
+
+
+def _owner_refuses(key, value):
+    """Whether the library's owner of an option refuses value: SlamConfig
+    for the solver settings, mission.check_options for the rest."""
+    mission = {"solve_every": 1, "eps_prior": 1e-6, "planner_headings": 8}
+    try:
+        if key in ("solve_every", "eps_prior", "headings"):
+            check_options(**(mission | {"planner_headings" if key == "headings" else key: value}))
+        else:
+            SlamConfig.for_scenario(parse_scenario(MINIMAL), **{key: value})
+    except InvalidParam:
+        return True
+    return False
+
+
+# per_distance_weights is left out: its one rule is its type, a bool, which
+# only the parser checks
+RANGED_OPTIONS = [("solver", "sigma_tau"), ("solver", "huber_delta"), ("solver", "tol_step"),
+                  ("solver", "max_iter"), ("solver", "solve_every"), ("solver", "eps_prior"),
+                  ("planner", "headings")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(option=st.sampled_from(RANGED_OPTIONS),
+       value=st.one_of(st.integers(), st.floats(), st.booleans()))
+@example(option=("solver", "sigma_tau"), value=10 ** 400)
+@example(option=("solver", "eps_prior"), value=0.0)
+@example(option=("solver", "eps_prior"), value=-0.0)
+@example(option=("solver", "eps_prior"), value=0)
+@example(option=("planner", "headings"), value=True)
+def test_config_refuses_an_option_exactly_when_its_owner_does(option, value):
+    section, key = option
+    text = MINIMAL + yaml.safe_dump({section: {key: value}})
+    read = yaml.safe_load(text)[section][key]
+    assert type(read) is type(value) and (read == value or math.isnan(value))
+    try:
+        parse_run_config(text)
+    except (InvalidParam, ParseError) as exc:
+        assert f"'{section}.{key}'" in str(exc)
+        assert _owner_refuses(key, value), str(exc)
+    else:
+        assert not _owner_refuses(key, value)
 
 
 # One bad document per branch of the config parser, with the key(s) the error
@@ -697,8 +744,7 @@ def test_cli_bad_document_exits_2(tmp_path, capsys, text, keys):
 def test_cli_negative_seed_exits_2(tmp_path, capsys, measurement_log, command, where):
     cfg = tmp_path / "scenario.yaml"
     cfg.write_text(MINIMAL + ("seed: -1\n" if where == "config" else ""))
-    args = (["--runs", "1"] if command == "mc"
-            else _command_args(command, tmp_path, measurement_log))
+    args = _command_args(command, tmp_path, measurement_log)
     seed = ["--seed", "-1"] if where == "option" else []
     assert "'seed'" in _input_error(capsys, [command, "--scenario", str(cfg)] + args + seed)
 

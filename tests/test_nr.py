@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uavloc.channel import RngStream
-from uavloc.errors import DelayOutOfWindow, EmptyCir, InvalidNumerology, InvalidParam
+from uavloc.errors import DelayOutOfWindow, EmptyCir, InvalidParam
 from uavloc.nrtiming import (TC, NrConfig, SawtoothDrift, coarse_rtt,
                              drift_offset, estimate_toa_nr, srs_refine,
                              synth_cir, ta_from_rtt, ta_unit)
@@ -48,10 +48,13 @@ def test_coarse_rtt_linear_and_mu_halving():
 
 
 def test_invalid_numerology():
-    with pytest.raises(InvalidNumerology):
+    # a numerology is an input, refused as one (exit 2), not a numeric failure
+    with pytest.raises(InvalidParam) as exc:
         coarse_rtt(1, 6)
-    with pytest.raises(InvalidNumerology):
+    assert exc.value.field == "numerology"
+    with pytest.raises(InvalidParam) as exc:
         ta_from_rtt(1e-7, -1)
+    assert exc.value.field == "numerology"
 
 
 def test_ta_from_rtt_examples():
@@ -255,6 +258,19 @@ def test_nr_config_refuses_sample_rate_beyond_cir_window():
         with pytest.raises(InvalidParam) as exc:
             NrConfig(mu=0, f_s=f_s)
         assert exc.value.field == "sample_rate"
+
+
+# cir_len 0 used to be refused as a sample rate "below 0 Hz", and 16.5 and the
+# numerologies True and 1.0 were accepted; 6 raised a numeric error
+@pytest.mark.parametrize("field, kwargs", [
+    ("numerology", {"mu": 6}), ("numerology", {"mu": True}), ("numerology", {"mu": 1.0}),
+    ("cir_len", {"cir_len": 16.5}), ("cir_len", {"cir_len": 0}),
+    ("cir_len", {"cir_len": True}),
+], ids=["mu=6", "mu=True", "mu=1.0", "cir_len=16.5", "cir_len=0", "cir_len=True"])
+def test_nr_config_refuses_bad_numerology_and_cir_len(field, kwargs):
+    with pytest.raises(InvalidParam) as exc:
+        NrConfig(**kwargs)
+    assert exc.value.field == field
 
 
 def scalar_estimate(true_delay, cfg, drift):
