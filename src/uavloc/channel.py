@@ -8,6 +8,8 @@ the full measurement sequence bit-identically.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DegenerateGeometry
@@ -59,12 +61,21 @@ def sample_gps(true_pos, sigma_gps: float, rng: np.random.Generator) -> np.ndarr
     return _as_array(true_pos) + sigma_gps * rng.standard_normal(3)
 
 
+@lru_cache(maxsize=16)
+def _box_corners(boxes: tuple) -> np.ndarray:
+    """Read-only (B, 2, 3) min and max corners of a tuple of AxisBox; a
+    scenario's buildings are one tuple, so a mission builds them once."""
+    corners = np.array([[b.min_corner.as_array(), b.max_corner.as_array()]
+                        for b in boxes]).reshape(-1, 2, 3)
+    corners.flags.writeable = False
+    return corners
+
+
 def _crossings(p0, seg, boxes) -> np.ndarray:
     """Whether the open segments p0 + t seg (..., 3), 0 < t < 1, cross a box
     interior, as (...,) booleans: the slab test (Williams et al., JGT 2005)
     on (..., B, 2, 3) arrays of the t at which each segment meets each face."""
-    corners = np.array([[b.min_corner.as_array(), b.max_corner.as_array()]
-                        for b in boxes]).reshape(-1, 2, 3)
+    corners = _box_corners(tuple(boxes))
     # parallel to an axis, x / 0 = +-inf leaves t free inside the slab and
     # none outside it (a near-zero component overflows to the same limit); on
     # its boundary 0 / 0 = NaN makes the test below false

@@ -109,17 +109,16 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
         raise SchemaError(f"state 'step' must be an integer in 1..{s.mission_steps - 1}")
     try:
         arrays = {k: np.asarray(doc[k], dtype=float) for k in ("pos", "user_estimates", "fim")}
-        eps = float(doc.get("eps_prior", InfoState.eps_prior))
     except (TypeError, ValueError, OverflowError):
-        raise SchemaError("state 'pos', 'user_estimates', 'fim' and 'eps_prior' "
-                          "must hold numbers") from None
+        raise SchemaError("state 'pos', 'user_estimates' and 'fim' must hold numbers") from None
     users = arrays["user_estimates"]
     k = len(users) if users.ndim else 0
     shapes = {"pos": (3,), "user_estimates": (max(k, 1), 2), "fim": (2 * k, 2 * k)}
     for key, arr in arrays.items():
         if arr.shape != shapes[key] or not np.all(np.isfinite(arr)):
             raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
-    require_number("state.eps_prior", eps, 0)
+    # a JSON string or bool is refused, not converted
+    eps = float(require_number("state.eps_prior", doc.get("eps_prior", InfoState.eps_prior), 0))
     # the planner reads only the diagonal 2x2 blocks of fim
     fim = arrays["fim"]
     if np.any(fim[~np.kron(np.eye(k, dtype=bool), np.ones((2, 2), dtype=bool))]):

@@ -10,6 +10,7 @@ Infeasible steps fall back to moving straight toward the terminal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,14 +41,24 @@ def reach_threshold(n: int, mission_steps: int, d_max: float) -> float:
     return d_max * (mission_steps - n)
 
 
+@lru_cache(maxsize=16)
+def _unit_ring(headings: int) -> np.ndarray:
+    """Read-only (headings + 1, 3) unit directions at constant altitude, the
+    zero row for holding position last."""
+    theta = 2.0 * np.pi * np.arange(headings) / headings
+    ring = np.zeros((headings + 1, 3))
+    ring[:-1, 0], ring[:-1, 1] = np.cos(theta), np.sin(theta)
+    ring.flags.writeable = False
+    return ring
+
+
 def candidate_positions(st: PlannerState) -> np.ndarray:
     """(C, 3) ring of `headings` points at radius d_max, constant altitude,
     hold position last."""
     pos = np.asarray(st.pos, dtype=float)
-    theta = 2.0 * np.pi * np.arange(st.headings) / st.headings
-    ring = pos + st.d_max * np.column_stack([np.cos(theta), np.sin(theta),
-                                             np.zeros(st.headings)])
-    return np.vstack([ring, pos])
+    cands = pos + st.d_max * _unit_ring(st.headings)
+    cands[-1] = pos  # exactly pos: pos + d_max * 0 turns -0.0 into 0.0
+    return cands
 
 
 def _costs(cands: np.ndarray, st: PlannerState) -> np.ndarray:

@@ -20,9 +20,10 @@ users together, so that matrix and b = J^T W r are kept in blocks: the 3x3
 pose blocks, the 2x2 user blocks and the pose-user coupling.
 Levenberg-Marquardt damps the matrix and eliminates the poses by the Schur
 complement, as bundle adjustment does (Triggs et al., "Bundle Adjustment - A
-Modern Synthesis", 2000): each trial step factors one 2K-square reduced
-system by Cholesky and back-solves the S poses, at O(S K^2 + K^3) cost
-instead of O((3S + 2K)^3). The damping follows the gain ratio of actual to
+Modern Synthesis", 2000): each trial step tests one 2K-square reduced
+system for positive definiteness by a Cholesky factorization, solves it by
+LU and back-solves the S poses, at O(S K^2 + K^3) cost instead of
+O((3S + 2K)^3). The damping follows the gain ratio of actual to
 predicted decrease (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
 Least Squares Problems", 2004, section 3.2).
 """
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .channel import link_geometry, toa_gradient
 from .errors import InvalidParam, SingularSystem
@@ -108,6 +108,8 @@ class SlamConfig:
         if self.huber_delta is not None:
             require_number("huber_delta", self.huber_delta, 0, strict=True)
         require_int("max_iter", self.max_iter, 1)
+        if not isinstance(self.per_distance_weights, bool):
+            raise InvalidParam("per_distance_weights", "must be true or false")
         if self.per_distance_weights and self.noise_model is None:
             raise InvalidParam("per_distance_weights", "needs a noise_model")
 
@@ -228,10 +230,11 @@ def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
     With A = Hpp + lambda I (block-diagonal) and B = Hpu, the user step du
     solves the 2K-square reduced system
         (Huu + lambda I - B^T A^-1 B) du = B^T A^-1 b_p - b_u
-    by Cholesky, and each pose back-solves dp = -A^-1 (b_p + B du).
+    by LU, and each pose back-solves dp = -A^-1 (b_p + B du).
     H + lambda I is positive definite exactly when every pose block of A and
-    the reduced matrix are, so SingularSystem is raised where a Cholesky
-    factorization of the whole H + lambda I would fail.
+    the reduced matrix are, so a Cholesky factorization of each, used only
+    as that test, raises SingularSystem where a Cholesky factorization of
+    the whole H + lambda I would fail.
     """
     S, K = len(ne.Hpp), len(ne.Huu)
     A = ne.Hpp + damping * np.eye(3)
@@ -242,14 +245,10 @@ def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
         reduced = -M[:, :2 * K]
         np.einsum("iaib->iab", reduced.reshape(K, 2, K, 2))[...] += ne.Huu
         reduced.flat[::2 * K + 1] += damping
-        factor, info = lapack.dpotrf(reduced, lower=1, clean=0)
-        if info:
-            raise np.linalg.LinAlgError("reduced matrix is not positive definite")
+        np.linalg.cholesky(reduced)  # raises unless the reduced matrix is positive definite
+        du = np.linalg.solve(reduced, M[:, 2 * K] - ne.b[3 * S:])
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"factorization failed at damping {damping:g}") from exc
-    rhs = M[:, 2 * K] - ne.b[3 * S:]
-    # LAPACK's wrapper rejects an empty right-hand side (no users)
-    du = lapack.dpotrs(factor, rhs, lower=1)[0] if K else rhs
     dp = -(X[:, :, 2 * K] + X[:, :, :2 * K] @ du)
     return np.concatenate([dp.ravel(), du])
 

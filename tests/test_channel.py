@@ -250,6 +250,16 @@ def test_is_blocked_broadcasts_over_leading_axes():
                             for row in users]
 
 
+def test_is_blocked_takes_boxes_as_list_or_tuple():
+    users = np.array([[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0]])
+    wall = AxisBox(Vec3(4, -2, 0), Vec3(6, 2, 50))
+    want = [True, False, False]
+    for boxes in ([wall], (wall,), [wall], (wall,)):
+        assert is_blocked(Vec3(0, 0, 30), users, boxes).tolist() == want
+    second = AxisBox(Vec3(-2, 4, 0), Vec3(2, 6, 50))
+    assert is_blocked(Vec3(0, 0, 30), users, (wall, second)).tolist() == [True, True, False]
+
+
 def test_is_blocked_degenerate_link():
     with pytest.raises(DegenerateGeometry):
         is_blocked(Vec3(1, 2, 0), [[5.0, 5.0], [1.0, 2.0]], [])

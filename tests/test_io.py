@@ -4,7 +4,10 @@ import io
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -14,6 +17,7 @@ import yaml
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import uavloc
 from uavloc.channel import los_delay
 from uavloc.cli import main
 from uavloc.errors import InvalidParam, ParseError, RowError, SchemaError, UnknownKey
@@ -661,21 +665,20 @@ def _owner_refuses(key, value):
     return False
 
 
-# per_distance_weights is left out: its one rule is its type, a bool, which
-# only the parser checks
-RANGED_OPTIONS = [("solver", "sigma_tau"), ("solver", "huber_delta"), ("solver", "tol_step"),
-                  ("solver", "max_iter"), ("solver", "solve_every"), ("solver", "eps_prior"),
-                  ("planner", "headings")]
+CHECKED_OPTIONS = [("solver", "sigma_tau"), ("solver", "huber_delta"), ("solver", "tol_step"),
+                   ("solver", "max_iter"), ("solver", "solve_every"), ("solver", "eps_prior"),
+                   ("solver", "per_distance_weights"), ("planner", "headings")]
 
 
 @settings(max_examples=200, deadline=None)
-@given(option=st.sampled_from(RANGED_OPTIONS),
+@given(option=st.sampled_from(CHECKED_OPTIONS),
        value=st.one_of(st.integers(), st.floats(), st.booleans()))
 @example(option=("solver", "sigma_tau"), value=10 ** 400)
 @example(option=("solver", "eps_prior"), value=0.0)
 @example(option=("solver", "eps_prior"), value=-0.0)
 @example(option=("solver", "eps_prior"), value=0)
 @example(option=("planner", "headings"), value=True)
+@example(option=("solver", "per_distance_weights"), value=1)
 def test_config_refuses_an_option_exactly_when_its_owner_does(option, value):
     section, key = option
     text = MINIMAL + yaml.safe_dump({section: {key: value}})
@@ -1075,6 +1078,28 @@ def test_cli_plan_malformed_state_exits_2(tmp_path, scenario_file, text):
     rc, err = _plan_exit(tmp_path, scenario_file, text)
     assert rc == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0.5", True])
+def test_cli_plan_eps_prior_not_a_number_exits_2(tmp_path, scenario_file, capsys, value):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(dict(VALID_STATE, eps_prior=value)))
+    argv = ["plan", "--scenario", scenario_file, "--state", str(state)]
+    assert "'state.eps_prior'" in _input_error(capsys, argv)
+    state.write_text(json.dumps(dict(VALID_STATE, eps_prior=0.5)))
+    assert main(argv) == 0
+
+
+def test_cli_imports_no_scipy():
+    # scipy would more than double the resident memory and import time of
+    # every uavloc command
+    code = "import sys, uavloc.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(uavloc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("traj, users", [

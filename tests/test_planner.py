@@ -61,6 +61,23 @@ def test_perpendicular_bearing_scores_higher():
     assert perp > along
 
 
+# --- candidate_positions ---
+
+@pytest.mark.parametrize("headings", [1, 8, 12])
+@pytest.mark.parametrize("pos", [(3.5, -2.25, 30.0), (-0.0, 0.0, -0.0)])
+def test_candidates_equal_the_ring_built_per_query(headings, pos):
+    st = make_state(step=1, pos=pos, terminal=(0, 0, 30), n_steps=10, d_max=5.0,
+                    headings=headings)
+    pos = np.asarray(pos, dtype=float)
+    theta = 2.0 * np.pi * np.arange(headings) / headings
+    ring = pos + 5.0 * np.column_stack([np.cos(theta), np.sin(theta), np.zeros(headings)])
+    want = np.vstack([ring, pos])
+    for _ in range(2):
+        cands = candidate_positions(st)
+        assert cands.tobytes() == want.tobytes()  # -0.0 of a held pos kept
+        cands[:] = np.nan  # the caller's array, not the cached ring
+
+
 # --- next_waypoint ---
 
 def test_forced_terminal_at_last_step():

@@ -577,6 +577,15 @@ def test_per_distance_weights_need_a_noise_model():
     assert SlamConfig(per_distance_weights=True, noise_model=noise).noise_model is noise
 
 
+@pytest.mark.parametrize("value", ["no", 1, 0.0, None])
+def test_per_distance_weights_must_be_a_bool(value):
+    noise = ToaNoiseModel(kind="exponential", amp=1e-9, scale=50.0)
+    with pytest.raises(InvalidParam) as exc:
+        SlamConfig(per_distance_weights=value, noise_model=noise)
+    assert exc.value.field == "per_distance_weights"
+    assert SlamConfig(per_distance_weights=False, noise_model=noise).per_distance_weights is False
+
+
 # unchecked, a mission with these settings divides by zero (sigma 0), fails
 # in range() (max_iter 2.5), runs to a meaningless estimate (sigma_tau NaN,
 # huber_delta < 0) or makes no iteration (max_iter 0)
