@@ -374,11 +374,69 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
 
 
 def initial_state(measurements, rng: np.random.Generator) -> StateVector:
-    """Default initialization: UAV poses from GPS, users uniform over the
-    GPS-trace horizontal bounding box expanded by INIT_MARGIN meters."""
+    """Default initialization: UAV poses from GPS, each user in closed form
+    from its squared ranges (Smith & Abel, IEEE TASSP 1987; Beck, Stoica &
+    Li, IEEE TSP 2008).
+
+    First K x then K y coordinates are drawn from `rng`, uniform over the
+    GPS-trace horizontal bounding box expanded by INIT_MARGIN meters. A user
+    whose track, the horizontal GPS fixes of its rows, has no extent (largest
+    singular value of the centred track at most 1e-9 m, the tolerance of
+    check_identifiability) keeps its draw. For every other user, with
+    q = p - mean(p) its centred track, z the altitudes and v = u - mean(p),
+        y = (C tau)^2 - z^2 - |q|^2 = |v|^2 - 2 q^T v,
+    whose least-squares fit decouples because sum q = 0:
+    v = -(1/2) (sum q q^T)^-1 sum q y and |v|^2 = mean(y). The user takes
+    whichever of three candidates has the lowest ToA sum of squares at the
+    GPS poses: the two mirror images about the track's principal axis, with
+    v's part along the axis and the part across it
+    +-sqrt(max(mean(y) - along^2, 0)), the one nearer the draw first, and v
+    itself. A non-finite candidate (v on a collinear track) loses, and an
+    exact tie goes to the candidate listed first.
+    """
     log = _nonempty_log(measurements)
     gps, K = log.pose_gps, len(log.user_ids)
     lo = gps[:, :2].min(axis=0) - INIT_MARGIN
     hi = gps[:, :2].max(axis=0) + INIT_MARGIN
-    users = np.column_stack([rng.uniform(lo[0], hi[0], K), rng.uniform(lo[1], hi[1], K)])
+    drawn = np.column_stack([rng.uniform(lo[0], hi[0], K), rng.uniform(lo[1], hi[1], K)])
+
+    user, p = log.user, np.take(gps, log.pose, axis=0)
+    count = np.bincount(user, minlength=K)
+    centre = np.column_stack([np.bincount(user, p[:, i], K) for i in (0, 1)]) / count[:, None]
+    q = p[:, :2] - np.take(centre, user, axis=0)
+    ct, zz = SPEED_OF_LIGHT * log.toa, p[:, 2] ** 2
+    y = ct ** 2 - zz - np.vecdot(q, q)
+    # per user: the entries xx, xy, yy of sum q q^T, sum q y (gx, gy) and sum y
+    qx, qy = q.T
+    xx, xy, yy, gx, gy, y_sum = (np.bincount(user, w, K)
+                                 for w in (qx * qx, qx * qy, qy * qy, qx * y, qy * y, y))
+    # eigenvalues mid +- r of sum q q^T, in closed form
+    half, mid = (xx - yy) / 2, (xx + yy) / 2
+    r = np.hypot(half, xy)
+    has_extent = mid + r > 1e-18  # largest singular value above 1e-9 m
+    if not has_extent.any():  # every user keeps its draw, as at a log's first pose
+        return StateVector(uav=gps.copy(), users=drawn)
+    with np.errstate(all="ignore"):
+        # the principal axis, in the form free of cancellation, and its
+        # normal; any axis is principal where sum q q^T is isotropic
+        ux, uy = np.where(half < 0, (xy, r - half), (half + r, xy))
+        ux[(ux == 0) & (uy == 0)] = 1.0
+        major = np.column_stack([ux, uy]) / np.hypot(ux, uy)[:, None]
+        minor = np.column_stack([-major[:, 1], major[:, 0]])
+        along = -0.5 * (major[:, 0] * gx + major[:, 1] * gy) / (mid + r)
+        fit_across = -0.5 * (minor[:, 0] * gx + minor[:, 1] * gy) / (mid - r)
+        across = np.sqrt(np.maximum(y_sum / count - along ** 2, 0.0))
+        offset = np.array([across, -across, fit_across])
+        cand = centre + along[:, None] * major + offset[:, :, None] * minor
+        near = np.vecdot(cand[:2] - drawn, cand[:2] - drawn)
+        swap = near[1] < near[0]
+        cand[:2, swap] = cand[1::-1, swap]
+        # one (3, M) link evaluation; link_geometry is not used because a
+        # candidate on a pose at z = 0 is scored, not refused
+        h = p[:, :2] - np.take(cand, user, axis=1)
+        miss = (ct - np.sqrt(np.vecdot(h, h) + zz)) ** 2
+        cost = np.array([np.bincount(user, m, K) for m in miss])
+    cost[np.isnan(cost)] = np.inf  # the cost of a non-finite candidate: it loses
+    best = cand[np.argmin(cost, axis=0), np.arange(K)]
+    users = np.where(has_extent[:, None], best, drawn)
     return StateVector(uav=gps.copy(), users=users)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavloc.channel import RngStream, los_delay
 from uavloc.errors import DegenerateGeometry, InvalidParam, SingularSystem
@@ -519,6 +521,138 @@ def test_solve_slam_logs_nothing(caplog):
     assert caplog.records == []
 
 
+# --- initial_state ---
+
+# a cross of four poses: sum q q^T is exactly isotropic, so no axis is principal
+CROSS = np.array([[40.0, 0.0, 30.0], [0.0, 40.0, 30.0], [-40.0, 0.0, 30.0], [0.0, -40.0, 30.0]])
+
+
+@pytest.mark.parametrize("uavs", [circle(16), CROSS], ids=["circle", "cross"])
+def test_start_recovers_a_noise_free_log(uavs):
+    users = np.array(ID_USERS + [np.array([70.0, 65.0])])
+    start = initial_state(make_samples(uavs, list(users)), RngStream(3))
+    np.testing.assert_allclose(start.users, users, rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(start.uav, uavs)
+
+
+@pytest.mark.parametrize("along, seeds", [(0, (0, 1)), (1, (1, 2))], ids=["x", "y"])
+def test_start_on_a_straight_track_takes_the_mirror_image_nearer_the_draw(along, seeds):
+    # the track lies on an axis at one altitude, so the mirror images of a
+    # user give bit-identical ranges and the ToA objective cannot tell them apart
+    order = [along, 1 - along]
+    uavs, users = straight(8)[:, order + [2]], np.array(ID_USERS)[:, order]
+    across = 1 - along
+    samples = make_samples(uavs, list(users))
+    draws = [drawn_start(uavs, len(users), seed).users for seed in seeds]
+    assert np.all(np.sign(draws[0][:, across]) == -np.sign(draws[1][:, across]))
+    starts = [initial_state(samples, RngStream(seed)).users for seed in seeds]
+    cfg = SlamConfig()
+    for start, drawn in zip(starts, draws):
+        np.testing.assert_allclose(np.abs(start), np.abs(users), rtol=0, atol=1e-6)
+        assert np.all(np.sign(start[:, across]) == np.sign(drawn[:, across]))
+        for k in range(len(start)):
+            mirrored = start.copy()
+            mirrored[k, across] *= -1
+            assert (objective(StateVector(uavs, mirrored), samples, cfg)
+                    == objective(StateVector(uavs, start), samples, cfg))
+    flip = np.ones(2)
+    flip[across] = -1.0
+    np.testing.assert_array_equal(starts[1], starts[0] * flip)
+
+
+def test_start_keeps_the_draw_of_a_user_without_track_extent():
+    # a one-pose log: no user has extent
+    one_pose = make_samples(circle(1), ID_USERS)
+    for seed in (0, 5):
+        np.testing.assert_array_equal(initial_state(one_pose, RngStream(seed)).users,
+                                      drawn_start(circle(1), len(ID_USERS), seed).users)
+    # user 2 is heard at pose 3 only, user 3 three times at pose 5
+    uavs = circle(8)
+    samples = [m for m in make_samples(uavs, ID_USERS)
+               if m.user_id == 1 or (m.user_id, m.step) in ((2, 3), (3, 5))]
+    samples += [m for m in samples if m.user_id == 3] * 2
+    for seed in (0, 5):
+        start, drawn = initial_state(samples, RngStream(seed)), drawn_start(uavs, 3, seed)
+        np.testing.assert_array_equal(start.users[1:], drawn.users[1:])
+        np.testing.assert_allclose(start.users[0], ID_USERS[0], rtol=0, atol=1e-6)
+
+
+def reference_start(log, drawn):
+    """initial_state's users computed one user at a time: the squared-range
+    fit by np.linalg.lstsq, the track's principal axis by np.linalg.svd, and
+    the candidate with the lowest ToA sum of squares."""
+    users = drawn.copy()
+    for j in range(len(log.user_ids)):
+        p, ct = log.pose_gps[log.pose[log.user == j]], C * log.toa[log.user == j]
+        centre = p[:, :2].mean(axis=0)
+        q = p[:, :2] - centre
+        _, extent, axes = np.linalg.svd(q)
+        if extent[0] <= 1e-9:
+            continue
+        y = ct ** 2 - p[:, 2] ** 2 - np.sum(q ** 2, axis=1)
+        v = np.linalg.lstsq(np.column_stack([-2 * q, np.ones(len(q))]), y, rcond=None)[0][:2]
+        along = axes[0] @ v
+        across = math.sqrt(max(y.mean() - along ** 2, 0.0))
+        cands = [centre + along * axes[0] + s * axes[1] for s in (across, -across)] + [centre + v]
+        cost = [np.sum((ct - np.linalg.norm(p - np.append(c, 0.0), axis=1)) ** 2) for c in cands]
+        users[j] = cands[int(np.argmin(cost))]
+    return users
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_start_equals_the_per_user_reference(seed):
+    samples, drawn, _, _ = plateau_case(seed)
+    # users 1-3 heard from the first 8 poses only, user 4 from one
+    samples = [m for m in samples
+               if m.user_id > 4 or (m.step <= 8 and (m.user_id < 4 or m.step == 1))]
+    log = MeasurementLog.of(samples)
+    np.testing.assert_allclose(initial_state(log, RngStream(seed)).users,
+                               reference_start(log, drawn.users), rtol=0, atol=1e-6)
+
+
+def test_start_ignores_the_seed_when_every_user_has_track_extent():
+    samples = plateau_case(5)[0]
+    np.testing.assert_array_equal(initial_state(samples, RngStream(1)).users,
+                                  initial_state(samples, RngStream(2)).users)
+
+
+# Positions on a 1 mm grid and delays on a 1 ps grid, as a log records them:
+# no input is so small that its square underflows.
+MM = st.integers(-100_000, 100_000).map(lambda v: v / 1000)
+
+
+@st.composite
+def sparse_logs(draw):
+    """Logs of 1-6 poses, some at repeated positions, and up to 4 users with
+    rows missing; delays from 0 to 300 m, many shorter than the altitude's
+    (so (C tau)^2 - z^2 < 0)."""
+    altitude = st.integers(1_000, 100_000).map(lambda v: v / 1000)
+    spots = draw(st.lists(st.tuples(MM, MM, altitude), min_size=1, max_size=3))
+    poses = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=6))
+    num_users = draw(st.integers(1, 4))
+    heard = draw(st.lists(st.booleans(), min_size=len(poses) * num_users,
+                          max_size=len(poses) * num_users).filter(any))
+    rows = [(i + 1, k + 1, poses[i]) for i in range(len(poses)) for k in range(num_users)
+            if heard[i * num_users + k]]
+    toa = draw(st.lists(st.integers(0, 1_000_000).map(lambda ps: ps * 1e-12),
+                        min_size=len(rows), max_size=len(rows)))
+    return MeasurementLog(step=np.array([r[0] for r in rows]),
+                          user_id=np.array([r[1] for r in rows]),
+                          gps=np.array([r[2] for r in rows], dtype=float), toa=np.array(toa))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(log=sparse_logs(), seed=st.integers(0, 2 ** 32 - 1))
+@example(log=MeasurementLog.of(make_samples(straight(4), ID_USERS)), seed=0)
+@example(log=MeasurementLog.of(make_samples(CROSS, ID_USERS)), seed=0)
+def test_start_is_finite_and_raises_no_float_warning(log, seed):
+    with np.errstate(all="raise"):
+        start = initial_state(log, RngStream(seed))
+    assert start.users.shape == (len(log.user_ids), 2)
+    assert np.isfinite(start.users).all()
+    np.testing.assert_array_equal(start.uav, log.pose_gps)
+
+
 # --- solve_slam ---
 
 def test_noiseless_recovery_from_perturbed_init():
@@ -719,9 +853,20 @@ def test_newton_lm_converges_quadratically():
         assert after <= 10.0 * before ** 2  # metres
 
 
+def drawn_start(gps, num_users, seed):
+    """Poses at the GPS fixes, users uniform over the GPS box widened by 50 m
+    (K x then K y draws of RngStream(seed)): far from the minimum, so a solve
+    from it takes failed factorizations and rejected steps on its way."""
+    rng = RngStream(seed)
+    lo, hi = gps[:, :2].min(axis=0) - 50.0, gps[:, :2].max(axis=0) + 50.0
+    users = np.column_stack([rng.uniform(lo[0], hi[0], num_users),
+                             rng.uniform(lo[1], hi[1], num_users)])
+    return StateVector(uav=gps.copy(), users=users)
+
+
 def plateau_case(seed):
     """A log as `uavloc solve` reads it: 64 poses on a closed circle, 8 users
-    in a disc, GPS and ToA noise, users drawn by `initial_state`."""
+    in a disc, GPS and ToA noise, users drawn uniformly by `drawn_start`."""
     rng = np.random.default_rng(seed)
     path = circle(64, radius=60.0)
     radius, angle = 48 * np.sqrt(rng.uniform(0, 1, 8)), rng.uniform(0, 2 * np.pi, 8)
@@ -730,7 +875,7 @@ def plateau_case(seed):
     samples = [MeasurementSample(i + 1, k + 1, Vec3(*gps[i]),
                                  los_delay(path[i], u) + 1.25e-8 * rng.standard_normal())
                for i in range(len(path)) for k, u in enumerate(users)]
-    return samples, initial_state(samples, RngStream(seed)), path, users
+    return samples, drawn_start(gps, len(users), seed), path, users
 
 
 @pytest.mark.parametrize("seed", [8, 38, 55, 89, 133])
