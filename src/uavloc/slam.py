@@ -392,7 +392,9 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     v's part along the axis and the part across it
     +-sqrt(max(mean(y) - along^2, 0)), the one nearer the draw first, and v
     itself. A non-finite candidate (v on a collinear track) loses, and an
-    exact tie goes to the candidate listed first.
+    exact tie goes to the candidate listed first. A user whose chosen
+    candidate lies outside the widened box keeps its draw too: on a track
+    barely longer than 1e-9 m the along-track part has no useful bound.
     """
     log = _nonempty_log(measurements)
     gps, K = log.pose_gps, len(log.user_ids)
@@ -416,27 +418,31 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     has_extent = mid + r > 1e-18  # largest singular value above 1e-9 m
     if not has_extent.any():  # every user keeps its draw, as at a log's first pose
         return StateVector(uav=gps.copy(), users=drawn)
-    with np.errstate(all="ignore"):
-        # the principal axis, in the form free of cancellation, and its
-        # normal; any axis is principal where sum q q^T is isotropic
-        ux, uy = np.where(half < 0, (xy, r - half), (half + r, xy))
-        ux[(ux == 0) & (uy == 0)] = 1.0
-        major = np.column_stack([ux, uy]) / np.hypot(ux, uy)[:, None]
-        minor = np.column_stack([-major[:, 1], major[:, 0]])
-        along = -0.5 * (major[:, 0] * gx + major[:, 1] * gy) / (mid + r)
+    # the principal axis, in the form free of cancellation, and its normal;
+    # any axis is principal where sum q q^T is isotropic or zero
+    ux, uy = np.where(half < 0, (xy, r - half), (half + r, xy))
+    ux[(ux == 0) & (uy == 0)] = 1.0
+    major = np.column_stack([ux, uy]) / np.hypot(ux, uy)[:, None]
+    minor = np.column_stack([-major[:, 1], major[:, 0]])
+    along = -0.5 * (major[:, 0] * gx + major[:, 1] * gy) / np.where(has_extent, mid + r, 1.0)
+    across = np.sqrt(np.maximum(y_sum / count - along ** 2, 0.0))
+    # mid - r, the extent across the axis, is 0 on a straight track; the fit
+    # across it is then NaN, not +-inf, which times a 0 in `minor` would warn
+    with np.errstate(divide="ignore", invalid="ignore"):
         fit_across = -0.5 * (minor[:, 0] * gx + minor[:, 1] * gy) / (mid - r)
-        across = np.sqrt(np.maximum(y_sum / count - along ** 2, 0.0))
-        offset = np.array([across, -across, fit_across])
-        cand = centre + along[:, None] * major + offset[:, :, None] * minor
-        near = np.vecdot(cand[:2] - drawn, cand[:2] - drawn)
-        swap = near[1] < near[0]
-        cand[:2, swap] = cand[1::-1, swap]
-        # one (3, M) link evaluation; link_geometry is not used because a
-        # candidate on a pose at z = 0 is scored, not refused
-        h = p[:, :2] - np.take(cand, user, axis=1)
-        miss = (ct - np.sqrt(np.vecdot(h, h) + zz)) ** 2
-        cost = np.array([np.bincount(user, m, K) for m in miss])
-    cost[np.isnan(cost)] = np.inf  # the cost of a non-finite candidate: it loses
+    fit_across[~np.isfinite(fit_across)] = np.nan
+    offset = np.array([across, -across, fit_across])
+    cand = centre + along[:, None] * major + offset[:, :, None] * minor
+    near = np.vecdot(cand[:2] - drawn, cand[:2] - drawn)
+    swap = near[1] < near[0]
+    cand[:2, swap] = cand[1::-1, swap]
+    # one (3, M) link evaluation; link_geometry is not used because a
+    # candidate on a pose at z = 0 is scored, not refused
+    h = p[:, :2] - np.take(cand, user, axis=1)
+    miss = (ct - np.sqrt(np.vecdot(h, h) + zz)) ** 2
+    cost = np.array([np.bincount(user, m, K) for m in miss])
+    cost[np.isnan(cost)] = np.inf  # the cost of a NaN candidate: it loses
     best = cand[np.argmin(cost, axis=0), np.arange(K)]
-    users = np.where(has_extent[:, None], best, drawn)
+    inside = np.all((best >= lo) & (best <= hi), axis=1)
+    users = np.where((has_extent & inside)[:, None], best, drawn)
     return StateVector(uav=gps.copy(), users=users)

@@ -577,10 +577,26 @@ def test_start_keeps_the_draw_of_a_user_without_track_extent():
         np.testing.assert_allclose(start.users[0], ID_USERS[0], rtol=0, atol=1e-6)
 
 
+def two_fixes_1_mm_apart():
+    """A user heard from two GPS fixes 1 mm apart, with squared ranges
+    8.9e4 m^2 apart: the along-track fit lies about 4.5e7 m away."""
+    gps = np.array([[0.0, 0.0, 10.0], [0.001, 0.0, 10.0]])
+    return MeasurementLog(step=np.array([1, 2]), user_id=np.array([1, 1]), gps=gps,
+                          toa=np.array([30.0, 300.0]) / C)
+
+
+def test_start_keeps_the_draw_of_a_user_whose_fit_leaves_the_box():
+    log = two_fixes_1_mm_apart()
+    for seed in (0, 5):
+        np.testing.assert_array_equal(initial_state(log, RngStream(seed)).users,
+                                      drawn_start(log.pose_gps, 1, seed).users)
+
+
 def reference_start(log, drawn):
     """initial_state's users computed one user at a time: the squared-range
     fit by np.linalg.lstsq, the track's principal axis by np.linalg.svd, and
-    the candidate with the lowest ToA sum of squares."""
+    the candidate with the lowest ToA sum of squares, if it lies in the GPS
+    box widened by 50 m."""
     users = drawn.copy()
     for j in range(len(log.user_ids)):
         p, ct = log.pose_gps[log.pose[log.user == j]], C * log.toa[log.user == j]
@@ -595,7 +611,10 @@ def reference_start(log, drawn):
         across = math.sqrt(max(y.mean() - along ** 2, 0.0))
         cands = [centre + along * axes[0] + s * axes[1] for s in (across, -across)] + [centre + v]
         cost = [np.sum((ct - np.linalg.norm(p - np.append(c, 0.0), axis=1)) ** 2) for c in cands]
-        users[j] = cands[int(np.argmin(cost))]
+        best = cands[int(np.argmin(cost))]
+        lo, hi = log.pose_gps[:, :2].min(axis=0) - 50.0, log.pose_gps[:, :2].max(axis=0) + 50.0
+        if np.all((lo <= best) & (best <= hi)):
+            users[j] = best
     return users
 
 
@@ -615,6 +634,12 @@ def test_start_ignores_the_seed_when_every_user_has_track_extent():
     np.testing.assert_array_equal(initial_state(samples, RngStream(1)).users,
                                   initial_state(samples, RngStream(2)).users)
 
+
+# a rectangle 200 m long and 2e-7 m wide: the width is lost to rounding in
+# sum q q^T, but not in sum q y, so the fit across the track divides a
+# nonzero number by 0
+THIN = np.array([[100.0, 1e-7, 30.0], [-100.0, 1e-7, 30.0],
+                 [100.0, -1e-7, 30.0], [-100.0, -1e-7, 30.0]])
 
 # Positions on a 1 mm grid and delays on a 1 ps grid, as a log records them:
 # no input is so small that its square underflows.
@@ -645,11 +670,16 @@ def sparse_logs(draw):
 @given(log=sparse_logs(), seed=st.integers(0, 2 ** 32 - 1))
 @example(log=MeasurementLog.of(make_samples(straight(4), ID_USERS)), seed=0)
 @example(log=MeasurementLog.of(make_samples(CROSS, ID_USERS)), seed=0)
-def test_start_is_finite_and_raises_no_float_warning(log, seed):
+@example(log=two_fixes_1_mm_apart(), seed=0)
+@example(log=MeasurementLog.of(make_samples(THIN, ID_USERS)), seed=0)
+def test_start_lies_in_the_widened_box_and_raises_no_float_warning(log, seed):
+    # initial_state ignores float errors only where it divides by the track's
+    # extent across its principal axis, which is 0 on a straight track
     with np.errstate(all="raise"):
         start = initial_state(log, RngStream(seed))
     assert start.users.shape == (len(log.user_ids), 2)
-    assert np.isfinite(start.users).all()
+    lo, hi = log.pose_gps[:, :2].min(axis=0) - 50.0, log.pose_gps[:, :2].max(axis=0) + 50.0
+    assert np.all((lo <= start.users) & (start.users <= hi))
     np.testing.assert_array_equal(start.uav, log.pose_gps)
 
 
