@@ -259,23 +259,45 @@ def _first_inconsistent(log: MeasurementLog):
                f"GPS fix differs from the first one given for step {step}"][rule]
 
 
-def read_measurement_log(text: str) -> MeasurementLog:
-    """Parse a measurement-log CSV; the header must match the schema exactly.
+# A log row as np.loadtxt reads it. numpy parses a float field with
+# PyOS_string_to_double, the routine float() calls, and an int field as
+# int() does for the spellings it accepts.
+_LOG_ROW = np.dtype([("step", np.int64), ("user_id", np.int64), ("gps", np.float64, 3),
+                     ("toa", np.float64)])
 
-    Each row must hold finite numbers, a step and user_id >= 1 that fit in
-    int64, toa_s >= 0, a (step, user_id) pair not given before, and for its
-    step the same GPS fix as the step's first row; a RowError names the
-    first row that does not. Blank lines are skipped but count in the row
-    numbers.
-    """
-    reader = csv.reader(io.StringIO(text))
+
+def _loaded(body: str):
+    """The columns of a log body, header removed, as np.loadtxt reads them
+    in one pass; None where the row path must read the body instead. numpy
+    refuses some spellings int() and float() accept (1_0, non-ASCII
+    digits), and skips blank lines as the row path does. It refuses every
+    field they refuse, save one holding a separator \\x1c-\\x1f, which numpy
+    strips as space: a body holding one is left to the row path unread. So
+    is a body of blank lines only, on which numpy warns that it holds no
+    data."""
+    if not body.strip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        return None
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("missing header row") from None
-    if header != LOG_HEADER:
-        raise SchemaError(f"header must be exactly {','.join(LOG_HEADER)}")
-    lines = list(reader)
+        rows = np.loadtxt(io.StringIO(body), dtype=_LOG_ROW, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)
+    except ValueError:
+        return None
+    return MeasurementLog(step=rows["step"].copy(), user_id=rows["user_id"].copy(),
+                          gps=rows["gps"].copy(), toa=rows["toa"].copy())
+
+
+def _read_rows(reader) -> MeasurementLog:
+    """The row path of read_measurement_log: the log in the rows a csv
+    reader gives after the header, each field read with int() or float().
+    A row csv cannot read (a lone carriage return, a field over csv's size
+    limit) is a RowError at the reader's line_num, if no row before it is
+    bad."""
+    lines, unreadable = [], None
+    try:
+        for line in reader:
+            lines.append(line)
+    except csv.Error as exc:
+        unreadable = reader.line_num, str(exc)
     rows = list(filter(None, lines))
     try:
         log, error = _columns(rows), None
@@ -284,10 +306,46 @@ def read_measurement_log(text: str) -> MeasurementLog:
         error = _unparsable(rows)
         log = _columns(rows[:error[0]])
     error = _first_inconsistent(log) or error
-    if error is None:
+    if error is not None:
+        raise RowError([n for n, line in enumerate(lines, start=2) if line][error[0]], error[1])
+    if unreadable is not None:
+        raise RowError(*unreadable)
+    return log
+
+
+def read_measurement_log(text: str) -> MeasurementLog:
+    """Parse a measurement-log CSV; the header must match the schema exactly.
+
+    Each row must hold finite numbers, a step and user_id >= 1 that fit in
+    int64, toa_s >= 0, a (step, user_id) pair not given before, and for its
+    step the same GPS fix as the step's first row; a RowError names the
+    first row that does not, or that csv cannot read. Blank lines are
+    skipped but count in the row numbers.
+
+    np.loadtxt reads the body after the header in one pass, and its values
+    equal int()'s and float()'s bit for bit. Only a body numpy refuses, or
+    whose rows break a rule, is read again by the row path: csv, then int()
+    and float() per field. The row path defines the accepted grammar (it
+    also reads spellings numpy refuses, such as 1_0 and non-ASCII digits)
+    and numbers the rows for the RowError.
+    """
+    f = io.StringIO(text)
+    reader = csv.reader(f)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("missing header row") from None
+    except csv.Error as exc:
+        raise SchemaError(f"unreadable header row: {exc}") from None
+    if header != LOG_HEADER:
+        raise SchemaError(f"header must be exactly {','.join(LOG_HEADER)}")
+    start = f.tell()
+    body = f.read()
+    log = _loaded(body)
+    if log is not None and _first_inconsistent(log) is None:
         return log
-    rownum = [n for n, line in enumerate(lines, start=2) if line][error[0]]
-    raise RowError(rownum, error[1])
+    f.seek(start)
+    return _read_rows(reader)
 
 
 def write_measurement_log(samples) -> str:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -294,6 +295,7 @@ FIRST_BAD_ROW = [
     ("blank_lines_count", ["1,1,0.0,0.0,30.0,1e-7", "", "", "1,2,0.0,0.0,30.0,-1e-9"], 5,
      "toa_s must be >= 0"),
     ("header_only", [], None, None),
+    ("blank_lines_only", ["", "\r", ""], None, None),
 ]
 
 
@@ -301,11 +303,14 @@ FIRST_BAD_ROW = [
                          ids=[case[0] for case in FIRST_BAD_ROW])
 def test_log_first_bad_row_across_rules(rows, row, message):
     text = ",".join(LOG_HEADER) + "\n" + "".join(line + "\n" for line in rows)
-    if row is None:
-        assert len(read_measurement_log(text)) == 0
-        return
-    with pytest.raises(RowError) as exc:
-        read_measurement_log(text)
+    # a body of blank lines must not reach np.loadtxt, which warns on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if row is None:
+            assert len(read_measurement_log(text)) == 0
+            return
+        with pytest.raises(RowError) as exc:
+            read_measurement_log(text)
     assert (exc.value.row, str(exc.value)) == (row, f"row {row}: {message}")
 
 
@@ -323,13 +328,25 @@ def test_log_ids_must_fit_int64(field):
         assert exc.value.row == 2
 
 
+def _csv_rows(reader):
+    """The rows of a csv reader; a row csv cannot read is a RowError at the
+    reader's line_num."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise RowError(reader.line_num, str(exc)) from None
+
+
 def reference_read(text):
-    """Row-by-row reader with the rules of read_measurement_log, except the
-    int64 range of step and user_id: the reference for the column reader."""
+    """Row-by-row reader with the rules of read_measurement_log: the
+    reference for its column readers."""
     reader = csv.reader(io.StringIO(text))
     assert next(reader) == LOG_HEADER
     samples, seen, gps_of_step = [], set(), {}
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, row in enumerate(_csv_rows(reader), start=2):
         if not row:
             continue
         if len(row) != len(LOG_HEADER):
@@ -339,6 +356,8 @@ def reference_read(text):
             values = tuple(map(float, row[2:]))
         except ValueError as exc:
             raise RowError(rownum, str(exc)) from None
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in (step, user_id)):
+            raise RowError(rownum, "step and user_id must fit in a 64-bit integer")
         if not all(map(math.isfinite, values)):
             name = LOG_HEADER[2 + [math.isfinite(v) for v in values].index(False)]
             raise RowError(rownum, f"{name} must be finite")
@@ -382,7 +401,21 @@ def test_log_roundtrip_property(samples):
     assert write_measurement_log(back) == text
 
 
-_BAD_FIELDS = ["nan", "inf", "-inf", "-1e-9", "0", "-3", "abc", "", "1.5", " 2", "1e400"]
+def _exact_outcome(read, text):
+    """The rows `read` gives for text, floats as float.hex so that -0.0 and
+    0.0 differ; or the row and message of its RowError."""
+    try:
+        return [(m.step, m.user_id, *map(float.hex, (*astuple(m.gps_pos), m.toa)))
+                for m in read(text)]
+    except RowError as exc:
+        return exc.row, str(exc)
+
+
+# fields a row rule, int() or float() refuses, and spellings that numpy and
+# int() or float() read differently (numpy refuses 1_0 and non-ASCII digits,
+# and takes \x1c for space)
+_BAD_FIELDS = ["nan", "inf", "-inf", "-1e-9", "0", "-3", "abc", "", "1.5", " 2", "1e400",
+               "1_0", "\u0661", " +2 ", "1.0", '"7"', str(2 ** 63), "\x1c1"]
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -405,13 +438,75 @@ def test_log_one_corruption_matches_reference(samples, data):
     for _ in range(data.draw(st.integers(0, 2))):
         lines.insert(data.draw(st.integers(0, len(lines))), [])
     text = ",".join(LOG_HEADER) + "\n" + "".join(",".join(f) + "\n" for f in lines)
+    assert _exact_outcome(read_measurement_log, text) == _exact_outcome(reference_read, text)
 
-    def outcome(read):
-        try:
-            return list(read(text))
-        except RowError as exc:
-            return exc.row, str(exc)
-    assert outcome(read_measurement_log) == outcome(reference_read)
+
+_ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                             "\u0665\u0666\u0667\u0668\u0669")
+# other spellings of a field's text; int(), float() or csv read some of them
+# as the plain text and refuse others
+_SPELLINGS = [
+    lambda s: s,
+    lambda s: f" +{s} " if s[0] != "-" else f" {s} ",
+    lambda s: f'"{s}"',
+    lambda s: f'"{s},"',
+    lambda s: s[0] + "_" + s[1:],
+    lambda s: s.translate(_ARABIC_DIGITS),
+    lambda s: s + ".0",
+    lambda s: "\t" + s + "\xa0",
+    lambda s: s + "\x1c",
+]
+
+
+@st.composite
+def spelled_logs(draw):
+    """The text of a valid log with its fields spelled in other ways, ids
+    outside int64, CRLF line ends, and blank and whitespace-only lines."""
+    lines = []
+    for m in draw(valid_samples()):
+        fields = [str(m.step), str(m.user_id), *map(repr, astuple(m.gps_pos)), repr(m.toa)]
+        if draw(st.integers(0, 9)) == 0:
+            fields[draw(st.integers(0, 1))] = str(draw(st.sampled_from(
+                [2 ** 63, -2 ** 63 - 1, 2 ** 63 - 1, -2 ** 63, 10 ** 20])))
+        lines.append(",".join(draw(st.sampled_from(_SPELLINGS))(f) if draw(st.booleans())
+                              else f for f in fields))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return ",".join(LOG_HEADER) + end + "".join(line + end for line in lines)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=spelled_logs())
+@example(text=",".join(LOG_HEADER) + "\r\n1,1,0.0,0.0,30.0,1e-7\r\n\r\n"
+         '"2"," +1 ","0,0",0.0,30.0,1e-7\r\n')
+@example(text=",".join(LOG_HEADER) + "\n1_0,\u0661,0.0,0.0,30.0,1e-7\n 1.0,1,0,0,30,1e-7\n")
+def test_log_spellings_match_reference(text):
+    assert _exact_outcome(read_measurement_log, text) == _exact_outcome(reference_read, text)
+
+
+def test_log_unreadable_csv_is_a_row_or_schema_error():
+    head = ",".join(LOG_HEADER) + "\n"
+    with pytest.raises(RowError, match="new-line character") as exc:
+        read_measurement_log(head + "1,1,0.0,0.0,30.0,1e-7\n2,1,0.0\r,0.0,30.0,1e-7\n")
+    assert exc.value.row == 3
+    long_field = "1,1,0.0,0.0,30.0," + "x" * 200000 + "\n"
+    with pytest.raises(RowError, match="field larger than field limit") as exc:
+        read_measurement_log(head + long_field)
+    assert exc.value.row == 2
+    # a bad row before the unreadable one is the first bad row
+    with pytest.raises(RowError, match="toa_s must be >= 0") as exc:
+        read_measurement_log(head + "1,1,0.0,0.0,30.0,-1e-9\n" + long_field)
+    assert exc.value.row == 2
+    with pytest.raises(SchemaError, match="unreadable header row"):
+        read_measurement_log(head.replace("\n", "\rx\n"))
+
+
+def test_cli_solve_over_long_field_exits_2(tmp_path, scenario_file, capsys):
+    log = tmp_path / "measurements.csv"
+    log.write_text(",".join(LOG_HEADER) + "\n1,1,0.0,0.0,30.0," + "x" * 200000 + "\n")
+    line = _input_error(capsys, ["solve", "--scenario", scenario_file, "--log", str(log)])
+    assert line == "error: row 2: field larger than field limit (131072)"
 
 
 def test_cli_solve_duplicate_row_exits_2(tmp_path, scenario_file, capsys):
