@@ -460,18 +460,20 @@ _SPELLINGS = [
 
 @st.composite
 def spelled_logs(draw):
-    """The text of a valid log with its fields spelled in other ways, ids
-    outside int64, CRLF line ends, and blank and whitespace-only lines."""
-    lines = []
-    for m in draw(valid_samples()):
-        fields = [str(m.step), str(m.user_id), *map(repr, astuple(m.gps_pos)), repr(m.toa)]
-        if draw(st.integers(0, 9)) == 0:
-            fields[draw(st.integers(0, 1))] = str(draw(st.sampled_from(
-                [2 ** 63, -2 ** 63 - 1, 2 ** 63 - 1, -2 ** 63, 10 ** 20])))
-        lines.append(",".join(draw(st.sampled_from(_SPELLINGS))(f) if draw(st.booleans())
-                              else f for f in fields))
+    """The text of a valid log with some fields spelled in another way,
+    maybe an id outside int64 or a whitespace-only line, blank lines, and
+    LF or CRLF line ends."""
+    spell = draw(st.sampled_from(_SPELLINGS))
+    rows = [[str(m.step), str(m.user_id), *map(repr, astuple(m.gps_pos)), repr(m.toa)]
+            for m in draw(valid_samples())]
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = str(
+            draw(st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 63 - 1, -2 ** 63, 10 ** 20])))
+    lines = [",".join(spell(f) if draw(st.booleans()) else f for f in row) for row in rows]
     for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([" ", "\t"])))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return ",".join(LOG_HEADER) + end + "".join(line + end for line in lines)
 
