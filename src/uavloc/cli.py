@@ -151,7 +151,10 @@ def _cmd_plan(args) -> int:
 def _read_xyz_csv(path: str, header: list[str]) -> np.ndarray:
     """One or more rows of finite numbers under an exact header."""
     with open(path) as f:
-        rows = list(csv.reader(io.StringIO(f.read())))
+        try:
+            rows = list(csv.reader(io.StringIO(f.read())))
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise SchemaError(f"{path}: unreadable CSV: {exc}") from None
     if not rows or rows[0] != header:
         raise SchemaError(f"{path}: header must be exactly {','.join(header)}")
     rows = [row for row in rows[1:] if row]

@@ -223,10 +223,7 @@ def _unparsable(rows):
 
 
 def _columns(rows) -> MeasurementLog:
-    """The columns of rows that _unparsable accepts; ValueError or
-    OverflowError if a row is not such a row."""
-    if set(map(len, rows)) - {len(LOG_HEADER)}:
-        raise ValueError("a row has the wrong number of fields")
+    """The columns of rows that _unparsable accepts."""
     step, user_id, *floats = list(zip(*rows)) or [()] * len(LOG_HEADER)
     values = np.array([list(map(float, c)) for c in floats]).reshape(4, -1)
     return MeasurementLog(step=np.array(list(map(int, step)), dtype=np.int64),
@@ -274,8 +271,12 @@ def _loaded(body: str):
     field they refuse, save one holding a separator \\x1c-\\x1f, which numpy
     strips as space: a body holding one is left to the row path unread. So
     is a body of blank lines only, on which numpy warns that it holds no
-    data."""
-    if not body.strip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+    data, and one with more than csv's field size limit of characters
+    between two commas: a field numpy reads holds no comma, and csv refuses
+    a field that long (a quoted field may span lines)."""
+    limit = csv.field_size_limit()
+    if (not body.strip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f")
+            or (len(body) > limit and max(map(len, body.split(","))) > limit)):
         return None
     try:
         rows = np.loadtxt(io.StringIO(body), dtype=_LOG_ROW, delimiter=",", comments=None,
@@ -299,12 +300,9 @@ def _read_rows(reader) -> MeasurementLog:
     except csv.Error as exc:
         unreadable = reader.line_num, str(exc)
     rows = list(filter(None, lines))
-    try:
-        log, error = _columns(rows), None
-    except (ValueError, OverflowError):
-        # the rows before the first unparsable one may break a rule first
-        error = _unparsable(rows)
-        log = _columns(rows[:error[0]])
+    error = _unparsable(rows)
+    # the rows before the first unparsable one may break a rule first
+    log = _columns(rows if error is None else rows[:error[0]])
     error = _first_inconsistent(log) or error
     if error is not None:
         raise RowError([n for n, line in enumerate(lines, start=2) if line][error[0]], error[1])

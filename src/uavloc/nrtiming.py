@@ -115,8 +115,9 @@ def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float):
     if not (true_delay.min() >= 0 and 0 <= rtt.min() <= rtt.max() < np.inf):
         raise ValueError("true_delay and rtt = 2 * true_delay + drift must be finite and >= 0")
     unit = ta_unit(cfg.mu)
-    ta = ta_from_rtt(rtt, cfg.mu)
-    # |rtt / unit - ta| <= 1/2 exactly, so |peak| <= f_s * unit / 2 in
-    # floating point too
-    peak = (rtt / unit - ta) * unit * cfg.f_s
+    ratio = rtt / unit
+    ta = np.rint(ratio)  # as ta_from_rtt rounds; cfg and rtt are checked above
+    # |ratio - ta| <= 1/2 exactly, so |peak| <= f_s * unit / 2 in floating
+    # point too
+    peak = (ratio - ta) * unit * cfg.f_s
     return (ta * unit + np.rint(peak) / cfg.f_s) / 2.0

@@ -253,19 +253,53 @@ def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
     return np.concatenate([dp.ravel(), du])
 
 
+# meters: a track whose extent across its principal axis (the second
+# singular value of its centred horizontal positions) is at most this is
+# straight; one whose extent along the axis is at most this has none
+EXTENT_TOL = 1e-9
+
+
+def _tracks(xy, user, K: int):
+    """Per-user geometry of the horizontal positions xy (M, 2) of rows whose
+    user indices are `user` (M,), for users 0..K-1.
+
+    Returns (count, centre, q, (big, small), major, minor): each user's row
+    count (K,) and centre (K, 2), the centred rows q = xy - centre[user]
+    (M, 2), the larger and smaller eigenvalues of each user's sum q q^T, (K,)
+    each, and its unit principal axis and normal, (K, 2) each. The
+    smaller eigenvalue cancels on a long thin track, so an extent across
+    the axis is measured by projecting q on `minor`. Any axis is principal
+    where sum q q^T is isotropic or zero.
+    """
+    count = np.bincount(user, minlength=K)
+    centre = np.column_stack([np.bincount(user, xy[:, i], K) for i in (0, 1)]) / count[:, None]
+    q = xy - np.take(centre, user, axis=0)
+    qx, qy = q.T
+    # the entries sxx, sxy, syy of sum q q^T, and its eigenvalues mid +- r
+    sxx, sxy, syy = (np.bincount(user, w, K) for w in (qx * qx, qx * qy, qy * qy))
+    half, mid = (sxx - syy) / 2, (sxx + syy) / 2
+    r = np.hypot(half, sxy)
+    # the principal axis, in the form free of cancellation, and its normal
+    ux, uy = np.where(half < 0, (sxy, r - half), (half + r, sxy))
+    ux[(ux == 0) & (uy == 0)] = 1.0
+    major = np.column_stack([ux, uy]) / np.hypot(ux, uy)[:, None]
+    minor = np.column_stack([-major[:, 1], major[:, 0]])
+    return count, centre, q, (mid + r, mid - r), major, minor
+
+
 def check_identifiability(log: MeasurementLog) -> list[int]:
     """Users lacking >= 3 ToA measurements from non-collinear horizontal
     UAV positions. Logs a warning for each (identifiability is marginal);
     `uavloc solve` calls it before solving, solve_slam does not.
 
-    A user's track is non-collinear when the second singular value of its
-    centered horizontal positions, in row order, exceeds 1e-9."""
-    weak = []
-    for j, uid in enumerate(log.user_ids):
-        track = log.pose_gps[log.pose[log.user == j], :2]
-        if (len(track) < 3 or
-                np.linalg.svd(track - track.mean(axis=0), compute_uv=False)[1] <= 1e-9):
-            weak.append(uid)
+    A user's track is non-collinear when its extent across its principal
+    axis, sqrt(sum (q . minor)^2) over its centred horizontal positions q,
+    exceeds EXTENT_TOL: the second singular value of the centred track."""
+    K = len(log.user_ids)
+    count, _, q, _, _, minor = _tracks(log.pose_gps[log.pose, :2], log.user, K)
+    across = np.vecdot(q, np.take(minor, log.user, axis=0))
+    extent = np.sqrt(np.bincount(log.user, across * across, K))
+    weak = np.compress((count < 3) | (extent <= EXTENT_TOL), log.user_ids).tolist()
     for uid in weak:
         logger.warning("user %d is weakly observed "
                        "(needs >=3 non-collinear ToA measurements)", uid)
@@ -381,9 +415,9 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     First K x then K y coordinates are drawn from `rng`, uniform over the
     GPS-trace horizontal bounding box expanded by INIT_MARGIN meters. A user
     whose track, the horizontal GPS fixes of its rows, has no extent (largest
-    singular value of the centred track at most 1e-9 m, the tolerance of
-    check_identifiability) keeps its draw. For every other user, with
-    q = p - mean(p) its centred track, z the altitudes and v = u - mean(p),
+    singular value of the centred track at most EXTENT_TOL) keeps its draw.
+    For every other user, with q = p - mean(p) its centred track, z the
+    altitudes and v = u - mean(p),
         y = (C tau)^2 - z^2 - |q|^2 = |v|^2 - 2 q^T v,
     whose least-squares fit decouples because sum q = 0:
     v = -(1/2) (sum q q^T)^-1 sum q y and |v|^2 = mean(y). The user takes
@@ -394,7 +428,7 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     itself. A non-finite candidate (v on a collinear track) loses, and an
     exact tie goes to the candidate listed first. A user whose chosen
     candidate lies outside the widened box keeps its draw too: on a track
-    barely longer than 1e-9 m the along-track part has no useful bound.
+    barely longer than EXTENT_TOL the along-track part has no useful bound.
     """
     log = _nonempty_log(measurements)
     gps, K = log.pose_gps, len(log.user_ids)
@@ -403,33 +437,21 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     drawn = np.column_stack([rng.uniform(lo[0], hi[0], K), rng.uniform(lo[1], hi[1], K)])
 
     user, p = log.user, np.take(gps, log.pose, axis=0)
-    count = np.bincount(user, minlength=K)
-    centre = np.column_stack([np.bincount(user, p[:, i], K) for i in (0, 1)]) / count[:, None]
-    q = p[:, :2] - np.take(centre, user, axis=0)
+    count, centre, q, (big, small), major, minor = _tracks(p[:, :2], user, K)
     ct, zz = SPEED_OF_LIGHT * log.toa, p[:, 2] ** 2
     y = ct ** 2 - zz - np.vecdot(q, q)
-    # per user: the entries xx, xy, yy of sum q q^T, sum q y (gx, gy) and sum y
+    # per user: sum q y (gx, gy) and sum y
     qx, qy = q.T
-    xx, xy, yy, gx, gy, y_sum = (np.bincount(user, w, K)
-                                 for w in (qx * qx, qx * qy, qy * qy, qx * y, qy * y, y))
-    # eigenvalues mid +- r of sum q q^T, in closed form
-    half, mid = (xx - yy) / 2, (xx + yy) / 2
-    r = np.hypot(half, xy)
-    has_extent = mid + r > 1e-18  # largest singular value above 1e-9 m
+    gx, gy, y_sum = (np.bincount(user, w, K) for w in (qx * y, qy * y, y))
+    has_extent = big > EXTENT_TOL ** 2  # largest singular value above EXTENT_TOL
     if not has_extent.any():  # every user keeps its draw, as at a log's first pose
         return StateVector(uav=gps.copy(), users=drawn)
-    # the principal axis, in the form free of cancellation, and its normal;
-    # any axis is principal where sum q q^T is isotropic or zero
-    ux, uy = np.where(half < 0, (xy, r - half), (half + r, xy))
-    ux[(ux == 0) & (uy == 0)] = 1.0
-    major = np.column_stack([ux, uy]) / np.hypot(ux, uy)[:, None]
-    minor = np.column_stack([-major[:, 1], major[:, 0]])
-    along = -0.5 * (major[:, 0] * gx + major[:, 1] * gy) / np.where(has_extent, mid + r, 1.0)
+    along = -0.5 * (major[:, 0] * gx + major[:, 1] * gy) / np.where(has_extent, big, 1.0)
     across = np.sqrt(np.maximum(y_sum / count - along ** 2, 0.0))
-    # mid - r, the extent across the axis, is 0 on a straight track; the fit
-    # across it is then NaN, not +-inf, which times a 0 in `minor` would warn
+    # the smaller eigenvalue is 0 on a straight track; the fit across the
+    # axis is then NaN, not +-inf, which times a 0 in `minor` would warn
     with np.errstate(divide="ignore", invalid="ignore"):
-        fit_across = -0.5 * (minor[:, 0] * gx + minor[:, 1] * gy) / (mid - r)
+        fit_across = -0.5 * (minor[:, 0] * gx + minor[:, 1] * gy) / small
     fit_across[~np.isfinite(fit_across)] = np.nan
     offset = np.array([across, -across, fit_across])
     cand = centre + along[:, None] * major + offset[:, :, None] * minor

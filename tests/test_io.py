@@ -504,6 +504,21 @@ def test_log_unreadable_csv_is_a_row_or_schema_error():
         read_measurement_log(head.replace("\n", "\rx\n"))
 
 
+# numeric fields over csv's 131072-character limit that numpy reads: digits,
+# a quoted field spanning lines (csv names the line where it passes the
+# limit) and one padded with spaces after its quote
+@pytest.mark.parametrize("field, row", [
+    ("0" * 200000, 2), ('"' + "\n" * 200000 + '1e-7"', 2 + 131072), ('"1e-7"' + " " * 200000, 2),
+], ids=["digits", "quoted_lines", "padded"])
+def test_log_over_long_field_is_a_row_error_with_or_without_a_later_bad_row(field, row):
+    text = ",".join(LOG_HEADER) + "\n1,1,0.0,0.0,30.0," + field + "\n"
+    for body in (text, text + "2,1,0.0,0.0,30.0,-1e-9\n"):
+        with pytest.raises(RowError, match="field larger than field limit") as exc:
+            read_measurement_log(body)
+        assert exc.value.row == row
+        assert _exact_outcome(read_measurement_log, body) == _exact_outcome(reference_read, body)
+
+
 def test_cli_solve_over_long_field_exits_2(tmp_path, scenario_file, capsys):
     log = tmp_path / "measurements.csv"
     log.write_text(",".join(LOG_HEADER) + "\n1,1,0.0,0.0,30.0," + "x" * 200000 + "\n")
@@ -1206,13 +1221,15 @@ def test_cli_imports_no_scipy():
     ("step,x,y,z\n1,50,0,nan\n", "user_id,x,y\n1,0,0\n"),
     ("step,x,y,z\n", "user_id,x,y\n1,0,0\n"),
     ("n,x,y,z\n1,50,0,30\n", "user_id,x,y\n1,0,0\n"),
+    # a field over csv's 131072-character limit
+    ("step,x,y,z\n1,50,0," + "3" * 200000 + "\n", "user_id,x,y\n1,0,0\n"),
+    ("step,x,y,z\n1,50,0,30\n", "user_id,x,y\n1,0," + "3" * 200000 + "\n"),
 ], ids=["short_trajectory_row", "short_users_row", "non_numeric", "non_finite", "no_rows",
-        "wrong_header"])
+        "wrong_header", "over_long_trajectory_field", "over_long_users_field"])
 def test_cli_crb_malformed_csv_exits_2(tmp_path, scenario_file, capsys, traj, users):
     tp = tmp_path / "traj.csv"
     tp.write_text(traj)
     up = tmp_path / "users.csv"
     up.write_text(users)
-    assert main(["crb", "--scenario", scenario_file, "--trajectory", str(tp),
-                 "--users", str(up)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    _input_error(capsys, ["crb", "--scenario", scenario_file, "--trajectory", str(tp),
+                          "--users", str(up)])

@@ -683,6 +683,29 @@ def test_start_lies_in_the_widened_box_and_raises_no_float_warning(log, seed):
     np.testing.assert_array_equal(start.uav, log.pose_gps)
 
 
+def reference_weak(log):
+    """check_identifiability's rule one user at a time: fewer than 3 rows, or
+    a second singular value of the centred horizontal track at most 1e-9 m."""
+    weak = []
+    for j, uid in enumerate(log.user_ids):
+        track = log.pose_gps[log.pose[log.user == j], :2]
+        if (len(track) < 3 or
+                np.linalg.svd(track - track.mean(axis=0), compute_uv=False)[1] <= 1e-9):
+            weak.append(uid)
+    return weak
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(log=sparse_logs())
+@example(log=MeasurementLog.of(make_samples(straight(4), ID_USERS)))
+@example(log=MeasurementLog.of(make_samples(CROSS, ID_USERS)))
+@example(log=two_fixes_1_mm_apart())
+@example(log=MeasurementLog.of(make_samples(THIN, ID_USERS)))
+def test_identifiability_equals_the_per_user_svd_rule(log):
+    with np.errstate(all="raise"):
+        assert check_identifiability(log) == reference_weak(log)
+
+
 # --- solve_slam ---
 
 def test_noiseless_recovery_from_perturbed_init():
