@@ -118,23 +118,21 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
         if arr.shape != shapes[key] or not np.all(np.isfinite(arr)):
             raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
     # a JSON string or bool is refused, not converted
-    eps = float(require_number("state.eps_prior", doc.get("eps_prior", InfoState.eps_prior), 0))
+    eps = float(require_number("state.eps_prior", doc.get("eps_prior", rc.eps_prior), 0))
     # the planner reads only the diagonal 2x2 blocks of fim
-    fim = arrays["fim"]
-    if np.any(fim[~np.kron(np.eye(k, dtype=bool), np.ones((2, 2), dtype=bool))]):
+    info = InfoState(step=step, fim=arrays["fim"], eps_prior=eps)
+    if not np.array_equal(info.fim, arrays["fim"]):
         raise SchemaError("state 'fim' must be block-diagonal: every 2x2 block "
                           "off the diagonal must be zero")
-    if not np.array_equal(fim, fim.T):
+    a, b, c, d = info.blocks.reshape(k, 4).T
+    if np.any(b != c):
         raise SchemaError("state 'fim' must have symmetric 2x2 diagonal blocks")
     # positive semidefinite up to rounding: the determinant of a rank-deficient
     # block summed from ToA samples is a few ulp of a d either side of 0
-    blocks = fim.reshape(k, 2, k, 2)[np.arange(k), :, np.arange(k)]    # (K, 2, 2)
-    a, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
-    if np.any((a < 0) | (d < 0) | (c * c - a * d > 1e-12 * a * d)):
+    if np.any((a < 0) | (d < 0) | (b * c - a * d > 1e-12 * a * d)):
         raise SchemaError("state 'fim' must have positive semidefinite 2x2 diagonal blocks")
     return PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
-                        mission_steps=s.mission_steps, d_max=s.d_max,
-                        info=InfoState(step=step, fim=arrays["fim"], eps_prior=eps),
+                        mission_steps=s.mission_steps, d_max=s.d_max, info=info,
                         user_estimates=users, noise_model=s.toa_noise,
                         headings=rc.headings)
 

@@ -1,12 +1,11 @@
 """Fisher information accounting over a mission.
 
 The FIM is taken over the user positions only. Each ToA sample informs one
-user, so F is block-diagonal: one symmetric 2x2 block per user on the
-diagonal of the (2K, 2K) matrix that InfoState stores. The functions here
-work on a zero-copy (K, 2, 2) view of those blocks and invert each block
-[[a, b], [c, d]] of F + eps_prior I in closed form, [[d, -b], [-c, a]] / det
-with det = ad - bc taken as a s from the pivots a and s = d - bc / a of its
-LDL^T factorization, so a CRB trace costs O(K):
+user, so F is block-diagonal, and InfoState keeps only its (K, 2, 2) blocks;
+the dense (2K, 2K) matrix is built only where a caller reads it. Each block
+[[a, b], [c, d]] of F + eps_prior I is inverted in closed form,
+[[d, -b], [-c, a]] / det with det = ad - bc taken as a s from the pivots a
+and s = d - bc / a of its LDL^T factorization, so a CRB trace costs O(K):
 tr((F + eps_prior I)^-1) = sum_k (a_k + d_k) / det_k.
 Contributions are rank-1 per ToA sample and accumulate additively over time.
 The per-step improvement matrix is computed in the subtractive form
@@ -16,7 +15,7 @@ tr(R) for many candidate steps at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 
 import numpy as np
 
@@ -35,24 +34,25 @@ from .model import ToaNoiseModel, sigma_tau_of_distance
 _SINGULAR_RTOL = 1e-12
 
 
-@dataclass
 class InfoState:
-    """Cumulative Fisher matrix for the user block after `step` steps."""
-    step: int
-    fim: np.ndarray          # (2K, 2K), block-diagonal in 2x2 user blocks
-    eps_prior: float = 1e-6  # m^-2 diagonal prior regularizer
+    """Cumulative Fisher information of the users after `step` steps, kept as
+    its (K, 2, 2) diagonal `blocks`, which the constructor copies from fim."""
+
+    def __init__(self, step: int, fim: np.ndarray, eps_prior: float = 1e-6):
+        self.step, self.eps_prior = step, eps_prior  # eps_prior: m^-2 diagonal prior
+        k = len(fim) // 2
+        self.blocks = np.diagonal(np.reshape(fim, (k, 2, k, 2)), axis1=0,
+                                  axis2=2).transpose(2, 0, 1).astype(float, order="C")
+
+    @property
+    def fim(self) -> np.ndarray:
+        """A new dense (2K, 2K) block-diagonal matrix of the blocks."""
+        return _dense(self.blocks)
 
 
 def initial_info(num_users: int, eps_prior: float = 1e-6) -> InfoState:
     return InfoState(step=0, fim=np.zeros((2 * num_users, 2 * num_users)),
                      eps_prior=eps_prior)
-
-
-def _blocks(mat: np.ndarray) -> np.ndarray:
-    """(K, 2, 2) read-only view of the diagonal 2x2 blocks of a (2K, 2K)
-    matrix (a view when mat is C-contiguous, else a copy)."""
-    k = len(mat) // 2
-    return np.diagonal(mat.reshape(k, 2, k, 2), axis1=0, axis2=2).transpose(2, 0, 1)
 
 
 def _dense(blocks: np.ndarray) -> np.ndarray:
@@ -112,19 +112,20 @@ def step_contribution(uav, user_ests, noise: ToaNoiseModel) -> np.ndarray:
 
 
 def accumulate(info: InfoState, contribs: np.ndarray) -> InfoState:
-    """F_n = F_{n-1} + blockdiag(H_k[n])."""
-    return InfoState(step=info.step + 1, fim=info.fim + _dense(contribs),
-                     eps_prior=info.eps_prior)
+    """F_n = F_{n-1} + blockdiag(H_k[n]), from the (K, 2, 2) blocks H_k[n]."""
+    out = copy.copy(info)
+    out.step, out.blocks = info.step + 1, info.blocks + contribs
+    return out
 
 
 def inverse_with_prior(info: InfoState) -> np.ndarray:
     """(F + eps_prior I)^-1 as a dense (2K, 2K) matrix."""
-    return _dense(_inv_blocks(_blocks(info.fim), info.eps_prior))
+    return _dense(_inv_blocks(info.blocks, info.eps_prior))
 
 
 def crb_trace(info: InfoState) -> float:
     """tr((F + eps_prior I)^-1) in m^2."""
-    return float(np.sum(_trace_inv(_blocks(info.fim), info.eps_prior)))
+    return float(np.sum(_trace_inv(info.blocks, info.eps_prior)))
 
 
 def improvement_matrix(info: InfoState, contribs: np.ndarray) -> np.ndarray:
@@ -133,14 +134,14 @@ def improvement_matrix(info: InfoState, contribs: np.ndarray) -> np.ndarray:
 
     Satisfies F_n^-1 = F_{n-1}^-1 - R exactly and is symmetric PSD.
     """
-    fim, eps = _blocks(info.fim), info.eps_prior
-    return _dense(_inv_blocks(fim, eps) - _inv_blocks(fim + contribs, eps))
+    blocks, eps = info.blocks, info.eps_prior
+    return _dense(_inv_blocks(blocks, eps) - _inv_blocks(blocks + contribs, eps))
 
 
 def improvement_traces(info: InfoState, contribs: np.ndarray) -> np.ndarray:
     """tr(R) for each of C candidate steps, from their (C, K, 2, 2)
     contributions: sum over users of tr(P_k^-1) - tr((P_k + H_ck)^-1) with
     P_k the user's block of F + eps_prior I. Returns (C,)."""
-    fim = _blocks(info.fim)
-    traces = _trace_inv(np.concatenate([fim[None], fim + contribs]), info.eps_prior)
+    blocks = info.blocks
+    traces = _trace_inv(np.concatenate([blocks[None], blocks + contribs]), info.eps_prior)
     return np.sum(traces[0] - traces[1:], axis=-1)

@@ -291,14 +291,14 @@ def _read_rows(reader) -> MeasurementLog:
     """The row path of read_measurement_log: the log in the rows a csv
     reader gives after the header, each field read with int() or float().
     A row csv cannot read (a lone carriage return, a field over csv's size
-    limit) is a RowError at the reader's line_num, if no row before it is
-    bad."""
+    limit) is a RowError at its record number, like every other row, if no
+    row before it is bad."""
     lines, unreadable = [], None
     try:
         for line in reader:
             lines.append(line)
     except csv.Error as exc:
-        unreadable = reader.line_num, str(exc)
+        unreadable = len(lines) + 2, str(exc)
     rows = list(filter(None, lines))
     error = _unparsable(rows)
     # the rows before the first unparsable one may break a rule first

@@ -219,6 +219,25 @@ def test_crb_reads_only_the_diagonal_blocks():
     assert crb_trace(InfoState(info.step, strided, info.eps_prior)) == crb_trace(info)
 
 
+def test_info_state_owns_its_blocks():
+    # the state copies the blocks of the matrix it is built from, and .fim is
+    # a new matrix: writing into either leaves the state's bounds unchanged
+    rng = np.random.default_rng(15)
+    uavs, users, sigmas = random_mission(rng, 5, 3)
+    info = initial_info(3)
+    for c in mission_contribs(uavs, users, sigmas):
+        info = accumulate(info, c)
+    fim = info.fim
+    state = InfoState(info.step, fim, info.eps_prior)
+    cands = np.column_stack([rng.uniform(-80, 80, (9, 2)), np.full(9, 30.0)])
+    contribs = step_contribution(cands, users, ToaNoiseModel(sigma0=2e-8))
+    crb, traces = crb_trace(state), improvement_traces(state, contribs)
+    fim[...] = 0.0
+    state.fim[...] = 0.0
+    assert crb_trace(state) == crb
+    np.testing.assert_array_equal(improvement_traces(state, contribs), traces)
+
+
 def test_crb_never_increases_with_psd_updates():
     rng = np.random.default_rng(4)
     info = initial_info(2, eps_prior=1e-6)

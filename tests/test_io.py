@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import uavloc
 from uavloc.channel import los_delay
-from uavloc.cli import main
+from uavloc.cli import _planner_state, main
 from uavloc.errors import InvalidParam, ParseError, RowError, SchemaError, UnknownKey
 from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
                             parse_scenario, read_measurement_log,
@@ -329,15 +330,16 @@ def test_log_ids_must_fit_int64(field):
 
 
 def _csv_rows(reader):
-    """The rows of a csv reader; a row csv cannot read is a RowError at the
-    reader's line_num."""
-    while True:
+    """The rows of a csv reader; a row csv cannot read is a RowError at its
+    record number, counting the header as row 1."""
+    for rownum in itertools.count(2):
         try:
-            yield next(reader)
+            row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            raise RowError(reader.line_num, str(exc)) from None
+            raise RowError(rownum, str(exc)) from None
+        yield row
 
 
 def reference_read(text):
@@ -505,10 +507,10 @@ def test_log_unreadable_csv_is_a_row_or_schema_error():
 
 
 # numeric fields over csv's 131072-character limit that numpy reads: digits,
-# a quoted field spanning lines (csv names the line where it passes the
-# limit) and one padded with spaces after its quote
+# a quoted field spanning lines (named by the record where it starts, not by
+# the line where it passes the limit) and one padded with spaces after its quote
 @pytest.mark.parametrize("field, row", [
-    ("0" * 200000, 2), ('"' + "\n" * 200000 + '1e-7"', 2 + 131072), ('"1e-7"' + " " * 200000, 2),
+    ("0" * 200000, 2), ('"' + "\n" * 200000 + '1e-7"', 2), ('"1e-7"' + " " * 200000, 2),
 ], ids=["digits", "quoted_lines", "padded"])
 def test_log_over_long_field_is_a_row_error_with_or_without_a_later_bad_row(field, row):
     text = ",".join(LOG_HEADER) + "\n1,1,0.0,0.0,30.0," + field + "\n"
@@ -1200,6 +1202,13 @@ def test_cli_plan_eps_prior_not_a_number_exits_2(tmp_path, scenario_file, capsys
     assert "'state.eps_prior'" in _input_error(capsys, argv)
     state.write_text(json.dumps(dict(VALID_STATE, eps_prior=0.5)))
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("given", [None, 0.5])
+def test_plan_state_eps_prior_defaults_to_the_config(given):
+    rc = parse_run_config(MINIMAL + "solver: {eps_prior: 0.25}\n")
+    doc = dict(VALID_STATE) if given is None else dict(VALID_STATE, eps_prior=given)
+    assert _planner_state(doc, rc).info.eps_prior == (rc.eps_prior if given is None else given)
 
 
 def test_cli_imports_no_scipy():
