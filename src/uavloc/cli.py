@@ -15,28 +15,30 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import slam
+from . import fim, slam
 from .channel import RngStream
 from .errors import INPUT_ERRORS, NUMERIC_ERRORS, NotConverged, SchemaError
 from .fim import InfoState, accumulate, crb_trace, initial_info, step_contribution
 from .iofiles import (RunConfig, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
-from .model import require_int, require_number
+from .model import require_number, validate_scenario
 from .planner import PlannerState, next_waypoint
 
 
-def _load_config(path: str) -> RunConfig:
-    with open(path) as f:
-        return parse_run_config(f.read())
+def _load_config(args) -> RunConfig:
+    """The config of --scenario; --seed, if given, replaces its scenario's seed."""
+    with open(args.scenario) as f:
+        rc = parse_run_config(f.read())
+    if args.seed is None:
+        return rc
+    return replace(rc, scenario=validate_scenario(replace(rc.scenario, seed=args.seed)))
 
 
 def _mission_kwargs(rc: RunConfig, args) -> dict:
-    kw = {"toa_path": args.toa, "solve_every": rc.solve_every, "eps_prior": rc.eps_prior,
-          "slam_cfg": rc.slam, "planner_headings": rc.headings}
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    return kw
+    mode = "greedy" if args.mode == "greedy" else straight_line_path(rc.scenario)
+    return {"mode": mode, "toa_path": args.toa, "solve_every": rc.solve_every,
+            "eps_prior": rc.eps_prior, "slam_cfg": rc.slam, "planner_headings": rc.headings}
 
 
 def _emit(payload: dict, as_json: bool):
@@ -48,9 +50,8 @@ def _emit(payload: dict, as_json: bool):
 
 
 def _cmd_simulate(args) -> int:
-    rc = _load_config(args.scenario)
-    mode = "greedy" if args.mode == "greedy" else straight_line_path(rc.scenario)
-    result = run_mission(rc.scenario, mode, **_mission_kwargs(rc, args))
+    rc = _load_config(args)
+    result = run_mission(rc.scenario, **_mission_kwargs(rc, args))
     files = export_results(result, rc.scenario, args.out)
     _emit({
         "user_rmse_m": result.metrics.user_rmse,
@@ -65,13 +66,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    rc = _load_config(args.scenario)
+    rc = _load_config(args)
     with open(args.log) as f:
         samples = read_measurement_log(f.read())
     if not samples:
         raise SchemaError("measurement log contains no rows")
-    rng = RngStream(args.seed if args.seed is not None else rc.scenario.seed)
-    init = slam.initial_state(samples, rng)
+    init = slam.initial_state(samples, RngStream(rc.scenario.seed))
     slam.check_identifiability(samples)
     state, report = slam.solve_slam(init, samples, rc.slam)
     if not report.converged:
@@ -127,9 +127,8 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
     a, b, c, d = info.blocks.reshape(k, 4).T
     if np.any(b != c):
         raise SchemaError("state 'fim' must have symmetric 2x2 diagonal blocks")
-    # positive semidefinite up to rounding: the determinant of a rank-deficient
-    # block summed from ToA samples is a few ulp of a d either side of 0
-    if np.any((a < 0) | (d < 0) | (b * c - a * d > 1e-12 * a * d)):
+    # positive semidefinite up to the rounding fim allows a rank-deficient block
+    if np.any((a < 0) | (d < 0) | (b * c - a * d > fim.SINGULAR_RTOL * a * d)):
         raise SchemaError("state 'fim' must have positive semidefinite 2x2 diagonal blocks")
     return PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
                         mission_steps=s.mission_steps, d_max=s.d_max, info=info,
@@ -138,7 +137,7 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
 
 
 def _cmd_plan(args) -> int:
-    rc = _load_config(args.scenario)
+    rc = _load_config(args)
     with open(args.state) as f:
         st = _planner_state(json.load(f), rc)
     wp = next_waypoint(st)
@@ -167,9 +166,14 @@ def _read_xyz_csv(path: str, header: list[str]) -> np.ndarray:
 
 
 def _cmd_crb(args) -> int:
-    rc = _load_config(args.scenario)
+    rc = _load_config(args)
     traj = _read_xyz_csv(args.trajectory, ["step", "x", "y", "z"])
     users = _read_xyz_csv(args.users, ["user_id", "x", "y"])
+    if not np.array_equal(traj[:, 0], np.arange(1, len(traj) + 1)):  # the history's numbering
+        raise SchemaError(f"{args.trajectory}: steps must be 1, 2, ..., N in order")
+    ids = users[:, 0]
+    if ids.min() < 1 or np.any(ids % 1) or len(np.unique(ids)) < len(ids):
+        raise SchemaError(f"{args.users}: user ids must be distinct integers >= 1")
     info = initial_info(len(users), eps_prior=rc.eps_prior)
     history = []
     for row in traj:
@@ -186,12 +190,8 @@ def _cmd_crb(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    rc = _load_config(args.scenario)
-    mode = "greedy" if args.mode == "greedy" else straight_line_path(rc.scenario)
-    kw = _mission_kwargs(rc, args)
-    # per-run seeds are scenario.seed + i, so --seed replaces the scenario seed
-    scenario = replace(rc.scenario, seed=kw.pop("seed", rc.scenario.seed))
-    summary = monte_carlo(scenario, mode, runs=args.runs, **kw)
+    rc = _load_config(args)
+    summary = monte_carlo(rc.scenario, runs=args.runs, **_mission_kwargs(rc, args))
     _emit({"runs": summary.runs, "stats": summary.stats}, args.json)
     return 0
 
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, out_required=False):
         sp.add_argument("--scenario", required=True, help="scenario YAML file")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=None, help="replaces the scenario's seed")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if out_required is not None:
             sp.add_argument("--out", required=out_required, default=None,
@@ -246,8 +246,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None:
-            require_int("seed", args.seed, 0)
         return args.func(args)
     except (*INPUT_ERRORS, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,15 +31,17 @@ from .model import ToaNoiseModel, sigma_tau_of_distance
 # to a few thousand samples along one bearing are caught. Below 1e-12 d the
 # computed s has a relative error of about 1e-4 or more, so no CRB taken from
 # it would mean anything.
-_SINGULAR_RTOL = 1e-12
+SINGULAR_RTOL = 1e-12
+
+DEFAULT_EPS_PRIOR = 1e-6  # m^-2, the diagonal prior added to F before inversion
 
 
 class InfoState:
     """Cumulative Fisher information of the users after `step` steps, kept as
     its (K, 2, 2) diagonal `blocks`, which the constructor copies from fim."""
 
-    def __init__(self, step: int, fim: np.ndarray, eps_prior: float = 1e-6):
-        self.step, self.eps_prior = step, eps_prior  # eps_prior: m^-2 diagonal prior
+    def __init__(self, step: int, fim: np.ndarray, eps_prior: float = DEFAULT_EPS_PRIOR):
+        self.step, self.eps_prior = step, eps_prior
         k = len(fim) // 2
         self.blocks = np.diagonal(np.reshape(fim, (k, 2, k, 2)), axis1=0,
                                   axis2=2).transpose(2, 0, 1).astype(float, order="C")
@@ -50,7 +52,7 @@ class InfoState:
         return _dense(self.blocks)
 
 
-def initial_info(num_users: int, eps_prior: float = 1e-6) -> InfoState:
+def initial_info(num_users: int, eps_prior: float = DEFAULT_EPS_PRIOR) -> InfoState:
     return InfoState(step=0, fim=np.zeros((2 * num_users, 2 * num_users)),
                      eps_prior=eps_prior)
 
@@ -74,7 +76,7 @@ def _det(blocks: np.ndarray, eps: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 is rejected below
         s = d - blocks[..., 0, 1] * (blocks[..., 1, 0] / a)
     det = a * s
-    rank_deficient = np.abs(s) <= _SINGULAR_RTOL * d
+    rank_deficient = np.abs(s) <= SINGULAR_RTOL * d
     if rank_deficient.any():
         det[rank_deficient] = (eps * (a + d - eps))[rank_deficient]
     if not ((a > 0) & (det > 0) & (det < np.inf)).all():

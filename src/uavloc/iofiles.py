@@ -20,9 +20,11 @@ import numpy as np
 import yaml
 
 from .errors import InvalidParam, ParseError, RowError, SchemaError, UnitError, UnknownKey
-from .mission import MissionResult, check_options
+from .fim import DEFAULT_EPS_PRIOR
+from .mission import DEFAULT_SOLVE_EVERY, MissionResult, check_options
 from .model import (AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2, Vec3,
                     validate_scenario)
+from .planner import PlannerState
 from .slam import SlamConfig
 
 LOG_HEADER = ["step", "user_id", "gps_x", "gps_y", "gps_z", "toa_s"]
@@ -51,15 +53,14 @@ _StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
 @dataclass(frozen=True)
 class RunConfig:
     """A config document's scenario, checked by validate_scenario, and its
-    `solver:`/`planner:` options. slam (a SlamConfig) holds the scenario's
-    sigma_gps and toa_noise and the solver keys; solve_every, eps_prior and
-    headings, checked by mission.check_options, go to the mission and planner.
-    Keys left out take the defaults given here and in SlamConfig."""
+    `solver:`/`planner:` options: slam (a SlamConfig) holds the solver keys and the
+    scenario's sigma_gps and toa_noise; solve_every, eps_prior and headings, checked
+    by mission.check_options, go to run_mission. A key left out takes its default."""
     scenario: Scenario
     slam: SlamConfig
-    solve_every: int = 1
-    eps_prior: float = 1e-6
-    headings: int = 8
+    solve_every: int = DEFAULT_SOLVE_EVERY
+    eps_prior: float = DEFAULT_EPS_PRIOR
+    headings: int = PlannerState.headings
 
     def __post_init__(self):
         check_options(self.solve_every, self.eps_prior, self.headings)

@@ -1,15 +1,15 @@
 """Closed-loop mission orchestration: move, measure, sparsify, estimate,
 plan. Also Monte Carlo batches and error metrics.
 
-A mission is fully deterministic given (scenario, seed): measurement noise
-comes from one numpy PCG64 Generator seeded with seed, the user-position
+A mission is fully deterministic given its scenario: measurement noise comes
+from one numpy PCG64 Generator seeded with scenario.seed, the user-position
 initialization of the solver from a second one seeded by a SeedSequence
 spawned from the same seed. A retained step measures its K links in one
 sample_toa (and, on the NR path, one estimate_toa_nr) call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import mean, median, stdev
 
 import numpy as np
@@ -19,10 +19,12 @@ from .channel import RngStream, sample_gps, sample_toa
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .channel import is_blocked  # noqa: F401
 from .errors import InvalidParam
-from .fim import accumulate, crb_trace, initial_info, step_contribution
+from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_trace, initial_info, step_contribution
 from .model import MeasurementLog, Scenario, require_int, require_number, validate_scenario
 from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
+
+DEFAULT_SOLVE_EVERY = 1  # re-solve SLAM at every retained step
 
 
 @dataclass
@@ -84,23 +86,23 @@ def check_options(solve_every, eps_prior, planner_headings):
 
 
 def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
-                solve_every: int = 1, seed=None, eps_prior: float = 1e-6,
+                solve_every: int = DEFAULT_SOLVE_EVERY, eps_prior: float = DEFAULT_EPS_PRIOR,
                 slam_cfg: slam.SlamConfig | None = None,
-                planner_headings: int = 8) -> MissionResult:
+                planner_headings: int = PlannerState.headings) -> MissionResult:
     """Execute one mission.
 
     mode: "greedy" for online informative planning, or an (N, 3) array of
     fixed waypoints. toa_path: "ideal" (Gaussian channel noise only) or
     "nr" (quantized through the NR timing-advance + SRS procedure).
     solve_every: re-solve SLAM every m retained steps; 0 means only at the
-    end of the mission. seed: an integer >= 0, scenario.seed if None.
+    end of the mission. Every draw comes from scenario.seed.
     A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
     every hop within d_max.
     The result's `converged` is the last solve's report.converged; a solve
     that does not converge hands on its best state, and the mission goes on.
-    The NR path builds an NrConfig from the scenario's numerology and sample
-    rate, which refuses a sample rate at which a timing-advance residual can
-    overflow the CIR window (InvalidParam("sample_rate")).
+    InvalidParam names a bad scenario field (validate_scenario) or option
+    (check_options), or "sample_rate" where the NR path's NrConfig of the
+    scenario's numerology and sample rate can overflow the CIR window.
     """
     s = validate_scenario(scenario)
     if toa_path not in ("ideal", "nr"):
@@ -126,14 +128,12 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     elif mode != "greedy":
         raise InvalidParam("mode", "must be 'greedy' or an (N, 3) path")
 
-    seed = s.seed if seed is None else require_int("seed", seed, 0)
-    rng = RngStream(seed)
-    # the estimator's stream: a child of seed, so measurement draws never shift it
-    est_rng = RngStream(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    rng = RngStream(s.seed)
+    # the estimator's stream: a child of the seed, so measurement draws never shift it
+    est_rng = RngStream(np.random.SeedSequence(entropy=s.seed, spawn_key=(1,)))
 
     cfg = slam_cfg or slam.SlamConfig.for_scenario(s)
-    drift = SawtoothDrift(rate=s.toa_noise.drift_rate,
-                          reset_period=s.toa_noise.drift_reset_period)
+    drift = SawtoothDrift(s.toa_noise.drift_rate, s.toa_noise.drift_reset_period)
 
     positions = np.zeros((n_steps, 3))
     positions[0] = s.uav_start.as_array()
@@ -229,7 +229,7 @@ def monte_carlo(scenario: Scenario, mode="greedy", runs: int = 1,
     metrics = []
     crbs = []
     for i in range(runs):
-        res = run_mission(scenario, mode, seed=scenario.seed + i, **mission_kwargs)
+        res = run_mission(replace(scenario, seed=scenario.seed + i), mode, **mission_kwargs)
         metrics.append(res.metrics)
         crbs.append(float(res.crb_history[-1]))
     stats = {

@@ -13,38 +13,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelayOutOfWindow, EmptyCir, InvalidParam
-from .model import require_int, require_number, require_numerology
+from .model import Scenario, ToaNoiseModel, require_number, require_numerology
 
 DF_MAX = 480e3      # Hz, maximum subcarrier spacing
 K_MAX = 4096        # maximum FFT size
 TC = 1.0 / (DF_MAX * K_MAX)  # basic time unit, 1/1.96608e9 s
+CIR_LEN = 256       # CIR window length in samples
 
 
 @dataclass(frozen=True)
 class NrConfig:
-    """NR timing settings. InvalidParam refuses a bad mu or a cir_len that is
-    not an integer >= 1, and as "sample_rate" an f_s that is not finite and > 0
-    or at which a timing-advance residual can overflow the CIR window,
-    f_s * ta_unit(mu) >= cir_len (at 256 taps: f_s >= 491.52 * 2^mu MHz)."""
-    mu: int = 1              # numerology, 0..5
-    f_s: float = 61.44e6     # sample rate, Hz (40 MHz-class default)
-    cir_len: int = 256       # CIR window length in samples
+    """NR timing settings, by default the scenario's. InvalidParam refuses a bad mu, and
+    as "sample_rate" an f_s that is not finite and > 0 or at which a timing-advance residual
+    can overflow the CIR window: f_s * ta_unit(mu) >= CIR_LEN, or f_s >= 491.52 * 2^mu MHz."""
+    mu: int = Scenario.numerology        # numerology, 0..5
+    f_s: float = Scenario.sample_rate    # sample rate, Hz
 
     def __post_init__(self):
-        require_int("cir_len", self.cir_len, 1)
         unit = ta_unit(self.mu)  # refuses a bad numerology
-        if require_number("sample_rate", self.f_s, 0, strict=True) * unit >= self.cir_len:
-            raise InvalidParam("sample_rate", f"must be below {self.cir_len / unit:.6g} Hz for "
+        if require_number("sample_rate", self.f_s, 0, strict=True) * unit >= CIR_LEN:
+            raise InvalidParam("sample_rate", f"must be below {CIR_LEN / unit:.6g} Hz for "
                                f"NR ToA at numerology {self.mu}, or a timing-advance residual "
-                               f"can overflow the {self.cir_len}-sample CIR window")
+                               f"can overflow the {CIR_LEN}-sample CIR window")
 
 
 @dataclass(frozen=True)
 class SawtoothDrift:
     """Clock-drift ramp: `rate` seconds of offset per step, resetting to
     zero every `reset_period` steps."""
-    rate: float = 0.0
-    reset_period: int = 1
+    rate: float = ToaNoiseModel.drift_rate
+    reset_period: int = ToaNoiseModel.drift_reset_period
 
 
 def ta_unit(mu: int) -> float:
@@ -75,12 +73,12 @@ def synth_cir(residual_delay: float, cfg: NrConfig, rng: np.random.Generator) ->
     The peak sits at index round(residual_delay * f_s); the noise floor is
     uniform in [0, 0.5) and therefore strictly below the unit peak.
     """
-    window = cfg.cir_len / cfg.f_s
+    window = CIR_LEN / cfg.f_s
     if not (0.0 <= residual_delay < window):
         raise DelayOutOfWindow(
             f"residual {residual_delay:.3e} s outside CIR window [0, {window:.3e})")
-    idx = int(round(residual_delay * cfg.f_s)) % cfg.cir_len
-    cir = 0.5 * rng.uniform(0.0, 1.0, cfg.cir_len)
+    idx = int(round(residual_delay * cfg.f_s)) % CIR_LEN
+    cir = 0.5 * rng.uniform(0.0, 1.0, CIR_LEN)
     cir[idx] = 1.0
     return cir
 
@@ -107,7 +105,7 @@ def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float):
     (2 * true_delay + drift) is quantized to the nearest timing-advance unit,
     half to even; the signed residual is read at the CIR peak,
     round(residual * f_s) / f_s. The residual is within half a unit, so
-    within half the CIR window (cir_len / f_s) either way: NrConfig admits no
+    within half the CIR window (CIR_LEN / f_s) either way: NrConfig admits no
     sample rate at which a residual could leave it.
     """
     true_delay = np.asarray(true_delay)

@@ -94,8 +94,8 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SlamConfig:
-    sigma_gps: float = 1.0
-    sigma_tau: float = 1.25e-8
+    sigma_gps: float = Scenario.sigma_gps
+    sigma_tau: float = ToaNoiseModel.sigma0
     noise_model: ToaNoiseModel | None = None
     per_distance_weights: bool = False  # refresh toa sigma from current distances
     huber_delta: float | None = None    # seconds; robust ToA reweighting when set

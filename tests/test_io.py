@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import uavloc
-from uavloc.channel import los_delay
+from uavloc.channel import RngStream, los_delay
 from uavloc.cli import _planner_state, main
 from uavloc.errors import InvalidParam, ParseError, RowError, SchemaError, UnknownKey
 from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
@@ -633,17 +633,51 @@ def test_cli_mc(scenario_file, capsys):
     assert "mean" in out["stats"]["user_rmse"]
 
 
+def _seeded_config(tmp_path, seed):
+    path = tmp_path / f"seed{seed}.yaml"
+    path.write_text(MINIMAL + f"delta_keep: 3.0\nseed: {seed}\n")
+    return str(path)
+
+
 def test_cli_mc_seed_replaces_scenario_seed(tmp_path, capsys):
     # per-run seeds are seed + i, whether the seed comes from --seed or the config
     def mc(seed, argv=()):
-        path = tmp_path / f"seed{seed}.yaml"
-        path.write_text(MINIMAL + f"delta_keep: 3.0\nseed: {seed}\n")
-        assert main(["mc", "--scenario", str(path), "--runs", "2", *argv]) == 0
+        assert main(["mc", "--scenario", _seeded_config(tmp_path, seed), "--runs", "2",
+                     *argv]) == 0
         return capsys.readouterr().out
 
     with_flag = mc(7, ["--seed", "99"])
     assert with_flag == mc(99)
     assert with_flag != mc(7)
+
+
+@pytest.mark.parametrize("mode, toa", [("greedy", "ideal"), ("fixed", "nr")])
+def test_cli_simulate_seed_replaces_scenario_seed(tmp_path, capsys, mode, toa):
+    def simulate(seed, argv=()):
+        """stdout, its output directory masked, and the bytes of each file written."""
+        out = tmp_path / f"out{seed}{len(argv)}"
+        assert main(["simulate", "--scenario", _seeded_config(tmp_path, seed), "--out", str(out),
+                     "--mode", mode, "--toa", toa, *argv]) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        return capsys.readouterr().out.replace(str(out), "OUT"), files
+
+    with_flag = simulate(7, ["--seed", "3"])
+    assert len(with_flag[1]) == 5
+    assert with_flag == simulate(3)
+    assert with_flag != simulate(7)
+
+
+def test_cli_solve_seed_replaces_scenario_seed(tmp_path, capsys, measurement_log):
+    # the seed draws only some users' starts, so the stream it seeds is checked too
+    def solve(seed, argv=()):
+        out = tmp_path / f"solve{seed}{len(argv)}"
+        with mock.patch("uavloc.cli.RngStream", wraps=RngStream) as rng:
+            assert main(["solve", "--scenario", _seeded_config(tmp_path, seed), "--log",
+                         measurement_log, "--json", "--out", str(out), *argv]) == 0
+        rng.assert_called_once_with(3)
+        return capsys.readouterr().out, (out / "solution.json").read_bytes()
+
+    assert solve(7, ["--seed", "3"]) == solve(3)
 
 
 def test_cli_solve_reads_the_layout_once(scenario_file, measurement_log, capsys):
@@ -1242,3 +1276,37 @@ def test_cli_crb_malformed_csv_exits_2(tmp_path, scenario_file, capsys, traj, us
     up.write_text(users)
     _input_error(capsys, ["crb", "--scenario", scenario_file, "--trajectory", str(tp),
                           "--users", str(up)])
+
+
+# crb_history.csv labels its rows 1..N and the users are told apart by id
+TRAJ = "step,x,y,z\n1,50,0,30\n2,0,50,30\n"
+USERS = "user_id,x,y\n1,0,0\n2,10,0\n"
+
+
+@pytest.mark.parametrize("traj, users, bad", [
+    ("step,x,y,z\n7,50,0,30\n3,0,50,30\n3,-50,0,30\n", "user_id,x,y\n1.5,0,0\n1.5,10,0\n",
+     "traj.csv"),
+    ("step,x,y,z\n2,50,0,30\n3,0,50,30\n", USERS, "traj.csv"),
+    ("step,x,y,z\n1,50,0,30\n1,0,50,30\n", USERS, "traj.csv"),
+    ("step,x,y,z\n2,50,0,30\n1,0,50,30\n", USERS, "traj.csv"),
+    ("step,x,y,z\n1,50,0,30\n2.5,0,50,30\n", USERS, "traj.csv"),
+    (TRAJ, "user_id,x,y\n1,0,0\n1,10,0\n", "users.csv"),
+    (TRAJ, "user_id,x,y\n0,0,0\n", "users.csv"),
+    (TRAJ, "user_id,x,y\n1.5,0,0\n", "users.csv"),
+], ids=["unordered_steps_and_fractional_ids", "steps_from_2", "repeated_step", "steps_reversed",
+        "fractional_step", "repeated_user_id", "user_id_0", "fractional_user_id"])
+def test_cli_crb_refuses_bad_steps_and_user_ids(tmp_path, scenario_file, capsys, traj, users,
+                                                bad):
+    (tmp_path / "traj.csv").write_text(traj)
+    (tmp_path / "users.csv").write_text(users)
+    line = _input_error(capsys, ["crb", "--scenario", scenario_file, "--trajectory",
+                                 str(tmp_path / "traj.csv"), "--users",
+                                 str(tmp_path / "users.csv")])
+    assert line.startswith(f"error: {tmp_path / bad}: ")
+
+
+def test_cli_crb_takes_user_ids_in_any_order(tmp_path, scenario_file, capsys):
+    (tmp_path / "traj.csv").write_text(TRAJ)
+    (tmp_path / "users.csv").write_text("user_id,x,y\n9,0,0\n2,10,0\n")
+    assert main(["crb", "--scenario", scenario_file, "--trajectory", str(tmp_path / "traj.csv"),
+                 "--users", str(tmp_path / "users.csv")]) == 0

@@ -64,7 +64,7 @@ def test_fixed_path_validation():
 @pytest.mark.parametrize("seed", [-1, 1.5])
 def test_run_mission_refuses_bad_seed(seed):
     with pytest.raises(InvalidParam) as exc:
-        run_mission(circle_scenario(n_steps=10), "greedy", seed=seed)
+        run_mission(circle_scenario(n_steps=10, seed=seed), "greedy")
     assert exc.value.field == "seed"
 
 
@@ -150,9 +150,9 @@ def test_nr_path_refuses_sample_rate_beyond_cir_window(mu, f_s):
 
 
 def test_mission_determinism_bit_identical():
-    s = circle_scenario(n_steps=25, delta=2.0)
-    a = run_mission(s, "greedy", seed=5)
-    b = run_mission(s, "greedy", seed=5)
+    s = circle_scenario(n_steps=25, delta=2.0, seed=5)
+    a = run_mission(s, "greedy")
+    b = run_mission(s, "greedy")
     np.testing.assert_array_equal(a.planned, b.planned)
     np.testing.assert_array_equal(a.gps, b.gps)
     np.testing.assert_array_equal(a.user_estimates, b.user_estimates)
@@ -232,7 +232,7 @@ def test_slam_uav_track_beats_raw_gps_when_toa_sharp():
 def test_monte_carlo_single_run_matches_mission():
     s = circle_scenario(n_steps=20, delta=2.0)
     summary = monte_carlo(s, "greedy", runs=1)
-    direct = run_mission(s, "greedy", seed=s.seed)
+    direct = run_mission(s, "greedy")
     assert summary.per_run_metrics[0] == direct.metrics
     assert summary.final_crb_traces[0] == float(direct.crb_history[-1])
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from uavloc.channel import RngStream
 from uavloc.errors import DelayOutOfWindow, EmptyCir, InvalidParam
-from uavloc.nrtiming import (TC, NrConfig, SawtoothDrift, coarse_rtt,
-                             drift_offset, estimate_toa_nr, srs_refine,
-                             synth_cir, ta_from_rtt, ta_unit)
+from uavloc.nrtiming import (CIR_LEN, TC, NrConfig, SawtoothDrift, coarse_rtt,
+                             drift_offset, estimate_toa_nr, srs_refine, synth_cir,
+                             ta_from_rtt, ta_unit)
 
 F_S = 61.44e6
 
@@ -116,9 +116,9 @@ def test_cir_noise_floor_below_peak():
 
 
 def test_cir_out_of_window():
-    cfg = NrConfig(mu=2, f_s=F_S, cir_len=16)
+    cfg = NrConfig(f_s=F_S)
     with pytest.raises(DelayOutOfWindow):
-        synth_cir(16 / F_S, cfg, RngStream(0))
+        synth_cir(CIR_LEN / F_S, cfg, RngStream(0))
     with pytest.raises(DelayOutOfWindow):
         synth_cir(-1e-9, cfg, RngStream(0))
 
@@ -208,7 +208,7 @@ def test_estimate_error_bound_up_to_the_sample_rate_limit():
     # +127.5 must not be read as a negative delay
     f_s = 490.5e6
     cfg = NrConfig(mu=0, f_s=f_s)
-    assert f_s * ta_unit(0) < cfg.cir_len
+    assert f_s * ta_unit(0) < CIR_LEN
     delays = np.random.default_rng(303).uniform(0.0, 2e-5, 20000)
     errs = [abs(estimate_toa_nr(float(t), cfg, 0.0) - t) for t in delays]
     assert max(errs) <= 1 / (2 * f_s)
@@ -227,21 +227,21 @@ def test_closed_form_peak_is_the_cir_argmax(mu, fill, delay, drift, seed):
     is the signed argmax of the synthesized CIR. A residual within rounding
     error of a half sample can round either way, so there the estimate's peak
     need only be one of the two samples next to it."""
-    f_s = fill * NrConfig.cir_len / ta_unit(mu)
-    assume(f_s * ta_unit(mu) < NrConfig.cir_len)
+    f_s = fill * CIR_LEN / ta_unit(mu)
+    assume(f_s * ta_unit(mu) < CIR_LEN)
     cfg = NrConfig(mu=mu, f_s=f_s)
     est = estimate_toa_nr(delay, cfg, drift)
 
     rtt = 2.0 * delay + drift
     coarse = coarse_rtt(ta_from_rtt(rtt, mu), mu)
     residual = rtt - coarse
-    assume(abs(residual * cfg.f_s) < cfg.cir_len / 2 - 0.5)
-    window = cfg.cir_len / cfg.f_s
+    assume(abs(residual * cfg.f_s) < CIR_LEN / 2 - 0.5)
+    window = CIR_LEN / cfg.f_s
     wrapped = residual % window
     if wrapped >= window:  # a tiny negative residual can round up to window
         wrapped = 0.0
     peak = int(np.argmax(synth_cir(wrapped, cfg, RngStream(seed))))
-    signed = peak - cfg.cir_len if peak >= cfg.cir_len / 2 else peak
+    signed = peak - CIR_LEN if peak >= CIR_LEN / 2 else peak
     read = (2.0 * est - coarse) * cfg.f_s
     assert read == pytest.approx(round(read), abs=1e-6)  # a whole sample
     if abs(abs(residual * cfg.f_s) % 1.0 - 0.5) < 1e-9:
@@ -260,17 +260,12 @@ def test_nr_config_refuses_sample_rate_beyond_cir_window():
         assert exc.value.field == "sample_rate"
 
 
-# cir_len 0 used to be refused as a sample rate "below 0 Hz", and 16.5 and the
-# numerologies True and 1.0 were accepted; 6 raised a numeric error
-@pytest.mark.parametrize("field, kwargs", [
-    ("numerology", {"mu": 6}), ("numerology", {"mu": True}), ("numerology", {"mu": 1.0}),
-    ("cir_len", {"cir_len": 16.5}), ("cir_len", {"cir_len": 0}),
-    ("cir_len", {"cir_len": True}),
-], ids=["mu=6", "mu=True", "mu=1.0", "cir_len=16.5", "cir_len=0", "cir_len=True"])
-def test_nr_config_refuses_bad_numerology_and_cir_len(field, kwargs):
+# the numerologies True and 1.0 used to be accepted; 6 raised a numeric error
+@pytest.mark.parametrize("mu", [6, True, 1.0], ids=["mu=6", "mu=True", "mu=1.0"])
+def test_nr_config_refuses_bad_numerology_and_cir_len(mu):
     with pytest.raises(InvalidParam) as exc:
-        NrConfig(**kwargs)
-    assert exc.value.field == field
+        NrConfig(mu=mu)
+    assert exc.value.field == "numerology"
 
 
 def scalar_estimate(true_delay, cfg, drift):
