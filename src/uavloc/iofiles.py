@@ -206,32 +206,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _unparsable(rows):
-    """Index and message of the first row of `rows` with the wrong number of
-    fields, a field that int() or float() refuses, or a step or user_id
-    outside int64; None if there is none."""
-    for i, row in enumerate(rows):
-        if len(row) != len(LOG_HEADER):
-            return i, f"expected {len(LOG_HEADER)} fields, got {len(row)}"
-        try:
-            ids = int(row[0]), int(row[1])
-            tuple(map(float, row[2:]))
-        except ValueError as exc:
-            return i, str(exc)
-        if not all(-2 ** 63 <= v < 2 ** 63 for v in ids):
-            return i, "step and user_id must fit in a 64-bit integer"
-    return None
-
-
-def _columns(rows) -> MeasurementLog:
-    """The columns of rows that _unparsable accepts."""
-    step, user_id, *floats = list(zip(*rows)) or [()] * len(LOG_HEADER)
-    values = np.array([list(map(float, c)) for c in floats]).reshape(4, -1)
-    return MeasurementLog(step=np.array(list(map(int, step)), dtype=np.int64),
-                          user_id=np.array(list(map(int, user_id)), dtype=np.int64),
-                          gps=values[:3].T, toa=values[3])
-
-
 def _first_inconsistent(log: MeasurementLog):
     """Index and message of the first row of a parsed log that breaks a row
     rule of read_measurement_log; None if there is none. At the first bad
@@ -264,6 +238,12 @@ _LOG_ROW = np.dtype([("step", np.int64), ("user_id", np.int64), ("gps", np.float
                      ("toa", np.float64)])
 
 
+def _log_of(rows) -> MeasurementLog:
+    """The columns of an array of _LOG_ROW records."""
+    return MeasurementLog(step=rows["step"].copy(), user_id=rows["user_id"].copy(),
+                          gps=rows["gps"].copy(), toa=rows["toa"].copy())
+
+
 def _loaded(body: str):
     """The columns of a log body, header removed, as np.loadtxt reads them
     in one pass; None where the row path must read the body instead. numpy
@@ -284,31 +264,44 @@ def _loaded(body: str):
                           quotechar='"', ndmin=1)
     except ValueError:
         return None
-    return MeasurementLog(step=rows["step"].copy(), user_id=rows["user_id"].copy(),
-                          gps=rows["gps"].copy(), toa=rows["toa"].copy())
+    return _log_of(rows)
 
 
 def _read_rows(reader) -> MeasurementLog:
-    """The row path of read_measurement_log: the log in the rows a csv
-    reader gives after the header, each field read with int() or float().
-    A row csv cannot read (a lone carriage return, a field over csv's size
-    limit) is a RowError at its record number, like every other row, if no
-    row before it is bad."""
-    lines, unreadable = [], None
+    """The row path of read_measurement_log: one walk over the csv records
+    after the header, numbered from 2, blank ones skipped, that converts
+    each field once, by int() or float(). It stops at the first record that
+    csv cannot read (a lone carriage return, a field over csv's size limit),
+    that does not hold 6 fields, that int() or float() refuses, or with an id
+    outside int64. A rule broken before the stop is the first bad row."""
+    numbers, rows, error = [], [], None
+    n = 1
     try:
-        for line in reader:
-            lines.append(line)
+        for n, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(LOG_HEADER):
+                error = n, f"expected {len(LOG_HEADER)} fields, got {len(record)}"
+                break
+            try:
+                step, user_id = int(record[0]), int(record[1])
+                x, y, z, toa = map(float, record[2:])
+            except ValueError as exc:
+                error = n, str(exc)
+                break
+            if not all(-2 ** 63 <= v < 2 ** 63 for v in (step, user_id)):
+                error = n, "step and user_id must fit in a 64-bit integer"
+                break
+            numbers.append(n)
+            rows.append((step, user_id, (x, y, z), toa))
     except csv.Error as exc:
-        unreadable = len(lines) + 2, str(exc)
-    rows = list(filter(None, lines))
-    error = _unparsable(rows)
-    # the rows before the first unparsable one may break a rule first
-    log = _columns(rows if error is None else rows[:error[0]])
-    error = _first_inconsistent(log) or error
+        error = n + 1, str(exc)
+    log = _log_of(np.array(rows, dtype=_LOG_ROW))
+    inconsistent = _first_inconsistent(log)
+    if inconsistent is not None:
+        error = numbers[inconsistent[0]], inconsistent[1]
     if error is not None:
-        raise RowError([n for n, line in enumerate(lines, start=2) if line][error[0]], error[1])
-    if unreadable is not None:
-        raise RowError(*unreadable)
+        raise RowError(*error)
     return log
 
 
@@ -323,10 +316,11 @@ def read_measurement_log(text: str) -> MeasurementLog:
 
     np.loadtxt reads the body after the header in one pass, and its values
     equal int()'s and float()'s bit for bit. Only a body numpy refuses, or
-    whose rows break a rule, is read again by the row path: csv, then int()
-    and float() per field. The row path defines the accepted grammar (it
-    also reads spellings numpy refuses, such as 1_0 and non-ASCII digits)
-    and numbers the rows for the RowError.
+    whose rows break a rule, is read again by the row path: one walk over
+    the csv records that converts each field once, by int() or float(), and
+    stops at the first record it cannot convert. The row path defines the
+    accepted grammar (it also reads spellings numpy refuses, such as 1_0 and
+    non-ASCII digits) and numbers the rows for the RowError.
     """
     f = io.StringIO(text)
     reader = csv.reader(f)

@@ -84,7 +84,9 @@ class NormalEquations:
 class SolveReport:
     """What a solve did. iterations counts assemblies of the normal
     equations, and objective_trace holds f at the start and after each
-    accepted step."""
+    accepted step, the latter under the weights of the iteration that took
+    the step. With per_distance_weights those weights are taken again from
+    the distances at every iteration, so the trace can rise."""
     iterations: int
     objective_trace: list[float]
     converged: bool

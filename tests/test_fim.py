@@ -297,6 +297,19 @@ def test_improvement_trace_equals_crb_decrease():
         assert before - crb_trace(info) == pytest.approx(np.trace(R), abs=1e-10)
 
 
+# the same identity relative to the traces: near 2e6 one ulp is 2.3e-10
+@pytest.mark.parametrize("seed", range(60))
+def test_improvement_trace_equals_crb_decrease_relative(seed):
+    rng = np.random.default_rng(seed)
+    uavs, users, sigmas = random_mission(rng, 12, 2)
+    info = initial_info(2)
+    for c in mission_contribs(uavs, users, sigmas):
+        before = crb_trace(info)
+        R = improvement_matrix(info, c)
+        info = accumulate(info, c)
+        assert before - crb_trace(info) == pytest.approx(np.trace(R), rel=1e-12)
+
+
 def test_improvement_psd():
     rng = np.random.default_rng(8)
     uavs, users, sigmas = random_mission(rng, 10, 2)

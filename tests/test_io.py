@@ -506,6 +506,21 @@ def test_log_unreadable_csv_is_a_row_or_schema_error():
         read_measurement_log(head.replace("\n", "\rx\n"))
 
 
+# a record int() refuses and a later one csv cannot read (a lone carriage
+# return) report the first; so do a record csv cannot read and a later one
+# int() refuses, whose message (csv's) varies with the Python version
+@pytest.mark.parametrize("body, row, message", [
+    ("1,x,0.0,0.0,30.0,1e-7\n2,1,0.0\r,0.0,30.0,1e-7\n", 2,
+     "invalid literal for int() with base 10: 'x'"),
+    ("1,1,0.0,0.0,30.0,1e-7\n2,1,0.0\r,0.0,30.0,1e-7\n3,x,0.0,0.0,30.0,1e-7\n", 3,
+     "new-line character"),
+], ids=["unconvertible_first", "unreadable_first"])
+def test_log_first_of_an_unconvertible_and_an_unreadable_record(body, row, message):
+    with pytest.raises(RowError, match=re.escape(message)) as exc:
+        read_measurement_log(",".join(LOG_HEADER) + "\n" + body)
+    assert exc.value.row == row
+
+
 # numeric fields over csv's 131072-character limit that numpy reads: digits,
 # a quoted field spanning lines (named by the record where it starts, not by
 # the line where it passes the limit) and one padded with spaces after its quote
