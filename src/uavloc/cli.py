@@ -26,11 +26,16 @@ from .model import require_number, validate_scenario
 from .planner import PlannerState, next_waypoint
 
 
+def _read_text(path: str) -> str:
+    """An input file's UTF-8 text, newlines untranslated, for its format's parser."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
+
+
 def _load_config(args) -> RunConfig:
-    """The config of --scenario; --seed, if given, replaces its scenario's seed."""
-    with open(args.scenario) as f:
-        rc = parse_run_config(f.read())
-    if args.seed is None:
+    """The config of --scenario; --seed, where taken and given, replaces its seed."""
+    rc = parse_run_config(_read_text(args.scenario))
+    if getattr(args, "seed", None) is None:
         return rc
     return replace(rc, scenario=validate_scenario(replace(rc.scenario, seed=args.seed)))
 
@@ -67,8 +72,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_solve(args) -> int:
     rc = _load_config(args)
-    with open(args.log) as f:
-        samples = read_measurement_log(f.read())
+    samples = read_measurement_log(_read_text(args.log))
     if not samples:
         raise SchemaError("measurement log contains no rows")
     init = slam.initial_state(samples, RngStream(rc.scenario.seed))
@@ -138,20 +142,17 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
 
 def _cmd_plan(args) -> int:
     rc = _load_config(args)
-    with open(args.state) as f:
-        st = _planner_state(json.load(f), rc)
-    wp = next_waypoint(st)
+    wp = next_waypoint(_planner_state(json.loads(_read_text(args.state)), rc))
     _emit({"next_waypoint": [float(v) for v in wp]}, args.json)
     return 0
 
 
 def _read_xyz_csv(path: str, header: list[str]) -> np.ndarray:
     """One or more rows of finite numbers under an exact header."""
-    with open(path) as f:
-        try:
-            rows = list(csv.reader(io.StringIO(f.read())))
-        except csv.Error as exc:  # e.g. a field over csv's size limit
-            raise SchemaError(f"{path}: unreadable CSV: {exc}") from None
+    try:
+        rows = list(csv.reader(io.StringIO(_read_text(path))))
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise SchemaError(f"{path}: unreadable CSV: {exc}") from None
     if not rows or rows[0] != header:
         raise SchemaError(f"{path}: header must be exactly {','.join(header)}")
     rows = [row for row in rows[1:] if row]
@@ -201,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="UAV-aided user localization simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=False):
+    def common(sp, out_required=False, seed=True):
         sp.add_argument("--scenario", required=True, help="scenario YAML file")
-        sp.add_argument("--seed", type=int, default=None, help="replaces the scenario's seed")
+        if seed:  # only where a number is drawn
+            sp.add_argument("--seed", type=int, default=None, help="replaces the scenario's seed")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if out_required is not None:
-            sp.add_argument("--out", required=out_required, default=None,
-                            help="output directory")
+            sp.add_argument("--out", required=out_required, default=None, help="output directory")
 
     sp = sub.add_parser("simulate", help="run one mission and export results")
     common(sp, out_required=True)
@@ -222,13 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("plan", help="next waypoint from a planner state JSON")
-    common(sp, out_required=None)
-    sp.add_argument("--state", required=True,
-                    help="JSON with step, pos, fim, user_estimates")
+    common(sp, out_required=None, seed=False)
+    sp.add_argument("--state", required=True, help="JSON with step, pos, fim, user_estimates")
     sp.set_defaults(func=_cmd_plan)
 
     sp = sub.add_parser("crb", help="CRB trace history for a trajectory")
-    common(sp)
+    common(sp, seed=False)
     sp.add_argument("--trajectory", required=True, help="CSV: step,x,y,z")
     sp.add_argument("--users", required=True, help="CSV: user_id,x,y")
     sp.set_defaults(func=_cmd_crb)

@@ -286,18 +286,8 @@ def test_improvement_recursion_matches_direct_inverse():
         assert err <= 1e-8
 
 
-def test_improvement_trace_equals_crb_decrease():
-    rng = np.random.default_rng(7)
-    uavs, users, sigmas = random_mission(rng, 12, 2)
-    info = initial_info(2)
-    for c in mission_contribs(uavs, users, sigmas):
-        before = crb_trace(info)
-        R = improvement_matrix(info, c)
-        info = accumulate(info, c)
-        assert before - crb_trace(info) == pytest.approx(np.trace(R), abs=1e-10)
-
-
-# the same identity relative to the traces: near 2e6 one ulp is 2.3e-10
+# tr(R) is the CRB trace's decrease, compared relative to the traces: near
+# 2e6 one ulp is 2.3e-10, so no absolute tolerance fits every seed
 @pytest.mark.parametrize("seed", range(60))
 def test_improvement_trace_equals_crb_decrease_relative(seed):
     rng = np.random.default_rng(seed)

@@ -543,6 +543,48 @@ def test_cli_solve_over_long_field_exits_2(tmp_path, scenario_file, capsys):
     assert line == "error: row 2: field larger than field limit (131072)"
 
 
+def _edited_log(text, edit):
+    """A copy of an LF log text with one edit: CRLF or CR-only line endings,
+    a lone carriage return after row 6's first comma, a blank line, or
+    every field quoted."""
+    lines = text.split("\n")[:-1]
+    end = {"crlf": "\r\n", "cr_only": "\r"}.get(edit, "\n")
+    if edit == "lone_cr_in_row_6":
+        lines[5] = lines[5].replace(",", ",\r", 1)
+    elif edit == "blank_line":
+        lines.insert(len(lines) // 2, "")
+    elif edit == "quoted":
+        lines = [",".join(f'"{field}"' for field in line.split(",")) for line in lines]
+    return end.join(lines) + end
+
+
+# the CLI hands the file's text to read_measurement_log untranslated, so it
+# refuses what the library refuses, by the same row and message, and prints
+# the LF log's output for every copy the library reads
+@pytest.mark.parametrize("edit", ["lf", "crlf", "cr_only", "lone_cr_in_row_6", "blank_line",
+                                  "quoted"])
+def test_cli_solve_reads_the_log_as_the_library_does(tmp_path, scenario_file, measurement_log,
+                                                      capsys, edit):
+    with open(measurement_log, encoding="utf-8", newline="") as f:
+        text = _edited_log(f.read(), edit)
+    log = tmp_path / "log.csv"
+    log.write_bytes(text.encode())
+    argv = ["solve", "--scenario", scenario_file, "--json", "--log"]
+    try:
+        read_measurement_log(text)
+    except (RowError, SchemaError) as exc:
+        assert _input_error(capsys, argv + [str(log)]) == f"error: {exc}"
+        refused = getattr(exc, "row", "header")
+    else:
+        capsys.readouterr()
+        assert main(argv + [measurement_log]) == 0
+        expected = capsys.readouterr().out
+        assert main(argv + [str(log)]) == 0
+        assert capsys.readouterr().out == expected
+        refused = None
+    assert refused == {"cr_only": "header", "lone_cr_in_row_6": 6}.get(edit)
+
+
 def test_cli_solve_duplicate_row_exits_2(tmp_path, scenario_file, capsys):
     out = str(tmp_path / "out")
     assert main(["simulate", "--scenario", scenario_file, "--out", out]) == 0
@@ -905,14 +947,34 @@ def test_cli_bad_document_exits_2(tmp_path, capsys, text, keys):
     assert all(key in line for key in keys), line
 
 
-@pytest.mark.parametrize("command", ["simulate", "solve", "plan", "crb", "mc"])
-@pytest.mark.parametrize("where", ["config", "option"])
+# --seed exists only on the subcommands that draw numbers
+NEGATIVE_SEEDS = ([("config", c) for c in ("simulate", "solve", "plan", "crb", "mc")]
+                  + [("option", c) for c in ("simulate", "solve", "mc")])
+
+
+@pytest.mark.parametrize("where, command", NEGATIVE_SEEDS,
+                         ids=[f"{where}-{command}" for where, command in NEGATIVE_SEEDS])
 def test_cli_negative_seed_exits_2(tmp_path, capsys, measurement_log, command, where):
     cfg = tmp_path / "scenario.yaml"
     cfg.write_text(MINIMAL + ("seed: -1\n" if where == "config" else ""))
     args = _command_args(command, tmp_path, measurement_log)
     seed = ["--seed", "-1"] if where == "option" else []
     assert "'seed'" in _input_error(capsys, [command, "--scenario", str(cfg)] + args + seed)
+
+
+@pytest.mark.parametrize("command", ["plan", "crb"])
+def test_cli_seed_option_is_a_usage_error_where_nothing_is_drawn(tmp_path, capsys, scenario_file,
+                                                                 measurement_log, command):
+    argv = [command, "--scenario", scenario_file] + _command_args(command, tmp_path,
+                                                                  measurement_log)
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: uavloc ") and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].endswith("error: unrecognized arguments: --seed 1")
 
 
 # Scenarios that parse but break an invariant of validate_scenario; each
@@ -970,6 +1032,29 @@ def test_cli_unreadable_file_exits_2(tmp_path, capsys, scenario_file, case):
         "state_not_utf8": ["plan", "--scenario", scenario_file, "--state", str(not_utf8)],
     }[case]
     _input_error(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve", "plan", "crb", "mc"])
+def test_cli_reads_crlf_input_files_as_lf(tmp_path, capsys, scenario_file, measurement_log,
+                                          command):
+    argv = [command, "--scenario", scenario_file] + _command_args(command, tmp_path,
+                                                                  measurement_log)
+    capsys.readouterr()
+    assert main(argv) == 0
+    lf = capsys.readouterr().out
+    crlf_argv = []
+    for arg in argv:
+        if os.path.isfile(arg):
+            copy = tmp_path / f"crlf_{os.path.basename(arg)}"
+            with open(arg, "rb") as f:
+                copy.write_bytes(f.read().replace(b"\n", b"\r\n"))
+            arg = str(copy)
+        crlf_argv.append(arg)
+    # the scenario and every other input file of the command
+    copies = sum(arg.startswith(str(tmp_path / "crlf_")) for arg in crlf_argv)
+    assert copies == {"solve": 2, "plan": 2, "crb": 3}.get(command, 1)
+    assert main(crlf_argv) == 0
+    assert capsys.readouterr().out == lf
 
 
 def test_cli_exit_code_3_on_numeric_failure(tmp_path, capsys):
@@ -1325,3 +1410,31 @@ def test_cli_crb_takes_user_ids_in_any_order(tmp_path, scenario_file, capsys):
     (tmp_path / "users.csv").write_text("user_id,x,y\n9,0,0\n2,10,0\n")
     assert main(["crb", "--scenario", scenario_file, "--trajectory", str(tmp_path / "traj.csv"),
                  "--users", str(tmp_path / "users.csv")]) == 0
+
+
+# crb's CSVs are read by the same rule as the log: CRLF reads as LF, and a
+# CR-only file is one record that csv refuses
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr_only"])
+@pytest.mark.parametrize("name", ["trajectory", "users"])
+def test_cli_crb_reads_csv_without_newline_translation(tmp_path, scenario_file, capsys, name,
+                                                       end):
+    texts = {"trajectory": TRAJ, "users": USERS}
+    argv = ["crb", "--scenario", scenario_file]
+    for key, text in texts.items():
+        (tmp_path / f"{key}.csv").write_text(text)
+        argv += [f"--{key}", str(tmp_path / f"{key}.csv")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    lf = capsys.readouterr().out
+    text = texts[name].replace("\n", end)
+    (tmp_path / f"{name}.csv").write_bytes(text.encode())
+    try:
+        list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        assert end == "\r"
+        line = _input_error(capsys, argv)
+        assert line == f"error: {tmp_path / name}.csv: unreadable CSV: {exc}"
+    else:
+        assert end == "\r\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == lf
