@@ -3,7 +3,7 @@ joint least-squares SLAM, Fisher-information/CRB accounting, and greedy
 informative trajectory planning."""
 
 from .channel import (RngStream, is_blocked, los_delay, sample_gps, sample_toa,
-                      sigma_tau_of_distance, sparsify)
+                      sigma_tau_of_distance)
 from .fim import (InfoState, accumulate, crb_trace, improvement_matrix,
                   initial_info, step_contribution, toa_info_contribution)
 from .iofiles import (parse_run_config, parse_scenario, read_measurement_log,

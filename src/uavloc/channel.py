@@ -1,10 +1,10 @@
 """Synthetic GPS and ToA measurement generation.
 
 Covers the LoS delay model, Gaussian GPS noise, the ToA draws (their sigma
-from model.sigma_tau_of_distance), segment/box blockage tests, and the
-delta-distance sparsification rule. Every draw is made on the numpy Generator passed as
-`rng`; RngStream(seed) is numpy's PCG64 Generator, so a fixed seed reproduces
-the full measurement sequence bit-identically.
+from model.sigma_tau_of_distance) and segment/box blockage tests. Every draw
+is made on the numpy Generator passed as `rng`; RngStream(seed) is numpy's
+PCG64 Generator, so a fixed seed reproduces the full measurement sequence
+bit-identically.
 """
 from __future__ import annotations
 
@@ -112,18 +112,3 @@ def sample_toa(uav, users, m: ToaNoiseModel, boxes, rng: np.random.Generator):
     val = np.maximum(val, 0.0)
     return val if users.ndim > 1 else float(val[0])
 
-
-def sparsify(positions, delta: float) -> list[int]:
-    """Greedy distance filter over a position sequence.
-
-    Keeps index 0, then keeps an index iff its position is at least `delta`
-    meters from the last kept one. Returns 0-based indices.
-    """
-    pos = np.asarray(positions, dtype=float)
-    if len(pos) == 0:
-        raise ValueError("positions must be nonempty")
-    kept = [0]
-    for i in range(1, len(pos)):
-        if np.linalg.norm(pos[i] - pos[kept[-1]]) >= delta:
-            kept.append(i)
-    return kept

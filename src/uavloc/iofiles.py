@@ -267,6 +267,15 @@ def _loaded(body: str):
     return _log_of(rows)
 
 
+def _csv_refusal(exc: csv.Error) -> str:
+    """Why csv refused a record; a lone carriage return is named here, not by
+    csv's advice about open(), which varies with the Python version."""
+    if str(exc).startswith("new-line character"):
+        return ("a carriage return outside a quoted field is not a line ending here "
+                "(use LF or CRLF)")
+    return str(exc)  # e.g. a field over csv's size limit
+
+
 def _read_rows(reader) -> MeasurementLog:
     """The row path of read_measurement_log: one walk over the csv records
     after the header, numbered from 2, blank ones skipped, that converts
@@ -295,7 +304,7 @@ def _read_rows(reader) -> MeasurementLog:
             numbers.append(n)
             rows.append((step, user_id, (x, y, z), toa))
     except csv.Error as exc:
-        error = n + 1, str(exc)
+        error = n + 1, _csv_refusal(exc)
     log = _log_of(np.array(rows, dtype=_LOG_ROW))
     inconsistent = _first_inconsistent(log)
     if inconsistent is not None:
@@ -329,7 +338,7 @@ def read_measurement_log(text: str) -> MeasurementLog:
     except StopIteration:
         raise SchemaError("missing header row") from None
     except csv.Error as exc:
-        raise SchemaError(f"unreadable header row: {exc}") from None
+        raise SchemaError(f"unreadable header row: {_csv_refusal(exc)}") from None
     if header != LOG_HEADER:
         raise SchemaError(f"header must be exactly {','.join(LOG_HEADER)}")
     start = f.tell()

@@ -1,5 +1,5 @@
-"""Closed-loop mission orchestration: move, measure, sparsify, estimate,
-plan. Also Monte Carlo batches and error metrics.
+"""Closed-loop mission orchestration: move, keep steps delta_keep apart,
+measure, estimate, plan. Also Monte Carlo batches and error metrics.
 
 A mission is fully deterministic given its scenario: measurement noise comes
 from one numpy PCG64 Generator seeded with scenario.seed, the user-position

@@ -152,7 +152,7 @@ class Scenario:
     uav_terminal: Vec3
     mission_steps: int
     d_max: float = 5.0            # meters per step
-    delta_keep: float = 2.0       # sparsification distance, meters
+    delta_keep: float = 2.0       # keep distance of retained steps, meters
     sigma_gps: float = 1.0        # meters
     toa_noise: ToaNoiseModel = field(default_factory=ToaNoiseModel)
     numerology: int = 1

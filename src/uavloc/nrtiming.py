@@ -59,12 +59,14 @@ def coarse_rtt(ta: int, mu: int) -> float:
 
 
 def ta_from_rtt(rtt, mu: int):
-    """Nearest timing-advance value, half to even: an int, or floats for an RTT array."""
+    """Nearest timing-advance value, half to even: an int, or floats for an RTT array.
+    ValueError unless every RTT is finite and >= 0 (NaN is neither)."""
     unit = ta_unit(mu)
-    if (np.asarray(rtt) < 0).any():
-        raise ValueError("rtt must be >= 0")
+    rtt = np.asarray(rtt)
+    if rtt.size and not (rtt.min() >= 0 and rtt.max() < np.inf):
+        raise ValueError("rtt must be finite and >= 0")
     ta = np.rint(rtt / unit)
-    return ta if np.ndim(ta) else int(ta)
+    return ta if ta.ndim else int(ta)
 
 
 def synth_cir(residual_delay: float, cfg: NrConfig, rng: np.random.Generator) -> np.ndarray:
@@ -103,19 +105,20 @@ def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float):
 
     true_delay is a delay in seconds or an array of them. The round trip
     (2 * true_delay + drift) is quantized to the nearest timing-advance unit,
-    half to even; the signed residual is read at the CIR peak,
+    half to even, by ta_from_rtt; the signed residual is read at the CIR peak,
     round(residual * f_s) / f_s. The residual is within half a unit, so
     within half the CIR window (CIR_LEN / f_s) either way: NrConfig admits no
-    sample rate at which a residual could leave it.
+    sample rate at which a residual could leave it. ValueError unless
+    true_delay >= 0 and, by ta_from_rtt's rule, the round trip is finite and >= 0.
     """
     true_delay = np.asarray(true_delay)
+    if not true_delay.min() >= 0:  # NaN fails too
+        raise ValueError("true_delay must be finite and >= 0")
     rtt = 2.0 * true_delay + drift
-    if not (true_delay.min() >= 0 and 0 <= rtt.min() <= rtt.max() < np.inf):
-        raise ValueError("true_delay and rtt = 2 * true_delay + drift must be finite and >= 0")
+    ta = ta_from_rtt(rtt, cfg.mu)
     unit = ta_unit(cfg.mu)
+    # ta rounds this very ratio, so |ratio - ta| <= 1/2 exactly and
+    # |peak| <= f_s * unit / 2 in floating point too
     ratio = rtt / unit
-    ta = np.rint(ratio)  # as ta_from_rtt rounds; cfg and rtt are checked above
-    # |ratio - ta| <= 1/2 exactly, so |peak| <= f_s * unit / 2 in floating
-    # point too
     peak = (ratio - ta) * unit * cfg.f_s
     return (ta * unit + np.rint(peak) / cfg.f_s) / 2.0

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from uavloc import channel
 from uavloc.channel import (RngStream, is_blocked, link_geometry, los_delay,
-                            sample_gps, sample_toa, sigma_tau_of_distance,
-                            sparsify)
+                            sample_gps, sample_toa, sigma_tau_of_distance)
 from uavloc.errors import DegenerateGeometry
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import AxisBox, MeasurementLog, ToaNoiseModel, Vec2, Vec3
@@ -368,26 +367,3 @@ def test_rng_stream_is_numpys_pcg64_generator(seed):
     for got, want in zip(draws(RngStream(seed)), draws(pcg64())):
         np.testing.assert_array_equal(got, want)
 
-
-# --- sparsify ---
-
-def test_sparsify_delta_zero_keeps_all():
-    pos = np.random.default_rng(0).uniform(0, 10, (20, 3))
-    assert sparsify(pos, 0.0) == list(range(20))
-    with pytest.raises(ValueError):
-        sparsify([], 1.0)
-
-
-def test_sparsify_line_every_second():
-    pos = np.column_stack([np.arange(10.0), np.zeros(10), np.zeros(10)])
-    assert sparsify(pos, 2.0) == [0, 2, 4, 6, 8]
-
-
-def test_sparsify_random_walk_spacing():
-    rng = np.random.default_rng(2)
-    pos = np.cumsum(rng.normal(0, 1.5, (200, 3)), axis=0)
-    kept = sparsify(pos, 2.0)
-    assert kept[0] == 0
-    assert kept == sorted(set(kept))  # subsequence of input indices
-    for a, b in zip(kept, kept[1:]):
-        assert np.linalg.norm(pos[b] - pos[a]) >= 2.0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from uavloc import mission, nrtiming, slam
-from uavloc.channel import sparsify
 from uavloc.errors import InvalidParam
 from uavloc.mission import (circle_path, compute_metrics, monte_carlo,
                             run_mission, straight_line_path)
@@ -168,14 +167,39 @@ def test_crb_history_nonincreasing():
     assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
 
+def kept_by_rule(path, delta):
+    """The 1-based steps of path that the keep rule retains: the first, then
+    each at least delta from the last one retained."""
+    kept = [1]
+    for n in range(2, len(path) + 1):
+        if np.linalg.norm(path[n - 1] - path[kept[-1] - 1]) >= delta:
+            kept.append(n)
+    return kept
+
+
 def test_retained_steps_match_sparsify_rule():
     s = circle_scenario(n_steps=30, delta=4.0)
     res = run_mission(s, "greedy")
-    kept = sparsify(res.planned, s.delta_keep)
-    assert list(np.asarray(res.retained_steps) - 1) == kept
-    pos = res.planned
-    for a, b in zip(res.retained_steps, res.retained_steps[1:]):
-        assert np.linalg.norm(pos[b - 1] - pos[a - 1]) >= s.delta_keep
+    assert list(res.retained_steps) == kept_by_rule(res.planned, s.delta_keep)
+    # fixed paths from the scenario's start
+    start = circle_scenario().uav_start.as_array()
+    rng = np.random.default_rng(2)
+    hops = rng.uniform(-3, 3, (19, 3))
+    hops[4] = 0.0  # steps 5 and 6 are one point
+    hold = start + np.cumsum(np.vstack([np.zeros(3), hops]), axis=0)
+    line = start + np.outer(np.arange(10.0), [1.0, 0.0, 0.0])  # 1 m apart
+    walk = start + np.cumsum(np.vstack([np.zeros(3), rng.normal(0, 1.5, (59, 3))]), axis=0)
+    assert len(kept_by_rule(walk, 2.0)) < len(walk)
+    for path, delta, want in [(hold, 0.0, list(range(1, 21))), (line, 2.0, [1, 3, 5, 7, 9]),
+                              (walk, 2.0, kept_by_rule(walk, 2.0))]:
+        s = circle_scenario(n_steps=len(path), delta=delta)
+        kept = run_mission(s, path, solve_every=0).retained_steps
+        assert list(kept) == want
+        # each retained step lies >= delta from the one retained before it,
+        # and each dropped step < delta from the last one retained
+        for n in range(2, len(path) + 1):
+            last = max(k for k in kept if k < n)
+            assert (np.linalg.norm(path[n - 1] - path[last - 1]) >= delta) == (n in kept)
 
 
 def test_greedy_path_feasible():

@@ -86,8 +86,17 @@ def test_ta_from_rtt_over_an_array_equals_python_round():
         np.testing.assert_array_equal(got, [ta_from_rtt(float(r), mu) for r in rtts])
     assert isinstance(ta_from_rtt(2.5 * ta_unit(1), 1), int)
     assert ta_from_rtt(2.5 * ta_unit(1), 1) == 2
+    assert ta_from_rtt(np.array([]), 1).shape == (0,)
     with pytest.raises(ValueError):
         ta_from_rtt(np.array([1e-7, -1e-9]), 1)
+
+
+@pytest.mark.parametrize("form", ["scalar", "array"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_ta_from_rtt_refuses_a_non_finite_rtt(bad, form):
+    rtt = bad if form == "scalar" else np.array([1e-7, bad, 2e-7])
+    with pytest.raises(ValueError, match="^rtt must be finite and >= 0$"):
+        ta_from_rtt(rtt, 1)
 
 
 # --- synth_cir / srs_refine ---
@@ -304,3 +313,10 @@ def test_estimate_of_a_scalar_is_a_scalar():
 def test_estimate_refuses_bad_delays(delays, drift):
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         estimate_toa_nr(np.array(delays), NrConfig(mu=1, f_s=F_S), drift)
+
+
+def test_estimate_refuses_a_negative_delay_whose_round_trip_is_positive():
+    # ta_from_rtt would take rtt = 2 * -1e-9 + 1e-8 > 0; the delay itself is refused
+    for delays in (-1e-9, np.array([1e-7, -1e-9])):
+        with pytest.raises(ValueError, match="^true_delay must be finite and >= 0$"):
+            estimate_toa_nr(delays, NrConfig(mu=1, f_s=F_S), 1e-8)
