@@ -11,7 +11,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -19,10 +18,10 @@ from . import fim, slam
 from .channel import RngStream
 from .errors import INPUT_ERRORS, NUMERIC_ERRORS, NotConverged, SchemaError
 from .fim import InfoState, accumulate, crb_trace, initial_info, step_contribution
-from .iofiles import (RunConfig, export_results, parse_run_config,
+from .iofiles import (RunConfig, csv_refusal, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
-from .model import require_number, validate_scenario
+from .model import require_number
 from .planner import PlannerState, next_waypoint
 
 
@@ -34,10 +33,7 @@ def _read_text(path: str) -> str:
 
 def _load_config(args) -> RunConfig:
     """The config of --scenario; --seed, where taken and given, replaces its seed."""
-    rc = parse_run_config(_read_text(args.scenario))
-    if getattr(args, "seed", None) is None:
-        return rc
-    return replace(rc, scenario=validate_scenario(replace(rc.scenario, seed=args.seed)))
+    return parse_run_config(_read_text(args.scenario), seed=getattr(args, "seed", None))
 
 
 def _mission_kwargs(rc: RunConfig, args) -> dict:
@@ -151,8 +147,8 @@ def _read_xyz_csv(path: str, header: list[str]) -> np.ndarray:
     """One or more rows of finite numbers under an exact header."""
     try:
         rows = list(csv.reader(io.StringIO(_read_text(path))))
-    except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise SchemaError(f"{path}: unreadable CSV: {exc}") from None
+    except csv.Error as exc:  # a lone carriage return, a field over csv's size limit
+        raise SchemaError(f"{path}: unreadable CSV: {csv_refusal(exc)}") from None
     if not rows or rows[0] != header:
         raise SchemaError(f"{path}: header must be exactly {','.join(header)}")
     rows = [row for row in rows[1:] if row]

@@ -150,9 +150,10 @@ _DOCUMENT = _section(
     required=("users", "uav_start", "uav_terminal", "mission_steps"))
 
 
-def parse_run_config(text: str) -> RunConfig:
+def parse_run_config(text: str, seed: int | None = None) -> RunConfig:
     """Parse a full run-config document (scenario + solver/planner options);
-    an option RunConfig refuses raises InvalidParam naming its config key."""
+    an option RunConfig refuses raises InvalidParam naming its config key.
+    A seed, where given, replaces the document's before the scenario is checked."""
     try:
         doc = yaml.load(text, Loader=_StrictLoader)
     except yaml.MarkedYAMLError as exc:
@@ -163,6 +164,8 @@ def parse_run_config(text: str) -> RunConfig:
         raise ParseError(f"invalid YAML: {str(exc).splitlines()[0]}") from exc
     kw = _DOCUMENT(doc)
     solver, planner = kw.pop("solver", {}), kw.pop("planner", {})
+    if seed is not None:
+        kw["seed"] = seed
     scenario = validate_scenario(Scenario(**kw))
     mission_opts = {key: solver.pop(key) for key in ("solve_every", "eps_prior") if key in solver}
     try:
@@ -267,7 +270,7 @@ def _loaded(body: str):
     return _log_of(rows)
 
 
-def _csv_refusal(exc: csv.Error) -> str:
+def csv_refusal(exc: csv.Error) -> str:
     """Why csv refused a record; a lone carriage return is named here, not by
     csv's advice about open(), which varies with the Python version."""
     if str(exc).startswith("new-line character"):
@@ -304,7 +307,7 @@ def _read_rows(reader) -> MeasurementLog:
             numbers.append(n)
             rows.append((step, user_id, (x, y, z), toa))
     except csv.Error as exc:
-        error = n + 1, _csv_refusal(exc)
+        error = n + 1, csv_refusal(exc)
     log = _log_of(np.array(rows, dtype=_LOG_ROW))
     inconsistent = _first_inconsistent(log)
     if inconsistent is not None:
@@ -338,7 +341,7 @@ def read_measurement_log(text: str) -> MeasurementLog:
     except StopIteration:
         raise SchemaError("missing header row") from None
     except csv.Error as exc:
-        raise SchemaError(f"unreadable header row: {_csv_refusal(exc)}") from None
+        raise SchemaError(f"unreadable header row: {csv_refusal(exc)}") from None
     if header != LOG_HEADER:
         raise SchemaError(f"header must be exactly {','.join(LOG_HEADER)}")
     start = f.tell()

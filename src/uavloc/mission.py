@@ -20,7 +20,8 @@ from .channel import RngStream, sample_gps, sample_toa
 from .channel import is_blocked  # noqa: F401
 from .errors import InvalidParam
 from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_trace, initial_info, step_contribution
-from .model import MeasurementLog, Scenario, require_int, require_number, validate_scenario
+from .model import (REACH_SLACK, MeasurementLog, Scenario, require_int, require_number,
+                    validate_scenario)
 from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
 
@@ -123,7 +124,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         if np.linalg.norm(fixed_path[0] - s.uav_start.as_array()) > 1e-9:
             raise InvalidParam("mode", "fixed path must start at uav_start")
         hops = np.linalg.norm(np.diff(fixed_path, axis=0), axis=1)
-        if np.any(hops > s.d_max * (1 + 1e-12)):
+        if np.any(hops > s.d_max * (1 + REACH_SLACK)):
             raise InvalidParam("mode", "fixed path violates the d_max step constraint")
     elif mode != "greedy":
         raise InvalidParam("mode", "must be 'greedy' or an (N, 3) path")

@@ -161,8 +161,9 @@ class Scenario:
     seed: int = 0
 
 
-# Relative slack for the exact reachability check.
-_REACH_SLACK = 1e-12
+# Relative slack on a distance checked against d_max: the start-to-terminal
+# budget here and each hop of a fixed mission path.
+REACH_SLACK = 1e-12
 
 
 def _require_finite(name, *values):
@@ -230,7 +231,7 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     dist = float(np.linalg.norm(s.uav_start.as_array() - s.uav_terminal.as_array()))
     budget = s.d_max * (s.mission_steps - 1)
-    if dist > budget * (1.0 + _REACH_SLACK):
+    if dist > budget * (1.0 + REACH_SLACK):
         raise TerminalUnreachable(
             f"start-terminal distance {dist:.6g} m exceeds d_max*(N-1) = {budget:.6g} m")
     if m.kind == "exponential":

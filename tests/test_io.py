@@ -21,14 +21,14 @@ from hypothesis import strategies as st
 
 import uavloc
 from uavloc.channel import RngStream, los_delay
-from uavloc.cli import _planner_state, main
+from uavloc.cli import _load_config, _planner_state, build_parser, main
 from uavloc.errors import InvalidParam, ParseError, RowError, SchemaError, UnknownKey
 from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
                             parse_scenario, read_measurement_log,
                             serialize_scenario, write_measurement_log)
 from uavloc.mission import check_options, run_mission
 from uavloc.model import (AxisBox, MeasurementSample, Scenario, ToaNoiseModel,
-                          Vec2, Vec3)
+                          Vec2, Vec3, validate_scenario)
 from uavloc.slam import SlamConfig
 
 MINIMAL = """\
@@ -551,16 +551,24 @@ def test_cli_solve_over_long_field_exits_2(tmp_path, scenario_file, capsys):
 
 def _edited_log(text, edit):
     """A copy of an LF log text with one edit: CRLF or CR-only line endings,
-    a lone carriage return after row 6's first comma, a blank line, or
-    every field quoted."""
+    a lone carriage return after row 6's first comma, a blank line, every
+    field quoted, every body field padded with spaces and a leading + (a
+    negative one with spaces only), or 0_ before every step and user_id
+    (a spelling numpy refuses, so the row path reads it)."""
     lines = text.split("\n")[:-1]
     end = {"crlf": "\r\n", "cr_only": "\r"}.get(edit, "\n")
+    fields = [line.split(",") for line in lines]
     if edit == "lone_cr_in_row_6":
         lines[5] = lines[5].replace(",", ",\r", 1)
     elif edit == "blank_line":
         lines.insert(len(lines) // 2, "")
     elif edit == "quoted":
-        lines = [",".join(f'"{field}"' for field in line.split(",")) for line in lines]
+        lines = [",".join(f'"{field}"' for field in row) for row in fields]
+    elif edit == "padded":
+        lines[1:] = [",".join(f" {f} " if f[0] == "-" else f" +{f} " for f in row)
+                     for row in fields[1:]]
+    elif edit == "underscored":
+        lines[1:] = [",".join(["0_" + row[0], "0_" + row[1], *row[2:]]) for row in fields[1:]]
     return end.join(lines) + end
 
 
@@ -568,7 +576,7 @@ def _edited_log(text, edit):
 # refuses what the library refuses, by the same row and message, and prints
 # the LF log's output for every copy the library reads
 @pytest.mark.parametrize("edit", ["lf", "crlf", "cr_only", "lone_cr_in_row_6", "blank_line",
-                                  "quoted"])
+                                  "quoted", "padded", "underscored"])
 def test_cli_solve_reads_the_log_as_the_library_does(tmp_path, scenario_file, measurement_log,
                                                       capsys, edit):
     with open(measurement_log, encoding="utf-8", newline="") as f:
@@ -1094,22 +1102,69 @@ seed: 7
 """
 
 
-def test_cli_solve_not_converged_exits_3(tmp_path, capsys):
-    cfg = tmp_path / "scenario.yaml"
-    cfg.write_text(README_SCENARIO + "solver: {solve_every: 5}\n")
-    assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+# the README's scenario file
+README_CONFIG = README_SCENARIO + """\
+solver:
+  solve_every: 5
+planner:
+  headings: 8
+"""
+
+
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory):
+    """The README scenario file and the log that `simulate --seed 7` writes from it."""
+    d = tmp_path_factory.mktemp("readme")
+    (d / "scenario.yaml").write_text(README_CONFIG)
+    assert main(["simulate", "--scenario", str(d / "scenario.yaml"), "--out", str(d / "out"),
+                 "--seed", "7"]) == 0
+    return str(d / "scenario.yaml"), str(d / "out" / "measurements.csv")
+
+
+def test_cli_solve_not_converged_exits_3(tmp_path, capsys, readme_run):
     # one LM iteration cannot meet a stopping test from the initial state
-    cfg.write_text(README_SCENARIO + "solver: {max_iter: 1}\n")
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(README_CONFIG.replace("solve_every: 5", "max_iter: 1"))
     out = tmp_path / "out"
     capsys.readouterr()
-    log = str(tmp_path / "sim" / "measurements.csv")
-    assert main(["solve", "--scenario", str(cfg), "--log", log, "--out", str(out)]) == 3
+    assert main(["solve", "--scenario", str(cfg), "--log", readme_run[1], "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err + captured.out
     first, second = captured.err.splitlines()
     assert first == "numeric failure: no stopping test met"
     assert re.fullmatch(r"iterations: 1, trials: 1, last step norm: \d\.\d{3}e[+-]\d\d", second)
     assert not (out / "solution.json").exists()
+
+
+def test_cli_solve_output_does_not_depend_on_the_seed(readme_run, capsys):
+    # every user of the README log is heard from a track with extent, so the
+    # start draws nothing that the solve keeps
+    scenario, log = readme_run
+
+    def solve(seed):
+        capsys.readouterr()
+        assert main(["solve", "--scenario", scenario, "--log", log, "--json",
+                     "--seed", str(seed)]) == 0
+        return capsys.readouterr().out
+
+    assert solve(1) == solve(2)
+
+
+# --seed replaces the config's seed before the scenario is checked, so a bad
+# seed that it replaces is never checked
+@pytest.mark.parametrize("seed", ["7", "-1"])
+def test_cli_seed_option_validates_the_scenario_once(tmp_path, seed):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(README_CONFIG.replace("seed: 7", f"seed: {seed}"))
+    args = build_parser().parse_args(["simulate", "--scenario", str(cfg),
+                                      "--out", str(tmp_path / "out"), "--seed", "3"])
+    check = mock.Mock(wraps=validate_scenario)
+    # under both names a caller could import it by
+    with mock.patch("uavloc.iofiles.validate_scenario", check), \
+            mock.patch("uavloc.cli.validate_scenario", check, create=True):
+        rc = _load_config(args)
+    assert rc.scenario.seed == 3
+    assert check.call_count == 1 and check.call_args.args[0].seed == 3
 
 
 def test_cli_solve_warns_once_per_weak_user(tmp_path, scenario_file, caplog, capsys):
@@ -1214,11 +1269,16 @@ COUPLED_STATE = dict(VALID_STATE, user_estimates=[[10.0, -5.0], [0.0, 3.0]],
                      fim=[[1e3, 0.0, 0.0, 0.0], [0.0, 1e3, 1.0, 0.0],
                           [0.0, 1.0, 1e3, 0.0], [0.0, 0.0, 0.0, 1e3]])
 ASYMMETRIC_STATE = dict(VALID_STATE, fim=[[1e3, 2.0], [0.0, 1e3]])
+# the README's two users, their x coordinates coupled
+TWO_USERS = [[10.0, -5.0], [-20.0, 15.0]]
+COUPLED_X_STATE = dict(VALID_STATE, user_estimates=TWO_USERS,
+                       fim=[[1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
 
 
 @pytest.mark.parametrize("doc, message", [
-    (COUPLED_STATE, "block-diagonal"), (ASYMMETRIC_STATE, "symmetric")],
-    ids=["off_diagonal_block", "asymmetric_block"])
+    (COUPLED_STATE, "block-diagonal"), (ASYMMETRIC_STATE, "symmetric"),
+    (COUPLED_X_STATE, "block-diagonal")],
+    ids=["off_diagonal_block", "asymmetric_block", "two_users_coupled_x"])
 def test_cli_plan_fim_not_block_diagonal_exits_2(tmp_path, scenario_file, doc, message):
     rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(doc))
     assert rc == 2 and message in err and "Traceback" not in err
@@ -1352,16 +1412,50 @@ def test_plan_state_eps_prior_defaults_to_the_config(given):
     assert _planner_state(doc, rc).info.eps_prior == (rc.eps_prior if given is None else given)
 
 
-def test_cli_imports_no_scipy():
-    # scipy would more than double the resident memory and import time of
-    # every uavloc command
-    code = "import sys, uavloc.cli; print('scipy' in sys.modules)"
+def _python(*args):
+    """A Python process run on `args` that imports this package."""
     src = os.path.dirname(os.path.dirname(uavloc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_cli_imports_no_scipy():
+    # scipy would more than double the resident memory and import time of
+    # every uavloc command
+    out = _python("-c", "import sys, uavloc.cli; print('scipy' in sys.modules)")
+    assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+ZERO_STATE = dict(VALID_STATE, user_estimates=TWO_USERS, fim=np.zeros((4, 4)).tolist())
+INFORMED_STATE = {"step": 3, "pos": [5.0, 1.0, 30.0], "user_estimates": TWO_USERS,
+                  "fim": [[2e3, 1e2, 0, 0], [1e2, 5e2, 0, 0], [0, 0, 7e2, -3e1],
+                          [0, 0, -3e1, 9e2]]}
+# `plan` on the README scenario, run as `python -m uavloc.cli`, which calls
+# cli.entry() as the console script does: the process exits with main's
+# code (0, 2 or 3) and prints one line, the waypoint on stdout or the error
+# on stderr, and no traceback. The state takes the config's eps_prior: with
+# none, the zero state is singular.
+README_PLANS = [
+    ("zero_fim", README_CONFIG, ZERO_STATE, 0, "next_waypoint: ["),
+    ("informed", README_CONFIG, INFORMED_STATE, 0, "next_waypoint: [5.0, 6.0, 30.0]\n"),
+    ("yaml_error", README_CONFIG + "buildings: [1, 2\n", ZERO_STATE, 2, "error: invalid YAML"),
+    ("zero_fim_no_prior", README_CONFIG.replace("solve_every: 5", "eps_prior: 0.0"),
+     ZERO_STATE, 3, "numeric failure: "),
+]
+
+
+@pytest.mark.parametrize("config, state, code, out", [case[1:] for case in README_PLANS],
+                         ids=[case[0] for case in README_PLANS])
+def test_cli_entry_plans_on_the_readme_scenario(tmp_path, config, state, code, out):
+    (tmp_path / "scenario.yaml").write_text(config)
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    run = _python("-m", "uavloc.cli", "plan", "--scenario", str(tmp_path / "scenario.yaml"),
+                  "--state", str(tmp_path / "state.json"))
+    assert run.returncode == code and "Traceback" not in run.stderr
+    printed, silent = (run.stderr, run.stdout) if code else (run.stdout, run.stderr)
+    assert silent == "" and len(printed.splitlines()) == 1 and printed.startswith(out)
 
 
 @pytest.mark.parametrize("traj, users", [
@@ -1420,7 +1514,7 @@ def test_cli_crb_takes_user_ids_in_any_order(tmp_path, scenario_file, capsys):
 
 
 # crb's CSVs are read by the same rule as the log: CRLF reads as LF, and a
-# CR-only file is one record that csv refuses
+# CR-only file is one record that csv refuses, named in the log reader's words
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr_only"])
 @pytest.mark.parametrize("name", ["trajectory", "users"])
 def test_cli_crb_reads_csv_without_newline_translation(tmp_path, scenario_file, capsys, name,
@@ -1433,15 +1527,10 @@ def test_cli_crb_reads_csv_without_newline_translation(tmp_path, scenario_file, 
     capsys.readouterr()
     assert main(argv) == 0
     lf = capsys.readouterr().out
-    text = texts[name].replace("\n", end)
-    (tmp_path / f"{name}.csv").write_bytes(text.encode())
-    try:
-        list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        assert end == "\r"
+    (tmp_path / f"{name}.csv").write_bytes(texts[name].replace("\n", end).encode())
+    if end == "\r":
         line = _input_error(capsys, argv)
-        assert line == f"error: {tmp_path / name}.csv: unreadable CSV: {exc}"
+        assert line == f"error: {tmp_path / name}.csv: unreadable CSV: {CR_REFUSAL}"
     else:
-        assert end == "\r\n"
         assert main(argv) == 0
         assert capsys.readouterr().out == lf
