@@ -6,6 +6,15 @@ from one numpy PCG64 Generator seeded with scenario.seed, the user-position
 initialization of the solver from a second one seeded by a SeedSequence
 spawned from the same seed. A retained step measures its K links in one
 sample_toa (and, on the NR path, one estimate_toa_nr) call.
+
+How a mission's solves start: slam.initial_state gives the user estimates at
+the first retained step, for the planner, and again at the first solve from
+the samples that solve reads, if they are more than the first step's; so the
+one solve of solve_every=0 starts in closed form from all its samples, as
+`uavloc solve` does. Before every solve
+slam.basin_start moves each user estimate to its mirror image about its
+track of current pose estimates where that fits the ToA delays better; the
+later solves warm-start from the last one's poses and users.
 """
 from __future__ import annotations
 
@@ -44,7 +53,10 @@ class MissionResult:
     samples: MeasurementLog      # one row per (retained step, user)
     user_estimates: np.ndarray   # (K, 2)
     uav_estimates: np.ndarray    # (R, 3), aligned with retained_steps
-    crb_history: np.ndarray      # (N,)
+    # (N,) trace of the user-only CRB after each step, each retained step's
+    # Fisher information taken at the user estimates the mission holds at
+    # that step (after its solve, if it solves), not at the true users
+    crb_history: np.ndarray
     converged: bool
     metrics: Metrics
 
@@ -96,7 +108,11 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     fixed waypoints. toa_path: "ideal" (Gaussian channel noise only) or
     "nr" (quantized through the NR timing-advance + SRS procedure).
     solve_every: re-solve SLAM every m retained steps; 0 means only at the
-    end of the mission. Every draw comes from scenario.seed.
+    end of the mission. The first solve starts from slam.initial_state over
+    the samples it solves, every solve from slam.basin_start (the module
+    docstring says how). Every draw comes from scenario.seed: the estimator's
+    stream draws at the first retained step, and again at the first solve
+    only if that solve reads more samples.
     A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
     every hop within d_max.
     The result's `converged` is the last solve's report.converged; a solve
@@ -154,14 +170,19 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     # until a solve overwrites it
     pose_est = np.empty((n_steps, 3))
     converged = True
+    solved = False
 
     def do_solve():
-        nonlocal u_est, converged
+        nonlocal u_est, converged, solved
         # every retained step holds one sample per user, so the solve's poses
         # are the retained steps in order
         poses = pose_est[:len(retained)]
+        if not solved and len(retained) > 1:
+            # the first solve starts in closed form from the samples it solves
+            u_est = slam.initial_state(samples, est_rng).users
+        u_est = slam.basin_start(samples, poses, u_est)
         state, report = slam.solve_slam(slam.StateVector(uav=poses, users=u_est), samples, cfg)
-        converged = report.converged
+        converged, solved = report.converged, True
         u_est = state.users
         poses[:] = state.uav
 

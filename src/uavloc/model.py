@@ -97,8 +97,10 @@ class MeasurementLog(Sequence):
     The index layout is read-only and computed on first access, then kept:
     steps and user_ids, the sorted distinct values as tuples of int; pose
     and user (M,), each row's index into them; pose_gps (S, 3), the GPS fix
-    of each step's first row. So the columns must not change once the
-    layout has been read.
+    of each step's first row; and pair_index (12 M,), the solver's bincount
+    index of 12 entries per row, 12 (K pose + user) + e for entry e, laid
+    out entry-major. So the columns must not change once the layout has
+    been read.
     """
     step: np.ndarray
     user_id: np.ndarray
@@ -118,6 +120,13 @@ class MeasurementLog(Sequence):
     pose = property(lambda self: self._layout[2])
     user = property(lambda self: self._layout[3])
     pose_gps = property(lambda self: self._layout[4])
+
+    @cached_property
+    def pair_index(self):
+        pair = 12 * (len(self.user_ids) * self.pose + self.user) + np.arange(12)[:, None]
+        pair = pair.ravel()
+        pair.flags.writeable = False
+        return pair
 
     @classmethod
     def of(cls, measurements) -> MeasurementLog:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel,
                     require_int, require_number, sigma_tau_of_distance)
 
 logger = logging.getLogger(__name__)
+
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 @dataclass
@@ -72,12 +76,20 @@ class NormalEquations:
 
     Hpp (S, 3, 3) holds the pose blocks, Huu (K, 2, 2) the user blocks and
     Hpu (S, 3, 2K) each pose's coupling to the user coordinates; every other
-    entry of H is zero.
+    entry of H is zero. The fields must not change once `coupling` has
+    been read.
     """
     Hpp: np.ndarray
     Hpu: np.ndarray
     Huu: np.ndarray
     b: np.ndarray
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """[Hpu | b_p] (S, 3, 2K + 1): each pose's coupling and its part of b,
+        which every damped trial step multiplies by the inverse pose block."""
+        S = len(self.Hpp)
+        return np.concatenate([self.Hpu, self.b[:3 * S].reshape(S, 3, 1)], axis=2)
 
 
 @dataclass
@@ -198,7 +210,8 @@ def assemble_normal_equations(log: MeasurementLog, res, w_gps: float, w_toa,
     weight, times the Huber IRLS weight beyond huber_delta; derivatives of
     per-distance weights are left out. One bincount sums the 9 pose-block
     entries and the 3 of b per (pose, user) pair, adding repeated
-    measurements of a pair; the blocks are sums of those.
+    measurements of a pair; the blocks are sums of those. Its index is the
+    log's pair_index, built once per log.
     """
     S, K = len(log.steps), len(log.user_ids)
     r_gps, r_toa, diff, d = res
@@ -214,11 +227,10 @@ def assemble_normal_equations(log: MeasurementLog, res, w_gps: float, w_toa,
     np.multiply(((w / SPEED_OF_LIGHT ** 2 + c) * n)[:, None], n[None], out=terms[:3])
     terms.reshape(12, -1)[:9:4] -= c
     np.multiply(wr_c, n, out=terms[3])
-    pair = 12 * (K * log.pose + log.user) + np.arange(12)[:, None]
-    sums = np.bincount(pair.ravel(), weights=terms.ravel(),
+    sums = np.bincount(log.pair_index, weights=terms.ravel(),
                        minlength=12 * S * K).reshape(S, K, 4, 3)
     per_pose, per_user = sums.sum(axis=1), sums.sum(axis=0)
-    Hpp = per_pose[:, :3] + w_gps * np.eye(3)
+    Hpp = per_pose[:, :3] + w_gps * _EYE3
     Hpu = np.empty((S, 3, K, 2))
     np.negative(sums[:, :, :3, :2].transpose(0, 2, 1, 3), out=Hpu)
     b = np.concatenate([(-w_gps * r_gps - per_pose[:, 3]).ravel(), per_user[:, 3, :2].ravel()])
@@ -239,10 +251,10 @@ def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
     the whole H + lambda I would fail.
     """
     S, K = len(ne.Hpp), len(ne.Huu)
-    A = ne.Hpp + damping * np.eye(3)
+    A = ne.Hpp + damping * _EYE3
     try:
         np.linalg.cholesky(A)  # raises unless every pose block is positive definite
-        X = np.linalg.inv(A) @ np.concatenate([ne.Hpu, ne.b[:3 * S].reshape(S, 3, 1)], axis=2)
+        X = np.linalg.inv(A) @ ne.coupling
         M = ne.Hpu.reshape(3 * S, 2 * K).T @ X.reshape(3 * S, 2 * K + 1)  # B^T A^-1 [B | b_p]
         reduced = -M[:, :2 * K]
         np.einsum("iaib->iab", reduced.reshape(K, 2, K, 2))[...] += ne.Huu
@@ -409,6 +421,43 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
         final_step_norm=step_norm, trials=trials)
 
 
+def _range_misfit(p, ct, user, cand):
+    """Each user's sum of squared range misses (C tau - |x - (u, 0)|)^2 over
+    its rows, its ToA sum of squares times C^2, for n candidate user sets
+    `cand` (n, K, 2): (n, K), inf where NaN, so a NaN candidate loses.
+    p (M, 3) holds the poses of the rows, ct (M,) their ranges C tau and
+    user (M,) their user indices. One (n, M) link evaluation; link_geometry
+    is not used because a candidate on a pose at z = 0 is scored, not
+    refused."""
+    h = p[:, :2] - np.take(cand, user, axis=1)
+    miss = (ct - np.sqrt(np.vecdot(h, h) + p[:, 2] ** 2)) ** 2
+    cost = np.array([np.bincount(user, m, cand.shape[1]) for m in miss])
+    cost[np.isnan(cost)] = np.inf
+    return cost
+
+
+def basin_start(measurements, poses, users) -> np.ndarray:
+    """The users (K, 2) to start a solve from, at the pose estimates `poses`
+    (S, 3): each user, or its mirror image about the principal axis of its
+    track (the horizontal positions of `poses` at its rows), whichever has
+    the lower ToA sum of squares at `poses`. A tie, or a track without
+    extent (largest singular value at most EXTENT_TOL), keeps the user.
+
+    On a nearly straight track the objective has a local minimum at the
+    mirror image of the true user, which a warm-started solve keeps; the
+    test moves a user out of it once the track has bent enough to tell the
+    two images apart.
+    """
+    log = _nonempty_log(measurements)
+    user, p = log.user, np.take(poses, log.pose, axis=0)
+    _, centre, _, (big, _), _, minor = _tracks(p[:, :2], user, len(log.user_ids))
+    across = np.vecdot(users - centre, minor)
+    mirror = users - 2.0 * across[:, None] * minor
+    cost = _range_misfit(p, SPEED_OF_LIGHT * log.toa, user, np.array([users, mirror]))
+    flip = (cost[1] < cost[0]) & (big > EXTENT_TOL ** 2)
+    return np.where(flip[:, None], mirror, users)
+
+
 def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     """Default initialization: UAV poses from GPS, each user in closed form
     from its squared ranges (Smith & Abel, IEEE TASSP 1987; Beck, Stoica &
@@ -440,8 +489,8 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
 
     user, p = log.user, np.take(gps, log.pose, axis=0)
     count, centre, q, (big, small), major, minor = _tracks(p[:, :2], user, K)
-    ct, zz = SPEED_OF_LIGHT * log.toa, p[:, 2] ** 2
-    y = ct ** 2 - zz - np.vecdot(q, q)
+    ct = SPEED_OF_LIGHT * log.toa
+    y = ct ** 2 - p[:, 2] ** 2 - np.vecdot(q, q)
     # per user: sum q y (gx, gy) and sum y
     qx, qy = q.T
     gx, gy, y_sum = (np.bincount(user, w, K) for w in (qx * y, qy * y, y))
@@ -460,13 +509,7 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     near = np.vecdot(cand[:2] - drawn, cand[:2] - drawn)
     swap = near[1] < near[0]
     cand[:2, swap] = cand[1::-1, swap]
-    # one (3, M) link evaluation; link_geometry is not used because a
-    # candidate on a pose at z = 0 is scored, not refused
-    h = p[:, :2] - np.take(cand, user, axis=1)
-    miss = (ct - np.sqrt(np.vecdot(h, h) + zz)) ** 2
-    cost = np.array([np.bincount(user, m, K) for m in miss])
-    cost[np.isnan(cost)] = np.inf  # the cost of a NaN candidate: it loses
-    best = cand[np.argmin(cost, axis=0), np.arange(K)]
+    best = cand[np.argmin(_range_misfit(p, ct, user, cand), axis=0), np.arange(K)]
     inside = np.all((best >= lo) & (best <= hi), axis=1)
     users = np.where((has_extent & inside)[:, None], best, drawn)
     return StateVector(uav=gps.copy(), users=users)

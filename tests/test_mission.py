@@ -104,6 +104,65 @@ def test_solve_schedule(monkeypatch, solve_every):
     assert sizes == sorted({*every, retained})
 
 
+def sigma_gps_scenario(sigma_gps=1.0, seed=11):
+    """6 users uniform in +-40 m (default_rng(5)), flown over in 30 greedy
+    steps from (-40, 0, 30) to (40, 0, 30)."""
+    users = np.random.default_rng(5).uniform(-40.0, 40.0, (6, 2))
+    return Scenario(users=tuple(Vec2(*u) for u in users), uav_start=Vec3(-40, 0, 30),
+                    uav_terminal=Vec3(40, 0, 30), mission_steps=30, sigma_gps=sigma_gps,
+                    seed=seed)
+
+
+def test_one_solve_at_the_end_starts_in_the_true_basin():
+    # the one solve of solve_every=0 starts in closed form from all its
+    # samples; from the step-1 start it ended near the mirror images, with a
+    # median user RMSE of 26 m over these runs
+    summary = monte_carlo(sigma_gps_scenario(), "greedy", runs=10, solve_every=0)
+    assert summary.stats["user_rmse"]["median"] <= 5.0
+
+
+@pytest.mark.parametrize("solve_every", [0, 1, 5])
+def test_initial_state_starts_the_first_solve_from_its_samples(monkeypatch, solve_every):
+    # one closed-form start at step 1, for the planner, and one more at the
+    # first solve if that solve's samples are not the step-1 samples
+    rows = []
+    start = slam.initial_state
+
+    def counted(samples, rng):
+        rows.append(len(samples))
+        return start(samples, rng)
+    monkeypatch.setattr(slam, "initial_state", counted)
+    res = run_mission(sigma_gps_scenario(), "greedy", solve_every=solve_every)
+    first_solve = min(solve_every, len(res.retained_steps)) or len(res.retained_steps)
+    assert rows == [6] + ([6 * first_solve] if first_solve > 1 else [])
+
+
+def test_every_solve_starts_from_the_basin_start(monkeypatch):
+    # each solve starts from basin_start's users at the pose estimates it
+    # was given, over the samples it solves; on this seed some starts move
+    # a user to its mirror image
+    starts, inits, moved = [], [], []
+    basin, solve = slam.basin_start, slam.solve_slam
+
+    def recorded_basin(samples, poses, users):
+        out = basin(samples, poses, users)
+        starts.append((len(samples), poses.copy(), out))
+        moved.append(bool(np.any(out != users)))
+        return out
+
+    def recorded_solve(init, samples, cfg):
+        inits.append((len(samples), init.uav.copy(), init.users.copy()))
+        return solve(init, samples, cfg)
+    monkeypatch.setattr(slam, "basin_start", recorded_basin)
+    monkeypatch.setattr(slam, "solve_slam", recorded_solve)
+    run_mission(sigma_gps_scenario(seed=12), "greedy", solve_every=5)
+    assert len(starts) == len(inits) > 1 and any(moved)
+    for (rows, poses, users), (solved_rows, uav, init_users) in zip(starts, inits):
+        assert rows == solved_rows
+        np.testing.assert_array_equal(poses, uav)
+        np.testing.assert_array_equal(users, init_users)
+
+
 def test_converged_is_the_last_solves():
     # a solve that meets no stopping test hands on its best state, and the
     # mission reports the last solve's outcome

@@ -141,13 +141,28 @@ def test_log_layout_property(logs):
             assert log.pose_gps[p].tolist() == log.gps[first[n]].tolist()
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(logs_and_slices())
+def test_pair_index_of_a_slice_equals_that_of_a_fresh_log(logs):
+    log, part = logs
+    fresh = MeasurementLog(step=part.step.copy(), user_id=part.user_id.copy(),
+                           gps=part.gps.copy(), toa=part.toa.copy())
+    np.testing.assert_array_equal(part.pair_index, fresh.pair_index)
+    for each in (log, part):
+        # row i's entry e, of its (pose, user) pair's 12, at e * M + i
+        K, M = len(each.user_ids), len(each)
+        want = [12 * (K * p + u) + e for e in range(12) for p, u in zip(each.pose, each.user)]
+        assert each.pair_index.tolist() == want and each.pair_index.shape == (12 * M,)
+
+
 def test_log_layout_computed_once_and_read_only():
     log = MeasurementLog(step=np.array([5, 2, 5]), user_id=np.array([9, 9, 4]),
                          gps=np.arange(9.0).reshape(3, 3), toa=np.zeros(3))
     assert log.pose is log.pose and log.pose_gps is log.pose_gps and log.user is log.user
+    assert log.pair_index is log.pair_index
     for name in ("steps", "user_ids", "pose", "user", "pose_gps"):
         with pytest.raises(FrozenInstanceError):
             setattr(log, name, None)
-    for array in (log.pose, log.user, log.pose_gps):
+    for array in (log.pose, log.user, log.pose_gps, log.pair_index):
         with pytest.raises(ValueError):
             array[0] = 0

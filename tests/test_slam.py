@@ -12,7 +12,7 @@ from uavloc.errors import DegenerateGeometry, InvalidParam, SingularSystem
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import MeasurementLog, MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
-                         assemble_normal_equations, check_identifiability,
+                         assemble_normal_equations, basin_start, check_identifiability,
                          gauss_newton_step, measurement_weights, objective,
                          initial_state, objective_terms, residuals, solve_slam,
                          toa_jacobian_row)
@@ -445,6 +445,33 @@ def test_schur_step_matches_dense_solve(huber, per_distance):
     assert indefinite <= 3
 
 
+def test_trials_on_one_normal_equations_equal_trials_on_fresh_copies():
+    # every trial on one NormalEquations reuses its [Hpu | b_p], built at the
+    # first; a trial at one damping leaves nothing behind for the next
+    rng = np.random.default_rng(11)
+
+    def trial(ne, lam):
+        try:
+            return gauss_newton_step(ne, lam).tolist()
+        except SingularSystem:
+            return "singular"
+
+    for _ in range(4):
+        samples, state = random_h_b_case(rng)
+        log = MeasurementLog.of(samples)
+        res = residuals(log, state.flatten())
+        ne = assemble_normal_equations(log, res, *measurement_weights(res, SlamConfig()))
+
+        def fresh():
+            return NormalEquations(ne.Hpp.copy(), ne.Hpu.copy(), ne.Huu.copy(), ne.b.copy())
+
+        for dampings in ((1e-4, 10.0), (10.0, 1e-4)):
+            shared = fresh()
+            assert [trial(shared, lam) for lam in dampings] == \
+                [trial(fresh(), lam) for lam in dampings]
+            assert shared.coupling is shared.coupling
+
+
 def singular_case(one_user_pose):
     """Three poses on a circle see user 1, and user 2 if `one_user_pose`. A
     fourth pose sees one user along an axis: user 1 with an x-difference of
@@ -681,6 +708,65 @@ def test_start_lies_in_the_widened_box_and_raises_no_float_warning(log, seed):
     lo, hi = log.pose_gps[:, :2].min(axis=0) - 50.0, log.pose_gps[:, :2].max(axis=0) + 50.0
     assert np.all((lo <= start.users) & (start.users <= hi))
     np.testing.assert_array_equal(start.uav, log.pose_gps)
+
+
+# --- basin_start ---
+
+def mirrored(points, track):
+    """points (K, 2) reflected about the principal axis of the horizontal
+    track (n, 3), found by np.linalg.svd."""
+    centre = track[:, :2].mean(axis=0)
+    normal = np.linalg.svd(track[:, :2] - centre)[2][1]
+    return points - 2.0 * np.outer((points - centre) @ normal, normal)
+
+
+def test_basin_start_returns_mirrored_users_to_the_true_side():
+    # a quarter circle of noiseless poses, the GPS fixes 30 m off them: the
+    # users and the axis are taken at the poses, where a mirror image costs more
+    uavs, users = circle(32)[:9], np.array(ID_USERS)
+    samples = make_samples(uavs, list(users), gps_positions=uavs + [30.0, -30.0, 0.0])
+    planted = mirrored(users, uavs)
+    assert np.all(np.linalg.norm(planted - users, axis=1) > 10.0)
+    np.testing.assert_allclose(basin_start(samples, uavs, planted), users, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(basin_start(samples, uavs, users), users)
+
+
+def test_basin_start_keeps_users_on_an_exact_tie():
+    # the track lies on the x axis at one altitude, so each user and its
+    # mirror image give bit-identical ranges: the tie keeps the user
+    uavs, users = straight(8), np.array(ID_USERS)
+    samples = make_samples(uavs, list(users))
+    for start in (users, users * [1.0, -1.0]):
+        np.testing.assert_array_equal(basin_start(samples, uavs, start), start)
+
+
+def range_sum_of_squares(log, poses, users):
+    """Each user's sum of (C tau - |x - (u, 0)|)^2 over its rows, one user
+    at a time."""
+    out = []
+    for j, u in enumerate(users):
+        rows = log.user == j
+        d = np.linalg.norm(poses[log.pose[rows]] - np.append(u, 0.0), axis=1)
+        out.append(float(np.sum((C * log.toa[rows] - d) ** 2)))
+    return np.array(out)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(log=sparse_logs(), users=st.lists(st.tuples(MM, MM), min_size=4, max_size=4))
+@example(log=MeasurementLog.of(make_samples(straight(4), ID_USERS)), users=[(1.0, 2.0)] * 4)
+@example(log=MeasurementLog.of(make_samples(CROSS, ID_USERS)), users=[(1.0, 2.0)] * 4)
+@example(log=MeasurementLog.of(make_samples(THIN, ID_USERS)), users=[(1.0, 2.0)] * 4)
+def test_basin_start_never_raises_a_users_sum_of_squares(log, users):
+    users, poses = np.array(users)[:len(log.user_ids)], log.pose_gps
+    with np.errstate(all="raise"):
+        start = basin_start(log, poses, users)
+    before, after = (range_sum_of_squares(log, poses, u) for u in (users, start))
+    # up to rounding: the two sums are formed in different orders
+    assert np.all(after <= before * (1 + 1e-9) + 1e-18)
+    for j in range(len(users)):
+        track = poses[log.pose[log.user == j], :2]
+        if (track == track[0]).all():  # heard from one horizontal position
+            assert start[j].tolist() == users[j].tolist()
 
 
 def reference_weak(log):
