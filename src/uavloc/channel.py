@@ -44,11 +44,17 @@ def link_geometry(uav, users):
     return diff, d
 
 
+def delay_gradient(diff, d):
+    """g = diff / (C d), the gradient of the LoS delay d / C in the UAV
+    position (-g[..., :2] in the user's), from link_geometry's diff and d."""
+    return diff / (SPEED_OF_LIGHT * d)[..., None]
+
+
 def toa_gradient(uav, users):
-    """g = (uav - (user, 0)) / (C d), the gradient of the LoS delay in the UAV
-    position (-g[..., :2] in the user's), and d, shaped as by link_geometry."""
+    """delay_gradient of the links from uav to users, and their lengths d,
+    shaped as by link_geometry."""
     diff, d = link_geometry(uav, users)
-    return diff / (SPEED_OF_LIGHT * d)[..., None], d
+    return delay_gradient(diff, d), d
 
 
 def los_delay(uav, user) -> float:

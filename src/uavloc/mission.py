@@ -8,13 +8,15 @@ spawned from the same seed. A retained step measures its K links in one
 sample_toa (and, on the NR path, one estimate_toa_nr) call.
 
 How a mission's solves start: slam.initial_state gives the user estimates at
-the first retained step, for the planner, and again at the first solve from
-the samples that solve reads, if they are more than the first step's; so the
-one solve of solve_every=0 starts in closed form from all its samples, as
-`uavloc solve` does. Before every solve
-slam.basin_start moves each user estimate to its mirror image about its
-track of current pose estimates where that fits the ToA delays better; the
-later solves warm-start from the last one's poses and users.
+the first retained step, for the planner; heard from one position, every
+user keeps its draw there, and the estimator's stream draws nothing after.
+Before every solve slam.basin_start gives each user the best, by the ToA
+sum of squares at the current pose estimates, of its estimate, that
+estimate's mirror image about its track of those poses, and the two points
+of its squared-range fit there; so the one solve of solve_every=0 is not
+left with the step-1 draw but can start from the fit over all its samples,
+much as `uavloc solve` does. Each solve takes its poses from the last one's,
+or from the GPS fixes of steps retained since.
 """
 from __future__ import annotations
 
@@ -108,11 +110,9 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     fixed waypoints. toa_path: "ideal" (Gaussian channel noise only) or
     "nr" (quantized through the NR timing-advance + SRS procedure).
     solve_every: re-solve SLAM every m retained steps; 0 means only at the
-    end of the mission. The first solve starts from slam.initial_state over
-    the samples it solves, every solve from slam.basin_start (the module
+    end of the mission. Every solve starts from slam.basin_start (the module
     docstring says how). Every draw comes from scenario.seed: the estimator's
-    stream draws at the first retained step, and again at the first solve
-    only if that solve reads more samples.
+    stream draws only at the first retained step, in slam.initial_state.
     A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
     every hop within d_max.
     The result's `converged` is the last solve's report.converged; a solve
@@ -170,19 +170,15 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     # until a solve overwrites it
     pose_est = np.empty((n_steps, 3))
     converged = True
-    solved = False
 
     def do_solve():
-        nonlocal u_est, converged, solved
+        nonlocal u_est, converged
         # every retained step holds one sample per user, so the solve's poses
         # are the retained steps in order
         poses = pose_est[:len(retained)]
-        if not solved and len(retained) > 1:
-            # the first solve starts in closed form from the samples it solves
-            u_est = slam.initial_state(samples, est_rng).users
         u_est = slam.basin_start(samples, poses, u_est)
         state, report = slam.solve_slam(slam.StateVector(uav=poses, users=u_est), samples, cfg)
-        converged, solved = report.converged, True
+        converged = report.converged
         u_est = state.users
         poses[:] = state.uav
 

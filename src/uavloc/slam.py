@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import link_geometry, toa_gradient
+from .channel import delay_gradient, link_geometry, toa_gradient
 from .errors import InvalidParam, SingularSystem
 from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel,
                     require_int, require_number, sigma_tau_of_distance)
@@ -203,10 +203,11 @@ def assemble_normal_equations(log: MeasurementLog, res, w_gps: float, w_toa,
     H is J^T W J plus the curvature of the ToA residuals, sum w r grad^2 r
     (GPS residuals are linear): the exact Hessian of f / 2 for fixed weights,
     the IRLS Gauss-Newton term plus the exact curvature with Huber. With
-    n = diff / d and c = w r / (C d), a ToA measurement adds
-    (w / C^2 + c) n n^T - c I to its pose block, the top-left 2x2 of that to
-    its user block and minus its first two columns to the coupling, and
-    w r n / C (negated for the pose) to b. w is the ToA
+    g = diff / (C d) (channel.delay_gradient of the residuals' links) and
+    c = w r / (C d), a ToA measurement adds (w + C^2 c) g g^T - c I to its
+    pose block, the top-left 2x2 of that to its user block and minus its
+    first two columns to the coupling, and w r g (negated for the pose) to
+    b. w is the ToA
     weight, times the Huber IRLS weight beyond huber_delta; derivatives of
     per-distance weights are left out. One bincount sums the 9 pose-block
     entries and the 3 of b per (pose, user) pair, adding repeated
@@ -215,18 +216,18 @@ def assemble_normal_equations(log: MeasurementLog, res, w_gps: float, w_toa,
     """
     S, K = len(log.steps), len(log.user_ids)
     r_gps, r_toa, diff, d = res
-    n = np.ascontiguousarray(diff.T) / d                                  # (3, M)
+    g = np.ascontiguousarray(delay_gradient(diff, d).T)                  # (3, M)
     w = w_toa
     if huber_delta is not None:
         a = np.abs(r_toa)
         w = w * np.divide(huber_delta, a, out=np.ones_like(a), where=a > huber_delta)
-    wr_c = w * r_toa / SPEED_OF_LIGHT
-    c = wr_c / d
-    # per measurement, the 9 entries of (w / C^2 + c) n n^T - c I and the 3 of w r n / C
+    wr = w * r_toa
+    c = wr / (SPEED_OF_LIGHT * d)
+    # per measurement, the 9 entries of (w + C^2 c) g g^T - c I and the 3 of w r g
     terms = np.empty((4, 3, len(r_toa)))
-    np.multiply(((w / SPEED_OF_LIGHT ** 2 + c) * n)[:, None], n[None], out=terms[:3])
+    np.multiply(((w + SPEED_OF_LIGHT ** 2 * c) * g)[:, None], g[None], out=terms[:3])
     terms.reshape(12, -1)[:9:4] -= c
-    np.multiply(wr_c, n, out=terms[3])
+    np.multiply(wr, g, out=terms[3])
     sums = np.bincount(log.pair_index, weights=terms.ravel(),
                        minlength=12 * S * K).reshape(S, K, 4, 3)
     per_pose, per_user = sums.sum(axis=1), sums.sum(axis=0)
@@ -436,50 +437,135 @@ def _range_misfit(p, ct, user, cand):
     return cost
 
 
+# The squared-range fit's Newton steps stop once every user's last step was
+# at most this fraction of its argument, which leaves a relative error of
+# about its square (Newton converges quadratically at a simple root), or
+# after this many steps.
+ROOT_RTOL, ROOT_MAX_STEPS = 1e-6, 100
+
+
+def _range_fit(p, ct, user, K: int):
+    """Each user's squared-range least-squares fit (SR-LS; Beck, Stoica & Li,
+    IEEE TSP 2008) at the poses of its rows, and its mirror image.
+
+    p (M, 3) holds the poses of the rows, ct (M,) their ranges C tau and
+    user (M,) their user indices 0..K-1. With q a user's centred track
+    (_tracks), z the altitudes, n its row count and v = u - centre,
+        y = (C tau)^2 - z^2 - |q|^2 = |v|^2 - 2 q^T v
+    at noiseless ranges. The fit minimizes sum (y - |v|^2 + 2 q^T v)^2. As
+    sum q = 0, its global minimum is
+        v = -(2 sum q q^T + mu I)^-1 sum q y,   |v|^2 = (mu + sum y) / n,
+    at the one root mu > -2 lambda_min of the second equation, where
+    lambda_min is the smaller eigenvalue of sum q q^T. With t = mu +
+    2 lambda_min > 0 the root solves the secular equation
+    1 / |v(t)| = sqrt(n / (t + sum y - 2 lambda_min)), whose left side is
+    concave and increasing in t and its right side convex and decreasing
+    (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983). So Newton steps
+    from below the root rise to it monotonically, and a step from above
+    lands below it. A step goes no lower than halfway from t to the lower
+    end of the equation's domain, so none leaves it. The steps stop once
+    every user's last one was at most ROOT_RTOL of its t.
+    Where sum q y has no part along the minor axis and v at t = 0, all
+    along the axis, is no longer than sqrt(mean(y) - 2 lambda_min / n) (the
+    hard case, as on a straight track), the root is t = 0, mu =
+    -2 lambda_min, and v's part along the minor axis is +-sqrt of the rest.
+
+    Returns (tracks, fit): the _tracks tuple and fit (2, K, 2), each user's
+    fit centre + v and its mirror image about the principal axis, in that
+    order (in the hard case the + and - images). A user whose track has no
+    extent (largest eigenvalue of sum q q^T at most EXTENT_TOL^2) gets its
+    centre twice. Real arithmetic, vectorized over the users; no float
+    error arises on any finite input.
+    """
+    tracks = _tracks(p[:, :2], user, K)
+    count, centre, q, (big, small), major, minor = tracks
+    y = ct ** 2 - p[:, 2] ** 2 - np.vecdot(q, q)
+    qx, qy = q.T
+    gx, gy, y_sum = (np.bincount(user, w, K) for w in (qx * y, qy * y, y))
+    extent = big > EXTENT_TOL ** 2
+    # sum q y along and across the axis; a track without extent fits v = 0
+    g = np.column_stack([gx, gy]) * extent[:, None]
+    g1, g2 = np.vecdot(g, major), np.vecdot(g, minor)
+    small = np.maximum(small, 0.0)  # >= 0 but for rounding
+    gap = 2.0 * (big - small)       # t + gap is mu + 2 lambda_max
+    c0 = y_sum - 2.0 * small        # n |v|^2 at t = 0
+    a, b = g1 * g1, g2 * g2
+    hard = extent & (b == 0.0) & (count * a <= c0 * gap * gap)
+    t = np.zeros(K)
+    # the secular root where it is not the hard case's t = 0; a user with
+    # sum q y = 0 that is not the hard case has v = 0 whatever t is
+    i = ~hard & ((a > 0.0) | (b > 0.0))
+    if i.any():
+        a, b, d, c, n = a[i], b[i], gap[i], c0[i], count[i]
+        lo = np.maximum(-c, 0.0)  # at the root t > 0 and t + c = n |v|^2 > 0
+        # start at mu = 0, the root at noiseless ranges, if that is above lo
+        ti = 2.0 * small[i]
+        ti = np.where(ti > lo, ti, lo + 2.0 * big[i])
+        half_n = 0.5 / n
+        for _ in range(ROOT_MAX_STEPS):
+            x, z, w = 1.0 / (ti + d), 1.0 / ti, n / (ti + c)
+            s, e = a * x * x, b * z * z
+            v_sq = s + e
+            r, rw = 1.0 / np.sqrt(v_sq), np.sqrt(w)
+            step = (r - rw) / ((s * x + e * z) * r / v_sq + w * rw * half_n)
+            # only a step from above the root can go lower than halfway to lo
+            ti, step = np.maximum(ti - step, 0.5 * (ti + lo)), np.abs(step) / ti
+            if step.max() <= ROOT_RTOL:
+                break
+        t[i] = ti
+    along = np.divide(-g1, t + gap, out=np.zeros(K), where=t + gap > 0.0)
+    across = np.divide(-g2, t, out=np.zeros(K), where=t > 0.0)
+    if hard.any():
+        across[hard] = np.sqrt(np.maximum(c0 / count - along * along, 0.0))[hard]
+    point = centre + along[:, None] * major
+    offset = across[:, None] * minor
+    return tracks, np.array([point + offset, point - offset])
+
+
 def basin_start(measurements, poses, users) -> np.ndarray:
     """The users (K, 2) to start a solve from, at the pose estimates `poses`
-    (S, 3): each user, or its mirror image about the principal axis of its
-    track (the horizontal positions of `poses` at its rows), whichever has
-    the lower ToA sum of squares at `poses`. A tie, or a track without
-    extent (largest singular value at most EXTENT_TOL), keeps the user.
+    (S, 3): for each user, whichever of four candidates has the lowest ToA
+    sum of squares at `poses`, in this order: the user, its mirror image
+    about the principal axis of its track (the horizontal positions of
+    `poses` at its rows), and the two points of its squared-range fit at
+    `poses` (_range_fit). A tie goes to the candidate listed first, and a
+    track without extent (largest singular value at most EXTENT_TOL) keeps
+    the user.
 
-    On a nearly straight track the objective has a local minimum at the
-    mirror image of the true user, which a warm-started solve keeps; the
-    test moves a user out of it once the track has bent enough to tell the
-    two images apart.
+    A warm start lies where the last solve, over fewer poses, left the
+    user; the fit is the global minimum of the squared-range misfit at the
+    poses of this solve, which is near the new minimum. On a nearly
+    straight track the objective has a local minimum at the mirror image of
+    the true user, which a warm-started solve keeps; the mirror candidates
+    move a user out of it once the track has bent enough to tell the two
+    images apart.
     """
     log = _nonempty_log(measurements)
-    user, p = log.user, np.take(poses, log.pose, axis=0)
-    _, centre, _, (big, _), _, minor = _tracks(p[:, :2], user, len(log.user_ids))
+    user, p, K = log.user, np.take(poses, log.pose, axis=0), len(log.user_ids)
+    ct = SPEED_OF_LIGHT * log.toa
+    (_, centre, _, (big, _), _, minor), fit = _range_fit(p, ct, user, K)
     across = np.vecdot(users - centre, minor)
-    mirror = users - 2.0 * across[:, None] * minor
-    cost = _range_misfit(p, SPEED_OF_LIGHT * log.toa, user, np.array([users, mirror]))
-    flip = (cost[1] < cost[0]) & (big > EXTENT_TOL ** 2)
-    return np.where(flip[:, None], mirror, users)
+    cand = np.concatenate([[users, users - 2.0 * across[:, None] * minor], fit])
+    best = np.argmin(_range_misfit(p, ct, user, cand), axis=0)
+    best[big <= EXTENT_TOL ** 2] = 0
+    return cand[best, np.arange(K)]
 
 
 def initial_state(measurements, rng: np.random.Generator) -> StateVector:
-    """Default initialization: UAV poses from GPS, each user in closed form
-    from its squared ranges (Smith & Abel, IEEE TASSP 1987; Beck, Stoica &
-    Li, IEEE TSP 2008).
+    """Default initialization: UAV poses from GPS, each user at the better
+    point of its squared-range fit at the GPS poses (_range_fit; Smith &
+    Abel, IEEE TASSP 1987; Beck, Stoica & Li, IEEE TSP 2008).
 
     First K x then K y coordinates are drawn from `rng`, uniform over the
-    GPS-trace horizontal bounding box expanded by INIT_MARGIN meters. A user
-    whose track, the horizontal GPS fixes of its rows, has no extent (largest
-    singular value of the centred track at most EXTENT_TOL) keeps its draw.
-    For every other user, with q = p - mean(p) its centred track, z the
-    altitudes and v = u - mean(p),
-        y = (C tau)^2 - z^2 - |q|^2 = |v|^2 - 2 q^T v,
-    whose least-squares fit decouples because sum q = 0:
-    v = -(1/2) (sum q q^T)^-1 sum q y and |v|^2 = mean(y). The user takes
-    whichever of three candidates has the lowest ToA sum of squares at the
-    GPS poses: the two mirror images about the track's principal axis, with
-    v's part along the axis and the part across it
-    +-sqrt(max(mean(y) - along^2, 0)), the one nearer the draw first, and v
-    itself. A non-finite candidate (v on a collinear track) loses, and an
-    exact tie goes to the candidate listed first. A user whose chosen
-    candidate lies outside the widened box keeps its draw too: on a track
-    barely longer than EXTENT_TOL the along-track part has no useful bound.
+    GPS-trace horizontal bounding box expanded by INIT_MARGIN meters. Every
+    user whose track, the horizontal GPS fixes of its rows, has extent
+    (largest singular value of the centred track above EXTENT_TOL) takes
+    whichever of the fit and its mirror image about the track's principal
+    axis has the lower ToA sum of squares at the GPS poses, the fit on an
+    exact tie. A user without extent keeps its draw, and so does one whose
+    chosen point lies outside the widened box: on a track barely longer than
+    EXTENT_TOL the fit has no useful bound. So the draw decides only those
+    users.
     """
     log = _nonempty_log(measurements)
     gps, K = log.pose_gps, len(log.user_ids)
@@ -488,28 +574,9 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     drawn = np.column_stack([rng.uniform(lo[0], hi[0], K), rng.uniform(lo[1], hi[1], K)])
 
     user, p = log.user, np.take(gps, log.pose, axis=0)
-    count, centre, q, (big, small), major, minor = _tracks(p[:, :2], user, K)
     ct = SPEED_OF_LIGHT * log.toa
-    y = ct ** 2 - p[:, 2] ** 2 - np.vecdot(q, q)
-    # per user: sum q y (gx, gy) and sum y
-    qx, qy = q.T
-    gx, gy, y_sum = (np.bincount(user, w, K) for w in (qx * y, qy * y, y))
-    has_extent = big > EXTENT_TOL ** 2  # largest singular value above EXTENT_TOL
-    if not has_extent.any():  # every user keeps its draw, as at a log's first pose
-        return StateVector(uav=gps.copy(), users=drawn)
-    along = -0.5 * (major[:, 0] * gx + major[:, 1] * gy) / np.where(has_extent, big, 1.0)
-    across = np.sqrt(np.maximum(y_sum / count - along ** 2, 0.0))
-    # the smaller eigenvalue is 0 on a straight track; the fit across the
-    # axis is then NaN, not +-inf, which times a 0 in `minor` would warn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fit_across = -0.5 * (minor[:, 0] * gx + minor[:, 1] * gy) / small
-    fit_across[~np.isfinite(fit_across)] = np.nan
-    offset = np.array([across, -across, fit_across])
-    cand = centre + along[:, None] * major + offset[:, :, None] * minor
-    near = np.vecdot(cand[:2] - drawn, cand[:2] - drawn)
-    swap = near[1] < near[0]
-    cand[:2, swap] = cand[1::-1, swap]
-    best = cand[np.argmin(_range_misfit(p, ct, user, cand), axis=0), np.arange(K)]
+    (_, _, _, (big, _), _, _), fit = _range_fit(p, ct, user, K)
+    best = fit[np.argmin(_range_misfit(p, ct, user, fit), axis=0), np.arange(K)]
     inside = np.all((best >= lo) & (best <= hi), axis=1)
-    users = np.where((has_extent & inside)[:, None], best, drawn)
+    users = np.where(((big > EXTENT_TOL ** 2) & inside)[:, None], best, drawn)
     return StateVector(uav=gps.copy(), users=users)

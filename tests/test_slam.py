@@ -16,6 +16,7 @@ from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
                          gauss_newton_step, measurement_weights, objective,
                          initial_state, objective_terms, residuals, solve_slam,
                          toa_jacobian_row)
+from uavloc.slam import _range_fit
 
 
 def make_samples(uav_positions, users, gps_positions=None, noise=None):
@@ -562,29 +563,29 @@ def test_start_recovers_a_noise_free_log(uavs):
     np.testing.assert_array_equal(start.uav, uavs)
 
 
-@pytest.mark.parametrize("along, seeds", [(0, (0, 1)), (1, (1, 2))], ids=["x", "y"])
-def test_start_on_a_straight_track_takes_the_mirror_image_nearer_the_draw(along, seeds):
+@pytest.mark.parametrize("along", [0, 1], ids=["x", "y"])
+def test_start_on_a_straight_track_ignores_the_seed(along):
     # the track lies on an axis at one altitude, so the mirror images of a
-    # user give bit-identical ranges and the ToA objective cannot tell them apart
+    # user give bit-identical ranges and the ToA objective cannot tell them
+    # apart: the start takes the fit's first image whatever the draw
     order = [along, 1 - along]
     uavs, users = straight(8)[:, order + [2]], np.array(ID_USERS)[:, order]
     across = 1 - along
     samples = make_samples(uavs, list(users))
-    draws = [drawn_start(uavs, len(users), seed).users for seed in seeds]
-    assert np.all(np.sign(draws[0][:, across]) == -np.sign(draws[1][:, across]))
-    starts = [initial_state(samples, RngStream(seed)).users for seed in seeds]
+    draws = [drawn_start(uavs, len(users), seed).users for seed in (0, 1)]
+    assert np.any(np.sign(draws[0][:, across]) != np.sign(draws[1][:, across]))
+    starts = [initial_state(samples, RngStream(seed)).users for seed in (0, 1)]
+    np.testing.assert_array_equal(starts[0], starts[1])
+    log = MeasurementLog.of(samples)
+    fit = _range_fit(uavs[log.pose], C * log.toa, log.user, len(users))[1]
+    np.testing.assert_array_equal(starts[0], fit[0])
+    np.testing.assert_allclose(np.abs(starts[0]), np.abs(users), rtol=0, atol=1e-6)
     cfg = SlamConfig()
-    for start, drawn in zip(starts, draws):
-        np.testing.assert_allclose(np.abs(start), np.abs(users), rtol=0, atol=1e-6)
-        assert np.all(np.sign(start[:, across]) == np.sign(drawn[:, across]))
-        for k in range(len(start)):
-            mirrored = start.copy()
-            mirrored[k, across] *= -1
-            assert (objective(StateVector(uavs, mirrored), samples, cfg)
-                    == objective(StateVector(uavs, start), samples, cfg))
-    flip = np.ones(2)
-    flip[across] = -1.0
-    np.testing.assert_array_equal(starts[1], starts[0] * flip)
+    for k in range(len(users)):
+        mirrored = starts[0].copy()
+        mirrored[k, across] *= -1
+        assert (objective(StateVector(uavs, mirrored), samples, cfg)
+                == objective(StateVector(uavs, starts[0]), samples, cfg))
 
 
 def test_start_keeps_the_draw_of_a_user_without_track_extent():
@@ -619,24 +620,46 @@ def test_start_keeps_the_draw_of_a_user_whose_fit_leaves_the_box():
                                       drawn_start(log.pose_gps, 1, seed).users)
 
 
+def reference_fit(p, ct):
+    """The squared-range least-squares fit of one user heard from poses p
+    (n, 3) at ranges ct (n,), one user at a time: centre + v with
+    v = -(2 S + mu I)^-1 sum q y, S = sum q q^T, at the root mu of
+    |v|^2 = (mu + sum y) / n above -2 lambda_min(S), found by bisection with
+    np.linalg.solve; and its mirror image about the principal axis of the
+    track, found by np.linalg.svd."""
+    centre = p[:, :2].mean(axis=0)
+    q = p[:, :2] - centre
+    y = ct ** 2 - p[:, 2] ** 2 - np.sum(q ** 2, axis=1)
+    S, g, n = q.T @ q, q.T @ y, len(q)
+    lam_min = np.linalg.eigvalsh(S)[0]
+
+    def v(mu):
+        return np.linalg.solve(2 * S + mu * np.eye(2), -g)
+
+    def excess(mu):
+        return v(mu) @ v(mu) - (mu + y.sum()) / n
+    lo, width = -2 * lam_min, 1.0
+    while excess(lo + width) > 0:
+        width *= 2
+    hi = lo + width
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    fit = centre + v(hi)
+    normal = np.linalg.svd(q)[2][1]
+    return fit, fit - 2 * ((fit - centre) @ normal) * normal
+
+
 def reference_start(log, drawn):
-    """initial_state's users computed one user at a time: the squared-range
-    fit by np.linalg.lstsq, the track's principal axis by np.linalg.svd, and
-    the candidate with the lowest ToA sum of squares, if it lies in the GPS
-    box widened by 50 m."""
+    """initial_state's users computed one user at a time: of reference_fit's
+    two points, the one with the lower ToA sum of squares, if it lies in the
+    GPS box widened by 50 m."""
     users = drawn.copy()
     for j in range(len(log.user_ids)):
         p, ct = log.pose_gps[log.pose[log.user == j]], C * log.toa[log.user == j]
-        centre = p[:, :2].mean(axis=0)
-        q = p[:, :2] - centre
-        _, extent, axes = np.linalg.svd(q)
-        if extent[0] <= 1e-9:
+        if np.linalg.svd(p[:, :2] - p[:, :2].mean(axis=0), compute_uv=False)[0] <= 1e-9:
             continue
-        y = ct ** 2 - p[:, 2] ** 2 - np.sum(q ** 2, axis=1)
-        v = np.linalg.lstsq(np.column_stack([-2 * q, np.ones(len(q))]), y, rcond=None)[0][:2]
-        along = axes[0] @ v
-        across = math.sqrt(max(y.mean() - along ** 2, 0.0))
-        cands = [centre + along * axes[0] + s * axes[1] for s in (across, -across)] + [centre + v]
+        cands = reference_fit(p, ct)
         cost = [np.sum((ct - np.linalg.norm(p - np.append(c, 0.0), axis=1)) ** 2) for c in cands]
         best = cands[int(np.argmin(cost))]
         lo, hi = log.pose_gps[:, :2].min(axis=0) - 50.0, log.pose_gps[:, :2].max(axis=0) + 50.0
@@ -700,14 +723,128 @@ def sparse_logs(draw):
 @example(log=two_fixes_1_mm_apart(), seed=0)
 @example(log=MeasurementLog.of(make_samples(THIN, ID_USERS)), seed=0)
 def test_start_lies_in_the_widened_box_and_raises_no_float_warning(log, seed):
-    # initial_state ignores float errors only where it divides by the track's
-    # extent across its principal axis, which is 0 on a straight track
     with np.errstate(all="raise"):
         start = initial_state(log, RngStream(seed))
     assert start.users.shape == (len(log.user_ids), 2)
     lo, hi = log.pose_gps[:, :2].min(axis=0) - 50.0, log.pose_gps[:, :2].max(axis=0) + 50.0
     assert np.all((lo <= start.users) & (start.users <= hi))
     np.testing.assert_array_equal(start.uav, log.pose_gps)
+
+
+# --- _range_fit ---
+
+def squared_range_misfit(p, ct, v, centre):
+    """sum (y - |v|^2 + 2 q^T v)^2 over the rows of one user for each v
+    (..., 2), the objective _range_fit minimizes, and the size of its terms
+    at v, for a rounding slack."""
+    q = p[:, :2] - centre
+    y = ct ** 2 - p[:, 2] ** 2 - np.sum(q ** 2, axis=1)
+    vv = np.sum(v ** 2, axis=-1)[..., None]
+    qv = v @ q.T
+    return (np.sum((y - vv + 2 * qv) ** 2, axis=-1),
+            np.sum((np.abs(y) + vv + 2 * np.abs(qv)) ** 2, axis=-1))
+
+
+def grid_oracle(p, ct, centre):
+    """The lowest squared_range_misfit found by brute force: an 81 x 81 grid
+    over the disc the minimum must lie in, then around each of its best
+    three points a 15 x 15 grid, narrowed fourfold about its best point 13
+    times, down to about 1e-9 of the disc."""
+    q = p[:, :2] - centre
+    y = ct ** 2 - p[:, 2] ** 2 - np.sum(q ** 2, axis=1)
+    # beyond this radius every term is larger than |y|, its value at v = 0
+    big_q, big_y = np.max(np.linalg.norm(q, axis=1)), np.max(np.abs(y))
+    radius = big_q + math.sqrt(big_q ** 2 + 2 * big_y) + 1.0
+    axis = np.linspace(-radius, radius, 81)
+    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    cost = squared_range_misfit(p, ct, grid, centre)[0]
+    points = grid[np.argsort(cost)[:3]]
+    window = 2 * (axis[1] - axis[0])
+    local = np.linspace(-1.0, 1.0, 15)
+    local = np.stack(np.meshgrid(local, local), axis=-1).reshape(-1, 2)
+    for _ in range(13):
+        trial = points[:, None] + window * local
+        cost = squared_range_misfit(p, ct, trial, centre)[0]
+        points = trial[np.arange(len(points)), np.argmin(cost, axis=1)]
+        window /= 4
+    return np.min(squared_range_misfit(p, ct, points, centre)[0])
+
+
+def fit_one(p, ct):
+    """_range_fit of one user heard from poses p at ranges ct: its two points
+    and its track's centre."""
+    (_, centre, _, _, _, _), fit = _range_fit(p, ct, np.zeros(len(p), dtype=np.int64), 1)
+    return fit[:, 0], centre[0]
+
+
+@st.composite
+def fit_tracks(draw):
+    """A user in +-100 m heard, with range errors up to 10 m, from 2 to 8
+    poses on a 1 mm grid: anywhere, at two spots, or on a straight line."""
+    kind = draw(st.sampled_from(["random", "two", "straight"]))
+    altitude = st.integers(1_000, 100_000).map(lambda v: v / 1000)
+    if kind == "straight":
+        start, step = draw(st.tuples(MM, MM)), draw(st.tuples(MM, MM))
+        n = draw(st.integers(2, 8))
+        xy = [(start[0] + i * step[0], start[1] + i * step[1]) for i in range(n)]
+    else:
+        spots = draw(st.lists(st.tuples(MM, MM), min_size=2, max_size=2 if kind == "two" else 8))
+        xy = draw(st.lists(st.sampled_from(spots), min_size=2, max_size=8)) + spots
+    p = np.array([(x, y, draw(altitude)) for x, y in xy])
+    user = np.array(draw(st.tuples(MM, MM)))
+    noise = draw(st.lists(st.integers(-10_000, 10_000).map(lambda v: v / 1000),
+                          min_size=len(p), max_size=len(p)))
+    ct = np.maximum(np.linalg.norm(p - np.append(user, 0.0), axis=1) + noise, 0.0)
+    return p, ct
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(track=fit_tracks())
+def test_range_fit_is_no_worse_than_a_grid_oracle(track):
+    p, ct = track
+    if np.linalg.svd(p[:, :2] - p[:, :2].mean(axis=0), compute_uv=False)[0] <= 1e-9:
+        return  # no extent: the fit is not taken
+    with np.errstate(all="raise"):
+        fit, centre = fit_one(p, ct)
+    cost, size = squared_range_misfit(p, ct, fit - centre, centre)
+    # the fit's first point is the global minimum; the mirror is no lower
+    # but in the hard case, where the two tie
+    assert cost[0] <= grid_oracle(p, ct, centre) + 1e-9 * size[0]
+    assert cost[0] <= cost[1] + 1e-9 * size[1]
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.6, 0.8), (-1.0, 1.0)],
+                         ids=["x", "3-4-5", "diagonal"])
+def test_range_fit_returns_both_images_on_a_straight_track(direction):
+    # noiseless ranges from a straight track: the fit and its mirror are the
+    # user and its mirror image, whichever side the user is on
+    line = np.outer(np.linspace(-40.0, 40.0, 9), direction)
+    p = np.column_stack([line + [5.0, -3.0], np.full(9, 30.0)])
+    normal = np.array([-direction[1], direction[0]]) / np.hypot(*direction)
+    for user in (np.array([12.0, 20.0]), np.array([-7.0, -25.0])):
+        ct = np.linalg.norm(p - np.append(user, 0.0), axis=1)
+        fit, centre = fit_one(p, ct)
+        image = user - 2 * ((user - centre) @ normal) * normal
+        nearer = int(np.argmin(np.linalg.norm(fit - user, axis=1)))
+        np.testing.assert_allclose(fit[[nearer, 1 - nearer]], [user, image], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("case", ["coincident", "single", "under"])
+def test_range_fit_raises_no_float_warning_on_degenerate_tracks(case):
+    # three poses at one spot, one pose, and a user right under a pose of a
+    # circle: every start is finite and raises no float error
+    users = np.array(ID_USERS)
+    uavs = {"coincident": np.repeat([[0.1, 0.7, 30.0]], 3, axis=0),
+            "single": circle(1), "under": circle(8)}[case]
+    if case == "under":
+        users[0] = uavs[2, :2]
+    samples = make_samples(uavs, list(users))
+    with np.errstate(all="raise"):
+        start = initial_state(samples, RngStream(0))
+        warm = basin_start(samples, uavs, start.users)
+    assert np.isfinite(warm).all()
+    if case == "under":
+        np.testing.assert_allclose(start.users, users, rtol=0, atol=1e-6)
 
 
 # --- basin_start ---
