@@ -6,7 +6,8 @@ the dense (2K, 2K) matrix is built only where a caller reads it. Each block
 [[a, b], [c, d]] of F + eps_prior I is inverted in closed form,
 [[d, -b], [-c, a]] / det with det = ad - bc taken as a s from the pivots a
 and s = d - bc / a of its LDL^T factorization, so a CRB trace costs O(K):
-tr((F + eps_prior I)^-1) = sum_k (a_k + d_k) / det_k.
+tr((F + eps_prior I)^-1) = sum_k (a_k + d_k) / det_k; crb_traces takes
+those of many states in one pass.
 Contributions are rank-1 per ToA sample and accumulate additively over time.
 The per-step improvement matrix is computed in the subtractive form
 R[n] = inv(F_{n-1}) - inv(F_{n-1} + sum_k H_k[n]), which the matrix inversion
@@ -125,9 +126,17 @@ def inverse_with_prior(info: InfoState) -> np.ndarray:
     return _dense(_inv_blocks(info.blocks, info.eps_prior))
 
 
+def crb_traces(blocks: np.ndarray, eps_prior: float) -> np.ndarray:
+    """tr((F + eps_prior I)^-1) in m^2 of each state F kept as (..., K, 2, 2)
+    blocks, in one pass: (...,). A mission's whole history, (N, K, 2, 2),
+    gives (N,); each trace is the one crb_trace gives of that state, and
+    SingularFim is raised if any state is singular."""
+    return np.sum(_trace_inv(blocks, eps_prior), axis=-1)
+
+
 def crb_trace(info: InfoState) -> float:
-    """tr((F + eps_prior I)^-1) in m^2."""
-    return float(np.sum(_trace_inv(info.blocks, info.eps_prior)))
+    """tr((F + eps_prior I)^-1) in m^2: crb_traces of the one state."""
+    return float(crb_traces(info.blocks, info.eps_prior))
 
 
 def improvement_matrix(info: InfoState, contribs: np.ndarray) -> np.ndarray:

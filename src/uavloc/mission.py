@@ -4,8 +4,24 @@ measure, estimate, plan. Also Monte Carlo batches and error metrics.
 A mission is fully deterministic given its scenario: measurement noise comes
 from one numpy PCG64 Generator seeded with scenario.seed, the user-position
 initialization of the solver from a second one seeded by a SeedSequence
-spawned from the same seed. A retained step measures its K links in one
-sample_toa (and, on the NR path, one estimate_toa_nr) call.
+spawned from the same seed.
+
+What runs when. Every step takes a GPS fix and, on the greedy path, plans
+the next waypoint against the Fisher information. A retained step measures
+its K links in one sample_toa call and adds its Fisher blocks
+(step_contribution, accumulate), which the planner reads; a solve follows on
+its schedule. The rest waits for the step that reads it:
+- The log is read at the first retained step (slam.initial_state), by each
+  solve and by the result. On the NR path its rows hold sample_toa's delays
+  until then; each read estimates the rows not yet estimated in one
+  estimate_toa_nr call, with the drift offset of each row's step.
+- The log is a step-major grid: row i is retained step i // K and user
+  i % K, so the mission gives each read its index layout
+  (MeasurementLog.with_layout); nothing derives it.
+- The CRB history is traced once, at the end, from the Fisher blocks kept
+  after each retained step (fim.crb_traces). So at eps_prior = 0 a
+  fixed-path mission raises SingularFim at its end, after its solves; a
+  greedy one still raises it at step 1, where the planner reads the blocks.
 
 How a mission's solves start: slam.initial_state gives the user estimates at
 the first retained step, for the planner; heard from one position, every
@@ -30,7 +46,9 @@ from .channel import RngStream, sample_gps, sample_toa
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .channel import is_blocked  # noqa: F401
 from .errors import InvalidParam
-from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_trace, initial_info, step_contribution
+from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_traces, initial_info, step_contribution
+# Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
+from .fim import crb_trace  # noqa: F401
 from .model import (REACH_SLACK, MeasurementLog, Scenario, require_int, require_number,
                     validate_scenario)
 from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
@@ -115,6 +133,12 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     stream draws only at the first retained step, in slam.initial_state.
     A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
     every hop within d_max.
+    Per retained step the mission measures, accumulates the Fisher blocks
+    and solves on schedule; the NR estimates of its delays wait for the
+    next read of the log (the first step, a solve, the result), and the CRB
+    history for the end, where one pass traces it (the module docstring
+    says more). So SingularFim from a singular Fisher matrix (eps_prior = 0)
+    comes at the end of a fixed-path mission, after its last solve.
     The result's `converged` is the last solve's report.converged; a solve
     that does not converge hands on its best state, and the mission goes on.
     InvalidParam names a bad scenario field (validate_scenario) or option
@@ -155,29 +179,50 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     positions = np.zeros((n_steps, 3))
     positions[0] = s.uav_start.as_array()
     gps_trace = np.zeros((n_steps, 3))
-    crb_history = np.zeros(n_steps)
     # the measurement columns, one row per (retained step, user), filled as
-    # steps are retained; samples, the filled part, is never written again
+    # steps are retained, and their layout: row i is pose i // K, user i % K;
+    # on the NR path a row's toa holds sample_toa's delay until it is read
     log = MeasurementLog(step=np.zeros(n_steps * num_users, dtype=np.int64),
                          user_id=np.tile(np.arange(1, num_users + 1), n_steps),
                          gps=np.empty((n_steps * num_users, 3)),
                          toa=np.empty(n_steps * num_users))
-    samples = log[:0]
+    pose = np.zeros(n_steps * num_users, dtype=np.int64)
+    user = log.user_id - 1
+    user_ids = tuple(range(1, num_users + 1))
+    samples = log[:0]  # the rows read last, never written again
     retained: list[int] = []
     info = initial_info(num_users, eps_prior)
+    # the Fisher blocks after each retained step, and per step the index of
+    # the last retained one: the CRB history, traced at the end
+    kept_blocks = np.empty((n_steps, num_users, 2, 2))
+    last_kept = np.empty(n_steps, dtype=np.int64)
     u_est = None
     # pose estimates of the retained steps, in order: each step's GPS fix
     # until a solve overwrites it
     pose_est = np.empty((n_steps, 3))
     converged = True
 
+    def read_samples() -> MeasurementLog:
+        """The log of every step retained so far, its NR delays estimated."""
+        nonlocal samples
+        stop = len(retained) * num_users
+        if len(samples) < stop:
+            rows = slice(len(samples), stop)
+            if nr_cfg is not None:
+                log.toa[rows] = estimate_toa_nr(log.toa[rows], nr_cfg,
+                                                drift_offset(log.step[rows], drift))
+            samples = log[:stop].with_layout(retained, user_ids, pose[:stop], user[:stop],
+                                             log.gps[:stop:num_users])
+        return samples
+
     def do_solve():
         nonlocal u_est, converged
+        measured = read_samples()
         # every retained step holds one sample per user, so the solve's poses
         # are the retained steps in order
         poses = pose_est[:len(retained)]
-        u_est = slam.basin_start(samples, poses, u_est)
-        state, report = slam.solve_slam(slam.StateVector(uav=poses, users=u_est), samples, cfg)
+        u_est = slam.basin_start(measured, poses, u_est)
+        state, report = slam.solve_slam(slam.StateVector(uav=poses, users=u_est), measured, cfg)
         converged = report.converged
         u_est = state.users
         poses[:] = state.uav
@@ -188,22 +233,20 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         keep = (not retained or
                 np.linalg.norm(p - positions[retained[-1] - 1]) >= s.delta_keep)
         if keep:
-            rows = slice(len(samples), len(samples) + num_users)
+            rows = slice(len(retained) * num_users, (len(retained) + 1) * num_users)
+            pose[rows] = len(retained)
             pose_est[len(retained)] = gps_trace[n - 1]
             retained.append(n)
             log.step[rows] = n
             log.gps[rows] = gps_trace[n - 1]
-            toa = sample_toa(p, users, s.toa_noise, s.buildings, rng)
-            if toa_path == "nr":
-                toa = estimate_toa_nr(toa, nr_cfg, drift_offset(n, drift))
-            log.toa[rows] = toa
-            samples = log[:rows.stop]
+            log.toa[rows] = sample_toa(p, users, s.toa_noise, s.buildings, rng)
             if u_est is None:
-                u_est = slam.initial_state(samples, est_rng).users
+                u_est = slam.initial_state(read_samples(), est_rng).users
             if solve_every and len(retained) % solve_every == 0:
                 do_solve()
             info = accumulate(info, step_contribution(p, u_est, s.toa_noise))
-        crb_history[n - 1] = crb_trace(info)
+            kept_blocks[len(retained) - 1] = info.blocks
+        last_kept[n - 1] = len(retained) - 1
 
         if n < n_steps:
             if fixed_path is not None:
@@ -218,10 +261,11 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     if not solve_every or len(retained) % solve_every:
         do_solve()
 
+    crb_history = crb_traces(kept_blocks[:len(retained)], eps_prior)[last_kept]
     uav_estimates = pose_est[:len(retained)].copy()
     metrics = compute_metrics(s, positions, gps_trace, retained, uav_estimates, u_est)
     return MissionResult(planned=positions, gps=gps_trace,
-                         retained_steps=tuple(retained), samples=samples,
+                         retained_steps=tuple(retained), samples=read_samples(),
                          user_estimates=u_est, uav_estimates=uav_estimates,
                          crb_history=crb_history, converged=converged, metrics=metrics)
 

@@ -93,9 +93,13 @@ def srs_refine(cir, f_s: float) -> float:
     return int(np.argmax(cir)) / f_s
 
 
-def drift_offset(step: int, d: SawtoothDrift) -> float:
-    """Sawtooth clock-drift offset at 1-based mission step: rate * ((n-1) mod P)."""
-    if step < 1:
+def drift_offset(step, d: SawtoothDrift):
+    """Sawtooth clock-drift offset at 1-based mission step n: rate * ((n-1) mod P).
+
+    step is an int, which gives a float, or an integer array of steps, one
+    per row of a batch, which gives their offsets, each equal to the float of
+    its step. ValueError unless every step is >= 1."""
+    if np.min(step) < 1:
         raise ValueError("step must be >= 1")
     return d.rate * ((step - 1) % d.reset_period)
 
@@ -103,7 +107,11 @@ def drift_offset(step: int, d: SawtoothDrift) -> float:
 def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float):
     """One-way delay estimates through the two-stage NR procedure: RTT/2.
 
-    true_delay is a delay in seconds or an array of them. The round trip
+    true_delay is a delay in seconds or an array of them; drift, the clock
+    offset in seconds, is one for all of them or an array of per-row offsets
+    (drift_offset of the rows' steps), so the rows of many mission steps are
+    estimated in one call, each exactly as a call of its own would give it,
+    and the input checks below run on the whole batch. The round trip
     (2 * true_delay + drift) is quantized to the nearest timing-advance unit,
     half to even, by ta_from_rtt; the signed residual is read at the CIR peak,
     round(residual * f_s) / f_s. The residual is within half a unit, so

@@ -565,13 +565,16 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     exact tie. A user without extent keeps its draw, and so does one whose
     chosen point lies outside the widened box: on a track barely longer than
     EXTENT_TOL the fit has no useful bound. So the draw decides only those
-    users.
+    users, and on a log of one pose, the first step of a mission, every
+    user: there no fit is made.
     """
     log = _nonempty_log(measurements)
     gps, K = log.pose_gps, len(log.user_ids)
     lo = gps[:, :2].min(axis=0) - INIT_MARGIN
     hi = gps[:, :2].max(axis=0) + INIT_MARGIN
     drawn = np.column_stack([rng.uniform(lo[0], hi[0], K), rng.uniform(lo[1], hi[1], K)])
+    if len(gps) == 1:  # heard from one pose, no track has extent
+        return StateVector(uav=gps.copy(), users=drawn)
 
     user, p = log.user, np.take(gps, log.pose, axis=0)
     ct = SPEED_OF_LIGHT * log.toa

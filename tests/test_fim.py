@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavloc.errors import DegenerateGeometry, SingularFim
-from uavloc.fim import (InfoState, accumulate, crb_trace, improvement_matrix,
+from uavloc.fim import (InfoState, accumulate, crb_trace, crb_traces, improvement_matrix,
                         improvement_traces, initial_info, inverse_with_prior,
                         step_contribution, toa_info_contribution)
 from uavloc.model import SPEED_OF_LIGHT as C
@@ -152,6 +154,52 @@ def test_crb_singular_without_prior():
     info = accumulate(info, toa_info_contribution((50, 0, 0), (0, 0), 1e-9)[None])
     with pytest.raises(SingularFim):
         crb_trace(info)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 30), k=st.integers(1, 40),
+       eps_prior=st.sampled_from([0.0, 1e-9, 1e-6, 0.37]), exponential=st.booleans())
+def test_crb_traces_of_a_history_equal_each_states_crb_trace(seed, steps, k, eps_prior,
+                                                             exponential):
+    # the history kernel over the stacked blocks after each step gives, bit
+    # for bit, the trace crb_trace gives of each accumulated InfoState, and
+    # refuses the history where some state is singular
+    rng = np.random.default_rng(seed)
+    uavs, users, _ = random_mission(rng, steps, k)
+    noise = ToaNoiseModel(kind="exponential" if exponential else "constant",
+                          sigma0=1e-8, amp=1e-10, scale=40.0)
+    info, states = initial_info(k, eps_prior), []
+    for uav in uavs:
+        info = accumulate(info, step_contribution(uav, users, noise))
+        states.append(info)
+    blocks = np.array([state.blocks for state in states])
+    try:
+        expected = [crb_trace(state) for state in states]
+    except SingularFim:
+        with pytest.raises(SingularFim):
+            crb_traces(blocks, eps_prior)
+        return
+    got = crb_traces(blocks, eps_prior)
+    assert got.shape == (steps,)
+    np.testing.assert_array_equal(got, expected)
+    assert crb_traces(blocks[-1], eps_prior) == crb_trace(states[-1])
+
+
+def test_crb_traces_refuse_a_history_without_prior_whose_first_state_is_singular():
+    # at eps_prior = 0 the first step's rank-1 blocks are singular, so the
+    # whole history is refused although every later state is regular
+    rng = np.random.default_rng(3)
+    uavs, users, _ = random_mission(rng, 6, 4)
+    info, states = initial_info(4, eps_prior=0.0), []
+    for uav in uavs:
+        info = accumulate(info, step_contribution(uav, users, ToaNoiseModel()))
+        states.append(info)
+    with pytest.raises(SingularFim):
+        crb_trace(states[0])
+    with pytest.raises(SingularFim):
+        crb_traces(np.array([state.blocks for state in states]), 0.0)
+    later = crb_traces(np.array([state.blocks for state in states[1:]]), 0.0)
+    np.testing.assert_array_equal(later, [crb_trace(state) for state in states[1:]])
 
 
 def random_bearing_contribution(rng, sigma=1e-9):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfbench.workloads import WORKLOADS
 from uavloc import mission, nrtiming, slam
-from uavloc.errors import InvalidParam
+from uavloc.errors import InvalidParam, SingularFim
 from uavloc.mission import (circle_path, compute_metrics, monte_carlo,
                             run_mission, straight_line_path)
-from uavloc.model import (Scenario, ToaNoiseModel, Vec2, Vec3)
+from uavloc.model import (MeasurementLog, Scenario, ToaNoiseModel, Vec2, Vec3)
 from uavloc.planner import reach_threshold
 from uavloc.slam import SlamConfig
 
@@ -182,6 +184,92 @@ def test_online_workload_takes_at_most_40_lm_trials_per_mission(monkeypatch):
         workload.run(s)
     assert len(missions) == 40
     assert sum(trials) <= 40 * len(missions)
+
+
+def test_online_workload_estimates_toa_once_per_read_and_traces_the_history_once(
+        monkeypatch):
+    # the benchmark's online_greedy_nr missions of seed 1, their work counted:
+    # the NR delays of the rows retained since the last read go through one
+    # estimate_toa_nr call at step 1 and at each solve, and the CRB history
+    # through one trace pass at the end
+    workload = WORKLOADS["online_greedy_nr"]
+    counts = {"solve_slam": 0, "estimate_toa_nr": 0, "crb_traces": 0, "crb_trace": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    counting(slam, "solve_slam")
+    for name in ("estimate_toa_nr", "crb_traces", "crb_trace"):
+        counting(mission, name)
+    for s in workload.make_inputs(1)[:10]:
+        for name in counts:
+            counts[name] = 0
+        workload.run(s)
+        assert counts["solve_slam"] >= 1
+        assert 1 <= counts["estimate_toa_nr"] <= counts["solve_slam"] + 1
+        assert counts["crb_traces"] == 1 and counts["crb_trace"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), num_users=st.integers(1, 4),
+       n_steps=st.integers(6, 14), delta=st.sampled_from([0.0, 2.0, 7.0]),
+       solve_every=st.integers(0, 4), fixed=st.booleans(), nr=st.booleans())
+def test_mission_logs_carry_the_layout_their_columns_give(seed, num_users, n_steps, delta,
+                                                          solve_every, fixed, nr):
+    # the layout the mission gives each log it hands on (to initial_state, to
+    # every solve and in the result) is, entry for entry and read-only, the
+    # one MeasurementLog derives from the same columns
+    rng = np.random.default_rng(seed)
+    s = Scenario(users=tuple(Vec2(*u) for u in rng.uniform(-30.0, 30.0, (num_users, 2))),
+                 uav_start=Vec3(-20.0, 0.0, 30.0), uav_terminal=Vec3(20.0, 0.0, 30.0),
+                 mission_steps=n_steps, d_max=8.0, delta_keep=delta,
+                 toa_noise=ToaNoiseModel(drift_rate=3e-9, drift_reset_period=4), seed=seed)
+    logs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("initial_state", "solve_slam"):
+            fn = getattr(slam, name)
+
+            def recorded(first, second, *args, _fn=fn, _name=name):
+                logs.append(first if _name == "initial_state" else second)
+                return _fn(first, second, *args)
+            mp.setattr(slam, name, recorded)
+        res = run_mission(s, straight_line_path(s) if fixed else "greedy",
+                          toa_path="nr" if nr else "ideal", solve_every=solve_every)
+    logs.append(res.samples)
+    assert len(logs) >= 3
+    for log in logs:
+        derived = MeasurementLog(log.step, log.user_id, log.gps, log.toa)
+        assert log.steps == derived.steps and log.user_ids == derived.user_ids
+        assert all(type(n) is int for n in log.steps + log.user_ids)
+        for name in ("pose", "user", "pose_gps", "pair_index"):
+            given_, want = getattr(log, name), getattr(derived, name)
+            assert given_.dtype == want.dtype and not given_.flags.writeable
+            np.testing.assert_array_equal(given_, want)
+    np.testing.assert_array_equal(res.samples.pose_gps,
+                                  res.gps[np.array(res.retained_steps) - 1])
+
+
+def test_fixed_mission_without_prior_raises_singular_fim_after_its_solves(monkeypatch):
+    # the CRB history is traced at the end, so a singular first state is
+    # found there, after the solves; the greedy planner reads it at step 1
+    solves = []
+    solve = slam.solve_slam
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+    monkeypatch.setattr(slam, "solve_slam", counted)
+    s = circle_scenario(n_steps=30)
+    with pytest.raises(SingularFim):
+        run_mission(s, circle_path((0, 0), 50.0, 30.0, 30), solve_every=5, eps_prior=0.0)
+    assert len(solves) == 6
+    with pytest.raises(SingularFim):
+        run_mission(s, "greedy", solve_every=5, eps_prior=0.0)
+    assert len(solves) == 6
 
 
 def test_converged_is_the_last_solves():

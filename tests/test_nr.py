@@ -173,6 +173,16 @@ def test_drift_periodic_nonnegative():
         assert drift_offset(n, d) == drift_offset(n + 7, d)
 
 
+def test_drift_offset_of_steps_is_each_steps_offset():
+    d = SawtoothDrift(rate=2.5e-9, reset_period=7)
+    steps = np.arange(1, 60, dtype=np.int64)
+    got = drift_offset(steps, d)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, [drift_offset(int(n), d) for n in steps])
+    with pytest.raises(ValueError, match="^step must be >= 1$"):
+        drift_offset(np.array([3, 0, 5]), d)
+
+
 # --- estimate_toa_nr ---
 
 def test_estimate_zero_delay():
@@ -320,3 +330,34 @@ def test_estimate_refuses_a_negative_delay_whose_round_trip_is_positive():
     for delays in (-1e-9, np.array([1e-7, -1e-9])):
         with pytest.raises(ValueError, match="^true_delay must be finite and >= 0$"):
             estimate_toa_nr(delays, NrConfig(mu=1, f_s=F_S), 1e-8)
+
+
+bad_rows = st.sampled_from([(-1e-9, 0.0), (np.nan, 0.0), (np.inf, 0.0), (1e-7, np.nan),
+                            (1e-7, -np.inf), (1e-9, -1e-8), (-1e-9, 1e-8)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 60),
+       period=st.integers(1, 9), rate=st.sampled_from([0.0, 3e-9, 37e-9]),
+       bad=st.none() | st.tuples(st.integers(0, 59), bad_rows))
+def test_batched_estimate_equals_one_call_per_row(mu, seed, rows, period, rate, bad):
+    # the rows of many mission steps, each with its step's drift offset, in
+    # one call: bit for bit the estimates of one call per row, and one bad
+    # row refuses the batch with the error a call of its own gives
+    cfg = NrConfig(mu=mu, f_s=F_S)
+    rng = np.random.default_rng(seed)
+    delays = rng.uniform(0.0, 1e-6, rows)
+    steps = rng.integers(1, 50, rows)
+    drifts = drift_offset(steps, SawtoothDrift(rate=rate, reset_period=period))
+    if bad is not None:
+        i = bad[0] % rows
+        delays[i], drifts[i] = bad[1]
+        with pytest.raises(ValueError) as one:
+            estimate_toa_nr(float(delays[i]), cfg, float(drifts[i]))
+        with pytest.raises(ValueError, match=f"^{one.value}$"):
+            estimate_toa_nr(delays, cfg, drifts)
+        return
+    got = estimate_toa_nr(delays, cfg, drifts)
+    assert got.shape == (rows,)
+    np.testing.assert_array_equal(got, [estimate_toa_nr(float(t), cfg, float(f))
+                                        for t, f in zip(delays, drifts)])

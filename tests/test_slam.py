@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavloc import slam
 from uavloc.channel import RngStream, los_delay
 from uavloc.errors import DegenerateGeometry, InvalidParam, SingularSystem
 from uavloc.model import SPEED_OF_LIGHT as C
@@ -603,6 +604,20 @@ def test_start_keeps_the_draw_of_a_user_without_track_extent():
         start, drawn = initial_state(samples, RngStream(seed)), drawn_start(uavs, 3, seed)
         np.testing.assert_array_equal(start.users[1:], drawn.users[1:])
         np.testing.assert_allclose(start.users[0], ID_USERS[0], rtol=0, atol=1e-6)
+
+
+def test_a_one_pose_start_makes_no_fit(monkeypatch):
+    # heard from one pose no user has track extent, so every user keeps its
+    # draw and no squared-range fit is made
+    def refuse(*args):
+        raise AssertionError("a fit was made at one pose")
+    monkeypatch.setattr(slam, "_range_fit", refuse)
+    monkeypatch.setattr(slam, "_range_misfit", refuse)
+    for seed in (0, 5):
+        start = initial_state(make_samples(circle(1), ID_USERS), RngStream(seed))
+        np.testing.assert_array_equal(start.users,
+                                      drawn_start(circle(1), len(ID_USERS), seed).users)
+        np.testing.assert_array_equal(start.uav, circle(1))
 
 
 def two_fixes_1_mm_apart():
