@@ -11,8 +11,11 @@ those of many states in one pass.
 Contributions are rank-1 per ToA sample and accumulate additively over time.
 The per-step improvement matrix is computed in the subtractive form
 R[n] = inv(F_{n-1}) - inv(F_{n-1} + sum_k H_k[n]), which the matrix inversion
-lemma shows is the information gained at step n; improvement_traces gives
-tr(R) for many candidate steps at once.
+lemma shows is the information gained at step n. improvement_traces gives
+tr(R) for many candidate UAV positions at once without forming H: a step
+adds g g^T to each user's block P, so by the matrix determinant lemma
+det(P + g g^T) = det P + g^T adj(P) g, and the traces need only each
+block's entries and each candidate-user link, all as (C, K) arrays.
 """
 from __future__ import annotations
 
@@ -21,8 +24,8 @@ import copy
 import numpy as np
 
 from .channel import toa_gradient
-from .errors import SingularFim
-from .model import ToaNoiseModel, sigma_tau_of_distance
+from .errors import DegenerateGeometry, SingularFim
+from .model import SPEED_OF_LIGHT, ToaNoiseModel, sigma_tau_of_distance
 
 # A block is rank-deficient when the second pivot s of its LDL^T factorization
 # is within this share of d (s / d = det / ad). Rounding leaves a few machine
@@ -71,16 +74,20 @@ def _det(blocks: np.ndarray, eps: float) -> np.ndarray:
     LDL^T factorization of A + eps I = [[a, b], [c, d]]: a and
     s = d - b c / a. Where s is at rounding level, A is rank-deficient and
     det(A + eps I) = eps (tr A + eps) exactly. SingularFim unless every
-    A + eps I is positive definite (a > 0 and det > 0) with a finite det."""
+    A + eps I is positive definite (a > 0 and det > 0) with finite entries
+    and a finite det."""
     a = blocks[..., 0, 0] + eps
     d = blocks[..., 1, 1] + eps
-    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 is rejected below
-        s = d - blocks[..., 0, 1] * (blocks[..., 1, 0] / a)
+    # refused before dividing, so no float warning arises: a <= 0 would
+    # divide by zero, and an inf or NaN entry would make s inf or NaN
+    if not (a.min(initial=1.0) > 0 and np.abs(blocks).max(initial=0.0) < np.inf):
+        raise SingularFim("Fisher matrix is singular")
+    s = d - blocks[..., 0, 1] * (blocks[..., 1, 0] / a)
     det = a * s
     rank_deficient = np.abs(s) <= SINGULAR_RTOL * d
     if rank_deficient.any():
         det[rank_deficient] = (eps * (a + d - eps))[rank_deficient]
-    if not ((a > 0) & (det > 0) & (det < np.inf)).all():
+    if not ((det > 0) & (det < np.inf)).all():
         raise SingularFim("Fisher matrix is singular")
     return det
 
@@ -105,7 +112,7 @@ def toa_info_contribution(uav, user_est, sigma_tau: float) -> np.ndarray:
 def step_contribution(uav, user_ests, noise: ToaNoiseModel) -> np.ndarray:
     """Per-user 2x2 blocks for UAV positions uav (..., 3), sigma taken from
     the noise model at the estimated link distance. One position (3,) gives
-    (K, 2, 2); C candidate positions (C, 3) give (C, K, 2, 2)."""
+    (K, 2, 2); N positions (N, 3), such as a trajectory, give (N, K, 2, 2)."""
     uav = np.asarray(uav, dtype=float)
     g, d = toa_gradient(uav[..., None, :], np.reshape(user_ests, (-1, 2)))
     # far estimates overflow sigma or its square: infinite sigma, no information
@@ -149,10 +156,45 @@ def improvement_matrix(info: InfoState, contribs: np.ndarray) -> np.ndarray:
     return _dense(_inv_blocks(blocks, eps) - _inv_blocks(blocks + contribs, eps))
 
 
-def improvement_traces(info: InfoState, contribs: np.ndarray) -> np.ndarray:
-    """tr(R) for each of C candidate steps, from their (C, K, 2, 2)
-    contributions: sum over users of tr(P_k^-1) - tr((P_k + H_ck)^-1) with
-    P_k the user's block of F + eps_prior I. Returns (C,)."""
-    blocks = info.blocks
-    traces = _trace_inv(np.concatenate([blocks[None], blocks + contribs]), info.eps_prior)
-    return np.sum(traces[0] - traces[1:], axis=-1)
+def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) -> np.ndarray:
+    """tr(R) of measuring from each of C candidate UAV positions uav (C, 3),
+    sigma taken from the noise model at the estimated link distance, as (C,).
+
+    A candidate adds g g^T to each user's block P of F + eps_prior I, with
+    g = (x_xy - u) / (sigma C d) its link's delay gradient over sigma, so by
+    the matrix determinant lemma each user contributes
+    tr P / det P - (tr P + |g|^2) / (det P + g^T adj(P) g), with det P from
+    _det. P is read as symmetric, as every Fisher block is (uavloc plan
+    refuses an asymmetric one). DegenerateGeometry at a zero distance;
+    SingularFim if the state or a candidate block is singular. A far link
+    whose sigma overflows carries no information: its gain is 0."""
+    uav = np.asarray(uav, dtype=float)
+    users = np.reshape(user_ests, (-1, 2))
+    blocks, eps = info.blocks, info.eps_prior
+    det = _det(blocks, eps)
+    a = blocks[:, 0, 0] + eps
+    tr = a + (blocks[:, 1, 1] + eps)
+    # g^T adj(P) g completed to a square on the pivot a of P = [[a, b], [b, d]]:
+    # a (g_y - b g_x / a)^2 + (det P / a) g_x^2. A sum of squares has no
+    # cancellation, and a rank-deficient P carries its det from _det's rank
+    # rule into every candidate's
+    slope, schur = blocks[:, 0, 1] / a, det / a
+    # the links as (C, K) arrays of their components, users lifted to z = 0,
+    # rather than channel.link_geometry's (C, K, 3) vectors: on 40-user
+    # planner states (2-core host) the kernel made next_waypoint 1.13-1.14x
+    # as fast as the old (C, K, 2, 2) path that way, and 1.22x this way
+    hx = uav[:, 0, None] - users[:, 0]
+    hy = uav[:, 1, None] - users[:, 1]
+    dist2 = hx * hx + hy * hy + uav[:, 2, None] ** 2
+    if (dist2 == 0.0).any():
+        raise DegenerateGeometry("zero UAV-user distance")
+    dist = np.sqrt(dist2)
+    # far estimates overflow sigma or sigma C d: infinite, no information
+    with np.errstate(over="ignore"):
+        scale = 1.0 / (sigma_tau_of_distance(dist, noise) * SPEED_OF_LIGHT * dist)
+    gx, gy = hx * scale, hy * scale
+    gxx, e = gx * gx, gy - slope * gx
+    det_new = det + (a * (e * e) + schur * gxx)
+    if not ((det_new > 0) & (det_new < np.inf)).all():
+        raise SingularFim("Fisher matrix is singular")
+    return (tr / det - (tr + (gxx + gy * gy)) / det_new).sum(axis=1)

@@ -2,9 +2,9 @@
 
 At each step the UAV evaluates a ring of candidate headings (plus holding
 position) and picks the one maximizing the estimated CRB improvement, subject
-to the per-step distance budget and terminal reachability. The candidates
-are scored as one (C, 3) array: one step_contribution call gives every
-candidate-user Fisher block and one improvement_traces call every tr(R).
+to the per-step distance budget and terminal reachability. The feasible
+candidates are scored as one (C, 3) array: one fim.improvement_traces call
+gives every tr(R) from the state's blocks and the candidate-user links.
 Infeasible steps fall back to moving straight toward the terminal.
 """
 from __future__ import annotations
@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fim import InfoState, improvement_traces, step_contribution
-# Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
-from .fim import improvement_matrix  # noqa: F401
+from .fim import InfoState, improvement_traces
+# Unused here; re-exported because perfbench/tracing.py wraps them by this module's name.
+from .fim import improvement_matrix, step_contribution  # noqa: F401
 from .model import ToaNoiseModel
 
 _FEAS_TOL = 1e-9  # meters of slack on the reachability comparison
@@ -69,8 +69,8 @@ def _costs(cands: np.ndarray, st: PlannerState) -> np.ndarray:
     feasible = np.sqrt(np.vecdot(diff, diff)) <= slack + _FEAS_TOL
     costs = np.full(len(cands), float("-inf"))
     if feasible.any():
-        contribs = step_contribution(cands[feasible], st.user_estimates, st.noise_model)
-        costs[feasible] = improvement_traces(st.info, contribs)
+        costs[feasible] = improvement_traces(st.info, cands[feasible], st.user_estimates,
+                                             st.noise_model)
     return costs
 
 

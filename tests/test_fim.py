@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,12 +280,12 @@ def test_info_state_owns_its_blocks():
     fim = info.fim
     state = InfoState(info.step, fim, info.eps_prior)
     cands = np.column_stack([rng.uniform(-80, 80, (9, 2)), np.full(9, 30.0)])
-    contribs = step_contribution(cands, users, ToaNoiseModel(sigma0=2e-8))
-    crb, traces = crb_trace(state), improvement_traces(state, contribs)
+    noise = ToaNoiseModel(sigma0=2e-8)
+    crb, traces = crb_trace(state), improvement_traces(state, cands, users, noise)
     fim[...] = 0.0
     state.fim[...] = 0.0
     assert crb_trace(state) == crb
-    np.testing.assert_array_equal(improvement_traces(state, contribs), traces)
+    np.testing.assert_array_equal(improvement_traces(state, cands, users, noise), traces)
 
 
 def test_crb_never_increases_with_psd_updates():
@@ -386,16 +388,123 @@ def test_step_contribution_broadcasts_over_candidates():
         np.testing.assert_array_equal(out[c], step_contribution(cands[c], users, noise))
 
 
-def test_improvement_traces_match_improvement_matrix():
-    rng = np.random.default_rng(14)
-    uavs, users, sigmas = random_mission(rng, 6, 3)
-    info = initial_info(3)
-    for c in mission_contribs(uavs, users, sigmas):
-        info = accumulate(info, c)
-    cands = np.column_stack([rng.uniform(-80, 80, (9, 2)), np.full(9, 30.0)])
-    contribs = step_contribution(cands, users, ToaNoiseModel(sigma0=2e-8))
-    traces = improvement_traces(info, contribs)
+def _gain_rounding(info, contribs):
+    """The rounding scale of tr(R) after contributions (K, 2, 2): the sum
+    over users of tr(P^-1), and of tr((P + H)^-1) times the condition
+    number (|a d| + |b c|) / det of the determinant of P + H = [[a, b],
+    [c, d]], which is large where the step leaves the block near-singular."""
+    eps = info.eps_prior
+    after = info.blocks + contribs
+    a, d = after[:, 0, 0] + eps, after[:, 1, 1] + eps
+    traces = crb_traces(after[:, None], eps)  # tr((P + H)^-1) of each user, (a + d) / det
+    cond = (np.abs(a * d) + np.abs(after[:, 0, 1] * after[:, 1, 0])) * traces / (a + d)
+    return crb_trace(info) + np.sum(traces * cond)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 10),
+       eps_prior=st.sampled_from([0.0, 1e-6, 1e-3]), one_bearing=st.booleans(),
+       exponential=st.booleans(), far=st.booleans())
+def test_improvement_traces_match_improvement_matrix(seed, k, eps_prior, one_bearing,
+                                                     exponential, far):
+    # each candidate's tr(R) from the (C, K) kernel equals the trace of the
+    # dense improvement matrix of its step_contribution blocks, relative to
+    # the traces it is a difference of (_gain_rounding); both refuse the same
+    # inputs. One-bearing states measure every user from one horizontal
+    # position, so each block is rank 1, and two candidates keep a bearing.
+    rng = np.random.default_rng(seed)
+    users = rng.uniform(-80, 80, (k, 2))
+    if exponential:
+        noise = ToaNoiseModel(kind="exponential", sigma0=5e-9, amp=1e-9, scale=100.0)
+    else:
+        noise = ToaNoiseModel(sigma0=float(rng.uniform(5e-9, 5e-8)))
+    if far and exponential and eps_prior > 0:
+        users[-1] = (1e5, 1e5)  # exp(d / scale) overflows: sigma is inf
+    uavs = np.column_stack([rng.uniform(-80, 80, (6, 2)), rng.uniform(10, 60, 6)])
+    if one_bearing:
+        uavs[:, :2] = uavs[0, :2]
+    info = initial_info(k, eps_prior)
+    for uav in uavs[:int(rng.integers(1 if one_bearing else 2, 7))]:
+        info = accumulate(info, step_contribution(uav, users, noise))
+    cands = np.column_stack([rng.uniform(-80, 80, (9, 2)), rng.uniform(10, 60, 9)])
+    cands[0, :2] = uavs[0, :2]  # every user's bearing from the state's first position
+    cands[1, :2] = users[0] + rng.uniform(0.2, 3.0) * (uavs[0, :2] - users[0])  # user 0's
+    cands[8] = np.r_[users[k // 2] + 1e-160, 1e-160]  # a short link, not a zero one
+
+    if one_bearing and eps_prior == 0.0:  # rank-1 blocks and no prior: singular
+        with pytest.raises(SingularFim):
+            improvement_matrix(info, step_contribution(cands[2], users, noise))
+        with pytest.raises(SingularFim):
+            improvement_traces(info, cands, users, noise)
+        return
+    traces = improvement_traces(info, cands, users, noise)
     assert traces.shape == (9,)
-    for c in range(9):
-        R = improvement_matrix(info, contribs[c])
-        assert traces[c] == pytest.approx(np.trace(R), rel=1e-12)
+    for c, cand in enumerate(cands):
+        contribs = step_contribution(cand, users, noise)
+        R = improvement_matrix(info, contribs)
+        assert traces[c] == pytest.approx(np.trace(R), rel=1e-12,
+                                          abs=1e-12 * _gain_rounding(info, contribs))
+    if users[-1, 0] == 1e5:  # the far user alone gains exactly 0
+        far_info = InfoState(info.step, info.fim[-2:, -2:], eps_prior)
+        assert np.all(improvement_traces(far_info, cands, users[-1:], noise) == 0.0)
+
+    # a candidate at a user's position on the ground has no link direction
+    ground = np.vstack([cands, np.r_[users[k // 2], 0.0]])
+    with pytest.raises(DegenerateGeometry):
+        step_contribution(ground[-1], users, noise)
+    with pytest.raises(DegenerateGeometry):
+        improvement_traces(info, ground, users, noise)
+    # a NaN user estimate gives a NaN candidate block, refused by both
+    lost = users.copy()
+    lost[k // 2] = np.nan
+    with pytest.raises(SingularFim):
+        improvement_matrix(info, step_contribution(cands[2], lost, noise))
+    with pytest.raises(SingularFim):
+        improvement_traces(info, cands, lost, noise)
+
+
+def test_improvement_traces_carry_the_rank_rule_into_candidate_blocks():
+    # at an eps_prior far below the rounding of its rank-1 blocks A, det(P)
+    # is eps (tr A + eps) by the rank rule. A candidate on the same bearings
+    # keeps every block rank 1: its tr(R) is at the rounding level of the
+    # CRB trace, as improvement_matrix gives it, and it is not refused. Off
+    # those bearings every block gains full rank, and all of tr(P^-1) but
+    # rounding.
+    rng = np.random.default_rng(17)
+    users = rng.uniform(-80, 80, (6, 2))
+    noise = ToaNoiseModel(sigma0=1.25e-8)
+    info = accumulate(initial_info(6, eps_prior=1e-18),
+                      step_contribution([10.0, -5.0, 30.0], users, noise))
+    cands = np.array([[10.0, -5.0, 30.0], [10.0, -5.0, 45.0], [40.0, 20.0, 30.0]])
+    traces, crb = improvement_traces(info, cands, users, noise), crb_trace(info)
+    for c, cand in enumerate(cands):
+        oracle = np.trace(improvement_matrix(info, step_contribution(cand, users, noise)))
+        if c < 2:
+            assert abs(traces[c]) <= 1e-12 * crb and abs(oracle) <= 1e-12 * crb
+        else:
+            assert traces[c] == pytest.approx(oracle, rel=1e-12)
+            assert traces[c] == pytest.approx(crb, rel=1e-12)
+
+
+def _eye_with(entry, value):
+    block = np.eye(2)
+    block[entry] = value
+    return block
+
+
+@pytest.mark.parametrize("block", [_eye_with((0, 0), 0.0)] + [
+    _eye_with(entry, value) for value in (np.nan, np.inf, -np.inf)
+    for entry in ((0, 0), (0, 1), (1, 0), (1, 1))])
+def test_det_refuses_a_zero_pivot_and_non_finite_blocks_without_a_warning(block):
+    # a zero pivot a (at eps_prior 0), an inf or a NaN entry is refused before
+    # any division, so no float warning arises on the way to SingularFim
+    blocks = np.stack([np.eye(2), block, np.eye(2)])
+    info = accumulate(initial_info(3, eps_prior=0.0), blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFim):
+            crb_traces(blocks, 0.0)
+        with pytest.raises(SingularFim):
+            inverse_with_prior(info)
+        with pytest.raises(SingularFim):
+            improvement_traces(info, [[5.0, 0.0, 30.0]], np.zeros((3, 2)), ToaNoiseModel())

@@ -124,7 +124,7 @@ def test_tie_breaks_to_smallest_heading_index(monkeypatch):
     # with all candidates scoring equally, heading 0 must be returned
     import uavloc.planner as planner_mod
     monkeypatch.setattr(planner_mod, "improvement_traces",
-                        lambda info, contribs: np.ones(len(contribs)))
+                        lambda info, uav, user_ests, noise: np.ones(len(uav)))
     st = make_state(step=1, pos=(0, 0, 30), terminal=(0, 0, 30), n_steps=100,
                     d_max=5.0, users=[[0.0, 0.0]])
     wp = next_waypoint(st)
