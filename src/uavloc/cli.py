@@ -17,7 +17,7 @@ import numpy as np
 from . import fim, slam
 from .channel import RngStream
 from .errors import INPUT_ERRORS, NUMERIC_ERRORS, NotConverged, SchemaError
-from .fim import InfoState, crb_traces, initial_info, step_contribution
+from .fim import InfoState, crb_traces, step_contribution
 from .iofiles import (RunConfig, csv_refusal, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
@@ -171,12 +171,9 @@ def _cmd_crb(args) -> int:
     ids = users[:, 0]
     if ids.min() < 1 or np.any(ids % 1) or len(np.unique(ids)) < len(ids):
         raise SchemaError(f"{args.users}: user ids must be distinct integers >= 1")
-    # the information after each step, summed from initial_info's zeros, and
-    # its CRB traces in one pass
+    # the information after each step and its CRB traces in one pass
     contribs = step_contribution(traj[:, 1:], users[:, 1:], rc.scenario.toa_noise)
-    zeros = initial_info(len(users), eps_prior=rc.eps_prior).blocks
-    blocks = np.cumsum(np.concatenate([zeros[None], contribs]), axis=0)[1:]
-    history = crb_traces(blocks, rc.eps_prior).tolist()
+    history = crb_traces(np.cumsum(contribs, axis=0), rc.eps_prior).tolist()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = write_crb_history(history, args.out)

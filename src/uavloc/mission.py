@@ -23,16 +23,15 @@ its schedule. The rest waits for the step that reads it:
   fixed-path mission raises SingularFim at its end, after its solves; a
   greedy one still raises it at step 1, where the planner reads the blocks.
 
-How a mission's solves start: slam.initial_state gives the user estimates at
-the first retained step, for the planner; heard from one position, every
-user keeps its draw there, and the estimator's stream draws nothing after.
-Before every solve slam.basin_start gives each user the best, by the ToA
-sum of squares at the current pose estimates, of its estimate, that
-estimate's mirror image about its track of those poses, and the two points
-of its squared-range fit there; so the one solve of solve_every=0 is not
-left with the step-1 draw but can start from the fit over all its samples,
-much as `uavloc solve` does. Each solve takes its poses from the last one's,
-or from the GPS fixes of steps retained since.
+How a mission's solves start: by the one start rule of the package,
+slam.basin_start's (its docstring states it). slam.initial_state gives the
+user estimates at the first retained step, for the planner; heard from one
+position, every user keeps its draw there, and the estimator's stream draws
+nothing after. Before every solve basin_start applies the rule to the
+estimates at the current pose estimates, so the one solve of solve_every=0
+is not left with the step-1 draw but can start from the fit over all its
+samples, as `uavloc solve` does. Each solve takes its poses from the last
+one's, or from the GPS fixes of steps retained since.
 """
 from __future__ import annotations
 

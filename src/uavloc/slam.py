@@ -524,13 +524,17 @@ def _range_fit(p, ct, user, K: int):
 
 def basin_start(measurements, poses, users) -> np.ndarray:
     """The users (K, 2) to start a solve from, at the pose estimates `poses`
-    (S, 3): for each user, whichever of four candidates has the lowest ToA
-    sum of squares at `poses`, in this order: the user, its mirror image
-    about the principal axis of its track (the horizontal positions of
-    `poses` at its rows), and the two points of its squared-range fit at
-    `poses` (_range_fit). A tie goes to the candidate listed first, and a
-    track without extent (largest singular value at most EXTENT_TOL) keeps
-    the user.
+    (S, 3), given their estimates `users` (K, 2). This is the start rule of
+    every solve: initial_state applies it at the GPS fixes to a random draw,
+    a mission before each solve to its estimates.
+
+    For each user, whichever of four candidates has the lowest ToA sum of
+    squares at `poses`, in this order: the estimate, its mirror image about
+    the principal axis of its track (the horizontal positions of `poses` at
+    its rows), and the two points of its squared-range fit at `poses`
+    (_range_fit; Smith & Abel, IEEE TASSP 1987; Beck, Stoica & Li, IEEE TSP
+    2008). A tie goes to the candidate listed first, and a track without
+    extent (largest singular value at most EXTENT_TOL) keeps the estimate.
 
     A warm start lies where the last solve, over fewer poses, left the
     user; the fit is the global minimum of the squared-range misfit at the
@@ -552,21 +556,15 @@ def basin_start(measurements, poses, users) -> np.ndarray:
 
 
 def initial_state(measurements, rng: np.random.Generator) -> StateVector:
-    """Default initialization: UAV poses from GPS, each user at the better
-    point of its squared-range fit at the GPS poses (_range_fit; Smith &
-    Abel, IEEE TASSP 1987; Beck, Stoica & Li, IEEE TSP 2008).
+    """Default initialization: UAV poses from GPS, users from basin_start at
+    the GPS poses with a draw from `rng` as the estimate.
 
     First K x then K y coordinates are drawn from `rng`, uniform over the
-    GPS-trace horizontal bounding box expanded by INIT_MARGIN meters. Every
-    user whose track, the horizontal GPS fixes of its rows, has extent
-    (largest singular value of the centred track above EXTENT_TOL) takes
-    whichever of the fit and its mirror image about the track's principal
-    axis has the lower ToA sum of squares at the GPS poses, the fit on an
-    exact tie. A user without extent keeps its draw, and so does one whose
-    chosen point lies outside the widened box: on a track barely longer than
-    EXTENT_TOL the fit has no useful bound. So the draw decides only those
-    users, and on a log of one pose, the first step of a mission, every
-    user: there no fit is made.
+    GPS-trace horizontal bounding box expanded by INIT_MARGIN meters. A user
+    whose point from basin_start lies outside that box keeps its draw: on a
+    track barely longer than EXTENT_TOL the fit has no useful bound. On a
+    log of one pose, the first step of a mission, no track has extent and
+    every user keeps its draw without a fit.
     """
     log = _nonempty_log(measurements)
     gps, K = log.pose_gps, len(log.user_ids)
@@ -575,11 +573,6 @@ def initial_state(measurements, rng: np.random.Generator) -> StateVector:
     drawn = np.column_stack([rng.uniform(lo[0], hi[0], K), rng.uniform(lo[1], hi[1], K)])
     if len(gps) == 1:  # heard from one pose, no track has extent
         return StateVector(uav=gps.copy(), users=drawn)
-
-    user, p = log.user, np.take(gps, log.pose, axis=0)
-    ct = SPEED_OF_LIGHT * log.toa
-    (_, _, _, (big, _), _, _), fit = _range_fit(p, ct, user, K)
-    best = fit[np.argmin(_range_misfit(p, ct, user, fit), axis=0), np.arange(K)]
-    inside = np.all((best >= lo) & (best <= hi), axis=1)
-    users = np.where(((big > EXTENT_TOL ** 2) & inside)[:, None], best, drawn)
-    return StateVector(uav=gps.copy(), users=users)
+    users = basin_start(log, gps, drawn)
+    inside = np.all((users >= lo) & (users <= hi), axis=1)
+    return StateVector(uav=gps.copy(), users=np.where(inside[:, None], users, drawn))

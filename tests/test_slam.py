@@ -666,15 +666,19 @@ def reference_fit(p, ct):
 
 
 def reference_start(log, drawn):
-    """initial_state's users computed one user at a time: of reference_fit's
-    two points, the one with the lower ToA sum of squares, if it lies in the
-    GPS box widened by 50 m."""
+    """initial_state's users computed one user at a time: of the draw, its
+    mirror image about the SVD normal of the track and reference_fit's two
+    points, in that order, the one with the lowest ToA sum of squares (the
+    earlier on a tie), if it lies in the GPS box widened by 50 m."""
     users = drawn.copy()
     for j in range(len(log.user_ids)):
         p, ct = log.pose_gps[log.pose[log.user == j]], C * log.toa[log.user == j]
-        if np.linalg.svd(p[:, :2] - p[:, :2].mean(axis=0), compute_uv=False)[0] <= 1e-9:
+        q = p[:, :2] - p[:, :2].mean(axis=0)
+        if np.linalg.svd(q, compute_uv=False)[0] <= 1e-9:
             continue
-        cands = reference_fit(p, ct)
+        normal = np.linalg.svd(q)[2][1]
+        mirror = drawn[j] - 2 * ((drawn[j] - p[:, :2].mean(axis=0)) @ normal) * normal
+        cands = [drawn[j], mirror, *reference_fit(p, ct)]
         cost = [np.sum((ct - np.linalg.norm(p - np.append(c, 0.0), axis=1)) ** 2) for c in cands]
         best = cands[int(np.argmin(cost))]
         lo, hi = log.pose_gps[:, :2].min(axis=0) - 50.0, log.pose_gps[:, :2].max(axis=0) + 50.0
@@ -744,6 +748,16 @@ def test_start_lies_in_the_widened_box_and_raises_no_float_warning(log, seed):
     lo, hi = log.pose_gps[:, :2].min(axis=0) - 50.0, log.pose_gps[:, :2].max(axis=0) + 50.0
     assert np.all((lo <= start.users) & (start.users <= hi))
     np.testing.assert_array_equal(start.uav, log.pose_gps)
+    # the draw competes as the estimate: a user that leaves it fits the ToA
+    # delays at the GPS fixes no worse than the draw does
+    drawn = drawn_start(log.pose_gps, len(log.user_ids), seed).users
+    p, ct = log.pose_gps[log.pose], C * log.toa
+
+    def toa_ssq(users):
+        miss = ct - np.linalg.norm(p - np.column_stack([users[log.user], np.zeros(len(p))]), axis=1)
+        return np.bincount(log.user, miss ** 2, len(users))
+    moved = np.any(start.users != drawn, axis=1)
+    assert np.all(toa_ssq(start.users)[moved] <= toa_ssq(drawn)[moved] * (1 + 1e-12))
 
 
 # --- _range_fit ---
