@@ -150,7 +150,9 @@ def improvement_matrix(info: InfoState, contribs: np.ndarray) -> np.ndarray:
     """Information gain at the next step: R = F_prev^-1 - (F_prev + sum H)^-1,
     as a dense (2K, 2K) matrix.
 
-    Satisfies F_n^-1 = F_{n-1}^-1 - R exactly and is symmetric PSD.
+    Satisfies F_n^-1 = F_{n-1}^-1 - R and is symmetric PSD; as the difference
+    of two inverses of size about 1/eps_prior, its tr(R) is off by up to
+    1.0e-7 relative against exact arithmetic (improvement_traces: 1.9e-12).
     """
     blocks, eps = info.blocks, info.eps_prior
     return _dense(_inv_blocks(blocks, eps) - _inv_blocks(blocks + contribs, eps))

@@ -1,20 +1,18 @@
 """Closed-loop mission orchestration: move, keep steps delta_keep apart,
 measure, estimate, plan. Also Monte Carlo batches and error metrics.
 
-A mission is fully deterministic given its scenario: measurement noise comes
-from one numpy PCG64 Generator seeded with scenario.seed, the user-position
-initialization of the solver from a second one seeded by a SeedSequence
-spawned from the same seed.
+A mission is fully deterministic given its scenario: all its noise comes
+from one numpy PCG64 Generator seeded with scenario.seed.
 
 What runs when. Every step takes a GPS fix and, on the greedy path, plans
 the next waypoint against the Fisher information. A retained step measures
 its K links in one sample_toa call and adds its Fisher blocks
 (step_contribution, accumulate), which the planner reads; a solve follows on
 its schedule. The rest waits for the step that reads it:
-- The log is read at the first retained step (slam.initial_state), by each
-  solve and by the result. On the NR path its rows hold sample_toa's delays
-  until then; each read estimates the rows not yet estimated in one
-  estimate_toa_nr call, with the drift offset of each row's step.
+- The log is read at the first retained step, by each solve and by the
+  result. On the NR path its rows hold sample_toa's delays until then;
+  each read estimates the rows not yet estimated in one estimate_toa_nr
+  call, with the drift offset of each row's step.
 - The log is a step-major grid: row i is retained step i // K and user
   i % K, so the mission gives each read its index layout
   (MeasurementLog.with_layout); nothing derives it.
@@ -23,15 +21,14 @@ its schedule. The rest waits for the step that reads it:
   fixed-path mission raises SingularFim at its end, after its solves; a
   greedy one still raises it at step 1, where the planner reads the blocks.
 
-How a mission's solves start: by the one start rule of the package,
-slam.basin_start's (its docstring states it). slam.initial_state gives the
-user estimates at the first retained step, for the planner; heard from one
-position, every user keeps its draw there, and the estimator's stream draws
-nothing after. Before every solve basin_start applies the rule to the
-estimates at the current pose estimates, so the one solve of solve_every=0
-is not left with the step-1 draw but can start from the fit over all its
-samples, as `uavloc solve` does. Each solve takes its poses from the last
-one's, or from the GPS fixes of steps retained since.
+How a mission's estimates start. At the first retained step each user k
+lies on its measured range circle along the planned track, u_k = f_xy +
+h_k e: f is that step's GPS fix, h_k = sqrt(max((C tau_k)^2 - f_z^2, 0))
+and e the horizontal unit vector from uav_start to uav_terminal, or (1, 0)
+where they coincide. Every solve starts by slam.basin_start's rule at the
+current pose estimates, so the one solve of solve_every=0 can start from the
+fit over all its samples, as `uavloc solve` does. Each solve takes its poses
+from the last one's, or from the GPS fixes of steps retained since.
 """
 from __future__ import annotations
 
@@ -48,8 +45,8 @@ from .errors import InvalidParam
 from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_traces, initial_info, step_contribution
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .fim import crb_trace  # noqa: F401
-from .model import (REACH_SLACK, MeasurementLog, Scenario, require_int, require_number,
-                    validate_scenario)
+from .model import (REACH_SLACK, SPEED_OF_LIGHT, MeasurementLog, Scenario, require_int,
+                    require_number, validate_scenario)
 from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
 
@@ -127,9 +124,8 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     fixed waypoints. toa_path: "ideal" (Gaussian channel noise only) or
     "nr" (quantized through the NR timing-advance + SRS procedure).
     solve_every: re-solve SLAM every m retained steps; 0 means only at the
-    end of the mission. Every solve starts from slam.basin_start (the module
-    docstring says how). Every draw comes from scenario.seed: the estimator's
-    stream draws only at the first retained step, in slam.initial_state.
+    end of the mission. The module docstring says how the estimates and
+    every solve start; only the noise is drawn, from scenario.seed.
     A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
     every hop within d_max.
     Per retained step the mission measures, accumulates the Fisher blocks
@@ -169,8 +165,9 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         raise InvalidParam("mode", "must be 'greedy' or an (N, 3) path")
 
     rng = RngStream(s.seed)
-    # the estimator's stream: a child of the seed, so measurement draws never shift it
-    est_rng = RngStream(np.random.SeedSequence(entropy=s.seed, spawn_key=(1,)))
+    # the planned direction of travel, along which the first estimates lie
+    track = s.uav_terminal.as_array()[:2] - s.uav_start.as_array()[:2]
+    heading = track / np.hypot(*track) if track.any() else np.array([1.0, 0.0])
 
     cfg = slam_cfg or slam.SlamConfig.for_scenario(s)
     drift = SawtoothDrift(s.toa_noise.drift_rate, s.toa_noise.drift_reset_period)
@@ -239,8 +236,9 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
             log.step[rows] = n
             log.gps[rows] = gps_trace[n - 1]
             log.toa[rows] = sample_toa(p, users, s.toa_noise, s.buildings, rng)
-            if u_est is None:
-                u_est = slam.initial_state(read_samples(), est_rng).users
+            if u_est is None:  # each user on its range circle about the first fix
+                f, ct = gps_trace[n - 1], SPEED_OF_LIGHT * read_samples().toa
+                u_est = f[:2] + np.sqrt(np.maximum(ct ** 2 - f[2] ** 2, 0.0))[:, None] * heading
             if solve_every and len(retained) % solve_every == 0:
                 do_solve()
             info = accumulate(info, step_contribution(p, u_est, s.toa_noise))

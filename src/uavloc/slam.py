@@ -556,23 +556,21 @@ def basin_start(measurements, poses, users) -> np.ndarray:
 
 
 def initial_state(measurements, rng: np.random.Generator) -> StateVector:
-    """Default initialization: UAV poses from GPS, users from basin_start at
-    the GPS poses with a draw from `rng` as the estimate.
+    """Default initialization of a recorded log (`uavloc solve`): UAV poses
+    from GPS, users from basin_start at the GPS poses with a draw from `rng`
+    as the estimate. A mission does not call it.
 
     First K x then K y coordinates are drawn from `rng`, uniform over the
     GPS-trace horizontal bounding box expanded by INIT_MARGIN meters. A user
     whose point from basin_start lies outside that box keeps its draw: on a
-    track barely longer than EXTENT_TOL the fit has no useful bound. On a
-    log of one pose, the first step of a mission, no track has extent and
-    every user keeps its draw without a fit.
+    track barely longer than EXTENT_TOL the fit has no useful bound. A user
+    without track extent, every user of a one-pose log, keeps its draw.
     """
     log = _nonempty_log(measurements)
     gps, K = log.pose_gps, len(log.user_ids)
     lo = gps[:, :2].min(axis=0) - INIT_MARGIN
     hi = gps[:, :2].max(axis=0) + INIT_MARGIN
     drawn = np.column_stack([rng.uniform(lo[0], hi[0], K), rng.uniform(lo[1], hi[1], K)])
-    if len(gps) == 1:  # heard from one pose, no track has extent
-        return StateVector(uav=gps.copy(), users=drawn)
     users = basin_start(log, gps, drawn)
     inside = np.all((users >= lo) & (users <= hi), axis=1)
     return StateVector(uav=gps.copy(), users=np.where(inside[:, None], users, drawn))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from uavloc import mission, nrtiming, slam
 from uavloc.errors import InvalidParam, SingularFim
 from uavloc.mission import (circle_path, compute_metrics, monte_carlo,
                             run_mission, straight_line_path)
+from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import (MeasurementLog, Scenario, ToaNoiseModel, Vec2, Vec3)
 from uavloc.planner import reach_threshold
 from uavloc.slam import SlamConfig
@@ -124,19 +127,104 @@ def test_one_solve_at_the_end_starts_in_the_true_basin():
     assert summary.stats["user_rmse"]["median"] <= 5.0
 
 
-@pytest.mark.parametrize("solve_every", [0, 1, 5])
-def test_initial_state_runs_once_at_the_first_step(monkeypatch, solve_every):
-    # one start at step 1, for the planner; every solve, the first too,
-    # starts from basin_start, whose squared-range fit needs no draw
-    rows = []
-    start = slam.initial_state
+def first_estimates(monkeypatch, s, mode="greedy", **kw):
+    """The user estimates the first step_contribution of a mission reads,
+    before any solve at solve_every != 1, and the mission's result."""
+    seen = []
+    contribution = mission.step_contribution
 
-    def counted(samples, rng):
-        rows.append(len(samples))
-        return start(samples, rng)
-    monkeypatch.setattr(slam, "initial_state", counted)
-    run_mission(sigma_gps_scenario(), "greedy", solve_every=solve_every)
-    assert rows == [6]
+    def recorded(p, users, noise):
+        seen.append(np.array(users))
+        return contribution(p, users, noise)
+    monkeypatch.setattr(mission, "step_contribution", recorded)
+    res = run_mission(s, mode, **kw)
+    return seen[0], res
+
+
+def range_circle_start(fix, toa, start, terminal):
+    """u_k = f_xy + h_k e, h_k = sqrt(max((C tau_k)^2 - f_z^2, 0)) and e the
+    horizontal unit vector from start to terminal, (1, 0) where they meet."""
+    track = np.subtract(terminal[:2], start[:2])
+    e = track / np.linalg.norm(track) if np.any(track) else np.array([1.0, 0.0])
+    h = np.sqrt(np.clip((C * toa) ** 2 - fix[2] ** 2, 0.0, None))
+    return fix[:2] + np.outer(h, e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), num_users=st.integers(1, 4),
+       bearing=st.sampled_from([None, 0.0, 45.0, 90.0, 180.0, 200.0]),
+       solve_every=st.sampled_from([0, 2, 5]), fixed=st.booleans(), nr=st.booleans())
+def test_first_estimates_lie_on_the_range_circles_along_the_planned_track(
+        seed, num_users, bearing, solve_every, fixed, nr):
+    # at the first retained step each user lies on its range circle about
+    # the step-1 GPS fix, along uav_start -> uav_terminal (or +x on a loop),
+    # at the delays as read: NR-estimated on the NR path
+    rng = np.random.default_rng(seed)
+    start = np.array([-10.0, 5.0, 30.0])
+    if bearing is None:  # a loop: start and terminal meet horizontally
+        terminal = start + [0.0, 0.0, 5.0]
+    else:
+        a = np.radians(bearing)
+        terminal = start + [40.0 * np.cos(a), 40.0 * np.sin(a), 0.0]
+    s = Scenario(users=tuple(Vec2(*u) for u in rng.uniform(-30.0, 30.0, (num_users, 2))),
+                 uav_start=Vec3(*start), uav_terminal=Vec3(*terminal), mission_steps=12,
+                 d_max=8.0, toa_noise=ToaNoiseModel(drift_rate=3e-9, drift_reset_period=4),
+                 seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        users, res = first_estimates(mp, s, straight_line_path(s) if fixed else "greedy",
+                                     toa_path="nr" if nr else "ideal",
+                                     solve_every=solve_every)
+    want = range_circle_start(res.gps[0], res.samples.toa[:num_users], start, terminal)
+    np.testing.assert_allclose(users, want, rtol=1e-12, atol=1e-9)
+    if bearing is None:
+        assert np.all(users[:, 1] == res.gps[0, 1]) and np.all(users[:, 0] >= res.gps[0, 0])
+
+
+def test_first_estimates_sit_at_the_fix_where_the_range_is_below_the_altitude(monkeypatch):
+    # a delay shorter than the altitude gives h = 0: the user sits under the fix
+    sample = mission.sample_toa
+    calls = []
+
+    def short_first(p, users, noise, buildings, rng):
+        toa = sample(p, users, noise, buildings, rng)
+        if not calls:
+            toa[0] = 10.0 / C  # 10 m, under the 30 m altitude
+        calls.append(1)
+        return toa
+    monkeypatch.setattr(mission, "sample_toa", short_first)
+    s = sigma_gps_scenario()
+    users, res = first_estimates(monkeypatch, s, solve_every=0)
+    np.testing.assert_array_equal(users[0], res.gps[0, :2])
+    assert np.all(users[1:, 1] == res.gps[0, 1]) and np.all(users[1:, 0] >= res.gps[0, 0])
+
+
+def test_first_nr_estimates_read_the_estimated_delays(monkeypatch):
+    # the NR path reads each delay through the NR estimate, not sample_toa's draw
+    s = replace(sigma_gps_scenario(), toa_noise=ToaNoiseModel(drift_rate=3e-9))
+    raw = []
+    sample = mission.sample_toa
+
+    def recorded(*args):
+        raw.append(sample(*args))
+        return raw[-1].copy()
+    monkeypatch.setattr(mission, "sample_toa", recorded)
+    users, res = first_estimates(monkeypatch, s, toa_path="nr", solve_every=0)
+    start, terminal = s.uav_start.as_array(), s.uav_terminal.as_array()
+    estimated = res.samples.toa[:len(s.users)]
+    assert np.all(estimated != raw[0])
+    np.testing.assert_allclose(users, range_circle_start(res.gps[0], estimated, start, terminal),
+                               rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("solve_every", [0, 1, 5])
+@pytest.mark.parametrize("toa_path", ["ideal", "nr"])
+def test_a_mission_draws_no_start(monkeypatch, solve_every, toa_path):
+    # a mission neither calls initial_state nor spawns a second random stream
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mission drew a start")
+    monkeypatch.setattr(slam, "initial_state", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    run_mission(sigma_gps_scenario(), "greedy", toa_path=toa_path, solve_every=solve_every)
 
 
 def test_every_solve_starts_from_the_basin_start(monkeypatch):
@@ -220,27 +308,26 @@ def test_online_workload_estimates_toa_once_per_read_and_traces_the_history_once
        solve_every=st.integers(0, 4), fixed=st.booleans(), nr=st.booleans())
 def test_mission_logs_carry_the_layout_their_columns_give(seed, num_users, n_steps, delta,
                                                           solve_every, fixed, nr):
-    # the layout the mission gives each log it hands on (to initial_state, to
-    # every solve and in the result) is, entry for entry and read-only, the
-    # one MeasurementLog derives from the same columns
+    # the layout the mission gives each log it hands on (to every solve and
+    # in the result) is, entry for entry and read-only, the one
+    # MeasurementLog derives from the same columns
     rng = np.random.default_rng(seed)
     s = Scenario(users=tuple(Vec2(*u) for u in rng.uniform(-30.0, 30.0, (num_users, 2))),
                  uav_start=Vec3(-20.0, 0.0, 30.0), uav_terminal=Vec3(20.0, 0.0, 30.0),
                  mission_steps=n_steps, d_max=8.0, delta_keep=delta,
                  toa_noise=ToaNoiseModel(drift_rate=3e-9, drift_reset_period=4), seed=seed)
     logs = []
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("initial_state", "solve_slam"):
-            fn = getattr(slam, name)
+    solve = slam.solve_slam
 
-            def recorded(first, second, *args, _fn=fn, _name=name):
-                logs.append(first if _name == "initial_state" else second)
-                return _fn(first, second, *args)
-            mp.setattr(slam, name, recorded)
+    def recorded(init, samples, cfg):
+        logs.append(samples)
+        return solve(init, samples, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slam, "solve_slam", recorded)
         res = run_mission(s, straight_line_path(s) if fixed else "greedy",
                           toa_path="nr" if nr else "ideal", solve_every=solve_every)
     logs.append(res.samples)
-    assert len(logs) >= 3
+    assert len(logs) >= 2
     for log in logs:
         derived = MeasurementLog(log.step, log.user_id, log.gps, log.toa)
         assert log.steps == derived.steps and log.user_ids == derived.user_ids
