@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import fim, slam
-from .channel import RngStream
 from .errors import INPUT_ERRORS, NUMERIC_ERRORS, NotConverged, SchemaError
 from .fim import InfoState, crb_traces, step_contribution
 from .iofiles import (RunConfig, csv_refusal, export_results, parse_run_config,
@@ -71,7 +70,7 @@ def _cmd_solve(args) -> int:
     samples = read_measurement_log(_read_text(args.log))
     if not samples:
         raise SchemaError("measurement log contains no rows")
-    init = slam.initial_state(samples, RngStream(rc.scenario.seed))
+    init = slam.initial_state(samples)
     slam.check_identifiability(samples)
     state, report = slam.solve_slam(init, samples, rc.slam)
     if not report.converged:
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("solve", help="SLAM estimate from a measurement log")
-    common(sp)
+    common(sp, seed=False)
     sp.add_argument("--log", required=True, help="measurement log CSV")
     sp.set_defaults(func=_cmd_solve)
 

@@ -21,14 +21,14 @@ its schedule. The rest waits for the step that reads it:
   fixed-path mission raises SingularFim at its end, after its solves; a
   greedy one still raises it at step 1, where the planner reads the blocks.
 
-How a mission's estimates start. At the first retained step each user k
-lies on its measured range circle along the planned track, u_k = f_xy +
-h_k e: f is that step's GPS fix, h_k = sqrt(max((C tau_k)^2 - f_z^2, 0))
-and e the horizontal unit vector from uav_start to uav_terminal, or (1, 0)
-where they coincide. Every solve starts by slam.basin_start's rule at the
-current pose estimates, so the one solve of solve_every=0 can start from the
-fit over all its samples, as `uavloc solve` does. Each solve takes its poses
-from the last one's, or from the GPS fixes of steps retained since.
+How a mission's estimates start. At the first retained step each user
+lies on its measured range circle about that step's GPS fix, along the
+planned track from uav_start to uav_terminal: slam.range_circle_start, the
+one first-estimate rule, which `uavloc solve` applies to a log too. Every
+solve starts by slam.basin_start's rule at the current pose estimates, so
+the one solve of solve_every=0 can start from the fit over all its samples,
+as `uavloc solve` does. Each solve takes its poses from the last one's, or
+from the GPS fixes of steps retained since.
 """
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ from .errors import InvalidParam
 from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_traces, initial_info, step_contribution
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .fim import crb_trace  # noqa: F401
-from .model import (REACH_SLACK, SPEED_OF_LIGHT, MeasurementLog, Scenario, require_int,
-                    require_number, validate_scenario)
+from .model import (REACH_SLACK, MeasurementLog, Scenario, require_int, require_number,
+                    validate_scenario)
 from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
 
@@ -124,8 +124,9 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     fixed waypoints. toa_path: "ideal" (Gaussian channel noise only) or
     "nr" (quantized through the NR timing-advance + SRS procedure).
     solve_every: re-solve SLAM every m retained steps; 0 means only at the
-    end of the mission. The module docstring says how the estimates and
-    every solve start; only the noise is drawn, from scenario.seed.
+    end of the mission. The first estimates are slam.range_circle_start
+    along the planned track, and the module docstring says how every solve
+    starts; only the noise is drawn, from scenario.seed.
     A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
     every hop within d_max.
     Per retained step the mission measures, accumulates the Fisher blocks
@@ -165,9 +166,6 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         raise InvalidParam("mode", "must be 'greedy' or an (N, 3) path")
 
     rng = RngStream(s.seed)
-    # the planned direction of travel, along which the first estimates lie
-    track = s.uav_terminal.as_array()[:2] - s.uav_start.as_array()[:2]
-    heading = track / np.hypot(*track) if track.any() else np.array([1.0, 0.0])
 
     cfg = slam_cfg or slam.SlamConfig.for_scenario(s)
     drift = SawtoothDrift(s.toa_noise.drift_rate, s.toa_noise.drift_reset_period)
@@ -236,9 +234,9 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
             log.step[rows] = n
             log.gps[rows] = gps_trace[n - 1]
             log.toa[rows] = sample_toa(p, users, s.toa_noise, s.buildings, rng)
-            if u_est is None:  # each user on its range circle about the first fix
-                f, ct = gps_trace[n - 1], SPEED_OF_LIGHT * read_samples().toa
-                u_est = f[:2] + np.sqrt(np.maximum(ct ** 2 - f[2] ** 2, 0.0))[:, None] * heading
+            if u_est is None:  # each user on its range circle along the planned track
+                track = s.uav_terminal.as_array()[:2] - s.uav_start.as_array()[:2]
+                u_est = slam.range_circle_start(read_samples(), track)
             if solve_every and len(retained) % solve_every == 0:
                 do_solve()
             info = accumulate(info, step_contribution(p, u_est, s.toa_noise))

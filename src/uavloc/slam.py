@@ -328,8 +328,6 @@ REL_DECREASE_TOL = 1e-12
 # The damping of the first trial step, and the damping beyond which a solve
 # that finds no step that does not raise f gives up.
 LAMBDA_INIT, LAMBDA_MAX = 1e-4, 1e8
-# meters by which initial_state widens the GPS bounding box it draws users from
-INIT_MARGIN = 50.0
 
 
 def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
@@ -522,11 +520,26 @@ def _range_fit(p, ct, user, K: int):
     return tracks, np.array([point + offset, point - offset])
 
 
+def range_circle_start(measurements, track) -> np.ndarray:
+    """Each user (K, 2) on its measured range circle along `track` (2,): f_xy
+    + h e, with f the GPS fix and tau the delay of the user's earliest row
+    (the first in log order at its lowest step), h = sqrt(max((C tau)^2 -
+    f_z^2, 0)) and e = track / |track|, or (1, 0) where track is zero."""
+    log = _nonempty_log(measurements)
+    # the rows by user, then step, then log order; each user's first is its earliest
+    order = np.argsort(log.user * len(log.steps) + log.pose, kind="stable")
+    count = np.bincount(log.user, minlength=len(log.user_ids))
+    first = order[np.cumsum(count) - count]
+    f, ct = log.pose_gps[log.pose[first]], SPEED_OF_LIGHT * log.toa[first]
+    heading = track / np.hypot(*track) if np.any(track) else np.array([1.0, 0.0])
+    return f[:, :2] + np.sqrt(np.maximum(ct ** 2 - f[:, 2] ** 2, 0.0))[:, None] * heading
+
+
 def basin_start(measurements, poses, users) -> np.ndarray:
     """The users (K, 2) to start a solve from, at the pose estimates `poses`
     (S, 3), given their estimates `users` (K, 2). This is the start rule of
-    every solve: initial_state applies it at the GPS fixes to a random draw,
-    a mission before each solve to its estimates.
+    every solve: initial_state applies it at the GPS fixes to
+    range_circle_start, a mission before each solve to its estimates.
 
     For each user, whichever of four candidates has the lowest ToA sum of
     squares at `poses`, in this order: the estimate, its mirror image about
@@ -555,22 +568,11 @@ def basin_start(measurements, poses, users) -> np.ndarray:
     return cand[best, np.arange(K)]
 
 
-def initial_state(measurements, rng: np.random.Generator) -> StateVector:
-    """Default initialization of a recorded log (`uavloc solve`): UAV poses
-    from GPS, users from basin_start at the GPS poses with a draw from `rng`
-    as the estimate. A mission does not call it.
-
-    First K x then K y coordinates are drawn from `rng`, uniform over the
-    GPS-trace horizontal bounding box expanded by INIT_MARGIN meters. A user
-    whose point from basin_start lies outside that box keeps its draw: on a
-    track barely longer than EXTENT_TOL the fit has no useful bound. A user
-    without track extent, every user of a one-pose log, keeps its draw.
-    """
+def initial_state(measurements, rng=None) -> StateVector:
+    """Default start of a recorded log (`uavloc solve`): the poses at their
+    GPS fixes, the users by basin_start there from range_circle_start along
+    the GPS track. Nothing is drawn; `rng` is deprecated and ignored."""
     log = _nonempty_log(measurements)
-    gps, K = log.pose_gps, len(log.user_ids)
-    lo = gps[:, :2].min(axis=0) - INIT_MARGIN
-    hi = gps[:, :2].max(axis=0) + INIT_MARGIN
-    drawn = np.column_stack([rng.uniform(lo[0], hi[0], K), rng.uniform(lo[1], hi[1], K)])
-    users = basin_start(log, gps, drawn)
-    inside = np.all((users >= lo) & (users <= hi), axis=1)
-    return StateVector(uav=gps.copy(), users=np.where(inside[:, None], users, drawn))
+    gps = log.pose_gps
+    users = range_circle_start(log, gps[-1, :2] - gps[0, :2])
+    return StateVector(uav=gps.copy(), users=basin_start(log, gps, users))

@@ -10,8 +10,7 @@ from uavloc.channel import (RngStream, is_blocked, link_geometry, los_delay,
                             sample_gps, sample_toa, sigma_tau_of_distance)
 from uavloc.errors import DegenerateGeometry
 from uavloc.model import SPEED_OF_LIGHT as C
-from uavloc.model import AxisBox, MeasurementLog, ToaNoiseModel, Vec2, Vec3
-from uavloc.slam import initial_state
+from uavloc.model import AxisBox, ToaNoiseModel, Vec2, Vec3
 
 
 # --- los_delay ---
@@ -356,14 +355,10 @@ def test_rng_stream_is_numpys_pcg64_generator(seed):
     np.testing.assert_array_equal(rng.uniform(-3.0, 5.0, 50), ref.uniform(-3.0, 5.0, 50))
 
     m = ToaNoiseModel(kind="constant", sigma0=1e-8, nlos_scale=3e-8)
-    log = MeasurementLog(step=np.array([1, 1, 2, 2]), user_id=np.array([1, 2, 1, 2]),
-                         gps=np.array([[0.0, 0, 30], [0, 0, 30], [5, 1, 30], [5, 1, 30]]),
-                         toa=np.full(4, 1e-7))
 
     def draws(rng):
         return (sample_gps(Vec3(5, 5, 5), 2.0, rng),
-                sample_toa(Vec3(0, 0, 30), STEP_USERS, m, [WALL], rng),  # two links blocked
-                initial_state(log, rng).users)
+                sample_toa(Vec3(0, 0, 30), STEP_USERS, m, [WALL], rng))  # two links blocked
     for got, want in zip(draws(RngStream(seed)), draws(pcg64())):
         np.testing.assert_array_equal(got, want)
 

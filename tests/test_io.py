@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import uavloc
-from uavloc.channel import RngStream, los_delay
+from uavloc.channel import los_delay
 from uavloc.cli import _load_config, _planner_state, build_parser, main
 from uavloc.errors import InvalidParam, ParseError, RowError, SchemaError, UnknownKey
 from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
@@ -739,19 +739,6 @@ def test_cli_simulate_seed_replaces_scenario_seed(tmp_path, capsys, mode, toa):
     assert with_flag != simulate(7)
 
 
-def test_cli_solve_seed_replaces_scenario_seed(tmp_path, capsys, measurement_log):
-    # the seed draws only some users' starts, so the stream it seeds is checked too
-    def solve(seed, argv=()):
-        out = tmp_path / f"solve{seed}{len(argv)}"
-        with mock.patch("uavloc.cli.RngStream", wraps=RngStream) as rng:
-            assert main(["solve", "--scenario", _seeded_config(tmp_path, seed), "--log",
-                         measurement_log, "--json", "--out", str(out), *argv]) == 0
-        rng.assert_called_once_with(3)
-        return capsys.readouterr().out, (out / "solution.json").read_bytes()
-
-    assert solve(7, ["--seed", "3"]) == solve(3)
-
-
 def test_cli_solve_reads_the_layout_once(scenario_file, measurement_log, capsys):
     # one np.unique per index (steps, user ids) and one for repeated
     # (step, user_id) pairs, all in the reader; the solver and the output
@@ -964,7 +951,7 @@ def test_cli_bad_document_exits_2(tmp_path, capsys, text, keys):
 
 # --seed exists only on the subcommands that draw numbers
 NEGATIVE_SEEDS = ([("config", c) for c in ("simulate", "solve", "plan", "crb", "mc")]
-                  + [("option", c) for c in ("simulate", "solve", "mc")])
+                  + [("option", c) for c in ("simulate", "mc")])
 
 
 @pytest.mark.parametrize("where, command", NEGATIVE_SEEDS,
@@ -977,7 +964,7 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys, measurement_log, command, w
     assert "'seed'" in _input_error(capsys, [command, "--scenario", str(cfg)] + args + seed)
 
 
-@pytest.mark.parametrize("command", ["plan", "crb"])
+@pytest.mark.parametrize("command", ["solve", "plan", "crb"])
 def test_cli_seed_option_is_a_usage_error_where_nothing_is_drawn(tmp_path, capsys, scenario_file,
                                                                  measurement_log, command):
     argv = [command, "--scenario", scenario_file] + _command_args(command, tmp_path,
@@ -1136,15 +1123,15 @@ def test_cli_solve_not_converged_exits_3(tmp_path, capsys, readme_run):
     assert not (out / "solution.json").exists()
 
 
-def test_cli_solve_output_does_not_depend_on_the_seed(readme_run, capsys):
-    # every user of the README log is heard from a track with extent, so the
-    # start draws nothing that the solve keeps
-    scenario, log = readme_run
+def test_cli_solve_output_does_not_depend_on_the_seed(readme_run, tmp_path, capsys):
+    # the start draws nothing, so the config's seed does not move the output
+    log = readme_run[1]
 
     def solve(seed):
+        cfg = tmp_path / f"seed{seed}.yaml"
+        cfg.write_text(README_CONFIG.replace("seed: 7", f"seed: {seed}"))
         capsys.readouterr()
-        assert main(["solve", "--scenario", scenario, "--log", log, "--json",
-                     "--seed", str(seed)]) == 0
+        assert main(["solve", "--scenario", str(cfg), "--log", log, "--json"]) == 0
         return capsys.readouterr().out
 
     assert solve(1) == solve(2)

@@ -14,8 +14,8 @@ from uavloc.model import MeasurementLog, MeasurementSample, ToaNoiseModel, Vec3
 from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
                          assemble_normal_equations, basin_start, check_identifiability,
                          gauss_newton_step, measurement_weights, objective,
-                         initial_state, objective_terms, residuals, solve_slam,
-                         toa_jacobian_row)
+                         initial_state, objective_terms, range_circle_start, residuals,
+                         solve_slam, toa_jacobian_row)
 from uavloc.slam import _range_fit
 
 
@@ -558,7 +558,7 @@ CROSS = np.array([[40.0, 0.0, 30.0], [0.0, 40.0, 30.0], [-40.0, 0.0, 30.0], [0.0
 @pytest.mark.parametrize("uavs", [circle(16), CROSS], ids=["circle", "cross"])
 def test_start_recovers_a_noise_free_log(uavs):
     users = np.array(ID_USERS + [np.array([70.0, 65.0])])
-    start = initial_state(make_samples(uavs, list(users)), RngStream(3))
+    start = initial_state(make_samples(uavs, list(users)))
     np.testing.assert_allclose(start.users, users, rtol=0, atol=1e-6)
     np.testing.assert_array_equal(start.uav, uavs)
 
@@ -567,57 +567,111 @@ def test_start_recovers_a_noise_free_log(uavs):
 def test_start_on_a_straight_track_ignores_the_seed(along):
     # the track lies on an axis at one altitude, so the mirror images of a
     # user give bit-identical ranges and the ToA objective cannot tell them
-    # apart: the start takes the fit's first image whatever the draw
+    # apart: the start takes the fit's first image
     order = [along, 1 - along]
     uavs, users = straight(8)[:, order + [2]], np.array(ID_USERS)[:, order]
     across = 1 - along
     samples = make_samples(uavs, list(users))
-    draws = [drawn_start(uavs, len(users), seed).users for seed in (0, 1)]
-    assert np.any(np.sign(draws[0][:, across]) != np.sign(draws[1][:, across]))
-    starts = [initial_state(samples, RngStream(seed)).users for seed in (0, 1)]
-    np.testing.assert_array_equal(starts[0], starts[1])
+    start = initial_state(samples).users
     log = MeasurementLog.of(samples)
     fit = _range_fit(uavs[log.pose], C * log.toa, log.user, len(users))[1]
-    np.testing.assert_array_equal(starts[0], fit[0])
-    np.testing.assert_allclose(np.abs(starts[0]), np.abs(users), rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(start, fit[0])
+    np.testing.assert_allclose(np.abs(start), np.abs(users), rtol=0, atol=1e-6)
     cfg = SlamConfig()
     for k in range(len(users)):
-        mirrored = starts[0].copy()
+        mirrored = start.copy()
         mirrored[k, across] *= -1
         assert (objective(StateVector(uavs, mirrored), samples, cfg)
-                == objective(StateVector(uavs, starts[0]), samples, cfg))
+                == objective(StateVector(uavs, start), samples, cfg))
 
 
-def test_start_keeps_the_draw_of_a_user_without_track_extent():
-    # a one-pose log: no user has extent
-    one_pose = make_samples(circle(1), ID_USERS)
-    for seed in (0, 5):
-        np.testing.assert_array_equal(initial_state(one_pose, RngStream(seed)).users,
-                                      drawn_start(circle(1), len(ID_USERS), seed).users)
-    # user 2 is heard at pose 3 only, user 3 three times at pose 5
+def reference_circle(log, track):
+    """range_circle_start one user at a time, from the rows as given: each
+    user's earliest row (the first in log order at its lowest step) gives
+    the fix f and range C tau, and the user lies h = sqrt((C tau)^2 - f_z^2),
+    or 0, from f along track / |track|, or along +x where track is zero."""
+    e = np.asarray(track) / math.hypot(*track) if any(track) else np.array([1.0, 0.0])
+    users = []
+    for uid in log.user_ids:
+        i = min(np.flatnonzero(log.user_id == uid), key=lambda i: log.step[i])
+        f, ct = log.gps[i], C * log.toa[i]
+        users.append(f[:2] + math.sqrt(max(ct * ct - f[2] * f[2], 0.0)) * e)
+    return np.array(users)
+
+
+def test_range_circle_start_reads_each_users_earliest_row():
+    # rows in reverse step order; user 3 is not heard before step 3, and a
+    # second row of user 2 at step 1, 30 m longer, comes first in the log
     uavs = circle(8)
+    samples = [m for m in make_samples(uavs, ID_USERS)[::-1] if m.user_id != 3 or m.step >= 3]
+    first = next(m for m in samples if (m.step, m.user_id) == (1, 2))
+    samples.insert(0, replace(first, toa=first.toa + 1e-7))
+    log = MeasurementLog.of(samples)
+    track = np.array([3.0, -4.0])
+    got = range_circle_start(log, track)
+    np.testing.assert_allclose(got, reference_circle(log, track), rtol=0, atol=1e-12)
+    rows = [(1, los_delay(uavs[0], ID_USERS[0])), (1, first.toa + 1e-7),
+            (3, los_delay(uavs[2], ID_USERS[2]))]
+    for k, (step, toa) in enumerate(rows):
+        f, ct = uavs[step - 1], C * toa
+        h = math.sqrt(ct * ct - f[2] ** 2)
+        np.testing.assert_allclose(got[k], f[:2] + h * np.array([0.6, -0.8]), rtol=1e-12)
+    # a zero track falls back to +x
+    np.testing.assert_allclose(range_circle_start(log, np.zeros(2)),
+                               reference_circle(log, (0.0, 0.0)), rtol=0, atol=1e-12)
+    # a delay shorter than the altitude puts the user at the fix
+    short = MeasurementLog(step=np.array([2, 1]), user_id=np.array([1, 1]),
+                           gps=np.array([[5.0, 6.0, 30.0], [1.0, 2.0, 30.0]]),
+                           toa=np.array([40.0, 20.0]) / C)
+    np.testing.assert_array_equal(range_circle_start(short, np.array([1.0, 1.0])), [[1.0, 2.0]])
+
+
+def test_start_puts_a_user_without_track_extent_on_its_range_circle():
+    # a one-pose log: no user has extent and the GPS track has none, so each
+    # user lies along +x
+    one_pose = MeasurementLog.of(make_samples(circle(1), ID_USERS))
+    start = initial_state(one_pose)
+    np.testing.assert_allclose(start.users, reference_circle(one_pose, (0.0, 0.0)),
+                               rtol=0, atol=1e-12)
+    # user 2 is heard at steps 3 and 6 from one spot, 30 m further at step
+    # 6, and user 3 three times at step 5; the rows come in reverse step order
+    uavs = circle(8)
+    uavs[5] = uavs[2]
     samples = [m for m in make_samples(uavs, ID_USERS)
-               if m.user_id == 1 or (m.user_id, m.step) in ((2, 3), (3, 5))]
+               if m.user_id == 1 or (m.user_id, m.step) in ((2, 3), (2, 6), (3, 5))]
+    samples = [replace(m, toa=m.toa + 1e-7) if (m.user_id, m.step) == (2, 6) else m
+               for m in samples]
     samples += [m for m in samples if m.user_id == 3] * 2
-    for seed in (0, 5):
-        start, drawn = initial_state(samples, RngStream(seed)), drawn_start(uavs, 3, seed)
-        np.testing.assert_array_equal(start.users[1:], drawn.users[1:])
-        np.testing.assert_allclose(start.users[0], ID_USERS[0], rtol=0, atol=1e-6)
+    log = MeasurementLog.of(samples[::-1])
+    start = initial_state(log)
+    circles = reference_circle(log, uavs[7, :2] - uavs[0, :2])
+    np.testing.assert_allclose(start.users[1:], circles[1:], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(start.users[0], ID_USERS[0], rtol=0, atol=1e-6)
+    # user 2 lies on its range circle of step 3, not of step 6
+    f, ct = uavs[2], C * los_delay(uavs[2], ID_USERS[1])
+    assert np.linalg.norm(circles[1] - f[:2]) == pytest.approx(math.sqrt(ct * ct - f[2] ** 2),
+                                                              rel=1e-12)
 
 
 def two_fixes_1_mm_apart():
     """A user heard from two GPS fixes 1 mm apart, with squared ranges
-    8.9e4 m^2 apart: the along-track fit lies about 4.5e7 m away."""
+    8.9e4 m^2 apart: its range circle about the first fix misses the second
+    range by 270 m, and its squared-range fit lies 213 m behind the fixes."""
     gps = np.array([[0.0, 0.0, 10.0], [0.001, 0.0, 10.0]])
     return MeasurementLog(step=np.array([1, 2]), user_id=np.array([1, 1]), gps=gps,
                           toa=np.array([30.0, 300.0]) / C)
 
 
-def test_start_keeps_the_draw_of_a_user_whose_fit_leaves_the_box():
+def test_start_takes_a_far_fit_that_fits_the_delays_better():
+    # the fit lies more than 200 m from both fixes, yet misses the delays by
+    # less than the range circle does
     log = two_fixes_1_mm_apart()
-    for seed in (0, 5):
-        np.testing.assert_array_equal(initial_state(log, RngStream(seed)).users,
-                                      drawn_start(log.pose_gps, 1, seed).users)
+    start = initial_state(log).users
+    circle_point = range_circle_start(log, np.array([0.001, 0.0]))
+    np.testing.assert_allclose(circle_point, [[math.sqrt(800.0), 0.0]], rtol=1e-12)
+    np.testing.assert_allclose(start, [[-212.955, 0.0]], rtol=0, atol=1e-3)
+    ssq = [range_sum_of_squares(log, log.pose_gps, u)[0] for u in (start, circle_point)]
+    np.testing.assert_allclose(ssq, [41094.34, 72900.51], rtol=1e-6)
 
 
 def reference_fit(p, ct):
@@ -650,43 +704,42 @@ def reference_fit(p, ct):
     return fit, fit - 2 * ((fit - centre) @ normal) * normal
 
 
-def reference_start(log, drawn):
-    """initial_state's users computed one user at a time: of the draw, its
-    mirror image about the SVD normal of the track and reference_fit's two
+def reference_start(log):
+    """initial_state's users computed one user at a time: of its range
+    circle point along the GPS track (reference_circle), that point's mirror
+    image about the SVD normal of the user's track and reference_fit's two
     points, in that order, the one with the lowest ToA sum of squares (the
-    earlier on a tie), if it lies in the GPS box widened by 50 m."""
-    users = drawn.copy()
+    earlier on a tie); a user whose track has no extent keeps the point."""
+    users = reference_circle(log, log.pose_gps[-1, :2] - log.pose_gps[0, :2])
     for j in range(len(log.user_ids)):
         p, ct = log.pose_gps[log.pose[log.user == j]], C * log.toa[log.user == j]
         q = p[:, :2] - p[:, :2].mean(axis=0)
         if np.linalg.svd(q, compute_uv=False)[0] <= 1e-9:
             continue
         normal = np.linalg.svd(q)[2][1]
-        mirror = drawn[j] - 2 * ((drawn[j] - p[:, :2].mean(axis=0)) @ normal) * normal
-        cands = [drawn[j], mirror, *reference_fit(p, ct)]
+        mirror = users[j] - 2 * ((users[j] - p[:, :2].mean(axis=0)) @ normal) * normal
+        cands = [users[j], mirror, *reference_fit(p, ct)]
         cost = [np.sum((ct - np.linalg.norm(p - np.append(c, 0.0), axis=1)) ** 2) for c in cands]
-        best = cands[int(np.argmin(cost))]
-        lo, hi = log.pose_gps[:, :2].min(axis=0) - 50.0, log.pose_gps[:, :2].max(axis=0) + 50.0
-        if np.all((lo <= best) & (best <= hi)):
-            users[j] = best
+        users[j] = cands[int(np.argmin(cost))]
     return users
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_start_equals_the_per_user_reference(seed):
-    samples, drawn, _, _ = plateau_case(seed)
+    samples = plateau_case(seed)[0]
     # users 1-3 heard from the first 8 poses only, user 4 from one
     samples = [m for m in samples
                if m.user_id > 4 or (m.step <= 8 and (m.user_id < 4 or m.step == 1))]
     log = MeasurementLog.of(samples)
-    np.testing.assert_allclose(initial_state(log, RngStream(seed)).users,
-                               reference_start(log, drawn.users), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(initial_state(log).users, reference_start(log),
+                               rtol=0, atol=1e-6)
 
 
 def test_start_ignores_the_seed_when_every_user_has_track_extent():
+    # the rng argument is deprecated and ignored: nothing is drawn
     samples = plateau_case(5)[0]
     np.testing.assert_array_equal(initial_state(samples, RngStream(1)).users,
-                                  initial_state(samples, RngStream(2)).users)
+                                  initial_state(samples).users)
 
 
 # a rectangle 200 m long and 2e-7 m wide: the width is lost to rounding in
@@ -721,28 +774,23 @@ def sparse_logs(draw):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(log=sparse_logs(), seed=st.integers(0, 2 ** 32 - 1))
-@example(log=MeasurementLog.of(make_samples(straight(4), ID_USERS)), seed=0)
-@example(log=MeasurementLog.of(make_samples(CROSS, ID_USERS)), seed=0)
-@example(log=two_fixes_1_mm_apart(), seed=0)
-@example(log=MeasurementLog.of(make_samples(THIN, ID_USERS)), seed=0)
-def test_start_lies_in_the_widened_box_and_raises_no_float_warning(log, seed):
+@given(log=sparse_logs())
+@example(log=MeasurementLog.of(make_samples(straight(4), ID_USERS)))
+@example(log=MeasurementLog.of(make_samples(CROSS, ID_USERS)))
+@example(log=two_fixes_1_mm_apart())
+@example(log=MeasurementLog.of(make_samples(THIN, ID_USERS)))
+def test_start_is_finite_and_fits_the_delays_no_worse_than_the_range_circle(log):
     with np.errstate(all="raise"):
-        start = initial_state(log, RngStream(seed))
+        start = initial_state(log)
     assert start.users.shape == (len(log.user_ids), 2)
-    lo, hi = log.pose_gps[:, :2].min(axis=0) - 50.0, log.pose_gps[:, :2].max(axis=0) + 50.0
-    assert np.all((lo <= start.users) & (start.users <= hi))
+    assert np.isfinite(start.users).all()
     np.testing.assert_array_equal(start.uav, log.pose_gps)
-    # the draw competes as the estimate: a user that leaves it fits the ToA
-    # delays at the GPS fixes no worse than the draw does
-    drawn = drawn_start(log.pose_gps, len(log.user_ids), seed).users
-    p, ct = log.pose_gps[log.pose], C * log.toa
-
-    def toa_ssq(users):
-        miss = ct - np.linalg.norm(p - np.column_stack([users[log.user], np.zeros(len(p))]), axis=1)
-        return np.bincount(log.user, miss ** 2, len(users))
-    moved = np.any(start.users != drawn, axis=1)
-    assert np.all(toa_ssq(start.users)[moved] <= toa_ssq(drawn)[moved] * (1 + 1e-12))
+    # the range circle point competes as the estimate: no user's start fits
+    # the ToA delays at the GPS fixes worse than it does
+    gps = log.pose_gps
+    circles = range_circle_start(log, gps[-1, :2] - gps[0, :2])
+    before, after = (range_sum_of_squares(log, gps, u) for u in (circles, start.users))
+    assert np.all(after <= before * (1 + 1e-12))
 
 
 # --- _range_fit ---
@@ -854,7 +902,7 @@ def test_range_fit_raises_no_float_warning_on_degenerate_tracks(case):
         users[0] = uavs[2, :2]
     samples = make_samples(uavs, list(users))
     with np.errstate(all="raise"):
-        start = initial_state(samples, RngStream(0))
+        start = initial_state(samples)
         warm = basin_start(samples, uavs, start.users)
     assert np.isfinite(warm).all()
     if case == "under":
@@ -974,7 +1022,7 @@ def test_solve_from_exact_minimum():
         with pytest.raises(ValueError, match="dimensions"):
             solve_slam(wrong, samples, SlamConfig())
     with pytest.raises(ValueError, match="empty"):
-        initial_state([], RngStream(0))
+        initial_state([])
 
 
 def test_objective_trace_nonincreasing():
