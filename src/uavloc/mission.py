@@ -14,8 +14,8 @@ its schedule. The rest waits for the step that reads it:
   each read estimates the rows not yet estimated in one estimate_toa_nr
   call, with the drift offset of each row's step.
 - The log is a step-major grid: row i is retained step i // K and user
-  i % K, so the mission gives each read its index layout
-  (MeasurementLog.with_layout); nothing derives it.
+  i % K. A read hands on the prefix of the retained rows, a MeasurementLog
+  that derives its index layout from its columns, as every log does.
 - The CRB history is traced once, at the end, from the Fisher blocks kept
   after each retained step (fim.crb_traces). So at eps_prior = 0 a
   fixed-path mission raises SingularFim at its end, after its solves; a
@@ -149,6 +149,8 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     n_steps = s.mission_steps
     num_users = len(s.users)
     users = np.array([u.as_array() for u in s.users])
+    # read once; the planner never writes its state's terminal
+    start, terminal = s.uav_start.as_array(), s.uav_terminal.as_array()
 
     fixed_path = None
     if not isinstance(mode, str):
@@ -157,7 +159,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
             raise InvalidParam("mode", f"fixed path must have shape ({n_steps}, 3)")
         if not np.isfinite(fixed_path).all():
             raise InvalidParam("mode", "fixed path must be finite")
-        if np.linalg.norm(fixed_path[0] - s.uav_start.as_array()) > 1e-9:
+        if np.linalg.norm(fixed_path[0] - start) > 1e-9:
             raise InvalidParam("mode", "fixed path must start at uav_start")
         hops = np.linalg.norm(np.diff(fixed_path, axis=0), axis=1)
         if np.any(hops > s.d_max * (1 + REACH_SLACK)):
@@ -171,18 +173,15 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     drift = SawtoothDrift(s.toa_noise.drift_rate, s.toa_noise.drift_reset_period)
 
     positions = np.zeros((n_steps, 3))
-    positions[0] = s.uav_start.as_array()
+    positions[0] = start
     gps_trace = np.zeros((n_steps, 3))
     # the measurement columns, one row per (retained step, user), filled as
-    # steps are retained, and their layout: row i is pose i // K, user i % K;
-    # on the NR path a row's toa holds sample_toa's delay until it is read
+    # steps are retained: row i is retained step i // K, user i % K; on the
+    # NR path a row's toa holds sample_toa's delay until it is read
     log = MeasurementLog(step=np.zeros(n_steps * num_users, dtype=np.int64),
                          user_id=np.tile(np.arange(1, num_users + 1), n_steps),
                          gps=np.empty((n_steps * num_users, 3)),
                          toa=np.empty(n_steps * num_users))
-    pose = np.zeros(n_steps * num_users, dtype=np.int64)
-    user = log.user_id - 1
-    user_ids = tuple(range(1, num_users + 1))
     samples = log[:0]  # the rows read last, never written again
     retained: list[int] = []
     info = initial_info(num_users, eps_prior)
@@ -205,8 +204,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
             if nr_cfg is not None:
                 log.toa[rows] = estimate_toa_nr(log.toa[rows], nr_cfg,
                                                 drift_offset(log.step[rows], drift))
-            samples = log[:stop].with_layout(retained, user_ids, pose[:stop], user[:stop],
-                                             log.gps[:stop:num_users])
+            samples = log[:stop]
         return samples
 
     def do_solve():
@@ -228,14 +226,13 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
                 np.linalg.norm(p - positions[retained[-1] - 1]) >= s.delta_keep)
         if keep:
             rows = slice(len(retained) * num_users, (len(retained) + 1) * num_users)
-            pose[rows] = len(retained)
             pose_est[len(retained)] = gps_trace[n - 1]
             retained.append(n)
             log.step[rows] = n
             log.gps[rows] = gps_trace[n - 1]
             log.toa[rows] = sample_toa(p, users, s.toa_noise, s.buildings, rng)
             if u_est is None:  # each user on its range circle along the planned track
-                track = s.uav_terminal.as_array()[:2] - s.uav_start.as_array()[:2]
+                track = terminal[:2] - start[:2]
                 u_est = slam.range_circle_start(read_samples(), track)
             if solve_every and len(retained) % solve_every == 0:
                 do_solve()
@@ -247,7 +244,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
             if fixed_path is not None:
                 positions[n] = fixed_path[n]
             else:
-                st = PlannerState(step=n, pos=p, terminal=s.uav_terminal.as_array(),
+                st = PlannerState(step=n, pos=p, terminal=terminal,
                                   mission_steps=n_steps, d_max=s.d_max, info=info,
                                   user_estimates=u_est, noise_model=s.toa_noise,
                                   headings=planner_headings)

@@ -86,13 +86,6 @@ class MeasurementSample:
     toa: float  # seconds
 
 
-def _frozen_layout(steps, user_ids, pose, user, pose_gps):
-    """A MeasurementLog's index layout in its one format: steps and user_ids
-    as tuples of int, and the arrays pose, user and pose_gps made read-only."""
-    pose.flags.writeable = user.flags.writeable = pose_gps.flags.writeable = False
-    return tuple(steps), tuple(user_ids), pose, user, pose_gps
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementLog(Sequence):
     """A measurement set as columns, one row per MeasurementSample.
@@ -106,9 +99,8 @@ class MeasurementLog(Sequence):
     and user (M,), each row's index into them; pose_gps (S, 3), the GPS fix
     of each step's first row; and pair_index (12 M,), the solver's bincount
     index of 12 entries per row, 12 (K pose + user) + e for entry e, laid
-    out entry-major. So the columns must not change once the layout has
-    been read. A caller that built the columns and so knows their layout
-    can give it (with_layout) instead of having it computed.
+    out entry-major. Every log derives its layout from its own columns, so
+    the columns must not change once the layout has been read.
     """
     step: np.ndarray
     user_id: np.ndarray
@@ -119,18 +111,9 @@ class MeasurementLog(Sequence):
     def _layout(self):
         steps, first, pose = np.unique(self.step, return_index=True, return_inverse=True)
         user_ids, user = np.unique(self.user_id, return_inverse=True)
-        return _frozen_layout(steps.tolist(), user_ids.tolist(), pose, user, self.gps[first])
-
-    def with_layout(self, steps, user_ids, pose, user, pose_gps) -> MeasurementLog:
-        """This log, its index layout given rather than computed: steps and
-        user_ids, the sorted distinct step and user ids; pose and user (M,)
-        int64 arrays, each row's index into them; pose_gps (S, 3), each
-        step's GPS fix. They must equal what the log would compute, and the
-        arrays are made read-only. Call it before the layout is first read."""
-        if "_layout" in self.__dict__:
-            raise ValueError("the log's layout has already been read")
-        self.__dict__["_layout"] = _frozen_layout(steps, user_ids, pose, user, pose_gps)
-        return self
+        pose_gps = self.gps[first]
+        pose.flags.writeable = user.flags.writeable = pose_gps.flags.writeable = False
+        return tuple(steps.tolist()), tuple(user_ids.tolist()), pose, user, pose_gps
 
     steps = property(lambda self: self._layout[0])
     user_ids = property(lambda self: self._layout[1])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelayOutOfWindow, EmptyCir, InvalidParam
-from .model import Scenario, ToaNoiseModel, require_number, require_numerology
+from .model import Scenario, ToaNoiseModel, require_int, require_number, require_numerology
 
 DF_MAX = 480e3      # Hz, maximum subcarrier spacing
 K_MAX = 4096        # maximum FFT size
@@ -40,9 +40,14 @@ class NrConfig:
 @dataclass(frozen=True)
 class SawtoothDrift:
     """Clock-drift ramp: `rate` seconds of offset per step, resetting to
-    zero every `reset_period` steps."""
+    zero every `reset_period` steps. InvalidParam names the field unless rate
+    is finite and >= 0 and reset_period an integer >= 1."""
     rate: float = ToaNoiseModel.drift_rate
     reset_period: int = ToaNoiseModel.drift_reset_period
+
+    def __post_init__(self):
+        require_number("rate", self.rate, 0)
+        require_int("reset_period", self.reset_period, 1)
 
 
 def ta_unit(mu: int) -> float:

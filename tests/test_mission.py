@@ -11,7 +11,7 @@ from uavloc.errors import InvalidParam, SingularFim
 from uavloc.mission import (circle_path, compute_metrics, monte_carlo,
                             run_mission, straight_line_path)
 from uavloc.model import SPEED_OF_LIGHT as C
-from uavloc.model import (MeasurementLog, Scenario, ToaNoiseModel, Vec2, Vec3)
+from uavloc.model import Scenario, ToaNoiseModel, Vec2, Vec3
 from uavloc.planner import reach_threshold
 from uavloc.slam import SlamConfig
 
@@ -308,9 +308,9 @@ def test_online_workload_estimates_toa_once_per_read_and_traces_the_history_once
        solve_every=st.integers(0, 4), fixed=st.booleans(), nr=st.booleans())
 def test_mission_logs_carry_the_layout_their_columns_give(seed, num_users, n_steps, delta,
                                                           solve_every, fixed, nr):
-    # the layout the mission gives each log it hands on (to every solve and
-    # in the result) is, entry for entry and read-only, the one
-    # MeasurementLog derives from the same columns
+    # each log the mission hands on (to every solve and in the result) is
+    # the step-major grid of the steps retained so far, and the layout it
+    # derives says so: pose i // K and user i % K of row i, read-only
     rng = np.random.default_rng(seed)
     s = Scenario(users=tuple(Vec2(*u) for u in rng.uniform(-30.0, 30.0, (num_users, 2))),
                  uav_start=Vec3(-20.0, 0.0, 30.0), uav_terminal=Vec3(20.0, 0.0, 30.0),
@@ -327,17 +327,24 @@ def test_mission_logs_carry_the_layout_their_columns_give(seed, num_users, n_ste
         res = run_mission(s, straight_line_path(s) if fixed else "greedy",
                           toa_path="nr" if nr else "ideal", solve_every=solve_every)
     logs.append(res.samples)
-    assert len(logs) >= 2
+    assert len(logs) >= 2 and len(res.samples) == len(res.retained_steps) * num_users
     for log in logs:
-        derived = MeasurementLog(log.step, log.user_id, log.gps, log.toa)
-        assert log.steps == derived.steps and log.user_ids == derived.user_ids
+        R, rest = divmod(len(log), num_users)
+        assert rest == 0 and R >= 1
+        assert log.steps == res.retained_steps[:R]
+        assert log.user_ids == tuple(range(1, num_users + 1))
         assert all(type(n) is int for n in log.steps + log.user_ids)
-        for name in ("pose", "user", "pose_gps", "pair_index"):
-            given_, want = getattr(log, name), getattr(derived, name)
-            assert given_.dtype == want.dtype and not given_.flags.writeable
-            np.testing.assert_array_equal(given_, want)
-    np.testing.assert_array_equal(res.samples.pose_gps,
-                                  res.gps[np.array(res.retained_steps) - 1])
+        want = {"pose": np.arange(R).repeat(num_users),
+                "user": np.tile(np.arange(num_users), R),
+                "pose_gps": res.gps[np.array(log.steps) - 1]}
+        for name, value in want.items():
+            got = getattr(log, name)
+            assert got.dtype == value.dtype and not got.flags.writeable
+            np.testing.assert_array_equal(got, value)
+        # a prefix of the result's log: rows are never written once read
+        for name in ("step", "user_id", "gps", "toa"):
+            np.testing.assert_array_equal(getattr(log, name),
+                                          getattr(res.samples, name)[:len(log)])
 
 
 def test_fixed_mission_without_prior_raises_singular_fim_after_its_solves(monkeypatch):
@@ -403,13 +410,16 @@ def test_nr_path_refuses_sample_rate_beyond_cir_window(mu, f_s):
     run_mission(s, "greedy")  # the ideal path does not quantize
 
 
-def test_mission_determinism_bit_identical():
+@pytest.mark.parametrize("solve_every", [0, 1, 5])
+@pytest.mark.parametrize("toa_path", ["ideal", "nr"])
+def test_mission_determinism_bit_identical(toa_path, solve_every):
     s = circle_scenario(n_steps=25, delta=2.0, seed=5)
-    a = run_mission(s, "greedy")
-    b = run_mission(s, "greedy")
+    a = run_mission(s, "greedy", toa_path=toa_path, solve_every=solve_every)
+    b = run_mission(s, "greedy", toa_path=toa_path, solve_every=solve_every)
     np.testing.assert_array_equal(a.planned, b.planned)
     np.testing.assert_array_equal(a.gps, b.gps)
     np.testing.assert_array_equal(a.user_estimates, b.user_estimates)
+    np.testing.assert_array_equal(a.uav_estimates, b.uav_estimates)
     np.testing.assert_array_equal(a.crb_history, b.crb_history)
     assert a.retained_steps == b.retained_steps
     assert [m.toa for m in a.samples] == [m.toa for m in b.samples]

@@ -155,32 +155,6 @@ def test_pair_index_of_a_slice_equals_that_of_a_fresh_log(logs):
         assert each.pair_index.tolist() == want and each.pair_index.shape == (12 * M,)
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(logs_and_slices())
-def test_a_given_layout_is_read_as_the_derived_one(logs):
-    # with_layout takes the layout in the format the log derives: the same
-    # entries, read-only, and then nothing is derived
-    for log in logs:
-        derived = MeasurementLog(log.step, log.user_id, log.gps, log.toa)
-        given_ = log[:].with_layout(list(derived.steps), list(derived.user_ids),
-                                    derived.pose.copy(), derived.user.copy(),
-                                    derived.pose_gps.copy())
-        assert given_.steps == derived.steps and given_.user_ids == derived.user_ids
-        for name in ("pose", "user", "pose_gps", "pair_index"):
-            got = getattr(given_, name)
-            assert not got.flags.writeable
-            np.testing.assert_array_equal(got, getattr(derived, name))
-
-
-def test_a_layout_cannot_be_given_once_read():
-    log = MeasurementLog(step=np.array([5, 2, 5]), user_id=np.array([9, 9, 4]),
-                         gps=np.arange(9.0).reshape(3, 3), toa=np.zeros(3))
-    log.pose
-    with pytest.raises(ValueError, match="already been read"):
-        log.with_layout([2, 5], [4, 9], np.array([1, 0, 1]), np.array([1, 1, 0]),
-                        log.gps[[1, 0]])
-
-
 def test_log_layout_computed_once_and_read_only():
     log = MeasurementLog(step=np.array([5, 2, 5]), user_id=np.array([9, 9, 4]),
                          gps=np.arange(9.0).reshape(3, 3), toa=np.zeros(3))

@@ -173,6 +173,22 @@ def test_drift_periodic_nonnegative():
         assert drift_offset(n, d) == drift_offset(n + 7, d)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("reset_period", {"reset_period": 0}),     # divided by zero in drift_offset
+    ("reset_period", {"reset_period": -3}),    # a silent 0 offset
+    ("reset_period", {"reset_period": 2.5}),
+    ("reset_period", {"reset_period": True}),
+    ("rate", {"rate": float("nan")}),          # NaN offsets
+    ("rate", {"rate": float("inf")}),
+    ("rate", {"rate": -1e-9}),
+    ("rate", {"rate": "1e-9"}),
+])
+def test_sawtooth_drift_refuses_settings_that_break_its_offset(field, kwargs):
+    with pytest.raises(InvalidParam) as exc:
+        SawtoothDrift(**{"rate": 1e-9, "reset_period": 5, **kwargs})
+    assert exc.value.field == field
+
+
 def test_drift_offset_of_steps_is_each_steps_offset():
     d = SawtoothDrift(rate=2.5e-9, reset_period=7)
     steps = np.arange(1, 60, dtype=np.int64)

@@ -9,9 +9,10 @@ changed.
 
 The eighth, `test_log_check_accepts_the_program_and_rejects_planted_answers`,
 is not imported: it plants `initial_state`'s output as an answer and expects
-the "objective above its value at the truth" message, but that start, each
-user at its squared-range fit with the poses at their GPS fixes, has an
-objective below the truth's, so it fails. It stays red in CI's
+the "objective above its value at the truth" message, but that start
+(`slam.basin_start` at the GPS fixes applied to `slam.range_circle_start`,
+with the poses at their GPS fixes) has an objective below the truth's, so
+it fails. It stays red in CI's
 `python3 perfbench/selftest.py` step until the benchmark change of ROADMAP
 item 1 teaches it a start that lies in the basin.
 """
