@@ -126,9 +126,16 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
     a, b, c, d = info.blocks.reshape(k, 4).T
     if np.any(b != c):
         raise SchemaError("state 'fim' must have symmetric 2x2 diagonal blocks")
-    # positive semidefinite up to the rounding fim allows a rank-deficient block
-    if np.any((a < 0) | (d < 0) | (b * c - a * d > fim.SINGULAR_RTOL * a * d)):
-        raise SchemaError("state 'fim' must have positive semidefinite 2x2 diagonal blocks")
+    # fim's det(A + eps I) of a symmetric block is at most (a + eps)(d + eps):
+    # where that overflows, the block is refused here, not reported as singular.
+    # Then a d is finite, and an overflowing b c reads inf and is refused below.
+    with np.errstate(over="ignore"):
+        if not np.all((a + eps) * (d + eps) < np.inf):
+            raise SchemaError("state 'fim' must have 2x2 diagonal blocks whose diagonal "
+                              "product (a + eps_prior)(d + eps_prior) is finite")
+        # positive semidefinite up to the rounding fim allows a rank-deficient block
+        if np.any((a < 0) | (d < 0) | (b * c - a * d > fim.SINGULAR_RTOL * a * d)):
+            raise SchemaError("state 'fim' must have positive semidefinite 2x2 diagonal blocks")
     return PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
                         mission_steps=s.mission_steps, d_max=s.d_max, info=info,
                         user_estimates=users, noise_model=s.toa_noise,

@@ -69,13 +69,13 @@ def _dense(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(2 * k, 2 * k)
 
 
-def _det(blocks: np.ndarray, eps: float) -> np.ndarray:
-    """det(A + eps I) of (..., 2, 2) blocks A, as a s from the pivots of the
-    LDL^T factorization of A + eps I = [[a, b], [c, d]]: a and
-    s = d - b c / a. Where s is at rounding level, A is rank-deficient and
-    det(A + eps I) = eps (tr A + eps) exactly. SingularFim unless every
-    A + eps I is positive definite (a > 0 and det > 0) with finite entries
-    and a finite det."""
+def _pivots(blocks: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, d, det) of (..., 2, 2) blocks A: the diagonal a and d of
+    A + eps I = [[a, b], [c, d]] and det(A + eps I), taken as a s from the
+    pivots of its LDL^T factorization: a and s = d - b c / a. Where s is at
+    rounding level, A is rank-deficient and det(A + eps I) = eps (tr A + eps)
+    exactly. SingularFim unless every A + eps I is positive definite (a > 0
+    and det > 0) with finite entries and a finite det."""
     a = blocks[..., 0, 0] + eps
     d = blocks[..., 1, 1] + eps
     # refused before dividing, so no float warning arises: a <= 0 would
@@ -89,19 +89,14 @@ def _det(blocks: np.ndarray, eps: float) -> np.ndarray:
         det[rank_deficient] = (eps * (a + d - eps))[rank_deficient]
     if not ((det > 0) & (det < np.inf)).all():
         raise SingularFim("Fisher matrix is singular")
-    return det
-
-
-def _trace_inv(blocks: np.ndarray, eps: float) -> np.ndarray:
-    """tr((A + eps I)^-1) of each (..., 2, 2) block A."""
-    return ((blocks[..., 0, 0] + eps) + (blocks[..., 1, 1] + eps)) / _det(blocks, eps)
+    return a, d, det
 
 
 def _inv_blocks(blocks: np.ndarray, eps: float) -> np.ndarray:
     """(A + eps I)^-1 of each (..., 2, 2) block A."""
-    adj = np.stack([blocks[..., 1, 1] + eps, -blocks[..., 0, 1],
-                    -blocks[..., 1, 0], blocks[..., 0, 0] + eps], axis=-1)
-    return adj.reshape(blocks.shape) / _det(blocks, eps)[..., None, None]
+    a, d, det = _pivots(blocks, eps)
+    adj = np.stack([d, -blocks[..., 0, 1], -blocks[..., 1, 0], a], axis=-1)
+    return adj.reshape(blocks.shape) / det[..., None, None]
 
 
 def toa_info_contribution(uav, user_est, sigma_tau: float) -> np.ndarray:
@@ -138,7 +133,8 @@ def crb_traces(blocks: np.ndarray, eps_prior: float) -> np.ndarray:
     blocks, in one pass: (...,). A mission's whole history, (N, K, 2, 2),
     gives (N,); each trace is the one crb_trace gives of that state, and
     SingularFim is raised if any state is singular."""
-    return np.sum(_trace_inv(blocks, eps_prior), axis=-1)
+    a, d, det = _pivots(blocks, eps_prior)
+    return np.sum((a + d) / det, axis=-1)
 
 
 def crb_trace(info: InfoState) -> float:
@@ -166,19 +162,18 @@ def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) ->
     g = (x_xy - u) / (sigma C d) its link's delay gradient over sigma, so by
     the matrix determinant lemma each user contributes
     tr P / det P - (tr P + |g|^2) / (det P + g^T adj(P) g), with det P from
-    _det. P is read as symmetric, as every Fisher block is (uavloc plan
+    _pivots. P is read as symmetric, as every Fisher block is (uavloc plan
     refuses an asymmetric one). DegenerateGeometry at a zero distance;
     SingularFim if the state or a candidate block is singular. A far link
     whose sigma overflows carries no information: its gain is 0."""
     uav = np.asarray(uav, dtype=float)
     users = np.reshape(user_ests, (-1, 2))
     blocks, eps = info.blocks, info.eps_prior
-    det = _det(blocks, eps)
-    a = blocks[:, 0, 0] + eps
-    tr = a + (blocks[:, 1, 1] + eps)
+    a, d, det = _pivots(blocks, eps)
+    tr = a + d
     # g^T adj(P) g completed to a square on the pivot a of P = [[a, b], [b, d]]:
     # a (g_y - b g_x / a)^2 + (det P / a) g_x^2. A sum of squares has no
-    # cancellation, and a rank-deficient P carries its det from _det's rank
+    # cancellation, and a rank-deficient P carries its det from _pivots' rank
     # rule into every candidate's
     slope, schur = blocks[:, 0, 1] / a, det / a
     # the links as (C, K) arrays of their components, users lifted to z = 0,

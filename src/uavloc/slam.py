@@ -32,7 +32,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,20 +75,12 @@ class NormalEquations:
 
     Hpp (S, 3, 3) holds the pose blocks, Huu (K, 2, 2) the user blocks and
     Hpu (S, 3, 2K) each pose's coupling to the user coordinates; every other
-    entry of H is zero. The fields must not change once `coupling` has
-    been read.
+    entry of H is zero.
     """
     Hpp: np.ndarray
     Hpu: np.ndarray
     Huu: np.ndarray
     b: np.ndarray
-
-    @cached_property
-    def coupling(self) -> np.ndarray:
-        """[Hpu | b_p] (S, 3, 2K + 1): each pose's coupling and its part of b,
-        which every damped trial step multiplies by the inverse pose block."""
-        S = len(self.Hpp)
-        return np.concatenate([self.Hpu, self.b[:3 * S].reshape(S, 3, 1)], axis=2)
 
 
 @dataclass
@@ -255,7 +246,7 @@ def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
     A = ne.Hpp + damping * _EYE3
     try:
         np.linalg.cholesky(A)  # raises unless every pose block is positive definite
-        X = np.linalg.inv(A) @ ne.coupling
+        X = np.linalg.inv(A) @ np.concatenate([ne.Hpu, ne.b[:3 * S].reshape(S, 3, 1)], axis=2)
         M = ne.Hpu.reshape(3 * S, 2 * K).T @ X.reshape(3 * S, 2 * K + 1)  # B^T A^-1 [B | b_p]
         reduced = -M[:, :2 * K]
         np.einsum("iaib->iab", reduced.reshape(K, 2, K, 2))[...] += ne.Huu

@@ -1292,6 +1292,21 @@ def test_cli_plan_fim_not_psd_exits_2(tmp_path, scenario_file, fim):
     assert rc == 0
 
 
+@pytest.mark.parametrize("scale, code", [(1e150, 0), (1e155, 2)])
+def test_cli_plan_refuses_a_fim_block_whose_determinant_overflows(tmp_path, scenario_file,
+                                                                  scale, code):
+    # a finite PSD block of 1e155 * I has a determinant of 1e310, which no
+    # float holds: that is bad input, not a singular matrix
+    doc = dict(VALID_STATE, user_estimates=TWO_USERS,
+               fim=np.diag([scale, scale, 1.0, 1.0]).tolist())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(doc))
+    assert rc == code and not caught
+    if code:
+        assert err.startswith("error: state 'fim' ") and err.count("\n") == 1
+
+
 def test_cli_plan_accepts_rank_one_fim(tmp_path, scenario_file):
     # one ToA sample gives a rank-1 block whose determinant is 0 up to rounding
     fim = 7e14 * np.outer([0.1257302210933933, -0.1321048632913019],

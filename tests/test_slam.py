@@ -447,8 +447,7 @@ def test_schur_step_matches_dense_solve(huber, per_distance):
 
 
 def test_trials_on_one_normal_equations_equal_trials_on_fresh_copies():
-    # every trial on one NormalEquations reuses its [Hpu | b_p], built at the
-    # first; a trial at one damping leaves nothing behind for the next
+    # a trial at one damping leaves nothing behind for the next
     rng = np.random.default_rng(11)
 
     def trial(ne, lam):
@@ -470,7 +469,21 @@ def test_trials_on_one_normal_equations_equal_trials_on_fresh_copies():
             shared = fresh()
             assert [trial(shared, lam) for lam in dampings] == \
                 [trial(fresh(), lam) for lam in dampings]
-            assert shared.coupling is shared.coupling
+
+
+@pytest.mark.parametrize("field", ["b", "Hpu"])
+def test_a_step_reads_the_fields_as_they_are_at_that_step(field):
+    # a field replaced after a trial step is what the next step solves with,
+    # as on a fresh NormalEquations holding the new field
+    rng = np.random.default_rng(12)
+    samples, state = random_h_b_case(rng)
+    log = MeasurementLog.of(samples)
+    res = residuals(log, state.flatten())
+    ne = assemble_normal_equations(log, res, *measurement_weights(res, SlamConfig()))
+    gauss_newton_step(ne, 10.0)
+    setattr(ne, field, 0.5 * getattr(ne, field) + rng.normal(size=getattr(ne, field).shape))
+    fresh = NormalEquations(ne.Hpp.copy(), ne.Hpu.copy(), ne.Huu.copy(), ne.b.copy())
+    np.testing.assert_array_equal(gauss_newton_step(ne, 10.0), gauss_newton_step(fresh, 10.0))
 
 
 def singular_case(one_user_pose):
