@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fim, slam
 from .errors import INPUT_ERRORS, NUMERIC_ERRORS, NotConverged, SchemaError
-from .fim import InfoState, crb_traces, step_contribution
+from .fim import InfoState, crb_history
 from .iofiles import (RunConfig, csv_refusal, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
@@ -177,9 +177,8 @@ def _cmd_crb(args) -> int:
     ids = users[:, 0]
     if ids.min() < 1 or np.any(ids % 1) or len(np.unique(ids)) < len(ids):
         raise SchemaError(f"{args.users}: user ids must be distinct integers >= 1")
-    # the information after each step and its CRB traces in one pass
-    contribs = step_contribution(traj[:, 1:], users[:, 1:], rc.scenario.toa_noise)
-    history = crb_traces(np.cumsum(contribs, axis=0), rc.eps_prior).tolist()
+    history = crb_history(traj[:, 1:], users[:, 1:], rc.scenario.toa_noise,
+                          rc.eps_prior).tolist()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = write_crb_history(history, args.out)

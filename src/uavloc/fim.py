@@ -9,6 +9,8 @@ and s = d - bc / a of its LDL^T factorization, so a CRB trace costs O(K):
 tr((F + eps_prior I)^-1) = sum_k (a_k + d_k) / det_k; crb_traces takes
 those of many states in one pass.
 Contributions are rank-1 per ToA sample and accumulate additively over time.
+Every CRB history, `uavloc crb`'s and a mission's, is crb_history: a track's
+blocks at one set of user estimates, summed step by step and traced.
 The per-step improvement matrix is computed in the subtractive form
 R[n] = inv(F_{n-1}) - inv(F_{n-1} + sum_k H_k[n]), which the matrix inversion
 lemma shows is the information gained at step n. improvement_traces gives
@@ -137,6 +139,14 @@ def crb_traces(blocks: np.ndarray, eps_prior: float) -> np.ndarray:
     return np.sum((a + d) / det, axis=-1)
 
 
+def crb_history(uav, user_ests, noise: ToaNoiseModel, eps_prior: float) -> np.ndarray:
+    """tr((F_n + eps_prior I)^-1) in m^2 after each of N positions uav (N, 3),
+    F_n the blocks of the first n at the one set of user estimates user_ests
+    (K, 2), as (N,), nonincreasing. run_mission passes its final estimates, so
+    its history is a bound at them, not at the true users."""
+    return crb_traces(np.cumsum(step_contribution(uav, user_ests, noise), axis=0), eps_prior)
+
+
 def crb_trace(info: InfoState) -> float:
     """tr((F + eps_prior I)^-1) in m^2: crb_traces of the one state."""
     return float(crb_traces(info.blocks, info.eps_prior))
@@ -171,11 +181,13 @@ def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) ->
     blocks, eps = info.blocks, info.eps_prior
     a, d, det = _pivots(blocks, eps)
     tr = a + d
-    # g^T adj(P) g completed to a square on the pivot a of P = [[a, b], [b, d]]:
-    # a (g_y - b g_x / a)^2 + (det P / a) g_x^2. A sum of squares has no
-    # cancellation, and a rank-deficient P carries its det from _pivots' rank
-    # rule into every candidate's
-    slope, schur = blocks[:, 0, 1] / a, det / a
+    # g^T adj(P) g completed to a square on the root of the pivot a of
+    # P = [[a, b], [b, d]]: (sqrt(a) g_y - (b / sqrt(a)) g_x)^2 + (det P / a) g_x^2,
+    # which neither cancels nor, unlike a (g_y - b g_x / a)^2, overflows on a
+    # very unequal diagonal. A rank-deficient P carries its det from _pivots'
+    # rank rule into every candidate's
+    root_a = np.sqrt(a)
+    slope, schur = blocks[:, 0, 1] / root_a, det / a
     # the links as (C, K) arrays of their components, users lifted to z = 0,
     # rather than channel.link_geometry's (C, K, 3) vectors: on 40-user
     # planner states (2-core host) the kernel made next_waypoint 1.13-1.14x
@@ -190,8 +202,8 @@ def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) ->
     with np.errstate(over="ignore"):
         scale = 1.0 / (sigma_tau_of_distance(dist, noise) * SPEED_OF_LIGHT * dist)
     gx, gy = hx * scale, hy * scale
-    gxx, e = gx * gx, gy - slope * gx
-    det_new = det + (a * (e * e) + schur * gxx)
+    gxx, e = gx * gx, root_a * gy - slope * gx
+    det_new = det + (e * e + schur * gxx)
     if not ((det_new > 0) & (det_new < np.inf)).all():
         raise SingularFim("Fisher matrix is singular")
     return (tr / det - (tr + (gxx + gy * gy)) / det_new).sum(axis=1)

@@ -6,9 +6,9 @@ from one numpy PCG64 Generator seeded with scenario.seed.
 
 What runs when. Every step takes a GPS fix and, on the greedy path, plans
 the next waypoint against the Fisher information. A retained step measures
-its K links in one sample_toa call and adds its Fisher blocks
-(step_contribution, accumulate), which the planner reads; a solve follows on
-its schedule. The rest waits for the step that reads it:
+its K links in one sample_toa call, and on the greedy path adds its Fisher
+blocks (step_contribution, accumulate), which only the planner reads; a
+solve follows on its schedule. The rest waits for the step that reads it:
 - The log is read at the first retained step, by each solve and by the
   result. On the NR path its rows hold sample_toa's delays until then;
   each read estimates the rows not yet estimated in one estimate_toa_nr
@@ -16,10 +16,12 @@ its schedule. The rest waits for the step that reads it:
 - The log is a step-major grid: row i is retained step i // K and user
   i % K. A read hands on the prefix of the retained rows, a MeasurementLog
   that derives its index layout from its columns, as every log does.
-- The CRB history is traced once, at the end, from the Fisher blocks kept
-  after each retained step (fim.crb_traces). So at eps_prior = 0 a
-  fixed-path mission raises SingularFim at its end, after its solves; a
-  greedy one still raises it at step 1, where the planner reads the blocks.
+- The CRB history is taken once, at the end, by fim.crb_history, the rule
+  `uavloc crb` follows: the retained positions at the final user estimates,
+  each step reading its last retained one. So it is a bound at the final
+  estimates, not at the true users. A fixed path does no other Fisher work:
+  at eps_prior = 0 it raises SingularFim at its end, after its solves; a
+  greedy one raises it at step 1, where the planner reads the blocks.
 
 How a mission's estimates start. At the first retained step each user
 lies on its measured range circle about that step's GPS fix, along the
@@ -42,7 +44,7 @@ from .channel import RngStream, sample_gps, sample_toa
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .channel import is_blocked  # noqa: F401
 from .errors import InvalidParam
-from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_traces, initial_info, step_contribution
+from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_history, initial_info, step_contribution
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .fim import crb_trace  # noqa: F401
 from .model import (REACH_SLACK, MeasurementLog, Scenario, require_int, require_number,
@@ -69,9 +71,9 @@ class MissionResult:
     samples: MeasurementLog      # one row per (retained step, user)
     user_estimates: np.ndarray   # (K, 2)
     uav_estimates: np.ndarray    # (R, 3), aligned with retained_steps
-    # (N,) trace of the user-only CRB after each step, each retained step's
-    # Fisher information taken at the user estimates the mission holds at
-    # that step (after its solve, if it solves), not at the true users
+    # (N,) trace of the user-only CRB after each step: fim.crb_history of the
+    # retained positions at user_estimates, each step reading its last
+    # retained one; a bound at the final estimates, not at the true users
     crb_history: np.ndarray
     converged: bool
     metrics: Metrics
@@ -130,11 +132,12 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
     every hop within d_max.
     Per retained step the mission measures, accumulates the Fisher blocks
-    and solves on schedule; the NR estimates of its delays wait for the
-    next read of the log (the first step, a solve, the result), and the CRB
-    history for the end, where one pass traces it (the module docstring
-    says more). So SingularFim from a singular Fisher matrix (eps_prior = 0)
-    comes at the end of a fixed-path mission, after its last solve.
+    for the greedy planner and solves on schedule; the NR estimates of its
+    delays wait for the next read of the log (the first step, a solve, the
+    result), and the CRB history for the end, at the final estimates (the
+    module docstring says more). So SingularFim from a singular Fisher
+    matrix (eps_prior = 0) comes at the end of a fixed-path mission, after
+    its last solve.
     The result's `converged` is the last solve's report.converged; a solve
     that does not converge hands on its best state, and the mission goes on.
     InvalidParam names a bad scenario field (validate_scenario) or option
@@ -184,10 +187,8 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
                          toa=np.empty(n_steps * num_users))
     samples = log[:0]  # the rows read last, never written again
     retained: list[int] = []
-    info = initial_info(num_users, eps_prior)
-    # the Fisher blocks after each retained step, and per step the index of
-    # the last retained one: the CRB history, traced at the end
-    kept_blocks = np.empty((n_steps, num_users, 2, 2))
+    info = initial_info(num_users, eps_prior)  # read by the greedy planner only
+    # per step the index of its last retained one, where the history reads
     last_kept = np.empty(n_steps, dtype=np.int64)
     u_est = None
     # pose estimates of the retained steps, in order: each step's GPS fix
@@ -236,8 +237,8 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
                 u_est = slam.range_circle_start(read_samples(), track)
             if solve_every and len(retained) % solve_every == 0:
                 do_solve()
-            info = accumulate(info, step_contribution(p, u_est, s.toa_noise))
-            kept_blocks[len(retained) - 1] = info.blocks
+            if fixed_path is None:
+                info = accumulate(info, step_contribution(p, u_est, s.toa_noise))
         last_kept[n - 1] = len(retained) - 1
 
         if n < n_steps:
@@ -253,13 +254,14 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     if not solve_every or len(retained) % solve_every:
         do_solve()
 
-    crb_history = crb_traces(kept_blocks[:len(retained)], eps_prior)[last_kept]
+    history = crb_history(positions[np.array(retained) - 1], u_est, s.toa_noise, eps_prior)
     uav_estimates = pose_est[:len(retained)].copy()
     metrics = compute_metrics(s, positions, gps_trace, retained, uav_estimates, u_est)
     return MissionResult(planned=positions, gps=gps_trace,
                          retained_steps=tuple(retained), samples=read_samples(),
                          user_estimates=u_est, uav_estimates=uav_estimates,
-                         crb_history=crb_history, converged=converged, metrics=metrics)
+                         crb_history=history[last_kept], converged=converged,
+                         metrics=metrics)
 
 
 @dataclass

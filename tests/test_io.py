@@ -1307,6 +1307,20 @@ def test_cli_plan_refuses_a_fim_block_whose_determinant_overflows(tmp_path, scen
         assert err.startswith("error: state 'fim' ") and err.count("\n") == 1
 
 
+def test_cli_plan_gains_of_a_very_unequal_diagonal_do_not_overflow(tmp_path, scenario_file):
+    # det = 1e-300 * 1e300 - 1e-10 is near 1, so the block is positive
+    # definite at eps_prior 0; squaring b g_x / a (about 1e295 g_x) overflowed
+    doc = dict(VALID_STATE, eps_prior=0.0, fim=[[1e-300, 1e-5], [1e-5, 1e300]])
+    (tmp_path / "state.json").write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(["plan", "--scenario", scenario_file, "--state", str(tmp_path / "state.json")])
+    assert rc == 0 and not caught and err.getvalue() == ""
+    assert re.fullmatch(r"next_waypoint: \[[^\n]*\]\n", out.getvalue())
+
+
 def test_cli_plan_accepts_rank_one_fim(tmp_path, scenario_file):
     # one ToA sample gives a rank-1 block whose determinant is 0 up to rounding
     fim = 7e14 * np.outer([0.1257302210933933, -0.1321048632913019],

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench.workloads import WORKLOADS
-from uavloc import mission, nrtiming, slam
+from uavloc import fim, mission, nrtiming, slam
+from uavloc.cli import main
 from uavloc.errors import InvalidParam, SingularFim
+from uavloc.iofiles import serialize_scenario
 from uavloc.mission import (circle_path, compute_metrics, monte_carlo,
                             run_mission, straight_line_path)
 from uavloc.model import SPEED_OF_LIGHT as C
@@ -128,16 +133,17 @@ def test_one_solve_at_the_end_starts_in_the_true_basin():
 
 
 def first_estimates(monkeypatch, s, mode="greedy", **kw):
-    """The user estimates the first step_contribution of a mission reads,
-    before any solve at solve_every != 1, and the mission's result."""
+    """The first user estimates of a mission, as slam.range_circle_start
+    returns them at its first retained step, and the mission's result."""
     seen = []
-    contribution = mission.step_contribution
+    start = slam.range_circle_start
 
-    def recorded(p, users, noise):
-        seen.append(np.array(users))
-        return contribution(p, users, noise)
-    monkeypatch.setattr(mission, "step_contribution", recorded)
+    def recorded(measurements, track):
+        seen.append(start(measurements, track))
+        return seen[-1].copy()
+    monkeypatch.setattr(slam, "range_circle_start", recorded)
     res = run_mission(s, mode, **kw)
+    assert len(seen) == 1
     return seen[0], res
 
 
@@ -279,9 +285,9 @@ def test_online_workload_estimates_toa_once_per_read_and_traces_the_history_once
     # the benchmark's online_greedy_nr missions of seed 1, their work counted:
     # the NR delays of the rows retained since the last read go through one
     # estimate_toa_nr call at step 1 and at each solve, and the CRB history
-    # through one trace pass at the end
+    # through one fim.crb_history call at the end
     workload = WORKLOADS["online_greedy_nr"]
-    counts = {"solve_slam": 0, "estimate_toa_nr": 0, "crb_traces": 0, "crb_trace": 0}
+    counts = {"solve_slam": 0, "estimate_toa_nr": 0, "crb_history": 0, "crb_trace": 0}
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -291,7 +297,7 @@ def test_online_workload_estimates_toa_once_per_read_and_traces_the_history_once
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     counting(slam, "solve_slam")
-    for name in ("estimate_toa_nr", "crb_traces", "crb_trace"):
+    for name in ("estimate_toa_nr", "crb_history", "crb_trace"):
         counting(mission, name)
     for s in workload.make_inputs(1)[:10]:
         for name in counts:
@@ -299,7 +305,7 @@ def test_online_workload_estimates_toa_once_per_read_and_traces_the_history_once
         workload.run(s)
         assert counts["solve_slam"] >= 1
         assert 1 <= counts["estimate_toa_nr"] <= counts["solve_slam"] + 1
-        assert counts["crb_traces"] == 1 and counts["crb_trace"] == 0
+        assert counts["crb_history"] == 1 and counts["crb_trace"] == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -364,6 +370,62 @@ def test_fixed_mission_without_prior_raises_singular_fim_after_its_solves(monkey
     with pytest.raises(SingularFim):
         run_mission(s, "greedy", solve_every=5, eps_prior=0.0)
     assert len(solves) == 6
+
+
+@pytest.mark.parametrize("solve_every", [0, 1, 5])
+@pytest.mark.parametrize("toa_path", ["ideal", "nr"])
+@pytest.mark.parametrize("fixed", [False, True], ids=["greedy", "fixed"])
+def test_crb_history_is_the_retained_track_at_the_final_estimates(tmp_path, fixed, toa_path,
+                                                                   solve_every):
+    # one rule for every CRB history: fim.crb_history of the retained
+    # positions at the final user estimates, each step reading the value of
+    # its last retained step; `uavloc crb` on that track and those users
+    # prints the retained steps' values
+    s = replace(sigma_gps_scenario(), delta_keep=6.0)
+    res = run_mission(s, straight_line_path(s) if fixed else "greedy", toa_path=toa_path,
+                      solve_every=solve_every)
+    kept = np.array(res.retained_steps)
+    assert 1 < len(kept) < s.mission_steps
+    track = res.planned[kept - 1]
+    want = fim.crb_history(track, res.user_estimates, s.toa_noise, fim.DEFAULT_EPS_PRIOR)
+    last = np.searchsorted(kept, np.arange(1, s.mission_steps + 1), side="right") - 1
+    np.testing.assert_array_equal(res.crb_history, want[last])
+
+    (tmp_path / "scenario.yaml").write_text(serialize_scenario(s))
+    (tmp_path / "traj.csv").write_text("step,x,y,z\n" + "".join(
+        f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in enumerate(track.tolist(), start=1)))
+    (tmp_path / "users.csv").write_text("user_id,x,y\n" + "".join(
+        f"{k},{x!r},{y!r}\n" for k, (x, y) in enumerate(res.user_estimates.tolist(), start=1)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["crb", "--scenario", str(tmp_path / "scenario.yaml"), "--json",
+                   "--trajectory", str(tmp_path / "traj.csv"),
+                   "--users", str(tmp_path / "users.csv")])
+    assert rc == 0
+    assert json.loads(out.getvalue())["crb_history_m2"] == res.crb_history[kept - 1].tolist()
+
+
+def test_a_fixed_path_mission_takes_its_fisher_blocks_once_at_its_end(monkeypatch):
+    # only the greedy planner reads the Fisher state, so a fixed path takes
+    # the blocks of its retained positions in one call, after its last solve
+    events = []
+    contribution, solve = fim.step_contribution, slam.solve_slam
+
+    def recorded_contribution(uav, users, noise):
+        events.append(("step_contribution", np.shape(uav)))
+        return contribution(uav, users, noise)
+
+    def recorded_solve(*args):
+        events.append(("solve_slam",))
+        return solve(*args)
+    monkeypatch.setattr(fim, "step_contribution", recorded_contribution)
+    monkeypatch.setattr(mission, "step_contribution", recorded_contribution)
+    monkeypatch.setattr(slam, "solve_slam", recorded_solve)
+    s = replace(sigma_gps_scenario(), delta_keep=4.0)
+    res = run_mission(s, straight_line_path(s), solve_every=5)
+    blocks = [e for e in events if e[0] == "step_contribution"]
+    assert blocks == [("step_contribution", (len(res.retained_steps), 3))]
+    assert events[-1] == blocks[0] and ("solve_slam",) in events
 
 
 def test_converged_is_the_last_solves():

@@ -1,7 +1,9 @@
-"""The statistics of tools/pairs.py on fixed synthetic pairs; no benchmark runs."""
+"""The statistics of tools/pairs.py on fixed synthetic pairs, and its extraction
+of the working tree on a throwaway git repository; no benchmark runs."""
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,26 @@ def test_summary_compares_only_metrics_both_sides_report():
     assert sorted(w["metrics"]) == ["op_s_p50", "op_s_p90", "ops_per_s", "setup_s"]
     assert not w["more_failed"]
     assert not any(s["claim"] or s["regression"] for s in w["metrics"].values())
+
+
+def test_the_change_side_is_the_working_tree_without_what_git_ignores(tmp_path):
+    repo, into = tmp_path / "repo", tmp_path / "into"
+    (repo / "pkg").mkdir(parents=True)
+    into.mkdir()
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "tracked.py").write_text("A = 1\n")
+    (repo / "gone.py").write_text("B = 1\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "tracked.py").write_text("A = 2\n")  # modified, not staged
+    (repo / "gone.py").unlink()  # tracked, deleted on disk
+    (repo / "pkg" / "new.py").write_text("C = 3\n")  # untracked
+    (repo / "pkg" / "run.log").write_text("ignored\n")
+    pairs.extract_worktree(into, root=repo)
+    got = {str(p.relative_to(into)): p.read_text() for p in into.rglob("*") if p.is_file()}
+    assert got == {".gitignore": "*.log\n", "pkg/tracked.py": "A = 2\n", "pkg/new.py": "C = 3\n"}

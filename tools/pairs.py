@@ -3,9 +3,12 @@
     python3 tools/pairs.py --parent REV --pairs N [--seed S] [--seconds T] --out FILE [--null]
 
 The parent side is REV extracted by `git archive REV | tar -x` into a
-temporary directory; the change side is this working tree, or with --null a
-second extraction of REV, so that the session measures how far two identical
-trees read apart. Pair i runs the BENCHMARK.json command with --seed S + i
+temporary directory. The change side is this working tree, extracted into
+another one when the session starts: its tracked files as they are on disk
+and its untracked files that git does not ignore. So both sides run from a
+fresh directory, and the checkout's own leftovers (build output, caches,
+results) are in neither. With --null the change side is a second extraction
+of REV, so that the session measures how far two identical trees read apart. Pair i runs the BENCHMARK.json command with --seed S + i
 and --seconds T once on each side, each in a fresh interpreter, one process
 at a time; the side that runs first alternates. The session is appended to
 FILE (a JSON object with a "sessions" list).
@@ -29,6 +32,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -107,6 +111,21 @@ def extract(rev, into):
         sys.exit(f"error: git archive {rev} failed")
 
 
+def extract_worktree(into, root=ROOT):
+    """The working tree of the repository at `root` written into the directory
+    `into`: tracked files as they are on disk (one deleted on disk is left
+    out) and untracked files that git does not ignore."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, capture_output=True,
+                            check=True).stdout.decode()
+    for name in sorted(set(listed.split("\0")) - {""}):
+        src = Path(root) / name
+        if src.is_file() or src.is_symlink():
+            dst = Path(into) / name
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dst, follow_symlinks=False)
+
+
 def run_side(tree, command, seed, seconds):
     """One benchmark process on `tree`: its per-workload counts and metrics."""
     # the command's Python script, run by this interpreter
@@ -144,11 +163,13 @@ def main(argv=None):
                             text=True, check=True).stdout.strip()
 
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": Path(tmp) / "parent"}
-        trees["change"] = Path(tmp) / "twin" if args.null else ROOT
-        for side in ("parent", "change") if args.null else ("parent",):
-            trees[side].mkdir()
-            extract(commit, trees[side])
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for side, tree in trees.items():
+            tree.mkdir()
+            if side == "change" and not args.null:
+                extract_worktree(tree)
+            else:
+                extract(commit, tree)
         runs, order = [], []
         for i in range(args.pairs):
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -162,7 +183,7 @@ def main(argv=None):
     workloads = summarize(runs, bench["end_to_end"])
     session = {
         "parent": commit, "change": "null: a second extraction of the parent"
-        if args.null else "the working tree",
+        if args.null else "the working tree, extracted",
         "command": [*bench["command"], "--seed", "S", "--seconds", str(seconds)],
         "cores": os.cpu_count(), "python": platform.python_version(),
         "seeds": [args.seed + i for i in range(args.pairs)], "first": order,
