@@ -21,7 +21,7 @@ from .iofiles import (RunConfig, csv_refusal, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
 from .model import require_number
-from .planner import PlannerState, next_waypoint
+from .planner import PlannerState, candidate_positions, next_waypoint
 
 
 def _read_text(path: str) -> str:
@@ -136,10 +136,32 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
         # positive semidefinite up to the rounding fim allows a rank-deficient block
         if np.any((a < 0) | (d < 0) | (b * c - a * d > fim.SINGULAR_RTOL * a * d)):
             raise SchemaError("state 'fim' must have positive semidefinite 2x2 diagonal blocks")
-    return PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
-                        mission_steps=s.mission_steps, d_max=s.d_max, info=info,
-                        user_estimates=users, noise_model=s.toa_noise,
-                        headings=rc.headings)
+        # a positive definite block, as at a subnormal a beside a large d, whose
+        # CRB trace (a + d) / det of A + eps I overflows is refused too
+        a, d = a + eps, d + eps
+        det = a * d - b * c
+        definite = det > fim.SINGULAR_RTOL * a * d
+        if np.any(definite & ~(np.divide(a + d, det, out=np.zeros(k), where=definite) < np.inf)):
+            raise SchemaError("state 'fim' must have 2x2 diagonal blocks whose CRB trace "
+                              "is finite")
+    st = PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
+                      mission_steps=s.mission_steps, d_max=s.d_max, info=info,
+                      user_estimates=users, noise_model=s.toa_noise, headings=rc.headings)
+    # the planner squares each candidate's distance to every user and to the terminal
+    ends = np.vstack([np.column_stack([users, np.zeros(k)]), st.terminal])
+    _require_finite_links(candidate_positions(st), ends,
+                          "state 'pos' must lie where the squared distances of its candidate "
+                          "waypoints to 'user_estimates' and the terminal are finite")
+    return st
+
+
+def _require_finite_links(uav, ends, message: str):
+    """SchemaError(message) unless every squared distance |uav_i - ends_j|^2
+    between the points uav (N, 3) and ends (M, 3) is finite."""
+    with np.errstate(over="ignore"):
+        diff = uav[:, None] - ends
+        if not np.all(np.vecdot(diff, diff) < np.inf):
+            raise SchemaError(message)
 
 
 def _cmd_plan(args) -> int:
@@ -177,6 +199,9 @@ def _cmd_crb(args) -> int:
     ids = users[:, 0]
     if ids.min() < 1 or np.any(ids % 1) or len(np.unique(ids)) < len(ids):
         raise SchemaError(f"{args.users}: user ids must be distinct integers >= 1")
+    _require_finite_links(traj[:, 1:], np.column_stack([users[:, 1:], np.zeros(len(users))]),
+                          f"{args.trajectory}, {args.users}: every squared UAV-user "
+                          "distance must be finite")
     history = crb_history(traj[:, 1:], users[:, 1:], rc.scenario.toa_noise,
                           rc.eps_prior).tolist()
     if args.out:

@@ -188,8 +188,6 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     samples = log[:0]  # the rows read last, never written again
     retained: list[int] = []
     info = initial_info(num_users, eps_prior)  # read by the greedy planner only
-    # per step the index of its last retained one, where the history reads
-    last_kept = np.empty(n_steps, dtype=np.int64)
     u_est = None
     # pose estimates of the retained steps, in order: each step's GPS fix
     # until a solve overwrites it
@@ -239,7 +237,6 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
                 do_solve()
             if fixed_path is None:
                 info = accumulate(info, step_contribution(p, u_est, s.toa_noise))
-        last_kept[n - 1] = len(retained) - 1
 
         if n < n_steps:
             if fixed_path is not None:
@@ -254,13 +251,16 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     if not solve_every or len(retained) % solve_every:
         do_solve()
 
-    history = crb_history(positions[np.array(retained) - 1], u_est, s.toa_noise, eps_prior)
+    kept = np.array(retained)
+    history = crb_history(positions[kept - 1], u_est, s.toa_noise, eps_prior)
+    # each step reads the history at its last retained step
+    history = history[np.searchsorted(kept, np.arange(1, n_steps + 1), side="right") - 1]
     uav_estimates = pose_est[:len(retained)].copy()
     metrics = compute_metrics(s, positions, gps_trace, retained, uav_estimates, u_est)
     return MissionResult(planned=positions, gps=gps_trace,
                          retained_steps=tuple(retained), samples=read_samples(),
                          user_estimates=u_est, uav_estimates=uav_estimates,
-                         crb_history=history[last_kept], converged=converged,
+                         crb_history=history, converged=converged,
                          metrics=metrics)
 
 

@@ -87,9 +87,8 @@ class NormalEquations:
 class SolveReport:
     """What a solve did. iterations counts assemblies of the normal
     equations, and objective_trace holds f at the start and after each
-    accepted step, the latter under the weights of the iteration that took
-    the step. With per_distance_weights those weights are taken again from
-    the distances at every iteration, so the trace can rise."""
+    accepted step, all under the weights taken at the start point, so it
+    never rises."""
     iterations: int
     objective_trace: list[float]
     converged: bool
@@ -102,7 +101,7 @@ class SlamConfig:
     sigma_gps: float = Scenario.sigma_gps
     sigma_tau: float = ToaNoiseModel.sigma0
     noise_model: ToaNoiseModel | None = None
-    per_distance_weights: bool = False  # refresh toa sigma from current distances
+    per_distance_weights: bool = False  # toa sigma from the distances at each solve's start
     huber_delta: float | None = None    # seconds; robust ToA reweighting when set
     tol_step: float = 1e-6
     max_iter: int = 100
@@ -154,8 +153,9 @@ def measurement_weights(res, cfg: SlamConfig):
     """GPS weight and per-measurement ToA weights 1/sigma^2 at the point whose
     residuals are `res` (res[3] holds the link distances).
 
-    ToA sigmas follow the noise model at the current link distances when
-    cfg.per_distance_weights is set, else they are cfg.sigma_tau.
+    ToA sigmas follow the noise model at those link distances when
+    cfg.per_distance_weights is set, else they are cfg.sigma_tau. solve_slam
+    takes them once, at its start point.
     """
     if cfg.per_distance_weights:
         w_toa = 1.0 / sigma_tau_of_distance(res[3], cfg.noise_model) ** 2
@@ -198,12 +198,10 @@ def assemble_normal_equations(log: MeasurementLog, res, w_gps: float, w_toa,
     c = w r / (C d), a ToA measurement adds (w + C^2 c) g g^T - c I to its
     pose block, the top-left 2x2 of that to its user block and minus its
     first two columns to the coupling, and w r g (negated for the pose) to
-    b. w is the ToA
-    weight, times the Huber IRLS weight beyond huber_delta; derivatives of
-    per-distance weights are left out. One bincount sums the 9 pose-block
-    entries and the 3 of b per (pose, user) pair, adding repeated
-    measurements of a pair; the blocks are sums of those. Its index is the
-    log's pair_index, built once per log.
+    b. w is the ToA weight, times the Huber IRLS weight beyond huber_delta.
+    One bincount sums the 9 pose-block entries and the 3 of b per (pose,
+    user) pair, adding repeated measurements of a pair; the blocks are sums
+    of those. Its index is the log's pair_index, built once per log.
     """
     S, K = len(log.steps), len(log.user_ids)
     r_gps, r_toa, diff, d = res
@@ -325,7 +323,10 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
     """Newton-Levenberg-Marquardt minimization of the joint negative
     log-likelihood.
 
-    Each iteration assembles the Newton matrix, with the exact ToA
+    The weights (measurement_weights) are taken once, at `init`: f is the
+    objective under them throughout, so the trace descends, and a solve from
+    the result takes per-distance weights again, as a mission's re-solves
+    do. Each iteration assembles the Newton matrix, with the exact ToA
     curvature, once, and tries damped steps (H + lambda I) delta = -b until
     one does not raise f. A trial whose damped matrix is not positive
     definite (the Newton matrix can be indefinite far from the minimum)
@@ -349,7 +350,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
     flat = init.flatten()
     lam, nu = LAMBDA_INIT, 2.0
     # the residuals of the current point, shared by the objective that
-    # accepts it, the weights and the next assembly
+    # accepts it and the next assembly; the weights are those of init
     res = residuals(log, flat)
     weights = measurement_weights(res, cfg)
     f = objective_terms(res, *weights, cfg.huber_delta)
@@ -360,11 +361,6 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
 
     for _ in range(cfg.max_iter):
         iterations += 1
-        if cfg.per_distance_weights:
-            # the weights, and so f, move with the state; fixed weights keep
-            # f from before the loop or from the last accepted step
-            weights = measurement_weights(res, cfg)
-            f = objective_terms(res, *weights, cfg.huber_delta)
         ne = assemble_normal_equations(log, res, *weights, huber_delta=cfg.huber_delta)
         accepted = f_settled = False
         while lam <= LAMBDA_MAX:

@@ -1292,19 +1292,39 @@ def test_cli_plan_fim_not_psd_exits_2(tmp_path, scenario_file, fim):
     assert rc == 0
 
 
-@pytest.mark.parametrize("scale, code", [(1e150, 0), (1e155, 2)])
+@pytest.mark.parametrize("block, eps_prior, code", [
+    pytest.param([[1e150, 0.0], [0.0, 1e150]], None, 0, id="1e+150-0"),
+    pytest.param([[1e155, 0.0], [0.0, 1e155]], None, 2, id="1e+155-2"),
+    pytest.param([[5e-324, 2e-8], [2e-8, 1e308]], 0.0, 2, id="subnormal_pivot-2"),
+])
 def test_cli_plan_refuses_a_fim_block_whose_determinant_overflows(tmp_path, scenario_file,
-                                                                  scale, code):
-    # a finite PSD block of 1e155 * I has a determinant of 1e310, which no
-    # float holds: that is bad input, not a singular matrix
-    doc = dict(VALID_STATE, user_estimates=TWO_USERS,
-               fim=np.diag([scale, scale, 1.0, 1.0]).tolist())
+                                                                  block, eps_prior, code):
+    # a finite PSD block of 1e155 * I has a determinant of 1e310, and the
+    # positive definite [[5e-324, 2e-8], [2e-8, 1e308]] at eps_prior 0 a CRB
+    # trace of about 1e324, which no float holds: that is bad input, not a
+    # singular matrix
+    fim = np.eye(4)
+    fim[:2, :2] = block
+    doc = dict(VALID_STATE, user_estimates=TWO_USERS, fim=fim.tolist())
+    if eps_prior is not None:
+        doc["eps_prior"] = eps_prior
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(doc))
     assert rc == code and not caught
     if code:
         assert err.startswith("error: state 'fim' ") and err.count("\n") == 1
+
+
+def test_cli_plan_refuses_a_position_whose_squared_links_overflow(tmp_path, scenario_file):
+    # 1e200 m from the users and the terminal, the squared distances the
+    # planner takes overflow: that is bad input, not a fallback waypoint
+    doc = dict(VALID_STATE, pos=[1e200, 0.0, 30.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(doc))
+    assert rc == 2 and not caught
+    assert err.startswith("error: state 'pos' ") and err.count("\n") == 1
 
 
 def test_cli_plan_gains_of_a_very_unequal_diagonal_do_not_overflow(tmp_path, scenario_file):
@@ -1520,6 +1540,17 @@ def test_cli_crb_refuses_bad_steps_and_user_ids(tmp_path, scenario_file, capsys,
                                  str(tmp_path / "traj.csv"), "--users",
                                  str(tmp_path / "users.csv")])
     assert line.startswith(f"error: {tmp_path / bad}: ")
+
+
+def test_cli_crb_refuses_a_track_whose_squared_links_overflow(tmp_path, scenario_file, capsys):
+    (tmp_path / "traj.csv").write_text("step,x,y,z\n1,50,0,30\n2,1e200,0,30\n")
+    (tmp_path / "users.csv").write_text(USERS)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = _input_error(capsys, ["crb", "--scenario", scenario_file, "--trajectory",
+                                     str(tmp_path / "traj.csv"), "--users",
+                                     str(tmp_path / "users.csv")])
+    assert not caught and "squared UAV-user distance" in line
 
 
 def test_cli_crb_takes_user_ids_in_any_order(tmp_path, scenario_file, capsys):

@@ -12,7 +12,7 @@ from perfbench.workloads import WORKLOADS
 from uavloc import fim, mission, nrtiming, slam
 from uavloc.cli import main
 from uavloc.errors import InvalidParam, SingularFim
-from uavloc.iofiles import serialize_scenario
+from uavloc.iofiles import serialize_scenario, write_measurement_log
 from uavloc.mission import (circle_path, compute_metrics, monte_carlo,
                             run_mission, straight_line_path)
 from uavloc.model import SPEED_OF_LIGHT as C
@@ -426,6 +426,44 @@ def test_a_fixed_path_mission_takes_its_fisher_blocks_once_at_its_end(monkeypatc
     blocks = [e for e in events if e[0] == "step_contribution"]
     assert blocks == [("step_contribution", (len(res.retained_steps), 3))]
     assert events[-1] == blocks[0] and ("solve_slam",) in events
+
+
+@pytest.mark.parametrize("solve_every", [5, 0])
+def test_per_distance_solves_weigh_once_and_descend(tmp_path, monkeypatch, solve_every):
+    # each solve takes its per-distance ToA weights once, at its start point,
+    # so every objective trace descends: a circle mission's solves, and
+    # `uavloc solve` of that mission's log
+    noise = ToaNoiseModel(kind="exponential", sigma0=5e-9, amp=2e-9, scale=40.0)
+    s = replace(circle_scenario(n_steps=30, users=((10.0, -5.0), (-20.0, 15.0), (25.0, 20.0),
+                                                   (-5.0, -30.0))), toa_noise=noise)
+    weights, solve = slam.measurement_weights, slam.solve_slam
+    weighings, traces = [], []
+
+    def counted_weights(*args):
+        weighings[-1] += 1
+        return weights(*args)
+
+    def recorded_solve(*args):
+        weighings.append(0)
+        state, report = solve(*args)
+        traces.append(report.objective_trace)
+        return state, report
+    monkeypatch.setattr(slam, "measurement_weights", counted_weights)
+    monkeypatch.setattr(slam, "solve_slam", recorded_solve)
+    res = run_mission(s, circle_path((0, 0), 50.0, 30.0, s.mission_steps),
+                      solve_every=solve_every,
+                      slam_cfg=SlamConfig.for_scenario(s, per_distance_weights=True))
+    assert len(traces) == (6 if solve_every else 1)
+
+    (tmp_path / "scenario.yaml").write_text(serialize_scenario(s) +
+                                            "solver: {per_distance_weights: true}\n")
+    (tmp_path / "log.csv").write_text(write_measurement_log(res.samples))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--scenario", str(tmp_path / "scenario.yaml"),
+                     "--log", str(tmp_path / "log.csv")]) == 0
+    for trace in traces:
+        assert len(trace) > 1 and np.all(np.diff(trace) <= 0)
+    assert weighings == [1] * len(traces)
 
 
 def test_converged_is_the_last_solves():
