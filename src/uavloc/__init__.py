@@ -13,8 +13,8 @@ from .mission import (McSummary, Metrics, MissionResult, circle_path,
                       straight_line_path)
 from .model import (SPEED_OF_LIGHT, AxisBox, MeasurementSample, Scenario,
                     ToaNoiseModel, Vec2, Vec3, validate_scenario)
-from .nrtiming import (NrConfig, SawtoothDrift, coarse_rtt, drift_offset,
-                       estimate_toa_nr, srs_refine, synth_cir, ta_from_rtt)
+from .nrtiming import (NrConfig, coarse_rtt, drift_offset, estimate_toa_nr, srs_refine,
+                       synth_cir, ta_from_rtt)
 from .planner import (PlannerState, greedy_cost, next_waypoint, reach_threshold)
 from .slam import (SlamConfig, SolveReport, StateVector, initial_state,
                    objective, solve_slam, toa_jacobian_row)

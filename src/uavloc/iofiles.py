@@ -22,8 +22,8 @@ import yaml
 from .errors import InvalidParam, ParseError, RowError, SchemaError, UnitError, UnknownKey
 from .fim import DEFAULT_EPS_PRIOR
 from .mission import DEFAULT_SOLVE_EVERY, MissionResult, check_options
-from .model import (AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2, Vec3,
-                    validate_scenario)
+from .model import (LENGTH_MAX, SPEED_OF_LIGHT, AxisBox, MeasurementLog, Scenario,
+                    ToaNoiseModel, Vec2, Vec3, validate_scenario)
 from .planner import PlannerState
 from .slam import SlamConfig
 
@@ -209,6 +209,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+# per column of (|gps|, toa_s): the largest value a row may hold
+_FAR_LIMIT = np.array([LENGTH_MAX] * 3 + [LENGTH_MAX / SPEED_OF_LIGHT])
+
+
 def _first_inconsistent(log: MeasurementLog):
     """Index and message of the first row of a parsed log that breaks a row
     rule of read_measurement_log; None if there is none. At the first bad
@@ -216,19 +220,25 @@ def _first_inconsistent(log: MeasurementLog):
     row against the rows before it agree with reading row by row. The tests
     read the log's index layout, which the returned log then carries."""
     finite = np.isfinite(np.column_stack([log.gps, log.toa]))
+    # a GPS coordinate or a range C toa_s beyond LENGTH_MAX
+    far = np.column_stack([np.abs(log.gps), log.toa]) > _FAR_LIMIT
     _, first_of_pair = np.unique(log.pose * len(log) + log.user, return_index=True)
     repeated = np.ones(len(log), dtype=bool)
     repeated[first_of_pair] = False
     # rule masks in the order a row is checked: a row that breaks two rules
     # reports the first
-    rules = [~finite.all(axis=1), log.toa < 0, (log.step < 1) | (log.user_id < 1), repeated,
+    rules = [~finite.all(axis=1), far.any(axis=1), log.toa < 0,
+             (log.step < 1) | (log.user_id < 1), repeated,
              np.any(log.gps != log.pose_gps[log.pose], axis=1)]
     bad = [(int(np.argmax(m)), r) for r, m in enumerate(rules) if m.any()]
     if not bad:
         return None
     i, rule = min(bad)
     step, user_id = int(log.step[i]), int(log.user_id[i])
-    return i, [f"{LOG_HEADER[2 + int(np.argmin(finite[i]))]} must be finite",
+    c = int(np.argmax(far[i]))
+    beyond = (f"{LOG_HEADER[2 + c]} must be at most {LENGTH_MAX:g} m in magnitude" if c < 3 else
+              f"toa_s must be at most {_FAR_LIMIT[3]:.6g} s, a range C*toa_s of {LENGTH_MAX:g} m")
+    return i, [f"{LOG_HEADER[2 + int(np.argmin(finite[i]))]} must be finite", beyond,
                "toa_s must be >= 0", "step and user_id must be >= 1",
                f"duplicate row for step {step}, user_id {user_id}",
                f"GPS fix differs from the first one given for step {step}"][rule]
@@ -320,11 +330,12 @@ def _read_rows(reader) -> MeasurementLog:
 def read_measurement_log(text: str) -> MeasurementLog:
     """Parse a measurement-log CSV; the header must match the schema exactly.
 
-    Each row must hold finite numbers, a step and user_id >= 1 that fit in
-    int64, toa_s >= 0, a (step, user_id) pair not given before, and for its
-    step the same GPS fix as the step's first row; a RowError names the
-    first row that does not, or that csv cannot read. Blank lines are
-    skipped but count in the row numbers.
+    Each row must hold finite numbers, GPS coordinates at most LENGTH_MAX
+    meters in magnitude, a toa_s >= 0 and at most LENGTH_MAX / C seconds, a
+    step and user_id >= 1 that fit in int64, a (step, user_id) pair not
+    given before, and for its step the same GPS fix as the step's first row;
+    a RowError names the first row that does not, or that csv cannot read.
+    Blank lines are skipped but count in the row numbers.
 
     np.loadtxt reads the body after the header in one pass, and its values
     equal int()'s and float()'s bit for bit. Only a body numpy refuses, or

@@ -49,7 +49,7 @@ from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_history, initial_info, step_
 from .fim import crb_trace  # noqa: F401
 from .model import (REACH_SLACK, MeasurementLog, Scenario, require_int, require_number,
                     validate_scenario)
-from .nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
+from .nrtiming import NrConfig, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
 
 DEFAULT_SOLVE_EVERY = 1  # re-solve SLAM at every retained step
@@ -173,7 +173,6 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     rng = RngStream(s.seed)
 
     cfg = slam_cfg or slam.SlamConfig.for_scenario(s)
-    drift = SawtoothDrift(s.toa_noise.drift_rate, s.toa_noise.drift_reset_period)
 
     positions = np.zeros((n_steps, 3))
     positions[0] = start
@@ -202,7 +201,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
             rows = slice(len(samples), stop)
             if nr_cfg is not None:
                 log.toa[rows] = estimate_toa_nr(log.toa[rows], nr_cfg,
-                                                drift_offset(log.step[rows], drift))
+                                                drift_offset(log.step[rows], s.toa_noise))
             samples = log[:stop]
         return samples
 

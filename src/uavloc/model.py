@@ -174,11 +174,27 @@ class Scenario:
 # budget here and each hop of a fixed mission path.
 REACH_SLACK = 1e-12
 
+# The largest magnitude, in meters, of a scenario coordinate, a mission's
+# farthest link, a logged GPS coordinate and a logged range C tau. The
+# highest power of a length the package forms is the sixth: slam._range_fit
+# squares g1 = sum q y over a user's n rows, with q its centred track and
+# y = (C tau)^2 - z^2 - |q|^2. Where every coordinate and range is at most
+# L, |q| <= 2 sqrt(2) L and |y| <= 10 L^2, so g1^2 <= 800 n^2 L^6, and the
+# hard-case test's n g1^2 <= 800 n^3 L^6. At L = 2 LENGTH_MAX (a mission's
+# poses lie within its farthest link of the start) that is below the
+# largest float, 1.8e308, for any log of fewer than 1e21 rows. Lower
+# powers (squared links, the objective) have more room still.
+LENGTH_MAX = 1e40
 
-def _require_finite(name, *values):
+
+def _require_coordinate(name, *values):
+    """InvalidParam(name) unless every value is finite and at most
+    LENGTH_MAX in magnitude, as every coordinate must be."""
     for v in values:
         if not math.isfinite(v):
             raise InvalidParam(name, "must be finite")
+        if abs(v) > LENGTH_MAX:
+            raise InvalidParam(name, f"must be at most {LENGTH_MAX:g} m in magnitude")
 
 
 def require_number(name, value, low, strict=False):
@@ -210,9 +226,9 @@ def validate_scenario(s: Scenario) -> Scenario:
     if len(s.users) < 1:
         raise InvalidParam("users", "need at least one user")
     for i, u in enumerate(s.users):
-        _require_finite(f"users[{i}]", u.x, u.y)
-    _require_finite("uav_start", s.uav_start.x, s.uav_start.y, s.uav_start.z)
-    _require_finite("uav_terminal", s.uav_terminal.x, s.uav_terminal.y, s.uav_terminal.z)
+        _require_coordinate(f"users[{i}]", u.x, u.y)
+    _require_coordinate("uav_start", s.uav_start.x, s.uav_start.y, s.uav_start.z)
+    _require_coordinate("uav_terminal", s.uav_terminal.x, s.uav_terminal.y, s.uav_terminal.z)
     require_int("mission_steps", s.mission_steps, 2)
     require_number("d_max", s.d_max, 0, strict=True)
     require_number("delta_keep", s.delta_keep, 0)
@@ -234,7 +250,7 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     for i, box in enumerate(s.buildings):
         lo, hi = box.min_corner.as_array(), box.max_corner.as_array()
-        _require_finite(f"buildings[{i}]", *lo, *hi)
+        _require_coordinate(f"buildings[{i}]", *lo, *hi)
         if not np.all(lo <= hi):
             raise InvalidParam(f"buildings[{i}]", "min_corner must be <= max_corner")
 
@@ -243,10 +259,15 @@ def validate_scenario(s: Scenario) -> Scenario:
     if dist > budget * (1.0 + REACH_SLACK):
         raise TerminalUnreachable(
             f"start-terminal distance {dist:.6g} m exceeds d_max*(N-1) = {budget:.6g} m")
+    far = max(math.dist(s.uav_start.as_array(), (u.x, u.y, 0.0)) for u in s.users)
+    # no UAV position of the mission is farther from a user than this
+    reach = budget + far
+    if reach > LENGTH_MAX:
+        raise InvalidParam("d_max" if budget >= far else "users",
+                           f"the farthest link the mission allows, d_max*(N-1) plus the "
+                           f"largest start-to-user distance = {reach:.6g} m, must be at "
+                           f"most {LENGTH_MAX:g} m")
     if m.kind == "exponential":
-        # no UAV position of the mission is farther from a user than this
-        reach = budget + max(math.dist(s.uav_start.as_array(), (u.x, u.y, 0.0))
-                             for u in s.users)
         # an overflowed exp gives inf, or NaN where amp is 0; both are refused
         with np.errstate(over="ignore", invalid="ignore"):
             variance = sigma_tau_of_distance(reach, m) ** 2  # as the solver and FIM use it

@@ -37,19 +37,6 @@ class NrConfig:
                                f"can overflow the {CIR_LEN}-sample CIR window")
 
 
-@dataclass(frozen=True)
-class SawtoothDrift:
-    """Clock-drift ramp: `rate` seconds of offset per step, resetting to
-    zero every `reset_period` steps. InvalidParam names the field unless rate
-    is finite and >= 0 and reset_period an integer >= 1."""
-    rate: float = ToaNoiseModel.drift_rate
-    reset_period: int = ToaNoiseModel.drift_reset_period
-
-    def __post_init__(self):
-        require_number("rate", self.rate, 0)
-        require_int("reset_period", self.reset_period, 1)
-
-
 def ta_unit(mu: int) -> float:
     """Seconds of RTT per timing-advance increment; InvalidParam unless mu is a numerology."""
     return 16 * 64 * TC / 2 ** require_numerology(mu)
@@ -98,15 +85,20 @@ def srs_refine(cir, f_s: float) -> float:
     return int(np.argmax(cir)) / f_s
 
 
-def drift_offset(step, d: SawtoothDrift):
-    """Sawtooth clock-drift offset at 1-based mission step n: rate * ((n-1) mod P).
+def drift_offset(step, noise: ToaNoiseModel):
+    """Sawtooth clock-drift offset at 1-based mission step n of the noise
+    model's ramp: drift_rate * ((n-1) mod drift_reset_period).
 
     step is an int, which gives a float, or an integer array of steps, one
     per row of a batch, which gives their offsets, each equal to the float of
-    its step. ValueError unless every step is >= 1."""
+    its step. InvalidParam names the field, as validate_scenario does, unless
+    drift_rate is finite and >= 0 and drift_reset_period an integer >= 1;
+    ValueError unless every step is >= 1."""
+    rate = require_number("toa_noise.drift_rate", noise.drift_rate, 0)
+    period = require_int("toa_noise.drift_reset_period", noise.drift_reset_period, 1)
     if np.min(step) < 1:
         raise ValueError("step must be >= 1")
-    return d.rate * ((step - 1) % d.reset_period)
+    return rate * ((step - 1) % period)
 
 
 def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float):

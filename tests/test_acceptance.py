@@ -19,7 +19,7 @@ from uavloc.mission import circle_path, monte_carlo, run_mission
 from uavloc.model import SPEED_OF_LIGHT as C
 from uavloc.model import (MeasurementSample, Scenario, ToaNoiseModel, Vec2,
                           Vec3)
-from uavloc.nrtiming import NrConfig, SawtoothDrift, drift_offset, estimate_toa_nr
+from uavloc.nrtiming import NrConfig, drift_offset, estimate_toa_nr
 from uavloc.planner import reach_threshold
 from uavloc.slam import SlamConfig, StateVector, solve_slam, toa_jacobian_row
 
@@ -198,7 +198,7 @@ def test_criterion_08_sawtooth_consistency():
     f_s = 61.44e6
     cfg = NrConfig(mu=1, f_s=f_s)
     rate, period = 1e-8, 10
-    drift = SawtoothDrift(rate=rate, reset_period=period)
+    drift = ToaNoiseModel(drift_rate=rate, drift_reset_period=period)
     tau = 200.0 / C  # static 200 m round-trip-free link
     errors = [estimate_toa_nr(tau, cfg, drift_offset(n, drift)) - tau
               for n in range(1, 4 * period + 1)]

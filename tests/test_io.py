@@ -27,8 +27,8 @@ from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
                             parse_scenario, read_measurement_log,
                             serialize_scenario, write_measurement_log)
 from uavloc.mission import check_options, run_mission
-from uavloc.model import (AxisBox, MeasurementSample, Scenario, ToaNoiseModel,
-                          Vec2, Vec3, validate_scenario)
+from uavloc.model import (LENGTH_MAX, SPEED_OF_LIGHT, AxisBox, MeasurementSample, Scenario,
+                          ToaNoiseModel, Vec2, Vec3, validate_scenario)
 from uavloc.slam import SlamConfig
 
 MINIMAL = """\
@@ -364,6 +364,12 @@ def reference_read(text):
             name = LOG_HEADER[2 + [math.isfinite(v) for v in values].index(False)]
             raise RowError(rownum, f"{name} must be finite")
         gps, toa = values[:3], values[3]
+        if max(map(abs, gps)) > LENGTH_MAX:
+            name = LOG_HEADER[2 + [abs(v) > LENGTH_MAX for v in gps].index(True)]
+            raise RowError(rownum, f"{name} must be at most {LENGTH_MAX:g} m in magnitude")
+        if toa > LENGTH_MAX / SPEED_OF_LIGHT:
+            raise RowError(rownum, f"toa_s must be at most {LENGTH_MAX / SPEED_OF_LIGHT:.6g} s, "
+                                   f"a range C*toa_s of {LENGTH_MAX:g} m")
         if toa < 0:
             raise RowError(rownum, "toa_s must be >= 0")
         if step < 1 or user_id < 1:
@@ -378,6 +384,8 @@ def reference_read(text):
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# a GPS coordinate the log reader accepts
+_COORDINATE = st.floats(-LENGTH_MAX, LENGTH_MAX)
 
 
 @st.composite
@@ -387,9 +395,9 @@ def valid_samples(draw):
     steps = draw(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6, unique=True))
     samples = []
     for n in steps:
-        gps = Vec3(draw(_FINITE), draw(_FINITE), draw(_FINITE))
+        gps = Vec3(draw(_COORDINATE), draw(_COORDINATE), draw(_COORDINATE))
         for k in draw(st.lists(st.integers(1, 50), min_size=1, max_size=4, unique=True)):
-            toa = draw(st.floats(0.0, 1e-3) | st.floats(min_value=0.0, allow_infinity=False))
+            toa = draw(st.floats(0.0, 1e-3) | st.floats(0.0, LENGTH_MAX / SPEED_OF_LIGHT))
             samples.append(MeasurementSample(n, k, gps, toa))
     return draw(st.permutations(samples))
 
@@ -415,9 +423,11 @@ def _exact_outcome(read, text):
 
 # fields a row rule, int() or float() refuses, and spellings that numpy and
 # int() or float() read differently (numpy refuses 1_0 and non-ASCII digits,
-# and takes \x1c for space)
+# and takes \x1c for space); 1e41 is beyond LENGTH_MAX as a coordinate and a
+# range, 4e31 as a range only
 _BAD_FIELDS = ["nan", "inf", "-inf", "-1e-9", "0", "-3", "abc", "", "1.5", " 2", "1e400",
-               "1_0", "\u0661", " +2 ", "1.0", '"7"', str(2 ** 63), "\x1c1"]
+               "1_0", "\u0661", " +2 ", "1.0", '"7"', str(2 ** 63), "\x1c1", "1e41", "-1e41",
+               "4e31"]
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -1121,6 +1131,79 @@ def test_cli_solve_not_converged_exits_3(tmp_path, capsys, readme_run):
     assert first == "numeric failure: no stopping test met"
     assert re.fullmatch(r"iterations: 1, trials: 1, last step norm: \d\.\d{3}e[+-]\d\d", second)
     assert not (out / "solution.json").exists()
+
+
+# Lengths on the README scenario beyond model.LENGTH_MAX, past which the
+# solver's sixth powers overflow: each printed float warnings, then exited 3
+# or 0, before the scenario refused it
+FAR_SCENARIOS = [
+    ("user_1e200", "[10.0, -5.0]", "[1.0e+200, -5.0]", "users[0]"),
+    ("user_1e110", "[10.0, -5.0]", "[1.0e+110, -5.0]", "users[0]"),
+    ("altitude_1e200", "30.0]", "1.0e+200]", "uav_start"),  # the start and the terminal
+    ("d_max_1e200", "d_max: 5.0", "d_max: 1.0e+200", "d_max"),
+]
+
+
+def _no_warning(run):
+    """run() with every warning recorded; fails if one was raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    assert not caught, [str(w.message) for w in caught]
+    return result
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+@pytest.mark.parametrize("old, new, key", [case[1:] for case in FAR_SCENARIOS],
+                         ids=[case[0] for case in FAR_SCENARIOS])
+def test_cli_scenario_beyond_the_length_bound_exits_2(tmp_path, capsys, command, old, new, key):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(README_CONFIG.replace(old, new))
+    args = ["--out", str(tmp_path / "out")] if command == "simulate" else ["--runs", "1"]
+    line = _no_warning(lambda: _input_error(capsys, [command, "--scenario", str(cfg), *args]))
+    assert line.startswith(f"error: invalid parameter '{key}': ")
+
+
+def _far_log(path, log, column, value):
+    """The log at `log` with `column` set to `value`: in every row of the
+    first step for a GPS column, which keeps one fix per step, else in the
+    first row."""
+    lines = [row.split(",") for row in open(log).read().splitlines()]
+    j = LOG_HEADER.index(column)
+    for row in lines[1:] if column != "toa_s" else lines[1:2]:
+        if row[0] == lines[1][0]:
+            row[j] = value
+    path.write_text("".join(",".join(row) + "\n" for row in lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("column, value", [("gps_x", "1e+200"), ("toa_s", "1e+300"),
+                                           ("gps_x", "1e+110")])
+def test_cli_solve_log_beyond_the_length_bound_exits_2(tmp_path, capsys, readme_run, column,
+                                                       value):
+    log = _far_log(tmp_path / "log.csv", readme_run[1], column, value)
+    line = _no_warning(lambda: _input_error(
+        capsys, ["solve", "--scenario", readme_run[0], "--log", log]))
+    assert line.startswith(f"error: row 2: {column} must be at most ")
+
+
+def test_cli_scenario_and_log_at_the_length_bound_run_without_warning(tmp_path, capsys,
+                                                                      readme_run):
+    # a user at the bound, 1e40 m, and the README log with a GPS coordinate
+    # and a range at it: nothing is refused, and nothing overflows
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(README_CONFIG.replace("[10.0, -5.0]", "[1.0e+40, -5.0]"))
+    out = tmp_path / "out"
+    for argv in (["simulate", "--scenario", str(cfg), "--out", str(out)],
+                 ["mc", "--scenario", str(cfg), "--runs", "1"],
+                 ["solve", "--scenario", str(cfg), "--log", str(out / "measurements.csv")],
+                 ["solve", "--scenario", readme_run[0], "--log",
+                  _far_log(tmp_path / "gps.csv", readme_run[1], "gps_x", "1e+40")],
+                 ["solve", "--scenario", readme_run[0], "--log",
+                  _far_log(tmp_path / "toa.csv", readme_run[1], "toa_s",
+                           repr(1e40 / SPEED_OF_LIGHT))]):
+        assert _no_warning(lambda: main(argv)) == 0, argv
+    capsys.readouterr()
 
 
 def test_cli_solve_output_does_not_depend_on_the_seed(readme_run, tmp_path, capsys):

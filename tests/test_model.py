@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavloc.errors import InvalidParam, TerminalUnreachable
-from uavloc.model import (AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2, Vec3,
-                          validate_scenario)
+from uavloc.model import (LENGTH_MAX, AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2,
+                          Vec3, validate_scenario)
 
 
 def make_scenario(**kw):
@@ -79,6 +79,34 @@ def test_exponential_noise_variance_finite_up_to_the_farthest_link(amp, finite, 
     with pytest.raises(InvalidParam) as exc:
         validate_scenario(scenario(overflowing))
     assert exc.value.field == "toa_noise"
+
+
+FAR = 1.0000001 * LENGTH_MAX
+
+
+@pytest.mark.parametrize("field, kw", [
+    ("users[0]", dict(users=(Vec2(FAR, 0.0),))),
+    ("users[0]", dict(users=(Vec2(0.0, -FAR),))),
+    ("uav_start", dict(uav_start=Vec3(0, 0, FAR), uav_terminal=Vec3(0, 0, FAR))),
+    ("uav_terminal", dict(uav_terminal=Vec3(FAR, 0, 30), d_max=FAR)),
+    ("buildings[0]", dict(buildings=(AxisBox(Vec3(0, 0, 0), Vec3(FAR, 1, 1)),))),
+    # 9 moves of d_max: the farthest link, not a coordinate, is too long
+    ("d_max", dict(d_max=LENGTH_MAX / 8)),
+    ("users", dict(users=(Vec2(-LENGTH_MAX, 0.0),), uav_start=Vec3(LENGTH_MAX, 0, 30),
+                   uav_terminal=Vec3(LENGTH_MAX, 0, 30))),
+])
+def test_lengths_beyond_the_bound_rejected(field, kw):
+    with pytest.raises(InvalidParam) as exc:
+        validate_scenario(make_scenario(**kw))
+    assert exc.value.field == field
+
+
+def test_lengths_at_the_bound_accepted():
+    box = AxisBox(Vec3(-1e40, -1e40, 0), Vec3(1e40, 1, 1e40))
+    for user in (Vec2(1e40, 0.0), Vec2(0.0, -1e40)):
+        # the farthest link, 45 m of moves plus the start-to-user distance,
+        # rounds to the bound, 1e40 m
+        validate_scenario(make_scenario(users=(user,), buildings=(box,)))
 
 
 def test_building_corner_order():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from uavloc.channel import RngStream
 from uavloc.errors import DelayOutOfWindow, EmptyCir, InvalidParam
-from uavloc.nrtiming import (CIR_LEN, TC, NrConfig, SawtoothDrift, coarse_rtt,
+from uavloc.model import ToaNoiseModel
+from uavloc.nrtiming import (CIR_LEN, TC, NrConfig, coarse_rtt,
                              drift_offset, estimate_toa_nr, srs_refine, synth_cir,
                              ta_from_rtt, ta_unit)
 
@@ -153,20 +154,25 @@ def test_srs_refine_empty():
 
 # --- drift_offset ---
 
+def ramp(rate, period):
+    """A noise model that carries only a drift ramp."""
+    return ToaNoiseModel(drift_rate=rate, drift_reset_period=period)
+
+
 def test_drift_fresh_correction():
-    assert drift_offset(1, SawtoothDrift(rate=1e-9, reset_period=5)) == 0.0
+    assert drift_offset(1, ramp(1e-9, 5)) == 0.0
     with pytest.raises(ValueError):
-        drift_offset(0, SawtoothDrift(rate=1e-9, reset_period=5))
+        drift_offset(0, ramp(1e-9, 5))
 
 
 def test_drift_ramp_and_reset():
-    d = SawtoothDrift(rate=1e-9, reset_period=5)
+    d = ramp(1e-9, 5)
     assert drift_offset(4, d) == pytest.approx(3e-9, rel=1e-15)
     assert drift_offset(6, d) == 0.0
 
 
 def test_drift_periodic_nonnegative():
-    d = SawtoothDrift(rate=2e-9, reset_period=7)
+    d = ramp(2e-9, 7)
     vals = [drift_offset(n, d) for n in range(1, 50)]
     assert all(v >= 0 for v in vals)
     for n in range(1, 40):
@@ -174,23 +180,26 @@ def test_drift_periodic_nonnegative():
 
 
 @pytest.mark.parametrize("field, kwargs", [
-    ("reset_period", {"reset_period": 0}),     # divided by zero in drift_offset
-    ("reset_period", {"reset_period": -3}),    # a silent 0 offset
-    ("reset_period", {"reset_period": 2.5}),
-    ("reset_period", {"reset_period": True}),
-    ("rate", {"rate": float("nan")}),          # NaN offsets
-    ("rate", {"rate": float("inf")}),
-    ("rate", {"rate": -1e-9}),
-    ("rate", {"rate": "1e-9"}),
+    ("reset_period", {"drift_reset_period": 0}),     # divided by zero in drift_offset
+    ("reset_period", {"drift_reset_period": -3}),    # a silent 0 offset
+    ("reset_period", {"drift_reset_period": 2.5}),
+    ("reset_period", {"drift_reset_period": True}),
+    ("rate", {"drift_rate": float("nan")}),          # NaN offsets
+    ("rate", {"drift_rate": float("inf")}),
+    ("rate", {"drift_rate": -1e-9}),
+    ("rate", {"drift_rate": "1e-9"}),
 ])
 def test_sawtooth_drift_refuses_settings_that_break_its_offset(field, kwargs):
+    # the noise model is not validated on construction; drift_offset refuses
+    # what validate_scenario refuses, under the same field names
+    noise = ToaNoiseModel(**{"drift_rate": 1e-9, "drift_reset_period": 5, **kwargs})
     with pytest.raises(InvalidParam) as exc:
-        SawtoothDrift(**{"rate": 1e-9, "reset_period": 5, **kwargs})
-    assert exc.value.field == field
+        drift_offset(np.arange(1, 4), noise)
+    assert exc.value.field == f"toa_noise.drift_{field}"
 
 
 def test_drift_offset_of_steps_is_each_steps_offset():
-    d = SawtoothDrift(rate=2.5e-9, reset_period=7)
+    d = ramp(2.5e-9, 7)
     steps = np.arange(1, 60, dtype=np.int64)
     got = drift_offset(steps, d)
     assert got.dtype == np.float64
@@ -364,7 +373,7 @@ def test_batched_estimate_equals_one_call_per_row(mu, seed, rows, period, rate, 
     rng = np.random.default_rng(seed)
     delays = rng.uniform(0.0, 1e-6, rows)
     steps = rng.integers(1, 50, rows)
-    drifts = drift_offset(steps, SawtoothDrift(rate=rate, reset_period=period))
+    drifts = drift_offset(steps, ramp(rate, period))
     if bad is not None:
         i = bad[0] % rows
         delays[i], drifts[i] = bad[1]
