@@ -20,8 +20,8 @@ from .fim import InfoState, crb_history
 from .iofiles import (RunConfig, csv_refusal, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
-from .model import require_number
-from .planner import PlannerState, candidate_positions, next_waypoint
+from .model import LENGTH_MAX, require_length, require_number
+from .planner import PlannerState, next_waypoint
 
 
 def _read_text(path: str) -> str:
@@ -116,8 +116,11 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
     for key, arr in arrays.items():
         if arr.shape != shapes[key] or not np.all(np.isfinite(arr)):
             raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
+    require_length("state.pos", *arrays["pos"].tolist())
+    require_length("state.user_estimates", *users.ravel().tolist())
     # a JSON string or bool is refused, not converted
-    eps = float(require_number("state.eps_prior", doc.get("eps_prior", rc.eps_prior), 0))
+    eps = float(require_number("state.eps_prior", doc.get("eps_prior", rc.eps_prior), 0,
+                               high=LENGTH_MAX ** 2))
     # the planner reads only the diagonal 2x2 blocks of fim
     info = InfoState(step=step, fim=arrays["fim"], eps_prior=eps)
     if not np.array_equal(info.fim, arrays["fim"]):
@@ -144,24 +147,9 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
         if np.any(definite & ~(np.divide(a + d, det, out=np.zeros(k), where=definite) < np.inf)):
             raise SchemaError("state 'fim' must have 2x2 diagonal blocks whose CRB trace "
                               "is finite")
-    st = PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
-                      mission_steps=s.mission_steps, d_max=s.d_max, info=info,
-                      user_estimates=users, noise_model=s.toa_noise, headings=rc.headings)
-    # the planner squares each candidate's distance to every user and to the terminal
-    ends = np.vstack([np.column_stack([users, np.zeros(k)]), st.terminal])
-    _require_finite_links(candidate_positions(st), ends,
-                          "state 'pos' must lie where the squared distances of its candidate "
-                          "waypoints to 'user_estimates' and the terminal are finite")
-    return st
-
-
-def _require_finite_links(uav, ends, message: str):
-    """SchemaError(message) unless every squared distance |uav_i - ends_j|^2
-    between the points uav (N, 3) and ends (M, 3) is finite."""
-    with np.errstate(over="ignore"):
-        diff = uav[:, None] - ends
-        if not np.all(np.vecdot(diff, diff) < np.inf):
-            raise SchemaError(message)
+    return PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
+                        mission_steps=s.mission_steps, d_max=s.d_max, info=info,
+                        user_estimates=users, noise_model=s.toa_noise, headings=rc.headings)
 
 
 def _cmd_plan(args) -> int:
@@ -187,6 +175,7 @@ def _read_xyz_csv(path: str, header: list[str]) -> np.ndarray:
     # an empty list of rows gives shape (0,), which the shape test rejects
     if data is None or data.shape != (len(rows), len(header)) or not np.all(np.isfinite(data)):
         raise SchemaError(f"{path}: expected one or more rows of {len(header)} finite numbers")
+    require_length(path, *data[:, 1:].ravel().tolist())
     return data
 
 
@@ -199,9 +188,6 @@ def _cmd_crb(args) -> int:
     ids = users[:, 0]
     if ids.min() < 1 or np.any(ids % 1) or len(np.unique(ids)) < len(ids):
         raise SchemaError(f"{args.users}: user ids must be distinct integers >= 1")
-    _require_finite_links(traj[:, 1:], np.column_stack([users[:, 1:], np.zeros(len(users))]),
-                          f"{args.trajectory}, {args.users}: every squared UAV-user "
-                          "distance must be finite")
     history = crb_history(traj[:, 1:], users[:, 1:], rc.scenario.toa_noise,
                           rc.eps_prior).tolist()
     if args.out:

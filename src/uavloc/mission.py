@@ -47,8 +47,8 @@ from .errors import InvalidParam
 from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_history, initial_info, step_contribution
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .fim import crb_trace  # noqa: F401
-from .model import (REACH_SLACK, MeasurementLog, Scenario, require_int, require_number,
-                    validate_scenario)
+from .model import (LENGTH_MAX, REACH_SLACK, MeasurementLog, Scenario, require_int,
+                    require_length, require_number, validate_scenario)
 from .nrtiming import NrConfig, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
 
@@ -112,7 +112,7 @@ def compute_metrics(scenario: Scenario, planned, gps, retained_steps,
 def check_options(solve_every, eps_prior, planner_headings):
     """InvalidParam naming the first bad option of run_mission (or RunConfig)."""
     require_int("solve_every", solve_every, 0)
-    require_number("eps_prior", eps_prior, 0)
+    require_number("eps_prior", eps_prior, 0, high=LENGTH_MAX ** 2)
     require_int("planner_headings", planner_headings, 1)
 
 
@@ -129,8 +129,8 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     end of the mission. The first estimates are slam.range_circle_start
     along the planned track, and the module docstring says how every solve
     starts; only the noise is drawn, from scenario.seed.
-    A fixed path starts at uav_start (within 1e-9 m), is finite and keeps
-    every hop within d_max.
+    A fixed path starts at uav_start (within 1e-9 m), takes the coordinate
+    rule (model.require_length) and keeps every hop within d_max.
     Per retained step the mission measures, accumulates the Fisher blocks
     for the greedy planner and solves on schedule; the NR estimates of its
     delays wait for the next read of the log (the first step, a solve, the
@@ -160,8 +160,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         fixed_path = np.asarray(mode, dtype=float)
         if fixed_path.shape != (n_steps, 3):
             raise InvalidParam("mode", f"fixed path must have shape ({n_steps}, 3)")
-        if not np.isfinite(fixed_path).all():
-            raise InvalidParam("mode", "fixed path must be finite")
+        require_length("mode", *fixed_path.ravel().tolist())
         if np.linalg.norm(fixed_path[0] - start) > 1e-9:
             raise InvalidParam("mode", "fixed path must start at uav_start")
         hops = np.linalg.norm(np.diff(fixed_path, axis=0), axis=1)

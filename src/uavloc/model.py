@@ -70,8 +70,8 @@ class ToaNoiseModel:
 
 
 def sigma_tau_of_distance(d: float, m: ToaNoiseModel) -> float:
-    """Delay-noise std at link distance d (meters); d may be an array."""
-    if m.kind == "exponential":
+    """Delay-noise std at link distance d (meters, or an array); sigma0 where amp is 0."""
+    if m.kind == "exponential" and m.amp:
         return m.sigma0 + m.amp * np.exp(d / m.scale)
     return m.sigma0
 
@@ -175,35 +175,47 @@ class Scenario:
 REACH_SLACK = 1e-12
 
 # The largest magnitude, in meters, of a scenario coordinate, a mission's
-# farthest link, a logged GPS coordinate and a logged range C tau. The
-# highest power of a length the package forms is the sixth: slam._range_fit
-# squares g1 = sum q y over a user's n rows, with q its centred track and
-# y = (C tau)^2 - z^2 - |q|^2. Where every coordinate and range is at most
-# L, |q| <= 2 sqrt(2) L and |y| <= 10 L^2, so g1^2 <= 800 n^2 L^6, and the
-# hard-case test's n g1^2 <= 800 n^3 L^6. At L = 2 LENGTH_MAX (a mission's
-# poses lie within its farthest link of the start) that is below the
-# largest float, 1.8e308, for any log of fewer than 1e21 rows. Lower
-# powers (squared links, the objective) have more room still.
+# farthest link, a logged GPS coordinate and a logged range C tau; 1 /
+# LENGTH_MAX m is the floor of a noise scale. The highest power of a length
+# the package forms is the sixth: slam._range_fit squares g1 = sum q y over
+# a user's n rows, with q its centred track and y = (C tau)^2 - z^2 - |q|^2.
+# Where every coordinate and range is at most L, |q| <= 2 sqrt(2) L and
+# |y| <= 10 L^2, so g1^2 <= 800 n^2 L^6, and the hard-case test's
+# n g1^2 <= 800 n^3 L^6. At L = 2 LENGTH_MAX (a mission's poses lie within
+# its farthest link of the start) that is below the largest float, 1.8e308,
+# for any log of fewer than 1e21 rows. A weight 1 / sigma^2, or eps_prior,
+# is at most LENGTH_MAX^2 m^-2, so a weighted squared residual is at most 4 LENGTH_MAX^4.
 LENGTH_MAX = 1e40
 
-
-def _require_coordinate(name, *values):
-    """InvalidParam(name) unless every value is finite and at most
-    LENGTH_MAX in magnitude, as every coordinate must be."""
-    for v in values:
-        if not math.isfinite(v):
-            raise InvalidParam(name, "must be finite")
-        if abs(v) > LENGTH_MAX:
-            raise InvalidParam(name, f"must be at most {LENGTH_MAX:g} m in magnitude")
+# The most standard deviations a numpy Generator's normal draw lies from its
+# mean: its ziggurat goes past the edge r = 3.6541528853610088 only as r + x,
+# x = -log1p(-U) / r with U < 1 a double on the grid 2^-53, so r + x <= r + 53 ln 2 / r.
+NORMAL_REACH = 13.7076
 
 
-def require_number(name, value, low, strict=False):
-    """value if it is a real number within the range of a float, not a bool,
-    > low (strict) or >= low; else InvalidParam(name)."""
+def require_length(name, *lengths):
+    """InvalidParam(name) unless every length, in meters, is finite and at
+    most LENGTH_MAX in magnitude, as every coordinate must be."""
+    for v in lengths:
+        if not abs(v) <= LENGTH_MAX:  # NaN fails too
+            raise InvalidParam(name, f"must keep every length finite and within {LENGTH_MAX:g} "
+                               f"m, not {abs(v):.6g} m")
+
+
+def require_number(name, value, low, strict=False, high=sys.float_info.max):
+    """value if it is a real number, not a bool, > low (strict) or >= low,
+    and <= high, by default the largest float; else InvalidParam(name)."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and ((low < value) if strict else (low <= value)) and value <= sys.float_info.max):
-        raise InvalidParam(name, f"must be finite and {'>' if strict else '>='} {low}")
+            and ((low < value) if strict else (low <= value)) and value <= high):
+        raise InvalidParam(name, f"must be finite and {'>' if strict else '>='} {low:g}"
+                           + (f" and <= {high:g}" if high < sys.float_info.max else ""))
     return value
+
+
+def require_scale(name, value, meters=1.0):
+    """value if it is a noise scale, value * meters (C for a delay) within
+    [1 / LENGTH_MAX, LENGTH_MAX] m; else InvalidParam(name)."""
+    return require_number(name, value, 1 / LENGTH_MAX / meters, high=LENGTH_MAX / meters)
 
 
 def require_int(name, value, low):
@@ -226,13 +238,13 @@ def validate_scenario(s: Scenario) -> Scenario:
     if len(s.users) < 1:
         raise InvalidParam("users", "need at least one user")
     for i, u in enumerate(s.users):
-        _require_coordinate(f"users[{i}]", u.x, u.y)
-    _require_coordinate("uav_start", s.uav_start.x, s.uav_start.y, s.uav_start.z)
-    _require_coordinate("uav_terminal", s.uav_terminal.x, s.uav_terminal.y, s.uav_terminal.z)
+        require_length(f"users[{i}]", u.x, u.y)
+    require_length("uav_start", s.uav_start.x, s.uav_start.y, s.uav_start.z)
+    require_length("uav_terminal", s.uav_terminal.x, s.uav_terminal.y, s.uav_terminal.z)
     require_int("mission_steps", s.mission_steps, 2)
     require_number("d_max", s.d_max, 0, strict=True)
     require_number("delta_keep", s.delta_keep, 0)
-    require_number("sigma_gps", s.sigma_gps, 0, strict=True)
+    require_scale("sigma_gps", s.sigma_gps)
     require_numerology(s.numerology)
     require_number("sample_rate", s.sample_rate, 0, strict=True)
     require_int("seed", s.seed, 0)
@@ -240,7 +252,7 @@ def validate_scenario(s: Scenario) -> Scenario:
     m = s.toa_noise
     if m.kind not in ("constant", "exponential"):
         raise InvalidParam("toa_noise.kind", "must be 'constant' or 'exponential'")
-    require_number("toa_noise.sigma0", m.sigma0, 0, strict=True)
+    require_scale("toa_noise.sigma0", m.sigma0, SPEED_OF_LIGHT)
     if m.kind == "exponential":
         require_number("toa_noise.amp", m.amp, 0)
         require_number("toa_noise.scale", m.scale, 0, strict=True)
@@ -250,28 +262,28 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     for i, box in enumerate(s.buildings):
         lo, hi = box.min_corner.as_array(), box.max_corner.as_array()
-        _require_coordinate(f"buildings[{i}]", *lo, *hi)
+        require_length(f"buildings[{i}]", *lo, *hi)
         if not np.all(lo <= hi):
             raise InvalidParam(f"buildings[{i}]", "min_corner must be <= max_corner")
 
-    dist = float(np.linalg.norm(s.uav_start.as_array() - s.uav_terminal.as_array()))
-    budget = s.d_max * (s.mission_steps - 1)
-    if dist > budget * (1.0 + REACH_SLACK):
-        raise TerminalUnreachable(
-            f"start-terminal distance {dist:.6g} m exceeds d_max*(N-1) = {budget:.6g} m")
-    far = max(math.dist(s.uav_start.as_array(), (u.x, u.y, 0.0)) for u in s.users)
-    # no UAV position of the mission is farther from a user than this
-    reach = budget + far
-    if reach > LENGTH_MAX:
-        raise InvalidParam("d_max" if budget >= far else "users",
-                           f"the farthest link the mission allows, d_max*(N-1) plus the "
-                           f"largest start-to-user distance = {reach:.6g} m, must be at "
-                           f"most {LENGTH_MAX:g} m")
-    if m.kind == "exponential":
-        # an overflowed exp gives inf, or NaN where amp is 0; both are refused
-        with np.errstate(over="ignore", invalid="ignore"):
-            variance = sigma_tau_of_distance(reach, m) ** 2  # as the solver and FIM use it
-        if not math.isfinite(variance):
-            raise InvalidParam("toa_noise", f"(sigma0 + amp*exp(d/scale))^2 is not finite at "
-                               f"d = {reach:.6g} m, the farthest link the mission allows")
+    start = s.uav_start.as_array()
+    dist = float(np.linalg.norm(start - s.uav_terminal.as_array()))
+    far = max(math.dist(start, (u.x, u.y, 0.0)) for u in s.users)
+    # A GPS fix lies within the moves and NORMAL_REACH sigma_gps of uav_start; a range
+    # C tau within the farthest link, NORMAL_REACH (sigma_gps, C sigma_tau, C nlos_scale)
+    # and half a round trip's drift. A sum beyond the bound names its largest term.
+    with np.errstate(over="ignore"):
+        budget = s.d_max * (s.mission_steps - 1)
+        if dist > budget * (1.0 + REACH_SLACK):
+            raise TerminalUnreachable(
+                f"start-terminal distance {dist:.6g} m exceeds d_max*(N-1) = {budget:.6g} m")
+        gps, sigma = NORMAL_REACH * s.sigma_gps, sigma_tau_of_distance(budget + far, m)
+        for terms in ({"uav_start": float(np.abs(start).max()), "d_max": budget, "sigma_gps": gps},
+                      {"d_max": budget, "users": far, "sigma_gps": gps,
+                       "toa_noise.sigma0" if m.sigma0 >= sigma - m.sigma0 else "toa_noise":
+                           NORMAL_REACH * SPEED_OF_LIGHT * sigma,
+                       "toa_noise.nlos_scale": NORMAL_REACH * SPEED_OF_LIGHT * m.nlos_scale,
+                       "toa_noise.drift_rate": SPEED_OF_LIGHT / 2 * m.drift_rate
+                       * (min(m.drift_reset_period, s.mission_steps) - 1)}):
+            require_length(max(terms, key=terms.get), sum(terms.values()))
     return s

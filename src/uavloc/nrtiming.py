@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelayOutOfWindow, EmptyCir, InvalidParam
-from .model import Scenario, ToaNoiseModel, require_int, require_number, require_numerology
+from .model import (SPEED_OF_LIGHT, Scenario, ToaNoiseModel, require_int, require_length,
+                    require_number, require_numerology)
 
 DF_MAX = 480e3      # Hz, maximum subcarrier spacing
 K_MAX = 4096        # maximum FFT size
@@ -91,13 +92,15 @@ def drift_offset(step, noise: ToaNoiseModel):
 
     step is an int, which gives a float, or an integer array of steps, one
     per row of a batch, which gives their offsets, each equal to the float of
-    its step. InvalidParam names the field, as validate_scenario does, unless
-    drift_rate is finite and >= 0 and drift_reset_period an integer >= 1;
-    ValueError unless every step is >= 1."""
+    its step. InvalidParam names the field, refusing what validate_scenario does
+    of a mission of max(step) steps: a bad drift_rate or drift_reset_period, or a
+    ramp whose range C offset / 2 passes LENGTH_MAX; ValueError unless steps >= 1."""
     rate = require_number("toa_noise.drift_rate", noise.drift_rate, 0)
     period = require_int("toa_noise.drift_reset_period", noise.drift_reset_period, 1)
     if np.min(step) < 1:
         raise ValueError("step must be >= 1")
+    require_length("toa_noise.drift_rate",
+                   SPEED_OF_LIGHT / 2 * float(rate) * (int(min(period, np.max(step))) - 1))
     return rate * ((step - 1) % period)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .channel import delay_gradient, link_geometry, toa_gradient
 from .errors import InvalidParam, SingularSystem
 from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel,
-                    require_int, require_number, sigma_tau_of_distance)
+                    require_int, require_number, require_scale, sigma_tau_of_distance)
 
 logger = logging.getLogger(__name__)
 
@@ -107,10 +107,11 @@ class SlamConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        for name in ("sigma_gps", "sigma_tau", "tol_step"):
-            require_number(name, getattr(self, name), 0, strict=True)
+        require_scale("sigma_gps", self.sigma_gps)
+        require_scale("sigma_tau", self.sigma_tau, SPEED_OF_LIGHT)
+        require_number("tol_step", self.tol_step, 0, strict=True)
         if self.huber_delta is not None:
-            require_number("huber_delta", self.huber_delta, 0, strict=True)
+            require_scale("huber_delta", self.huber_delta, SPEED_OF_LIGHT)
         require_int("max_iter", self.max_iter, 1)
         if not isinstance(self.per_distance_weights, bool):
             raise InvalidParam("per_distance_weights", "must be true or false")
@@ -158,7 +159,9 @@ def measurement_weights(res, cfg: SlamConfig):
     takes them once, at its start point.
     """
     if cfg.per_distance_weights:
-        w_toa = 1.0 / sigma_tau_of_distance(res[3], cfg.noise_model) ** 2
+        # far estimates overflow sigma or its square: weight 0, no information
+        with np.errstate(over="ignore"):
+            w_toa = 1.0 / sigma_tau_of_distance(res[3], cfg.noise_model) ** 2
     else:
         w_toa = np.full(len(res[1]), 1.0 / cfg.sigma_tau ** 2)
     return 1.0 / cfg.sigma_gps ** 2, w_toa

@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
 import logging
 import math
+import operator
 import os
 import re
 import subprocess
@@ -190,10 +192,11 @@ def valid_scenarios(draw):
     users = tuple(Vec2(draw(_real(-80, 80)), draw(_real(-80, 80)))
                   for _ in range(draw(st.integers(1, 3))))
     steps = draw(_integer(2, 500))
-    # amp*exp(d/scale) stays below 1e-8*exp(300) at the farthest reachable link
+    # amp*exp(d/scale) stays below 1e-8*exp(60) at the farthest reachable link,
+    # so 13.7 C sigma_tau there (5e27 m) is within model.LENGTH_MAX
     reach = d_max * (steps - 1) + max(math.dist((start.x, start.y, start.z), (u.x, u.y, 0))
                                       for u in users)
-    min_scale = max(1.0, reach / 300)
+    min_scale = max(1.0, reach / 60)
     noise = ToaNoiseModel(kind=draw(st.sampled_from(["constant", "exponential"])),
                           sigma0=draw(_real(1e-10, 1e-6)), amp=draw(_real(0, 1e-8)),
                           scale=draw(_real(min_scale, min_scale + 1e3)),
@@ -991,16 +994,16 @@ def test_cli_seed_option_is_a_usage_error_where_nothing_is_drawn(tmp_path, capsy
 
 # Scenarios that parse but break an invariant of validate_scenario; each
 # subcommand named here used to skip the check, and simulate used to write
-# (amp 1e-9) or fail on (amp 0) the non-finite sigma of the overflowing
-# exponential noise model.
-OVERFLOWING_NOISE = "toa_noise: {kind: exponential, sigma0: 1.0e-8, amp: %s, scale: 0.01}\n"
+# the non-finite sigma of the overflowing exponential noise model (scale
+# 0.01), or warn on a finite sigma beyond the length bound (scale 0.45).
+OVERFLOWING_NOISE = "toa_noise: {kind: exponential, sigma0: 1.0e-8, amp: 1.0e-9, scale: %s}\n"
 INVALID_SCENARIOS = [
     ("solve", "sigma_gps: 0.0\n", "sigma_gps"),
     ("crb", "toa_noise: {sigma0: 0.0}\n", "toa_noise.sigma0"),
     ("solve", "toa_noise: {kind: exponential, scale: 0.0}\n", "toa_noise.scale"),
     ("plan", "d_max: 0.0\n", "d_max"),
-    ("simulate", OVERFLOWING_NOISE % "1.0e-9", "toa_noise"),
-    ("simulate", OVERFLOWING_NOISE % "0.0", "toa_noise"),
+    ("simulate", OVERFLOWING_NOISE % "0.01", "toa_noise"),
+    ("simulate", OVERFLOWING_NOISE % "0.45", "toa_noise"),
     ("simulate", "toa_noise: {drift_rate: -1.0}\n", "toa_noise.drift_rate"),
     ("solve", "toa_noise: {drift_reset_period: 0}\n", "toa_noise.drift_reset_period"),
     ("crb", "toa_noise: {nlos_scale: -1.0}\n", "toa_noise.nlos_scale"),
@@ -1134,13 +1137,36 @@ def test_cli_solve_not_converged_exits_3(tmp_path, capsys, readme_run):
 
 
 # Lengths on the README scenario beyond model.LENGTH_MAX, past which the
-# solver's sixth powers overflow: each printed float warnings, then exited 3
-# or 0, before the scenario refused it
+# solver's sixth powers overflow, and noise scales beyond it or below its
+# reciprocal, at which a weight 1 / sigma^2 overflows or divides by zero:
+# each printed float warnings or a traceback, or exited 3 or 0, before the
+# scenario or its solver options refused it
 FAR_SCENARIOS = [
     ("user_1e200", "[10.0, -5.0]", "[1.0e+200, -5.0]", "users[0]"),
     ("user_1e110", "[10.0, -5.0]", "[1.0e+110, -5.0]", "users[0]"),
     ("altitude_1e200", "30.0]", "1.0e+200]", "uav_start"),  # the start and the terminal
     ("d_max_1e200", "d_max: 5.0", "d_max: 1.0e+200", "d_max"),
+    ("sigma_gps_1e60", "sigma_gps: 1.0", "sigma_gps: 1.0e+60", "sigma_gps"),
+    ("sigma_gps_1e-160", "sigma_gps: 1.0", "sigma_gps: 1.0e-160", "sigma_gps"),
+    ("sigma_gps_1e-200", "sigma_gps: 1.0", "sigma_gps: 1.0e-200", "sigma_gps"),
+    ("sigma0_1e200", "sigma0: 1.25e-8", "sigma0: 1.0e+200", "toa_noise.sigma0"),
+    ("sigma0_1e-200", "sigma0: 1.25e-8", "sigma0: 1.0e-200", "toa_noise.sigma0"),
+    ("exponential_scale_0.45", "kind: constant", "kind: exponential\n  amp: 1.0e-9\n  scale: 0.45",
+     "toa_noise"),
+    ("drift_rate_1e300", "sigma0: 1.25e-8",
+     "sigma0: 1.25e-8\n  drift_rate: 1.0e+300\n  drift_reset_period: 5", "toa_noise.drift_rate"),
+    # a building over every link
+    ("nlos_scale_1e300", "sigma0: 1.25e-8", "sigma0: 1.25e-8\n  nlos_scale: 1.0e+300\n"
+     "buildings: [{min: [-100.0, -100.0, 0.0], max: [100.0, 100.0, 10.0]}]",
+     "toa_noise.nlos_scale"),
+    ("sigma_tau_1e200", "solve_every: 5", "solve_every: 5\n  sigma_tau: 1.0e+200",
+     "solver.sigma_tau"),
+    ("sigma_tau_1e-200", "solve_every: 5", "solve_every: 5\n  sigma_tau: 1.0e-200",
+     "solver.sigma_tau"),
+    ("huber_delta_1e200", "solve_every: 5", "solve_every: 5\n  huber_delta: 1.0e+200",
+     "solver.huber_delta"),
+    ("eps_prior_1e300", "solve_every: 5", "solve_every: 5\n  eps_prior: 1.0e+300",
+     "solver.eps_prior"),
 ]
 
 
@@ -1162,6 +1188,88 @@ def test_cli_scenario_beyond_the_length_bound_exits_2(tmp_path, capsys, command,
     args = ["--out", str(tmp_path / "out")] if command == "simulate" else ["--runs", "1"]
     line = _no_warning(lambda: _input_error(capsys, [command, "--scenario", str(cfg), *args]))
     assert line.startswith(f"error: invalid parameter '{key}': ")
+
+
+# Each numeric field of a short loop mission on the README's users, by its
+# path in the config document, at its README value or one of the usual size.
+WILD_FIELDS = {
+    ("users", 0, 0): 10.0, ("users", 0, 1): -5.0, ("uav_start", 0): 0.0,
+    ("uav_start", 1): 0.0, ("uav_start", 2): 30.0, ("d_max",): 5.0, ("delta_keep",): 2.0,
+    ("sigma_gps",): 1.0, ("sample_rate",): 61.44e6, ("toa_noise", "sigma0"): 1.25e-8,
+    ("toa_noise", "amp"): 1e-9, ("toa_noise", "scale"): 100.0,
+    ("toa_noise", "drift_rate"): 1e-9, ("toa_noise", "nlos_scale"): 5e-9,
+    ("buildings", 0, "max", 0): 20.0, ("buildings", 0, "max", 2): 10.0,
+    ("solver", "sigma_tau"): 1.25e-8, ("solver", "tol_step"): 1e-6,
+    ("solver", "eps_prior"): 1e-6, ("solver", "huber_delta"): 2.5e-8,
+}
+
+
+@st.composite
+def wild_configs(draw):
+    """A config document of a loop mission of 2 to 6 steps. Up to three of
+    WILD_FIELDS are drawn log-uniformly over [1e-300, 1e300], or 0; the rest
+    lie within a factor 10 of their value, so most documents are valid."""
+    wild = draw(st.sets(st.sampled_from(sorted(WILD_FIELDS, key=str)), max_size=3))
+    doc = {"users": [[0.0, 0.0], [-20.0, 15.0]], "uav_start": [0.0] * 3, "mission_steps":
+           draw(st.integers(2, 6)), "toa_noise": {
+               "kind": draw(st.sampled_from(["constant", "exponential"])),
+               "drift_reset_period": draw(st.integers(1, 3))},
+           "buildings": [{"min": [-20.0, -20.0, 0.0], "max": [0.0, 20.0, 0.0]}],
+           "solver": {"solve_every": draw(st.integers(0, 2)),
+                      "per_distance_weights": draw(st.booleans())}}
+    for path, value in WILD_FIELDS.items():
+        if path in wild:
+            value = draw(st.just(0.0) | st.floats(-300, 300).map(lambda e: 10.0 ** e))
+        else:
+            value *= 10.0 ** draw(st.floats(-1, 1))
+        *keys, last = path
+        functools.reduce(operator.getitem, keys, doc)[last] = value
+    doc["uav_terminal"] = doc["uav_start"]
+    return doc
+
+
+def _run_cli(argv):
+    """(exit code, stderr) of main(argv); fails if it raised a warning."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = _no_warning(lambda: main(argv))
+    return rc, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=wild_configs(), toa=st.sampled_from(["ideal", "nr"]),
+       mode=st.sampled_from(["greedy", "fixed"]))
+def test_cli_simulate_refuses_what_it_cannot_run_and_solve_reads_what_it_writes(
+        tmp_path, doc, toa, mode):
+    cfg, out = tmp_path / "scenario.yaml", tmp_path / "out"
+    cfg.write_text(yaml.safe_dump(doc))
+    rc, err = _run_cli(["simulate", "--scenario", str(cfg), "--out", str(out), "--toa", toa,
+                        "--mode", mode])
+    assert rc in (0, 2, 3), err
+    if rc == 2:
+        field = re.fullmatch(r"error: invalid parameter '([a-z_]+)[^']*': .*\n", err)
+        assert field and field[1] in doc, err
+    if rc == 0:
+        log = str(out / "measurements.csv")
+        assert _run_cli(["solve", "--scenario", str(cfg), "--log", log])[0] != 2
+
+
+def test_cli_plan_and_crb_take_sigma0_where_amp_is_0(tmp_path):
+    # exp(d / scale) overflows at the 2000 m from the track to the user; with
+    # amp 0, sigma_tau is sigma0 there, not 0 * inf = NaN
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(README_CONFIG.replace(
+        "kind: constant\n  sigma0: 1.25e-8",
+        "kind: exponential\n  sigma0: 1.0e-8\n  amp: 0.0\n  scale: 1.0"))
+    (tmp_path / "state.json").write_text(json.dumps(dict(VALID_STATE,
+                                                         user_estimates=[[2000.0, 15.0]])))
+    (tmp_path / "traj.csv").write_text(TRAJ)
+    (tmp_path / "users.csv").write_text("user_id,x,y\n1,2000,15\n")
+    for argv in (["plan", "--state", str(tmp_path / "state.json")],
+                 ["crb", "--trajectory", str(tmp_path / "traj.csv"), "--users",
+                  str(tmp_path / "users.csv")]):
+        assert _run_cli([argv[0], "--scenario", str(cfg), *argv[1:]]) == (0, "")
 
 
 def _far_log(path, log, column, value):
@@ -1401,13 +1509,14 @@ def test_cli_plan_refuses_a_fim_block_whose_determinant_overflows(tmp_path, scen
 
 def test_cli_plan_refuses_a_position_whose_squared_links_overflow(tmp_path, scenario_file):
     # 1e200 m from the users and the terminal, the squared distances the
-    # planner takes overflow: that is bad input, not a fallback waypoint
+    # planner takes overflow: that is bad input beyond the coordinate bound,
+    # not a fallback waypoint
     doc = dict(VALID_STATE, pos=[1e200, 0.0, 30.0])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(doc))
     assert rc == 2 and not caught
-    assert err.startswith("error: state 'pos' ") and err.count("\n") == 1
+    assert err.startswith("error: invalid parameter 'state.pos': ") and err.count("\n") == 1
 
 
 def test_cli_plan_gains_of_a_very_unequal_diagonal_do_not_overflow(tmp_path, scenario_file):
@@ -1633,7 +1742,7 @@ def test_cli_crb_refuses_a_track_whose_squared_links_overflow(tmp_path, scenario
         line = _input_error(capsys, ["crb", "--scenario", scenario_file, "--trajectory",
                                      str(tmp_path / "traj.csv"), "--users",
                                      str(tmp_path / "users.csv")])
-    assert not caught and "squared UAV-user distance" in line
+    assert not caught and line.startswith(f"error: invalid parameter '{tmp_path / 'traj.csv'}': ")
 
 
 def test_cli_crb_takes_user_ids_in_any_order(tmp_path, scenario_file, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from uavloc.errors import InvalidParam, TerminalUnreachable
 from uavloc.model import (LENGTH_MAX, AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2,
-                          Vec3, validate_scenario)
+                          Vec3, sigma_tau_of_distance, validate_scenario)
 
 
 def make_scenario(**kw):
@@ -67,17 +68,41 @@ def test_noise_model_invariants():
     assert exc.value.field == "toa_noise.drift_reset_period"
 
 
-# exponents d/scale at the farthest link: the variance is finite at the
-# first and overflows at the second (amp 0: exp(d/scale) itself overflows)
+# farthest link: 50 m from the user to the start, plus 9 moves of 5 m
+FARTHEST_LINK = 95.0
+
+
+def exponential_noise_scenario(exponent, amp):
+    """The default scenario with exponential noise at exponent d/scale at its farthest link."""
+    noise = ToaNoiseModel(kind="exponential", sigma0=1e-8, amp=amp, scale=FARTHEST_LINK / exponent)
+    return make_scenario(users=(Vec2(0.0, 40.0),), toa_noise=noise)
+
+
+# exponents d/scale at the farthest link where sigma_tau^2 is finite and where
+# it overflows (amp 0: where exp(d/scale) itself overflows). No accepted
+# scenario has an overflowing variance: at amp > 0 both are refused, 13.7 C
+# sigma_tau lying beyond LENGTH_MAX long before its square overflows; at amp 0
+# sigma_tau is sigma0 at both.
 @pytest.mark.parametrize("amp, finite, overflowing", [(1e-9, 370.0, 380.0), (0.0, 700.0, 720.0)])
 def test_exponential_noise_variance_finite_up_to_the_farthest_link(amp, finite, overflowing):
-    # farthest link: 50 m from the user to the start, plus 9 moves of 5 m
-    def scenario(exponent):
-        noise = ToaNoiseModel(kind="exponential", sigma0=1e-8, amp=amp, scale=95.0 / exponent)
-        return make_scenario(users=(Vec2(0.0, 40.0),), toa_noise=noise)
-    validate_scenario(scenario(finite))
+    for exponent in (finite, overflowing):
+        s = exponential_noise_scenario(exponent, amp)
+        if amp:
+            with pytest.raises(InvalidParam) as exc:
+                validate_scenario(s)
+            assert exc.value.field == "toa_noise"
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                validate_scenario(s)
+                assert sigma_tau_of_distance(FARTHEST_LINK, s.toa_noise) == s.toa_noise.sigma0
+
+
+def test_exponential_noise_within_the_length_bound_at_the_farthest_link():
+    # 13.7 C sigma_tau there is 5.0e39 m at the exponent 90 and 1.4e40 m at 91
+    validate_scenario(exponential_noise_scenario(90.0, 1e-9))
     with pytest.raises(InvalidParam) as exc:
-        validate_scenario(scenario(overflowing))
+        validate_scenario(exponential_noise_scenario(91.0, 1e-9))
     assert exc.value.field == "toa_noise"
 
 

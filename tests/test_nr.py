@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -188,12 +189,15 @@ def test_drift_periodic_nonnegative():
     ("rate", {"drift_rate": float("inf")}),
     ("rate", {"drift_rate": -1e-9}),
     ("rate", {"drift_rate": "1e-9"}),
+    ("rate", {"drift_rate": 1e300}),                 # a range C offset / 2 beyond LENGTH_MAX
 ])
 def test_sawtooth_drift_refuses_settings_that_break_its_offset(field, kwargs):
     # the noise model is not validated on construction; drift_offset refuses
-    # what validate_scenario refuses, under the same field names
+    # what validate_scenario refuses, under the same field names, and warns
+    # of nothing
     noise = ToaNoiseModel(**{"drift_rate": 1e-9, "drift_reset_period": 5, **kwargs})
-    with pytest.raises(InvalidParam) as exc:
+    with pytest.raises(InvalidParam) as exc, warnings.catch_warnings():
+        warnings.simplefilter("error")
         drift_offset(np.arange(1, 4), noise)
     assert exc.value.field == f"toa_noise.drift_{field}"
 
