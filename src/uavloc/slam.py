@@ -9,15 +9,17 @@ all measurements at once, the residuals of a point once: each GPS fix gives
 r = gps - x with Jacobian -I, each ToA delay gives r = tau - ||x - (u, 0)||/C
 with a 5-entry row over its pose and user.
 
-The ToA residuals are not small at the minimum, so Gauss-Newton's J^T W J
-converges only linearly there (Nocedal & Wright, "Numerical Optimization",
-section 10.3). The solver uses the Newton matrix instead: J^T W J plus each
-ToA residual's curvature w r grad^2 r, the exact Hessian of f / 2 when the
-weights are fixed. With Huber reweighting it is the IRLS Gauss-Newton term
-plus that exact curvature, a positive semidefinite choice rather than the
-Hessian of the linear Huber branch. No measurement ties two poses or two
-users together, so that matrix and b = J^T W r are kept in blocks: the 3x3
-pose blocks, the 2x2 user blocks and the pose-user coupling.
+Each ToA term enters through its clipped residual psi = clip(r, -delta,
+delta), delta = cfg.huber_delta (psi = r when unset), and costs
+w psi (2 r - psi): w r^2 within delta, linear beyond (Huber). The ToA
+residuals are not small at the minimum, so Gauss-Newton's J^T W J converges
+only linearly there (Nocedal & Wright, "Numerical Optimization", section
+10.3). The solver uses the Newton matrix, the exact Hessian of f / 2 for
+fixed weights w: J^T W J for the GPS terms and w [psi = r] grad r grad r^T
++ w psi grad^2 r per ToA term, with b, the gradient of f / 2, taking
+w psi grad r. No measurement ties two poses or two users together, so the
+matrix and b are kept in blocks: the 3x3 pose blocks, the 2x2 user blocks
+and the pose-user coupling.
 Levenberg-Marquardt damps the matrix and eliminates the poses by the Schur
 complement, as bundle adjustment does (Triggs et al., "Bundle Adjustment - A
 Modern Synthesis", 2000): each trial step tests one 2K-square reduced
@@ -71,7 +73,7 @@ class StateVector:
 
 @dataclass
 class NormalEquations:
-    """The Newton matrix H in blocks, and b = J^T W r (3S + 2K,).
+    """The Newton matrix H in blocks, and b (3S + 2K,), the gradient of f / 2.
 
     Hpp (S, 3, 3) holds the pose blocks, Huu (K, 2, 2) the user blocks and
     Hpu (S, 3, 2K) each pose's coupling to the user coordinates; every other
@@ -102,7 +104,7 @@ class SlamConfig:
     sigma_tau: float = ToaNoiseModel.sigma0
     noise_model: ToaNoiseModel | None = None
     per_distance_weights: bool = False  # toa sigma from the distances at each solve's start
-    huber_delta: float | None = None    # seconds; robust ToA reweighting when set
+    huber_delta: float | None = None    # seconds; threshold of the Huber ToA cost when set
     tol_step: float = 1e-6
     max_iter: int = 100
 
@@ -167,17 +169,19 @@ def measurement_weights(res, cfg: SlamConfig):
     return 1.0 / cfg.sigma_gps ** 2, w_toa
 
 
+def _clipped(r_toa, huber_delta):
+    """psi = clip(r_toa, -huber_delta, huber_delta), or r_toa when unset."""
+    return r_toa if huber_delta is None else np.clip(r_toa, -huber_delta, huber_delta)
+
+
 def objective_terms(res, w_gps: float, w_toa, huber_delta: float | None = None) -> float:
-    """Weighted sum of squared residuals `res`; ToA residuals beyond
-    huber_delta cost linearly (Huber). w_gps weights each GPS coordinate and
-    w_toa (M,) each ToA residual, as measurement_weights gives them."""
+    """f at the point whose residuals are `res`: the weighted squared GPS
+    residuals and each ToA term's w psi (2 r - psi). w_gps weights each GPS
+    coordinate and w_toa (M,) each ToA residual, as measurement_weights
+    gives them."""
     r_gps, r_toa, _, _ = res
-    if huber_delta is None:
-        toa = w_toa * r_toa ** 2
-    else:
-        a = np.abs(r_toa)
-        toa = np.where(a > huber_delta, w_toa * huber_delta * (2 * a - huber_delta),
-                       w_toa * r_toa ** 2)
+    psi = _clipped(r_toa, huber_delta)
+    toa = w_toa * (psi * (2 * r_toa - psi))
     # Summed in order, GPS terms first, not pairwise: LM accepts a step on
     # f_new <= f, so the last bit of f steers the iteration path.
     return float(np.cumsum(np.concatenate([w_gps * np.vecdot(r_gps, r_gps), toa]))[-1])
@@ -191,35 +195,30 @@ def objective(state: StateVector, measurements, cfg: SlamConfig) -> float:
 
 def assemble_normal_equations(log: MeasurementLog, res, w_gps: float, w_toa,
                               huber_delta: float | None = None) -> NormalEquations:
-    """Newton matrix H in blocks and b = J^T W r over all measurements of
-    `log`, at the point whose residuals are `res`.
+    """The Newton matrix H in blocks and b (module docstring) over all
+    measurements of `log`, at the point whose residuals are `res`.
 
-    H is J^T W J plus the curvature of the ToA residuals, sum w r grad^2 r
-    (GPS residuals are linear): the exact Hessian of f / 2 for fixed weights,
-    the IRLS Gauss-Newton term plus the exact curvature with Huber. With
-    g = diff / (C d) (channel.delay_gradient of the residuals' links) and
-    c = w r / (C d), a ToA measurement adds (w + C^2 c) g g^T - c I to its
-    pose block, the top-left 2x2 of that to its user block and minus its
-    first two columns to the coupling, and w r g (negated for the pose) to
-    b. w is the ToA weight, times the Huber IRLS weight beyond huber_delta.
-    One bincount sums the 9 pose-block entries and the 3 of b per (pose,
-    user) pair, adding repeated measurements of a pair; the blocks are sums
-    of those. Its index is the log's pair_index, built once per log.
+    With g = diff / (C d) (channel.delay_gradient of the residuals' links)
+    and c = w psi / (C d), a ToA measurement adds (w [psi = r] + C^2 c) g g^T
+    - c I to its pose block, the top-left 2x2 of that to its user block and
+    minus its first two columns to the coupling, and w psi g (negated for
+    the pose) to b. One bincount sums the 9 pose-block entries and the 3 of
+    b per (pose, user) pair, adding repeated measurements of a pair; the
+    blocks are sums of those. Its index is the log's pair_index, built once
+    per log.
     """
     S, K = len(log.steps), len(log.user_ids)
     r_gps, r_toa, diff, d = res
     g = np.ascontiguousarray(delay_gradient(diff, d).T)                  # (3, M)
-    w = w_toa
-    if huber_delta is not None:
-        a = np.abs(r_toa)
-        w = w * np.divide(huber_delta, a, out=np.ones_like(a), where=a > huber_delta)
-    wr = w * r_toa
-    c = wr / (SPEED_OF_LIGHT * d)
-    # per measurement, the 9 entries of (w + C^2 c) g g^T - c I and the 3 of w r g
+    psi = _clipped(r_toa, huber_delta)
+    wpsi = w_toa * psi
+    c = wpsi / (SPEED_OF_LIGHT * d)
+    # per measurement, the 9 entries of (w [psi = r] + C^2 c) g g^T - c I and the 3 of w psi g
     terms = np.empty((4, 3, len(r_toa)))
-    np.multiply(((w + SPEED_OF_LIGHT ** 2 * c) * g)[:, None], g[None], out=terms[:3])
+    np.multiply(((w_toa * (psi == r_toa) + SPEED_OF_LIGHT ** 2 * c) * g)[:, None], g[None],
+                out=terms[:3])
     terms.reshape(12, -1)[:9:4] -= c
-    np.multiply(wr, g, out=terms[3])
+    np.multiply(wpsi, g, out=terms[3])
     sums = np.bincount(log.pair_index, weights=terms.ravel(),
                        minlength=12 * S * K).reshape(S, K, 4, 3)
     per_pose, per_user = sums.sum(axis=1), sums.sum(axis=0)
@@ -329,16 +328,15 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
     The weights (measurement_weights) are taken once, at `init`: f is the
     objective under them throughout, so the trace descends, and a solve from
     the result takes per-distance weights again, as a mission's re-solves
-    do. Each iteration assembles the Newton matrix, with the exact ToA
-    curvature, once, and tries damped steps (H + lambda I) delta = -b until
-    one does not raise f. A trial whose damped matrix is not positive
-    definite (the Newton matrix can be indefinite far from the minimum)
-    multiplies lambda by 10. A rejected step multiplies lambda by nu and
-    doubles nu; an accepted one scales lambda by max(1/3, 1 - (2 rho - 1)^3)
-    and resets nu to 2, rho being the gain ratio (Madsen, Nielsen &
-    Tingleff 2004, section 3.2). The solve stops, converged, when an
-    accepted step is shorter than cfg.tol_step or a trial step changes f by
-    at most REL_DECREASE_TOL of f.
+    do. Each iteration assembles the Newton matrix once, and tries damped
+    steps (H + lambda I) delta = -b until one does not raise f. A trial
+    whose damped matrix is not positive definite (the Newton matrix can be
+    indefinite far from the minimum) multiplies lambda by 10. A rejected
+    step multiplies lambda by nu and doubles nu; an accepted one scales
+    lambda by max(1/3, 1 - (2 rho - 1)^3) and resets nu to 2, rho being the
+    gain ratio (Madsen, Nielsen & Tingleff 2004, section 3.2). The solve
+    stops, converged, when an accepted step is shorter than cfg.tol_step or
+    a trial step changes f by at most REL_DECREASE_TOL of f.
 
     Returns (state, report) on every outcome: the best state found, and
     report.converged False if no stopping test is met within cfg.max_iter

@@ -280,6 +280,26 @@ def test_online_workload_takes_at_most_40_lm_trials_per_mission(monkeypatch):
     assert sum(trials) <= 40 * len(missions)
 
 
+def test_huber_mission_resolves_converge_within_the_iteration_budget(monkeypatch):
+    # one online_greedy_nr mission of seed 401 under a Huber cost at
+    # delta = sigma_tau: on the exact Hessian of that cost each of its five
+    # re-solves converges within the workload's 20 iterations (in 5 to 9)
+    workload = WORKLOADS["online_greedy_nr"]
+    s = workload.make_inputs(401)[3]
+    reports = []
+    solve = slam.solve_slam
+
+    def recorded(init, samples, cfg):
+        state, report = solve(init, samples, cfg)
+        reports.append(report)
+        return state, report
+    monkeypatch.setattr(slam, "solve_slam", recorded)
+    cfg = SlamConfig.for_scenario(s, huber_delta=s.toa_noise.sigma0, max_iter=workload.max_iter)
+    mission.run_mission(s, "greedy", toa_path="nr", solve_every=workload.solve_every, slam_cfg=cfg)
+    assert len(reports) == 5
+    assert all(r.converged for r in reports), [r.iterations for r in reports]
+
+
 def test_online_workload_estimates_toa_once_per_read_and_traces_the_history_once(
         monkeypatch):
     # the benchmark's online_greedy_nr missions of seed 1, their work counted:

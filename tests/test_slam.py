@@ -218,17 +218,20 @@ def test_h_psd_random_scenarios():
 
 def dense_oracle_h_b(state, log, cfg):
     """Independent dense construction: stack the full Jacobian row by row,
-    and add each ToA residual's curvature w r grad^2 r in its own dense
-    matrix, so H = J^T W J + sum w r grad^2 r is the Newton matrix.
+    and add each ToA residual's curvature W r grad^2 r in its own dense
+    matrix, so H = J^T G J + sum W r grad^2 r is the Newton matrix and
+    b = J^T W r.
 
     ToA weights are 1/sigma^2, sigma taken from the exponential noise model
-    at the state's link distance when cfg.per_distance_weights is set, times
-    the Huber IRLS weight delta/|r| for residuals beyond cfg.huber_delta.
+    at the state's link distance when cfg.per_distance_weights is set. A
+    residual beyond cfg.huber_delta, where the Huber cost is linear, has
+    Gauss-Newton weight G = 0 and gradient and curvature weight
+    W = w delta/|r|; elsewhere both are w.
     Also returns the objective: weighted squares, Huber-linear beyond delta.
     """
     flat = state.flatten()
     S, K = len(log.steps), len(log.user_ids)
-    rows, weights, resids, costs = [], [], [], []
+    rows, gn_weights, weights, resids, costs = [], [], [], [], []
     curvature = np.zeros((3 * S + 2 * K, 3 * S + 2 * K))
     w_gps = 1 / cfg.sigma_gps ** 2
     for i in range(S):
@@ -236,6 +239,7 @@ def dense_oracle_h_b(state, log, cfg):
             row = np.zeros(3 * S + 2 * K)
             row[3 * i + axis] = -1.0
             rows.append(row)
+            gn_weights.append(w_gps)
             weights.append(w_gps)
             resids.append(log.pose_gps[i][axis] - flat[3 * i + axis])
             costs.append(w_gps * resids[-1] ** 2)
@@ -256,9 +260,11 @@ def dense_oracle_h_b(state, log, cfg):
         w = 1 / sigma ** 2
         delta = cfg.huber_delta
         if delta is not None and abs(r) > delta:
+            gn_weights.append(0.0)
             weights.append(w * delta / abs(r))
             costs.append(w * delta * (2 * abs(r) - delta))
         else:
+            gn_weights.append(w)
             weights.append(w)
             costs.append(w * r ** 2)
         resids.append(r)
@@ -272,9 +278,9 @@ def dense_oracle_h_b(state, log, cfg):
         curvature[pi, uj] += c * P[:, :2]
         curvature[uj, pi] += c * P[:2, :]
     J = np.array(rows)
-    W = np.diag(weights)
     r = np.array(resids)
-    return J.T @ W @ J + curvature, J.T @ W @ r, math.fsum(costs)
+    return (J.T @ np.diag(gn_weights) @ J + curvature, J.T @ np.diag(weights) @ r,
+            math.fsum(costs))
 
 
 def random_h_b_case(rng):
@@ -331,12 +337,16 @@ def test_weighted_h_b_objective_match_dense_oracle(huber, per_distance):
     assert beyond > 0 and within > 0
 
 
-def test_newton_matrix_matches_finite_difference_hessian():
+@pytest.mark.parametrize("huber_delta", [None, 1.5e-8], ids=["plain", "huber"])
+def test_newton_matrix_matches_finite_difference_hessian(huber_delta):
     # the objective is f = r^T W r, so its Hessian is 2 H when H is the exact
-    # Newton matrix; J^T W J alone misses the ToA curvature by a few per cent
+    # Newton matrix; J^T W J alone misses the ToA curvature by a few per cent.
+    # Under Huber, 19 of the 46 residuals lie beyond delta, where f is linear
+    # in r and its Hessian has no Gauss-Newton term.
     rng = np.random.default_rng(9)
-    cfg = SlamConfig(sigma_gps=1.3, sigma_tau=2e-8)
+    cfg = SlamConfig(sigma_gps=1.3, sigma_tau=2e-8, huber_delta=huber_delta)
     h = 1e-3
+    beyond = 0
     for _ in range(3):
         samples, state = random_h_b_case(rng)
         samples = [replace(m, toa=m.toa + 2e-8 * rng.standard_normal()) for m in samples]
@@ -344,10 +354,16 @@ def test_newton_matrix_matches_finite_difference_hessian():
         flat = state.flatten()
         res = residuals(log, flat)
         weights = measurement_weights(res, cfg)
-        ne = assemble_normal_equations(log, res, *weights)
+        ne = assemble_normal_equations(log, res, *weights, huber_delta=huber_delta)
+        if huber_delta is not None:
+            # a stencil point moves two coordinates by h, so a ToA residual
+            # by at most 2 h / C: none crosses the kink at |r| = delta
+            a = np.abs(res[1])
+            assert np.abs(a - huber_delta).min() > 2 * h / C
+            beyond += int(np.sum(a > huber_delta))
 
         def f(x):
-            return objective_terms(residuals(log, x), *weights)
+            return objective_terms(residuals(log, x), *weights, huber_delta)
 
         n = len(flat)
         step = h * np.eye(n)
@@ -359,6 +375,7 @@ def test_newton_matrix_matches_finite_difference_hessian():
                                        + f(flat - step[i] - step[j])) / (8 * h * h)
         H = dense_h(ne)
         np.testing.assert_allclose(H, fd, rtol=0, atol=1e-6 * np.abs(H).max())
+    assert beyond == (19 if huber_delta is not None else 0)
 
 
 # --- gauss_newton_step ---
