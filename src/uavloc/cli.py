@@ -20,7 +20,7 @@ from .fim import InfoState, crb_history
 from .iofiles import (RunConfig, csv_refusal, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
-from .model import LENGTH_MAX, require_length, require_number
+from .model import LENGTH_MAX, require_coordinate, require_number
 from .planner import PlannerState, next_waypoint
 
 
@@ -116,8 +116,8 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
     for key, arr in arrays.items():
         if arr.shape != shapes[key] or not np.all(np.isfinite(arr)):
             raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
-    require_length("state.pos", *arrays["pos"].tolist())
-    require_length("state.user_estimates", *users.ravel().tolist())
+    require_coordinate("state.pos", *arrays["pos"].tolist())
+    require_coordinate("state.user_estimates", *users.ravel().tolist())
     # a JSON string or bool is refused, not converted
     eps = float(require_number("state.eps_prior", doc.get("eps_prior", rc.eps_prior), 0,
                                high=LENGTH_MAX ** 2))
@@ -175,7 +175,7 @@ def _read_xyz_csv(path: str, header: list[str]) -> np.ndarray:
     # an empty list of rows gives shape (0,), which the shape test rejects
     if data is None or data.shape != (len(rows), len(header)) or not np.all(np.isfinite(data)):
         raise SchemaError(f"{path}: expected one or more rows of {len(header)} finite numbers")
-    require_length(path, *data[:, 1:].ravel().tolist())
+    require_coordinate(path, *data[:, 1:].ravel().tolist())
     return data
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import toa_gradient
 from .errors import DegenerateGeometry, SingularFim
-from .model import SPEED_OF_LIGHT, ToaNoiseModel, sigma_tau_of_distance
+from .model import SPEED_OF_LIGHT, ToaNoiseModel, toa_variance
 
 # A block is rank-deficient when the second pivot s of its LDL^T factorization
 # is within this share of d (s / d = det / ad). Rounding leaves a few machine
@@ -112,9 +112,7 @@ def step_contribution(uav, user_ests, noise: ToaNoiseModel) -> np.ndarray:
     (K, 2, 2); N positions (N, 3), such as a trajectory, give (N, K, 2, 2)."""
     uav = np.asarray(uav, dtype=float)
     g, d = toa_gradient(uav[..., None, :], np.reshape(user_ests, (-1, 2)))
-    # far estimates overflow sigma or its square: infinite sigma, no information
-    with np.errstate(over="ignore"):
-        var = np.asarray(sigma_tau_of_distance(d, noise)) ** 2
+    var = np.asarray(toa_variance(d, noise))
     return g[..., :2, None] * g[..., None, :2] / var[..., None, None]
 
 
@@ -174,8 +172,7 @@ def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) ->
     tr P / det P - (tr P + |g|^2) / (det P + g^T adj(P) g), with det P from
     _pivots. P is read as symmetric, as every Fisher block is (uavloc plan
     refuses an asymmetric one). DegenerateGeometry at a zero distance;
-    SingularFim if the state or a candidate block is singular. A far link
-    whose sigma overflows carries no information: its gain is 0."""
+    SingularFim if the state or a candidate block is singular."""
     uav = np.asarray(uav, dtype=float)
     users = np.reshape(user_ests, (-1, 2))
     blocks, eps = info.blocks, info.eps_prior
@@ -198,9 +195,7 @@ def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) ->
     if (dist2 == 0.0).any():
         raise DegenerateGeometry("zero UAV-user distance")
     dist = np.sqrt(dist2)
-    # far estimates overflow sigma or sigma C d: infinite, no information
-    with np.errstate(over="ignore"):
-        scale = 1.0 / (sigma_tau_of_distance(dist, noise) * SPEED_OF_LIGHT * dist)
+    scale = 1.0 / (np.sqrt(toa_variance(dist, noise)) * SPEED_OF_LIGHT * dist)
     gx, gy = hx * scale, hy * scale
     gxx, e = gx * gx, root_a * gy - slope * gx
     det_new = det + (e * e + schur * gxx)

@@ -76,6 +76,15 @@ def sigma_tau_of_distance(d: float, m: ToaNoiseModel) -> float:
     return m.sigma0
 
 
+def toa_variance(d, m: ToaNoiseModel):
+    """sigma * sigma of sigma_tau_of_distance(d, m), in s^2. Where sigma or
+    its square overflows it is +inf, with no float warning: a far link
+    carries no information, and 1 / toa_variance is its weight 0."""
+    with np.errstate(over="ignore"):
+        sigma = sigma_tau_of_distance(d, m)
+        return sigma * sigma
+
+
 @dataclass(frozen=True)
 class MeasurementSample:
     """One measurement tuple: GPS-reported UAV position plus the estimated
@@ -176,9 +185,10 @@ REACH_SLACK = 1e-12
 
 # The largest magnitude, in meters, of a scenario coordinate, a mission's
 # farthest link, a logged GPS coordinate and a logged range C tau; 1 /
-# LENGTH_MAX m is the floor of a noise scale. The highest power of a length
-# the package forms is the sixth: slam._range_fit squares g1 = sum q y over
-# a user's n rows, with q its centred track and y = (C tau)^2 - z^2 - |q|^2.
+# LENGTH_MAX m is the floor of a noise scale and of a nonzero input
+# coordinate. The highest power of a length the package forms is the sixth:
+# slam._range_fit squares g1 = sum q y over a user's n rows, with q its
+# centred track and y = (C tau)^2 - z^2 - |q|^2.
 # Where every coordinate and range is at most L, |q| <= 2 sqrt(2) L and
 # |y| <= 10 L^2, so g1^2 <= 800 n^2 L^6, and the hard-case test's
 # n g1^2 <= 800 n^3 L^6. At L = 2 LENGTH_MAX (a mission's poses lie within
@@ -195,11 +205,23 @@ NORMAL_REACH = 13.7076
 
 def require_length(name, *lengths):
     """InvalidParam(name) unless every length, in meters, is finite and at
-    most LENGTH_MAX in magnitude, as every coordinate must be."""
+    most LENGTH_MAX in magnitude: the ceiling alone, for a sum, a ramp or a
+    path the package forms."""
     for v in lengths:
         if not abs(v) <= LENGTH_MAX:  # NaN fails too
             raise InvalidParam(name, f"must keep every length finite and within {LENGTH_MAX:g} "
                                f"m, not {abs(v):.6g} m")
+
+
+def require_coordinate(name, *coords):
+    """InvalidParam(name) unless every coordinate given as input, in meters,
+    is 0 or within [1 / LENGTH_MAX, LENGTH_MAX] in magnitude. Two such
+    coordinates differ by 0 or by at least 2^-185 = 2.0e-56 m, the spacing of
+    floats at 1e-40, so no link between such points squares to length 0."""
+    for v in coords:
+        if not (v == 0 or 1 / LENGTH_MAX <= abs(v) <= LENGTH_MAX):  # NaN fails too
+            raise InvalidParam(name, f"must keep every coordinate 0 or within [{1 / LENGTH_MAX:g}"
+                               f", {LENGTH_MAX:g}] m in magnitude, not {abs(v):.6g} m")
 
 
 def require_number(name, value, low, strict=False, high=sys.float_info.max):
@@ -238,9 +260,9 @@ def validate_scenario(s: Scenario) -> Scenario:
     if len(s.users) < 1:
         raise InvalidParam("users", "need at least one user")
     for i, u in enumerate(s.users):
-        require_length(f"users[{i}]", u.x, u.y)
-    require_length("uav_start", s.uav_start.x, s.uav_start.y, s.uav_start.z)
-    require_length("uav_terminal", s.uav_terminal.x, s.uav_terminal.y, s.uav_terminal.z)
+        require_coordinate(f"users[{i}]", u.x, u.y)
+    require_coordinate("uav_start", s.uav_start.x, s.uav_start.y, s.uav_start.z)
+    require_coordinate("uav_terminal", s.uav_terminal.x, s.uav_terminal.y, s.uav_terminal.z)
     require_int("mission_steps", s.mission_steps, 2)
     require_number("d_max", s.d_max, 0, strict=True)
     require_number("delta_keep", s.delta_keep, 0)
@@ -262,7 +284,7 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     for i, box in enumerate(s.buildings):
         lo, hi = box.min_corner.as_array(), box.max_corner.as_array()
-        require_length(f"buildings[{i}]", *lo, *hi)
+        require_coordinate(f"buildings[{i}]", *lo, *hi)
         if not np.all(lo <= hi):
             raise InvalidParam(f"buildings[{i}]", "min_corner must be <= max_corner")
 

@@ -40,7 +40,7 @@ import numpy as np
 from .channel import delay_gradient, link_geometry, toa_gradient
 from .errors import InvalidParam, SingularSystem
 from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel,
-                    require_int, require_number, require_scale, sigma_tau_of_distance)
+                    require_int, require_number, require_scale, toa_variance)
 
 logger = logging.getLogger(__name__)
 
@@ -153,20 +153,13 @@ def residuals(log: MeasurementLog, flat: np.ndarray):
 
 
 def measurement_weights(res, cfg: SlamConfig):
-    """GPS weight and per-measurement ToA weights 1/sigma^2 at the point whose
-    residuals are `res` (res[3] holds the link distances).
-
-    ToA sigmas follow the noise model at those link distances when
-    cfg.per_distance_weights is set, else they are cfg.sigma_tau. solve_slam
-    takes them once, at its start point.
-    """
-    if cfg.per_distance_weights:
-        # far estimates overflow sigma or its square: weight 0, no information
-        with np.errstate(over="ignore"):
-            w_toa = 1.0 / sigma_tau_of_distance(res[3], cfg.noise_model) ** 2
-    else:
-        w_toa = np.full(len(res[1]), 1.0 / cfg.sigma_tau ** 2)
-    return 1.0 / cfg.sigma_gps ** 2, w_toa
+    """GPS weight and ToA weights 1 / model.toa_variance at the link
+    distances res[3] of the point whose residuals are `res`, under
+    cfg.noise_model when cfg.per_distance_weights is set, else under the
+    constant sigma cfg.sigma_tau (one float then). solve_slam takes them
+    once, at its start point."""
+    noise = cfg.noise_model if cfg.per_distance_weights else ToaNoiseModel(sigma0=cfg.sigma_tau)
+    return 1.0 / cfg.sigma_gps ** 2, 1.0 / toa_variance(res[3], noise)
 
 
 def _clipped(r_toa, huber_delta):
@@ -177,7 +170,7 @@ def _clipped(r_toa, huber_delta):
 def objective_terms(res, w_gps: float, w_toa, huber_delta: float | None = None) -> float:
     """f at the point whose residuals are `res`: the weighted squared GPS
     residuals and each ToA term's w psi (2 r - psi). w_gps weights each GPS
-    coordinate and w_toa (M,) each ToA residual, as measurement_weights
+    coordinate and w_toa, (M,) or a float, each ToA residual, as measurement_weights
     gives them."""
     r_gps, r_toa, _, _ = res
     psi = _clipped(r_toa, huber_delta)

@@ -180,16 +180,30 @@ def _integer(low, high):
     return _maybe_numpy(st.integers(low, high), np.int64)
 
 
+def _is_coordinate(v):
+    """Whether v is a coordinate a scenario takes: 0, or within [1e-40, 1e40] m in magnitude."""
+    return v == 0 or 1 / LENGTH_MAX <= abs(v) <= LENGTH_MAX
+
+
+def _coordinate(low, high):
+    return _maybe_numpy(st.floats(low, high).filter(_is_coordinate), np.float64)
+
+
 @st.composite
 def valid_scenarios(draw):
-    start = Vec3(*(draw(_real(-100, 100)) for _ in range(3)))
+    start = Vec3(*(draw(_coordinate(-100, 100)) for _ in range(3)))
     d_max = draw(_real(1e-3, 20))
     # half a step from the start: reachable at any mission length
     terminal = Vec3(start.x + draw(st.floats(0, 0.5)) * d_max, start.y, start.z)
-    corners = [(Vec3(*(draw(_real(-50, 50)) for _ in range(3))),
+    corners = [(Vec3(*(draw(_coordinate(-50, 50)) for _ in range(3))),
                 [draw(_real(0, 30)) for _ in range(3)])
                for _ in range(draw(st.integers(0, 2)))]
-    users = tuple(Vec2(draw(_real(-80, 80)), draw(_real(-80, 80)))
+    buildings = tuple(AxisBox(lo, Vec3(lo.x + dx, lo.y + dy, lo.z + dz))
+                      for lo, (dx, dy, dz) in corners)
+    # the sums are coordinates too
+    assume(all(map(_is_coordinate, [terminal.x, *(v for b in buildings
+                                                  for v in astuple(b.max_corner))])))
+    users = tuple(Vec2(draw(_coordinate(-80, 80)), draw(_coordinate(-80, 80)))
                   for _ in range(draw(st.integers(1, 3))))
     steps = draw(_integer(2, 500))
     # amp*exp(d/scale) stays below 1e-8*exp(60) at the farthest reachable link,
@@ -207,9 +221,7 @@ def valid_scenarios(draw):
                     mission_steps=steps, d_max=d_max,
                     delta_keep=draw(_real(0, 10)), sigma_gps=draw(_real(1e-3, 10)),
                     toa_noise=noise, numerology=draw(_integer(0, 5)),
-                    sample_rate=draw(_real(1e6, 2e8)),
-                    buildings=tuple(AxisBox(lo, Vec3(lo.x + dx, lo.y + dy, lo.z + dz))
-                                    for lo, (dx, dy, dz) in corners),
+                    sample_rate=draw(_real(1e6, 2e8)), buildings=buildings,
                     seed=draw(_integer(0, 2**32 - 1)))
 
 
@@ -1137,14 +1149,18 @@ def test_cli_solve_not_converged_exits_3(tmp_path, capsys, readme_run):
 
 
 # Lengths on the README scenario beyond model.LENGTH_MAX, past which the
-# solver's sixth powers overflow, and noise scales beyond it or below its
-# reciprocal, at which a weight 1 / sigma^2 overflows or divides by zero:
-# each printed float warnings or a traceback, or exited 3 or 0, before the
-# scenario or its solver options refused it
+# solver's sixth powers overflow, a nonzero coordinate below its reciprocal,
+# and noise scales beyond it or below its reciprocal, at which a weight
+# 1 / sigma^2 overflows or divides by zero: each printed float warnings or a
+# traceback, or exited 3 or 0, before the scenario or its solver options
+# refused it
 FAR_SCENARIOS = [
     ("user_1e200", "[10.0, -5.0]", "[1.0e+200, -5.0]", "users[0]"),
     ("user_1e110", "[10.0, -5.0]", "[1.0e+110, -5.0]", "users[0]"),
     ("altitude_1e200", "30.0]", "1.0e+200]", "uav_start"),  # the start and the terminal
+    # a link 1e-300 m long squares to 0: "zero UAV-user distance", exit 3
+    ("start_1e-300_above_user", "uav_start: [0.0, 0.0, 30.0]",
+     "uav_start: [10.0, -5.0, 1.0e-300]", "uav_start"),
     ("d_max_1e200", "d_max: 5.0", "d_max: 1.0e+200", "d_max"),
     ("sigma_gps_1e60", "sigma_gps: 1.0", "sigma_gps: 1.0e+60", "sigma_gps"),
     ("sigma_gps_1e-160", "sigma_gps: 1.0", "sigma_gps: 1.0e-160", "sigma_gps"),
@@ -1298,13 +1314,24 @@ def test_cli_solve_log_beyond_the_length_bound_exits_2(tmp_path, capsys, readme_
 def test_cli_scenario_and_log_at_the_length_bound_run_without_warning(tmp_path, capsys,
                                                                       readme_run):
     # a user at the bound, 1e40 m, and the README log with a GPS coordinate
-    # and a range at it: nothing is refused, and nothing overflows
+    # and a range at it: nothing is refused, and nothing overflows; nor does
+    # a start, a planner position or a track 1e-40 m, the floor, above a user
     cfg = tmp_path / "scenario.yaml"
     cfg.write_text(README_CONFIG.replace("[10.0, -5.0]", "[1.0e+40, -5.0]"))
+    near = tmp_path / "near.yaml"
+    near.write_text(README_CONFIG.replace("uav_start: [0.0, 0.0, 30.0]",
+                                          "uav_start: [10.0, -5.0, 1.0e-40]"))
+    (tmp_path / "state.json").write_text(json.dumps(dict(VALID_STATE, pos=[10.0, -5.0, 1e-40])))
+    (tmp_path / "traj.csv").write_text("step,x,y,z\n1,10,-5,1e-40\n")
+    (tmp_path / "users.csv").write_text("user_id,x,y\n1,10,-5\n")
     out = tmp_path / "out"
     for argv in (["simulate", "--scenario", str(cfg), "--out", str(out)],
                  ["mc", "--scenario", str(cfg), "--runs", "1"],
                  ["solve", "--scenario", str(cfg), "--log", str(out / "measurements.csv")],
+                 ["simulate", "--scenario", str(near), "--out", str(tmp_path / "near")],
+                 ["plan", "--scenario", readme_run[0], "--state", str(tmp_path / "state.json")],
+                 ["crb", "--scenario", readme_run[0], "--trajectory", str(tmp_path / "traj.csv"),
+                  "--users", str(tmp_path / "users.csv")],
                  ["solve", "--scenario", readme_run[0], "--log",
                   _far_log(tmp_path / "gps.csv", readme_run[1], "gps_x", "1e+40")],
                  ["solve", "--scenario", readme_run[0], "--log",
@@ -1671,6 +1698,9 @@ README_PLANS = [
     ("yaml_error", README_CONFIG + "buildings: [1, 2\n", ZERO_STATE, 2, "error: invalid YAML"),
     ("zero_fim_no_prior", README_CONFIG.replace("solve_every: 5", "eps_prior: 0.0"),
      ZERO_STATE, 3, "numeric failure: "),
+    # a link 1e-300 m long squares to 0: "zero UAV-user distance", exit 3
+    ("pos_1e-300_above_user", README_CONFIG, dict(ZERO_STATE, pos=[10.0, -5.0, 1e-300]), 2,
+     "error: invalid parameter 'state.pos': "),
 ]
 
 
@@ -1696,15 +1726,19 @@ def test_cli_entry_plans_on_the_readme_scenario(tmp_path, config, state, code, o
     # a field over csv's 131072-character limit
     ("step,x,y,z\n1,50,0," + "3" * 200000 + "\n", "user_id,x,y\n1,0,0\n"),
     ("step,x,y,z\n1,50,0,30\n", "user_id,x,y\n1,0," + "3" * 200000 + "\n"),
+    # a link 1e-300 m long squares to 0: "zero UAV-user distance", exit 3
+    ("step,x,y,z\n1,10,-5,1e-300\n", "user_id,x,y\n1,10,-5\n"),
 ], ids=["short_trajectory_row", "short_users_row", "non_numeric", "non_finite", "no_rows",
-        "wrong_header", "over_long_trajectory_field", "over_long_users_field"])
+        "wrong_header", "over_long_trajectory_field", "over_long_users_field",
+        "track_1e-300_above_user"])
 def test_cli_crb_malformed_csv_exits_2(tmp_path, scenario_file, capsys, traj, users):
     tp = tmp_path / "traj.csv"
     tp.write_text(traj)
     up = tmp_path / "users.csv"
     up.write_text(users)
-    _input_error(capsys, ["crb", "--scenario", scenario_file, "--trajectory", str(tp),
-                          "--users", str(up)])
+    line = _no_warning(lambda: _input_error(capsys, ["crb", "--scenario", scenario_file,
+                                                     "--trajectory", str(tp), "--users", str(up)]))
+    assert str(tp) in line or str(up) in line
 
 
 # crb_history.csv labels its rows 1..N and the users are told apart by id

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavloc.channel import toa_gradient
 from uavloc.errors import InvalidParam, TerminalUnreachable
-from uavloc.model import (LENGTH_MAX, AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2,
-                          Vec3, sigma_tau_of_distance, validate_scenario)
+from uavloc.fim import improvement_traces, initial_info, step_contribution
+from uavloc.model import (LENGTH_MAX, SPEED_OF_LIGHT, AxisBox, MeasurementLog,
+                          MeasurementSample, Scenario, ToaNoiseModel, Vec2, Vec3,
+                          sigma_tau_of_distance, toa_variance, validate_scenario)
+from uavloc.slam import SlamConfig, measurement_weights, residuals
 
 
 def make_scenario(**kw):
@@ -104,6 +108,37 @@ def test_exponential_noise_within_the_length_bound_at_the_farthest_link():
     with pytest.raises(InvalidParam) as exc:
         validate_scenario(exponential_noise_scenario(91.0, 1e-9))
     assert exc.value.field == "toa_noise"
+
+
+# the exponential law of the README scenario's far-noise copy (tests/test_io.py)
+FAR_NOISE = ToaNoiseModel(kind="exponential", sigma0=1e-8, amp=1e-9, scale=2.0)
+
+
+# One rule decides what a ToA link carries: model.toa_variance. At 1500 m
+# exp(d / scale) overflows; at 1000 m sigma is 1.4e208, finite, and only its
+# square overflows. The solver's weight, the Fisher block and the planner's
+# gain all read the variance, so such a link carries no information in each.
+@pytest.mark.parametrize("noise, d, var", [
+    (ToaNoiseModel(sigma0=1.25e-8), 50.0, 1.25e-8 * 1.25e-8),
+    (FAR_NOISE, 1500.0, np.inf),
+    (FAR_NOISE, 1000.0, np.inf),
+], ids=["constant", "exp_overflows", "square_overflows"])
+def test_toa_variance_decides_what_a_link_carries(noise, d, var):
+    uav, user = np.array([0.6 * d, 0.0, 0.8 * d]), np.zeros(2)
+    log = MeasurementLog.of([MeasurementSample(1, 1, Vec3(*uav), d / SPEED_OF_LIGHT)])
+    cfg = SlamConfig(noise_model=noise, per_distance_weights=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(toa_variance(np.array([d, d]), noise) == var)
+        if d == 1000.0:
+            assert 1.34e154 < sigma_tau_of_distance(d, noise) < np.inf
+        _, w_toa = measurement_weights(residuals(log, np.r_[uav, user]), cfg)
+        block = step_contribution(uav, user[None], noise)
+        gain = improvement_traces(initial_info(1), uav[None], user[None], noise)
+    g = toa_gradient(uav, user)[0][:2]
+    assert np.all(w_toa == 1.0 / var)
+    np.testing.assert_array_equal(block, [np.outer(g, g) / var])
+    assert (gain > 0.0) if var < np.inf else gain.tolist() == [0.0]
 
 
 FAR = 1.0000001 * LENGTH_MAX

@@ -1088,6 +1088,26 @@ def test_per_distance_weights_must_be_a_bool(value):
     assert SlamConfig(per_distance_weights=False, noise_model=noise).per_distance_weights is False
 
 
+@pytest.mark.parametrize("sigma_tau", [1.25e-8, 3.7e-9])
+def test_a_fixed_sigma_weights_as_the_constant_law(sigma_tau):
+    # one weighting: a fixed sigma_tau is the constant law read per distance,
+    # so the two solves of one log agree bit for bit, report included
+    rng = np.random.default_rng(8)
+    uavs = circle(12)
+    gps = uavs + rng.normal(0, 1, uavs.shape)
+    users = np.array([[10.0, 25.0], [-20.0, 5.0]])
+    samples = [MeasurementSample(n, k, Vec3(*g), los_delay(p, u)
+                                 + sigma_tau * rng.standard_normal())
+               for n, (p, g) in enumerate(zip(uavs, gps), start=1)
+               for k, u in enumerate(users, start=1)]
+    init = StateVector(uav=gps.copy(), users=users + 6.0)
+    state, report = solve_slam(init, samples, SlamConfig(sigma_tau=sigma_tau))
+    other, other_report = solve_slam(init, samples, SlamConfig(
+        noise_model=ToaNoiseModel(sigma0=sigma_tau), per_distance_weights=True))
+    assert state.flatten().tobytes() == other.flatten().tobytes()
+    assert report == other_report and report.converged
+
+
 # unchecked, a mission with these settings divides by zero (sigma 0), fails
 # in range() (max_iter 2.5), runs to a meaningless estimate (sigma_tau NaN,
 # huber_delta < 0) or makes no iteration (max_iter 0)
