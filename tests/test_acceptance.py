@@ -298,11 +298,14 @@ def test_criterion_12_determinism(tmp_path):
                    "uav_start: [0.0, 0.0, 30.0]\n"
                    "uav_terminal: [40.0, 0.0, 30.0]\n"
                    "mission_steps: 25\ndelta_keep: 2.0\nseed: 7\n")
-    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["simulate", "--scenario", str(cfg), "--out", out_a, "--seed", "7"]) == 0
-    assert main(["simulate", "--scenario", str(cfg), "--out", out_b, "--seed", "7"]) == 0
     names = ["trajectory.csv", "users.csv", "crb_history.csv",
              "metrics.json", "measurements.csv"]
-    match, mismatch, errs = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
-    assert sorted(match) == sorted(names) and not mismatch and not errs
-    print("criterion 12 PASS: repeated simulate runs are byte-identical")
+    # on both ToA paths: the NR one estimates its delays as the log is read
+    for toa in ("ideal", "nr"):
+        out_a, out_b = str(tmp_path / toa / "a"), str(tmp_path / toa / "b")
+        for out in (out_a, out_b):
+            assert main(["simulate", "--scenario", str(cfg), "--out", out, "--seed", "7",
+                         "--toa", toa]) == 0
+        match, mismatch, errs = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
+        assert sorted(match) == sorted(names) and not mismatch and not errs, toa
+    print("criterion 12 PASS: repeated simulate runs are byte-identical on both ToA paths")

@@ -1204,6 +1204,7 @@ def test_cli_scenario_beyond_the_length_bound_exits_2(tmp_path, capsys, command,
     args = ["--out", str(tmp_path / "out")] if command == "simulate" else ["--runs", "1"]
     line = _no_warning(lambda: _input_error(capsys, [command, "--scenario", str(cfg), *args]))
     assert line.startswith(f"error: invalid parameter '{key}': ")
+    assert not (tmp_path / "out").exists()
 
 
 # Each numeric field of a short loop mission on the README's users, by its
@@ -1342,17 +1343,51 @@ def test_cli_scenario_and_log_at_the_length_bound_run_without_warning(tmp_path, 
 
 
 def test_cli_solve_output_does_not_depend_on_the_seed(readme_run, tmp_path, capsys):
-    # the start draws nothing, so the config's seed does not move the output
+    # the start draws nothing, so the config's seed moves neither the
+    # printed payload nor the bytes of solution.json
     log = readme_run[1]
 
     def solve(seed):
-        cfg = tmp_path / f"seed{seed}.yaml"
+        cfg, out = tmp_path / f"seed{seed}.yaml", tmp_path / f"solve{seed}"
         cfg.write_text(README_CONFIG.replace("seed: 7", f"seed: {seed}"))
         capsys.readouterr()
-        assert main(["solve", "--scenario", str(cfg), "--log", log, "--json"]) == 0
-        return capsys.readouterr().out
+        assert main(["solve", "--scenario", str(cfg), "--log", log, "--json",
+                     "--out", str(out)]) == 0
+        return capsys.readouterr().out, (out / "solution.json").read_bytes()
 
-    assert solve(1) == solve(2)
+    assert solve(7) == solve(8)
+
+
+def test_cli_huber_solve_of_the_readme_log_converges_within_6_iterations(readme_run, tmp_path,
+                                                                         capsys):
+    # its Newton matrix is the exact Hessian of the Huber cost
+    cfg = tmp_path / "huber.yaml"
+    cfg.write_text(README_CONFIG.replace(
+        "solve_every: 5", "solve_every: 5\n  huber_delta: 1.25e-8\n  max_iter: 6"))
+    capsys.readouterr()
+    assert main(["solve", "--scenario", str(cfg), "--log", readme_run[1], "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
+def test_cli_crb_of_the_retained_track_ends_at_the_missions_crb(readme_run, tmp_path, capsys):
+    # crb on the retained track (the trajectory rows with an estimate,
+    # renumbered 1..R) at the final user estimates is the mission's CRB
+    # history: its last value is final_crb_trace_m2 exactly
+    out = os.path.dirname(readme_run[1])
+    with open(os.path.join(out, "trajectory.csv")) as f:
+        track = [r for r in csv.DictReader(f) if r["est_x"]]
+    with open(os.path.join(out, "users.csv")) as f:
+        users = list(csv.DictReader(f))
+    with open(os.path.join(out, "metrics.json")) as f:
+        final = json.load(f)["final_crb_trace_m2"]
+    (tmp_path / "track.csv").write_text("step,x,y,z\n" + "".join(
+        f"{i},{r['true_x']},{r['true_y']},{r['true_z']}\n" for i, r in enumerate(track, start=1)))
+    (tmp_path / "users.csv").write_text("user_id,x,y\n" + "".join(
+        f"{u['user_id']},{u['est_x']},{u['est_y']}\n" for u in users))
+    capsys.readouterr()
+    assert main(["crb", "--scenario", readme_run[0], "--trajectory", str(tmp_path / "track.csv"),
+                 "--users", str(tmp_path / "users.csv"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["crb_history_m2"][-1] == final
 
 
 # --seed replaces the config's seed before the scenario is checked, so a bad
