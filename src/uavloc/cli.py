@@ -15,13 +15,13 @@ import sys
 import numpy as np
 
 from . import fim, slam
-from .errors import INPUT_ERRORS, NUMERIC_ERRORS, NotConverged, SchemaError
+from .errors import INPUT_ERRORS, NUMERIC_ERRORS, InvalidParam, NotConverged, SchemaError
 from .fim import InfoState, crb_history
 from .iofiles import (RunConfig, csv_refusal, export_results, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
-from .model import LENGTH_MAX, require_coordinate, require_number
-from .planner import PlannerState, next_waypoint
+from .model import LENGTH_MAX, REACH_SLACK, require_coordinate, require_number
+from .planner import PlannerState, next_waypoint, reach_threshold
 
 
 def _read_text(path: str) -> str:
@@ -117,6 +117,13 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
         if arr.shape != shapes[key] or not np.all(np.isfinite(arr)):
             raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
     require_coordinate("state.pos", *arrays["pos"].tolist())
+    terminal = s.uav_terminal.as_array()
+    reach = reach_threshold(step, s.mission_steps, s.d_max)
+    dist = float(np.linalg.norm(arrays["pos"] - terminal))
+    # every mission state passes; from here the planner's fallback hop is within d_max
+    if dist > reach * (1 + REACH_SLACK):
+        raise InvalidParam("state.pos", f"must lie within d_max*(N - step) = {reach:.6g} m of "
+                           f"uav_terminal, not {dist:.6g} m")
     require_coordinate("state.user_estimates", *users.ravel().tolist())
     # a JSON string or bool is refused, not converted
     eps = float(require_number("state.eps_prior", doc.get("eps_prior", rc.eps_prior), 0,
@@ -147,7 +154,7 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
         if np.any(definite & ~(np.divide(a + d, det, out=np.zeros(k), where=definite) < np.inf)):
             raise SchemaError("state 'fim' must have 2x2 diagonal blocks whose CRB trace "
                               "is finite")
-    return PlannerState(step=step, pos=arrays["pos"], terminal=s.uav_terminal.as_array(),
+    return PlannerState(step=step, pos=arrays["pos"], terminal=terminal,
                         mission_steps=s.mission_steps, d_max=s.d_max, info=info,
                         user_estimates=users, noise_model=s.toa_noise, headings=rc.headings)
 
@@ -258,6 +265,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (*INPUT_ERRORS, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input whose arrays the host cannot allocate
+        print("error: not enough memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ from .errors import InvalidParam
 from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_history, initial_info, step_contribution
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .fim import crb_trace  # noqa: F401
-from .model import (LENGTH_MAX, REACH_SLACK, MeasurementLog, Scenario, require_int,
+from .model import (LENGTH_MAX, REACH_SLACK, ROWS_MAX, MeasurementLog, Scenario, require_int,
                     require_length, require_number, validate_scenario)
 from .nrtiming import NrConfig, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
@@ -113,7 +113,7 @@ def check_options(solve_every, eps_prior, planner_headings):
     """InvalidParam naming the first bad option of run_mission (or RunConfig)."""
     require_int("solve_every", solve_every, 0)
     require_number("eps_prior", eps_prior, 0, high=LENGTH_MAX ** 2)
-    require_int("planner_headings", planner_headings, 1)
+    require_int("planner_headings", planner_headings, 1, ROWS_MAX - 1)
 
 
 def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
@@ -129,8 +129,9 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     end of the mission. The first estimates are slam.range_circle_start
     along the planned track, and the module docstring says how every solve
     starts; only the noise is drawn, from scenario.seed.
-    A fixed path starts at uav_start (within 1e-9 m), takes the coordinate
-    rule (model.require_length) and keeps every hop within d_max.
+    A fixed path starts within d_max * REACH_SLACK of uav_start, takes the coordinate rule
+    (model.require_length) and keeps every hop within d_max (1 + REACH_SLACK): the flight
+    rule of model.REACH_SLACK, which the start-to-terminal budget and the planner apply too.
     Per retained step the mission measures, accumulates the Fisher blocks
     for the greedy planner and solves on schedule; the NR estimates of its
     delays wait for the next read of the log (the first step, a solve, the
@@ -161,7 +162,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         if fixed_path.shape != (n_steps, 3):
             raise InvalidParam("mode", f"fixed path must have shape ({n_steps}, 3)")
         require_length("mode", *fixed_path.ravel().tolist())
-        if np.linalg.norm(fixed_path[0] - start) > 1e-9:
+        if np.linalg.norm(fixed_path[0] - start) > s.d_max * REACH_SLACK:
             raise InvalidParam("mode", "fixed path must start at uav_start")
         hops = np.linalg.norm(np.diff(fixed_path, axis=0), axis=1)
         if np.any(hops > s.d_max * (1 + REACH_SLACK)):

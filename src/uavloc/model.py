@@ -179,8 +179,9 @@ class Scenario:
     seed: int = 0
 
 
-# Relative slack on a distance checked against d_max: the start-to-terminal
-# budget here and each hop of a fixed mission path.
+# The flight rule: a distance checked against a budget of d_max moves may exceed it by
+# REACH_SLACK of that budget. It decides the start-to-terminal budget here, the planner's
+# reach test, a fixed path's start and hops (mission.run_mission) and `uavloc plan`'s state.pos.
 REACH_SLACK = 1e-12
 
 # The largest magnitude, in meters, of a scenario coordinate, a mission's
@@ -201,6 +202,11 @@ LENGTH_MAX = 1e40
 # mean: its ziggurat goes past the edge r = 3.6541528853610088 only as r + x,
 # x = -log1p(-U) / r with U < 1 a double on the grid 2^-53, so r + x <= r + 53 ln 2 / r.
 NORMAL_REACH = 13.7076
+
+# The most rows of three float64 one numpy array can hold, its size in bytes an intp.
+# mission_steps sizes a mission's (N, 3) arrays and planner headings the (headings + 1, 3)
+# ring, so a larger count is refused: below it, an array the host cannot give is a MemoryError.
+ROWS_MAX = np.iinfo(np.intp).max // 24
 
 
 def require_length(name, *lengths):
@@ -240,11 +246,12 @@ def require_scale(name, value, meters=1.0):
     return require_number(name, value, 1 / LENGTH_MAX / meters, high=LENGTH_MAX / meters)
 
 
-def require_int(name, value, low):
-    """value if it is an integer, not a bool, >= low; else InvalidParam(name)."""
+def require_int(name, value, low, high=math.inf):
+    """value if it is an integer, not a bool, >= low and <= high; else InvalidParam(name)."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= low):
-        raise InvalidParam(name, f"must be an integer >= {low}")
+            and low <= value <= high):
+        raise InvalidParam(name, f"must be an integer >= {low}"
+                           + (f" and <= {high}" if high < math.inf else ""))
     return value
 
 
@@ -263,7 +270,7 @@ def validate_scenario(s: Scenario) -> Scenario:
         require_coordinate(f"users[{i}]", u.x, u.y)
     require_coordinate("uav_start", s.uav_start.x, s.uav_start.y, s.uav_start.z)
     require_coordinate("uav_terminal", s.uav_terminal.x, s.uav_terminal.y, s.uav_terminal.z)
-    require_int("mission_steps", s.mission_steps, 2)
+    require_int("mission_steps", s.mission_steps, 2, ROWS_MAX)
     require_number("d_max", s.d_max, 0, strict=True)
     require_number("delta_keep", s.delta_keep, 0)
     require_scale("sigma_gps", s.sigma_gps)

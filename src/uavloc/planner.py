@@ -17,9 +17,7 @@ import numpy as np
 from .fim import InfoState, improvement_traces
 # Unused here; re-exported because perfbench/tracing.py wraps them by this module's name.
 from .fim import improvement_matrix, step_contribution  # noqa: F401
-from .model import ToaNoiseModel
-
-_FEAS_TOL = 1e-9  # meters of slack on the reachability comparison
+from .model import REACH_SLACK, ToaNoiseModel
 
 
 @dataclass
@@ -66,7 +64,7 @@ def _costs(cands: np.ndarray, st: PlannerState) -> np.ndarray:
     would become unreachable. All feasible candidates are scored at once."""
     slack = reach_threshold(st.step + 1, st.mission_steps, st.d_max)
     diff = cands - np.asarray(st.terminal, dtype=float)
-    feasible = np.sqrt(np.vecdot(diff, diff)) <= slack + _FEAS_TOL
+    feasible = np.sqrt(np.vecdot(diff, diff)) <= slack * (1 + REACH_SLACK)
     costs = np.full(len(cands), float("-inf"))
     if feasible.any():
         costs[feasible] = improvement_traces(st.info, cands[feasible], st.user_estimates,

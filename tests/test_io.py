@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import uavloc
+from uavloc import mission, planner
 from uavloc.channel import los_delay
 from uavloc.cli import _load_config, _planner_state, build_parser, main
 from uavloc.errors import InvalidParam, ParseError, RowError, SchemaError, UnknownKey
@@ -29,8 +30,8 @@ from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
                             parse_scenario, read_measurement_log,
                             serialize_scenario, write_measurement_log)
 from uavloc.mission import check_options, run_mission
-from uavloc.model import (LENGTH_MAX, SPEED_OF_LIGHT, AxisBox, MeasurementSample, Scenario,
-                          ToaNoiseModel, Vec2, Vec3, validate_scenario)
+from uavloc.model import (LENGTH_MAX, REACH_SLACK, SPEED_OF_LIGHT, AxisBox, MeasurementSample,
+                          Scenario, ToaNoiseModel, Vec2, Vec3, validate_scenario)
 from uavloc.slam import SlamConfig
 
 MINIMAL = """\
@@ -830,6 +831,9 @@ BAD_OPTIONS = [
     ("solver", "solve_every", "2.5"), ("solver", "tol_step", ".nan"),
     ("solver", "max_iter", "true"), ("solver", "per_distance_weights", "3"),
     ("planner", "headings", "0"),
+    # (1e18 + 1, 3) floats are more bytes than numpy can address: refused before
+    # the planner's ring is allocated (model.ROWS_MAX)
+    ("planner", "headings", "1000000000000000000"),
     ("solver", "eps_prior", "-1"), ("solver", "eps_prior", ".inf"),
 ]
 
@@ -1183,6 +1187,9 @@ FAR_SCENARIOS = [
      "solver.huber_delta"),
     ("eps_prior_1e300", "solve_every: 5", "solve_every: 5\n  eps_prior: 1.0e+300",
      "solver.eps_prior"),
+    # not a length: a mission's (1e18, 3) arrays are more bytes than numpy can
+    # address ("array is too big"), refused before any allocation (model.ROWS_MAX)
+    ("steps_1e18", "mission_steps: 25", "mission_steps: 1000000000000000000", "mission_steps"),
 ]
 
 
@@ -1479,6 +1486,10 @@ def test_cli_solve_header_only_log_exits_2(tmp_path, scenario_file, capsys):
 
 VALID_STATE = {"step": 1, "pos": [0.0, 0.0, 30.0],
                "fim": [[1e3, 0.0], [0.0, 1e3]], "user_estimates": [[10.0, -5.0]]}
+# The flight rule on MINIMAL at step 1: pos within d_max*(N - 1) = 95 m of the
+# terminal (40, 0, 30), up to REACH_SLACK of it.
+AT_REACH_STATE = dict(VALID_STATE, pos=[-55.0, 0.0, 30.0])
+BEYOND_REACH_STATE = dict(VALID_STATE, pos=[40.0 - 95.0 * (1 + 2 * REACH_SLACK), 0.0, 30.0])
 
 
 def _plan_exit(tmp_path, scenario_file, text):
@@ -1581,6 +1592,16 @@ def test_cli_plan_refuses_a_position_whose_squared_links_overflow(tmp_path, scen
     assert err.startswith("error: invalid parameter 'state.pos': ") and err.count("\n") == 1
 
 
+def test_cli_plan_refuses_a_position_that_cannot_reach_the_terminal(tmp_path, scenario_file):
+    # every mission state lies within reach, and from there the fallback hop is
+    # within d_max; from beyond it, the fallback hop has no bound
+    rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(AT_REACH_STATE))
+    assert rc == 0 and err == ""
+    rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(BEYOND_REACH_STATE))
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith("error: invalid parameter 'state.pos': must lie within d_max*(N - step)")
+
+
 def test_cli_plan_gains_of_a_very_unequal_diagonal_do_not_overflow(tmp_path, scenario_file):
     # det = 1e-300 * 1e300 - 1e-10 is near 1, so the block is positive
     # definite at eps_prior 0; squaring b g_x / a (about 1e295 g_x) overflowed
@@ -1679,6 +1700,7 @@ def malformed_state(draw):
 @given(text=malformed_state())
 @example(text=json.dumps(dict(VALID_STATE, eps_prior=-1.0)))
 @example(text=json.dumps(dict(VALID_STATE, eps_prior=float("nan"))))
+@example(text=json.dumps(BEYOND_REACH_STATE))
 def test_cli_plan_malformed_state_exits_2(tmp_path, scenario_file, text):
     rc, err = _plan_exit(tmp_path, scenario_file, text)
     assert rc == 2
@@ -1736,6 +1758,9 @@ README_PLANS = [
     # a link 1e-300 m long squares to 0: "zero UAV-user distance", exit 3
     ("pos_1e-300_above_user", README_CONFIG, dict(ZERO_STATE, pos=[10.0, -5.0, 1e-300]), 2,
      "error: invalid parameter 'state.pos': "),
+    # 540 m from the terminal with 5 steps of 5 m left: the fallback would hop 108 m
+    ("pos_beyond_reach", README_CONFIG, dict(ZERO_STATE, step=20, pos=[-500.0, 0.0, 30.0]), 2,
+     "error: invalid parameter 'state.pos': must lie within d_max*(N - step) = 25 m"),
 ]
 
 
@@ -1749,6 +1774,41 @@ def test_cli_entry_plans_on_the_readme_scenario(tmp_path, config, state, code, o
     assert run.returncode == code and "Traceback" not in run.stderr
     printed, silent = (run.stderr, run.stdout) if code else (run.stdout, run.stderr)
     assert silent == "" and len(printed.splitlines()) == 1 and printed.startswith(out)
+
+
+# README_CONFIG with its start as the terminal, so any mission_steps is reachable
+LOOP_CONFIG = README_CONFIG.replace("uav_terminal: [40.0, 0.0, 30.0]",
+                                   "uav_terminal: [0.0, 0.0, 30.0]")
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+def test_cli_exits_2_where_the_host_cannot_allocate(tmp_path, capsys, monkeypatch, command):
+    # 1e12 steps or headings: numpy can address the arrays, the host cannot
+    # give them. The allocating call is made to refuse, so nothing is allocated.
+    refused = []
+
+    def refuse(count):
+        refused.append(count)
+        raise MemoryError(f"Unable to allocate 22.2 TiB for an array with shape ({count}, 3)")
+    real_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if np.ndim(shape) and shape[0] >= 10 ** 12:  # a mission's (N, 3) arrays
+            refuse(shape[0])
+        return real_zeros(shape, *args, **kwargs)
+    monkeypatch.setattr(mission.np, "zeros", zeros)
+    monkeypatch.setattr(planner, "_unit_ring", refuse)  # the (headings + 1, 3) ring
+    (tmp_path / "scenario.yaml").write_text(
+        LOOP_CONFIG.replace("mission_steps: 25", "mission_steps: 1000000000000")
+        .replace("headings: 8", "headings: 1000000000000"))
+    (tmp_path / "state.json").write_text(json.dumps(ZERO_STATE))
+    argv = [command, "--scenario", str(tmp_path / "scenario.yaml")]
+    argv += ["--out", str(tmp_path / "out")] if command == "simulate" else \
+        ["--state", str(tmp_path / "state.json")]
+    line = _input_error(capsys, argv)
+    assert refused == [10 ** 12]
+    assert line == "error: not enough memory: Unable to allocate 22.2 TiB for an array with " \
+        "shape (1000000000000, 3)"
 
 
 @pytest.mark.parametrize("traj, users", [

@@ -16,7 +16,7 @@ from uavloc.iofiles import serialize_scenario, write_measurement_log
 from uavloc.mission import (circle_path, compute_metrics, monte_carlo,
                             run_mission, straight_line_path)
 from uavloc.model import SPEED_OF_LIGHT as C
-from uavloc.model import Scenario, ToaNoiseModel, Vec2, Vec3
+from uavloc.model import REACH_SLACK, Scenario, ToaNoiseModel, Vec2, Vec3
 from uavloc.planner import reach_threshold
 from uavloc.slam import SlamConfig
 
@@ -67,8 +67,14 @@ def test_fixed_path_validation():
     jump[6:] += [0.0, s.d_max + 1.0, 0.0]  # one hop over d_max
     with pytest.raises(InvalidParam, match="d_max"):
         run_mission(s, jump)
-    hover[0, 0] += 5e-10  # within 1e-9 m of uav_start
-    assert run_mission(s, hover).planned[0].tolist() == s.uav_start.as_array().tolist()
+    # the flight rule: a start within d_max * REACH_SLACK of uav_start is taken
+    # as uav_start (uav_start's y is 0, so the offset is the distance exactly)
+    near = hover.copy()
+    near[0, 1] += s.d_max * REACH_SLACK
+    assert run_mission(s, near).planned[0].tolist() == s.uav_start.as_array().tolist()
+    hover[0, 1] += 2 * s.d_max * REACH_SLACK
+    with pytest.raises(InvalidParam, match="start at uav_start"):
+        run_mission(s, hover)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
@@ -598,6 +604,34 @@ def test_greedy_path_feasible():
     for n in range(1, s.mission_steps + 1):
         assert np.linalg.norm(path[n - 1] - term) <= \
             reach_threshold(n, s.mission_steps, s.d_max) + 1e-9
+
+
+def readme_scenario(scale):
+    """The README scenario with every length, and sigma0, multiplied by `scale`."""
+    return Scenario(users=(Vec2(10.0 * scale, -5.0 * scale), Vec2(-20.0 * scale, 15.0 * scale)),
+                    uav_start=Vec3(0.0, 0.0, 30.0 * scale),
+                    uav_terminal=Vec3(40.0 * scale, 0.0, 30.0 * scale), mission_steps=25,
+                    d_max=5.0 * scale, delta_keep=2.0 * scale, sigma_gps=scale,
+                    toa_noise=ToaNoiseModel(sigma0=1.25e-8 * scale), seed=7)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "straight"])
+@pytest.mark.parametrize("scale", [1e-30, 1e-12, 1e-10, 1e-9, 1.0, 1e12, 1e30])
+def test_flight_rule_holds_at_every_length_scale(scale, mode):
+    """model.REACH_SLACK is relative, so the flight keeps the rule at any
+    scale: every hop within d_max (1 + REACH_SLACK), every position n within
+    reach_threshold(n) (1 + REACH_SLACK) of the terminal, and the last one
+    exactly at it."""
+    s = readme_scenario(scale)
+    path = run_mission(s, "greedy" if mode == "greedy" else straight_line_path(s),
+                       solve_every=5).planned
+    term = s.uav_terminal.as_array()
+    hops = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    assert np.all(hops <= s.d_max * (1 + REACH_SLACK))
+    for n in range(1, s.mission_steps + 1):
+        assert np.linalg.norm(path[n - 1] - term) <= \
+            reach_threshold(n, s.mission_steps, s.d_max) * (1 + REACH_SLACK)
+    assert path[-1].tolist() == term.tolist()
 
 
 def test_nr_toa_path_runs_and_is_reasonable():
