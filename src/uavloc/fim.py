@@ -77,18 +77,20 @@ def _pivots(blocks: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.
     pivots of its LDL^T factorization: a and s = d - b c / a. Where s is at
     rounding level, A is rank-deficient and det(A + eps I) = eps (tr A + eps)
     exactly. SingularFim unless every A + eps I is positive definite (a > 0
-    and det > 0) with finite entries and a finite det."""
-    a = blocks[..., 0, 0] + eps
-    d = blocks[..., 1, 1] + eps
-    # refused before dividing, so no float warning arises: a <= 0 would
-    # divide by zero, and an inf or NaN entry would make s inf or NaN
-    if not (a.min(initial=1.0) > 0 and np.abs(blocks).max(initial=0.0) < np.inf):
-        raise SingularFim("Fisher matrix is singular")
-    s = d - blocks[..., 0, 1] * (blocks[..., 1, 0] / a)
-    det = a * s
-    rank_deficient = np.abs(s) <= SINGULAR_RTOL * d
-    if rank_deficient.any():
-        det[rank_deficient] = (eps * (a + d - eps))[rank_deficient]
+    and det > 0) with finite entries and a finite det; no float warning."""
+    # an overflow below, in a, d, s or det, leaves det inf or NaN, which the last test refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = blocks[..., 0, 0] + eps
+        d = blocks[..., 1, 1] + eps
+        # refused before dividing: a <= 0 would divide by zero, and an inf or
+        # NaN entry would make s inf or NaN
+        if not (a.min(initial=1.0) > 0 and np.abs(blocks).max(initial=0.0) < np.inf):
+            raise SingularFim("Fisher matrix is singular")
+        s = d - blocks[..., 0, 1] * (blocks[..., 1, 0] / a)
+        det = a * s
+        rank_deficient = np.abs(s) <= SINGULAR_RTOL * d
+        if rank_deficient.any():
+            det[rank_deficient] = (eps * (a + d - eps))[rank_deficient]
     if not ((det > 0) & (det < np.inf)).all():
         raise SingularFim("Fisher matrix is singular")
     return a, d, det

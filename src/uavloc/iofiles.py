@@ -55,14 +55,18 @@ class RunConfig:
     """A config document's scenario, checked by validate_scenario, and its
     `solver:`/`planner:` options: slam (a SlamConfig) holds the solver keys and the
     scenario's sigma_gps and toa_noise; solve_every, eps_prior and headings, checked
-    by mission.check_options, go to run_mission. A key left out takes its default."""
+    by mission.check_options, go to run_mission. A key left out takes its default;
+    eps_prior's is fim.DEFAULT_EPS_PRIOR in the scenario's unit (model's unit rule)."""
     scenario: Scenario
     slam: SlamConfig
     solve_every: int = DEFAULT_SOLVE_EVERY
-    eps_prior: float = DEFAULT_EPS_PRIOR
+    eps_prior: float | None = None
     headings: int = PlannerState.headings
 
     def __post_init__(self):
+        if self.eps_prior is None:
+            object.__setattr__(self, "eps_prior", DEFAULT_EPS_PRIOR / (
+                self.scenario.toa_noise.sigma0 / ToaNoiseModel.sigma0) ** 2)
         check_options(self.solve_every, self.eps_prior, self.headings)
 
 

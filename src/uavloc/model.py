@@ -61,6 +61,9 @@ class ToaNoiseModel:
     delay added when the link is blocked.
     """
     kind: str = "constant"
+    # The unit rule: a default tolerance with a length in it is quoted at this sigma0 and scales
+    # with r = sigma0 / ToaNoiseModel.sigma0: slam.solve_slam's damping bounds and eps_prior's
+    # default by 1 / r^2, tol_step's by r. A tol_step or eps_prior that is set is kept as it is.
     sigma0: float = 1.25e-8
     amp: float = 0.0
     scale: float = 100.0

@@ -100,18 +100,23 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SlamConfig:
+    """Solver settings: sigma_gps and tol_step in meters, sigma_tau and
+    huber_delta in seconds. A tol_step left None is 1e-6 m * r, r =
+    sigma0 / ToaNoiseModel.sigma0 of the weights' ToA noise (model's unit
+    rule; solve_slam); a tol_step that is set is kept as it is."""
     sigma_gps: float = Scenario.sigma_gps
     sigma_tau: float = ToaNoiseModel.sigma0
     noise_model: ToaNoiseModel | None = None
     per_distance_weights: bool = False  # toa sigma from the distances at each solve's start
     huber_delta: float | None = None    # seconds; threshold of the Huber ToA cost when set
-    tol_step: float = 1e-6
+    tol_step: float | None = None       # meters; None: 1e-6 m * r (see above)
     max_iter: int = 100
 
     def __post_init__(self):
         require_scale("sigma_gps", self.sigma_gps)
         require_scale("sigma_tau", self.sigma_tau, SPEED_OF_LIGHT)
-        require_number("tol_step", self.tol_step, 0, strict=True)
+        if self.tol_step is not None:
+            require_number("tol_step", self.tol_step, 0, strict=True)
         if self.huber_delta is not None:
             require_scale("huber_delta", self.huber_delta, SPEED_OF_LIGHT)
         require_int("max_iter", self.max_iter, 1)
@@ -119,6 +124,8 @@ class SlamConfig:
             raise InvalidParam("per_distance_weights", "must be true or false")
         if self.per_distance_weights and self.noise_model is None:
             raise InvalidParam("per_distance_weights", "needs a noise_model")
+        if self.per_distance_weights:  # its sigma0 sets the unit of solve_slam's defaults
+            require_scale("noise_model.sigma0", self.noise_model.sigma0, SPEED_OF_LIGHT)
 
     @classmethod
     def for_scenario(cls, s: Scenario, **options) -> SlamConfig:
@@ -309,9 +316,9 @@ def check_identifiability(log: MeasurementLog) -> list[int]:
 # the solve as converged: f has stopped changing beyond rounding, whose sign
 # then decides acceptance (Ceres' function tolerance).
 REL_DECREASE_TOL = 1e-12
-# The damping of the first trial step, and the damping beyond which a solve
-# that finds no step that does not raise f gives up.
-LAMBDA_INIT, LAMBDA_MAX = 1e-4, 1e8
+# The damping's floor, its first trial value, and the one beyond which a solve that finds
+# no step that does not raise f gives up; solve_slam divides each by r^2 (model's unit rule).
+LAMBDA_MIN, LAMBDA_INIT, LAMBDA_MAX = 1e-15, 1e-4, 1e8
 
 
 def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
@@ -330,11 +337,17 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
     gain ratio (Madsen, Nielsen & Tingleff 2004, section 3.2). The solve
     stops, converged, when an accepted step is shorter than cfg.tol_step or
     a trial step changes f by at most REL_DECREASE_TOL of f.
+    The damping starts at LAMBDA_INIT / r^2 and keeps above LAMBDA_MIN / r^2,
+    and tol_step defaults to 1e-6 m * r, r = sigma0 / ToaNoiseModel.sigma0
+    with sigma0 that of the weights: cfg.noise_model's under
+    per_distance_weights, else cfg.sigma_tau (model's unit rule). So with
+    every length, sigma_gps and sigma0 scaled by s, a solve's estimate
+    scales by s, up to rounding.
 
     Returns (state, report) on every outcome: the best state found, and
     report.converged False if no stopping test is met within cfg.max_iter
-    iterations, or no damping up to LAMBDA_MAX gives a step that does not
-    raise f.
+    iterations, or no damping up to LAMBDA_MAX / r^2 gives a step that does
+    not raise f.
     """
     log = _nonempty_log(measurements)
     S, K = len(log.steps), len(log.user_ids)
@@ -342,7 +355,10 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
         raise ValueError("initial state dimensions do not match the measurement set")
 
     flat = init.flatten()
-    lam, nu = LAMBDA_INIT, 2.0
+    sigma0 = cfg.noise_model.sigma0 if cfg.per_distance_weights else cfg.sigma_tau
+    r = sigma0 / ToaNoiseModel.sigma0
+    lam_min, lam, lam_max, nu = LAMBDA_MIN / r**2, LAMBDA_INIT / r**2, LAMBDA_MAX / r**2, 2.0
+    tol_step = 1e-6 * r if cfg.tol_step is None else cfg.tol_step
     # the residuals of the current point, shared by the objective that
     # accepts it and the next assembly; the weights are those of init
     res = residuals(log, flat)
@@ -357,7 +373,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
         iterations += 1
         ne = assemble_normal_equations(log, res, *weights, huber_delta=cfg.huber_delta)
         accepted = f_settled = False
-        while lam <= LAMBDA_MAX:
+        while lam <= lam_max:
             trials += 1
             try:
                 delta = gauss_newton_step(ne, lam)
@@ -386,14 +402,14 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
         f_prev, flat, f, res = f, trial, f_new, res_new
         trace.append(f)
         step_norm = math.sqrt(step_sq)
-        if step_norm < cfg.tol_step or f_settled:
+        if step_norm < tol_step or f_settled:
             converged = True
             break
         # gain ratio: actual over predicted decrease, the prediction from the
         # quadratic model, f - m(delta) = lam |delta|^2 - b^T delta, which is
         # > 0 for the delta != 0 left by the stop test
         rho = (f_prev - f) / (lam * step_sq - float(ne.b @ delta))
-        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
+        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), lam_min)
         nu = 2.0
 
     return StateVector.from_flat(flat, S, K), SolveReport(

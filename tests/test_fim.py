@@ -494,10 +494,14 @@ def _eye_with(entry, value):
 
 @pytest.mark.parametrize("block", [_eye_with((0, 0), 0.0)] + [
     _eye_with(entry, value) for value in (np.nan, np.inf, -np.inf)
-    for entry in ((0, 0), (0, 1), (1, 0), (1, 1))])
+    for entry in ((0, 0), (0, 1), (1, 0), (1, 1))] + [
+    np.array([[5e-324, 2e-8], [2e-8, 1e308]]),  # c / a overflows
+    np.array([[1.0, 1e200], [1e200, 1.0]]),  # b (c / a) overflows
+    np.array([[1e200, 0.0], [0.0, 1e200]])])  # det overflows
 def test_det_refuses_a_zero_pivot_and_non_finite_blocks_without_a_warning(block):
     # a zero pivot a (at eps_prior 0), an inf or a NaN entry is refused before
-    # any division, so no float warning arises on the way to SingularFim
+    # any division; a block whose pivots or det overflow is refused by its det.
+    # No float warning arises on the way to SingularFim
     blocks = np.stack([np.eye(2), block, np.eye(2)])
     info = accumulate(initial_info(3, eps_prior=0.0), blocks)
     with warnings.catch_warnings():

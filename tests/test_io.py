@@ -100,7 +100,8 @@ def test_solver_planner_sections():
 def test_run_options_defaults(sections):
     noise = "toa_noise: {kind: exponential, sigma0: 2.0e-8, amp: 1.0e-9}\n"
     rc = parse_run_config(MINIMAL + "sigma_gps: 1.5\n" + noise + sections)
-    assert (rc.solve_every, rc.eps_prior, rc.headings) == (1, 1e-6, 8)
+    # eps_prior's default is 1e-6 m^-2 / r^2, r = sigma0 / 1.25e-8 = 1.6 (model's unit rule)
+    assert (rc.solve_every, rc.eps_prior, rc.headings) == (1, pytest.approx(3.90625e-7), 8)
     s = rc.scenario
     assert rc.slam == SlamConfig(sigma_gps=1.5, sigma_tau=s.toa_noise.sigma0,
                                  noise_model=s.toa_noise)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 from dataclasses import replace
@@ -632,6 +633,24 @@ def test_flight_rule_holds_at_every_length_scale(scale, mode):
         assert np.linalg.norm(path[n - 1] - term) <= \
             reach_threshold(n, s.mission_steps, s.d_max) * (1 + REACH_SLACK)
     assert path[-1].tolist() == term.tolist()
+
+
+@functools.cache
+def _readme_errors(scale, seed, solve_every):
+    """Each user's error over `scale`, greedy with ideal ToA."""
+    res = run_mission(replace(readme_scenario(scale), seed=seed), solve_every=solve_every)
+    return np.array(res.metrics.user_abs_errors) / scale
+
+
+@pytest.mark.parametrize("solve_every", [5, 0, 1])
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6, 1e12])
+def test_estimates_do_not_depend_on_the_length_unit(scale, solve_every):
+    """The unit rule of model.ToaNoiseModel.sigma0: the damping bounds, the
+    default tol_step and the default eps_prior scale with sigma0, so each
+    user's error over the scale is its error at scale 1."""
+    for seed in (7, 8, 9):
+        np.testing.assert_allclose(_readme_errors(scale, seed, solve_every),
+                                   _readme_errors(1.0, seed, solve_every), rtol=1e-5)
 
 
 def test_nr_toa_path_runs_and_is_reasonable():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from uavloc.fim import accumulate, initial_info, toa_info_contribution
 from uavloc.model import SPEED_OF_LIGHT as C
-from uavloc.model import ToaNoiseModel
+from uavloc.model import REACH_SLACK, ToaNoiseModel
 from uavloc.planner import (PlannerState, candidate_positions, greedy_cost,
                             next_waypoint, reach_threshold)
 
@@ -176,7 +176,7 @@ def dense_oracle_costs(st_):
              for theta in 2 * np.pi * np.arange(st_.headings) / st_.headings] + [st_.pos]
     costs = []
     for cand in cands:
-        if np.linalg.norm(cand - st_.terminal) > slack + 1e-9:
+        if np.linalg.norm(cand - st_.terminal) > slack * (1 + REACH_SLACK):
             costs.append(float("-inf"))
             continue
         gain = np.zeros((2 * k, 2 * k))

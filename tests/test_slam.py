@@ -1122,6 +1122,17 @@ def test_slam_config_refuses_bad_field(field, value):
     assert exc.value.field == field
 
 
+def test_slam_config_refuses_weights_with_no_unit():
+    # solve_slam scales its damping and tol_step by the sigma0 of the weights'
+    # noise (model's unit rule), so under per_distance_weights it must be a
+    # noise scale, as validate_scenario requires of toa_noise.sigma0
+    noise = ToaNoiseModel(kind="exponential", sigma0=0.0, amp=1e-9)
+    with pytest.raises(InvalidParam) as exc:
+        SlamConfig(noise_model=noise, per_distance_weights=True)
+    assert exc.value.field == "noise_model.sigma0"
+    assert SlamConfig(noise_model=noise).noise_model is noise  # unread without them
+
+
 @pytest.mark.parametrize("per_distance", [False, True], ids=["fixed", "per_distance"])
 def test_objective_evaluations_per_solve(monkeypatch, per_distance):
     # the weights, per-distance ones too, are taken once, at the start point,
