@@ -42,6 +42,12 @@ SINGULAR_RTOL = 1e-12
 DEFAULT_EPS_PRIOR = 1e-6  # m^-2, the diagonal prior added to F before inversion
 
 
+def default_eps_prior(sigma0: float) -> float:
+    """DEFAULT_EPS_PRIOR / r^2, r = sigma0 / ToaNoiseModel.sigma0: the default
+    prior in the unit of a ToA noise sigma0 (model's unit rule)."""
+    return DEFAULT_EPS_PRIOR / (sigma0 / ToaNoiseModel.sigma0) ** 2
+
+
 class InfoState:
     """Cumulative Fisher information of the users after `step` steps, kept as
     its (K, 2, 2) diagonal `blocks`, which the constructor copies from fim."""

@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .errors import InvalidParam, ParseError, RowError, SchemaError, UnitError, UnknownKey
-from .fim import DEFAULT_EPS_PRIOR
+from .fim import default_eps_prior
 from .mission import DEFAULT_SOLVE_EVERY, MissionResult, check_options
 from .model import (LENGTH_MAX, SPEED_OF_LIGHT, AxisBox, MeasurementLog, Scenario,
                     ToaNoiseModel, Vec2, Vec3, validate_scenario)
@@ -56,7 +56,7 @@ class RunConfig:
     `solver:`/`planner:` options: slam (a SlamConfig) holds the solver keys and the
     scenario's sigma_gps and toa_noise; solve_every, eps_prior and headings, checked
     by mission.check_options, go to run_mission. A key left out takes its default;
-    eps_prior's is fim.DEFAULT_EPS_PRIOR in the scenario's unit (model's unit rule)."""
+    eps_prior's is fim.default_eps_prior of the scenario's toa_noise.sigma0."""
     scenario: Scenario
     slam: SlamConfig
     solve_every: int = DEFAULT_SOLVE_EVERY
@@ -65,8 +65,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.eps_prior is None:
-            object.__setattr__(self, "eps_prior", DEFAULT_EPS_PRIOR / (
-                self.scenario.toa_noise.sigma0 / ToaNoiseModel.sigma0) ** 2)
+            object.__setattr__(self, "eps_prior", default_eps_prior(self.scenario.toa_noise.sigma0))
         check_options(self.solve_every, self.eps_prior, self.headings)
 
 

@@ -44,11 +44,11 @@ from .channel import RngStream, sample_gps, sample_toa
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .channel import is_blocked  # noqa: F401
 from .errors import InvalidParam
-from .fim import DEFAULT_EPS_PRIOR, accumulate, crb_history, initial_info, step_contribution
+from .fim import accumulate, crb_history, default_eps_prior, initial_info, step_contribution
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .fim import crb_trace  # noqa: F401
-from .model import (LENGTH_MAX, REACH_SLACK, ROWS_MAX, MeasurementLog, Scenario, ToaNoiseModel,
-                    require_int, require_length, require_number, validate_scenario)
+from .model import (LENGTH_MAX, REACH_SLACK, ROWS_MAX, MeasurementLog, Scenario, require_int,
+                    require_length, require_number, validate_scenario)
 from .nrtiming import NrConfig, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
 
@@ -129,9 +129,9 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     end of the mission. The first estimates are slam.range_circle_start
     along the planned track, and the module docstring says how every solve
     starts; only the noise is drawn, from scenario.seed.
-    eps_prior, the Fisher prior in m^-2, defaults to fim.DEFAULT_EPS_PRIOR / r^2,
-    r = toa_noise.sigma0 / ToaNoiseModel.sigma0 (model's unit rule), as the
-    solves' damping and step tolerance do; an eps_prior that is set is kept.
+    eps_prior, the Fisher prior in m^-2, defaults to fim.default_eps_prior of
+    toa_noise.sigma0 (model's unit rule), as the solves' damping and step
+    tolerance scale; an eps_prior that is set is kept.
     A fixed path starts within d_max * REACH_SLACK of uav_start, takes the coordinate rule
     (model.require_length) and keeps every hop within d_max (1 + REACH_SLACK): the flight
     rule of model.REACH_SLACK, which the start-to-terminal budget and the planner apply too.
@@ -153,7 +153,7 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         raise InvalidParam("toa_path", "must be 'ideal' or 'nr'")
     nr_cfg = NrConfig(mu=s.numerology, f_s=s.sample_rate) if toa_path == "nr" else None
     if eps_prior is None:
-        eps_prior = DEFAULT_EPS_PRIOR / (s.toa_noise.sigma0 / ToaNoiseModel.sigma0) ** 2
+        eps_prior = default_eps_prior(s.toa_noise.sigma0)
     check_options(solve_every, eps_prior, planner_headings)
     n_steps = s.mission_steps
     num_users = len(s.users)

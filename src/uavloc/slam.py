@@ -259,23 +259,27 @@ def gauss_newton_step(ne: NormalEquations, damping: float) -> np.ndarray:
     return np.concatenate([dp.ravel(), du])
 
 
-# meters: a track whose extent across its principal axis (the second
-# singular value of its centred horizontal positions) is at most this is
-# straight; one whose extent along the axis is at most this has none
-EXTENT_TOL = 1e-9
+# A track's extent along or across its principal axis counts only above this
+# share of the largest horizontal coordinate of the rows: about the rounding
+# n u of a centre summed over n = 4500 rows (u = 2.2e-16), so the rule holds
+# at every length scale.
+EXTENT_RTOL = 1e-12
 
 
 def _tracks(xy, user, K: int):
     """Per-user geometry of the horizontal positions xy (M, 2) of rows whose
     user indices are `user` (M,), for users 0..K-1.
 
-    Returns (count, centre, q, (big, small), major, minor): each user's row
-    count (K,) and centre (K, 2), the centred rows q = xy - centre[user]
-    (M, 2), the larger and smaller eigenvalues of each user's sum q q^T, (K,)
-    each, and its unit principal axis and normal, (K, 2) each. The
-    smaller eigenvalue cancels on a long thin track, so an extent across
-    the axis is measured by projecting q on `minor`. Any axis is principal
-    where sum q q^T is isotropic or zero.
+    Returns (count, centre, q, (big, small), major, minor, (long, wide)):
+    each user's row count (K,) and centre (K, 2), the centred rows q = xy -
+    centre[user] (M, 2), the larger and smaller eigenvalues of each user's
+    sum q q^T, (K,) each, its unit principal axis and normal, (K, 2) each,
+    and the one extent verdict of every caller, (K,) bools each: whether the
+    track's extent along the axis, sqrt(big), and across it, sqrt(sum
+    (q . minor)^2), exceed EXTENT_RTOL times max |xy|. The smaller
+    eigenvalue cancels on a long thin track, so the extent across is
+    measured by projecting q on `minor`. Any axis is principal where
+    sum q q^T is isotropic or zero.
     """
     count = np.bincount(user, minlength=K)
     centre = np.column_stack([np.bincount(user, xy[:, i], K) for i in (0, 1)]) / count[:, None]
@@ -290,7 +294,11 @@ def _tracks(xy, user, K: int):
     ux[(ux == 0) & (uy == 0)] = 1.0
     major = np.column_stack([ux, uy]) / np.hypot(ux, uy)[:, None]
     minor = np.column_stack([-major[:, 1], major[:, 0]])
-    return count, centre, q, (mid + r, mid - r), major, minor
+    # the extent verdicts, each extent's square against the floor's
+    big, across = mid + r, np.vecdot(q, np.take(minor, user, axis=0))
+    floor = (EXTENT_RTOL * np.abs(xy).max()) ** 2
+    long, wide = big > floor, np.bincount(user, across * across, K) > floor
+    return count, centre, q, (big, mid - r), major, minor, (long, wide)
 
 
 def check_identifiability(log: MeasurementLog) -> list[int]:
@@ -298,14 +306,12 @@ def check_identifiability(log: MeasurementLog) -> list[int]:
     UAV positions. Logs a warning for each (identifiability is marginal);
     `uavloc solve` calls it before solving, solve_slam does not.
 
-    A user's track is non-collinear when its extent across its principal
-    axis, sqrt(sum (q . minor)^2) over its centred horizontal positions q,
-    exceeds EXTENT_TOL: the second singular value of the centred track."""
-    K = len(log.user_ids)
-    count, _, q, _, _, minor = _tracks(log.pose_gps[log.pose, :2], log.user, K)
-    across = np.vecdot(q, np.take(minor, log.user, axis=0))
-    extent = np.sqrt(np.bincount(log.user, across * across, K))
-    weak = np.compress((count < 3) | (extent <= EXTENT_TOL), log.user_ids).tolist()
+    A user's track is non-collinear when _tracks finds it wide: its extent
+    across its principal axis, sqrt(sum (q . minor)^2) over its centred
+    horizontal positions q (the second singular value of the centred
+    track), exceeds EXTENT_RTOL times the largest horizontal coordinate."""
+    count, *_, (_, wide) = _tracks(log.pose_gps[log.pose, :2], log.user, len(log.user_ids))
+    weak = np.compress((count < 3) | ~wide, log.user_ids).tolist()
     for uid in weak:
         logger.warning("user %d is weakly observed "
                        "(needs >=3 non-collinear ToA measurements)", uid)
@@ -467,17 +473,16 @@ def _range_fit(p, ct, user, K: int):
 
     Returns (tracks, fit): the _tracks tuple and fit (2, K, 2), each user's
     fit centre + v and its mirror image about the principal axis, in that
-    order (in the hard case the + and - images). A user whose track has no
-    extent (largest eigenvalue of sum q q^T at most EXTENT_TOL^2) gets its
-    centre twice. Real arithmetic, vectorized over the users; no float
-    error arises on any finite input.
+    order (in the hard case the + and - images). A user whose track _tracks
+    finds without extent along its axis gets its centre twice. Real
+    arithmetic, vectorized over the users; no float error arises on any
+    finite input.
     """
     tracks = _tracks(p[:, :2], user, K)
-    count, centre, q, (big, small), major, minor = tracks
+    count, centre, q, (big, small), major, minor, (extent, _) = tracks
     y = ct ** 2 - p[:, 2] ** 2 - np.vecdot(q, q)
     qx, qy = q.T
     gx, gy, y_sum = (np.bincount(user, w, K) for w in (qx * y, qy * y, y))
-    extent = big > EXTENT_TOL ** 2
     # sum q y along and across the axis; a track without extent fits v = 0
     g = np.column_stack([gx, gy]) * extent[:, None]
     g1, g2 = np.vecdot(g, major), np.vecdot(g, minor)
@@ -543,8 +548,10 @@ def basin_start(measurements, poses, users) -> np.ndarray:
     the principal axis of its track (the horizontal positions of `poses` at
     its rows), and the two points of its squared-range fit at `poses`
     (_range_fit; Smith & Abel, IEEE TASSP 1987; Beck, Stoica & Li, IEEE TSP
-    2008). A tie goes to the candidate listed first, and a track without
-    extent (largest singular value at most EXTENT_TOL) keeps the estimate.
+    2008). A tie goes to the candidate listed first, and a user whose track
+    _tracks finds without extent along its axis (its largest singular value
+    at most EXTENT_RTOL times the largest horizontal coordinate of the
+    rows' poses) keeps the estimate.
 
     A warm start lies where the last solve, over fewer poses, left the
     user; the fit is the global minimum of the squared-range misfit at the
@@ -557,11 +564,11 @@ def basin_start(measurements, poses, users) -> np.ndarray:
     log = _nonempty_log(measurements)
     user, p, K = log.user, np.take(poses, log.pose, axis=0), len(log.user_ids)
     ct = SPEED_OF_LIGHT * log.toa
-    (_, centre, _, (big, _), _, minor), fit = _range_fit(p, ct, user, K)
+    (_, centre, _, _, _, minor, (extent, _)), fit = _range_fit(p, ct, user, K)
     across = np.vecdot(users - centre, minor)
     cand = np.concatenate([[users, users - 2.0 * across[:, None] * minor], fit])
     best = np.argmin(_range_misfit(p, ct, user, cand), axis=0)
-    best[big <= EXTENT_TOL ** 2] = 0
+    best[~extent] = 0
     return cand[best, np.arange(K)]
 
 

@@ -643,11 +643,12 @@ def _readme_errors(scale, seed, solve_every):
 
 
 @pytest.mark.parametrize("solve_every", [5, 0, 1])
-@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6, 1e12])
+@pytest.mark.parametrize("scale", [1e-38, 1e-15, 1e-12, 1e-10, 1e-9, 1e-6, 1e6, 1e12, 1e30])
 def test_estimates_do_not_depend_on_the_length_unit(scale, solve_every):
     """The unit rule of model.ToaNoiseModel.sigma0: the damping bounds, the
-    default tol_step and the default eps_prior scale with sigma0, so each
-    user's error over the scale is its error at scale 1."""
+    default tol_step and the default eps_prior scale with sigma0, and
+    slam.EXTENT_RTOL is relative, so each user's error over the scale is its
+    error at scale 1."""
     for seed in (7, 8, 9):
         np.testing.assert_allclose(_readme_errors(scale, seed, solve_every),
                                    _readme_errors(1.0, seed, solve_every), rtol=1e-5)

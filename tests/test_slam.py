@@ -739,12 +739,15 @@ def reference_start(log):
     circle point along the GPS track (reference_circle), that point's mirror
     image about the SVD normal of the user's track and reference_fit's two
     points, in that order, the one with the lowest ToA sum of squares (the
-    earlier on a tie); a user whose track has no extent keeps the point."""
+    earlier on a tie); a user whose track has no extent, a largest singular
+    value at most 1e-12 of the largest horizontal coordinate of the log's
+    rows, keeps the point."""
     users = reference_circle(log, log.pose_gps[-1, :2] - log.pose_gps[0, :2])
+    floor = 1e-12 * np.abs(log.pose_gps[log.pose, :2]).max()
     for j in range(len(log.user_ids)):
         p, ct = log.pose_gps[log.pose[log.user == j]], C * log.toa[log.user == j]
         q = p[:, :2] - p[:, :2].mean(axis=0)
-        if np.linalg.svd(q, compute_uv=False)[0] <= 1e-9:
+        if np.linalg.svd(q, compute_uv=False)[0] <= floor:
             continue
         normal = np.linalg.svd(q)[2][1]
         mirror = users[j] - 2 * ((users[j] - p[:, :2].mean(axis=0)) @ normal) * normal
@@ -865,7 +868,7 @@ def grid_oracle(p, ct, centre):
 def fit_one(p, ct):
     """_range_fit of one user heard from poses p at ranges ct: its two points
     and its track's centre."""
-    (_, centre, _, _, _, _), fit = _range_fit(p, ct, np.zeros(len(p), dtype=np.int64), 1)
+    (_, centre, *_), fit = _range_fit(p, ct, np.zeros(len(p), dtype=np.int64), 1)
     return fit[:, 0], centre[0]
 
 
@@ -894,7 +897,8 @@ def fit_tracks(draw):
 @given(track=fit_tracks())
 def test_range_fit_is_no_worse_than_a_grid_oracle(track):
     p, ct = track
-    if np.linalg.svd(p[:, :2] - p[:, :2].mean(axis=0), compute_uv=False)[0] <= 1e-9:
+    if np.linalg.svd(p[:, :2] - p[:, :2].mean(axis=0),
+                     compute_uv=False)[0] <= 1e-12 * np.abs(p[:, :2]).max():
         return  # no extent: the fit is not taken
     with np.errstate(all="raise"):
         fit, centre = fit_one(p, ct)
@@ -921,13 +925,17 @@ def test_range_fit_returns_both_images_on_a_straight_track(direction):
         np.testing.assert_allclose(fit[[nearer, 1 - nearer]], [user, image], rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("case", ["coincident", "single", "under"])
-def test_range_fit_raises_no_float_warning_on_degenerate_tracks(case):
+@pytest.mark.parametrize("case, scale", [
+    pytest.param(case, scale, id=case if scale == 1.0 else f"{case}-{scale:g}")
+    for case in ("coincident", "single", "under") for scale in (1.0, 1e-38, 1e30)])
+def test_range_fit_raises_no_float_warning_on_degenerate_tracks(case, scale):
     # three poses at one spot, one pose, and a user right under a pose of a
-    # circle: every start is finite and raises no float error
-    users = np.array(ID_USERS)
+    # circle, every length times `scale`: every start is finite and raises
+    # no float error, and the extent rule, relative, finds the circle at
+    # every scale
+    users = np.array(ID_USERS) * scale
     uavs = {"coincident": np.repeat([[0.1, 0.7, 30.0]], 3, axis=0),
-            "single": circle(1), "under": circle(8)}[case]
+            "single": circle(1), "under": circle(8)}[case] * scale
     if case == "under":
         users[0] = uavs[2, :2]
     samples = make_samples(uavs, list(users))
@@ -936,7 +944,7 @@ def test_range_fit_raises_no_float_warning_on_degenerate_tracks(case):
         warm = basin_start(samples, uavs, start.users)
     assert np.isfinite(warm).all()
     if case == "under":
-        np.testing.assert_allclose(start.users, users, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(start.users, users, rtol=0, atol=1e-6 * scale)
 
 
 # --- basin_start ---
@@ -1000,12 +1008,14 @@ def test_basin_start_never_raises_a_users_sum_of_squares(log, users):
 
 def reference_weak(log):
     """check_identifiability's rule one user at a time: fewer than 3 rows, or
-    a second singular value of the centred horizontal track at most 1e-9 m."""
+    a second singular value of the centred horizontal track at most 1e-12 of
+    the largest horizontal coordinate of the log's rows."""
     weak = []
+    floor = 1e-12 * np.abs(log.pose_gps[log.pose, :2]).max()
     for j, uid in enumerate(log.user_ids):
         track = log.pose_gps[log.pose[log.user == j], :2]
         if (len(track) < 3 or
-                np.linalg.svd(track - track.mean(axis=0), compute_uv=False)[1] <= 1e-9):
+                np.linalg.svd(track - track.mean(axis=0), compute_uv=False)[1] <= floor):
             weak.append(uid)
     return weak
 
@@ -1016,6 +1026,8 @@ def reference_weak(log):
 @example(log=MeasurementLog.of(make_samples(CROSS, ID_USERS)))
 @example(log=two_fixes_1_mm_apart())
 @example(log=MeasurementLog.of(make_samples(THIN, ID_USERS)))
+@example(log=MeasurementLog.of(make_samples(CROSS * 1e-12, [u * 1e-12 for u in ID_USERS])))
+@example(log=MeasurementLog.of(make_samples(CROSS * 1e-38, [u * 1e-38 for u in ID_USERS])))
 def test_identifiability_equals_the_per_user_svd_rule(log):
     with np.errstate(all="raise"):
         assert check_identifiability(log) == reference_weak(log)
