@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uavloc
 from uavloc.channel import toa_gradient
 from uavloc.errors import InvalidParam, TerminalUnreachable
 from uavloc.fim import improvement_traces, initial_info, step_contribution
@@ -254,3 +259,21 @@ def test_log_layout_computed_once_and_read_only():
     for array in (log.pose, log.user, log.pose_gps, log.pair_index):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+@pytest.mark.parametrize("module", ["model", "errors", "channel", "nrtiming", "fim", "planner",
+                                    "slam", "mission"])
+def test_a_module_loads_only_what_it_imports(module):
+    # The package root re-exports nothing, so the estimator and its data types
+    # load neither PyYAML nor the config reader nor the command line.
+    src = os.path.dirname(os.path.dirname(uavloc.__file__))
+    code = ("import json, sys; import uavloc." + module
+            + "; print(json.dumps(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout))
+    assert not loaded & {"yaml", "uavloc.iofiles", "uavloc.cli"}
+    if module == "model":
+        assert {m for m in loaded if m.split(".")[0] == "uavloc"} == {
+            "uavloc", "uavloc.model", "uavloc.errors"}
