@@ -133,27 +133,20 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
     if not np.array_equal(info.fim, arrays["fim"]):
         raise SchemaError("state 'fim' must be block-diagonal: every 2x2 block "
                           "off the diagonal must be zero")
-    a, b, c, d = info.blocks.reshape(k, 4).T
-    if np.any(b != c):
+    if np.any(info.blocks[:, 0, 1] != info.blocks[:, 1, 0]):
         raise SchemaError("state 'fim' must have symmetric 2x2 diagonal blocks")
-    # fim's det(A + eps I) of a symmetric block is at most (a + eps)(d + eps):
-    # where that overflows, the block is refused here, not reported as singular.
-    # Then a d is finite, and an overflowing b c reads inf and is refused below.
-    with np.errstate(over="ignore"):
-        if not np.all((a + eps) * (d + eps) < np.inf):
-            raise SchemaError("state 'fim' must have 2x2 diagonal blocks whose diagonal "
-                              "product (a + eps_prior)(d + eps_prior) is finite")
-        # positive semidefinite up to the rounding fim allows a rank-deficient block
-        if np.any((a < 0) | (d < 0) | (b * c - a * d > fim.SINGULAR_RTOL * a * d)):
-            raise SchemaError("state 'fim' must have positive semidefinite 2x2 diagonal blocks")
-        # a positive definite block, as at a subnormal a beside a large d, whose
-        # CRB trace (a + d) / det of A + eps I overflows is refused too
-        a, d = a + eps, d + eps
-        det = a * d - b * c
-        definite = det > fim.SINGULAR_RTOL * a * d
-        if np.any(definite & ~(np.divide(a + d, det, out=np.zeros(k), where=definite) < np.inf)):
-            raise SchemaError("state 'fim' must have 2x2 diagonal blocks whose CRB trace "
-                              "is finite")
+    # positive semidefinite by fim's rule on the blocks alone: a, d and w not
+    # negative, w up to the rank rule's rounding; w is -inf where the pivot
+    # quotient overflows, and such a block has no finite CRB trace (below)
+    a, d, w = fim.block_shares(info.blocks, 0.0)[:3]
+    if np.any((a < 0) | (d < 0) | ((w < 0) & (w > -np.inf))):
+        raise SchemaError("state 'fim' must have positive semidefinite 2x2 diagonal blocks")
+    # F + eps I is then positive definite, with a finite CRB trace, but where
+    # w is 0 or NaN at eps_prior 0: a singular block, which the planner refuses
+    w, trace = fim.block_shares(info.blocks, eps)[2:4]
+    if np.any(~((trace > 0) & (trace < np.inf)) & ((eps > 0) | (np.abs(w) > 0))):
+        raise SchemaError("state 'fim' must have 2x2 diagonal blocks whose CRB trace "
+                          "is finite")
     return PlannerState(step=step, pos=arrays["pos"], terminal=terminal,
                         mission_steps=s.mission_steps, d_max=s.d_max, info=info,
                         user_estimates=users, noise_model=s.toa_noise, headings=rc.headings)

@@ -2,22 +2,20 @@
 
 The FIM is taken over the user positions only. Each ToA sample informs one
 user, so F is block-diagonal, and InfoState keeps only its (K, 2, 2) blocks;
-the dense (2K, 2K) matrix is built only where a caller reads it. Each block
-[[a, b], [c, d]] of F + eps_prior I is inverted in closed form,
-[[d, -b], [-c, a]] / det with det = ad - bc taken as a s from the pivots a
-and s = d - bc / a of its LDL^T factorization, so a CRB trace costs O(K):
-tr((F + eps_prior I)^-1) = sum_k (a_k + d_k) / det_k; crb_traces takes
-those of many states in one pass.
-Contributions are rank-1 per ToA sample and accumulate additively over time.
+the dense (2K, 2K) matrix is built only where a caller reads it. Every block
+[[a, b], [c, d]] of F + eps_prior I is read by one rule, block_shares: its
+diagonal a and d and its share w = det / (a d), from the pivots of its LDL^T
+factorization, with no product of two entries formed; a CRB trace costs O(K),
+tr((F + eps_prior I)^-1) = sum_k (1/a_k + 1/d_k) / w_k, and crb_traces takes
+those of many states in one pass. Contributions are rank-1 per ToA sample.
 Every CRB history, `uavloc crb`'s and a mission's, is crb_history: a track's
 blocks at one set of user estimates, summed step by step and traced.
 The per-step improvement matrix is computed in the subtractive form
 R[n] = inv(F_{n-1}) - inv(F_{n-1} + sum_k H_k[n]), which the matrix inversion
 lemma shows is the information gained at step n. improvement_traces gives
 tr(R) for many candidate UAV positions at once without forming H: a step
-adds g g^T to each user's block P, so by the matrix determinant lemma
-det(P + g g^T) = det P + g^T adj(P) g, and the traces need only each
-block's entries and each candidate-user link, all as (C, K) arrays.
+adds g g^T to each user's block, and the traces need only each block's a, d,
+w and b and each candidate-user link, all as (C, K) arrays.
 """
 from __future__ import annotations
 
@@ -26,17 +24,17 @@ import copy
 import numpy as np
 
 from .channel import toa_gradient
-from .errors import DegenerateGeometry, SingularFim
+from .errors import CrbOverflow, DegenerateGeometry, SingularFim
 from .model import SPEED_OF_LIGHT, ToaNoiseModel, toa_variance
 
-# A block is rank-deficient when the second pivot s of its LDL^T factorization
-# is within this share of d (s / d = det / ad). Rounding leaves a few machine
-# epsilons u = 2.2e-16 times d in the s of an exactly singular block: at most
-# 3 u d over 20000 single ToA samples at random bearings, and about 0.4 n u d
-# for n equal samples summed (measured up to n = 3000), so blocks built from up
-# to a few thousand samples along one bearing are caught. Below 1e-12 d the
-# computed s has a relative error of about 1e-4 or more, so no CRB taken from
-# it would mean anything.
+# A block is rank-deficient when its share w = s / d = det / (a d), s the
+# second pivot of its LDL^T factorization, is within this of 0. Rounding
+# leaves a few machine epsilons u = 2.2e-16 in the w of an exactly singular
+# block: at most 3 u over 20000 single ToA samples at random bearings, and
+# about 0.4 n u for n equal samples summed (measured up to n = 3000), so
+# blocks built from up to a few thousand samples along one bearing are
+# caught. Below 1e-12 the computed w has a relative error of about 1e-4 or
+# more, so no CRB taken from it would mean anything.
 SINGULAR_RTOL = 1e-12
 
 DEFAULT_EPS_PRIOR = 1e-6  # m^-2, the diagonal prior added to F before inversion
@@ -77,36 +75,48 @@ def _dense(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(2 * k, 2 * k)
 
 
-def _pivots(blocks: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, d, det) of (..., 2, 2) blocks A: the diagonal a and d of
-    A + eps I = [[a, b], [c, d]] and det(A + eps I), taken as a s from the
-    pivots of its LDL^T factorization: a and s = d - b c / a. Where s is at
-    rounding level, A is rank-deficient and det(A + eps I) = eps (tr A + eps)
-    exactly. SingularFim unless every A + eps I is positive definite (a > 0
-    and det > 0) with finite entries and a finite det; no float warning."""
-    # an overflow below, in a, d, s or det, leaves det inf or NaN, which the last test refuses
-    with np.errstate(over="ignore", invalid="ignore"):
+def block_shares(blocks: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
+    """(a, d, w, tr, 1/a, 1/d) of (..., 2, 2) blocks A with finite entries: the
+    diagonal a and d of A + eps I = [[a, b], [c, d]], its share
+    w = det / (a d) and its CRB trace tr((A + eps I)^-1) = 1/(a w) + 1/(d w).
+    w is s / d, from the LDL^T pivot s = d - b (c / a); where
+    |w| <= SINGULAR_RTOL, A is rank-deficient and w is eps (tr A + eps) / (a d)
+    exactly, as eps / d + (eps / a)(1 - eps / d). A + eps I is positive
+    definite where a, d and w are positive. No refusal and no float warning:
+    what overflows is inf; w and tr are NaN or not positive where a or d is 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = blocks[..., 0, 0] + eps
         d = blocks[..., 1, 1] + eps
-        # refused before dividing: a <= 0 would divide by zero, and an inf or
-        # NaN entry would make s inf or NaN
-        if not (a.min(initial=1.0) > 0 and np.abs(blocks).max(initial=0.0) < np.inf):
-            raise SingularFim("Fisher matrix is singular")
-        s = d - blocks[..., 0, 1] * (blocks[..., 1, 0] / a)
-        det = a * s
-        rank_deficient = np.abs(s) <= SINGULAR_RTOL * d
-        if rank_deficient.any():
-            det[rank_deficient] = (eps * (a + d - eps))[rank_deficient]
-    if not ((det > 0) & (det < np.inf)).all():
+        w = (d - blocks[..., 0, 1] * (blocks[..., 1, 0] / a)) / d
+        if np.fmin.reduce(np.abs(w), axis=None, initial=1.0) <= SINGULAR_RTOL:
+            rank_deficient = np.abs(w) <= SINGULAR_RTOL
+            w[rank_deficient] = (eps / d + eps / a * (1 - eps / d))[rank_deficient]
+        over_a, over_d = 1 / a, 1 / d
+        return a, d, w, over_a / w + over_d / w, over_a, over_d
+
+
+def _pivots(blocks: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
+    """block_shares, all six finite and positive; no float warning. Else
+    CrbOverflow where every A + eps I is positive definite but a CRB trace
+    overflows (w 0 at eps > 0 is an underflow of the rank rule's), and
+    SingularFim where an entry is not finite or a block is not definite."""
+    shares = _, _, w, trace, over_a, over_d = block_shares(blocks, eps)
+    if not (np.minimum(np.minimum(over_a, over_d), trace).min(initial=1.0) > 0
+            and trace.max(initial=0.0) < np.inf):
+        if ((over_a > 0) & (over_d > 0) & ((w > 0) | (eps > 0) & (w == 0))).all():
+            raise CrbOverflow("a CRB trace is beyond the float range: eps_prior "
+                              "or a Fisher block is too small")
         raise SingularFim("Fisher matrix is singular")
-    return a, d, det
+    return shares
 
 
 def _inv_blocks(blocks: np.ndarray, eps: float) -> np.ndarray:
-    """(A + eps I)^-1 of each (..., 2, 2) block A."""
-    a, d, det = _pivots(blocks, eps)
-    adj = np.stack([d, -blocks[..., 0, 1], -blocks[..., 1, 0], a], axis=-1)
-    return adj.reshape(blocks.shape) / det[..., None, None]
+    """(A + eps I)^-1 of each (..., 2, 2) block A, as
+    [[1/a, -b/(a d)], [-c/(a d), 1/d]] / w."""
+    _, _, w, _, over_a, over_d = _pivots(blocks, eps)
+    inv = np.stack([over_a, -blocks[..., 0, 1] * over_a * over_d,
+                    -blocks[..., 1, 0] * over_a * over_d, over_d], axis=-1)
+    return inv.reshape(blocks.shape) / w[..., None, None]
 
 
 def toa_info_contribution(uav, user_est, sigma_tau: float) -> np.ndarray:
@@ -140,9 +150,8 @@ def crb_traces(blocks: np.ndarray, eps_prior: float) -> np.ndarray:
     """tr((F + eps_prior I)^-1) in m^2 of each state F kept as (..., K, 2, 2)
     blocks, in one pass: (...,). A mission's whole history, (N, K, 2, 2),
     gives (N,); each trace is the one crb_trace gives of that state, and
-    SingularFim is raised if any state is singular."""
-    a, d, det = _pivots(blocks, eps_prior)
-    return np.sum((a + d) / det, axis=-1)
+    _pivots' error is raised if any state is refused."""
+    return np.sum(_pivots(blocks, eps_prior)[3], axis=-1)
 
 
 def crb_history(uav, user_ests, noise: ToaNoiseModel, eps_prior: float) -> np.ndarray:
@@ -174,25 +183,23 @@ def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) ->
     """tr(R) of measuring from each of C candidate UAV positions uav (C, 3),
     sigma taken from the noise model at the estimated link distance, as (C,).
 
-    A candidate adds g g^T to each user's block P of F + eps_prior I, with
-    g = (x_xy - u) / (sigma C d) its link's delay gradient over sigma, so by
-    the matrix determinant lemma each user contributes
-    tr P / det P - (tr P + |g|^2) / (det P + g^T adj(P) g), with det P from
-    _pivots. P is read as symmetric, as every Fisher block is (uavloc plan
-    refuses an asymmetric one). DegenerateGeometry at a zero distance;
-    SingularFim if the state or a candidate block is singular."""
+    A candidate adds g g^T to each user's block P = [[a, b], [b, d]] of
+    F + eps_prior I, g = (x_xy - u) / (sigma C d) its link's delay gradient
+    over sigma, and the user gains tr P^-1 - tr (P + g g^T)^-1. On the link
+    components scaled by the block, u = (g_x / sqrt(a), g_y / sqrt(d)), and
+    rho = b / sqrt(a d), P + g g^T has the share
+    m = w (1 + u_x^2) + (u_y - rho u_x)^2 (w from _pivots, so a rank-deficient
+    P carries its rank rule into every candidate's) and the CRB trace
+    (1 + u_y^2) / (a m) + (1 + u_x^2) / (d m): it overflows nowhere that
+    tr P^-1 does not, and is tr P^-1 to the bit where u is 0. P is read as
+    symmetric, as every Fisher block is (uavloc plan refuses an asymmetric
+    one). DegenerateGeometry at a zero distance, SingularFim at a NaN link,
+    and _pivots' error if the state is refused."""
     uav = np.asarray(uav, dtype=float)
     users = np.reshape(user_ests, (-1, 2))
-    blocks, eps = info.blocks, info.eps_prior
-    a, d, det = _pivots(blocks, eps)
-    tr = a + d
-    # g^T adj(P) g completed to a square on the root of the pivot a of
-    # P = [[a, b], [b, d]]: (sqrt(a) g_y - (b / sqrt(a)) g_x)^2 + (det P / a) g_x^2,
-    # which neither cancels nor, unlike a (g_y - b g_x / a)^2, overflows on a
-    # very unequal diagonal. A rank-deficient P carries its det from _pivots'
-    # rank rule into every candidate's
-    root_a = np.sqrt(a)
-    slope, schur = blocks[:, 0, 1] / root_a, det / a
+    a, d, w, trace, over_a, over_d = _pivots(info.blocks, info.eps_prior)
+    root_a, root_d = np.sqrt(a), np.sqrt(d)
+    rho = info.blocks[:, 0, 1] / root_a / root_d
     # the links as (C, K) arrays of their components, users lifted to z = 0,
     # rather than channel.link_geometry's (C, K, 3) vectors: on 40-user
     # planner states (2-core host) the kernel made next_waypoint 1.13-1.14x
@@ -200,13 +207,13 @@ def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) ->
     hx = uav[:, 0, None] - users[:, 0]
     hy = uav[:, 1, None] - users[:, 1]
     dist2 = hx * hx + hy * hy + uav[:, 2, None] ** 2
-    if (dist2 == 0.0).any():
-        raise DegenerateGeometry("zero UAV-user distance")
-    dist = np.sqrt(dist2)
-    scale = 1.0 / (np.sqrt(toa_variance(dist, noise)) * SPEED_OF_LIGHT * dist)
-    gx, gy = hx * scale, hy * scale
-    gxx, e = gx * gx, root_a * gy - slope * gx
-    det_new = det + (e * e + schur * gxx)
-    if not ((det_new > 0) & (det_new < np.inf)).all():
+    if not (dist2 > 0.0).all():  # a zero distance, or a NaN position or estimate
+        if (dist2 == 0.0).any():
+            raise DegenerateGeometry("zero UAV-user distance")
         raise SingularFim("Fisher matrix is singular")
-    return (tr / det - (tr + (gxx + gy * gy)) / det_new).sum(axis=1)
+    dist = np.sqrt(dist2)
+    link = np.sqrt(toa_variance(dist, noise)) * SPEED_OF_LIGHT * dist
+    ux, uy = hx / root_a / link, hy / root_d / link
+    e, wide = uy - rho * ux, 1 + ux * ux
+    share = w * wide + e * e
+    return (trace - (over_a / share * (1 + uy * uy) + over_d / share * wide)).sum(axis=1)

@@ -1,16 +1,17 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavloc.errors import DegenerateGeometry, SingularFim
+from uavloc.errors import CrbOverflow, DegenerateGeometry, SingularFim
 from uavloc.fim import (InfoState, accumulate, crb_trace, crb_traces, improvement_matrix,
                         improvement_traces, initial_info, inverse_with_prior,
                         step_contribution, toa_info_contribution)
 from uavloc.model import SPEED_OF_LIGHT as C
-from uavloc.model import MeasurementLog, MeasurementSample, ToaNoiseModel, Vec3
+from uavloc.model import MeasurementLog, MeasurementSample, ToaNoiseModel, Vec3, toa_variance
 from uavloc.slam import SlamConfig, StateVector, assemble_normal_equations, residuals
 from uavloc.channel import los_delay
 
@@ -496,12 +497,11 @@ def _eye_with(entry, value):
     _eye_with(entry, value) for value in (np.nan, np.inf, -np.inf)
     for entry in ((0, 0), (0, 1), (1, 0), (1, 1))] + [
     np.array([[5e-324, 2e-8], [2e-8, 1e308]]),  # c / a overflows
-    np.array([[1.0, 1e200], [1e200, 1.0]]),  # b (c / a) overflows
-    np.array([[1e200, 0.0], [0.0, 1e200]])])  # det overflows
+    np.array([[1.0, 1e200], [1e200, 1.0]])])  # b (c / a) overflows
 def test_det_refuses_a_zero_pivot_and_non_finite_blocks_without_a_warning(block):
-    # a zero pivot a (at eps_prior 0), an inf or a NaN entry is refused before
-    # any division; a block whose pivots or det overflow is refused by its det.
-    # No float warning arises on the way to SingularFim
+    # a zero pivot a (at eps_prior 0), an inf or a NaN entry, and a block
+    # whose pivot quotient overflows are refused, with no float warning on
+    # the way to SingularFim
     blocks = np.stack([np.eye(2), block, np.eye(2)])
     info = accumulate(initial_info(3, eps_prior=0.0), blocks)
     with warnings.catch_warnings():
@@ -512,3 +512,129 @@ def test_det_refuses_a_zero_pivot_and_non_finite_blocks_without_a_warning(block)
             inverse_with_prior(info)
         with pytest.raises(SingularFim):
             improvement_traces(info, [[5.0, 0.0, 30.0]], np.zeros((3, 2)), ToaNoiseModel())
+
+
+def test_a_block_whose_determinant_overflows_has_its_crb_trace_without_a_warning():
+    # 1e200 I: det = 1e400 is beyond the float range, but w = 1 and the CRB
+    # trace is 2e-200, so the block is accepted
+    block = np.array([[1e200, 0.0], [0.0, 1e200]])
+    info = accumulate(initial_info(3, eps_prior=0.0), np.stack([np.eye(2), block, np.eye(2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert crb_traces(block, 0.0) == pytest.approx(2e-200, rel=1e-15)
+        np.testing.assert_allclose(inverse_with_prior(info), np.diag([1, 1, 1e-200, 1e-200, 1, 1]),
+                                   rtol=1e-15)
+        gains = improvement_traces(info, [[5.0, 0.0, 30.0]], np.zeros((3, 2)), ToaNoiseModel())
+        assert 0 < gains[0] < crb_trace(info)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-150, 1e-160, 1e-162, 1e-300, 2e-308, 1e80])
+def test_an_uninformed_block_has_crb_trace_two_over_eps(eps):
+    # eps I, a user straight below every UAV position or never heard: its
+    # CRB trace is 2 / eps at every eps whose 2 / eps is a float, and a
+    # candidate gains 1/eps - 1/(eps + |g|^2) of it. A det formed as eps^2
+    # would be subnormal below 1.5e-154 and 0 below 1.5e-162
+    info = initial_info(1, eps_prior=eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = crb_trace(info)
+        assert abs(trace - 2 / eps) <= 2 * np.spacing(2 / eps)
+        gain = improvement_traces(info, [[3.0, 4.0, 0.0]], [[0.0, 0.0]], ToaNoiseModel())[0]
+    gg = 1 / (ToaNoiseModel().sigma0 * C) ** 2
+    assert gain == pytest.approx(1 / eps - 1 / (eps + gg), rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [1e-309, 5e-324])
+def test_a_crb_trace_beyond_the_float_range_is_not_a_singular_matrix(eps):
+    # eps I is positive definite, but 2 / eps overflows: CrbOverflow, an input
+    # error (exit 2), not SingularFim; likewise where the rank rule's share
+    # eps (tr A + eps) / (a d) underflows to 0
+    rank_one = np.array([[[1e30, 1e30], [1e30, 1e30]]])
+    for blocks, prior in ((np.zeros((1, 2, 2)), eps), (rank_one, 1e-300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CrbOverflow):
+                crb_traces(blocks, prior)
+    with pytest.raises(SingularFim):
+        crb_traces(rank_one, 0.0)
+
+
+# --- exact-rational oracles ---
+
+def _exact_gain_terms(a, b, d, det, gx, gy):
+    """tr P^-1 and tr (P + g g^T)^-1 of P = [[a, b], [b, d]] with det P =
+    det, in exact rationals, g's components given as floats."""
+    gx, gy = Fraction(gx), Fraction(gy)
+    det_new = det + d * gx * gx + a * gy * gy - 2 * b * gx * gy
+    return (a + d) / det, (a + d + gx * gx + gy * gy) / det_new
+
+
+def _exact_blocks(info):
+    """(a, b, d, det) of each block of F + eps_prior I, as Fractions."""
+    eps = Fraction(info.eps_prior)
+    out = []
+    for block in info.blocks:
+        a, b, d = Fraction(block[0, 0]) + eps, Fraction(block[0, 1]), Fraction(block[1, 1]) + eps
+        out.append((a, b, d, a * d - b * b))
+    return out
+
+
+def _kernel_links(cands, users, noise):
+    """The link gradients g (C, K) over sigma, from improvement_traces' own
+    float arithmetic on the links."""
+    hx = cands[:, 0, None] - users[:, 0]
+    hy = cands[:, 1, None] - users[:, 1]
+    dist = np.sqrt(hx * hx + hy * hy + cands[:, 2, None] ** 2)
+    link = np.sqrt(toa_variance(dist, noise)) * C * dist
+    return hx / link, hy / link
+
+
+def _oracle_states():
+    """The 40 seed-11 states of test_crb_matches_dense_inverse, each with
+    its users, last position and noise, and 20 40-user states built as the
+    plan_queries benchmark builds its own: a random feasible flight over
+    users estimated within about 3 m, its blocks taken at the estimates."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        k = int(rng.integers(1, 11))
+        uavs, users, sigmas = random_mission(rng, int(rng.integers(2, 12)), k)
+        info = initial_info(k, eps_prior=float(rng.choice([0.0, 1e-6])))
+        for c in mission_contribs(uavs, users, sigmas):
+            info = accumulate(info, c)
+        yield info, users, uavs[-1], ToaNoiseModel(sigma0=float(sigmas[-1].mean()))
+    rng = np.random.default_rng(19)
+    noise = ToaNoiseModel(sigma0=1.25e-8)
+    for _ in range(20):
+        users = rng.uniform(-100, 100, (40, 2)) + 3.0 * rng.standard_normal((40, 2))
+        info, pos = initial_info(40, eps_prior=1e-6), np.array([0.0, 0.0, 30.0])
+        for _ in range(int(rng.integers(1, 59))):
+            info = accumulate(info, step_contribution(pos, users, noise))
+            theta = 2 * np.pi * int(rng.integers(8)) / 8
+            pos = pos + 5.0 * np.array([np.cos(theta), np.sin(theta), 0.0])
+        yield info, users, pos, noise
+
+
+def test_crb_traces_match_exact_rationals():
+    # within 2e-13 of the exact trace of F + eps_prior I from the float
+    # blocks (7.4e-14 while det was a s)
+    for info, *_ in _oracle_states():
+        exact = sum((a + d) / det for a, _, d, det in _exact_blocks(info))
+        assert abs(Fraction(crb_trace(info)) - exact) <= Fraction(2e-13) * exact
+
+
+def test_improvement_traces_match_exact_rationals():
+    # each candidate's tr(R) within 1e-12 of the largest per-user term
+    # tr P^-1 of the exact gain on the float blocks and the kernel's own
+    # link gradients. improvement_matrix, 1e-7 off, cannot pin it
+    for info, users, pos, noise in _oracle_states():
+        cands = pos + 5.0 * np.column_stack([np.cos(np.arange(9) * np.pi / 4),
+                                             np.sin(np.arange(9) * np.pi / 4), np.zeros(9)])
+        cands[-1] = pos
+        gains = improvement_traces(info, cands, users, noise)
+        gx, gy = _kernel_links(cands, users, noise)
+        blocks = _exact_blocks(info)
+        for c in range(len(cands)):
+            terms = [_exact_gain_terms(*blocks[k], gx[c, k], gy[c, k]) for k in range(len(users))]
+            exact = sum(before - after for before, after in terms)
+            largest = max(before for before, _ in terms)
+            assert abs(Fraction(gains[c]) - exact) <= Fraction(1e-12) * largest
