@@ -135,18 +135,11 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
                           "off the diagonal must be zero")
     if np.any(info.blocks[:, 0, 1] != info.blocks[:, 1, 0]):
         raise SchemaError("state 'fim' must have symmetric 2x2 diagonal blocks")
-    # positive semidefinite by fim's rule on the blocks alone: a, d and w not
-    # negative, w up to the rank rule's rounding; w is -inf where the pivot
-    # quotient overflows, and such a block has no finite CRB trace (below)
-    a, d, w = fim.block_shares(info.blocks, 0.0)[:3]
-    if np.any((a < 0) | (d < 0) | ((w < 0) & (w > -np.inf))):
-        raise SchemaError("state 'fim' must have positive semidefinite 2x2 diagonal blocks")
-    # F + eps I is then positive definite, with a finite CRB trace, but where
-    # w is 0 or NaN at eps_prior 0: a singular block, which the planner refuses
-    w, trace = fim.block_shares(info.blocks, eps)[2:4]
-    if np.any(~((trace > 0) & (trace < np.inf)) & ((eps > 0) | (np.abs(w) > 0))):
-        raise SchemaError("state 'fim' must have 2x2 diagonal blocks whose CRB trace "
-                          "is finite")
+    # fim's verdict; a singular state is left to the planner, a numeric failure
+    must = {"not positive semidefinite": "positive semidefinite 2x2 diagonal blocks",
+            "CRB trace overflow": "2x2 diagonal blocks whose CRB trace is finite"}
+    if (reason := fim.refusal(info.blocks, eps)) in must:
+        raise SchemaError(f"state 'fim' must have {must[reason]}")
     return PlannerState(step=step, pos=arrays["pos"], terminal=terminal,
                         mission_steps=s.mission_steps, d_max=s.d_max, info=info,
                         user_estimates=users, noise_model=s.toa_noise, headings=rc.headings)

@@ -38,12 +38,6 @@ class SchemaError(UavLocError):
     """Measurement log header does not match the schema."""
 
 
-class CrbOverflow(UavLocError):
-    """F + eps_prior I is positive definite, but a CRB trace of it is beyond
-    the float range, as an unheard user's 2 / eps_prior at a subnormal
-    eps_prior."""
-
-
 class RowError(UavLocError):
     """A measurement log row is malformed."""
 
@@ -85,7 +79,6 @@ class NotConverged(UavLocError):
         super().__init__(message)
 
 
-INPUT_ERRORS = (InvalidParam, TerminalUnreachable, ParseError, SchemaError, RowError,
-                CrbOverflow)
+INPUT_ERRORS = (InvalidParam, TerminalUnreachable, ParseError, SchemaError, RowError)
 NUMERIC_ERRORS = (DegenerateGeometry, DelayOutOfWindow, EmptyCir, SingularSystem, SingularFim,
                   NotConverged)

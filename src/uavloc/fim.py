@@ -3,11 +3,10 @@
 The FIM is taken over the user positions only. Each ToA sample informs one
 user, so F is block-diagonal, and InfoState keeps only its (K, 2, 2) blocks;
 the dense (2K, 2K) matrix is built only where a caller reads it. Every block
-[[a, b], [c, d]] of F + eps_prior I is read by one rule, block_shares: its
-diagonal a and d and its share w = det / (a d), from the pivots of its LDL^T
-factorization, with no product of two entries formed; a CRB trace costs O(K),
-tr((F + eps_prior I)^-1) = sum_k (1/a_k + 1/d_k) / w_k, and crb_traces takes
-those of many states in one pass. Contributions are rank-1 per ToA sample.
+of F + eps_prior I is read by one rule, block_shares, with no product of two
+entries formed, and every state by one verdict, refusal; a CRB trace costs
+O(K), and crb_traces takes those of many states in one pass. Contributions
+are rank-1 per ToA sample.
 Every CRB history, `uavloc crb`'s and a mission's, is crb_history: a track's
 blocks at one set of user estimates, summed step by step and traced.
 The per-step improvement matrix is computed in the subtractive form
@@ -15,7 +14,7 @@ R[n] = inv(F_{n-1}) - inv(F_{n-1} + sum_k H_k[n]), which the matrix inversion
 lemma shows is the information gained at step n. improvement_traces gives
 tr(R) for many candidate UAV positions at once without forming H: a step
 adds g g^T to each user's block, and the traces need only each block's a, d,
-w and b and each candidate-user link, all as (C, K) arrays.
+p, q and b and each candidate-user link, all as (C, K) arrays.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ import copy
 import numpy as np
 
 from .channel import toa_gradient
-from .errors import CrbOverflow, DegenerateGeometry, SingularFim
+from .errors import DegenerateGeometry, InvalidParam, SingularFim
 from .model import SPEED_OF_LIGHT, ToaNoiseModel, toa_variance
 
 # A block is rank-deficient when its share w = s / d = det / (a d), s the
@@ -76,47 +75,71 @@ def _dense(blocks: np.ndarray) -> np.ndarray:
 
 
 def block_shares(blocks: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
-    """(a, d, w, tr, 1/a, 1/d) of (..., 2, 2) blocks A with finite entries: the
-    diagonal a and d of A + eps I = [[a, b], [c, d]], its share
-    w = det / (a d) and its CRB trace tr((A + eps I)^-1) = 1/(a w) + 1/(d w).
-    w is s / d, from the LDL^T pivot s = d - b (c / a); where
-    |w| <= SINGULAR_RTOL, A is rank-deficient and w is eps (tr A + eps) / (a d)
-    exactly, as eps / d + (eps / a)(1 - eps / d). A + eps I is positive
-    definite where a, d and w are positive. No refusal and no float warning:
-    what overflows is inf; w and tr are NaN or not positive where a or d is 0."""
+    """(a, d, w, p, q, r) of (..., 2, 2) blocks A, read as symmetric: the
+    diagonal a and d of A + eps I = [[a, b], [b, d]], its share
+    w = det / (a d) = s / d, s = d - b (b / a) its LDL^T pivot, the diagonal
+    p = 1/(a w) and q = 1/(d w) of its inverse (CRB trace p + q) and
+    r = 1 / sqrt(w). Where |w| <= SINGULAR_RTOL, det = eps (tr A + eps) (the
+    rank rule) and w = eps h, h = (A_aa / a) / d + 1 / a, may be below the
+    float range: p, q, r are 1 / (eps (1 + A_aa / d)), 1 / (eps (1 + A_dd / a))
+    and 1 / sqrt(eps) / sqrt(h). No float warning; what overflows is inf."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = blocks[..., 0, 0] + eps
         d = blocks[..., 1, 1] + eps
         w = (d - blocks[..., 0, 1] * (blocks[..., 1, 0] / a)) / d
+        p, q, r = 1 / a / w, 1 / d / w, 1 / np.sqrt(w)
         if np.fmin.reduce(np.abs(w), axis=None, initial=1.0) <= SINGULAR_RTOL:
-            rank_deficient = np.abs(w) <= SINGULAR_RTOL
-            w[rank_deficient] = (eps / d + eps / a * (1 - eps / d))[rank_deficient]
-        over_a, over_d = 1 / a, 1 / d
-        return a, d, w, over_a / w + over_d / w, over_a, over_d
+            rank = np.abs(w) <= SINGULAR_RTOL
+            p = np.where(rank, 1 / (eps * (1 + blocks[..., 0, 0] / d)), p)
+            q = np.where(rank, 1 / (eps * (1 + blocks[..., 1, 1] / a)), q)
+            r = np.where(rank, 1 / np.sqrt(eps) / np.sqrt(blocks[..., 0, 0] / a / d + 1 / a), r)
+        return a, d, w, p, q, r
+
+
+def _definite(a: np.ndarray, d: np.ndarray, trace: np.ndarray) -> bool:
+    """Whether every a, d and CRB trace p + q of block_shares is finite and positive."""
+    return bool(np.minimum(np.minimum(a, d), trace).min(initial=1.0) > 0
+                and np.maximum(np.maximum(a, d), trace).max(initial=0.0) < np.inf)
+
+
+def refusal(blocks: np.ndarray, eps: float) -> str | None:
+    """Why F + eps I is refused, F kept as (..., 2, 2) blocks read as
+    symmetric, or None where _pivots accepts it. In order: "not positive
+    semidefinite", a block of F not finite, with a or d negative, or with
+    1 - rho^2 < -SINGULAR_RTOL, rho = |b| / sqrt(a) / sqrt(d) (inf at a or d
+    0 and b not); "singular", eps 0 and a block rank-deficient by the rank
+    rule (or a zero diagonal); else "CRB trace overflow". No float warning."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = np.abs(blocks[..., 0, 1]) / np.sqrt(blocks[..., 0, 0]) / np.sqrt(blocks[..., 1, 1])
+        if not (np.isfinite(blocks).all() and ((blocks[..., 0, 0] >= 0) & (blocks[..., 1, 1] >= 0)
+                                               & ~(1 - rho * rho < -SINGULAR_RTOL)).all()):
+            return "not positive semidefinite"
+    a, d, w, p, q, _ = block_shares(blocks, eps)
+    if _definite(a, d, p + q):
+        return None
+    return "singular" if eps == 0 and not (np.abs(w) > SINGULAR_RTOL).all() \
+        else "CRB trace overflow"
 
 
 def _pivots(blocks: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
-    """block_shares, all six finite and positive; no float warning. Else
-    CrbOverflow where every A + eps I is positive definite but a CRB trace
-    overflows (w 0 at eps > 0 is an underflow of the rank rule's), and
-    SingularFim where an entry is not finite or a block is not definite."""
-    shares = _, _, w, trace, over_a, over_d = block_shares(blocks, eps)
-    if not (np.minimum(np.minimum(over_a, over_d), trace).min(initial=1.0) > 0
-            and trace.max(initial=0.0) < np.inf):
-        if ((over_a > 0) & (over_d > 0) & ((w > 0) | (eps > 0) & (w == 0))).all():
-            raise CrbOverflow("a CRB trace is beyond the float range: eps_prior "
-                              "or a Fisher block is too small")
+    """(a, d, p, q, r, p + q) of block_shares, a, d and the CRB trace p + q
+    finite and positive. Else InvalidParam on eps_prior where refusal finds a
+    CRB trace overflow at eps_prior > 0 (F PSD keeps every trace below
+    2e12 / eps_prior), SingularFim otherwise."""
+    a, d, _, p, q, r = block_shares(blocks, eps)
+    if not _definite(a, d, trace := p + q):
+        if eps > 0 and refusal(blocks, eps) == "CRB trace overflow":
+            raise InvalidParam("eps_prior", "too small: a CRB trace of F + eps_prior I "
+                               "is beyond the float range")
         raise SingularFim("Fisher matrix is singular")
-    return shares
+    return a, d, p, q, r, trace
 
 
 def _inv_blocks(blocks: np.ndarray, eps: float) -> np.ndarray:
-    """(A + eps I)^-1 of each (..., 2, 2) block A, as
-    [[1/a, -b/(a d)], [-c/(a d), 1/d]] / w."""
-    _, _, w, _, over_a, over_d = _pivots(blocks, eps)
-    inv = np.stack([over_a, -blocks[..., 0, 1] * over_a * over_d,
-                    -blocks[..., 1, 0] * over_a * over_d, over_d], axis=-1)
-    return inv.reshape(blocks.shape) / w[..., None, None]
+    """(A + eps I)^-1 of each (..., 2, 2) block A, as [[p, -(b/d) p], [-(c/d) p, q]]."""
+    _, d, p, q, _, _ = _pivots(blocks, eps)
+    inv = np.stack([p, -blocks[..., 0, 1] / d * p, -blocks[..., 1, 0] / d * p, q], axis=-1)
+    return inv.reshape(blocks.shape)
 
 
 def toa_info_contribution(uav, user_est, sigma_tau: float) -> np.ndarray:
@@ -151,7 +174,7 @@ def crb_traces(blocks: np.ndarray, eps_prior: float) -> np.ndarray:
     blocks, in one pass: (...,). A mission's whole history, (N, K, 2, 2),
     gives (N,); each trace is the one crb_trace gives of that state, and
     _pivots' error is raised if any state is refused."""
-    return np.sum(_pivots(blocks, eps_prior)[3], axis=-1)
+    return np.sum(_pivots(blocks, eps_prior)[5], axis=-1)
 
 
 def crb_history(uav, user_ests, noise: ToaNoiseModel, eps_prior: float) -> np.ndarray:
@@ -185,19 +208,17 @@ def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) ->
 
     A candidate adds g g^T to each user's block P = [[a, b], [b, d]] of
     F + eps_prior I, g = (x_xy - u) / (sigma C d) its link's delay gradient
-    over sigma, and the user gains tr P^-1 - tr (P + g g^T)^-1. On the link
-    components scaled by the block, u = (g_x / sqrt(a), g_y / sqrt(d)), and
-    rho = b / sqrt(a d), P + g g^T has the share
-    m = w (1 + u_x^2) + (u_y - rho u_x)^2 (w from _pivots, so a rank-deficient
-    P carries its rank rule into every candidate's) and the CRB trace
-    (1 + u_y^2) / (a m) + (1 + u_x^2) / (d m): it overflows nowhere that
-    tr P^-1 does not, and is tr P^-1 to the bit where u is 0. P is read as
-    symmetric, as every Fisher block is (uavloc plan refuses an asymmetric
-    one). DegenerateGeometry at a zero distance, SingularFim at a NaN link,
-    and _pivots' error if the state is refused."""
+    over sigma, and the user gains tr P^-1 - tr (P + g g^T)^-1. With
+    u = (g_x / sqrt(a), g_y / sqrt(d)), rho = b / sqrt(a d) and p, q, r of
+    _pivots, which carry its rank rule, P + g g^T has the share w m, with
+    m = 1 + u_x^2 + ((u_y - rho u_x) r)^2, and the CRB trace
+    (p (1 + u_y^2) + q (1 + u_x^2)) / m: it overflows nowhere that tr P^-1
+    does not, and is tr P^-1 to the bit where u is 0. DegenerateGeometry at
+    a zero distance, SingularFim at a NaN link, and _pivots' error if the
+    state is refused."""
     uav = np.asarray(uav, dtype=float)
     users = np.reshape(user_ests, (-1, 2))
-    a, d, w, trace, over_a, over_d = _pivots(info.blocks, info.eps_prior)
+    a, d, p, q, r, trace = _pivots(info.blocks, info.eps_prior)
     root_a, root_d = np.sqrt(a), np.sqrt(d)
     rho = info.blocks[:, 0, 1] / root_a / root_d
     # the links as (C, K) arrays of their components, users lifted to z = 0,
@@ -214,6 +235,6 @@ def improvement_traces(info: InfoState, uav, user_ests, noise: ToaNoiseModel) ->
     dist = np.sqrt(dist2)
     link = np.sqrt(toa_variance(dist, noise)) * SPEED_OF_LIGHT * dist
     ux, uy = hx / root_a / link, hy / root_d / link
-    e, wide = uy - rho * ux, 1 + ux * ux
-    share = w * wide + e * e
-    return (trace - (over_a / share * (1 + uy * uy) + over_d / share * wide)).sum(axis=1)
+    f, wide = (uy - rho * ux) * r, 1 + ux * ux
+    share = wide + f * f
+    return (trace - (p / share * (1 + uy * uy) + q / share * wide)).sum(axis=1)

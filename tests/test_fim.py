@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavloc.errors import CrbOverflow, DegenerateGeometry, SingularFim
+from uavloc.errors import DegenerateGeometry, InvalidParam, SingularFim
 from uavloc.fim import (InfoState, accumulate, crb_trace, crb_traces, improvement_matrix,
                         improvement_traces, initial_info, inverse_with_prior,
                         step_contribution, toa_info_contribution)
@@ -546,17 +546,42 @@ def test_an_uninformed_block_has_crb_trace_two_over_eps(eps):
 
 @pytest.mark.parametrize("eps", [1e-309, 5e-324])
 def test_a_crb_trace_beyond_the_float_range_is_not_a_singular_matrix(eps):
-    # eps I is positive definite, but 2 / eps overflows: CrbOverflow, an input
-    # error (exit 2), not SingularFim; likewise where the rank rule's share
-    # eps (tr A + eps) / (a d) underflows to 0
-    rank_one = np.array([[[1e30, 1e30], [1e30, 1e30]]])
-    for blocks, prior in ((np.zeros((1, 2, 2)), eps), (rank_one, 1e-300)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(CrbOverflow):
-                crb_traces(blocks, prior)
+    # eps I is positive definite, but 2 / eps overflows: an input error on
+    # eps_prior (exit 2), not SingularFim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParam, match="eps_prior"):
+            crb_traces(np.zeros((1, 2, 2)), eps)
+
+
+@pytest.mark.parametrize("rank_one, eps", [
+    ([[1e30, 1e30], [1e30, 1e30]], 1e-300),  # w = 2e-330, below the float range
+    ([[1e-100, 1e-100], [1e-100, 1e-100]], 1e-200),  # det = 2e-300 eps
+    ([[1e300, 1e145], [1e145, 1e-10]], 1e-30),  # A_aa / d = 1e310
+    ([[1e300, 1e135], [1e135, 1e-30]], 1e-50)])  # A_aa / d = 1e330
+def test_a_rank_one_block_has_its_crb_trace_at_any_scale(rank_one, eps):
+    # the rank rule's CRB trace, (a + d) / (eps (tr A + eps)), within 2 ulps
+    # wherever it is a float, though the share w = det / (a d) may be below
+    # the float range; a candidate gains about all of it only where its link
+    # crosses A's range, and exactly 0 straight above the user
+    block = np.array(rank_one)
+    info = InfoState(1, block, eps_prior=eps)
+    cands = [[0.0, 0.0, 30.0], [3.0, 3.0, 30.0], [3.0, -3.0, 30.0], [5.0, 0.0, 30.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = crb_trace(info)
+        gains = improvement_traces(info, cands, [[0.0, 0.0]], ToaNoiseModel())
+    e, a, d = Fraction(eps), Fraction(block[0, 0]), Fraction(block[1, 1])
+    exact = (a + d + 2 * e) / (e * (a + d + e))
+    assert abs(Fraction(trace) - exact) <= 2 * Fraction(np.spacing(trace))
+    gx, gy = _kernel_links(np.array(cands), np.zeros((1, 2)), ToaNoiseModel())
+    for c, gain in enumerate(gains):
+        before, after = _exact_gain_terms(a + e, Fraction(block[0, 1]), d + e,
+                                          e * (a + d + e), gx[c, 0], gy[c, 0])
+        assert abs(Fraction(gain) - (before - after)) <= Fraction(1e-12) * before
+    assert gains[0] == 0.0
     with pytest.raises(SingularFim):
-        crb_traces(rank_one, 0.0)
+        crb_traces(block[None], 0.0)
 
 
 # --- exact-rational oracles ---

@@ -1545,10 +1545,13 @@ def test_cli_plan_fim_not_block_diagonal_exits_2(tmp_path, scenario_file, doc, m
 
 
 # One-user Fisher blocks that are symmetric but not positive semidefinite.
-NOT_PSD_FIMS = [[[1.0, 3.0], [3.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]]
+# The last has a zero diagonal beside a non-zero b, where b (b / a) overflows.
+NOT_PSD_FIMS = [[[1.0, 3.0], [3.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]],
+                [[0.0, 1e-4], [1e-4, 1.0]]]
 
 
-@pytest.mark.parametrize("fim", NOT_PSD_FIMS, ids=["indefinite", "negative_definite"])
+@pytest.mark.parametrize("fim", NOT_PSD_FIMS,
+                         ids=["indefinite", "negative_definite", "zero_pivot"])
 def test_cli_plan_fim_not_psd_exits_2(tmp_path, scenario_file, fim):
     rc, err = _plan_exit(tmp_path, scenario_file, json.dumps(dict(VALID_STATE, fim=fim)))
     assert rc == 2 and "positive semidefinite" in err and "Traceback" not in err
@@ -1979,12 +1982,26 @@ def psd_plan_states(draw):
     return dict(VALID_STATE, user_estimates=users, fim=fim.tolist(), eps_prior=draw(_EPS_PRIORS))
 
 
+def _exact_dets(blocks, eps):
+    """(a, b, d, det) of each block P = [[a, b], [b, d]] of F + eps I in
+    exact rationals, det as fim's rule reads it: eps (tr F + eps) where the
+    rank rule finds F rank-deficient, a d - b^2 elsewhere."""
+    w = fim_module.block_shares(blocks, eps)[2]
+    out = []
+    for k, block in enumerate(blocks):
+        e, fa, b, fd = Fraction(eps), Fraction(block[0, 0]), Fraction(block[0, 1]), \
+            Fraction(block[1, 1])
+        rank = abs(w[k]) <= fim_module.SINGULAR_RTOL
+        out.append((fa + e, b, fd + e, e * (fa + fd + e) if rank else (fa + e) * (fd + e) - b * b))
+    return out
+
+
 def _exact_gains(st_, cands):
     """Each candidate's tr(R), and the sum of the absolute per-user terms
     tr P^-1 and tr (P + g g^T)^-1 it is the difference of, in exact
-    rationals: P = [[a, b], [b, d]] with a, d and det P = a d w as fim's rule
-    reads each block, g from the planner's own float link arithmetic."""
-    a, d, w = fim_module.block_shares(st_.info.blocks, st_.info.eps_prior)[:3]
+    rationals: P and det P as fim's rule reads each block (_exact_dets), g
+    from the planner's own float link arithmetic."""
+    blocks = _exact_dets(st_.info.blocks, st_.info.eps_prior)
     users = np.asarray(st_.user_estimates)
     hx = cands[:, 0, None] - users[:, 0]
     hy = cands[:, 1, None] - users[:, 1]
@@ -1994,10 +2011,8 @@ def _exact_gains(st_, cands):
     values, scales = [], []
     for c in range(len(cands)):
         value = scale = Fraction(0)
-        for k, b in enumerate(st_.info.blocks[:, 0, 1]):
-            ak, bk, dk = Fraction(a[k]), Fraction(b), Fraction(d[k])
+        for k, (ak, bk, dk, det) in enumerate(blocks):
             x, y = Fraction(gx[c, k]), Fraction(gy[c, k])
-            det = ak * dk * Fraction(w[k])
             before = (ak + dk) / det
             after = (ak + dk + x * x + y * y) / (det + dk * x * x + ak * y * y - 2 * bk * x * y)
             value, scale = value + before - after, scale + abs(before) + abs(after)
@@ -2013,19 +2028,27 @@ def _exact_gains(st_, cands):
 @example(doc=dict(UNHEARD_STATE, eps_prior=1e-300))
 @example(doc=dict(UNHEARD_STATE, eps_prior=5e-324))
 @example(doc=dict(VALID_STATE, fim=[[1e-300, 0.0], [0.0, 1e-300]], eps_prior=1e-200))
+@example(doc=dict(VALID_STATE, fim=[[1e30, 1e30], [1e30, 1e30]], eps_prior=1e-300))
+@example(doc=dict(VALID_STATE, fim=[[1e300, 1e145], [1e145, 1e-10]], eps_prior=1e-30))
 def test_cli_plan_keeps_its_exit_contract_over_psd_states(tmp_path, scenario_file, doc):
     # exit 0 with the exact best waypoint, ties aside, or 2 with one error
-    # line, or 3 only at eps_prior 0 on a block fim's rule finds
-    # rank-deficient; never a float warning
+    # line where the exact CRB trace of a block overflows, or 3 only at
+    # eps_prior 0 on a block fim's rule finds rank-deficient; never a float
+    # warning
     (tmp_path / "state.json").write_text(json.dumps(doc))
     rc, out, err = _run_cli_out(["plan", "--scenario", scenario_file, "--state",
                                  str(tmp_path / "state.json")])
     assert rc in (0, 2, 3), err
+    blocks = fim_module.InfoState(1, np.array(doc["fim"])).blocks
     if rc == 3:
-        w = fim_module.block_shares(fim_module.InfoState(1, np.array(doc["fim"])).blocks, 0.0)[2]
-        assert doc["eps_prior"] == 0 and np.any(w == 0), err
+        w = fim_module.block_shares(blocks, 0.0)[2]
+        assert doc["eps_prior"] == 0 and np.any(~(np.abs(w) > fim_module.SINGULAR_RTOL)), err
     if rc == 2:
         assert re.fullmatch(r"error: [^\n]*\n", err), err
+        # refused only where a trace is beyond the float range, up to rounding
+        biggest = Fraction(np.finfo(float).max) * (1 - Fraction(1e-12))
+        assert any(det <= 0 or (a + d) / det > biggest
+                   for a, _, d, det in _exact_dets(blocks, doc["eps_prior"])), err
     if rc == 0:
         st_ = _planner_state(doc, parse_run_config(MINIMAL))
         cands = planner.candidate_positions(st_)
@@ -2078,7 +2101,7 @@ def test_cli_crb_keeps_its_exit_contract_at_extreme_coordinates(tmp_path, track)
         blocks = np.cumsum(fim_module.step_contribution(
             np.array(traj)[:, 1:], np.array(users)[:, 1:], ToaNoiseModel()), axis=0)
         w = fim_module.block_shares(blocks, 0.0)[2]
-        assert eps == 0 and np.any(~(np.abs(w) > 0)), err
+        assert eps == 0 and np.any(~(np.abs(w) > fim_module.SINGULAR_RTOL)), err
     if rc == 0:
         history = np.array(json.loads(out)["crb_history_m2"])
         assert np.all((history > 0) & (history < np.inf))
