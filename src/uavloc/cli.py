@@ -17,10 +17,10 @@ import numpy as np
 from . import fim, slam
 from .errors import INPUT_ERRORS, NUMERIC_ERRORS, InvalidParam, NotConverged, SchemaError
 from .fim import InfoState, crb_history
-from .iofiles import (RunConfig, csv_refusal, export_results, parse_run_config,
+from .iofiles import (RunConfig, csv_refusal, export_results, mission_report, parse_run_config,
                       read_measurement_log, write_crb_history)
 from .mission import monte_carlo, run_mission, straight_line_path
-from .model import LENGTH_MAX, REACH_SLACK, require_coordinate, require_number
+from .model import require_coordinate, require_prior, within_reach
 from .planner import PlannerState, next_waypoint, reach_threshold
 
 
@@ -53,15 +53,7 @@ def _cmd_simulate(args) -> int:
     rc = _load_config(args)
     result = run_mission(rc.scenario, **_mission_kwargs(rc, args))
     files = export_results(result, rc.scenario, args.out)
-    _emit({
-        "user_rmse_m": result.metrics.user_rmse,
-        "user_abs_errors_m": list(result.metrics.user_abs_errors),
-        "uav_rmse_est_m": result.metrics.uav_rmse_est,
-        "uav_rmse_gps_m": result.metrics.uav_rmse_gps,
-        "final_crb_trace_m2": float(result.crb_history[-1]),
-        "converged": result.converged,
-        "files": files,
-    }, args.json)
+    _emit(mission_report(result) | {"files": files}, args.json)
     return 0
 
 
@@ -118,16 +110,15 @@ def _planner_state(doc, rc: RunConfig) -> PlannerState:
             raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
     require_coordinate("state.pos", *arrays["pos"].tolist())
     terminal = s.uav_terminal.as_array()
-    reach = reach_threshold(step, s.mission_steps, s.d_max)
     dist = float(np.linalg.norm(arrays["pos"] - terminal))
     # every mission state passes; from here the planner's fallback hop is within d_max
-    if dist > reach * (1 + REACH_SLACK):
+    if not within_reach(dist, s.d_max, s.mission_steps - step):
+        reach = reach_threshold(step, s.mission_steps, s.d_max)
         raise InvalidParam("state.pos", f"must lie within d_max*(N - step) = {reach:.6g} m of "
                            f"uav_terminal, not {dist:.6g} m")
     require_coordinate("state.user_estimates", *users.ravel().tolist())
     # a JSON string or bool is refused, not converted
-    eps = float(require_number("state.eps_prior", doc.get("eps_prior", rc.eps_prior), 0,
-                               high=LENGTH_MAX ** 2))
+    eps = float(require_prior("state.eps_prior", doc.get("eps_prior", rc.eps_prior)))
     # the planner reads only the diagonal 2x2 blocks of fim
     info = InfoState(step=step, fim=arrays["fim"], eps_prior=eps)
     if not np.array_equal(info.fim, arrays["fim"]):

@@ -35,7 +35,10 @@ class UnitError(ParseError):
 
 
 class SchemaError(UavLocError):
-    """Measurement log header does not match the schema."""
+    """An input file does not have its format's layout: a measurement log
+    whose header is missing, unreadable or not the schema's, or that holds
+    no rows; a malformed `plan` state JSON; or a `crb` trajectory or users
+    CSV whose header, rows or numbering are not its format's."""
 
 
 class RowError(UavLocError):

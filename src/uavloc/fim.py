@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import toa_gradient
 from .errors import DegenerateGeometry, InvalidParam, SingularFim
-from .model import SPEED_OF_LIGHT, ToaNoiseModel, toa_variance
+from .model import SPEED_OF_LIGHT, ToaNoiseModel, toa_variance, unit_ratio
 
 # A block is rank-deficient when its share w = s / d = det / (a d), s the
 # second pivot of its LDL^T factorization, is within this of 0. Rounding
@@ -40,9 +40,9 @@ DEFAULT_EPS_PRIOR = 1e-6  # m^-2, the diagonal prior added to F before inversion
 
 
 def default_eps_prior(sigma0: float) -> float:
-    """DEFAULT_EPS_PRIOR / r^2, r = sigma0 / ToaNoiseModel.sigma0: the default
-    prior in the unit of a ToA noise sigma0 (model's unit rule)."""
-    return DEFAULT_EPS_PRIOR / (sigma0 / ToaNoiseModel.sigma0) ** 2
+    """DEFAULT_EPS_PRIOR / r^2, r = model.unit_ratio(sigma0): the default
+    prior in the unit of a ToA noise sigma0."""
+    return DEFAULT_EPS_PRIOR / unit_ratio(sigma0) ** 2
 
 
 class InfoState:

@@ -398,6 +398,16 @@ def write_crb_history(history, out_dir: str) -> str:
                       ([n, _fmt(v)] for n, v in enumerate(history, start=1)))
 
 
+def mission_report(result: MissionResult) -> dict:
+    """A mission's metrics, final CRB trace and convergence as plain JSON
+    values, under the keys that metrics.json and `uavloc simulate`'s output
+    share, in metrics.json's order."""
+    m = result.metrics
+    return {"user_abs_errors_m": list(m.user_abs_errors), "user_rmse_m": m.user_rmse,
+            "uav_rmse_est_m": m.uav_rmse_est, "uav_rmse_gps_m": m.uav_rmse_gps,
+            "final_crb_trace_m2": float(result.crb_history[-1]), "converged": result.converged}
+
+
 def export_results(result: MissionResult, scenario: Scenario, out_dir: str) -> list[str]:
     """Write trajectory.csv, users.csv, crb_history.csv, metrics.json and
     measurements.csv into out_dir; returns the written paths."""
@@ -419,15 +429,8 @@ def export_results(result: MissionResult, scenario: Scenario, out_dir: str) -> l
 
     path = os.path.join(out_dir, "metrics.json")
     with open(path, "w") as f:
-        json.dump({
-            "user_abs_errors_m": list(result.metrics.user_abs_errors),
-            "user_rmse_m": result.metrics.user_rmse,
-            "uav_rmse_est_m": result.metrics.uav_rmse_est,
-            "uav_rmse_gps_m": result.metrics.uav_rmse_gps,
-            "final_crb_trace_m2": float(result.crb_history[-1]),
-            "converged": result.converged,
-            "retained_steps": list(result.retained_steps),
-        }, f, indent=2)
+        json.dump(mission_report(result) | {"retained_steps": list(result.retained_steps)},
+                  f, indent=2)
         f.write("\n")
     written.append(path)
 

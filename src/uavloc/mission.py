@@ -47,8 +47,8 @@ from .errors import InvalidParam
 from .fim import accumulate, crb_history, default_eps_prior, initial_info, step_contribution
 # Unused here; re-exported because perfbench/tracing.py wraps it by this module's name.
 from .fim import crb_trace  # noqa: F401
-from .model import (LENGTH_MAX, REACH_SLACK, ROWS_MAX, MeasurementLog, Scenario, require_int,
-                    require_length, require_number, validate_scenario)
+from .model import (ROWS_MAX, MeasurementLog, Scenario, require_int, require_length,
+                    require_prior, validate_scenario, within_reach)
 from .nrtiming import NrConfig, drift_offset, estimate_toa_nr
 from .planner import PlannerState, next_waypoint
 
@@ -112,7 +112,7 @@ def compute_metrics(scenario: Scenario, planned, gps, retained_steps,
 def check_options(solve_every, eps_prior, planner_headings):
     """InvalidParam naming the first bad option of run_mission (or RunConfig)."""
     require_int("solve_every", solve_every, 0)
-    require_number("eps_prior", eps_prior, 0, high=LENGTH_MAX ** 2)
+    require_prior("eps_prior", eps_prior)
     require_int("planner_headings", planner_headings, 1, ROWS_MAX - 1)
 
 
@@ -129,12 +129,12 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
     end of the mission. The first estimates are slam.range_circle_start
     along the planned track, and the module docstring says how every solve
     starts; only the noise is drawn, from scenario.seed.
-    eps_prior, the Fisher prior in m^-2, defaults to fim.default_eps_prior of
-    toa_noise.sigma0 (model's unit rule), as the solves' damping and step
-    tolerance scale; an eps_prior that is set is kept.
-    A fixed path starts within d_max * REACH_SLACK of uav_start, takes the coordinate rule
-    (model.require_length) and keeps every hop within d_max (1 + REACH_SLACK): the flight
-    rule of model.REACH_SLACK, which the start-to-terminal budget and the planner apply too.
+    eps_prior, the Fisher prior in m^-2 (model.require_prior), defaults to
+    fim.default_eps_prior of toa_noise.sigma0 (model.unit_ratio), as the
+    solves' damping and step tolerance scale; an eps_prior that is set is kept.
+    A fixed path starts within reach of uav_start in 0 moves and keeps every
+    hop within reach in 1 (model.within_reach), and takes the coordinate rule
+    (model.require_length).
     Per retained step the mission measures, accumulates the Fisher blocks
     for the greedy planner and solves on schedule; the NR estimates of its
     delays wait for the next read of the log (the first step, a solve, the
@@ -167,10 +167,10 @@ def run_mission(scenario: Scenario, mode="greedy", *, toa_path: str = "ideal",
         if fixed_path.shape != (n_steps, 3):
             raise InvalidParam("mode", f"fixed path must have shape ({n_steps}, 3)")
         require_length("mode", *fixed_path.ravel().tolist())
-        if np.linalg.norm(fixed_path[0] - start) > s.d_max * REACH_SLACK:
+        if not within_reach(np.linalg.norm(fixed_path[0] - start), s.d_max, 0):
             raise InvalidParam("mode", "fixed path must start at uav_start")
         hops = np.linalg.norm(np.diff(fixed_path, axis=0), axis=1)
-        if np.any(hops > s.d_max * (1 + REACH_SLACK)):
+        if not np.all(within_reach(hops, s.d_max, 1)):
             raise InvalidParam("mode", "fixed path violates the d_max step constraint")
     elif mode != "greedy":
         raise InvalidParam("mode", "must be 'greedy' or an (N, 3) path")

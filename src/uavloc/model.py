@@ -61,15 +61,20 @@ class ToaNoiseModel:
     delay added when the link is blocked.
     """
     kind: str = "constant"
-    # The unit rule: a default tolerance with a length in it is quoted at this sigma0 and scales
-    # with r = sigma0 / ToaNoiseModel.sigma0: slam.solve_slam's damping bounds and eps_prior's
-    # default by 1 / r^2, tol_step's by r. A tol_step or eps_prior that is set is kept as it is.
-    sigma0: float = 1.25e-8
+    sigma0: float = 1.25e-8  # the unit of every default tolerance with a length in it: unit_ratio
     amp: float = 0.0
     scale: float = 100.0
     drift_rate: float = 0.0
     drift_reset_period: int = 1
     nlos_scale: float = 0.0
+
+
+def unit_ratio(sigma0: float) -> float:
+    """The unit rule's r = sigma0 / ToaNoiseModel.sigma0 of a ToA noise sigma0.
+    A default tolerance with a length in it is quoted at r = 1 and scales
+    with r: a damping bound or eps_prior by 1 / r^2, tol_step by r. A
+    tol_step or eps_prior that is set is kept as it is."""
+    return sigma0 / ToaNoiseModel.sigma0
 
 
 def sigma_tau_of_distance(d: float, m: ToaNoiseModel) -> float:
@@ -183,8 +188,7 @@ class Scenario:
 
 
 # The flight rule: a distance checked against a budget of d_max moves may exceed it by
-# REACH_SLACK of that budget. It decides the start-to-terminal budget here, the planner's
-# reach test, a fixed path's start and hops (mission.run_mission) and `uavloc plan`'s state.pos.
+# REACH_SLACK of that budget (within_reach).
 REACH_SLACK = 1e-12
 
 # The largest magnitude, in meters, of a scenario coordinate, a mission's
@@ -210,6 +214,20 @@ NORMAL_REACH = 13.7076
 # mission_steps sizes a mission's (N, 3) arrays and planner headings the (headings + 1, 3)
 # ring, so a larger count is refused: below it, an array the host cannot give is a MemoryError.
 ROWS_MAX = np.iinfo(np.intp).max // 24
+
+
+def within_reach(distance, d_max, moves):
+    """Whether distance (meters, a float or an array) is within `moves` moves
+    of d_max by the flight rule: at most (d_max * moves) * (1 + REACH_SLACK).
+    At moves 0, where two points should be one, it is the slack of one move,
+    d_max * REACH_SLACK."""
+    return distance <= ((d_max * moves) * (1 + REACH_SLACK) if moves else d_max * REACH_SLACK)
+
+
+def require_prior(name, value):
+    """value if it is a Fisher prior eps_prior, in m^-2, within [0,
+    LENGTH_MAX^2]; else InvalidParam(name)."""
+    return require_number(name, value, 0, high=LENGTH_MAX ** 2)
 
 
 def require_length(name, *lengths):
@@ -306,7 +324,7 @@ def validate_scenario(s: Scenario) -> Scenario:
     # and half a round trip's drift. A sum beyond the bound names its largest term.
     with np.errstate(over="ignore"):
         budget = s.d_max * (s.mission_steps - 1)
-        if dist > budget * (1.0 + REACH_SLACK):
+        if not within_reach(dist, s.d_max, s.mission_steps - 1):
             raise TerminalUnreachable(
                 f"start-terminal distance {dist:.6g} m exceeds d_max*(N-1) = {budget:.6g} m")
         gps, sigma = NORMAL_REACH * s.sigma_gps, sigma_tau_of_distance(budget + far, m)

@@ -94,7 +94,7 @@ def drift_offset(step, noise: ToaNoiseModel):
     per row of a batch, which gives their offsets, each equal to the float of
     its step. InvalidParam names the field, refusing what validate_scenario does
     of a mission of max(step) steps: a bad drift_rate or drift_reset_period, or a
-    ramp whose range C offset / 2 passes LENGTH_MAX; ValueError unless steps >= 1."""
+    ramp whose range C offset / 2 fails model.require_length; ValueError unless steps >= 1."""
     rate = require_number("toa_noise.drift_rate", noise.drift_rate, 0)
     period = require_int("toa_noise.drift_reset_period", noise.drift_reset_period, 1)
     if np.min(step) < 1:

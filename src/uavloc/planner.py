@@ -17,7 +17,7 @@ import numpy as np
 from .fim import InfoState, improvement_traces
 # Unused here; re-exported because perfbench/tracing.py wraps them by this module's name.
 from .fim import improvement_matrix, step_contribution  # noqa: F401
-from .model import REACH_SLACK, ToaNoiseModel
+from .model import ToaNoiseModel, within_reach
 
 
 @dataclass
@@ -62,9 +62,9 @@ def candidate_positions(st: PlannerState) -> np.ndarray:
 def _costs(cands: np.ndarray, st: PlannerState) -> np.ndarray:
     """tr(R) of measuring from each candidate (C, 3), -inf where the terminal
     would become unreachable. All feasible candidates are scored at once."""
-    slack = reach_threshold(st.step + 1, st.mission_steps, st.d_max)
     diff = cands - np.asarray(st.terminal, dtype=float)
-    feasible = np.sqrt(np.vecdot(diff, diff)) <= slack * (1 + REACH_SLACK)
+    feasible = within_reach(np.sqrt(np.vecdot(diff, diff)), st.d_max,
+                            st.mission_steps - st.step - 1)
     costs = np.full(len(cands), float("-inf"))
     if feasible.any():
         costs[feasible] = improvement_traces(st.info, cands[feasible], st.user_estimates,

@@ -39,8 +39,8 @@ import numpy as np
 
 from .channel import delay_gradient, link_geometry, toa_gradient
 from .errors import InvalidParam, SingularSystem
-from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel,
-                    require_int, require_number, require_scale, toa_variance)
+from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel, require_int,
+                    require_number, require_scale, toa_variance, unit_ratio)
 
 logger = logging.getLogger(__name__)
 
@@ -102,8 +102,8 @@ class SolveReport:
 class SlamConfig:
     """Solver settings: sigma_gps and tol_step in meters, sigma_tau and
     huber_delta in seconds. A tol_step left None is 1e-6 m * r, r =
-    sigma0 / ToaNoiseModel.sigma0 of the weights' ToA noise (model's unit
-    rule; solve_slam); a tol_step that is set is kept as it is."""
+    model.unit_ratio of weight_noise's sigma0 (solve_slam); a tol_step that
+    is set is kept as it is."""
     sigma_gps: float = Scenario.sigma_gps
     sigma_tau: float = ToaNoiseModel.sigma0
     noise_model: ToaNoiseModel | None = None
@@ -122,10 +122,17 @@ class SlamConfig:
         require_int("max_iter", self.max_iter, 1)
         if not isinstance(self.per_distance_weights, bool):
             raise InvalidParam("per_distance_weights", "must be true or false")
-        if self.per_distance_weights and self.noise_model is None:
-            raise InvalidParam("per_distance_weights", "needs a noise_model")
         if self.per_distance_weights:  # its sigma0 sets the unit of solve_slam's defaults
+            if self.noise_model is None:
+                raise InvalidParam("per_distance_weights", "needs a noise_model")
             require_scale("noise_model.sigma0", self.noise_model.sigma0, SPEED_OF_LIGHT)
+
+    @property
+    def weight_noise(self) -> ToaNoiseModel:
+        """The ToA noise of the weights: noise_model under per_distance_weights,
+        else the constant sigma_tau."""
+        return (self.noise_model if self.per_distance_weights
+                else ToaNoiseModel(sigma0=self.sigma_tau))
 
     @classmethod
     def for_scenario(cls, s: Scenario, **options) -> SlamConfig:
@@ -162,11 +169,9 @@ def residuals(log: MeasurementLog, flat: np.ndarray):
 def measurement_weights(res, cfg: SlamConfig):
     """GPS weight and ToA weights 1 / model.toa_variance at the link
     distances res[3] of the point whose residuals are `res`, under
-    cfg.noise_model when cfg.per_distance_weights is set, else under the
-    constant sigma cfg.sigma_tau (one float then). solve_slam takes them
+    cfg.weight_noise (one float where it is constant). solve_slam takes them
     once, at its start point."""
-    noise = cfg.noise_model if cfg.per_distance_weights else ToaNoiseModel(sigma0=cfg.sigma_tau)
-    return 1.0 / cfg.sigma_gps ** 2, 1.0 / toa_variance(res[3], noise)
+    return 1.0 / cfg.sigma_gps ** 2, 1.0 / toa_variance(res[3], cfg.weight_noise)
 
 
 def _clipped(r_toa, huber_delta):
@@ -323,7 +328,7 @@ def check_identifiability(log: MeasurementLog) -> list[int]:
 # then decides acceptance (Ceres' function tolerance).
 REL_DECREASE_TOL = 1e-12
 # The damping's floor, its first trial value, and the one beyond which a solve that finds
-# no step that does not raise f gives up; solve_slam divides each by r^2 (model's unit rule).
+# no step that does not raise f gives up; solve_slam divides each by r^2 (model.unit_ratio).
 LAMBDA_MIN, LAMBDA_INIT, LAMBDA_MAX = 1e-15, 1e-4, 1e8
 
 
@@ -344,11 +349,9 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
     stops, converged, when an accepted step is shorter than cfg.tol_step or
     a trial step changes f by at most REL_DECREASE_TOL of f.
     The damping starts at LAMBDA_INIT / r^2 and keeps above LAMBDA_MIN / r^2,
-    and tol_step defaults to 1e-6 m * r, r = sigma0 / ToaNoiseModel.sigma0
-    with sigma0 that of the weights: cfg.noise_model's under
-    per_distance_weights, else cfg.sigma_tau (model's unit rule). So with
-    every length, sigma_gps and sigma0 scaled by s, a solve's estimate
-    scales by s, up to rounding.
+    and tol_step defaults to 1e-6 m * r, r = model.unit_ratio of
+    cfg.weight_noise's sigma0. So with every length, sigma_gps and sigma0
+    scaled by s, a solve's estimate scales by s, up to rounding.
 
     Returns (state, report) on every outcome: the best state found, and
     report.converged False if no stopping test is met within cfg.max_iter
@@ -361,8 +364,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
         raise ValueError("initial state dimensions do not match the measurement set")
 
     flat = init.flatten()
-    sigma0 = cfg.noise_model.sigma0 if cfg.per_distance_weights else cfg.sigma_tau
-    r = sigma0 / ToaNoiseModel.sigma0
+    r = unit_ratio(cfg.weight_noise.sigma0)
     lam_min, lam, lam_max, nu = LAMBDA_MIN / r**2, LAMBDA_INIT / r**2, LAMBDA_MAX / r**2, 2.0
     tol_step = 1e-6 * r if cfg.tol_step is None else cfg.tol_step
     # the residuals of the current point, shared by the objective that

@@ -702,6 +702,21 @@ def test_cli_simulate_and_solve(tmp_path, scenario_file, capsys):
     assert np.allclose(solved["users"]["1"], [10.0, -5.0], atol=5.0)
 
 
+def test_cli_simulate_output_and_metrics_json_give_one_report(tmp_path, scenario_file, capsys):
+    """simulate --json prints the report metrics.json holds: the same values
+    under every key the two share, in the same order; only `files` and
+    `retained_steps` are each one's own."""
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", scenario_file, "--out", str(out), "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    saved = json.loads((out / "metrics.json").read_text())
+    shared = [key for key in printed if key in saved]
+    assert shared == [key for key in saved if key in printed] and len(shared) == 6
+    assert set(printed) - set(shared) == {"files"}
+    assert set(saved) - set(shared) == {"retained_steps"}
+    assert [printed[key] for key in shared] == [saved[key] for key in shared]
+
+
 def test_cli_plan(tmp_path, scenario_file, capsys):
     state = {"step": 1, "pos": [0.0, 0.0, 30.0],
              "fim": [[1e3, 0.0], [0.0, 1e3]],

@@ -11,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavloc
+import uavloc.model
 from uavloc.channel import toa_gradient
+from uavloc.cli import _planner_state
 from uavloc.errors import InvalidParam, TerminalUnreachable
-from uavloc.fim import improvement_traces, initial_info, step_contribution
-from uavloc.model import (LENGTH_MAX, SPEED_OF_LIGHT, AxisBox, MeasurementLog,
+from uavloc.fim import default_eps_prior, improvement_traces, initial_info, step_contribution
+from uavloc.iofiles import RunConfig
+from uavloc.mission import run_mission
+from uavloc.model import (LENGTH_MAX, REACH_SLACK, SPEED_OF_LIGHT, AxisBox, MeasurementLog,
                           MeasurementSample, Scenario, ToaNoiseModel, Vec2, Vec3,
                           sigma_tau_of_distance, toa_variance, validate_scenario)
+from uavloc.planner import PlannerState, greedy_cost
 from uavloc.slam import SlamConfig, measurement_weights, residuals
 
 
@@ -194,6 +199,94 @@ def test_reachability_is_exact_boundary():
                             mission_steps=n, d_max=d_max)
         with pytest.raises(TerminalUnreachable):
             validate_scenario(bad)
+
+
+# The sites of the flight rule, each as (the moves of d_max it checks a
+# distance x against, whether it accepts x) on a 4-step scenario whose lengths
+# are `scale` times the README's: uav_start (0, 0, 30), one user (10, -5),
+# d_max 5. x is the first coordinate of a point whose distance to the point
+# it is checked against is x itself.
+
+def _flight_scenario(scale, terminal_x=0.0):
+    return Scenario(users=(Vec2(10.0 * scale, -5.0 * scale),),
+                    uav_start=Vec3(0.0, 0.0, 30.0 * scale),
+                    uav_terminal=Vec3(terminal_x, 0.0, 30.0 * scale), mission_steps=4,
+                    d_max=5.0 * scale, delta_keep=2.0 * scale, sigma_gps=scale,
+                    toa_noise=ToaNoiseModel(sigma0=1.25e-8 * scale))
+
+
+def _terminal_within_budget(scale, x):
+    try:
+        validate_scenario(_flight_scenario(scale, terminal_x=x))
+    except TerminalUnreachable:
+        return False
+    return True
+
+
+def _plan_state_pos(scale, x):
+    s = _flight_scenario(scale)
+    doc = {"step": 1, "pos": [x, 0.0, 30.0 * scale], "fim": [[0.0, 0.0], [0.0, 0.0]],
+           "user_estimates": [[10.0 * scale, -5.0 * scale]]}
+    try:
+        _planner_state(doc, RunConfig(scenario=s, slam=SlamConfig.for_scenario(s)))
+    except InvalidParam as exc:
+        assert exc.field == "state.pos"
+        return False
+    return True
+
+
+def _planner_candidate(scale, x):
+    s = _flight_scenario(scale)
+    st_ = PlannerState(step=1, pos=s.uav_start.as_array(), terminal=s.uav_terminal.as_array(),
+                       mission_steps=s.mission_steps, d_max=s.d_max,
+                       info=initial_info(1, default_eps_prior(s.toa_noise.sigma0)),
+                       user_estimates=np.array([[10.0 * scale, -5.0 * scale]]),
+                       noise_model=s.toa_noise)
+    return greedy_cost([x, 0.0, 30.0 * scale], st_) > -np.inf
+
+
+def _fixed_path(scale, path, refusal):
+    try:
+        run_mission(_flight_scenario(scale), np.array(path))
+    except InvalidParam as exc:
+        assert exc.field == "mode" and refusal in str(exc)
+        return False
+    return True
+
+
+def _fixed_path_start(scale, x):
+    return _fixed_path(scale, [[x, 0.0, 30.0 * scale]] * 4, "start at uav_start")
+
+
+def _fixed_path_hop(scale, x):
+    start, hop = [0.0, 0.0, 30.0 * scale], [x, 0.0, 30.0 * scale]
+    return _fixed_path(scale, [start, hop, hop, hop], "d_max")
+
+
+FLIGHT_RULE_SITES = {"validate_scenario": (3, _terminal_within_budget),
+                     "uavloc plan state pos": (3, _plan_state_pos),
+                     "planner feasibility": (2, _planner_candidate),
+                     "fixed path start": (0, _fixed_path_start),
+                     "fixed path hop": (1, _fixed_path_hop)}
+
+
+def test_the_flight_rule_has_one_owner(monkeypatch):
+    """Every site of the flight rule reads model.REACH_SLACK where it applies
+    the rule: at the real slack each accepts the last float within its limit
+    and refuses the next one, at any length scale; with the slack set to 1e-3
+    each accepts 5e-4 of its budget beyond it and refuses 2e-3. A budget of 0
+    moves (a fixed path's start) has the slack of one move."""
+    for scale in (1e-30, 1e30):
+        d_max = 5.0 * scale
+        for name, (moves, accepts) in FLIGHT_RULE_SITES.items():
+            limit = (d_max * moves) * (1 + REACH_SLACK) if moves else d_max * REACH_SLACK
+            assert accepts(scale, limit), (name, scale)
+            assert not accepts(scale, np.nextafter(limit, np.inf)), (name, scale)
+    monkeypatch.setattr(uavloc.model, "REACH_SLACK", 1e-3)
+    for name, (moves, accepts) in FLIGHT_RULE_SITES.items():
+        budget, slack = 5.0 * moves, 5.0 * max(moves, 1)
+        assert accepts(1.0, budget + 5e-4 * slack), name
+        assert not accepts(1.0, budget + 2e-3 * slack), name
 
 
 # --- MeasurementLog index layout ---

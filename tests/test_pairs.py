@@ -68,6 +68,18 @@ def test_a_median_worse_than_the_bound_is_a_regression(better, factor, regressio
     assert s["regression"] is regression
 
 
+@pytest.mark.parametrize("better, sign", [("higher", 1.0), ("lower", -1.0)])
+def test_a_spread_wider_than_the_bound_is_resolved_when_every_change_run_reads_better(
+        better, sign):
+    """PARENT's quartile spread is 3.5 % of its median, wider than a 2 % bound;
+    a change whose every run reads better than every parent run resolves it."""
+    change = [p + sign * 10.0 for p in PARENT]
+    s = pairs.compare(PARENT, change, better, 0.02)
+    assert not s["unresolved"] and not s["regression"]
+    change[0] = PARENT[2] if better == "higher" else PARENT[1]  # ties the parent's best run
+    assert pairs.compare(PARENT, change, better, 0.02)["unresolved"]
+
+
 def _run(ops, failed=0, rss=True):
     metrics = {"w.ops_per_s": ops, "w.op_s_p50": 1.0 / ops, "w.op_s_p90": 1.2 / ops,
                "w.setup_s": 0.01}

@@ -21,7 +21,8 @@ quartiles, the pairs the change won (ties count for neither), and marks
 - a regression where the change's median is worse than the parent's by more
   than the metric's BENCHMARK.json bound, as a share of the parent's median;
 - an unresolved metric where either side's quartile spread, as a share of
-  its median, is wider than that bound.
+  its median, is wider than that bound, unless every change run reads
+  better than every parent run.
 A workload whose change side fails a larger share of operations is a
 regression too.
 """
@@ -64,13 +65,14 @@ def compare(parent, change, better, bound):
     c1, cm, c3 = quartiles(change)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gain = sign * (cm - pm)
+    apart = min(sign * c for c in change) > max(sign * p for p in parent)
     return {"parent_median": pm, "parent_q1": p1, "parent_q3": p3,
             "change_median": cm, "change_q1": c1, "change_q3": c3,
             "change_minus_parent_pct": 100.0 * (cm - pm) / pm if pm else None,
             "change_wins": wins, "pairs": len(parent),
             "claim": len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gain > p3 - p1,
             "regression": -gain > bound * abs(pm),
-            "unresolved": max(p3 - p1, c3 - c1) > bound * abs(pm)}
+            "unresolved": max(p3 - p1, c3 - c1) > bound * abs(pm) and not apart}
 
 
 def summarize(runs, end_to_end):
