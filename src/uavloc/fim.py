@@ -62,8 +62,11 @@ class InfoState:
 
 
 def initial_info(num_users: int, eps_prior: float = DEFAULT_EPS_PRIOR) -> InfoState:
-    return InfoState(step=0, fim=np.zeros((2 * num_users, 2 * num_users)),
-                     eps_prior=eps_prior)
+    """The state of no information at step 0: K zero blocks, built as blocks,
+    not copied from a dense (2K, 2K) zero matrix."""
+    info = InfoState(step=0, fim=np.empty((0, 0)), eps_prior=eps_prior)
+    info.blocks = np.zeros((num_users, 2, 2))
+    return info
 
 
 def _dense(blocks: np.ndarray) -> np.ndarray:

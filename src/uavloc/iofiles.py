@@ -225,9 +225,8 @@ def _first_inconsistent(log: MeasurementLog):
     finite = np.isfinite(np.column_stack([log.gps, log.toa]))
     # a GPS coordinate or a range C toa_s beyond LENGTH_MAX
     far = np.column_stack([np.abs(log.gps), log.toa]) > _FAR_LIMIT
-    _, first_of_pair = np.unique(log.pose * len(log) + log.user, return_index=True)
     repeated = np.ones(len(log), dtype=bool)
-    repeated[first_of_pair] = False
+    repeated[log.pair_first] = False
     # rule masks in the order a row is checked: a row that breaks two rules
     # reports the first
     rules = [~finite.all(axis=1), far.any(axis=1), log.toa < 0,

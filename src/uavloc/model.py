@@ -114,10 +114,14 @@ class MeasurementLog(Sequence):
     The index layout is read-only and computed on first access, then kept:
     steps and user_ids, the sorted distinct values as tuples of int; pose
     and user (M,), each row's index into them; pose_gps (S, 3), the GPS fix
-    of each step's first row; and pair_index (12 M,), the solver's bincount
-    index of 12 entries per row, 12 (K pose + user) + e for entry e, laid
-    out entry-major. Every log derives its layout from its own columns, so
-    the columns must not change once the layout has been read.
+    of each step's first row; pair_first (P,), the first row of each of the
+    P distinct (pose, user) pairs, in (user, pose) order, which the log
+    reader's duplicate rule and slam.range_circle_start read; and pair_index
+    (12 M,), the solver's bincount index of 12 entries per row, 12 (K pose +
+    user) + e for entry e, laid out entry-major. pair_first and pair_index
+    are each computed the first time they are read, pair_first by one
+    stable sort. Every log derives its layout from its own columns, so the
+    columns must not change once the layout has been read.
     """
     step: np.ndarray
     user_id: np.ndarray
@@ -137,6 +141,12 @@ class MeasurementLog(Sequence):
     pose = property(lambda self: self._layout[2])
     user = property(lambda self: self._layout[3])
     pose_gps = property(lambda self: self._layout[4])
+
+    @cached_property
+    def pair_first(self):
+        _, first = np.unique(self.user * len(self.steps) + self.pose, return_index=True)
+        first.flags.writeable = False
+        return first
 
     @cached_property
     def pair_index(self):
@@ -283,6 +293,40 @@ def require_numerology(mu):
     return mu
 
 
+def _require_ramp(name, m: ToaNoiseModel):
+    """(drift_rate, drift_reset_period) of m if the rate is a number >= 0 and
+    the period an integer >= 1; else InvalidParam(name.<field>)."""
+    return (require_number(f"{name}.drift_rate", m.drift_rate, 0),
+            require_int(f"{name}.drift_reset_period", m.drift_reset_period, 1))
+
+
+def require_noise(name, m: ToaNoiseModel) -> ToaNoiseModel:
+    """m if every field of the ToA noise model is valid; else InvalidParam
+    naming the first bad one as name.<field>, in field order: kind, sigma0 a
+    noise scale (in meters of range), amp >= 0 and scale > 0 where kind is
+    "exponential", drift_rate >= 0, drift_reset_period an integer >= 1, and
+    nlos_scale >= 0."""
+    if m.kind not in ("constant", "exponential"):
+        raise InvalidParam(f"{name}.kind", "must be 'constant' or 'exponential'")
+    require_scale(f"{name}.sigma0", m.sigma0, SPEED_OF_LIGHT)
+    if m.kind == "exponential":
+        require_number(f"{name}.amp", m.amp, 0)
+        require_number(f"{name}.scale", m.scale, 0, strict=True)
+    _require_ramp(name, m)
+    require_number(f"{name}.nlos_scale", m.nlos_scale, 0)
+    return m
+
+
+def drift_reach(m: ToaNoiseModel, steps) -> float:
+    """The range C / 2 * drift_rate * (min(drift_reset_period, steps) - 1), in
+    meters, of the largest drift offset of m's ramp over `steps` mission
+    steps: half a round trip's drift. InvalidParam first, as
+    toa_noise.drift_rate or toa_noise.drift_reset_period, where require_noise
+    refuses that field. inf, with no float warning, where it overflows."""
+    rate, period = _require_ramp("toa_noise", m)
+    return SPEED_OF_LIGHT / 2 * float(rate) * (int(min(period, steps)) - 1)
+
+
 def validate_scenario(s: Scenario) -> Scenario:
     """Check every scenario invariant; return s unchanged if all hold."""
     if len(s.users) < 1:
@@ -299,16 +343,7 @@ def validate_scenario(s: Scenario) -> Scenario:
     require_number("sample_rate", s.sample_rate, 0, strict=True)
     require_int("seed", s.seed, 0)
 
-    m = s.toa_noise
-    if m.kind not in ("constant", "exponential"):
-        raise InvalidParam("toa_noise.kind", "must be 'constant' or 'exponential'")
-    require_scale("toa_noise.sigma0", m.sigma0, SPEED_OF_LIGHT)
-    if m.kind == "exponential":
-        require_number("toa_noise.amp", m.amp, 0)
-        require_number("toa_noise.scale", m.scale, 0, strict=True)
-    require_number("toa_noise.drift_rate", m.drift_rate, 0)
-    require_int("toa_noise.drift_reset_period", m.drift_reset_period, 1)
-    require_number("toa_noise.nlos_scale", m.nlos_scale, 0)
+    m = require_noise("toa_noise", s.toa_noise)
 
     for i, box in enumerate(s.buildings):
         lo, hi = box.min_corner.as_array(), box.max_corner.as_array()
@@ -333,7 +368,6 @@ def validate_scenario(s: Scenario) -> Scenario:
                        "toa_noise.sigma0" if m.sigma0 >= sigma - m.sigma0 else "toa_noise":
                            NORMAL_REACH * SPEED_OF_LIGHT * sigma,
                        "toa_noise.nlos_scale": NORMAL_REACH * SPEED_OF_LIGHT * m.nlos_scale,
-                       "toa_noise.drift_rate": SPEED_OF_LIGHT / 2 * m.drift_rate
-                       * (min(m.drift_reset_period, s.mission_steps) - 1)}):
+                       "toa_noise.drift_rate": drift_reach(m, s.mission_steps)}):
             require_length(max(terms, key=terms.get), sum(terms.values()))
     return s

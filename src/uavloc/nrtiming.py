@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelayOutOfWindow, EmptyCir, InvalidParam
-from .model import (SPEED_OF_LIGHT, Scenario, ToaNoiseModel, require_int, require_length,
-                    require_number, require_numerology)
+from .model import (Scenario, ToaNoiseModel, drift_reach, require_length, require_number,
+                    require_numerology)
 
 DF_MAX = 480e3      # Hz, maximum subcarrier spacing
 K_MAX = 4096        # maximum FFT size
@@ -92,16 +92,16 @@ def drift_offset(step, noise: ToaNoiseModel):
 
     step is an int, which gives a float, or an integer array of steps, one
     per row of a batch, which gives their offsets, each equal to the float of
-    its step. InvalidParam names the field, refusing what validate_scenario does
-    of a mission of max(step) steps: a bad drift_rate or drift_reset_period, or a
-    ramp whose range C offset / 2 fails model.require_length; ValueError unless steps >= 1."""
-    rate = require_number("toa_noise.drift_rate", noise.drift_rate, 0)
-    period = require_int("toa_noise.drift_reset_period", noise.drift_reset_period, 1)
+    its step. It refuses what validate_scenario does of a mission of
+    max(step) steps, in this order: InvalidParam naming a bad drift_rate or
+    drift_reset_period (model.drift_reach), ValueError unless steps >= 1, and
+    InvalidParam("toa_noise.drift_rate") where the ramp's reach,
+    model.drift_reach at max(step), fails model.require_length."""
+    reach = drift_reach(noise, np.max(step))
     if np.min(step) < 1:
         raise ValueError("step must be >= 1")
-    require_length("toa_noise.drift_rate",
-                   SPEED_OF_LIGHT / 2 * float(rate) * (int(min(period, np.max(step))) - 1))
-    return rate * ((step - 1) % period)
+    require_length("toa_noise.drift_rate", reach)
+    return noise.drift_rate * ((step - 1) % noise.drift_reset_period)
 
 
 def estimate_toa_nr(true_delay, cfg: NrConfig, drift: float):

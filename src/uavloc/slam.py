@@ -40,7 +40,7 @@ import numpy as np
 from .channel import delay_gradient, link_geometry, toa_gradient
 from .errors import InvalidParam, SingularSystem
 from .model import (SPEED_OF_LIGHT, MeasurementLog, Scenario, ToaNoiseModel, require_int,
-                    require_number, require_scale, toa_variance, unit_ratio)
+                    require_noise, require_number, require_scale, toa_variance, unit_ratio)
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +103,10 @@ class SlamConfig:
     """Solver settings: sigma_gps and tol_step in meters, sigma_tau and
     huber_delta in seconds. A tol_step left None is 1e-6 m * r, r =
     model.unit_ratio of weight_noise's sigma0 (solve_slam); a tol_step that
-    is set is kept as it is."""
+    is set is kept as it is. Under per_distance_weights, the one setting that
+    reads it, noise_model is checked in full by model.require_noise, which
+    refuses the models validate_scenario refuses as toa_noise.<field>, here
+    as noise_model.<field>; without it noise_model is not read or checked."""
     sigma_gps: float = Scenario.sigma_gps
     sigma_tau: float = ToaNoiseModel.sigma0
     noise_model: ToaNoiseModel | None = None
@@ -122,10 +125,10 @@ class SlamConfig:
         require_int("max_iter", self.max_iter, 1)
         if not isinstance(self.per_distance_weights, bool):
             raise InvalidParam("per_distance_weights", "must be true or false")
-        if self.per_distance_weights:  # its sigma0 sets the unit of solve_slam's defaults
+        if self.per_distance_weights:  # the one setting that reads noise_model
             if self.noise_model is None:
                 raise InvalidParam("per_distance_weights", "needs a noise_model")
-            require_scale("noise_model.sigma0", self.noise_model.sigma0, SPEED_OF_LIGHT)
+            require_noise("noise_model", self.noise_model)
 
     @property
     def weight_noise(self) -> ToaNoiseModel:
@@ -530,10 +533,10 @@ def range_circle_start(measurements, track) -> np.ndarray:
     (the first in log order at its lowest step), h = sqrt(max((C tau)^2 -
     f_z^2, 0)) and e = track / |track|, or (1, 0) where track is zero."""
     log = _nonempty_log(measurements)
-    # the rows by user, then step, then log order; each user's first is its earliest
-    order = np.argsort(log.user * len(log.steps) + log.pose, kind="stable")
-    count = np.bincount(log.user, minlength=len(log.user_ids))
-    first = order[np.cumsum(count) - count]
+    # the first rows of the (pose, user) pairs in (user, pose) order: a user's first is its earliest
+    pairs = log.pair_first
+    count = np.bincount(log.user[pairs], minlength=len(log.user_ids))
+    first = pairs[np.cumsum(count) - count]
     f, ct = log.pose_gps[log.pose[first]], SPEED_OF_LIGHT * log.toa[first]
     heading = track / np.hypot(*track) if np.any(track) else np.array([1.0, 0.0])
     return f[:, :2] + np.sqrt(np.maximum(ct ** 2 - f[:, 2] ** 2, 0.0))[:, None] * heading

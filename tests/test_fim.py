@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -663,3 +664,18 @@ def test_improvement_traces_match_exact_rationals():
             exact = sum(before - after for before, after in terms)
             largest = max(before for before, _ in terms)
             assert abs(Fraction(gains[c]) - exact) <= Fraction(1e-12) * largest
+
+
+def test_initial_info_builds_no_dense_matrix():
+    # K zero blocks, not the diagonal blocks of a (2K, 2K) zero matrix (128 MB at K = 2000)
+    tracemalloc.start()
+    try:
+        info = initial_info(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 and info.blocks.shape == (2000, 2, 2)
+    got, want = initial_info(40, 3e-7), InfoState(step=0, fim=np.zeros((80, 80)), eps_prior=3e-7)
+    assert (got.step, got.eps_prior) == (want.step, want.eps_prior)
+    assert got.blocks.dtype == want.blocks.dtype and got.blocks.shape == want.blocks.shape
+    assert got.blocks.flags.c_contiguous and got.blocks.tobytes() == want.blocks.tobytes()

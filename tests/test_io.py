@@ -794,6 +794,17 @@ def test_cli_solve_reads_the_layout_once(scenario_file, measurement_log, capsys)
     assert unique.call_count == 3
 
 
+def test_cli_solve_sorts_its_pairs_once(scenario_file, measurement_log, capsys):
+    # the reader's duplicate rule sorts the (pose, user) pairs by the one
+    # np.unique of the log's pair_first (counted above), and the first
+    # estimates (slam.range_circle_start) read it from the log the reader returns
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+            mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        assert main(["solve", "--scenario", scenario_file, "--log", measurement_log]) == 0
+    capsys.readouterr()
+    assert argsort.call_count == lexsort.call_count == 0
+
+
 def test_cli_exit_code_2_on_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(MINIMAL + "warp_speed: 9\n")

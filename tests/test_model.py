@@ -22,7 +22,7 @@ from uavloc.model import (LENGTH_MAX, REACH_SLACK, SPEED_OF_LIGHT, AxisBox, Meas
                           MeasurementSample, Scenario, ToaNoiseModel, Vec2, Vec3,
                           sigma_tau_of_distance, toa_variance, validate_scenario)
 from uavloc.planner import PlannerState, greedy_cost
-from uavloc.slam import SlamConfig, measurement_weights, residuals
+from uavloc.slam import SlamConfig, measurement_weights, range_circle_start, residuals
 
 
 def make_scenario(**kw):
@@ -80,6 +80,89 @@ def test_noise_model_invariants():
     with pytest.raises(InvalidParam) as exc:
         validate_scenario(make_scenario(toa_noise=ToaNoiseModel(drift_reset_period=2.5)))
     assert exc.value.field == "toa_noise.drift_reset_period"
+
+
+NAN = float("nan")
+
+
+# one field broken per model; the scenario and the solver name the same field
+@pytest.mark.parametrize("field, kw", [
+    ("kind", {"kind": "bogus"}),
+    ("sigma0", {"sigma0": 1e-60}),   # below the floor, 1 / LENGTH_MAX m of range
+    ("sigma0", {"sigma0": 1e40}),    # above the ceiling, LENGTH_MAX m of range
+    ("amp", {"kind": "exponential", "amp": -1e-9}),
+    ("scale", {"kind": "exponential", "amp": 1e-9, "scale": 0.0}),  # weights 1 / inf^2 = 0
+    ("scale", {"kind": "exponential", "amp": 1e-9, "scale": -50.0}),
+    ("drift_rate", {"drift_rate": -1e-9}),
+    ("drift_reset_period", {"drift_reset_period": 0}),
+    ("drift_reset_period", {"drift_reset_period": 2.5}),
+    ("drift_reset_period", {"drift_reset_period": True}),
+    ("nlos_scale", {"nlos_scale": -1.0}),
+    ("sigma0", {"sigma0": NAN}),
+    ("amp", {"kind": "exponential", "amp": NAN}),
+    ("scale", {"kind": "exponential", "amp": 1e-9, "scale": NAN}),
+    ("drift_rate", {"drift_rate": NAN}),
+    ("nlos_scale", {"nlos_scale": NAN}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v))
+def test_one_rule_refuses_a_bad_noise_model_in_the_scenario_and_the_solver(field, kw):
+    noise = ToaNoiseModel(**kw)
+    with pytest.raises(InvalidParam) as scenario:
+        validate_scenario(make_scenario(toa_noise=noise))
+    assert scenario.value.field == f"toa_noise.{field}"
+    with pytest.raises(InvalidParam) as solver:
+        SlamConfig(per_distance_weights=True, noise_model=noise)
+    assert solver.value.field == f"noise_model.{field}"
+    assert solver.value.reason == scenario.value.reason
+    # noise_model is read, and so checked, only under per_distance_weights
+    assert SlamConfig(noise_model=noise).noise_model is noise
+
+
+@st.composite
+def noise_models(draw):
+    """A ToA noise model that validate_scenario accepts on make_scenario()."""
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
+    return ToaNoiseModel(kind=draw(st.sampled_from(["constant", "exponential"])),
+                         sigma0=draw(real(1e-12, 1e-6)), amp=draw(real(0.0, 1e-8)),
+                         scale=draw(real(10.0, 1e4)), drift_rate=draw(real(0.0, 1e-8)),
+                         drift_reset_period=draw(st.integers(1, 50)),
+                         nlos_scale=draw(real(0.0, 1e-8)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(noise_models())
+def test_the_scenario_and_the_solver_accept_the_same_noise_models(noise):
+    validate_scenario(make_scenario(toa_noise=noise))
+    assert SlamConfig(per_distance_weights=True, noise_model=noise).noise_model is noise
+
+
+def test_the_drift_reach_has_one_owner():
+    # drift_reach is the ramp's largest range, C / 2 * rate * (min(period, steps) - 1),
+    # and validate_scenario and nrtiming.drift_offset both bound it by LENGTH_MAX
+    from uavloc.model import drift_reach
+    from uavloc.nrtiming import drift_offset
+    ramp = ToaNoiseModel(drift_rate=2e-9, drift_reset_period=5)
+    assert drift_reach(ramp, 3) == SPEED_OF_LIGHT / 2 * 2e-9 * 2
+    assert drift_reach(ramp, 9) == drift_reach(ramp, 5) == SPEED_OF_LIGHT / 2 * 2e-9 * 4
+    assert drift_reach(ramp, 1) == 0.0
+    # a rate whose reach over 10 steps is just beyond the bound; over 9 steps within it
+    far = ToaNoiseModel(drift_rate=LENGTH_MAX / (SPEED_OF_LIGHT / 2) / 8.5, drift_reset_period=20)
+    assert drift_reach(far, 9) < LENGTH_MAX < drift_reach(far, 10)
+    for steps, refused in ((9, False), (10, True)):
+        try:
+            drift_offset(np.arange(1, steps + 1), far)
+        except InvalidParam as exc:
+            assert refused and exc.field == "toa_noise.drift_rate"
+        else:
+            assert not refused
+    with pytest.raises(InvalidParam) as exc:
+        validate_scenario(make_scenario(toa_noise=far))
+    assert exc.value.field == "toa_noise.drift_rate"
+    # drift_offset refuses a bad field first, then a step below 1, then the reach
+    with pytest.raises(InvalidParam) as exc:
+        drift_offset(np.array([0, 3]), ToaNoiseModel(drift_reset_period=0))
+    assert exc.value.field == "toa_noise.drift_reset_period"
+    with pytest.raises(ValueError, match="^step must be >= 1$"):
+        drift_offset(np.array([0, 10]), far)
 
 
 # farthest link: 50 m from the user to the start, plus 9 moves of 5 m
@@ -341,15 +424,40 @@ def test_pair_index_of_a_slice_equals_that_of_a_fresh_log(logs):
         assert each.pair_index.tolist() == want and each.pair_index.shape == (12 * M,)
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(logs_and_slices())
+def test_pair_first_is_the_first_row_of_each_pair(logs):
+    for log in logs:
+        # a plain walk: the first row of each (pose, user) pair, listed in (user, pose) order
+        first = {}
+        for i, pair in enumerate(zip(log.user.tolist(), log.pose.tolist())):
+            first.setdefault(pair, i)
+        assert log.pair_first.tolist() == [first[pair] for pair in sorted(first)]
+        # the rows the log reader's duplicate rule passed before it read pair_first
+        _, unique_first = np.unique(log.pose * len(log) + log.user, return_index=True)
+        assert sorted(log.pair_first.tolist()) == sorted(unique_first.tolist())
+        if not len(log):
+            continue
+        # range_circle_start's earliest row per user, as a stable sort found it
+        timed = MeasurementLog(log.step, log.user_id, log.gps,
+                               toa=np.arange(len(log), 0, -1) * 1e-6)
+        order = np.argsort(timed.user * len(timed.steps) + timed.pose, kind="stable")
+        count = np.bincount(timed.user, minlength=len(timed.user_ids))
+        row = order[np.cumsum(count) - count]
+        f, ct = timed.pose_gps[timed.pose[row]], SPEED_OF_LIGHT * timed.toa[row]
+        want = f[:, :2] + np.sqrt(np.maximum(ct ** 2 - f[:, 2] ** 2, 0.0))[:, None] * [0.6, 0.8]
+        assert range_circle_start(timed, np.array([3.0, 4.0])).tobytes() == want.tobytes()
+
+
 def test_log_layout_computed_once_and_read_only():
     log = MeasurementLog(step=np.array([5, 2, 5]), user_id=np.array([9, 9, 4]),
                          gps=np.arange(9.0).reshape(3, 3), toa=np.zeros(3))
     assert log.pose is log.pose and log.pose_gps is log.pose_gps and log.user is log.user
-    assert log.pair_index is log.pair_index
+    assert log.pair_index is log.pair_index and log.pair_first is log.pair_first
     for name in ("steps", "user_ids", "pose", "user", "pose_gps"):
         with pytest.raises(FrozenInstanceError):
             setattr(log, name, None)
-    for array in (log.pose, log.user, log.pose_gps, log.pair_index):
+    for array in (log.pose, log.user, log.pose_gps, log.pair_index, log.pair_first):
         with pytest.raises(ValueError):
             array[0] = 0
 
