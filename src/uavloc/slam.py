@@ -67,9 +67,6 @@ class StateVector:
         return cls(uav=flat[:split].reshape(num_poses, 3).copy(),
                    users=flat[split:].reshape(num_users, 2).copy())
 
-    def copy(self):
-        return StateVector(self.uav.copy(), self.users.copy())
-
 
 @dataclass
 class NormalEquations:
@@ -433,17 +430,18 @@ def _range_misfit(p, ct, user, cand):
     its rows, its ToA sum of squares times C^2, for n candidate user sets
     `cand` (n, K, 2): (n, K), inf where NaN, so a NaN candidate loses.
     p (M, 3) holds the poses of the rows, ct (M,) their ranges C tau and
-    user (M,) their user indices. One (n, M) link evaluation; link_geometry
-    is not used because a candidate on a pose at z = 0 is scored, not
-    refused."""
+    user (M,) their user indices. One (n, M) link evaluation (not
+    link_geometry's: a candidate on a pose at z = 0 is scored, not refused)
+    and one bincount over user + K candidate."""
     h = p[:, :2] - np.take(cand, user, axis=1)
     miss = (ct - np.sqrt(np.vecdot(h, h) + p[:, 2] ** 2)) ** 2
-    cost = np.array([np.bincount(user, m, cand.shape[1]) for m in miss])
+    n, K = cand.shape[:2]
+    cost = np.bincount((user + K * np.arange(n)[:, None]).ravel(), miss.ravel(), n * K)
     cost[np.isnan(cost)] = np.inf
-    return cost
+    return cost.reshape(n, K)
 
 
-# The squared-range fit's Newton steps stop once every user's last step was
+# The squared-range fit's Newton steps stop once each user's last step was
 # at most this fraction of its argument, which leaves a relative error of
 # about its square (Newton converges quadratically at a simple root), or
 # after this many steps.
@@ -469,8 +467,8 @@ def _range_fit(p, ct, user, K: int):
     (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983). So Newton steps
     from below the root rise to it monotonically, and a step from above
     lands below it. A step goes no lower than halfway from t to the lower
-    end of the equation's domain, so none leaves it. The steps stop once
-    every user's last one was at most ROOT_RTOL of its t.
+    end of the equation's domain, so none leaves it. Each user's steps
+    (_secular_root) stop once its last one was at most ROOT_RTOL of its t.
     Where sum q y has no part along the minor axis and v at t = 0, all
     along the axis, is no longer than sqrt(mean(y) - 2 lambda_min / n) (the
     hard case, as on a straight track), the root is t = 0, mu =
@@ -480,8 +478,8 @@ def _range_fit(p, ct, user, K: int):
     fit centre + v and its mirror image about the principal axis, in that
     order (in the hard case the + and - images). A user whose track _tracks
     finds without extent along its axis gets its centre twice. Real
-    arithmetic, vectorized over the users; no float error arises on any
-    finite input.
+    arithmetic; a user's fit reads only its own rows and _tracks' log-wide
+    extent floor. No float error arises on any finite input.
     """
     tracks = _tracks(p[:, :2], user, K)
     count, centre, q, (big, small), major, minor, (extent, _) = tracks
@@ -496,28 +494,11 @@ def _range_fit(p, ct, user, K: int):
     c0 = y_sum - 2.0 * small        # n |v|^2 at t = 0
     a, b = g1 * g1, g2 * g2
     hard = extent & (b == 0.0) & (count * a <= c0 * gap * gap)
-    t = np.zeros(K)
     # the secular root where it is not the hard case's t = 0; a user with
     # sum q y = 0 that is not the hard case has v = 0 whatever t is
-    i = ~hard & ((a > 0.0) | (b > 0.0))
-    if i.any():
-        a, b, d, c, n = a[i], b[i], gap[i], c0[i], count[i]
-        lo = np.maximum(-c, 0.0)  # at the root t > 0 and t + c = n |v|^2 > 0
-        # start at mu = 0, the root at noiseless ranges, if that is above lo
-        ti = 2.0 * small[i]
-        ti = np.where(ti > lo, ti, lo + 2.0 * big[i])
-        half_n = 0.5 / n
-        for _ in range(ROOT_MAX_STEPS):
-            x, z, w = 1.0 / (ti + d), 1.0 / ti, n / (ti + c)
-            s, e = a * x * x, b * z * z
-            v_sq = s + e
-            r, rw = 1.0 / np.sqrt(v_sq), np.sqrt(w)
-            step = (r - rw) / ((s * x + e * z) * r / v_sq + w * rw * half_n)
-            # only a step from above the root can go lower than halfway to lo
-            ti, step = np.maximum(ti - step, 0.5 * (ti + lo)), np.abs(step) / ti
-            if step.max() <= ROOT_RTOL:
-                break
-        t[i] = ti
+    root = ~hard & ((a > 0.0) | (b > 0.0))
+    t = np.array([_secular_root(*sums) if go else 0.0 for go, *sums in zip(
+        root.tolist(), *(w.tolist() for w in (a, b, gap, c0, count, small, big)))])
     along = np.divide(-g1, t + gap, out=np.zeros(K), where=t + gap > 0.0)
     across = np.divide(-g2, t, out=np.zeros(K), where=t > 0.0)
     if hard.any():
@@ -525,6 +506,25 @@ def _range_fit(p, ct, user, K: int):
     point = centre + along[:, None] * major
     offset = across[:, None] * minor
     return tracks, np.array([point + offset, point - offset])
+
+
+def _secular_root(a, b, gap, c0, n, small, big):
+    """_range_fit's secular root t of one user from its sums, on Python floats."""
+    lo = max(-c0, 0.0)  # at the root t > 0 and t + c0 = n |v|^2 > 0
+    # start at mu = 0, the root at noiseless ranges, if that is above lo
+    t = 2.0 * small if 2.0 * small > lo else lo + 2.0 * big
+    half_n = 0.5 / n
+    for _ in range(ROOT_MAX_STEPS):
+        x, z, w = 1.0 / (t + gap), 1.0 / t, n / (t + c0)
+        s, e = a * x * x, b * z * z
+        v_sq = s + e
+        r, rw = 1.0 / math.sqrt(v_sq), math.sqrt(w)
+        step = (r - rw) / ((s * x + e * z) * r / v_sq + w * rw * half_n)
+        # only a step from above the root can go lower than halfway to lo
+        t, step = max(t - step, 0.5 * (t + lo)), abs(step) / t
+        if step <= ROOT_RTOL:
+            break
+    return t
 
 
 def range_circle_start(measurements, track) -> np.ndarray:

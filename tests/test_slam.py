@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,8 @@ from uavloc.slam import (NormalEquations, SlamConfig, StateVector,
                          gauss_newton_step, measurement_weights, objective,
                          initial_state, objective_terms, range_circle_start, residuals,
                          solve_slam, toa_jacobian_row)
-from uavloc.slam import _range_fit
+from uavloc import slam
+from uavloc.slam import _range_fit, _range_misfit
 
 
 def make_samples(uav_positions, users, gps_positions=None, noise=None):
@@ -945,6 +947,83 @@ def test_range_fit_raises_no_float_warning_on_degenerate_tracks(case, scale):
     assert np.isfinite(warm).all()
     if case == "under":
         np.testing.assert_allclose(start.users, users, rtol=0, atol=1e-6 * scale)
+
+
+@st.composite
+def shared_logs(draw):
+    """Rows (p, ct, user, K) of 1-6 users in +-100 m, each heard from its own
+    random subset of 3-20 poses, jittered about a spot, on an arc or on a
+    straight line, with range errors up to 10 m, in shuffled order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, K = draw(st.integers(3, 20)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["jittered", "arced", "straight"]))
+    if kind == "jittered":
+        spread = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+        xy = rng.uniform(-50.0, 50.0, 2) + rng.normal(0.0, spread, (n, 2))
+    elif kind == "arced":
+        angle = rng.uniform(0.0, 2 * np.pi) + np.linspace(0.0, rng.uniform(0.1, 2 * np.pi), n)
+        xy = rng.uniform(-20.0, 20.0, 2) + rng.uniform(10.0, 80.0) * np.column_stack(
+            [np.cos(angle), np.sin(angle)])
+    else:
+        xy = rng.uniform(-50.0, 50.0, 2) + np.outer(np.arange(n), rng.uniform(-8.0, 8.0, 2))
+    poses = np.column_stack([xy, rng.uniform(1.0, 100.0, n)])
+    heard = rng.random((n, K)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    heard[rng.integers(n, size=K), np.arange(K)] = True  # every user has a row
+    pose, user = (a[rng.permutation(heard.sum())] for a in np.nonzero(heard))
+    users = rng.uniform(-100.0, 100.0, (K, 2))
+    p = poses[pose]
+    dist = np.linalg.norm(p - np.column_stack([users[user], np.zeros(len(p))]), axis=1)
+    return p, np.maximum(dist + rng.uniform(-10.0, 10.0, len(p)), 0.0), user, K
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rows=shared_logs())
+def test_range_fit_of_a_user_reads_only_its_own_rows(rows):
+    # each user's fit over the whole log equals its fit over its rows alone,
+    # bit for bit, wherever the log-wide extent floor gives both one verdict
+    p, ct, user, K = rows
+    (*_, (extent, _)), fit = _range_fit(p, ct, user, K)
+    for k in range(K):
+        mine = user == k
+        (*_, (alone, _)), own = _range_fit(p[mine], ct[mine], np.zeros(mine.sum(), int), 1)
+        if alone[0] == extent[k]:
+            np.testing.assert_array_equal(own[:, 0], fit[:, k])
+
+
+@pytest.mark.parametrize("scale", [1e-38, 1e30])
+def test_range_fit_finds_every_root_without_float_error_at_any_scale(scale, monkeypatch):
+    # noisy ranges to three users from an arc: each user's Newton steps run
+    # at every scale, raise nothing and warn of nothing, and scale the fit
+    rng = np.random.default_rng(5)
+    p = circle(12, radius=40.0)[2:]
+    users = np.array(ID_USERS)
+    user = np.repeat(np.arange(3), len(p))
+    p = np.tile(p, (3, 1))
+    ct = np.hypot(np.linalg.norm(p[:, :2] - users[user], axis=1), p[:, 2])
+    ct += rng.uniform(-5.0, 5.0, len(p))
+    roots, root = [], slam._secular_root
+    monkeypatch.setattr(slam, "_secular_root", lambda *a: roots.append(a) or root(*a))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        fit = _range_fit(p * scale, ct * scale, user, 3)[1]
+    assert len(roots) == 3
+    np.testing.assert_allclose(fit / scale, _range_fit(p, ct, user, 3)[1], rtol=1e-9, atol=0)
+
+
+def test_range_misfit_equals_one_bincount_per_candidate():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        M, K, n = rng.integers(1, 40), rng.integers(1, 7), rng.integers(1, 5)
+        user = rng.integers(0, K, M)  # some users may have no row
+        p = np.column_stack([rng.uniform(-100.0, 100.0, (M, 2)), rng.uniform(0.0, 100.0, M)])
+        ct = rng.uniform(0.0, 300.0, M)
+        cand = rng.uniform(-100.0, 100.0, (n, K, 2))
+        cand[rng.random((n, K, 2)) < 0.15] = np.nan
+        h = p[:, :2] - np.take(cand, user, axis=1)
+        miss = (ct - np.sqrt(np.vecdot(h, h) + p[:, 2] ** 2)) ** 2
+        expect = np.array([np.bincount(user, m, K) for m in miss])
+        expect[np.isnan(expect)] = np.inf
+        np.testing.assert_array_equal(_range_misfit(p, ct, user, cand), expect)
 
 
 # --- basin_start ---
