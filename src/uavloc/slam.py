@@ -67,6 +67,9 @@ class StateVector:
         return cls(uav=flat[:split].reshape(num_poses, 3).copy(),
                    users=flat[split:].reshape(num_users, 2).copy())
 
+    def copy(self):
+        return StateVector(self.uav.copy(), self.users.copy())
+
 
 @dataclass
 class NormalEquations:
@@ -437,8 +440,7 @@ def _range_misfit(p, ct, user, cand):
     miss = (ct - np.sqrt(np.vecdot(h, h) + p[:, 2] ** 2)) ** 2
     n, K = cand.shape[:2]
     cost = np.bincount((user + K * np.arange(n)[:, None]).ravel(), miss.ravel(), n * K)
-    cost[np.isnan(cost)] = np.inf
-    return cost.reshape(n, K)
+    return np.where(np.isnan(cost), np.inf, cost).reshape(n, K)
 
 
 # The squared-range fit's Newton steps stop once each user's last step was
@@ -503,8 +505,7 @@ def _range_fit(p, ct, user, K: int):
     across = np.divide(-g2, t, out=np.zeros(K), where=t > 0.0)
     if hard.any():
         across[hard] = np.sqrt(np.maximum(c0 / count - along * along, 0.0))[hard]
-    point = centre + along[:, None] * major
-    offset = across[:, None] * minor
+    point, offset = centre + along[:, None] * major, across[:, None] * minor
     return tracks, np.array([point + offset, point - offset])
 
 
@@ -513,13 +514,12 @@ def _secular_root(a, b, gap, c0, n, small, big):
     lo = max(-c0, 0.0)  # at the root t > 0 and t + c0 = n |v|^2 > 0
     # start at mu = 0, the root at noiseless ranges, if that is above lo
     t = 2.0 * small if 2.0 * small > lo else lo + 2.0 * big
-    half_n = 0.5 / n
     for _ in range(ROOT_MAX_STEPS):
         x, z, w = 1.0 / (t + gap), 1.0 / t, n / (t + c0)
         s, e = a * x * x, b * z * z
         v_sq = s + e
         r, rw = 1.0 / math.sqrt(v_sq), math.sqrt(w)
-        step = (r - rw) / ((s * x + e * z) * r / v_sq + w * rw * half_n)
+        step = (r - rw) / ((s * x + e * z) * r / v_sq + w * rw * (0.5 / n))
         # only a step from above the root can go lower than halfway to lo
         t, step = max(t - step, 0.5 * (t + lo)), abs(step) / t
         if step <= ROOT_RTOL:
