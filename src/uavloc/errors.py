@@ -35,10 +35,7 @@ class UnitError(ParseError):
 
 
 class SchemaError(UavLocError):
-    """An input file does not have its format's layout: a measurement log
-    whose header is missing, unreadable or not the schema's, or that holds
-    no rows; a malformed `plan` state JSON; or a `crb` trajectory or users
-    CSV whose header, rows or numbering are not its format's."""
+    """An input file does not have its format's layout (iofiles' readers)."""
 
 
 class RowError(UavLocError):

@@ -1,5 +1,5 @@
-"""Scenario config parsing, measurement-log ingestion/export, and results
-serialization.
+"""Every file the package reads or writes: configs, measurement logs, plan
+states and crb's CSVs in; results, solutions and CRB histories out.
 
 Config documents are YAML with a strict schema: unknown keys and duplicate
 keys are rejected, units are meters/seconds/Hz throughout. CSV numbers are
@@ -19,15 +19,25 @@ from dataclasses import astuple, dataclass, fields, is_dataclass
 import numpy as np
 import yaml
 
+from . import fim
 from .errors import InvalidParam, ParseError, RowError, SchemaError, UnitError, UnknownKey
-from .fim import default_eps_prior
+from .fim import InfoState, default_eps_prior
 from .mission import DEFAULT_SOLVE_EVERY, MissionResult, check_options
-from .model import (LENGTH_MAX, SPEED_OF_LIGHT, AxisBox, MeasurementLog, Scenario,
-                    ToaNoiseModel, Vec2, Vec3, validate_scenario)
-from .planner import PlannerState
+from .model import (VALUE_COLUMNS, AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2,
+                    Vec3, first_value_fault, require_coordinate, require_prior,
+                    validate_scenario, within_reach)
+from .planner import PlannerState, reach_threshold
 from .slam import SlamConfig
 
-LOG_HEADER = ["step", "user_id", "gps_x", "gps_y", "gps_z", "toa_s"]
+LOG_HEADER = ["step", "user_id", *VALUE_COLUMNS]
+
+FILE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError)  # from reading or writing a file
+
+
+def read_text(path: str) -> str:
+    """An input file's UTF-8 text, newlines untranslated, for its format's parser."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
 
 
 class _StrictLoader(yaml.SafeLoader):
@@ -212,37 +222,24 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-# per column of (|gps|, toa_s): the largest value a row may hold
-_FAR_LIMIT = np.array([LENGTH_MAX] * 3 + [LENGTH_MAX / SPEED_OF_LIGHT])
-
-
 def _first_inconsistent(log: MeasurementLog):
     """Index and message of the first row of a parsed log that breaks a row
     rule of read_measurement_log; None if there is none. At the first bad
     row every row before it is valid, so the duplicate and GPS tests of each
     row against the rows before it agree with reading row by row. The tests
     read the log's index layout, which the returned log then carries."""
-    finite = np.isfinite(np.column_stack([log.gps, log.toa]))
-    # a GPS coordinate or a range C toa_s beyond LENGTH_MAX
-    far = np.column_stack([np.abs(log.gps), log.toa]) > _FAR_LIMIT
+    value = first_value_fault(log.gps, log.toa)
     repeated = np.ones(len(log), dtype=bool)
     repeated[log.pair_first] = False
-    # rule masks in the order a row is checked: a row that breaks two rules
-    # reports the first
-    rules = [~finite.all(axis=1), far.any(axis=1), log.toa < 0,
-             (log.step < 1) | (log.user_id < 1), repeated,
+    # after the value rules, in the order a row is checked: a row that breaks two reports the first
+    rules = [(log.step < 1) | (log.user_id < 1), repeated,
              np.any(log.gps != log.pose_gps[log.pose], axis=1)]
     bad = [(int(np.argmax(m)), r) for r, m in enumerate(rules) if m.any()]
-    if not bad:
-        return None
+    if not bad or (value and value[0] <= min(bad)[0]):
+        return value
     i, rule = min(bad)
     step, user_id = int(log.step[i]), int(log.user_id[i])
-    c = int(np.argmax(far[i]))
-    beyond = (f"{LOG_HEADER[2 + c]} must be at most {LENGTH_MAX:g} m in magnitude" if c < 3 else
-              f"toa_s must be at most {_FAR_LIMIT[3]:.6g} s, a range C*toa_s of {LENGTH_MAX:g} m")
-    return i, [f"{LOG_HEADER[2 + int(np.argmin(finite[i]))]} must be finite", beyond,
-               "toa_s must be >= 0", "step and user_id must be >= 1",
-               f"duplicate row for step {step}, user_id {user_id}",
+    return i, ["step and user_id must be >= 1", f"duplicate row for step {step}, user_id {user_id}",
                f"GPS fix differs from the first one given for step {step}"][rule]
 
 
@@ -282,7 +279,7 @@ def _loaded(body: str):
     return _log_of(rows)
 
 
-def csv_refusal(exc: csv.Error) -> str:
+def _csv_refusal(exc: csv.Error) -> str:
     """Why csv refused a record; a lone carriage return is named here, not by
     csv's advice about open(), which varies with the Python version."""
     if str(exc).startswith("new-line character"):
@@ -291,13 +288,18 @@ def csv_refusal(exc: csv.Error) -> str:
     return str(exc)  # e.g. a field over csv's size limit
 
 
+def _require_header(row, header: list[str], where: str = ""):
+    """SchemaError, led by `where`, unless a CSV's first record is `header`."""
+    if row != header:
+        raise SchemaError(f"{where}header must be exactly {','.join(header)}")
+
+
 def _read_rows(reader) -> MeasurementLog:
     """The row path of read_measurement_log: one walk over the csv records
-    after the header, numbered from 2, blank ones skipped, that converts
-    each field once, by int() or float(). It stops at the first record that
-    csv cannot read (a lone carriage return, a field over csv's size limit),
-    that does not hold 6 fields, that int() or float() refuses, or with an id
-    outside int64. A rule broken before the stop is the first bad row."""
+    after the header, numbered from 2, blank ones skipped, that converts each
+    field once, by int() or float(). It stops at the first record that csv
+    cannot read, that does not hold 6 fields, that int() or float() refuses,
+    or with an id outside int64; a rule broken before the stop comes first."""
     numbers, rows, error = [], [], None
     n = 1
     try:
@@ -319,7 +321,7 @@ def _read_rows(reader) -> MeasurementLog:
             numbers.append(n)
             rows.append((step, user_id, (x, y, z), toa))
     except csv.Error as exc:
-        error = n + 1, csv_refusal(exc)
+        error = n + 1, _csv_refusal(exc)
     log = _log_of(np.array(rows, dtype=_LOG_ROW))
     inconsistent = _first_inconsistent(log)
     if inconsistent is not None:
@@ -332,20 +334,16 @@ def _read_rows(reader) -> MeasurementLog:
 def read_measurement_log(text: str) -> MeasurementLog:
     """Parse a measurement-log CSV; the header must match the schema exactly.
 
-    Each row must hold finite numbers, GPS coordinates at most LENGTH_MAX
-    meters in magnitude, a toa_s >= 0 and at most LENGTH_MAX / C seconds, a
-    step and user_id >= 1 that fit in int64, a (step, user_id) pair not
-    given before, and for its step the same GPS fix as the step's first row;
-    a RowError names the first row that does not, or that csv cannot read.
+    Each row must meet model.first_value_fault's value rules, hold a step
+    and user_id >= 1 that fit in int64, a (step, user_id) pair not given
+    before, and for its step the same GPS fix as the step's first row; a
+    RowError names the first row that does not, or that csv cannot read.
     Blank lines are skipped but count in the row numbers.
 
-    np.loadtxt reads the body after the header in one pass, and its values
-    equal int()'s and float()'s bit for bit. Only a body numpy refuses, or
-    whose rows break a rule, is read again by the row path: one walk over
-    the csv records that converts each field once, by int() or float(), and
-    stops at the first record it cannot convert. The row path defines the
-    accepted grammar (it also reads spellings numpy refuses, such as 1_0 and
-    non-ASCII digits) and numbers the rows for the RowError.
+    np.loadtxt reads the body in one pass (_loaded), its values equal to
+    int()'s and float()'s bit for bit. Only a body numpy refuses, or whose
+    rows break a rule, is read again by the row path (_read_rows), which
+    defines the accepted grammar and numbers the rows for the RowError.
     """
     f = io.StringIO(text)
     reader = csv.reader(f)
@@ -354,9 +352,8 @@ def read_measurement_log(text: str) -> MeasurementLog:
     except StopIteration:
         raise SchemaError("missing header row") from None
     except csv.Error as exc:
-        raise SchemaError(f"unreadable header row: {csv_refusal(exc)}") from None
-    if header != LOG_HEADER:
-        raise SchemaError(f"header must be exactly {','.join(LOG_HEADER)}")
+        raise SchemaError(f"unreadable header row: {_csv_refusal(exc)}") from None
+    _require_header(header, LOG_HEADER)
     start = f.tell()
     body = f.read()
     log = _loaded(body)
@@ -366,75 +363,177 @@ def read_measurement_log(text: str) -> MeasurementLog:
     return _read_rows(reader)
 
 
+def _planner_state(doc, rc: RunConfig) -> PlannerState:
+    """PlannerState from a state JSON document; SchemaError if malformed."""
+    if not isinstance(doc, dict):
+        raise SchemaError("state JSON must be an object")
+    missing = [k for k in ("step", "pos", "fim", "user_estimates") if k not in doc]
+    if missing:
+        raise SchemaError(f"state JSON lacks {', '.join(missing)}")
+    s = rc.scenario
+    step = doc["step"]
+    if type(step) is not int or not 1 <= step < s.mission_steps:
+        raise SchemaError(f"state 'step' must be an integer in 1..{s.mission_steps - 1}")
+    try:
+        arrays = {k: np.asarray(doc[k], dtype=float) for k in ("pos", "user_estimates", "fim")}
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError("state 'pos', 'user_estimates' and 'fim' must hold numbers") from None
+    users = arrays["user_estimates"]
+    k = len(users) if users.ndim else 0
+    shapes = {"pos": (3,), "user_estimates": (max(k, 1), 2), "fim": (2 * k, 2 * k)}
+    for key, arr in arrays.items():
+        if arr.shape != shapes[key] or not np.all(np.isfinite(arr)):
+            raise SchemaError(f"state '{key}' must be finite numbers of shape {shapes[key]}")
+    require_coordinate("state.pos", *arrays["pos"].tolist())
+    terminal = s.uav_terminal.as_array()
+    dist = float(np.linalg.norm(arrays["pos"] - terminal))
+    # every mission state passes; from here the planner's fallback hop is within d_max
+    if not within_reach(dist, s.d_max, s.mission_steps - step):
+        reach = reach_threshold(step, s.mission_steps, s.d_max)
+        raise InvalidParam("state.pos", f"must lie within d_max*(N - step) = {reach:.6g} m of "
+                           f"uav_terminal, not {dist:.6g} m")
+    require_coordinate("state.user_estimates", *users.ravel().tolist())
+    # a JSON string or bool is refused, not converted
+    eps = float(require_prior("state.eps_prior", doc.get("eps_prior", rc.eps_prior)))
+    # the planner reads only the diagonal 2x2 blocks of fim
+    info = InfoState(step=step, fim=arrays["fim"], eps_prior=eps)
+    if not np.array_equal(info.fim, arrays["fim"]):
+        raise SchemaError("state 'fim' must be block-diagonal: every 2x2 block "
+                          "off the diagonal must be zero")
+    if np.any(info.blocks[:, 0, 1] != info.blocks[:, 1, 0]):
+        raise SchemaError("state 'fim' must have symmetric 2x2 diagonal blocks")
+    # fim's verdict; a singular state is left to the planner, a numeric failure
+    must = {"not positive semidefinite": "positive semidefinite 2x2 diagonal blocks",
+            "CRB trace overflow": "2x2 diagonal blocks whose CRB trace is finite"}
+    if (reason := fim.refusal(info.blocks, eps)) in must:
+        raise SchemaError(f"state 'fim' must have {must[reason]}")
+    return PlannerState(step=step, pos=arrays["pos"], terminal=terminal,
+                        mission_steps=s.mission_steps, d_max=s.d_max, info=info,
+                        user_estimates=users, noise_model=s.toa_noise, headings=rc.headings)
+
+
+def read_planner_state(text: str, rc: RunConfig) -> PlannerState:
+    """The PlannerState of `uavloc plan`'s state JSON text under config rc."""
+    return _planner_state(json.loads(text), rc)
+
+
+def _read_points(text: str, name: str, header: list[str]) -> np.ndarray:
+    """One or more rows of finite numbers under an exact header; SchemaError names `name`."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # a lone carriage return, a field over csv's size limit
+        raise SchemaError(f"{name}: unreadable CSV: {_csv_refusal(exc)}") from None
+    _require_header(rows[0] if rows else None, header, f"{name}: ")
+    rows = [row for row in rows[1:] if row]
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = None
+    # an empty list of rows gives shape (0,), which the shape test rejects
+    if data is None or data.shape != (len(rows), len(header)) or not np.all(np.isfinite(data)):
+        raise SchemaError(f"{name}: expected one or more rows of {len(header)} finite numbers")
+    require_coordinate(name, *data[:, 1:].ravel().tolist())
+    return data
+
+
+def read_trajectory(text: str, name: str) -> np.ndarray:
+    """The (N, 3) positions of crb's trajectory CSV, its steps 1, 2, ..., N."""
+    traj = _read_points(text, name, ["step", "x", "y", "z"])
+    if not np.array_equal(traj[:, 0], np.arange(1, len(traj) + 1)):  # the history's numbering
+        raise SchemaError(f"{name}: steps must be 1, 2, ..., N in order")
+    return traj[:, 1:]
+
+
+def read_users(text: str, name: str) -> np.ndarray:
+    """The (K, 2) positions of crb's users CSV, its ids distinct integers >= 1."""
+    users = _read_points(text, name, ["user_id", "x", "y"])
+    ids = users[:, 0]
+    if ids.min() < 1 or np.any(ids % 1) or len(np.unique(ids)) < len(ids):
+        raise SchemaError(f"{name}: user ids must be distinct integers >= 1")
+    return users[:, 1:]
+
+
+def json_text(payload) -> str:
+    """A JSON output's text: payload indented by 2, then a newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """A CSV output's text: the header, then the rows, each line ended by \\n."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+def _write_file(out_dir: str, name: str, text: str) -> str:
+    """Write text to out_dir/name, making out_dir; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+    return path
+
+
 def write_measurement_log(samples) -> str:
     """The CSV of a MeasurementLog or a list of MeasurementSample, rows sorted
     by (step, user_id)."""
     log = MeasurementLog.of(samples)
     order = np.lexsort((log.user_id, log.step))
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(LOG_HEADER)
     rows = zip(log.step[order].tolist(), log.user_id[order].tolist(),
                log.gps[order].tolist(), log.toa[order].tolist())
-    w.writerows([step, user_id, *map(_fmt, gps), _fmt(toa)] for step, user_id, gps, toa in rows)
-    return out.getvalue()
-
-
-def _write_csv(out_dir: str, name: str, header: list[str], rows) -> str:
-    """Write a header and rows to the CSV file out_dir/name; returns its path."""
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    return path
+    return _csv_text(LOG_HEADER, ([step, user_id, *map(_fmt, gps), _fmt(toa)]
+                                  for step, user_id, gps, toa in rows))
 
 
 def write_crb_history(history, out_dir: str) -> str:
-    """Write crb_history.csv, the CRB trace (m^2) after each step, into
-    out_dir; returns its path."""
-    return _write_csv(out_dir, "crb_history.csv", ["step", "crb_trace_m2"],
-                      ([n, _fmt(v)] for n, v in enumerate(history, start=1)))
+    """Write crb_history.csv, the CRB trace (m^2) after each step, to out_dir; returns its path."""
+    return _write_file(out_dir, "crb_history.csv", _csv_text(
+        ["step", "crb_trace_m2"], ([n, _fmt(v)] for n, v in enumerate(history, start=1))))
 
 
 def mission_report(result: MissionResult) -> dict:
-    """A mission's metrics, final CRB trace and convergence as plain JSON
-    values, under the keys that metrics.json and `uavloc simulate`'s output
-    share, in metrics.json's order."""
+    """A mission's metrics, final CRB trace and convergence as plain JSON values:
+    the keys that metrics.json and `uavloc simulate`'s report share, in order."""
     m = result.metrics
     return {"user_abs_errors_m": list(m.user_abs_errors), "user_rmse_m": m.user_rmse,
             "uav_rmse_est_m": m.uav_rmse_est, "uav_rmse_gps_m": m.uav_rmse_gps,
             "final_crb_trace_m2": float(result.crb_history[-1]), "converged": result.converged}
 
 
+def solve_report(log: MeasurementLog, state, report) -> dict:
+    """`uavloc solve`'s report of a solve of log as plain JSON values, in solution.json's order."""
+    return {"converged": report.converged, "iterations": report.iterations,
+            "trials": report.trials, "final_objective": report.objective_trace[-1],
+            "users": dict(zip(map(str, log.user_ids), state.users.tolist())),
+            "uav_steps": list(log.steps)}
+
+
+def export_solution(log: MeasurementLog, state, report, out_dir: str) -> str:
+    """Write solve_report, and the poses under "uav", to out_dir/solution.json; returns its path."""
+    uav = dict(zip(map(str, log.steps), state.uav.tolist()))
+    return _write_file(out_dir, "solution.json",
+                       json_text(solve_report(log, state, report) | {"uav": uav}))
+
+
 def export_results(result: MissionResult, scenario: Scenario, out_dir: str) -> list[str]:
     """Write trajectory.csv, users.csv, crb_history.csv, metrics.json and
     measurements.csv into out_dir; returns the written paths."""
-    os.makedirs(out_dir, exist_ok=True)
     est = {n: [_fmt(v) for v in e] for n, e in zip(result.retained_steps, result.uav_estimates)}
     trajectory = ([n, *map(_fmt, true), *map(_fmt, gps), *est.get(n, ["", "", ""])]
                   for n, (true, gps) in enumerate(zip(result.planned, result.gps), start=1))
     users = ([k, _fmt(u.x), _fmt(u.y), *map(_fmt, e), _fmt(err)]
              for k, (u, e, err) in enumerate(zip(scenario.users, result.user_estimates,
                                                  result.metrics.user_abs_errors), start=1))
-    written = [
-        _write_csv(out_dir, "trajectory.csv", ["step", "true_x", "true_y", "true_z", "gps_x",
-                                               "gps_y", "gps_z", "est_x", "est_y", "est_z"],
-                   trajectory),
-        _write_csv(out_dir, "users.csv",
-                   ["user_id", "true_x", "true_y", "est_x", "est_y", "abs_error_m"], users),
+    metrics = mission_report(result) | {"retained_steps": list(result.retained_steps)}
+    return [
+        _write_file(out_dir, "trajectory.csv", _csv_text(
+            ["step", "true_x", "true_y", "true_z", "gps_x", "gps_y", "gps_z", "est_x", "est_y",
+             "est_z"], trajectory)),
+        _write_file(out_dir, "users.csv", _csv_text(
+            ["user_id", "true_x", "true_y", "est_x", "est_y", "abs_error_m"], users)),
         write_crb_history(result.crb_history, out_dir),
+        _write_file(out_dir, "metrics.json", json_text(metrics)),
+        _write_file(out_dir, "measurements.csv", write_measurement_log(result.samples)),
     ]
-
-    path = os.path.join(out_dir, "metrics.json")
-    with open(path, "w") as f:
-        json.dump(mission_report(result) | {"retained_steps": list(result.retained_steps)},
-                  f, indent=2)
-        f.write("\n")
-    written.append(path)
-
-    path = os.path.join(out_dir, "measurements.csv")
-    with open(path, "w", newline="") as f:
-        f.write(write_measurement_log(result.samples))
-    written.append(path)
-    return written

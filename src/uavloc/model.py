@@ -158,15 +158,18 @@ class MeasurementLog(Sequence):
     @classmethod
     def of(cls, measurements) -> MeasurementLog:
         """A MeasurementLog unchanged; any other iterable of MeasurementSample
-        as the columns of its rows, in order."""
+        as the columns of its rows, in order; ValueError at a row first_value_fault refuses."""
         if isinstance(measurements, cls):
             return measurements
         rows = list(measurements)
-        return cls(step=np.array([m.step for m in rows], dtype=np.int64),
-                   user_id=np.array([m.user_id for m in rows], dtype=np.int64),
-                   gps=np.array([(m.gps_pos.x, m.gps_pos.y, m.gps_pos.z) for m in rows],
-                                dtype=float).reshape(-1, 3),
-                   toa=np.array([m.toa for m in rows], dtype=float))
+        log = cls(step=np.array([m.step for m in rows], dtype=np.int64),
+                  user_id=np.array([m.user_id for m in rows], dtype=np.int64),
+                  gps=np.array([(m.gps_pos.x, m.gps_pos.y, m.gps_pos.z) for m in rows],
+                               dtype=float).reshape(-1, 3),
+                  toa=np.array([m.toa for m in rows], dtype=float))
+        if (fault := first_value_fault(log.gps, log.toa)) is not None:
+            raise ValueError(f"sample {fault[0]}: {fault[1]}")
+        return log
 
     def __len__(self):
         return len(self.toa)
@@ -214,6 +217,28 @@ REACH_SLACK = 1e-12
 # for any log of fewer than 1e21 rows. A weight 1 / sigma^2, or eps_prior,
 # is at most LENGTH_MAX^2 m^-2, so a weighted squared residual is at most 4 LENGTH_MAX^4.
 LENGTH_MAX = 1e40
+
+VALUE_COLUMNS = ("gps_x", "gps_y", "gps_z", "toa_s")  # a measurement's values, as a log names them
+_VALUE_LIMIT = np.array([LENGTH_MAX] * 3 + [LENGTH_MAX / SPEED_OF_LIGHT])
+
+
+def first_value_fault(gps, toa):
+    """(row, message) of the first measurement, GPS fix gps (M, 3) and delay toa
+    (M,) in s, to break a value rule, else None. The rules, in order: every value
+    finite, within LENGTH_MAX (a range C toa_s within it), and toa_s >= 0."""
+    finite = np.isfinite(np.column_stack([gps, toa]))
+    far = np.column_stack([np.abs(gps), toa]) > _VALUE_LIMIT
+    rules = [~finite.all(axis=1), far.any(axis=1), toa < 0]
+    bad = [(int(np.argmax(m)), r) for r, m in enumerate(rules) if m.any()]
+    if not bad:
+        return None
+    i, rule = min(bad)
+    c = int(np.argmax(far[i]))
+    beyond = (f"{VALUE_COLUMNS[c]} must be at most {LENGTH_MAX:g} m in magnitude" if c < 3 else
+              f"toa_s must be at most {_VALUE_LIMIT[3]:.6g} s, a range C*toa_s of {LENGTH_MAX:g} m")
+    return i, [f"{VALUE_COLUMNS[int(np.argmin(finite[i]))]} must be finite", beyond,
+               "toa_s must be >= 0"][rule]
+
 
 # The most standard deviations a numpy Generator's normal draw lies from its
 # mean: its ziggurat goes past the edge r = 3.6541528853610088 only as r + x,

@@ -26,9 +26,9 @@ import uavloc
 from uavloc import fim as fim_module
 from uavloc import mission, planner
 from uavloc.channel import los_delay
-from uavloc.cli import _load_config, _planner_state, build_parser, main
+from uavloc.cli import _load_config, build_parser, main
 from uavloc.errors import InvalidParam, ParseError, RowError, SchemaError, UnknownKey
-from uavloc.iofiles import (LOG_HEADER, export_results, parse_run_config,
+from uavloc.iofiles import (LOG_HEADER, _planner_state, export_results, parse_run_config,
                             parse_scenario, read_measurement_log,
                             serialize_scenario, write_measurement_log)
 from uavloc.mission import check_options, run_mission

@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 import uavloc
 import uavloc.model
 from uavloc.channel import toa_gradient
-from uavloc.cli import _planner_state
 from uavloc.errors import InvalidParam, TerminalUnreachable
 from uavloc.fim import default_eps_prior, improvement_traces, initial_info, step_contribution
-from uavloc.iofiles import RunConfig
+from uavloc.iofiles import RunConfig, _planner_state
 from uavloc.mission import run_mission
 from uavloc.model import (LENGTH_MAX, REACH_SLACK, SPEED_OF_LIGHT, AxisBox, MeasurementLog,
                           MeasurementSample, Scenario, ToaNoiseModel, Vec2, Vec3,

@@ -20,8 +20,9 @@ def test_outputs_hashes_every_covered_output():
     for case in ("readme", "variant"):
         for run in ("greedy-ideal", "greedy-nr", "fixed-ideal", "fixed-nr"):
             want += [f"simulate/{case}/{run}", *(f"simulate/{case}/{run}/{f}" for f in files),
-                     f"solve/{case}/{run}"]
-        want += [f"plan/{case}", f"crb/{case}", f"mc/{case}/greedy-ideal", f"mc/{case}/fixed-nr"]
+                     f"solve/{case}/{run}", f"solve/{case}/{run}/solution.json"]
+        want += [f"plan/{case}", f"crb/{case}", f"crb/{case}/crb_history.csv",
+                 f"mc/{case}/greedy-ideal", f"mc/{case}/fixed-nr"]
     for seed in (1, 2, 3):
         want += [f"plan_queries/seed{seed}/waypoints",
                  *(f"online_greedy_nr/seed{seed}/{what}"

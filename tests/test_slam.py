@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -577,6 +578,26 @@ def test_solve_slam_logs_nothing(caplog):
     with caplog.at_level(logging.DEBUG, logger="uavloc"):
         solve_slam(init, make_samples(uavs, ID_USERS), SlamConfig())
     assert caplog.records == []
+
+
+# a sample list meets the log reader's value rules where it becomes a log:
+# a NaN delay used to end a solve with a NaN objective, a negative one to
+# converge, and an infinite first GPS fix to warn inside initial_state
+@pytest.mark.parametrize("row, change, rule", [
+    (5, {"toa": float("nan")}, "toa_s must be finite"),
+    (5, {"toa": -1e-9}, "toa_s must be >= 0"),
+    (0, {"gps_pos": Vec3(float("inf"), 0.0, 30.0)}, "gps_x must be finite"),
+], ids=["nan_toa", "negative_toa", "infinite_gps"])
+def test_a_sample_list_breaking_a_value_rule_is_refused_by_name(row, change, rule):
+    samples = make_samples(circle(8), ID_USERS[:2])
+    init = initial_state(samples)
+    samples[row] = replace(samples[row], **change)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^sample {row}: {rule}$"):
+            solve_slam(init, samples, SlamConfig())
+        with pytest.raises(ValueError, match=f"^sample {row}: {rule}$"):
+            initial_state(samples)
 
 
 # --- initial_state ---

@@ -15,8 +15,10 @@ The outputs:
   file), greedy/fixed x ideal/NR, on the README scenario and on a variant with
   a building, exponential noise with a drift ramp and NLOS excess, and
   `solver.per_distance_weights: true`;
-- `uavloc solve --json` of each simulated log, `uavloc plan` and `uavloc crb`
-  on fixed inputs, and `uavloc mc --runs 2 --json`, on both scenarios;
+- `uavloc solve --json --out` of each simulated log (stdout and
+  `solution.json`), `uavloc plan` and `uavloc crb` on fixed inputs (`crb`'s
+  stdout, and the `crb_history.csv` of a second run with `--out`), and
+  `uavloc mc --runs 2 --json`, on both scenarios;
 - the benchmark's `plan_queries` waypoints and `online_greedy_nr` flights,
   estimates and CRB histories of seeds 1-3 (`perfbench.workloads`, read only).
 The CLI runs in-process through `uavloc.cli.main`, inside a fresh temporary
@@ -130,10 +132,16 @@ def cli_outputs() -> dict:
                 for f in sorted(os.listdir(out)):
                     hashes[f"simulate/{name}/{f}"] = _digest(Path(out, f).read_bytes())
                 hashes[f"solve/{name}"] = _run_cli(
-                    ["solve", *scenario, "--log", f"{out}/measurements.csv", "--json"])
+                    ["solve", *scenario, "--log", f"{out}/measurements.csv", "--json",
+                     "--out", f"{out}-solve"])
+                hashes[f"solve/{name}/solution.json"] = _digest(
+                    Path(f"{out}-solve", "solution.json").read_bytes())
         hashes[f"plan/{case}"] = _run_cli(["plan", *scenario, "--state", f"{case}-state.json"])
-        hashes[f"crb/{case}"] = _run_cli(["crb", *scenario, "--trajectory", "trajectory.csv",
-                                          "--users", f"{case}-users.csv"])
+        crb = ["crb", *scenario, "--trajectory", "trajectory.csv", "--users", f"{case}-users.csv"]
+        hashes[f"crb/{case}"] = _run_cli(crb)
+        _run_cli([*crb, "--out", f"{case}-crb"])
+        hashes[f"crb/{case}/crb_history.csv"] = _digest(
+            Path(f"{case}-crb", "crb_history.csv").read_bytes())
         for mode, toa in (("greedy", "ideal"), ("fixed", "nr")):
             hashes[f"mc/{case}/{mode}-{toa}"] = _run_cli(
                 ["mc", *scenario, "--runs", "2", "--mode", mode, "--toa", toa, "--json"])
