@@ -35,11 +35,11 @@ class UnitError(ParseError):
 
 
 class SchemaError(UavLocError):
-    """An input file does not have its format's layout (iofiles' readers)."""
+    """An input file lacks its format's layout, e.g. a log's header; a bad log row is a RowError."""
 
 
 class RowError(UavLocError):
-    """A measurement log row is malformed."""
+    """A log row csv cannot read, or that breaks a MeasurementLog rule or its file's own."""
 
     def __init__(self, row, message):
         self.row = row

@@ -24,8 +24,7 @@ from .errors import InvalidParam, ParseError, RowError, SchemaError, UnitError, 
 from .fim import InfoState, default_eps_prior
 from .mission import DEFAULT_SOLVE_EVERY, MissionResult, check_options
 from .model import (VALUE_COLUMNS, AxisBox, MeasurementLog, Scenario, ToaNoiseModel, Vec2,
-                    Vec3, first_value_fault, require_coordinate, require_prior,
-                    validate_scenario, within_reach)
+                    Vec3, require_coordinate, require_prior, validate_scenario, within_reach)
 from .planner import PlannerState, reach_threshold
 from .slam import SlamConfig
 
@@ -227,20 +226,18 @@ def _first_inconsistent(log: MeasurementLog):
     rule of read_measurement_log; None if there is none. At the first bad
     row every row before it is valid, so the duplicate and GPS tests of each
     row against the rows before it agree with reading row by row. The tests
-    read the log's index layout, which the returned log then carries."""
-    value = first_value_fault(log.gps, log.toa)
+    read the log's index layout and fault, which the returned log then carries."""
     repeated = np.ones(len(log), dtype=bool)
     repeated[log.pair_first] = False
-    # after the value rules, in the order a row is checked: a row that breaks two reports the first
-    rules = [(log.step < 1) | (log.user_id < 1), repeated,
-             np.any(log.gps != log.pose_gps[log.pose], axis=1)]
+    rules = [(log.step < 1) | (log.user_id < 1), repeated]
     bad = [(int(np.argmax(m)), r) for r, m in enumerate(rules) if m.any()]
-    if not bad or (value and value[0] <= min(bad)[0]):
-        return value
-    i, rule = min(bad)
-    step, user_id = int(log.step[i]), int(log.user_id[i])
-    return i, ["step and user_id must be >= 1", f"duplicate row for step {step}, user_id {user_id}",
-               f"GPS fix differs from the first one given for step {step}"][rule]
+    # a row's file rules come after its value rules (fault's 0-2) and before its GPS rule (3)
+    if log.fault and (not bad or log.fault[:2] < (min(bad)[0], 3)):
+        return log.fault[0], log.fault[2]
+    if bad:
+        i, rule = min(bad)
+        return i, ["step and user_id must be >= 1",
+                   f"duplicate row for step {log.step[i]}, user_id {log.user_id[i]}"][rule]
 
 
 # A log row as np.loadtxt reads it. numpy parses a float field with
@@ -334,11 +331,12 @@ def _read_rows(reader) -> MeasurementLog:
 def read_measurement_log(text: str) -> MeasurementLog:
     """Parse a measurement-log CSV; the header must match the schema exactly.
 
-    Each row must meet model.first_value_fault's value rules, hold a step
-    and user_id >= 1 that fit in int64, a (step, user_id) pair not given
-    before, and for its step the same GPS fix as the step's first row; a
-    RowError names the first row that does not, or that csv cannot read.
-    Blank lines are skipped but count in the row numbers.
+    Each row must meet a MeasurementLog's rules (finite values within
+    LENGTH_MAX, toa_s >= 0, its step's first GPS fix) and the file's own: a
+    step and user_id >= 1 that fit in int64, and a (step, user_id) pair not
+    given before. A RowError names the first row that does not, or that csv
+    cannot read, by the first rule it breaks. Blank lines are skipped but
+    count in the row numbers. The log keeps its fault for the solver entries.
 
     np.loadtxt reads the body in one pass (_loaded), its values equal to
     int()'s and float()'s bit for bit. Only a body numpy refuses, or whose
@@ -477,8 +475,8 @@ def _write_file(out_dir: str, name: str, text: str) -> str:
 
 
 def write_measurement_log(samples) -> str:
-    """The CSV of a MeasurementLog or a list of MeasurementSample, rows sorted
-    by (step, user_id)."""
+    """The CSV of a MeasurementLog or a list of MeasurementSample that
+    MeasurementLog.of accepts, rows sorted by (step, user_id)."""
     log = MeasurementLog.of(samples)
     order = np.lexsort((log.user_id, log.step))
     rows = zip(log.step[order].tolist(), log.user_id[order].tolist(),

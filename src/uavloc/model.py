@@ -121,7 +121,8 @@ class MeasurementLog(Sequence):
     user) + e for entry e, laid out entry-major. pair_first and pair_index
     are each computed the first time they are read, pair_first by one
     stable sort. Every log derives its layout from its own columns, so the
-    columns must not change once the layout has been read.
+    columns must not change once the layout has been read. So is fault, the
+    first row to break a log's rules, which `of` enforces for every solver entry.
     """
     step: np.ndarray
     user_id: np.ndarray
@@ -155,20 +156,44 @@ class MeasurementLog(Sequence):
         pair.flags.writeable = False
         return pair
 
+    @cached_property
+    def fault(self):
+        """(i, rule, message) of the first row i to break a rule of a log, rule
+        the index of the first it breaks, in the order a row is checked: its
+        values finite (0) and within LENGTH_MAX, a range C toa_s within it
+        (1), toa_s >= 0 (2), and its GPS fix its step's first (3); else None."""
+        finite = np.isfinite(np.column_stack([self.gps, self.toa]))
+        far = np.column_stack([np.abs(self.gps), self.toa]) > _VALUE_LIMIT
+        rules = [~finite, far, self.toa[:, None] < 0, self.gps != self.pose_gps[self.pose]]
+        # each rule's first row: a mask's first True, row-major, lies in it
+        bad = [(int(np.argmax(m)) // m.shape[1], r) for r, m in enumerate(rules) if m.any()]
+        if not bad:
+            return None
+        i, rule = min(bad)
+        c = int(np.argmax(far[i]))
+        beyond = (f"{VALUE_COLUMNS[c]} must be at most {LENGTH_MAX:g} m in magnitude" if c < 3
+                  else f"toa_s must be at most {_VALUE_LIMIT[3]:.6g} s, a range C*toa_s of "
+                  f"{LENGTH_MAX:g} m")
+        return i, rule, [f"{VALUE_COLUMNS[int(np.argmin(finite[i]))]} must be finite", beyond,
+                         "toa_s must be >= 0",
+                         f"GPS fix differs from the first one given for step {self.step[i]}"][rule]
+
     @classmethod
     def of(cls, measurements) -> MeasurementLog:
-        """A MeasurementLog unchanged; any other iterable of MeasurementSample
-        as the columns of its rows, in order; ValueError at a row first_value_fault refuses."""
-        if isinstance(measurements, cls):
-            return measurements
-        rows = list(measurements)
-        log = cls(step=np.array([m.step for m in rows], dtype=np.int64),
-                  user_id=np.array([m.user_id for m in rows], dtype=np.int64),
-                  gps=np.array([(m.gps_pos.x, m.gps_pos.y, m.gps_pos.z) for m in rows],
-                               dtype=float).reshape(-1, 3),
-                  toa=np.array([m.toa for m in rows], dtype=float))
-        if (fault := first_value_fault(log.gps, log.toa)) is not None:
-            raise ValueError(f"sample {fault[0]}: {fault[1]}")
+        """The MeasurementLog every solver entry reads: a log itself, any other
+        iterable of MeasurementSample as the columns of its rows, in order.
+        ValueError if it has no rows, or naming the sample that fault names."""
+        if not isinstance(log := measurements, cls):
+            rows = list(measurements)
+            log = cls(step=np.array([m.step for m in rows], dtype=np.int64),
+                      user_id=np.array([m.user_id for m in rows], dtype=np.int64),
+                      gps=np.array([(m.gps_pos.x, m.gps_pos.y, m.gps_pos.z) for m in rows],
+                                   dtype=float).reshape(-1, 3),
+                      toa=np.array([m.toa for m in rows], dtype=float))
+        if not len(log):
+            raise ValueError("measurement set is empty")
+        if log.fault:
+            raise ValueError(f"sample {log.fault[0]}: {log.fault[2]}")
         return log
 
     def __len__(self):
@@ -220,24 +245,6 @@ LENGTH_MAX = 1e40
 
 VALUE_COLUMNS = ("gps_x", "gps_y", "gps_z", "toa_s")  # a measurement's values, as a log names them
 _VALUE_LIMIT = np.array([LENGTH_MAX] * 3 + [LENGTH_MAX / SPEED_OF_LIGHT])
-
-
-def first_value_fault(gps, toa):
-    """(row, message) of the first measurement, GPS fix gps (M, 3) and delay toa
-    (M,) in s, to break a value rule, else None. The rules, in order: every value
-    finite, within LENGTH_MAX (a range C toa_s within it), and toa_s >= 0."""
-    finite = np.isfinite(np.column_stack([gps, toa]))
-    far = np.column_stack([np.abs(gps), toa]) > _VALUE_LIMIT
-    rules = [~finite.all(axis=1), far.any(axis=1), toa < 0]
-    bad = [(int(np.argmax(m)), r) for r, m in enumerate(rules) if m.any()]
-    if not bad:
-        return None
-    i, rule = min(bad)
-    c = int(np.argmax(far[i]))
-    beyond = (f"{VALUE_COLUMNS[c]} must be at most {LENGTH_MAX:g} m in magnitude" if c < 3 else
-              f"toa_s must be at most {_VALUE_LIMIT[3]:.6g} s, a range C*toa_s of {LENGTH_MAX:g} m")
-    return i, [f"{VALUE_COLUMNS[int(np.argmin(finite[i]))]} must be finite", beyond,
-               "toa_s must be >= 0"][rule]
 
 
 # The most standard deviations a numpy Generator's normal draw lies from its

@@ -145,14 +145,6 @@ class SlamConfig:
                       "noise_model": s.toa_noise} | options)
 
 
-def _nonempty_log(measurements) -> MeasurementLog:
-    """MeasurementLog.of(measurements); ValueError if it has no rows."""
-    log = MeasurementLog.of(measurements)
-    if not len(log):
-        raise ValueError("measurement set is empty")
-    return log
-
-
 def toa_jacobian_row(uav, user) -> np.ndarray:
     """[dr/dx (3 entries), dr/du (2 entries)] of the ToA residual r = tau_hat - ||x - u||/C."""
     g = toa_gradient(uav, user)[0]
@@ -197,7 +189,7 @@ def objective_terms(res, w_gps: float, w_toa, huber_delta: float | None = None) 
 
 def objective(state: StateVector, measurements, cfg: SlamConfig) -> float:
     """Negative log-likelihood (up to constants) of the measurement set."""
-    res = residuals(_nonempty_log(measurements), state.flatten())
+    res = residuals(MeasurementLog.of(measurements), state.flatten())
     return objective_terms(res, *measurement_weights(res, cfg), cfg.huber_delta)
 
 
@@ -361,7 +353,7 @@ def solve_slam(init: StateVector, measurements, cfg: SlamConfig):
     iterations, or no damping up to LAMBDA_MAX / r^2 gives a step that does
     not raise f.
     """
-    log = _nonempty_log(measurements)
+    log = MeasurementLog.of(measurements)
     S, K = len(log.steps), len(log.user_ids)
     if init.uav.shape != (S, 3) or init.users.shape != (K, 2):
         raise ValueError("initial state dimensions do not match the measurement set")
@@ -469,7 +461,7 @@ def _range_fit(p, ct, user, K: int):
     (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983). So Newton steps
     from below the root rise to it monotonically, and a step from above
     lands below it. A step goes no lower than halfway from t to the lower
-    end of the equation's domain, so none leaves it. Each user's steps
+    end lo of the equation's domain, and none reaches lo. Each user's steps
     (_secular_root) stop once its last one was at most ROOT_RTOL of its t.
     Where sum q y has no part along the minor axis and v at t = 0, all
     along the axis, is no longer than sqrt(mean(y) - 2 lambda_min / n) (the
@@ -520,8 +512,11 @@ def _secular_root(a, b, gap, c0, n, small, big):
         v_sq = s + e
         r, rw = 1.0 / math.sqrt(v_sq), math.sqrt(w)
         step = (r - rw) / ((s * x + e * z) * r / v_sq + w * rw * (0.5 / n))
-        # only a step from above the root can go lower than halfway to lo
-        t, step = max(t - step, 0.5 * (t + lo)), abs(step) / t
+        # only a step from above the root can go lower than halfway to lo, and
+        # none reaches lo: where halfway rounds to lo, the root is t to rounding
+        if (t_next := max(t - step, 0.5 * (t + lo))) <= lo:
+            break
+        t, step = t_next, abs(step) / t
         if step <= ROOT_RTOL:
             break
     return t
@@ -532,7 +527,7 @@ def range_circle_start(measurements, track) -> np.ndarray:
     + h e, with f the GPS fix and tau the delay of the user's earliest row
     (the first in log order at its lowest step), h = sqrt(max((C tau)^2 -
     f_z^2, 0)) and e = track / |track|, or (1, 0) where track is zero."""
-    log = _nonempty_log(measurements)
+    log = MeasurementLog.of(measurements)
     # the first rows of the (pose, user) pairs in (user, pose) order: a user's first is its earliest
     pairs = log.pair_first
     count = np.bincount(log.user[pairs], minlength=len(log.user_ids))
@@ -566,7 +561,7 @@ def basin_start(measurements, poses, users) -> np.ndarray:
     move a user out of it once the track has bent enough to tell the two
     images apart.
     """
-    log = _nonempty_log(measurements)
+    log = MeasurementLog.of(measurements)
     user, p, K = log.user, np.take(poses, log.pose, axis=0), len(log.user_ids)
     ct = SPEED_OF_LIGHT * log.toa
     (_, centre, _, _, _, minor, (extent, _)), fit = _range_fit(p, ct, user, K)
@@ -581,7 +576,7 @@ def initial_state(measurements, rng=None) -> StateVector:
     """Default start of a recorded log (`uavloc solve`): the poses at their
     GPS fixes, the users by basin_start there from range_circle_start along
     the GPS track. Nothing is drawn; `rng` is deprecated and ignored."""
-    log = _nonempty_log(measurements)
+    log = MeasurementLog.of(measurements)
     gps = log.pose_gps
     users = range_circle_start(log, gps[-1, :2] - gps[0, :2])
     return StateVector(uav=gps.copy(), users=basin_start(log, gps, users))

@@ -437,8 +437,9 @@ def test_pair_first_is_the_first_row_of_each_pair(logs):
         assert sorted(log.pair_first.tolist()) == sorted(unique_first.tolist())
         if not len(log):
             continue
-        # range_circle_start's earliest row per user, as a stable sort found it
-        timed = MeasurementLog(log.step, log.user_id, log.gps,
+        # range_circle_start's earliest row per user, as a stable sort found it,
+        # on the log with each step's first GPS fix in all its rows, as a log's rules ask
+        timed = MeasurementLog(log.step, log.user_id, log.pose_gps[log.pose],
                                toa=np.arange(len(log), 0, -1) * 1e-6)
         order = np.argsort(timed.user * len(timed.steps) + timed.pose, kind="stable")
         count = np.bincount(timed.user, minlength=len(timed.user_ids))

@@ -1,7 +1,7 @@
 import logging
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -580,24 +580,45 @@ def test_solve_slam_logs_nothing(caplog):
     assert caplog.records == []
 
 
-# a sample list meets the log reader's value rules where it becomes a log:
-# a NaN delay used to end a solve with a NaN objective, a negative one to
-# converge, and an infinite first GPS fix to warn inside initial_state
-@pytest.mark.parametrize("row, change, rule", [
-    (5, {"toa": float("nan")}, "toa_s must be finite"),
-    (5, {"toa": -1e-9}, "toa_s must be >= 0"),
-    (0, {"gps_pos": Vec3(float("inf"), 0.0, 30.0)}, "gps_x must be finite"),
-], ids=["nan_toa", "negative_toa", "infinite_gps"])
-def test_a_sample_list_breaking_a_value_rule_is_refused_by_name(row, change, rule):
+def log_of_columns(samples):
+    """The MeasurementLog of samples' columns, built as a library caller builds one."""
+    return MeasurementLog(step=np.array([m.step for m in samples]),
+                          user_id=np.array([m.user_id for m in samples]),
+                          gps=np.array([astuple(m.gps_pos) for m in samples]),
+                          toa=np.array([m.toa for m in samples]))
+
+
+# A sample list or a log built from columns meets a log's rules at every solver
+# entry: a NaN delay used to end a solve with a NaN objective, a negative one to
+# converge, an infinite first GPS fix to warn inside initial_state, and a second
+# GPS fix in a step (row 3, step 2, moved 50 m) to leave the solve unchanged.
+LOG_FAULTS = {
+    "nan_toa": (5, {"toa": float("nan")}, "toa_s must be finite"),
+    "negative_toa": (5, {"toa": -1e-9}, "toa_s must be >= 0"),
+    "infinite_gps": (0, {"gps_pos": Vec3(float("inf"), 0.0, 30.0)}, "gps_x must be finite"),
+    "second_gps_fix": (3, {"gps_pos": Vec3(0.0, 0.0, 30.0)},
+                       "GPS fix differs from the first one given for step 2"),
+}
+
+
+@pytest.mark.parametrize("row, change, rule, build",
+                         [(*case, list) for case in LOG_FAULTS.values()]
+                         + [(*case, log_of_columns) for case in LOG_FAULTS.values()],
+                         ids=list(LOG_FAULTS) + [f"{name}_columns" for name in LOG_FAULTS])
+def test_a_sample_list_breaking_a_value_rule_is_refused_by_name(row, change, rule, build):
     samples = make_samples(circle(8), ID_USERS[:2])
     init = initial_state(samples)
     samples[row] = replace(samples[row], **change)
+    log, cfg = build(samples), SlamConfig()
+    entries = [lambda: solve_slam(init, log, cfg), lambda: initial_state(log),
+               lambda: basin_start(log, init.uav, init.users),
+               lambda: range_circle_start(log, np.array([1.0, 0.0])),
+               lambda: objective(init, log, cfg)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^sample {row}: {rule}$"):
-            solve_slam(init, samples, SlamConfig())
-        with pytest.raises(ValueError, match=f"^sample {row}: {rule}$"):
-            initial_state(samples)
+        for entry in entries:
+            with pytest.raises(ValueError, match=f"^sample {row}: {rule}$"):
+                entry()
 
 
 # --- initial_state ---
@@ -827,8 +848,19 @@ def sparse_logs(draw):
                           gps=np.array([r[2] for r in rows], dtype=float), toa=np.array(toa))
 
 
+def zero_delays_at_two_fixes():
+    """A user heard with zero delays from two GPS fixes 7 mm apart, 1.986 m
+    up: its sum q y is only rounding, so its secular root lies within
+    rounding of the lower end lo of its domain, which a Newton step once
+    reached, dividing by zero there."""
+    gps = np.array([[0.001, 0.0, 1.986], [0.008, 0.0, 1.986]])
+    return MeasurementLog(step=np.array([2, 3]), user_id=np.array([1, 1]), gps=gps,
+                          toa=np.zeros(2))
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(log=sparse_logs())
+@example(log=zero_delays_at_two_fixes())
 @example(log=MeasurementLog.of(make_samples(straight(4), ID_USERS)))
 @example(log=MeasurementLog.of(make_samples(CROSS, ID_USERS)))
 @example(log=two_fixes_1_mm_apart())
