@@ -39,7 +39,7 @@ class SchemaError(UavLocError):
 
 
 class RowError(UavLocError):
-    """A log row csv cannot read, or that breaks a MeasurementLog rule or its file's own."""
+    """A log row csv cannot read or convert, or that breaks a MeasurementLog rule."""
 
     def __init__(self, row, message):
         self.row = row

@@ -221,25 +221,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _first_inconsistent(log: MeasurementLog):
-    """Index and message of the first row of a parsed log that breaks a row
-    rule of read_measurement_log; None if there is none. At the first bad
-    row every row before it is valid, so the duplicate and GPS tests of each
-    row against the rows before it agree with reading row by row. The tests
-    read the log's index layout and fault, which the returned log then carries."""
-    repeated = np.ones(len(log), dtype=bool)
-    repeated[log.pair_first] = False
-    rules = [(log.step < 1) | (log.user_id < 1), repeated]
-    bad = [(int(np.argmax(m)), r) for r, m in enumerate(rules) if m.any()]
-    # a row's file rules come after its value rules (fault's 0-2) and before its GPS rule (3)
-    if log.fault and (not bad or log.fault[:2] < (min(bad)[0], 3)):
-        return log.fault[0], log.fault[2]
-    if bad:
-        i, rule = min(bad)
-        return i, ["step and user_id must be >= 1",
-                   f"duplicate row for step {log.step[i]}, user_id {log.user_id[i]}"][rule]
-
-
 # A log row as np.loadtxt reads it. numpy parses a float field with
 # PyOS_string_to_double, the routine float() calls, and an int field as
 # int() does for the spellings it accepts.
@@ -296,7 +277,8 @@ def _read_rows(reader) -> MeasurementLog:
     after the header, numbered from 2, blank ones skipped, that converts each
     field once, by int() or float(). It stops at the first record that csv
     cannot read, that does not hold 6 fields, that int() or float() refuses,
-    or with an id outside int64; a rule broken before the stop comes first."""
+    or with an id outside int64. A row the log's fault names, before the stop,
+    comes first: its RowError gives that row's number and the fault's message."""
     numbers, rows, error = [], [], None
     n = 1
     try:
@@ -320,9 +302,8 @@ def _read_rows(reader) -> MeasurementLog:
     except csv.Error as exc:
         error = n + 1, _csv_refusal(exc)
     log = _log_of(np.array(rows, dtype=_LOG_ROW))
-    inconsistent = _first_inconsistent(log)
-    if inconsistent is not None:
-        error = numbers[inconsistent[0]], inconsistent[1]
+    if log.fault is not None:
+        error = numbers[log.fault[0]], log.fault[1]
     if error is not None:
         raise RowError(*error)
     return log
@@ -331,12 +312,13 @@ def _read_rows(reader) -> MeasurementLog:
 def read_measurement_log(text: str) -> MeasurementLog:
     """Parse a measurement-log CSV; the header must match the schema exactly.
 
-    Each row must meet a MeasurementLog's rules (finite values within
-    LENGTH_MAX, toa_s >= 0, its step's first GPS fix) and the file's own: a
-    step and user_id >= 1 that fit in int64, and a (step, user_id) pair not
-    given before. A RowError names the first row that does not, or that csv
-    cannot read, by the first rule it breaks. Blank lines are skipped but
-    count in the row numbers. The log keeps its fault for the solver entries.
+    Each row must hold a step and user_id that fit in int64 and meet a
+    MeasurementLog's rules (MeasurementLog.fault): finite values within
+    LENGTH_MAX, toa_s >= 0, ids >= 1, a (step, user_id) pair not given
+    before, and its step's first GPS fix. A RowError names the first row that
+    does not, or that csv cannot read, by the first rule it breaks. Blank
+    lines are skipped but count in the row numbers. The log keeps its fault,
+    None, for the solver entries.
 
     np.loadtxt reads the body in one pass (_loaded), its values equal to
     int()'s and float()'s bit for bit. Only a body numpy refuses, or whose
@@ -355,7 +337,7 @@ def read_measurement_log(text: str) -> MeasurementLog:
     start = f.tell()
     body = f.read()
     log = _loaded(body)
-    if log is not None and _first_inconsistent(log) is None:
+    if log is not None and log.fault is None:
         return log
     f.seek(start)
     return _read_rows(reader)

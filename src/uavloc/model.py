@@ -96,7 +96,8 @@ def toa_variance(d, m: ToaNoiseModel):
 @dataclass(frozen=True)
 class MeasurementSample:
     """One measurement tuple: GPS-reported UAV position plus the estimated
-    LoS delay for user `user_id` at mission step `step` (both 1-based)."""
+    LoS delay for user `user_id` at mission step `step`. A log's rules
+    (MeasurementLog.fault) ask both to be >= 1 and no pair to repeat."""
     step: int
     user_id: int
     gps_pos: Vec3
@@ -115,14 +116,15 @@ class MeasurementLog(Sequence):
     steps and user_ids, the sorted distinct values as tuples of int; pose
     and user (M,), each row's index into them; pose_gps (S, 3), the GPS fix
     of each step's first row; pair_first (P,), the first row of each of the
-    P distinct (pose, user) pairs, in (user, pose) order, which the log
-    reader's duplicate rule and slam.range_circle_start read; and pair_index
+    P distinct (pose, user) pairs, in (user, pose) order, which fault's
+    duplicate rule and slam.range_circle_start read; and pair_index
     (12 M,), the solver's bincount index of 12 entries per row, 12 (K pose +
     user) + e for entry e, laid out entry-major. pair_first and pair_index
     are each computed the first time they are read, pair_first by one
     stable sort. Every log derives its layout from its own columns, so the
     columns must not change once the layout has been read. So is fault, the
-    first row to break a log's rules, which `of` enforces for every solver entry.
+    first row to break a log's rules: the one statement of them, which `of`
+    enforces for every solver entry and the log reader for every file.
     """
     step: np.ndarray
     user_id: np.ndarray
@@ -158,13 +160,18 @@ class MeasurementLog(Sequence):
 
     @cached_property
     def fault(self):
-        """(i, rule, message) of the first row i to break a rule of a log, rule
-        the index of the first it breaks, in the order a row is checked: its
-        values finite (0) and within LENGTH_MAX, a range C toa_s within it
-        (1), toa_s >= 0 (2), and its GPS fix its step's first (3); else None."""
+        """(i, message) of the first row i to break a rule of a log, by the first
+        rule it breaks, in the order a row is checked: its values finite (0)
+        and within LENGTH_MAX, a range C toa_s within it (1), toa_s >= 0 (2),
+        step and user_id >= 1 (3), its (step, user_id) pair not given in an
+        earlier row (4), and its GPS fix its step's first (5); else None."""
         finite = np.isfinite(np.column_stack([self.gps, self.toa]))
         far = np.column_stack([np.abs(self.gps), self.toa]) > _VALUE_LIMIT
-        rules = [~finite, far, self.toa[:, None] < 0, self.gps != self.pose_gps[self.pose]]
+        repeated = np.ones((len(self), 1), dtype=bool)
+        repeated[self.pair_first] = False
+        ids = np.column_stack([self.step, self.user_id])
+        rules = [~finite, far, self.toa[:, None] < 0, ids < 1, repeated,
+                 self.gps != self.pose_gps[self.pose]]
         # each rule's first row: a mask's first True, row-major, lies in it
         bad = [(int(np.argmax(m)) // m.shape[1], r) for r, m in enumerate(rules) if m.any()]
         if not bad:
@@ -174,15 +181,18 @@ class MeasurementLog(Sequence):
         beyond = (f"{VALUE_COLUMNS[c]} must be at most {LENGTH_MAX:g} m in magnitude" if c < 3
                   else f"toa_s must be at most {_VALUE_LIMIT[3]:.6g} s, a range C*toa_s of "
                   f"{LENGTH_MAX:g} m")
-        return i, rule, [f"{VALUE_COLUMNS[int(np.argmin(finite[i]))]} must be finite", beyond,
-                         "toa_s must be >= 0",
-                         f"GPS fix differs from the first one given for step {self.step[i]}"][rule]
+        return i, [f"{VALUE_COLUMNS[int(np.argmin(finite[i]))]} must be finite", beyond,
+                   "toa_s must be >= 0", "step and user_id must be >= 1",
+                   f"duplicate row for step {self.step[i]}, user_id {self.user_id[i]}",
+                   f"GPS fix differs from the first one given for step {self.step[i]}"][rule]
 
     @classmethod
     def of(cls, measurements) -> MeasurementLog:
-        """The MeasurementLog every solver entry reads: a log itself, any other
-        iterable of MeasurementSample as the columns of its rows, in order.
-        ValueError if it has no rows, or naming the sample that fault names."""
+        """The MeasurementLog every solver entry, check_identifiability and
+        write_measurement_log read: a log itself, any other iterable of
+        MeasurementSample as the columns of its rows, in order. ValueError if
+        it has no rows, or "sample i: <message>" of the row that fault names,
+        the log reader's RowError message for that row."""
         if not isinstance(log := measurements, cls):
             rows = list(measurements)
             log = cls(step=np.array([m.step for m in rows], dtype=np.int64),
@@ -193,7 +203,7 @@ class MeasurementLog(Sequence):
         if not len(log):
             raise ValueError("measurement set is empty")
         if log.fault:
-            raise ValueError(f"sample {log.fault[0]}: {log.fault[2]}")
+            raise ValueError(f"sample {log.fault[0]}: {log.fault[1]}")
         return log
 
     def __len__(self):

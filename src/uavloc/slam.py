@@ -202,10 +202,10 @@ def assemble_normal_equations(log: MeasurementLog, res, w_gps: float, w_toa,
     and c = w psi / (C d), a ToA measurement adds (w [psi = r] + C^2 c) g g^T
     - c I to its pose block, the top-left 2x2 of that to its user block and
     minus its first two columns to the coupling, and w psi g (negated for
-    the pose) to b. One bincount sums the 9 pose-block entries and the 3 of
-    b per (pose, user) pair, adding repeated measurements of a pair; the
-    blocks are sums of those. Its index is the log's pair_index, built once
-    per log.
+    the pose) to b. One bincount lays the 9 pose-block entries and the 3 of
+    b out per (pose, user) pair, of which a log holds one row at most
+    (MeasurementLog.fault); the blocks are sums of those. Its index is the
+    log's pair_index, built once per log.
     """
     S, K = len(log.steps), len(log.user_ids)
     r_gps, r_toa, diff, d = res
@@ -301,15 +301,17 @@ def _tracks(xy, user, K: int):
     return count, centre, q, (big, mid - r), major, minor, (long, wide)
 
 
-def check_identifiability(log: MeasurementLog) -> list[int]:
+def check_identifiability(measurements) -> list[int]:
     """Users lacking >= 3 ToA measurements from non-collinear horizontal
-    UAV positions. Logs a warning for each (identifiability is marginal);
-    `uavloc solve` calls it before solving, solve_slam does not.
+    UAV positions, of the log MeasurementLog.of reads. Logs a warning for
+    each (identifiability is marginal); `uavloc solve` calls it before
+    solving, solve_slam does not.
 
     A user's track is non-collinear when _tracks finds it wide: its extent
     across its principal axis, sqrt(sum (q . minor)^2) over its centred
     horizontal positions q (the second singular value of the centred
     track), exceeds EXTENT_RTOL times the largest horizontal coordinate."""
+    log = MeasurementLog.of(measurements)
     count, *_, (_, wide) = _tracks(log.pose_gps[log.pose, :2], log.user, len(log.user_ids))
     weak = np.compress((count < 3) | ~wide, log.user_ids).tolist()
     for uid in weak:

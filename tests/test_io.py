@@ -32,8 +32,8 @@ from uavloc.iofiles import (LOG_HEADER, _planner_state, export_results, parse_ru
                             parse_scenario, read_measurement_log,
                             serialize_scenario, write_measurement_log)
 from uavloc.mission import check_options, run_mission
-from uavloc.model import (LENGTH_MAX, REACH_SLACK, SPEED_OF_LIGHT, AxisBox, MeasurementSample,
-                          Scenario, ToaNoiseModel, Vec2, Vec3, toa_variance,
+from uavloc.model import (LENGTH_MAX, REACH_SLACK, SPEED_OF_LIGHT, AxisBox, MeasurementLog,
+                          MeasurementSample, Scenario, ToaNoiseModel, Vec2, Vec3, toa_variance,
                           validate_scenario)
 from uavloc.slam import SlamConfig
 
@@ -473,6 +473,58 @@ def test_log_one_corruption_matches_reference(samples, data):
     assert _exact_outcome(read_measurement_log, text) == _exact_outcome(reference_read, text)
 
 
+def _rarely(common, odd, n):
+    """Values of `common`, or about one time in n one of `odd`."""
+    return st.integers(1, n).flatmap(lambda r: common if r > 1 else st.sampled_from(odd))
+
+
+# ids <= 0, and values that break a log's rules: non-finite, beyond LENGTH_MAX
+# (4e31 as a range only) and a negative delay
+_LOG_ID = _rarely(st.integers(1, 4), [0, -1], 100)
+_LOG_COORDINATE = _rarely(st.floats(-1e3, 1e3), [math.nan, math.inf, -math.inf, 2e40, -2e40],
+                          60)
+_LOG_TOA = _rarely(st.floats(0.0, 1e-5), [math.nan, math.inf, -1e-9, 4e31], 30)
+
+
+@st.composite
+def rule_breaking_samples(draw):
+    """1 to 8 samples whose ids may be <= 0 or repeat a (step, user_id) pair,
+    whose values may break a value rule, and an eighth of whose rows give a
+    GPS fix of their own, not their step's first."""
+    fixes, samples = {}, []
+    for _ in range(draw(st.integers(1, 8))):
+        step, user_id = draw(_LOG_ID), draw(_LOG_ID)
+        gps = Vec3(*(draw(_LOG_COORDINATE) for _ in range(3)))
+        if draw(st.integers(0, 7)):
+            gps = fixes.setdefault(step, gps)
+        samples.append(MeasurementSample(step, user_id, gps, draw(_LOG_TOA)))
+    return samples
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(samples=rule_breaking_samples())
+def test_the_reader_and_a_sample_list_break_the_same_rule(samples):
+    # the file's row i + 2 is sample i: the reader and MeasurementLog.of refuse
+    # the same row with the same message, or accept the same columns
+    text = ",".join(LOG_HEADER) + "\n" + "".join(
+        f"{m.step},{m.user_id},{','.join(map(repr, astuple(m.gps_pos)))},{m.toa!r}\n"
+        for m in samples)
+    try:
+        read = read_measurement_log(text)
+    except RowError as exc:
+        read = str(exc).replace(f"row {exc.row}:", f"sample {exc.row - 2}:", 1)
+    try:
+        log = MeasurementLog.of(samples)
+    except ValueError as exc:
+        log = str(exc)
+    if isinstance(read, str) or isinstance(log, str):
+        assert read == log
+        return
+    for column in ("step", "user_id", "gps", "toa"):
+        got, want = getattr(read, column), getattr(log, column)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 _ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                              "\u0665\u0666\u0667\u0668\u0669")
 # other spellings of a field's text; int(), float() or csv read some of them
@@ -795,9 +847,9 @@ def test_cli_solve_reads_the_layout_once(scenario_file, measurement_log, capsys)
 
 
 def test_cli_solve_sorts_its_pairs_once(scenario_file, measurement_log, capsys):
-    # the reader's duplicate rule sorts the (pose, user) pairs by the one
-    # np.unique of the log's pair_first (counted above), and the first
-    # estimates (slam.range_circle_start) read it from the log the reader returns
+    # the log's duplicate rule (MeasurementLog.fault, which the reader checks) sorts the
+    # (pose, user) pairs by the one np.unique of the log's pair_first (counted above), and the
+    # first estimates (slam.range_circle_start) read it from the log the reader returns
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
             mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
         assert main(["solve", "--scenario", scenario_file, "--log", measurement_log]) == 0

@@ -432,15 +432,19 @@ def test_pair_first_is_the_first_row_of_each_pair(logs):
         for i, pair in enumerate(zip(log.user.tolist(), log.pose.tolist())):
             first.setdefault(pair, i)
         assert log.pair_first.tolist() == [first[pair] for pair in sorted(first)]
-        # the rows the log reader's duplicate rule passed before it read pair_first
+        # the first rows of the pairs as a duplicate rule found them by its own np.unique
         _, unique_first = np.unique(log.pose * len(log) + log.user, return_index=True)
         assert sorted(log.pair_first.tolist()) == sorted(unique_first.tolist())
         if not len(log):
             continue
-        # range_circle_start's earliest row per user, as a stable sort found it,
-        # on the log with each step's first GPS fix in all its rows, as a log's rules ask
-        timed = MeasurementLog(log.step, log.user_id, log.pose_gps[log.pose],
-                               toa=np.arange(len(log), 0, -1) * 1e-6)
+        # range_circle_start's earliest row per user, as a stable sort found it, on
+        # the log's first row of each pair, in log order, as a log's rules ask: ids
+        # >= 1 (the layout's indices + 1, ordered as the log's ids) and each step's
+        # first GPS fix in all its rows
+        rows = np.sort(log.pair_first)
+        timed = MeasurementLog(log.pose[rows] + 1, log.user[rows] + 1,
+                               log.pose_gps[log.pose[rows]],
+                               toa=np.arange(len(rows), 0, -1) * 1e-6)
         order = np.argsort(timed.user * len(timed.steps) + timed.pose, kind="stable")
         count = np.bincount(timed.user, minlength=len(timed.user_ids))
         row = order[np.cumsum(count) - count]

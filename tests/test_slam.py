@@ -430,7 +430,7 @@ def test_linear_solve_residual():
                          ids=["plain", "huber", "per_distance", "huber_and_per_distance"])
 def test_schur_step_matches_dense_solve(huber, per_distance):
     # the pose-eliminated step is the Newton step of the dense system, also
-    # with users missing at some poses and a repeated (pose, user) measurement
+    # with users missing at some poses
     rng = np.random.default_rng(8)
     noise = ToaNoiseModel(kind="exponential", sigma0=5e-9, amp=2e-9, scale=40.0)
     cfg = SlamConfig(sigma_gps=1.3, sigma_tau=2e-8, noise_model=noise,
@@ -443,9 +443,8 @@ def test_schur_step_matches_dense_solve(huber, per_distance):
         if k > 1:
             # from the fourth pose on, each pose misses one user
             samples = [m for m in samples if m.step <= 3 or m.user_id != m.step % k + 1]
-        samples = samples + [samples[int(rng.integers(len(samples)))]]
         log = MeasurementLog.of(samples)
-        assert len(log.toa) == n * k + 1 - (n - 3) * (k > 1)
+        assert len(log.toa) == n * k - (n - 3) * (k > 1)
         res = residuals(log, state.flatten())
         H_ref, b_ref, _ = dense_oracle_h_b(state, log, cfg)
         ne = assemble_normal_equations(log, res, *measurement_weights(res, cfg),
@@ -570,6 +569,12 @@ def test_identifiability_user_seen_from_two_poses_is_flagged():
     assert check_identifiability(MeasurementLog.of(samples)) == [2]
 
 
+def test_identifiability_refuses_an_empty_log():
+    # as every solver entry does; numpy's zero-size reduction error used to end it
+    with pytest.raises(ValueError, match="^measurement set is empty$"):
+        check_identifiability([])
+
+
 def test_solve_slam_logs_nothing(caplog):
     # every user is weakly observed from a straight track; `uavloc solve`
     # warns about them (tests/test_io.py), solve_slam does not
@@ -589,15 +594,19 @@ def log_of_columns(samples):
 
 
 # A sample list or a log built from columns meets a log's rules at every solver
-# entry: a NaN delay used to end a solve with a NaN objective, a negative one to
-# converge, an infinite first GPS fix to warn inside initial_state, and a second
-# GPS fix in a step (row 3, step 2, moved 50 m) to leave the solve unchanged.
+# entry and at check_identifiability: a NaN delay used to end a solve with a NaN
+# objective, a negative one to converge, an infinite first GPS fix to warn inside
+# initial_state, a second GPS fix in a step (row 3, step 2, moved 50 m) to leave
+# the solve unchanged, and a repeated (step, user_id) pair or an id 0 to be
+# solved, though the log reader refuses both.
 LOG_FAULTS = {
     "nan_toa": (5, {"toa": float("nan")}, "toa_s must be finite"),
     "negative_toa": (5, {"toa": -1e-9}, "toa_s must be >= 0"),
     "infinite_gps": (0, {"gps_pos": Vec3(float("inf"), 0.0, 30.0)}, "gps_x must be finite"),
     "second_gps_fix": (3, {"gps_pos": Vec3(0.0, 0.0, 30.0)},
                        "GPS fix differs from the first one given for step 2"),
+    "duplicate_pair": (3, {"user_id": 1}, "duplicate row for step 2, user_id 1"),
+    "zero_id": (5, {"user_id": 0}, "step and user_id must be >= 1"),
 }
 
 
@@ -613,7 +622,7 @@ def test_a_sample_list_breaking_a_value_rule_is_refused_by_name(row, change, rul
     entries = [lambda: solve_slam(init, log, cfg), lambda: initial_state(log),
                lambda: basin_start(log, init.uav, init.users),
                lambda: range_circle_start(log, np.array([1.0, 0.0])),
-               lambda: objective(init, log, cfg)]
+               lambda: objective(init, log, cfg), lambda: check_identifiability(log)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for entry in entries:
@@ -672,11 +681,12 @@ def reference_circle(log, track):
 
 
 def test_range_circle_start_reads_each_users_earliest_row():
-    # rows in reverse step order; user 3 is not heard before step 3, and a
-    # second row of user 2 at step 1, 30 m longer, comes first in the log
+    # rows in reverse step order; user 3 is not heard before step 3, and the
+    # row of user 2 at step 1, 30 m longer, comes first in the log
     uavs = circle(8)
     samples = [m for m in make_samples(uavs, ID_USERS)[::-1] if m.user_id != 3 or m.step >= 3]
     first = next(m for m in samples if (m.step, m.user_id) == (1, 2))
+    samples.remove(first)
     samples.insert(0, replace(first, toa=first.toa + 1e-7))
     log = MeasurementLog.of(samples)
     track = np.array([3.0, -4.0])
@@ -706,14 +716,13 @@ def test_start_puts_a_user_without_track_extent_on_its_range_circle():
     np.testing.assert_allclose(start.users, reference_circle(one_pose, (0.0, 0.0)),
                                rtol=0, atol=1e-12)
     # user 2 is heard at steps 3 and 6 from one spot, 30 m further at step
-    # 6, and user 3 three times at step 5; the rows come in reverse step order
+    # 6, and user 3 once, at step 5; the rows come in reverse step order
     uavs = circle(8)
     uavs[5] = uavs[2]
     samples = [m for m in make_samples(uavs, ID_USERS)
                if m.user_id == 1 or (m.user_id, m.step) in ((2, 3), (2, 6), (3, 5))]
     samples = [replace(m, toa=m.toa + 1e-7) if (m.user_id, m.step) == (2, 6) else m
                for m in samples]
-    samples += [m for m in samples if m.user_id == 3] * 2
     log = MeasurementLog.of(samples[::-1])
     start = initial_state(log)
     circles = reference_circle(log, uavs[7, :2] - uavs[0, :2])
